@@ -1,3 +1,5 @@
+module Pset = Dsm_util.Pset
+
 type entry = {
   lo : int;  (* first interval seq the (accumulated) diff covers *)
   seq : int;  (* last interval seq it covers *)

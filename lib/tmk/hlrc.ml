@@ -15,7 +15,12 @@
    The home copy therefore always covers every interval any processor can
    hold a notice for, so [applied := known] after installing the home copy
    is exact. The trace checker enforces this as the home-fetch-current
-   rule. *)
+   rule.
+
+   In the fetch pipeline this is the home-copy policy: a transfer plans
+   the stale pages by home (or, under replication, by quorum-read
+   source), moves one full-page response per peer and installs the copies;
+   the release hook flushes the closed interval's diffs home. *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -26,8 +31,6 @@ module Range = Dsm_rsd.Range
 module Page_table = Dsm_mem.Page_table
 module Diff = Dsm_mem.Diff
 module Prof = Dsm_prof.Prof
-
-let name = "hlrc"
 
 (* {1 Home assignment} *)
 
@@ -40,6 +43,27 @@ let home_of = Recover.home_of
 module Ft = Dsm_ft.Ft
 
 (* {1 Release: eager diff flush to the homes} *)
+
+(* Materialize [p]'s pending diff for [page] (charged to [p]: the flush
+   runs in its release) and fetch every unit not flushed yet; returns the
+   units and the highest interval they cover. *)
+let flush_units sys p ~seq page =
+  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let c = Protocol.materialize sys ~writer:p ~page in
+  if c > 0.0 then Cluster.charge sys.cluster p c;
+  let r =
+    Diff_store.fetch sys.store ~writer:p ~page ~after:m.home_flushed ~upto:seq
+  in
+  (r, List.fold_left (fun acc u -> max acc u.Diff_store.upto_seq) seq r.Diff_store.units)
+
+(* [home]'s copy of [page] now holds [p]'s intervals up to [high]. *)
+let absorbed sys p ~home page high =
+  let hm = Protocol.meta sys.states.(home) ~nprocs:sys.nprocs page in
+  if high > Wmap.get hm.applied p then Wmap.set hm.applied p high;
+  if Wmap.get hm.known p < Wmap.get hm.applied p then
+    Wmap.set hm.known p (Wmap.get hm.applied p);
+  Diff_store.note_applied sys.store ~writer:p ~page ~by:home
+    ~seq:(Wmap.get hm.applied p)
 
 (* Replicated variant of the flush ([replicas > 1]): the closed interval's
    diffs go to every live member of each page's replica group, and the
@@ -57,23 +81,8 @@ let flush_pages_replicated sys p ~seq pages =
   List.iter
     (fun page ->
       let m = Protocol.meta st ~nprocs:sys.nprocs page in
-      let c = Protocol.materialize sys ~writer:p ~page in
-      if c > 0.0 then Cluster.charge sys.cluster p c;
-      let r =
-        Diff_store.fetch sys.store ~writer:p ~page ~after:m.home_flushed
-          ~upto:seq
-      in
-      let high =
-        List.fold_left
-          (fun acc u -> max acc u.Diff_store.upto_seq)
-          seq r.Diff_store.units
-      in
+      let r, high = flush_units sys p ~seq page in
       let payload = r.Diff_store.charge_bytes in
-      let sorted =
-        List.sort
-          (fun a b -> compare a.Diff_store.order b.Diff_store.order)
-          r.Diff_store.units
-      in
       let live =
         Recover.live_members sys p (Recover.group_of sys ~toucher:p page)
       in
@@ -81,11 +90,7 @@ let flush_pages_replicated sys p ~seq pages =
         (fun member ->
           if member = p then begin
             (* my copy is current by construction; only the watermark moves *)
-            if high > Wmap.get m.applied p then Wmap.set m.applied p high;
-            if Wmap.get m.known p < Wmap.get m.applied p then
-              Wmap.set m.known p (Wmap.get m.applied p);
-            Diff_store.note_applied sys.store ~writer:p ~page ~by:p
-              ~seq:(Wmap.get m.applied p)
+            absorbed sys p ~home:p page high
           end
           else begin
             let hst = sys.states.(member) in
@@ -101,21 +106,11 @@ let flush_pages_replicated sys p ~seq pages =
               (Cluster.occupy sys.cluster member ~arrival
                  ~handler_time:service);
             let hm = Protocol.meta hst ~nprocs:sys.nprocs page in
-            let hpg = Page_table.get hst.pt page in
-            List.iter
-              (fun u ->
-                if u.Diff_store.upto_seq > Wmap.get hm.applied p then begin
-                  Diff.apply u.Diff_store.payload hpg.Page_table.data;
-                  match hpg.Page_table.twin with
-                  | Some twin -> Diff.apply u.Diff_store.payload twin
-                  | None -> ()
-                end)
-              sorted;
-            if high > Wmap.get hm.applied p then Wmap.set hm.applied p high;
-            if Wmap.get hm.known p < Wmap.get hm.applied p then
-              Wmap.set hm.known p (Wmap.get hm.applied p);
-            Diff_store.note_applied sys.store ~writer:p ~page ~by:member
-              ~seq:(Wmap.get hm.applied p);
+            Protocol.apply_units (Page_table.get hst.pt page)
+              (List.filter
+                 (fun u -> u.Diff_store.upto_seq > Wmap.get hm.applied p)
+                 r.Diff_store.units);
+            absorbed sys p ~home:member page high;
             Ft.clear_lost sys.ft member page;
             pstats.Stats.home_flushes <- pstats.Stats.home_flushes + 1;
             pstats.Stats.home_flush_bytes <-
@@ -174,17 +169,7 @@ let flush_pages sys p ~seq pages =
               List.map
                 (fun page ->
                   let m = Protocol.meta st ~nprocs:sys.nprocs page in
-                  let c = Protocol.materialize sys ~writer:p ~page in
-                  if c > 0.0 then Cluster.charge sys.cluster p c;
-                  let r =
-                    Diff_store.fetch sys.store ~writer:p ~page
-                      ~after:m.home_flushed ~upto:seq
-                  in
-                  let high =
-                    List.fold_left
-                      (fun acc u -> max acc u.Diff_store.upto_seq)
-                      seq r.Diff_store.units
-                  in
+                  let r, high = flush_units sys p ~seq page in
                   payload := !payload + r.Diff_store.charge_bytes;
                   (page, m, r, high))
                 hpages
@@ -201,25 +186,9 @@ let flush_pages sys p ~seq pages =
               (Cluster.occupy sys.cluster home ~arrival ~handler_time:service);
             List.iter
               (fun (page, m, r, high) ->
-                let hpg = Page_table.get hst.pt page in
-                let sorted =
-                  List.sort
-                    (fun a b -> compare a.Diff_store.order b.Diff_store.order)
-                    r.Diff_store.units
-                in
-                List.iter
-                  (fun u ->
-                    Diff.apply u.Diff_store.payload hpg.Page_table.data;
-                    match hpg.Page_table.twin with
-                    | Some twin -> Diff.apply u.Diff_store.payload twin
-                    | None -> ())
-                  sorted;
-                let hm = Protocol.meta hst ~nprocs:sys.nprocs page in
-                if high > Wmap.get hm.applied p then Wmap.set hm.applied p high;
-                if Wmap.get hm.known p < Wmap.get hm.applied p then
-                  Wmap.set hm.known p (Wmap.get hm.applied p);
-                Diff_store.note_applied sys.store ~writer:p ~page ~by:home
-                  ~seq:(Wmap.get hm.applied p);
+                Protocol.apply_units (Page_table.get hst.pt page)
+                  r.Diff_store.units;
+                absorbed sys p ~home page high;
                 if high > m.home_flushed then m.home_flushed <- high;
                 if sys.trace <> None then
                   Protocol.emit sys p
@@ -258,16 +227,9 @@ let stale st ~nprocs p page =
    it only has to advance its watermarks (this happens after a partial-push
    rollback or a foreign notice invalidated the home's page). *)
 let revalidate_local sys p page =
-  let st = sys.states.(p) in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
-  Wmap.iter
-    (fun q kv ->
-      if kv > Wmap.get m.applied q then begin
-        Wmap.set m.applied q kv;
-        Diff_store.note_applied sys.store ~writer:q ~page ~by:p ~seq:kv
-      end)
-    m.known;
-  m.ob_stale <- Pset.empty;
+  Protocol.mark_current sys p page;
+  (Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page).ob_stale <-
+    Pset.empty;
   if sys.trace <> None then begin
     Protocol.emit sys p
       (Dsm_trace.Event.Home_fetch { page; home = p; bytes = 0 });
@@ -315,15 +277,29 @@ let install_home_copy sys p page ~home =
     !saved;
   (* every writer with any watermark: raise applied to known, then restate
      the applied seq to the diff store (a 0 seq is a no-op there) *)
-  List.iter
-    (fun q ->
-      let kv = Wmap.get m.known q in
-      if kv > Wmap.get m.applied q then Wmap.set m.applied q kv;
-      Diff_store.note_applied sys.store ~writer:q ~page ~by:p
-        ~seq:(Wmap.get m.applied q))
-    (Wmap.union_keys m.known m.applied);
+  Protocol.mark_current ~restate:true sys p page;
   (* the installed copy is fully current: no slot is stale any more *)
   m.ob_stale <- Pset.empty
+
+(* One serving peer's full-page response (16 bytes of framing per page). *)
+let response sys peer pages =
+  let n = List.length pages in
+  {
+    Protocol.peer;
+    pages;
+    nreq = n;
+    data = (n * sys.page_size) + (16 * n);
+    hdr = 0;
+    ndiffs = 0;
+    mat = 0.0;
+  }
+
+(* The non-empty groups of a per-peer plan, in peer order. *)
+let by_peer plan =
+  List.filter_map
+    (fun peer ->
+      match plan.(peer) with [] -> None | l -> Some (peer, List.rev l))
+    (List.init (Array.length plan) Fun.id)
 
 (* Replicated variant of the miss path ([replicas > 1]): each stale or
    lost page is read from the live group member whose applied watermarks
@@ -363,30 +339,9 @@ let quorum_fetch_pages sys p pages ~mode =
         Protocol.emit sys p
           (Dsm_trace.Event.Fetch_done { page; full = true }))
     (List.sort_uniq compare pages);
-  for src = 0 to sys.nprocs - 1 do
-    match by_src.(src) with
-    | [] -> ()
-    | rev_entries ->
-        let entries = List.rev rev_entries in
-        let npages = List.length entries in
-        let payload = npages * sys.page_size in
-        let resp_bytes = payload + (16 * npages) in
-        (match mode with
-        | Protocol.Rpc ->
-            Net.rpc sys.net ~src:p ~dst:src ~req_bytes:(16 * npages)
-              ~resp_bytes ~service:cfg.Config.diff_service_us
-        | Protocol.Prepaid -> ()
-        | Protocol.Piggyback at ->
-            let hstats = sys.cluster.Cluster.stats.(src) in
-            hstats.Stats.messages <- hstats.Stats.messages + 1;
-            hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-            Cluster.charge sys.cluster src
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us));
+  Protocol.transfer sys p mode (by_peer by_src)
+    ~respond:(fun (src, entries) -> response sys src (List.map fst entries))
+    ~install:(fun (src, entries) ->
         List.iter
           (fun (page, live) ->
             install_home_copy sys p page ~home:src;
@@ -431,8 +386,8 @@ let quorum_fetch_pages sys p pages ~mode =
             end)
           entries;
         Cluster.charge sys.cluster p
-          (cfg.Config.diff_apply_per_byte_us *. float_of_int payload)
-  done;
+          (cfg.Config.diff_apply_per_byte_us
+          *. float_of_int (List.length entries * sys.page_size)));
   Prof.exit Prof.Protocol
 
 (* Fetch and install the home copies of every stale page, one aggregated
@@ -452,30 +407,9 @@ let fetch_pages_single sys p pages ~mode =
         else by_home.(home) <- page :: by_home.(home)
       end)
     (List.sort_uniq compare pages);
-  for home = 0 to sys.nprocs - 1 do
-    match by_home.(home) with
-    | [] -> ()
-    | rev_pages ->
-        let hpages = List.rev rev_pages in
-        let npages = List.length hpages in
-        let payload = npages * sys.page_size in
-        let resp_bytes = payload + (16 * npages) in
-        (match mode with
-        | Protocol.Rpc ->
-            Net.rpc sys.net ~src:p ~dst:home ~req_bytes:(16 * npages)
-              ~resp_bytes ~service:cfg.Config.diff_service_us
-        | Protocol.Prepaid -> ()
-        | Protocol.Piggyback at ->
-            let hstats = sys.cluster.Cluster.stats.(home) in
-            hstats.Stats.messages <- hstats.Stats.messages + 1;
-            hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-            Cluster.charge sys.cluster home
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us));
+  Protocol.transfer sys p mode (by_peer by_home)
+    ~respond:(fun (home, hpages) -> response sys home hpages)
+    ~install:(fun (home, hpages) ->
         List.iter
           (fun page ->
             install_home_copy sys p page ~home;
@@ -490,9 +424,9 @@ let fetch_pages_single sys p pages ~mode =
                    { page; home; bytes = sys.page_size }))
           hpages;
         Cluster.charge sys.cluster p
-          (cfg.Config.diff_apply_per_byte_us *. float_of_int payload)
-  done;
-  if sys.trace <> None then
+          (cfg.Config.diff_apply_per_byte_us
+          *. float_of_int (List.length hpages * sys.page_size)));
+  if sys.trace <> None && not (Protocol.is_async mode) then
     List.iter
       (fun page ->
         if Array.exists (fun l -> List.memq page l) by_home then
@@ -500,301 +434,34 @@ let fetch_pages_single sys p pages ~mode =
       (List.sort_uniq compare pages);
   Prof.exit Prof.Protocol
 
-let fetch_pages sys p pages ~mode =
-  if Ft.replicated sys.ft then quorum_fetch_pages sys p pages ~mode
+(* Under replication an asynchronous request degenerates to the
+   synchronous quorum read: the source must be settled before the
+   watermarks move. *)
+let fetch sys p pages ~mode =
+  if Ft.replicated sys.ft then
+    quorum_fetch_pages sys p pages
+      ~mode:(if mode = Protocol.Async then Protocol.Rpc else mode)
   else fetch_pages_single sys p pages ~mode
 
-(* Asynchronous variant: send the page requests to the homes and record
-   the response arrival times; the fault handler installs the copies
-   (Section 3.2.3 of the paper applies unchanged). Under replication the
-   asynchronous overlap is given up: a quorum read must settle its source
-   before the watermarks move, so the request degenerates to the
-   synchronous quorum fetch. *)
-let async_fetch_single sys p pages =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
-  let by_home = Array.make sys.nprocs [] in
-  List.iter
-    (fun page ->
-      if
-        (not (Hashtbl.mem st.pending_async page))
-        && stale st ~nprocs:sys.nprocs p page
-      then begin
-        let home = home_of sys ~toucher:p page in
-        if home = p then revalidate_local sys p page
-        else by_home.(home) <- page :: by_home.(home)
-      end)
-    (List.sort_uniq compare pages);
-  for home = 0 to sys.nprocs - 1 do
-    match by_home.(home) with
-    | [] -> ()
-    | rev_pages ->
-        let hpages = List.rev rev_pages in
-        let npages = List.length hpages in
-        let arrival_at_home =
-          Net.send sys.net ~src:p ~dst:home ~bytes:(16 * npages)
-        in
-        let resp_bytes = (npages * sys.page_size) + (16 * npages) in
-        let service =
-          cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
-          +. cfg.Config.diff_service_us +. cfg.Config.msg_overhead_us
-          +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-        in
-        Cluster.charge sys.cluster home service;
-        let hstats = sys.cluster.Cluster.stats.(home) in
-        hstats.Stats.messages <- hstats.Stats.messages + 1;
-        hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-        let start =
-          Cluster.occupy sys.cluster home ~arrival:arrival_at_home
-            ~handler_time:service
-        in
-        let arrival = start +. service +. cfg.Config.wire_latency_us in
-        List.iter
-          (fun page ->
-            let prev =
-              Option.value ~default:0.0
-                (Hashtbl.find_opt st.pending_async page)
-            in
-            Hashtbl.replace st.pending_async page (Float.max prev arrival))
-          hpages
-  done;
-  Prof.exit Prof.Protocol
+(* Cost-only peek for the barrier responder scan: does [p] home [page]?
+   It never assigns a home. Under first-touch a page with no home yet
+   cannot be [p]'s, and recording the requester as its toucher here would
+   hand out homes a run without this scan (or with a different departure
+   order) would assign differently — the page's real first toucher claims
+   it when data actually moves. *)
+let serves sys p ~requester page =
+  match Hashtbl.find_opt sys.homes page with
+  | Some h -> h = p
+  | None -> (
+      match sys.cluster.Cluster.cfg.Config.home_policy with
+      | Config.Home_first_touch -> false
+      | Config.Home_cyclic | Config.Home_block ->
+          home_of sys ~toucher:requester page = p)
 
-let async_fetch sys p pages =
-  if Ft.replicated sys.ft then
-    quorum_fetch_pages sys p pages ~mode:Protocol.Rpc
-  else async_fetch_single sys p pages
-
-let make_consistent sys p page =
-  let st = sys.states.(p) in
-  match Hashtbl.find_opt st.pending_async page with
-  | Some arrival ->
-      Hashtbl.remove st.pending_async page;
-      Cluster.sync_clock sys.cluster p arrival;
-      fetch_pages sys p [ page ] ~mode:Protocol.Prepaid
-  | None -> fetch_pages sys p [ page ] ~mode:Protocol.Rpc
-
-(* Fault handlers: identical bookkeeping to the homeless protocol, with
-   the home fetch as the data movement. *)
-let read_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  if sys.trace <> None then
-    Protocol.emit sys p
-      (Dsm_trace.Event.Page_fault { page; write = false; fetch = true });
-  make_consistent sys p page;
-  let pg = Page_table.get st.pt page in
-  pg.Page_table.prot <-
-    (if Protocol.in_dirty st page then Page_table.Read_write
-     else Page_table.Read_only);
-  Prof.exit Prof.Protocol
-
-let write_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  let pg = Page_table.get st.pt page in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
-  let fetch = pg.Page_table.prot = Page_table.No_access in
-  if sys.trace <> None then
-    Protocol.emit sys p (Dsm_trace.Event.Page_fault { page; write = true; fetch });
-  if fetch then make_consistent sys p page;
-  if Range.is_empty m.write_all && pg.Page_table.twin = None then begin
-    Page_table.make_twin pg;
-    pstats.Stats.twins <- pstats.Stats.twins + 1;
-    if sys.trace <> None then Protocol.emit sys p (Dsm_trace.Event.Twin { page });
-    Cluster.charge sys.cluster p
-      (cfg.Config.twin_per_byte_us *. float_of_int sys.page_size)
-  end;
-  Protocol.mark_dirty st page;
-  pg.Page_table.prot <- Page_table.Read_write;
-  Prof.exit Prof.Protocol
-
-(* {1 Synchronization: shared skeletons, home-based data movement} *)
-
-(* Piggy-backed section requests at a barrier. The responder scan runs at
-   the homes (each processor matches the other requesters' sections
-   against the pages it homes); requesters are answered with home copies
-   sent at departure. No broadcast detection: the home copy is already a
-   single producer, so the hybrid-update optimization has nothing to
-   merge. *)
-let handle_wsync sys p ~epoch ~departure_clock ~my_reqs =
-  let b = sys.barrier in
-  let cfg = sys.cluster.Cluster.cfg in
-  let entries =
-    Option.value ~default:[] (Hashtbl.find_opt b.wsync_tbl epoch)
-  in
-  List.iter
-    (fun (r, reqs) ->
-      if r <> p then begin
-        let mine =
-          List.filter
-            (fun page ->
-              (* cost-only peek: this scan must never assign a home. Under
-                 first-touch a page with no home yet cannot be "mine", and
-                 recording the requester as its toucher here would hand
-                 out homes a run without this scan (or with a different
-                 departure order) would assign differently — the page's
-                 real first toucher claims it when data actually moves. *)
-              match Hashtbl.find_opt sys.homes page with
-              | Some h -> h = p
-              | None -> (
-                  match sys.cluster.Cluster.cfg.Config.home_policy with
-                  | Config.Home_first_touch -> false
-                  | Config.Home_cyclic | Config.Home_block ->
-                      home_of sys ~toucher:r page = p))
-            (Sync_ops.wsync_req_pages sys reqs)
-        in
-        if mine <> [] then
-          Cluster.charge sys.cluster p
-            (cfg.Config.wsync_scan_per_page_us
-            *. float_of_int (List.length mine))
-      end)
-    entries;
-  List.iter
-    (fun req ->
-      let pages = Range.pages ~page_size:sys.page_size req.wr_ranges in
-      (* under replication the asynchronous variant falls through to the
-         synchronous quorum fetch below, like {!async_fetch} *)
-      if req.wr_async && not (Ft.replicated sys.ft) then begin
-        let st = sys.states.(p) in
-        let by_home = Array.make sys.nprocs [] in
-        List.iter
-          (fun page ->
-            if
-              (not (Hashtbl.mem st.pending_async page))
-              && stale st ~nprocs:sys.nprocs p page
-            then begin
-              let home = home_of sys ~toucher:p page in
-              if home = p then revalidate_local sys p page
-              else by_home.(home) <- page :: by_home.(home)
-            end)
-          pages;
-        for home = 0 to sys.nprocs - 1 do
-          match by_home.(home) with
-          | [] -> ()
-          | rev_pages ->
-              (* the request traveled on the arrival message; the home
-                 answers at departure and the faults consume the copies *)
-              let hpages = List.rev rev_pages in
-              let npages = List.length hpages in
-              let resp_bytes = (npages * sys.page_size) + (16 * npages) in
-              let hstats = sys.cluster.Cluster.stats.(home) in
-              hstats.Stats.messages <- hstats.Stats.messages + 1;
-              hstats.Stats.bytes <- hstats.Stats.bytes + resp_bytes;
-              Cluster.charge sys.cluster home
-                (cfg.Config.msg_overhead_us
-                +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-              let arrival =
-                departure_clock
-                +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-                +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
-              in
-              List.iter
-                (fun page ->
-                  let prev =
-                    Option.value ~default:0.0
-                      (Hashtbl.find_opt st.pending_async page)
-                  in
-                  Hashtbl.replace st.pending_async page
-                    (Float.max prev arrival))
-                hpages
-        done;
-        match req.wr_access with
-        | Write_all | Read_write_all ->
-            Protocol.record_write_all sys p req.wr_ranges
-        | Read | Write | Read_write -> ()
-      end
-      else begin
-        fetch_pages sys p pages ~mode:(Protocol.Piggyback departure_clock);
-        Protocol.apply_access_state sys p ~ranges:req.wr_ranges
-          ~access:req.wr_access
-      end)
-    my_reqs
-
-let no_bcast _sys ~epoch:_ ~departure_clock:_ _entries = None
-
-let barrier t =
-  Sync_ops.barrier_with ~release ~plan_bcast:no_bcast
-    ~handle_wsync t
-
-(* On a lock grant, piggy-backed section requests are answered with home
-   copies sent at grant time (the grantor's scan cost is absorbed into the
-   homes' handlers). *)
-let answer_wsync sys p ~grantor:_ ~grant_ready req =
-  let pages = Range.pages ~page_size:sys.page_size req.wr_ranges in
-  fetch_pages sys p pages ~mode:(Protocol.Piggyback grant_ready);
-  Protocol.apply_access_state sys p ~ranges:req.wr_ranges
-    ~access:req.wr_access
-
-let lock_acquire t lid = Sync_ops.lock_acquire_with ~answer_wsync t lid
-let lock_release t lid = Sync_ops.lock_release_with ~release t lid
-
-(* {1 The augmented interface} *)
-
-let validate t ~async sections access =
-  Prof.enter Prof.Sync;
-  let sys = t.sys
-  and p = t.p in
-  let pstats = Types.stats t in
-  pstats.Stats.validates <- pstats.Stats.validates + 1;
-  let ranges = Validate.ranges_of_sections sections in
-  let pages = Range.pages ~page_size:sys.page_size ranges in
-  if sys.trace <> None then
-    Protocol.emit sys p
-      (Dsm_trace.Event.Validate
-         {
-           access = access_to_string access;
-           npages = List.length pages;
-           async;
-           w_sync = false;
-         });
-  (match access with
-  | Read | Write | Read_write ->
-      let to_fetch, skipped = Protocol.obj_skip sys p ~ranges pages in
-      if async then begin
-        let faultable, unfaultable = Protocol.split_unfaultable sys p to_fetch in
-        async_fetch sys p faultable;
-        if unfaultable <> [] then
-          fetch_pages sys p unfaultable ~mode:Protocol.Rpc;
-        if skipped <> [] || unfaultable <> [] then
-          Protocol.apply_access_state sys p
-            ~ranges:(Validate.clip_to_pages sys ranges (skipped @ unfaultable))
-            ~access
-      end
-      else begin
-        fetch_pages sys p to_fetch ~mode:Protocol.Rpc;
-        Protocol.apply_access_state sys p ~ranges ~access
-      end
-  | Write_all -> Protocol.apply_access_state sys p ~ranges ~access
-  | Read_write_all ->
-      let to_fetch, skipped = Protocol.obj_skip sys p ~ranges pages in
-      if async then begin
-        let faultable, unfaultable = Protocol.split_unfaultable sys p to_fetch in
-        async_fetch sys p faultable;
-        if unfaultable <> [] then
-          fetch_pages sys p unfaultable ~mode:Protocol.Rpc;
-        Protocol.record_write_all sys p ranges;
-        if skipped <> [] || unfaultable <> [] then
-          Protocol.apply_access_state sys p
-            ~ranges:(Validate.clip_to_pages sys ranges (skipped @ unfaultable))
-            ~access
-      end
-      else begin
-        fetch_pages sys p to_fetch ~mode:Protocol.Rpc;
-        Protocol.apply_access_state sys p ~ranges ~access
-      end);
-  Prof.exit Prof.Sync
-
-let validate_w_sync t ~async sections access =
-  Validate.validate_w_sync t ~async sections access
-
-let push t ~read_sections ~write_sections =
-  Validate.push_with ~release t ~read_sections ~write_sections
+let backend =
+  {
+    b_name = "hlrc";
+    b_proto = Some P_hlrc;
+    b_release = release;
+    b_departure = Protocol.no_departure;
+  }

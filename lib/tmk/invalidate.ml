@@ -1,7 +1,9 @@
 (* Directory-based single-writer invalidate protocol.
 
    A sequentially consistent protocol family deliberately unlike the LRC
-   variants, proving {!Backend.S} spans consistency models: each page has
+   variants, proving the backend interface spans consistency models: in
+   the fetch pipeline it is the policy whose pages move by synchronous
+   directory transactions rather than planned transfers. Each page has
    a directory entry (conceptually on processor [page mod nprocs]) holding
    an M/S/I summary — an owner whose copy is always current, an exclusive
    bit, and the sharer set. A read miss fetches the full page from the
@@ -31,11 +33,8 @@ module Cluster = Dsm_sim.Cluster
 module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
 module Net = Dsm_net.Net
-module Range = Dsm_rsd.Range
 module Page_table = Dsm_mem.Page_table
-module Prof = Dsm_prof.Prof
 
-let name = "inval"
 let dir_of sys page = page mod sys.nprocs
 
 (* Directory entry, created at the first transaction for the page. The
@@ -55,20 +54,6 @@ let entry sys page =
       Hashtbl.replace sys.iv_dir page e;
       e
 
-(* The copy just installed (or pushed whole) is current: advance the LRC
-   watermarks so a later protocol switch (adaptive backend) or checker
-   replay sees [applied = known]. A no-op under the pure invalidate
-   backend, where no write notices ever flow. *)
-let mark_current sys p page =
-  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
-  Wmap.iter
-    (fun q kv ->
-      if kv > Wmap.get m.applied q then begin
-        Wmap.set m.applied q kv;
-        Diff_store.note_applied sys.store ~writer:q ~page ~by:p ~seq:kv
-      end)
-    m.known
-
 (* Install the authoritative copy held by [src] into [p]'s frame, paying
    one data roundtrip (plus a control roundtrip to a remote directory node
    when it is neither endpoint). *)
@@ -87,7 +72,10 @@ let fetch_from sys p page ~src =
   let pstats = sys.cluster.Cluster.stats.(p) in
   pstats.Stats.diff_bytes_applied <-
     pstats.Stats.diff_bytes_applied + sys.page_size;
-  mark_current sys p page;
+  (* advance the LRC watermarks so a later protocol switch (adaptive
+     backend) or checker replay sees [applied = known]; a no-op under the
+     pure invalidate backend, where no write notices ever flow *)
+  Protocol.mark_current sys p page;
   if sys.trace <> None then
     Protocol.emit sys p (Dsm_trace.Event.Fetch_done { page; full = true })
 
@@ -102,27 +90,48 @@ let source_of sys e page =
 
 (* {1 The two directory transactions} *)
 
+(* Put [page] under a fresh directory entry whose only (shared) copy is
+   [owner]'s, which must be current; every other copy is invalid. Used at
+   quiescence: an adaptive switch, or a static plan seeded before the run. *)
+let install sys page ~owner =
+  Hashtbl.remove sys.homes page;
+  Hashtbl.replace sys.iv_dir page
+    { iv_owner = owner; iv_excl = false; iv_sharers = [ owner ] };
+  for q = 0 to sys.nprocs - 1 do
+    let pg = Page_table.get sys.states.(q).pt page in
+    pg.Page_table.prot <-
+      (if q = owner then Page_table.Read_only else Page_table.No_access)
+  done
+
+(* An exclusive owner drops to shared (read-only) so [reader] can join
+   the sharers. *)
+let downgrade sys e page ~reader =
+  if e.iv_excl then begin
+    let o = e.iv_owner in
+    let opg = Page_table.get sys.states.(o).pt page in
+    if opg.Page_table.prot = Page_table.Read_write then
+      opg.Page_table.prot <- Page_table.Read_only;
+    e.iv_excl <- false;
+    let ostats = sys.cluster.Cluster.stats.(o) in
+    ostats.Stats.downgrades <- ostats.Stats.downgrades + 1;
+    if sys.trace <> None then
+      Protocol.emit sys o (Dsm_trace.Event.Downgrade { page; reader })
+  end
+
+let readable sys p page =
+  let pg = Page_table.get sys.states.(p).pt page in
+  if pg.Page_table.prot = Page_table.No_access then
+    pg.Page_table.prot <- Page_table.Read_only
+
 (* Read miss: join the sharers, downgrading an exclusive owner. *)
 let ensure_shared sys p page =
   let e = entry sys page in
   if not (List.mem p e.iv_sharers) then begin
-    if e.iv_excl then begin
-      let o = e.iv_owner in
-      let opg = Page_table.get sys.states.(o).pt page in
-      if opg.Page_table.prot = Page_table.Read_write then
-        opg.Page_table.prot <- Page_table.Read_only;
-      e.iv_excl <- false;
-      let ostats = sys.cluster.Cluster.stats.(o) in
-      ostats.Stats.downgrades <- ostats.Stats.downgrades + 1;
-      if sys.trace <> None then
-        Protocol.emit sys o (Dsm_trace.Event.Downgrade { page; reader = p })
-    end;
+    downgrade sys e page ~reader:p;
     fetch_from sys p page ~src:(source_of sys e page);
     e.iv_sharers <- List.sort_uniq compare (p :: e.iv_sharers)
   end;
-  let pg = Page_table.get sys.states.(p).pt page in
-  if pg.Page_table.prot = Page_table.No_access then
-    pg.Page_table.prot <- Page_table.Read_only
+  readable sys p page
 
 (* Write fault/upgrade: invalidate every other valid copy, fetching the
    current contents first when the writer's own copy is invalid. *)
@@ -177,89 +186,15 @@ let ensure_excl sys p page =
   (Page_table.get sys.states.(p).pt page).Page_table.prot <-
     Page_table.Read_write
 
-(* {1 Fault handlers} *)
-
-let read_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  if sys.trace <> None then
-    Protocol.emit sys p
-      (Dsm_trace.Event.Page_fault { page; write = false; fetch = true });
-  ensure_shared sys p page;
-  Prof.exit Prof.Protocol
-
-let write_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  let pg = Page_table.get sys.states.(p).pt page in
-  let fetch = pg.Page_table.prot = Page_table.No_access in
-  if sys.trace <> None then
-    Protocol.emit sys p
-      (Dsm_trace.Event.Page_fault { page; write = true; fetch });
-  ensure_excl sys p page;
-  Prof.exit Prof.Protocol
-
-(* {1 Synchronization}
-
-   The shared skeletons provide the timing; the protocol closes no
-   intervals at a release (there are none), and piggy-backed section
-   requests are answered by running the directory transactions at the
-   synchronization point. *)
-
-let release _sys _p = None
-let no_bcast _sys ~epoch:_ ~departure_clock:_ _entries = None
-
-let satisfy_req sys p req =
-  let pages = Range.pages ~page_size:sys.page_size req.wr_ranges in
-  match req.wr_access with
+(* Serve an access to [pages] by the directory transactions. They always
+   complete within the call: there is nothing for an asynchronous request
+   to overlap with, which is always correct (async is a pure optimization
+   hint), and nothing for a fault handler to finish. *)
+let satisfy sys p access pages =
+  match access with
   | Read -> List.iter (ensure_shared sys p) pages
   | Write | Read_write | Write_all | Read_write_all ->
       List.iter (ensure_excl sys p) pages
-
-let handle_wsync sys p ~epoch:_ ~departure_clock:_ ~my_reqs =
-  List.iter (satisfy_req sys p) my_reqs
-
-let barrier t =
-  Sync_ops.barrier_with ~release ~plan_bcast:no_bcast ~handle_wsync t
-
-let answer_wsync sys p ~grantor:_ ~grant_ready:_ req = satisfy_req sys p req
-let lock_acquire t lid = Sync_ops.lock_acquire_with ~answer_wsync t lid
-let lock_release t lid = Sync_ops.lock_release_with ~release t lid
-
-(* {1 The augmented interface} *)
-
-let validate t ~async sections access =
-  Prof.enter Prof.Sync;
-  let sys = t.sys
-  and p = t.p in
-  let pstats = Types.stats t in
-  pstats.Stats.validates <- pstats.Stats.validates + 1;
-  let ranges = Validate.ranges_of_sections sections in
-  let pages = Range.pages ~page_size:sys.page_size ranges in
-  if sys.trace <> None then
-    Protocol.emit sys p
-      (Dsm_trace.Event.Validate
-         {
-           access = access_to_string access;
-           npages = List.length pages;
-           async;
-           w_sync = false;
-         });
-  (* the asynchronous variant has nothing to overlap with here: a
-     directory transaction completes within the call, which is always
-     correct (async is a pure optimization hint) *)
-  (match access with
-  | Read -> List.iter (ensure_shared sys p) pages
-  | Write | Read_write | Write_all | Read_write_all ->
-      List.iter (ensure_excl sys p) pages);
-  Prof.exit Prof.Sync
-
-let validate_w_sync t ~async sections access =
-  Validate.validate_w_sync t ~async sections access
 
 (* Push: the sender necessarily owns every page it pushes (it wrote the
    data), so the in-place payload is valid. A receiver whose copy the
@@ -271,33 +206,23 @@ let validate_w_sync t ~async sections access =
    of the pushed region then fault and fetch the whole page from the
    owner, which the push rendezvous has already ordered after the
    writes. *)
-let push_received sys p ~src:_ ~page ~covered =
+let push_received sys p ~page ~covered =
   if covered then begin
     let e = entry sys page in
-    if e.iv_excl then begin
-      let o = e.iv_owner in
-      let opg = Page_table.get sys.states.(o).pt page in
-      if opg.Page_table.prot = Page_table.Read_write then
-        opg.Page_table.prot <- Page_table.Read_only;
-      e.iv_excl <- false;
-      let ostats = sys.cluster.Cluster.stats.(o) in
-      ostats.Stats.downgrades <- ostats.Stats.downgrades + 1;
-      if sys.trace <> None then
-        Protocol.emit sys o (Dsm_trace.Event.Downgrade { page; reader = p })
-    end;
+    downgrade sys e page ~reader:p;
     e.iv_sharers <- List.sort_uniq compare (p :: e.iv_sharers);
-    mark_current sys p page;
-    let pg = Page_table.get sys.states.(p).pt page in
-    if pg.Page_table.prot = Page_table.No_access then
-      pg.Page_table.prot <- Page_table.Read_only;
+    Protocol.mark_current sys p page;
+    readable sys p page;
     if sys.trace <> None then
       Protocol.emit sys p (Dsm_trace.Event.Fetch_done { page; full = true })
   end
 
-let push t ~read_sections ~write_sections =
-  let sys = t.sys
-  and p = t.p in
-  Validate.push_with ~release
-    ~is_inval:(fun _ -> true)
-    ~on_inval:(push_received sys p)
-    t ~read_sections ~write_sections
+(* No intervals close (there are none), and there is no broadcast to
+   plan. *)
+let backend =
+  {
+    b_name = "inval";
+    b_proto = Some P_inval;
+    b_release = (fun _ _ -> None);
+    b_departure = Protocol.no_departure;
+  }

@@ -1,7 +1,8 @@
-(* Core lazy-release-consistency protocol operations: release (eager diff
-   creation), write-notice application (invalidation), access-miss handling,
-   and diff fetching with the various charging modes used by the base and
-   augmented run-times. *)
+(* Core lazy-release-consistency protocol operations: release (lazy diff
+   creation), write-notice application (invalidation), the transfer
+   pipeline every data-moving policy runs on (plan, move with the charging
+   modes of the base and augmented run-times, install), and the homeless
+   protocol's policy on top of it: per-writer diff fetching. *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -12,8 +13,6 @@ module Page_table = Dsm_mem.Page_table
 module Diff = Dsm_mem.Diff
 module Range = Dsm_rsd.Range
 module Prof = Dsm_prof.Prof
-
-let debug = Sys.getenv_opt "DSM_DEBUG" <> None
 
 (* Trace emission. Call sites guard with [sys.trace <> None] BEFORE
    building the event payload, so a disabled trace allocates nothing.
@@ -359,14 +358,149 @@ let pull_notices sys p ~upto =
   Prof.exit Prof.Protocol;
   !count
 
-(* {1 Diff fetching} *)
+(* {1 The transfer pipeline}
 
-type fetch_mode =
-  | Rpc  (** on-demand request/response pair(s), one per writer *)
-  | Prepaid  (** data already charged (async response consumed at a fault) *)
+   Every page transfer of the data-moving policies — the homeless
+   protocol's per-writer diffs below, the home copies of {!Hlrc} — runs
+   the same three steps: the policy {e plans} (picks the stale pages and
+   groups them by the peer that serves them), {!move} sends one response
+   per peer and charges it once according to the mode, and the policy
+   {e installs} the data (watermarks, stale slots, statistics, trace). *)
+
+type mode =
+  | Rpc  (** on-demand request/response pair, one per peer *)
+  | Prepaid
+      (** data already paid for: an asynchronous response consumed at a
+          fault, or a broadcast *)
   | Piggyback of float
-      (** one data message per writer, sent at the given time (responses to
+      (** one data message per peer, sent at the given time (answers to
           section requests piggy-backed on a synchronization operation) *)
+  | Async
+      (** requests sent now, responses consumed by the page-fault handler
+          (Section 3.2.3) *)
+  | Async_at of float
+      (** piggy-backed answers sent at the given time, consumed by the
+          page-fault handler *)
+
+let is_async = function Async | Async_at _ -> true | _ -> false
+
+(* One peer's response to a planned transfer. *)
+type response = {
+  peer : int;
+  pages : int list;
+  nreq : int;  (* request entries, 16 bytes each *)
+  data : int;  (* payload bytes *)
+  hdr : int;  (* per-diff framing bytes *)
+  ndiffs : int;  (* historical diffs carried: each costs service time *)
+  mat : float;  (* lazy-diff materialization the peer performed for it *)
+}
+
+(* An asynchronous response for [page] arrives at [arrival]; the fault
+   handler consumes it (the latest arrival wins). *)
+let await st page arrival =
+  let prev =
+    Option.value ~default:0.0 (Hashtbl.find_opt st.pending_async page)
+  in
+  Hashtbl.replace st.pending_async page (Float.max prev arrival)
+
+let move sys p mode r =
+  let cfg = sys.cluster.Cluster.cfg in
+  let resp_bytes = r.data + r.hdr in
+  (* one data message the peer sends at [at], its sending cost stolen from
+     the peer's cpu; returns the arrival at [p] *)
+  let answer_at at bytes =
+    let qstats = sys.cluster.Cluster.stats.(r.peer) in
+    qstats.Stats.messages <- qstats.Stats.messages + 1;
+    qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
+    Cluster.charge sys.cluster r.peer
+      (cfg.Config.msg_overhead_us
+      +. (cfg.Config.per_byte_us *. float_of_int bytes));
+    at
+    +. (cfg.Config.per_byte_us *. float_of_int bytes)
+    +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+  in
+  match mode with
+  | Rpc ->
+      Net.rpc sys.net ~src:p ~dst:r.peer ~req_bytes:(16 * r.nreq) ~resp_bytes
+        ~service:
+          (cfg.Config.diff_service_us +. r.mat
+          +. (2.0 *. float_of_int r.ndiffs))
+  | Prepaid -> Cluster.charge sys.cluster r.peer r.mat
+  | Piggyback at ->
+      Cluster.charge sys.cluster r.peer r.mat;
+      if resp_bytes > 0 then
+        Cluster.sync_clock sys.cluster p (answer_at at resp_bytes)
+  | Async ->
+      let arrival_at_peer =
+        Net.send sys.net ~src:p ~dst:r.peer ~bytes:(16 * r.nreq)
+      in
+      let service =
+        cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
+        +. cfg.Config.diff_service_us +. r.mat
+        +. (2.0 *. float_of_int r.ndiffs)
+        +. cfg.Config.msg_overhead_us
+        +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
+      in
+      Cluster.charge sys.cluster r.peer service;
+      let qstats = sys.cluster.Cluster.stats.(r.peer) in
+      qstats.Stats.messages <- qstats.Stats.messages + 1;
+      qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes;
+      (* back-to-back requests serialize at the peer's handler *)
+      let start =
+        Cluster.occupy sys.cluster r.peer ~arrival:arrival_at_peer
+          ~handler_time:service
+      in
+      let arrival = start +. service +. cfg.Config.wire_latency_us in
+      List.iter (fun page -> await sys.states.(p) page arrival) r.pages
+  | Async_at at ->
+      (* the historical cost model: an asynchronous piggy-backed answer
+         carries the payload only — no per-diff framing, and the
+         materialization it triggered is not charged *)
+      if r.data > 0 then begin
+        let arrival = answer_at at r.data in
+        List.iter (fun page -> await sys.states.(p) page arrival) r.pages
+      end
+
+(* Run a planned transfer: per peer group, [respond] builds the peer's
+   response (staging its data when it is installed now), {!move} charges
+   it, and [install] applies it — unless the fault handler completes the
+   transfer later. *)
+let transfer sys p mode groups ~respond ~install =
+  List.iter
+    (fun g ->
+      move sys p mode (respond g);
+      if not (is_async mode) then install g)
+    groups
+
+(* Apply diff units to a copy and its twin in happens-before order;
+   [each] sees every unit first. *)
+let apply_units ?(each = ignore) pg units =
+  List.iter
+    (fun u ->
+      each u;
+      Diff.apply u.Diff_store.payload pg.Page_table.data;
+      match pg.Page_table.twin with
+      | Some twin -> Diff.apply u.Diff_store.payload twin
+      | None -> ())
+    (List.sort
+       (fun a b -> compare a.Diff_store.order b.Diff_store.order)
+       units)
+
+(* [p]'s copy of [page] was just made current: raise every applied
+   watermark to the known one and tell the diff store. [restate] also
+   restates the watermarks that did not move. *)
+let mark_current ?(restate = false) sys p page =
+  let m = meta sys.states.(p) ~nprocs:sys.nprocs page in
+  List.iter
+    (fun q ->
+      let raised = Wmap.get m.known q > Wmap.get m.applied q in
+      if raised then Wmap.set m.applied q (Wmap.get m.known q);
+      if raised || restate then
+        Diff_store.note_applied sys.store ~writer:q ~page ~by:p
+          ~seq:(Wmap.get m.applied q))
+    (Wmap.union_keys m.known m.applied)
+
+(* {1 The homeless policy: per-writer diffs} *)
 
 (* Compute which writers' diffs [p] is missing for [pages], materialize the
    pending lazy diffs (recording the cost per writer), and apply supersede
@@ -467,19 +601,6 @@ let gather_needs sys p pages ?only_via () =
             | _ -> !needed
           end
         in
-        if debug then
-          Format.eprintf "[p%d] fetch page %d: needed=%s chosen=%s applied=%s known=%s@."
-            p page
-            (String.concat "," (List.map string_of_int !needed))
-            (String.concat "," (List.map string_of_int chosen))
-            (String.concat ","
-               (List.map
-                  (fun q -> Printf.sprintf "%d:%d" q (Wmap.get m.applied q))
-                  !needed))
-            (String.concat ","
-               (List.map
-                  (fun q -> Printf.sprintf "%d:%d" q (Wmap.get m.known q))
-                  !needed));
         List.iter
           (fun q ->
             let prev = Option.value ~default:[] (Hashtbl.find_opt by_writer q) in
@@ -490,31 +611,31 @@ let gather_needs sys p pages ?only_via () =
     (List.sort_uniq compare pages);
   (by_writer, mat_costs)
 
-(* Fetch and apply every missing diff for [pages], grouped by writer (the
-   communication-aggregation optimization uses a many-page [pages] list; the
-   base run-time calls this with a single page). *)
-let fetch_and_apply sys p pages ~mode ?only_via () =
+(* Fetch every missing diff for [pages], one response per writer (the
+   communication-aggregation optimization uses a many-page [pages] list;
+   the base run-time passes the single faulting page). Unless [mode] leaves
+   the work to the fault handler, the units are then applied page by page
+   in happens-before order. *)
+let fetch sys p pages ~mode ?only_via () =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let pstats = sys.cluster.Cluster.stats.(p) in
   let cfg = sys.cluster.Cluster.cfg in
+  let now = not (is_async mode) in
   let by_writer, mat_costs = gather_needs sys p pages ?only_via () in
   let units_by_page : (int, Diff_store.unit_to_apply list ref) Hashtbl.t =
     Hashtbl.create 8
   in
   let applied_bytes = ref 0 in
-  Hashtbl.iter
-    (fun q reqs ->
-      let total_bytes = ref 0
-      and total_ndiffs = ref 0 in
-      let mat_cost =
-        match Hashtbl.find_opt mat_costs q with Some r -> r | None -> ref 0.0
-      in
-      List.iter
-        (fun (page, after, upto) ->
-          let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
-          total_bytes := !total_bytes + r.Diff_store.charge_bytes;
-          total_ndiffs := !total_ndiffs + r.Diff_store.ndiffs;
+  let respond (q, reqs) =
+    let total_bytes = ref 0
+    and total_ndiffs = ref 0 in
+    List.iter
+      (fun (page, after, upto) ->
+        let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
+        total_bytes := !total_bytes + r.Diff_store.charge_bytes;
+        total_ndiffs := !total_ndiffs + r.Diff_store.ndiffs;
+        if now then begin
           let cell =
             match Hashtbl.find_opt units_by_page page with
             | Some l -> l
@@ -532,125 +653,76 @@ let fetch_and_apply sys p pages ~mode ?only_via () =
           in
           if sys.trace <> None then
             emit sys p
-              (Dsm_trace.Event.Diff_fetch { writer = q; page; after; upto = high });
+              (Dsm_trace.Event.Diff_fetch
+                 { writer = q; page; after; upto = high });
           Wmap.set m.applied q (max (Wmap.get m.applied q) high);
           Diff_store.note_applied sys.store ~writer:q ~page ~by:p
-            ~seq:(Wmap.get m.applied q))
-        reqs;
+            ~seq:(Wmap.get m.applied q)
+        end)
+      reqs;
+    if now then begin
       applied_bytes := !applied_bytes + !total_bytes;
       pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + !total_ndiffs;
       pstats.Stats.diff_bytes_applied <-
-        pstats.Stats.diff_bytes_applied + !total_bytes;
-      let resp_bytes = !total_bytes + (8 * !total_ndiffs) in
-      match mode with
-      | Rpc ->
-          Net.rpc sys.net ~src:p ~dst:q
-            ~req_bytes:(16 * List.length reqs)
-            ~resp_bytes
-            ~service:
-              (cfg.Config.diff_service_us +. !mat_cost
-              +. (2.0 *. float_of_int !total_ndiffs))
-      | Prepaid -> Cluster.charge sys.cluster q !mat_cost
-      | Piggyback at ->
-          Cluster.charge sys.cluster q !mat_cost;
-          if resp_bytes > 0 then begin
-            let qstats = sys.cluster.Cluster.stats.(q) in
-            qstats.Stats.messages <- qstats.Stats.messages + 1;
-            qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes;
-            (* sender-side cost, stolen from q's cpu *)
-            Cluster.charge sys.cluster q
-              (cfg.Config.msg_overhead_us
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes));
-            Cluster.sync_clock sys.cluster p
-              (at
-              +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
-              +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us)
-          end)
-    by_writer;
-  (* Apply units page by page, in an order consistent with happens-before. *)
-  Hashtbl.iter
-    (fun page units ->
-      let pg = Page_table.get st.pt page in
-      let sorted =
-        List.sort
-          (fun a b -> compare a.Diff_store.order b.Diff_store.order)
-          !units
-      in
+        pstats.Stats.diff_bytes_applied + !total_bytes
+    end;
+    {
+      peer = q;
+      pages = List.map (fun (page, _, _) -> page) reqs;
+      nreq = List.length reqs;
+      data = !total_bytes;
+      hdr = 8 * !total_ndiffs;
+      ndiffs = !total_ndiffs;
+      mat = (match Hashtbl.find_opt mat_costs q with Some c -> !c | None -> 0.0);
+    }
+  in
+  (* writers in the table's iteration order *)
+  transfer sys p mode
+    (List.rev (Hashtbl.fold (fun q reqs acc -> (q, reqs) :: acc) by_writer []))
+    ~respond ~install:ignore;
+  if now then begin
+    Hashtbl.iter
+      (fun page units ->
+        apply_units
+          ~each:(fun u ->
+            if sys.trace <> None then
+              emit sys p
+                (Dsm_trace.Event.Diff_apply
+                   {
+                     writer = u.Diff_store.writer;
+                     page;
+                     order = u.Diff_store.order;
+                     upto_seq = u.Diff_store.upto_seq;
+                     bytes = Diff.size_bytes u.Diff_store.payload;
+                   }))
+          (Page_table.get st.pt page) !units)
+      units_by_page;
+    Cluster.charge sys.cluster p
+      (cfg.Config.diff_apply_per_byte_us *. float_of_int !applied_bytes);
+    (* an object-granularity page whose copy is fully current again sheds
+       its stale-slot set (a restricted [only_via] fetch can leave residual
+       staleness, so re-check the watermarks rather than clear blindly) *)
+    if sys.has_objs then
       List.iter
-        (fun u ->
-          if debug then
-            Format.eprintf "[p%d] apply page %d: writer=%d order=%d upto=%d bytes=%d@."
-              p page u.Diff_store.writer u.Diff_store.order
-              u.Diff_store.upto_seq
-              (Diff.size_bytes u.Diff_store.payload);
-          if sys.trace <> None then
-            emit sys p
-              (Dsm_trace.Event.Diff_apply
-                 {
-                   writer = u.Diff_store.writer;
-                   page;
-                   order = u.Diff_store.order;
-                   upto_seq = u.Diff_store.upto_seq;
-                   bytes = Diff.size_bytes u.Diff_store.payload;
-                 });
-          Diff.apply u.Diff_store.payload pg.Page_table.data;
-          match pg.Page_table.twin with
-          | Some twin -> Diff.apply u.Diff_store.payload twin
-          | None -> ())
-        sorted)
-    units_by_page;
-  Cluster.charge sys.cluster p
-    (cfg.Config.diff_apply_per_byte_us *. float_of_int !applied_bytes);
-  (* an object-granularity page whose copy is fully current again sheds
-     its stale-slot set (a restricted [only_via] fetch can leave residual
-     staleness, so re-check the watermarks rather than clear blindly) *)
-  if sys.has_objs then
-    List.iter
-      (fun page ->
-        if Hashtbl.mem sys.obj_regions page then
-          match Hashtbl.find_opt st.meta page with
-          | Some m when not (Pset.is_empty m.ob_stale) ->
-              if
-                not
-                  (Wmap.exists
-                     (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                     m.known)
-              then m.ob_stale <- Pset.empty
-          | _ -> ())
-      (List.sort_uniq compare pages);
-  if sys.trace <> None then
-    List.iter
-      (fun page ->
-        emit sys p
-          (Dsm_trace.Event.Fetch_done { page; full = only_via = None }))
-      (List.sort_uniq compare pages);
-  Prof.exit Prof.Protocol
-
-(* Make a page's copy consistent, consuming a pending asynchronous response
-   if one covers the page, and paying on-demand requests otherwise. *)
-let make_consistent sys p page =
-  let st = sys.states.(p) in
-  match Hashtbl.find_opt st.pending_async page with
-  | Some arrival ->
-      Hashtbl.remove st.pending_async page;
-      Cluster.sync_clock sys.cluster p arrival;
-      fetch_and_apply sys p [ page ] ~mode:Prepaid ()
-  | None -> fetch_and_apply sys p [ page ] ~mode:Rpc ()
-
-(* {1 Access misses} *)
-
-let read_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  if sys.trace <> None then
-    emit sys p (Dsm_trace.Event.Page_fault { page; write = false; fetch = true });
-  make_consistent sys p page;
-  let pg = Page_table.get st.pt page in
-  pg.Page_table.prot <-
-    (if in_dirty st page then Page_table.Read_write else Page_table.Read_only);
+        (fun page ->
+          if Hashtbl.mem sys.obj_regions page then
+            match Hashtbl.find_opt st.meta page with
+            | Some m when not (Pset.is_empty m.ob_stale) ->
+                if
+                  not
+                    (Wmap.exists
+                       (fun q kv -> q <> p && kv > Wmap.get m.applied q)
+                       m.known)
+                then m.ob_stale <- Pset.empty
+            | _ -> ())
+        (List.sort_uniq compare pages);
+    if sys.trace <> None then
+      List.iter
+        (fun page ->
+          emit sys p
+            (Dsm_trace.Event.Fetch_done { page; full = only_via = None }))
+        (List.sort_uniq compare pages)
+  end;
   Prof.exit Prof.Protocol
 
 (* {1 Consistency-state actions of the augmented interface}
@@ -658,6 +730,17 @@ let read_fault sys p page =
    [apply_access_state] performs the protection/twin actions of Figure 3 of
    the paper for a validated section, assuming any required data movement has
    already happened. *)
+
+(* Snapshot [page]'s copy as its twin, so the writes that follow can be
+   recovered as a diff. *)
+let make_twin sys p page pg =
+  let pstats = sys.cluster.Cluster.stats.(p) in
+  Page_table.make_twin pg;
+  pstats.Stats.twins <- pstats.Stats.twins + 1;
+  if sys.trace <> None then emit sys p (Dsm_trace.Event.Twin { page });
+  Cluster.charge sys.cluster p
+    (sys.cluster.Cluster.cfg.Config.twin_per_byte_us
+    *. float_of_int sys.page_size)
 
 let record_write_all sys p ranges =
   let st = sys.states.(p) in
@@ -672,21 +755,13 @@ let record_write_all sys p ranges =
 let apply_access_state sys p ~ranges ~access =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
   let pages = Range.pages ~page_size:sys.page_size ranges in
   let enable ~twin =
     let transitions = ref [] in
     List.iter
       (fun page ->
         let pg = Page_table.get st.pt page in
-        if twin && pg.Page_table.twin = None then begin
-          Page_table.make_twin pg;
-          pstats.Stats.twins <- pstats.Stats.twins + 1;
-          if sys.trace <> None then emit sys p (Dsm_trace.Event.Twin { page });
-          Cluster.charge sys.cluster p
-            (cfg.Config.twin_per_byte_us *. float_of_int sys.page_size)
-        end;
+        if twin && pg.Page_table.twin = None then make_twin sys p page pg;
         if pg.Page_table.prot <> Page_table.Read_write then begin
           pg.Page_table.prot <- Page_table.Read_write;
           transitions := page :: !transitions
@@ -785,81 +860,120 @@ let split_unfaultable sys p pages =
         || (Page_table.get st.pt page).Page_table.prot = Page_table.No_access)
       pages
 
-(* Asynchronous Fetch_diffs: send the requests now, continue computing; the
-   responses are consumed in the page-fault handler (Section 3.2.3). *)
-let async_fetch sys p pages =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
-  (* skip pages with an outstanding asynchronous request: its response is
-     still in flight and will be consumed at the fault *)
-  let pages =
-    List.filter (fun page -> not (Hashtbl.mem st.pending_async page)) pages
-  in
-  let by_writer, mat_costs = gather_needs sys p pages () in
-  Hashtbl.iter
-    (fun q reqs ->
-      (* request message *)
-      let arrival_at_q =
-        Net.send sys.net ~src:p ~dst:q ~bytes:(16 * List.length reqs)
-      in
-      let mat_cost =
-        match Hashtbl.find_opt mat_costs q with Some r -> r | None -> ref 0.0
-      in
-      let resp_bytes, ndiffs =
-        List.fold_left
-          (fun (b, n) (page, after, upto) ->
-            let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
-            (b + r.Diff_store.charge_bytes, n + r.Diff_store.ndiffs))
-          (0, 0) reqs
-      in
-      let service =
-        cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
-        +. cfg.Config.diff_service_us +. !mat_cost
-        +. (2.0 *. float_of_int ndiffs)
-        +. cfg.Config.msg_overhead_us
-        +. (cfg.Config.per_byte_us *. float_of_int (resp_bytes + (8 * ndiffs)))
-      in
-      Cluster.charge sys.cluster q service;
-      let qstats = sys.cluster.Cluster.stats.(q) in
-      qstats.Stats.messages <- qstats.Stats.messages + 1;
-      qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes + (8 * ndiffs);
-      (* back-to-back requests serialize at the target's handler *)
-      let start =
-        Cluster.occupy sys.cluster q ~arrival:arrival_at_q
-          ~handler_time:service
-      in
-      let arrival = start +. service +. cfg.Config.wire_latency_us in
-      List.iter
-        (fun (page, _, _) ->
-          let prev =
-            Option.value ~default:0.0 (Hashtbl.find_opt st.pending_async page)
-          in
-          Hashtbl.replace st.pending_async page (Float.max prev arrival))
-        reqs)
-    by_writer;
-  Prof.exit Prof.Protocol
+(* The sub-ranges of [ranges] falling on [pages]. *)
+let clip_to_pages sys ranges pages =
+  List.fold_left
+    (fun acc page ->
+      Range.union acc (Range.clip_to_page ~page_size:sys.page_size ~page ranges))
+    Range.empty pages
 
-let write_fault sys p page =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
-  pstats.Stats.segv <- pstats.Stats.segv + 1;
-  Cluster.mm_op sys.cluster p ~npages:1;
-  let pg = Page_table.get st.pt page in
-  let m = meta st ~nprocs:sys.nprocs page in
-  let fetch = pg.Page_table.prot = Page_table.No_access in
-  if sys.trace <> None then
-    emit sys p (Dsm_trace.Event.Page_fault { page; write = true; fetch });
-  if fetch then make_consistent sys p page;
-  if Range.is_empty m.write_all && pg.Page_table.twin = None then begin
-    Page_table.make_twin pg;
-    pstats.Stats.twins <- pstats.Stats.twins + 1;
-    if sys.trace <> None then emit sys p (Dsm_trace.Event.Twin { page });
-    Cluster.charge sys.cluster p
-      (cfg.Config.twin_per_byte_us *. float_of_int sys.page_size)
-  end;
-  mark_dirty st page;
-  pg.Page_table.prot <- Page_table.Read_write;
-  Prof.exit Prof.Protocol
+(* {1 The homeless backend}
+
+   Barrier departure: detect the broadcast opportunity of Section 3.2.1 —
+   every requester asked for the same ranges and a single processor holds
+   all the new data for them. *)
+let detect_bcast sys ~epoch ~departure_clock entries =
+  if not sys.cluster.Cluster.cfg.Config.enable_bcast then None
+  else
+  match entries with
+  | [] | [ _ ] -> None
+  | (_, reqs0) :: _ -> (
+      let ranges0 =
+        match reqs0 with [ r ] -> Some r.wr_ranges | _ -> None
+      in
+      match ranges0 with
+      | None -> None
+      | Some ranges0 ->
+          let same =
+            List.for_all
+              (fun (_, reqs) ->
+                match reqs with
+                | [ r ] -> r.wr_ranges = ranges0
+                | _ -> false)
+              entries
+          in
+          if not same || List.length entries < sys.nprocs - 1 then None
+          else begin
+            let pages = Range.pages ~page_size:sys.page_size ranges0 in
+            let requesters = List.map fst entries in
+            (* candidate senders: processors whose write notices — already
+               received, or about to be distributed with this departure —
+               some requester has not applied yet for the requested pages *)
+            let pending_seq q page r =
+              (* newest interval of [q] touching [page] within the window
+                 the requester [r] is about to learn of *)
+              let upto = Vc.get sys.barrier.departure_vc q in
+              let lo = Vc.get sys.states.(r).vc q in
+              Ilog.newest_containing sys.logs.(q) ~lo ~upto page
+            in
+            let writers = ref [] in
+            List.iter
+              (fun (r, _) ->
+                List.iter
+                  (fun page ->
+                    let m =
+                      meta sys.states.(r) ~nprocs:sys.nprocs page
+                    in
+                    for q = 0 to sys.nprocs - 1 do
+                      if
+                        q <> r
+                        && (Wmap.get m.applied q < Wmap.get m.known q
+                           || Wmap.get m.applied q < pending_seq q page r)
+                        && not (List.mem q !writers)
+                      then writers := q :: !writers
+                    done)
+                  pages)
+              entries;
+            match !writers with
+            | [ q ] when not (List.mem q requesters) ->
+                let cfg = sys.cluster.Cluster.cfg in
+                (* the minimum applied watermark among the requesters
+                   determines how much history the broadcast must carry *)
+                let bytes =
+                  List.fold_left
+                    (fun acc page ->
+                      ignore (materialize sys ~writer:q ~page);
+                      let after =
+                        List.fold_left
+                          (fun acc (r, _) ->
+                            let m =
+                              meta sys.states.(r) ~nprocs:sys.nprocs
+                                page
+                            in
+                            min acc (Wmap.get m.applied q))
+                          max_int entries
+                      in
+                      let f =
+                        Diff_store.fetch sys.store ~writer:q ~page ~after
+                          ~upto:max_int
+                      in
+                      acc + f.Diff_store.charge_bytes)
+                    0 pages
+                in
+                let per_hop =
+                  cfg.Config.msg_overhead_us
+                  +. (cfg.Config.per_byte_us *. float_of_int bytes)
+                  +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+                in
+                Some
+                  ( epoch,
+                    {
+                      bp_src = q;
+                      bp_pages = pages;
+                      bp_base = departure_clock;
+                      bp_per_hop = per_hop;
+                      bp_requesters = requesters;
+                      bp_bytes = bytes;
+                    } )
+            | _ -> None
+          end)
+
+let no_departure _sys ~epoch:_ ~departure_clock:_ _entries = None
+
+let backend =
+  {
+    b_name = "lrc";
+    b_proto = Some P_lrc;
+    b_release = release;
+    b_departure = detect_bcast;
+  }

@@ -1,8 +1,8 @@
 (** Core lazy-release-consistency protocol operations.
 
     The functions here are the run-time's internals, shared by the fault
-    handlers ({!Shm}), the synchronization operations ({!Sync_ops}) and the
-    augmented interface ({!Validate}); applications use {!Tmk}.
+    handler ({!Fetch}), the synchronization operations ({!Sync_ops}) and
+    the augmented interface ({!Validate}); applications use {!Tmk}.
 
     Protocol summary (Section 2 of the paper):
 
@@ -24,9 +24,6 @@
 
 open Types
 
-val debug : bool
-(** [DSM_DEBUG] environment toggle: traces fetches and diff applications. *)
-
 val emit : system -> int -> Dsm_trace.Event.kind -> unit
 (** Append a protocol event to the system's sink (no-op when tracing is
     off). Guard call sites with [sys.trace <> None] before building the
@@ -36,10 +33,6 @@ val emit : system -> int -> Dsm_trace.Event.kind -> unit
 val meta : pstate -> nprocs:int -> int -> page_meta
 (** Per-page protocol metadata (applied/known watermarks, WRITE_ALL ranges,
     pending lazy interval), created on first use. *)
-
-val runs_of_pages : int list -> (int * int) list
-(** Group pages into maximal runs of consecutive numbers: protection
-    operations cost one call per contiguous run. *)
 
 val protect_runs : system -> int -> int list -> unit
 (** Charge and count one protection operation per contiguous run. *)
@@ -63,40 +56,80 @@ val pull_notices : system -> int -> upto:Vc.t -> int
     vector clock and [upto]; advance the clock. Returns the notice count
     (for message-size accounting). *)
 
-(** How a fetch is paid for. *)
-type fetch_mode =
-  | Rpc  (** on-demand request/response pair(s), one per writer *)
-  | Prepaid  (** data already charged (async response consumed at a fault) *)
+(** {1 The transfer pipeline}
+
+    Every data-moving policy plans a transfer (stale pages grouped by the
+    peer that serves them), {!move}s one response per peer, charged once by
+    mode, and installs the data. *)
+
+(** How a transfer is paid for. *)
+type mode =
+  | Rpc  (** on-demand request/response pair, one per peer *)
+  | Prepaid
+      (** data already paid for: an asynchronous response consumed at a
+          fault, or a broadcast *)
   | Piggyback of float
-      (** one data message per writer, sent at the given time (responses to
+      (** one data message per peer, sent at the given time (answers to
           section requests piggy-backed on a synchronization operation) *)
+  | Async
+      (** requests sent now, responses consumed by the page-fault handler
+          (Section 3.2.3) *)
+  | Async_at of float
+      (** piggy-backed answers sent at the given time, consumed by the
+          page-fault handler *)
 
-val gather_needs :
-  system -> int -> int list -> ?only_via:int -> unit ->
-  (int, (int * int * int) list) Hashtbl.t * (int, float ref) Hashtbl.t
-(** Which writers' diffs the processor misses for [pages]: a table from
-    writer to [(page, applied, known)] requests, plus the materialization
-    costs incurred per writer. Applies supersede pruning: when the
-    happens-latest candidate diff overwrites a whole page, the older diffs
-    are dead data and are marked applied instead of fetched. [only_via r]
-    restricts to diffs processor [r] holds locally (lock-grant
-    piggy-backing). *)
+val is_async : mode -> bool
 
-val fetch_and_apply :
-  system -> int -> int list -> mode:fetch_mode -> ?only_via:int -> unit -> unit
-(** Fetch and apply every missing diff for [pages], grouped by writer (the
-    communication-aggregation optimization passes many pages; the base
-    run-time passes the single faulting page). *)
+(** One peer's response to a planned transfer. *)
+type response = {
+  peer : int;
+  pages : int list;
+  nreq : int;  (** request entries, 16 bytes each *)
+  data : int;  (** payload bytes *)
+  hdr : int;  (** per-diff framing bytes *)
+  ndiffs : int;  (** historical diffs carried: each costs service time *)
+  mat : float;  (** lazy-diff materialization the peer performed for it *)
+}
 
-val async_fetch : system -> int -> int list -> unit
-(** Asynchronous [Fetch_diffs]: send the requests and record the response
-    arrival times; the page-fault handler completes the work at the first
-    access (Section 3.2.3). Pages with an outstanding request are
-    skipped. *)
+val await : Types.pstate -> int -> float -> unit
+(** [await st page arrival]: an asynchronous response for [page] arrives
+    at [arrival]; the page-fault handler consumes it. *)
 
-val make_consistent : system -> int -> int -> unit
-(** Bring one page's copy up to date, consuming a pending asynchronous
-    response when present, paying on-demand requests otherwise. *)
+val move : system -> int -> mode -> response -> unit
+(** Send and charge one peer's response to processor [p]; the asynchronous
+    modes record the arrival for the fault handler instead of waiting. *)
+
+val transfer :
+  system ->
+  int ->
+  mode ->
+  'g list ->
+  respond:('g -> response) ->
+  install:('g -> unit) ->
+  unit
+(** Run a planned transfer: per peer group, build its response, {!move} it
+    and — unless the mode is asynchronous — install it. *)
+
+val apply_units : ?each:(Diff_store.unit_to_apply -> unit) ->
+  Dsm_mem.Page_table.page -> Diff_store.unit_to_apply list -> unit
+(** Apply diff units to a copy and its twin in happens-before order. *)
+
+val mark_current : ?restate:bool -> system -> int -> int -> unit
+(** [mark_current sys p page]: [p]'s copy was just made current — raise its
+    applied watermarks to the known ones and tell the diff store;
+    [restate] also restates the watermarks that did not move. *)
+
+val fetch :
+  system -> int -> int list -> mode:mode -> ?only_via:int -> unit -> unit
+(** The homeless policy: fetch every missing diff for [pages], one response
+    per writer, and (unless [mode] is asynchronous) apply them in
+    happens-before order. Supersede pruning drops dead history when the
+    happens-latest diff overwrites the whole page; [only_via r] restricts
+    to diffs processor [r] holds locally (lock-grant piggy-backing). *)
+
+val make_twin : system -> int -> int -> Dsm_mem.Page_table.page -> unit
+(** [make_twin sys p page pg]: snapshot the copy as its twin (counted,
+    traced and charged). *)
 
 val in_dirty : pstate -> int -> bool
 (** Membership in the current interval's write set (hash set; O(1)). *)
@@ -142,11 +175,20 @@ val split_unfaultable :
     the fault handler — the caller fetches them synchronously. Identity
     ([pages], []) when [sys.has_objs] is unset. *)
 
-val read_fault : system -> int -> int -> unit
-(** Access-miss handler for a read: counts the fault, makes the page
-    consistent, restores read (or read-write, if mid-interval) access. *)
+val clip_to_pages : system -> Dsm_rsd.Range.t -> int list -> Dsm_rsd.Range.t
+(** The sub-ranges of [ranges] falling on the given pages. *)
 
-val write_fault : system -> int -> int -> unit
-(** Write-detection handler: counts the fault, makes an invalid page
-    consistent, creates the twin (unless WRITE_ALL), enables writing and
-    adds the page to the dirty list. *)
+val no_departure :
+  system ->
+  epoch:int ->
+  departure_clock:float ->
+  (int * wsync_req list) list ->
+  (int * bcast_plan) option
+(** A barrier-departure hook that does nothing. *)
+
+val backend : backend_ops
+(** The homeless lazy-release-consistency protocol of the paper: diffs stay
+    with their writers and a miss fetches them writer by writer; a barrier
+    answers identical piggy-backed requests served by one producer with a
+    broadcast (Section 3.2.1). *)
+

@@ -289,7 +289,7 @@ let crash_restart sys p (e : Dsm_ft.Schedule.event) =
 
 (* {1 The barrier-arrival hook}
 
-   Called by {!Sync_ops.barrier_with} right after the release closed the
+   Called by {!Sync_ops.barrier} right after the release closed the
    arriving processor's interval (and, under hlrc, flushed its diffs to
    the homes). Takes a checkpoint when one is due, then executes the
    processor's next scheduled crash. A single cheap test when the

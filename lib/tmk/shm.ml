@@ -27,8 +27,8 @@ let[@inline] page_for_read t addr =
   let pg = Page_table.get t.st.pt page in
   match pg.Page_table.prot with
   | Page_table.No_access ->
-      (* cold path: enter the selected backend's fault handler *)
-      t.sys.bops.b_read_fault t.sys t.p page;
+      (* cold path: enter the run-time's fault handler *)
+      Fetch.fault t.sys t.p page ~write:false;
       Page_table.get t.st.pt page
   | Page_table.Read_only | Page_table.Read_write -> pg
 
@@ -38,7 +38,7 @@ let[@inline] page_for_write t addr =
   match pg.Page_table.prot with
   | Page_table.Read_write -> pg
   | Page_table.No_access | Page_table.Read_only ->
-      t.sys.bops.b_write_fault t.sys t.p page;
+      Fetch.fault t.sys t.p page ~write:true;
       Page_table.get t.st.pt page
 
 (* Unchecked native-order 64-bit access. Eight-byte elements are 8-aligned

@@ -6,7 +6,10 @@
    return latency; a free remote lock costs a request/grant roundtrip plus
    the manager's service time. Write notices travel on arrival/departure and
    grant messages; piggy-backed section requests (Validate_w_sync) are
-   answered with diff messages sent at departure/grant time. *)
+   answered at departure/grant time through {!Fetch}. The skeletons are
+   shared by every backend: what varies comes from [sys.bops] — how an
+   interval is closed, and what the last arriver does at the departure
+   (plan a broadcast, reclassify pages). *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -25,12 +28,6 @@ let wsync_req_bytes sys reqs =
       + (8 * List.length (Range.pages ~page_size:sys.page_size r.wr_ranges)))
     0 reqs
 
-let wsync_req_pages sys reqs =
-  List.concat_map
-    (fun r -> Range.pages ~page_size:sys.page_size r.wr_ranges)
-    reqs
-  |> List.sort_uniq compare
-
 (* Number of write notices in my log newer than what I last shipped. *)
 let new_notice_count sys p =
   let st = sys.states.(p) in
@@ -38,255 +35,7 @@ let new_notice_count sys p =
 
 (* {1 Barrier} *)
 
-(* Detect the broadcast opportunity: every requester asked for the same
-   ranges and a single processor holds all the new data for them. *)
-let detect_bcast sys ~epoch ~departure_clock entries =
-  if not sys.cluster.Cluster.cfg.Config.enable_bcast then None
-  else
-  match entries with
-  | [] | [ _ ] -> None
-  | (_, reqs0) :: _ -> (
-      let ranges0 =
-        match reqs0 with [ r ] -> Some r.wr_ranges | _ -> None
-      in
-      match ranges0 with
-      | None -> None
-      | Some ranges0 ->
-          let same =
-            List.for_all
-              (fun (_, reqs) ->
-                match reqs with
-                | [ r ] -> r.wr_ranges = ranges0
-                | _ -> false)
-              entries
-          in
-          if not same || List.length entries < sys.nprocs - 1 then None
-          else begin
-            let pages = Range.pages ~page_size:sys.page_size ranges0 in
-            let requesters = List.map fst entries in
-            (* candidate senders: processors whose write notices — already
-               received, or about to be distributed with this departure —
-               some requester has not applied yet for the requested pages *)
-            let pending_seq q page r =
-              (* newest interval of [q] touching [page] within the window
-                 the requester [r] is about to learn of *)
-              let upto = Vc.get sys.barrier.departure_vc q in
-              let lo = Vc.get sys.states.(r).vc q in
-              Ilog.newest_containing sys.logs.(q) ~lo ~upto page
-            in
-            let writers = ref [] in
-            List.iter
-              (fun (r, _) ->
-                List.iter
-                  (fun page ->
-                    let m =
-                      Protocol.meta sys.states.(r) ~nprocs:sys.nprocs page
-                    in
-                    for q = 0 to sys.nprocs - 1 do
-                      if
-                        q <> r
-                        && (Wmap.get m.applied q < Wmap.get m.known q
-                           || Wmap.get m.applied q < pending_seq q page r)
-                        && not (List.mem q !writers)
-                      then writers := q :: !writers
-                    done)
-                  pages)
-              entries;
-            match !writers with
-            | [ q ] when not (List.mem q requesters) ->
-                let cfg = sys.cluster.Cluster.cfg in
-                (* the minimum applied watermark among the requesters
-                   determines how much history the broadcast must carry *)
-                let bytes =
-                  List.fold_left
-                    (fun acc page ->
-                      ignore (Protocol.materialize sys ~writer:q ~page);
-                      let after =
-                        List.fold_left
-                          (fun acc (r, _) ->
-                            let m =
-                              Protocol.meta sys.states.(r) ~nprocs:sys.nprocs
-                                page
-                            in
-                            min acc (Wmap.get m.applied q))
-                          max_int entries
-                      in
-                      let f =
-                        Diff_store.fetch sys.store ~writer:q ~page ~after
-                          ~upto:max_int
-                      in
-                      acc + f.Diff_store.charge_bytes)
-                    0 pages
-                in
-                let per_hop =
-                  cfg.Config.msg_overhead_us
-                  +. (cfg.Config.per_byte_us *. float_of_int bytes)
-                  +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
-                in
-                Some
-                  ( epoch,
-                    {
-                      bp_src = q;
-                      bp_pages = pages;
-                      bp_base = departure_clock;
-                      bp_per_hop = per_hop;
-                      bp_requesters = requesters;
-                      bp_bytes = bytes;
-                    } )
-            | _ -> None
-          end)
-
-(* Requester/responder processing of piggy-backed section requests, executed
-   by each processor right after barrier departure. *)
-let handle_wsync_at_barrier sys p ~epoch ~departure_clock ~my_reqs =
-  let b = sys.barrier in
-  let cfg = sys.cluster.Cluster.cfg in
-  let entries = Option.value ~default:[] (Hashtbl.find_opt b.wsync_tbl epoch) in
-  (* Responder side: every processor must match every other requester's
-     sections against its page list — the per-page overhead that makes
-     sync+data merging unprofitable for large page lists (Section 3.3). *)
-  List.iter
-    (fun (r, reqs) ->
-      if r <> p then
-        Cluster.charge sys.cluster p
-          (cfg.Config.wsync_scan_per_page_us
-          *. float_of_int (List.length (wsync_req_pages sys reqs))))
-    entries;
-  (* Broadcast source side. *)
-  (match b.bcast_plan with
-  | Some (e, plan) when e = epoch && plan.bp_src = p ->
-      let bytes = plan.bp_bytes in
-      let pstats = sys.cluster.Cluster.stats.(p) in
-      pstats.Stats.messages <- pstats.Stats.messages + (sys.nprocs - 1);
-      pstats.Stats.bytes <- pstats.Stats.bytes + (bytes * (sys.nprocs - 1));
-      pstats.Stats.broadcasts <- pstats.Stats.broadcasts + 1;
-      let hops =
-        if cfg.Config.bcast_log_tree then
-          int_of_float (ceil (log (float_of_int sys.nprocs) /. log 2.0))
-        else sys.nprocs - 1
-      in
-      Cluster.charge sys.cluster p
-        (float_of_int hops
-        *. (cfg.Config.msg_overhead_us
-           +. (cfg.Config.per_byte_us *. float_of_int bytes)));
-      if sys.trace <> None then
-        Protocol.emit sys p
-          (Dsm_trace.Event.Broadcast
-             { bytes; requesters = plan.bp_requesters })
-  | Some _ | None -> ());
-  (* Requester side: consume responses. The asynchronous variant does not
-     wait for the data messages: their arrival times are recorded and the
-     page-fault handler completes the work (Section 3.2.3 applies to
-     Validate_w_sync as well). *)
-  let st = sys.states.(p) in
-  List.iter
-    (fun req ->
-      let pages = Range.pages ~page_size:sys.page_size req.wr_ranges in
-      let bcast_for_me =
-        match b.bcast_plan with
-        | Some (e, plan)
-          when e = epoch
-               && List.mem p plan.bp_requesters
-               && List.for_all (fun pg -> List.mem pg plan.bp_pages) pages ->
-            Some plan
-        | Some _ | None -> None
-      in
-      match (req.wr_async, bcast_for_me) with
-      | true, Some plan ->
-          (* broadcast initiated at departure; don't wait for it *)
-          let pos =
-            let rec idx i = function
-              | [] -> 0
-              | r :: _ when r = p -> i
-              | _ :: tl -> idx (i + 1) tl
-            in
-            idx 0 plan.bp_requesters
-          in
-          let depth = ceil (log (float_of_int (pos + 2)) /. log 2.0) in
-          let arrival = plan.bp_base +. (depth *. plan.bp_per_hop) in
-          List.iter
-            (fun page ->
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt st.pending_async page)
-              in
-              Hashtbl.replace st.pending_async page (Float.max prev arrival))
-            pages;
-          (match req.wr_access with
-          | Write_all | Read_write_all ->
-              Protocol.record_write_all sys p req.wr_ranges
-          | Read | Write | Read_write -> ())
-      | true, None -> begin
-        (* one transfer per responding writer arriving after the departure;
-           leave the pages invalid for the faults to consume *)
-        let by_writer, _ = Protocol.gather_needs sys p pages () in
-        Hashtbl.iter
-          (fun q reqs ->
-            let bytes =
-              List.fold_left
-                (fun acc (page, after, upto) ->
-                  let f = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
-                  acc + f.Diff_store.charge_bytes)
-                0 reqs
-            in
-            if bytes > 0 then begin
-              let qstats = sys.cluster.Cluster.stats.(q) in
-              qstats.Stats.messages <- qstats.Stats.messages + 1;
-              qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
-              Cluster.charge sys.cluster q
-                (cfg.Config.msg_overhead_us
-                +. (cfg.Config.per_byte_us *. float_of_int bytes));
-              let arrival =
-                departure_clock
-                +. (cfg.Config.per_byte_us *. float_of_int bytes)
-                +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
-              in
-              List.iter
-                (fun (page, _, _) ->
-                  let prev =
-                    Option.value ~default:0.0
-                      (Hashtbl.find_opt st.pending_async page)
-                  in
-                  Hashtbl.replace st.pending_async page (Float.max prev arrival))
-                reqs
-            end)
-          by_writer;
-        match req.wr_access with
-        | Write_all | Read_write_all ->
-            Protocol.record_write_all sys p req.wr_ranges
-        | Read | Write | Read_write -> ()
-      end
-      | false, Some plan ->
-          (* arrival depends on the receiver's depth in the binomial tree *)
-          let pos =
-            let rec idx i = function
-              | [] -> 0
-              | r :: _ when r = p -> i
-              | _ :: tl -> idx (i + 1) tl
-            in
-            idx 0 plan.bp_requesters
-          in
-          let depth = ceil (log (float_of_int (pos + 2)) /. log 2.0) in
-          Cluster.sync_clock sys.cluster p
-            (plan.bp_base +. (depth *. plan.bp_per_hop));
-          Protocol.fetch_and_apply sys p pages ~mode:Protocol.Prepaid ();
-          Protocol.apply_access_state sys p ~ranges:req.wr_ranges
-            ~access:req.wr_access
-      | false, None ->
-          Protocol.fetch_and_apply sys p pages
-            ~mode:(Protocol.Piggyback departure_clock) ();
-          Protocol.apply_access_state sys p ~ranges:req.wr_ranges
-            ~access:req.wr_access)
-    my_reqs
-
-(* The barrier skeleton is shared by every backend: arrival/departure
-   timing, notice redistribution and the piggy-backed-request plumbing are
-   protocol-independent. What varies — how an interval is closed at the
-   arrival ([release]), whether a departure may turn fetch responses into a
-   broadcast ([plan_bcast]) and how the piggy-backed section requests are
-   answered ([handle_wsync]) — comes in as closures, so the homeless LRC
-   instantiation below stays bit-identical to the pre-backend code (same
-   operations in the same floating-point order). *)
-let barrier_with ~release ~plan_bcast ~handle_wsync t =
+let barrier t =
   Prof.enter Prof.Sync;
   let sys = t.sys
   and p = t.p in
@@ -295,7 +44,7 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = sys.cluster.Cluster.stats.(p) in
   pstats.Stats.barriers <- pstats.Stats.barriers + 1;
-  ignore (release sys p);
+  ignore (sys.bops.b_release sys p);
   (* fault-tolerance hook: checkpoints and scheduled crashes execute at
      barrier arrival, right after the interval closed (and, under hlrc,
      its diffs reached the replica homes) — the fail-stop point where an
@@ -352,7 +101,7 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
     Array.iter (fun stq -> Vc.merge dvc stq.vc) sys.states;
     b.departure_vc <- dvc;
     b.bcast_plan <-
-      plan_bcast sys ~epoch:my_epoch ~departure_clock:b.departure_clock
+      sys.bops.b_departure sys ~epoch:my_epoch ~departure_clock:b.departure_clock
         (Option.value ~default:[] (Hashtbl.find_opt b.wsync_tbl my_epoch));
     b.epoch <- b.epoch + 1;
     b.arrived <- 0
@@ -395,8 +144,8 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
     st.partial_push;
   st.partial_push <- [];
   if !rolled <> [] then Protocol.protect_runs sys p !rolled;
-  handle_wsync sys p ~epoch:my_epoch ~departure_clock:b.departure_clock
-    ~my_reqs;
+  Fetch.answer_barrier sys p ~epoch:my_epoch
+    ~departure_clock:b.departure_clock ~my_reqs;
   (* prune the piggy-backed-request table once every processor has finished
      this epoch's departure processing — without this the table (and the
      departure-count table) grow without bound over a run *)
@@ -409,10 +158,6 @@ let barrier_with ~release ~plan_bcast ~handle_wsync t =
   end
   else Hashtbl.replace b.wsync_done my_epoch ndone;
   Prof.exit Prof.Sync
-
-let barrier t =
-  barrier_with ~release:Protocol.release ~plan_bcast:detect_bcast
-    ~handle_wsync:handle_wsync_at_barrier t
 
 (* {1 Locks} *)
 
@@ -435,21 +180,7 @@ let get_lock sys lid =
       Hashtbl.replace sys.locks lid lk;
       lk
 
-(* Homeless-LRC answer to a piggy-backed section request on a lock grant:
-   the grantor scans its page list and ships the diffs it holds locally on
-   the grant message. *)
-let answer_wsync_from_grantor sys p ~grantor ~grant_ready req =
-  let cfg = sys.cluster.Cluster.cfg in
-  let pages = Range.pages ~page_size:sys.page_size req.wr_ranges in
-  if grantor <> p then begin
-    Cluster.charge sys.cluster grantor
-      (cfg.Config.wsync_scan_per_page_us *. float_of_int (List.length pages));
-    Protocol.fetch_and_apply sys p pages ~mode:(Protocol.Piggyback grant_ready)
-      ~only_via:grantor ()
-  end;
-  Protocol.apply_access_state sys p ~ranges:req.wr_ranges ~access:req.wr_access
-
-let lock_acquire_with ~answer_wsync t lid =
+let lock_acquire t lid =
   Prof.enter Prof.Sync;
   let sys = t.sys
   and p = t.p in
@@ -526,19 +257,16 @@ let lock_acquire_with ~answer_wsync t lid =
     Protocol.emit sys p
       (Dsm_trace.Event.Lock_grant { lock = lid; grantor; notices = ncount });
   (* piggy-backed section requests are answered on the grant message *)
-  List.iter (fun req -> answer_wsync sys p ~grantor ~grant_ready req) my_reqs;
+  List.iter (fun req -> Fetch.answer_grant sys p ~grantor ~grant_ready req) my_reqs;
   Prof.exit Prof.Sync
 
-let lock_acquire t lid =
-  lock_acquire_with ~answer_wsync:answer_wsync_from_grantor t lid
-
-let lock_release_with ~release t lid =
+let lock_release t lid =
   Prof.enter Prof.Sync;
   let sys = t.sys
   and p = t.p in
   let lk = get_lock sys lid in
   if lk.held_by <> Some p then invalid_arg "lock_release: not the holder";
-  ignore (release sys p);
+  ignore (sys.bops.b_release sys p);
   lk.release_clock <- Cluster.time sys.cluster p;
   lk.release_vc <- Some (Vc.copy (state t).vc);
   lk.last_releaser <- p;
@@ -562,5 +290,3 @@ let lock_release_with ~release t lid =
       lk.granted <- Some next;
       lk.grant_clock <- Float.max arr lk.release_clock);
   Prof.exit Prof.Sync
-
-let lock_release t lid = lock_release_with ~release:Protocol.release t lid

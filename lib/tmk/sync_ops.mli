@@ -7,111 +7,35 @@
     {b Barrier}: arrival messages carry the processor's new write notices
     (and any pending [Validate_w_sync] section requests) to the master;
     the master merges and redistributes on the departure messages. Pending
-    section requests are answered at departure with the diffs each
-    processor holds — by a broadcast when the run-time detects that all
-    requesters want the same data from a single producer (Section 3.2.1).
+    section requests are answered at departure ({!Fetch.answer_barrier}) —
+    by a broadcast when the homeless run-time detects that all requesters
+    want the same data from a single producer (Section 3.2.1).
 
     {b Lock}: requests go to the lock's static manager and are forwarded to
     the holder; the grant message carries the write notices of the
-    releaser's happens-before history and, for a piggy-backed section
-    request, the diffs the releaser holds locally. Queued requests are
-    granted in virtual-time arrival order. *)
+    releaser's happens-before history and the answers to piggy-backed
+    section requests ({!Fetch.answer_grant}). Queued requests are granted
+    in virtual-time arrival order.
+
+    Both are shared by every backend; the backend's [b_release] closes the
+    interval and its [b_departure] hook runs once per barrier at
+    quiescence. *)
 
 val wsync_req_bytes : Types.system -> Types.wsync_req list -> int
 (** Wire size of piggy-backed section requests (ranges + per-page
     timestamps). *)
 
-val wsync_req_pages : Types.system -> Types.wsync_req list -> int list
-
-val detect_bcast :
-  Types.system ->
-  epoch:int ->
-  departure_clock:float ->
-  (int * Types.wsync_req list) list ->
-  (int * Types.bcast_plan) option
-(** Homeless-LRC broadcast detection at barrier departure (Section 3.2.1):
-    when every requester piggy-backed the same sections and a single
-    processor holds all the new data, answer with one broadcast. *)
-
-val handle_wsync_at_barrier :
-  Types.system ->
-  int ->
-  epoch:int ->
-  departure_clock:float ->
-  my_reqs:Types.wsync_req list ->
-  unit
-(** Homeless-LRC requester/responder processing of piggy-backed section
-    requests after barrier departure. *)
-
-val barrier_with :
-  release:(Types.system -> int -> (int * int list) option) ->
-  plan_bcast:
-    (Types.system ->
-    epoch:int ->
-    departure_clock:float ->
-    (int * Types.wsync_req list) list ->
-    (int * Types.bcast_plan) option) ->
-  handle_wsync:
-    (Types.system ->
-    int ->
-    epoch:int ->
-    departure_clock:float ->
-    my_reqs:Types.wsync_req list ->
-    unit) ->
-  Types.t ->
-  unit
-(** The protocol-independent barrier skeleton. Arrival/departure timing,
-    write-notice redistribution, partial-push rollback and the
-    piggy-backed-request plumbing are shared by all backends; the closures
-    supply what varies: how the closing interval is released, whether the
-    departure plans a broadcast, and how the section requests are
-    answered. *)
-
 val barrier : Types.t -> unit
-(** {!barrier_with} instantiated for the homeless LRC backend: release,
-    arrive, wait for everyone, depart: pull the merged write notices, roll
-    back partially pushed pages (full consistency is restored at every
-    global synchronization, Section 3.1.2), and process piggy-backed
-    section requests. *)
+(** Release, arrive, wait for everyone, depart: pull the merged write
+    notices, roll back partially pushed pages (full consistency is
+    restored at every global synchronization, Section 3.1.2), and answer
+    piggy-backed section requests. *)
 
 val get_lock : Types.system -> int -> Types.lock
-
-val answer_wsync_from_grantor :
-  Types.system ->
-  int ->
-  grantor:int ->
-  grant_ready:float ->
-  Types.wsync_req ->
-  unit
-(** Homeless-LRC answer to a section request piggy-backed on a lock
-    acquire: the grantor ships the diffs it holds locally on the grant
-    message. *)
-
-val lock_acquire_with :
-  answer_wsync:
-    (Types.system ->
-    int ->
-    grantor:int ->
-    grant_ready:float ->
-    Types.wsync_req ->
-    unit) ->
-  Types.t ->
-  int ->
-  unit
-(** The protocol-independent lock-acquire skeleton; [answer_wsync] supplies
-    the backend's handling of piggy-backed section requests on the grant. *)
 
 val lock_acquire : Types.t -> int -> unit
 (** Acquire the lock, receiving the releaser's happens-before write notices
     on the grant; consumes any pending [Validate_w_sync] requests. *)
-
-val lock_release_with :
-  release:(Types.system -> int -> (int * int list) option) ->
-  Types.t ->
-  int ->
-  unit
-(** The protocol-independent lock-release skeleton; [release] closes the
-    current interval the backend's way. *)
 
 val lock_release : Types.t -> int -> unit
 (** Release locally (no message); grant to the earliest queued requester,

@@ -86,10 +86,10 @@ let make ?plan cfg =
     ft = Dsm_ft.Ft.create cfg;
     bops =
       (match cfg.Config.backend with
-      | Config.Lrc -> Backend.ops (module Backend_lrc)
-      | Config.Hlrc -> Backend.ops (module Hlrc)
-      | Config.Inval -> Backend.ops (module Invalidate)
-      | Config.Adaptive -> Backend.ops (module Adaptive));
+      | Config.Lrc -> Protocol.backend
+      | Config.Hlrc -> Hlrc.backend
+      | Config.Inval -> Invalidate.backend
+      | Config.Adaptive -> Adaptive.backend);
     trace = None;
     pending_plan = plan;
     obj_regions = Hashtbl.create 64;
@@ -123,21 +123,11 @@ let seed_plan sys (pl : Proto_plan.t) =
     Hashtbl.replace sys.Types.adapt page
       {
         Types.ap_proto = proto;
-        ap_readers = Pset.empty;
-        ap_writers = Pset.empty;
+        ap_readers = Types.Pset.empty;
+        ap_writers = Types.Pset.empty;
         ap_last_writer = owner;
         ap_migrations = 0;
       }
-  in
-  let seed_inval page owner =
-    Hashtbl.remove sys.Types.homes page;
-    Hashtbl.replace sys.Types.iv_dir page
-      { Types.iv_owner = owner; iv_excl = false; iv_sharers = [ owner ] };
-    for q = 0 to sys.Types.nprocs - 1 do
-      let pg = Page_table.get sys.Types.states.(q).Types.pt page in
-      pg.Page_table.prot <-
-        (if q = owner then Page_table.Read_only else Page_table.No_access)
-    done
   in
   List.iter
     (fun (d : Proto_plan.directive) ->
@@ -150,7 +140,7 @@ let seed_plan sys (pl : Proto_plan.t) =
             Some
               (fun page ->
                 install_adapt page Types.P_inval owner;
-                seed_inval page owner)
+                Invalidate.install sys page ~owner)
         | "adaptive", Proto_plan.Hlrc ->
             Some
               (fun page ->
@@ -218,7 +208,7 @@ let run ?trace sys main =
         (fun p ->
           let t = { Types.sys; p; st = sys.Types.states.(p) } in
           main t;
-          sys.Types.bops.Types.b_barrier t))
+          Sync_ops.barrier t))
 
 let update_pages_in_use sys =
   sys.Types.cluster.Cluster.pages_in_use <-
@@ -284,21 +274,15 @@ let pid (t : t) = t.Types.p
 let nprocs (t : t) = t.Types.sys.Types.nprocs
 let charge (t : t) us = Cluster.charge t.Types.sys.Types.cluster t.Types.p us
 
-(* Every protocol-visible operation dispatches through the backend selected
-   in {!make}; a record-field load on operations this coarse is free. *)
+(* Every protocol-visible operation runs the shared entry points, which
+   consult the backend selected in {!make} where the protocols differ. *)
 let backend_name sys = sys.Types.bops.Types.b_name
-let barrier (t : t) = t.Types.sys.Types.bops.Types.b_barrier t
-let lock_acquire (t : t) lid = t.Types.sys.Types.bops.Types.b_lock_acquire t lid
-let lock_release (t : t) lid = t.Types.sys.Types.bops.Types.b_lock_release t lid
-
-let validate (t : t) ?(async = false) sections access =
-  t.Types.sys.Types.bops.Types.b_validate t ~async sections access
-
-let validate_w_sync (t : t) ?(async = false) sections access =
-  t.Types.sys.Types.bops.Types.b_validate_w_sync t ~async sections access
-
-let push (t : t) ~read_sections ~write_sections =
-  t.Types.sys.Types.bops.Types.b_push t ~read_sections ~write_sections
+let barrier = Sync_ops.barrier
+let lock_acquire = Sync_ops.lock_acquire
+let lock_release = Sync_ops.lock_release
+let validate = Validate.validate
+let validate_w_sync = Validate.validate_w_sync
+let push = Validate.push
 
 let elapsed sys = Cluster.elapsed sys.Types.cluster
 let time (t : t) = Cluster.time t.Types.sys.Types.cluster t.Types.p
@@ -326,7 +310,7 @@ let digest sys =
     Hashtbl.iter
       (fun page (_ : int) ->
         match Hashtbl.find_opt st0.Types.meta page with
-        | Some m when not (Pset.is_empty m.Types.ob_stale) ->
+        | Some m when not (Types.Pset.is_empty m.Types.ob_stale) ->
             let pg = Page_table.get st0.Types.pt page in
             if pg.Page_table.prot <> Page_table.No_access then begin
               pg.Page_table.prot <- Page_table.No_access;

@@ -1,9 +1,11 @@
 (** TreadMarks-style lazy-release-consistency software DSM, with the
     augmented compiler interface of the paper (Validate, Validate_w_sync,
-    Push), and pluggable coherence backends ([Config.backend]): the
-    homeless LRC protocol of the paper, or home-based LRC (each page has a
-    home processor; releasers flush diffs to it eagerly and misses fetch
-    one full page from it).
+    Push), and four coherence backends ([Config.backend]): the homeless
+    LRC protocol of the paper; home-based LRC (each page has a home
+    processor; releasers flush diffs to it eagerly and misses fetch one
+    full page from it); a sequentially consistent directory-based
+    single-writer invalidate protocol; and an adaptive backend that
+    switches each page between the three online.
 
     Typical use:
     {[
@@ -47,7 +49,8 @@ val make : ?plan:Proto_plan.t -> Dsm_sim.Config.t -> system
     [page_size] disagree with [cfg]. *)
 
 val backend_name : system -> string
-(** Name of the selected backend: ["lrc"] or ["hlrc"]. *)
+(** Name of the selected backend: ["lrc"], ["hlrc"], ["inval"] or
+    ["adaptive"]. *)
 
 val run : ?trace:Dsm_trace.Sink.t -> system -> (t -> unit) -> unit
 (** Execute the program on every simulated processor. [trace] collects

@@ -3,6 +3,11 @@
    share them without circular dependencies; the operations live in
    {!Protocol}, {!Sync_ops} and {!Validate}. *)
 
+(* The sparse processor-set and watermark structures live in [Dsm_util]
+   (the trace checker shares them); every run-time module opens [Types]. *)
+module Pset = Dsm_util.Pset
+module Wmap = Dsm_util.Wmap
+
 (* Access types of the augmented interface (Figure 3 of the paper). *)
 type access =
   | Read
@@ -134,7 +139,9 @@ type iv_entry = {
   mutable iv_sharers : int list;  (* sorted; includes the owner *)
 }
 
-(* Adaptive backend: which protocol currently governs a page. *)
+(* The per-page coherence policy: which protocol governs a page. The
+   fixed backends run one for every page; the adaptive backend switches
+   pages between them. *)
 type page_proto = P_lrc | P_hlrc | P_inval
 
 let page_proto_name = function
@@ -230,28 +237,27 @@ type system = {
    cached field saves an array bound check plus two loads on that path. *)
 and t = { sys : system; p : int; st : pstate }
 
-(* First-class record of one coherence backend's entry points — everything
-   the rest of the run-time (fault handlers in {!Shm}, synchronization and
-   augmented-interface dispatch in {!Tmk}) needs from a protocol. The
-   functions mirror {!Backend.S}; keeping them as a flat record of closures
-   lets {!system} carry the selected backend without a functor boundary on
-   the hot path (faults are already cold: a dispatch through a record field
-   is noise next to the page-table work they do). *)
+(* One coherence backend: what differs between the protocols once every
+   fault, validate, piggy-backed answer and push runs through the shared
+   entry points of {!Fetch}, {!Sync_ops} and {!Validate}. Each backend
+   module exports one such value ({!Protocol.backend}, {!Hlrc.backend},
+   {!Invalidate.backend}, {!Adaptive.backend}). *)
 and backend_ops = {
   b_name : string;
-  b_read_fault : system -> int -> int -> unit;  (* sys proc page *)
-  b_write_fault : system -> int -> int -> unit;
-  b_barrier : t -> unit;
-  b_lock_acquire : t -> int -> unit;
-  b_lock_release : t -> int -> unit;
-  b_validate : t -> async:bool -> Dsm_rsd.Section.t list -> access -> unit;
-  b_validate_w_sync :
-    t -> async:bool -> Dsm_rsd.Section.t list -> access -> unit;
-  b_push :
-    t ->
-    read_sections:Dsm_rsd.Section.t list array ->
-    write_sections:Dsm_rsd.Section.t list array ->
-    unit;
+  b_proto : page_proto option;
+      (* the policy governing every page; [None]: chosen per page by the
+         adaptive classifier *)
+  b_release : system -> int -> (int * int list) option;
+      (* close the current interval: returns the new log entry *)
+  b_departure :
+    system ->
+    epoch:int ->
+    departure_clock:float ->
+    (int * wsync_req list) list ->
+    (int * bcast_plan) option;
+      (* runs once per barrier, in the last arriver's turn at quiescence:
+         may plan a broadcast answer to the piggy-backed requests (lrc) or
+         reclassify pages (adaptive) *)
 }
 
 let state t = t.st

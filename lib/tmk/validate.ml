@@ -17,12 +17,6 @@ let ranges_of_sections sections =
     (fun acc s -> Range.union acc (Section.ranges s))
     Range.empty sections
 
-let clip_to_pages sys ranges pages =
-  List.fold_left
-    (fun acc page ->
-      Range.union acc (Range.clip_to_page ~page_size:sys.page_size ~page ranges))
-    Range.empty pages
-
 (* Validate(section, access_type), Figure 3. The synchronous version fetches
    and applies diffs before returning; the asynchronous version only sends
    the fetch requests — the page-fault handler completes the work at the
@@ -36,11 +30,17 @@ let clip_to_pages sys ranges pages =
    accessible that is now validated with a stale object — cannot be
    fetched asynchronously at all: no fault will run to consume the
    response, so {!Protocol.split_unfaultable} routes it through the
-   synchronous fetch. *)
+   synchronous fetch.
+
+   Every backend runs this one entry point: each page goes through the
+   policy governing it ({!Fetch.groups}) — the directory transactions of
+   the invalidate protocol, or a planned transfer of diffs or home
+   copies. *)
 let validate t ?(async = false) sections access =
   Prof.enter Prof.Sync;
   let sys = t.sys
   and p = t.p in
+  let st = state t in
   let pstats = stats t in
   pstats.Stats.validates <- pstats.Stats.validates + 1;
   let ranges = ranges_of_sections sections in
@@ -54,48 +54,48 @@ let validate t ?(async = false) sections access =
            async;
            w_sync = false;
          });
-  (match access with
-  | Read | Write | Read_write ->
-      let fetch_pages, skipped = Protocol.obj_skip sys p ~ranges pages in
-      if async then begin
-        let faultable, unfaultable =
-          Protocol.split_unfaultable sys p fetch_pages
-        in
-        Protocol.async_fetch sys p faultable;
-        if unfaultable <> [] then
-          Protocol.fetch_and_apply sys p unfaultable ~mode:Protocol.Rpc ();
-        if skipped <> [] || unfaultable <> [] then
-          Protocol.apply_access_state sys p
-            ~ranges:(clip_to_pages sys ranges (skipped @ unfaultable))
-            ~access
-      end
-      else begin
-        Protocol.fetch_and_apply sys p fetch_pages ~mode:Protocol.Rpc ();
-        Protocol.apply_access_state sys p ~ranges ~access
-      end
-  | Write_all ->
-      (* no data movement: consistency deliberately bypassed *)
-      Protocol.apply_access_state sys p ~ranges ~access
-  | Read_write_all ->
-      let fetch_pages, skipped = Protocol.obj_skip sys p ~ranges pages in
-      if async then begin
-        let faultable, unfaultable =
-          Protocol.split_unfaultable sys p fetch_pages
-        in
-        Protocol.async_fetch sys p faultable;
-        if unfaultable <> [] then
-          Protocol.fetch_and_apply sys p unfaultable ~mode:Protocol.Rpc ();
-        (* record now so the fault handler skips twin creation *)
-        Protocol.record_write_all sys p ranges;
-        if skipped <> [] || unfaultable <> [] then
-          Protocol.apply_access_state sys p
-            ~ranges:(clip_to_pages sys ranges (skipped @ unfaultable))
-            ~access
-      end
-      else begin
-        Protocol.fetch_and_apply sys p fetch_pages ~mode:Protocol.Rpc ();
-        Protocol.apply_access_state sys p ~ranges ~access
-      end);
+  List.iter (Fetch.observe sys p access) pages;
+  (* object skipping runs under the fixed backends only: the adaptive
+     classifier must see every page's accesses through the policies *)
+  let skips = sys.bops.b_proto <> None in
+  List.iter
+    (fun (proto, pgs, sub) ->
+      match (proto, access) with
+      | P_inval, _ -> Invalidate.satisfy sys p access pgs
+      | _, Write_all ->
+          (* no data movement: consistency deliberately bypassed *)
+          Protocol.apply_access_state sys p ~ranges:sub ~access
+      | _, (Read | Write | Read_write | Read_write_all) ->
+          let to_fetch, skipped =
+            if skips then Protocol.obj_skip sys p ~ranges pgs else (pgs, [])
+          in
+          if async then begin
+            let faultable, unfaultable =
+              if skips then Protocol.split_unfaultable sys p to_fetch
+              else (to_fetch, [])
+            in
+            (* a page whose response is still in flight is consumed at
+               its fault *)
+            Fetch.fetch sys p proto
+              (List.filter
+                 (fun g -> not (Hashtbl.mem st.pending_async g))
+                 faultable)
+              ~mode:Protocol.Async ();
+            if unfaultable <> [] then
+              Fetch.fetch sys p proto unfaultable ~mode:Protocol.Rpc ();
+            (* record now so the fault handler skips twin creation *)
+            if access = Read_write_all then
+              Protocol.record_write_all sys p sub;
+            if skipped <> [] || unfaultable <> [] then
+              Protocol.apply_access_state sys p
+                ~ranges:(Protocol.clip_to_pages sys ranges (skipped @ unfaultable))
+                ~access
+          end
+          else begin
+            Fetch.fetch sys p proto to_fetch ~mode:Protocol.Rpc ();
+            Protocol.apply_access_state sys p ~ranges:sub ~access
+          end)
+    (Fetch.groups sys pages ranges);
   Prof.exit Prof.Sync
 
 (* Validate_w_sync: identical to Validate, but the request for diffs is
@@ -126,28 +126,44 @@ let validate_w_sync t ?(async = false) sections access =
    after. Data is received in place, not as diffs. Only the pushed sections
    are made consistent; full consistency is restored at the next barrier.
 
-   The exchange itself is protocol-independent; [release] closes the
-   sender's interval the backend's way (the homeless LRC keeps the diffs
-   for later fetches, HLRC additionally flushes them to the homes).
+   The exchange itself is protocol-independent; the backend's release
+   closes the sender's interval (the homeless LRC keeps the diffs for
+   later fetches, HLRC additionally flushes them to the homes).
 
-   Pages governed by the single-writer invalidate protocol ([is_inval])
-   carry no interval watermarks: the sender owns them exclusively (it
-   wrote them), so the payload bytes are valid, but the receiver-side LRC
-   bookkeeping (watermarks, partial-push tracking, revalidation) must not
-   run — the backend decides what receipt means via [on_inval]. *)
-let push_with ~release ?(is_inval = fun _ -> false)
-    ?(on_inval = fun ~src:_ ~page:_ ~covered:_ -> ()) t ~read_sections
-    ~write_sections =
-  Prof.enter Prof.Sync;
+   Pages governed by the single-writer invalidate protocol carry no
+   interval watermarks: the sender owns them exclusively (it wrote them),
+   so the payload bytes are valid, but the receiver-side LRC bookkeeping
+   (watermarks, partial-push tracking, revalidation) must not run —
+   {!Invalidate.push_received} decides what receipt means. *)
+(* [f pg off at len] over the page-bounded chunks of the byte range
+   [lo, hi): [len] bytes at offset [off] of page copy [pg], at offset [at]
+   of the range. *)
+let iter_chunks sys st ~lo ~hi f =
+  let pos = ref lo in
+  while !pos < hi do
+    let page = !pos / sys.page_size in
+    let off = !pos mod sys.page_size in
+    let len = min (hi - !pos) (sys.page_size - off) in
+    f (Page_table.get st.pt page) off (!pos - lo) len;
+    pos := !pos + len
+  done
+
+let push t ~read_sections ~write_sections =
   let sys = t.sys
   and p = t.p in
+  let my_writes = ranges_of_sections write_sections.(p)
+  and my_reads = ranges_of_sections read_sections.(p) in
+  List.iter (Fetch.observe sys p Write)
+    (Range.pages ~page_size:sys.page_size my_writes);
+  List.iter (Fetch.observe sys p Read)
+    (Range.pages ~page_size:sys.page_size my_reads);
+  Prof.enter Prof.Sync;
   let st = state t in
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = stats t in
   pstats.Stats.pushes <- pstats.Stats.pushes + 1;
-  let entry = release sys p in
+  let entry = sys.bops.b_release sys p in
   let my_seq = Vc.get st.vc p in
-  let my_writes = ranges_of_sections write_sections.(p) in
   (* send phase *)
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
@@ -157,15 +173,8 @@ let push_with ~release ?(is_inval = fun _ -> false)
         let payload = ref [] in
         Range.iter inter (fun ~lo ~hi ->
             let buf = Bytes.create (hi - lo) in
-            let pos = ref lo in
-            while !pos < hi do
-              let page = !pos / sys.page_size in
-              let off = !pos mod sys.page_size in
-              let len = min (hi - !pos) (sys.page_size - off) in
-              let pg = Page_table.get st.pt page in
-              Bytes.blit pg.Page_table.data off buf (!pos - lo) len;
-              pos := !pos + len
-            done;
+            iter_chunks sys st ~lo ~hi (fun pg off at len ->
+                Bytes.blit pg.Page_table.data off buf at len);
             payload := (lo, buf) :: !payload);
         (* back-pressure: at most one in-flight push per (src, dst) pair *)
         Prof.exit Prof.Sync;
@@ -188,7 +197,6 @@ let push_with ~release ?(is_inval = fun _ -> false)
     end
   done;
   (* receive phase *)
-  let my_reads = ranges_of_sections read_sections.(p) in
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
       let expect =
@@ -210,18 +218,11 @@ let push_with ~release ?(is_inval = fun _ -> false)
             let hi = lo + Bytes.length buf in
             total := !total + (hi - lo);
             pushed_ranges := Range.union !pushed_ranges (Range.of_interval lo hi);
-            let pos = ref lo in
-            while !pos < hi do
-              let page = !pos / sys.page_size in
-              let off = !pos mod sys.page_size in
-              let len = min (hi - !pos) (sys.page_size - off) in
-              let pg = Page_table.get st.pt page in
-              Bytes.blit buf (!pos - lo) pg.Page_table.data off len;
-              (match pg.Page_table.twin with
-              | Some twin -> Bytes.blit buf (!pos - lo) twin off len
-              | None -> ());
-              pos := !pos + len
-            done)
+            iter_chunks sys st ~lo ~hi (fun pg off at len ->
+                Bytes.blit buf at pg.Page_table.data off len;
+                match pg.Page_table.twin with
+                | Some twin -> Bytes.blit buf at twin off len
+                | None -> ()))
           msg.pm_payload;
         Cluster.charge sys.cluster p
           (cfg.Config.diff_apply_per_byte_us *. float_of_int !total);
@@ -243,40 +244,36 @@ let push_with ~release ?(is_inval = fun _ -> false)
         let revalidated = ref [] in
         List.iter
           (fun page ->
-            if is_inval page then
-              on_inval ~src:i ~page
-                ~covered:
-                  (Range.covers !pushed_ranges ~lo:(page * sys.page_size)
-                     ~hi:((page + 1) * sys.page_size))
+            let covered =
+              Range.covers !pushed_ranges ~lo:(page * sys.page_size)
+                ~hi:((page + 1) * sys.page_size)
+            in
+            if Fetch.proto_of sys page = P_inval then
+              Invalidate.push_received sys p ~page ~covered
             else begin
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
-            if msg.pm_seq > Wmap.get m.applied i then begin
-              Wmap.set m.applied i msg.pm_seq;
-              if msg.pm_seq > Wmap.get m.known i then
-                Wmap.set m.known i msg.pm_seq;
-              Diff_store.note_applied sys.store ~writer:i ~page ~by:p
-                ~seq:msg.pm_seq;
+              let m = Protocol.meta st ~nprocs:sys.nprocs page in
+              if msg.pm_seq > Wmap.get m.applied i then begin
+                Wmap.set m.applied i msg.pm_seq;
+                if msg.pm_seq > Wmap.get m.known i then
+                  Wmap.set m.known i msg.pm_seq;
+                Diff_store.note_applied sys.store ~writer:i ~page ~by:p
+                  ~seq:msg.pm_seq;
+                if not covered then
+                  (* the rest of the page stays inconsistent until the next
+                     global synchronization rolls this watermark back *)
+                  st.partial_push <- (page, i, msg.pm_seq) :: st.partial_push
+              end;
+              let pg = Page_table.get st.pt page in
               if
-                not
-                  (Range.covers !pushed_ranges ~lo:(page * sys.page_size)
-                     ~hi:((page + 1) * sys.page_size))
-              then
-                (* the rest of the page stays inconsistent until the next
-                   global synchronization rolls this watermark back *)
-                st.partial_push <- (page, i, msg.pm_seq) :: st.partial_push
-            end;
-            let pg = Page_table.get st.pt page in
-            if pg.Page_table.prot = Page_table.No_access then begin
-              let stale =
-                Wmap.exists
-                  (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                  m.known
-              in
-              if not stale then begin
+                pg.Page_table.prot = Page_table.No_access
+                && not
+                     (Wmap.exists
+                        (fun q kv -> q <> p && kv > Wmap.get m.applied q)
+                        m.known)
+              then begin
                 pg.Page_table.prot <- Page_table.Read_only;
                 revalidated := page :: !revalidated
               end
-            end
             end)
           (Range.pages ~page_size:sys.page_size !pushed_ranges);
         if !revalidated <> [] then Protocol.protect_runs sys p !revalidated
@@ -284,6 +281,3 @@ let push_with ~release ?(is_inval = fun _ -> false)
     end
   done;
   Prof.exit Prof.Sync
-
-let push t ~read_sections ~write_sections =
-  push_with ~release:Protocol.release t ~read_sections ~write_sections

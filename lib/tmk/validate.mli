@@ -4,12 +4,6 @@ val ranges_of_sections : Dsm_rsd.Section.t list -> Dsm_rsd.Range.t
 (** Sections are translated to contiguous address ranges, as in the actual
     implementation (Section 3.3). *)
 
-val clip_to_pages :
-  Types.system -> Dsm_rsd.Range.t -> int list -> Dsm_rsd.Range.t
-(** The sub-ranges of [ranges] falling on the given pages (union of the
-    per-page clips); used to apply access state to the object-granularity
-    pages a validate skipped. *)
-
 val validate :
   Types.t -> ?async:bool -> Dsm_rsd.Section.t list -> Types.access -> unit
 (** [Validate(section, access_type)] (Figure 3). The consistency-preserving
@@ -18,28 +12,13 @@ val validate :
     [_ALL] types additionally disable write detection for the section
     (exact compiler analysis required). With [async], only the fetch
     requests are sent and the page-fault handler completes the work at the
-    first access (Section 3.2.3). *)
+    first access (Section 3.2.3). Each page goes through the policy
+    governing it under the system's backend. *)
 
 val validate_w_sync :
   Types.t -> ?async:bool -> Dsm_rsd.Section.t list -> Types.access -> unit
 (** Like {!validate}, but the request for diffs is piggy-backed on the next
     synchronization operation (Section 3.1.1). *)
-
-val push_with :
-  release:(Types.system -> int -> (int * int list) option) ->
-  ?is_inval:(int -> bool) ->
-  ?on_inval:(src:int -> page:int -> covered:bool -> unit) ->
-  Types.t ->
-  read_sections:Dsm_rsd.Section.t list array ->
-  write_sections:Dsm_rsd.Section.t list array ->
-  unit
-(** The protocol-independent [Push] exchange; [release] closes the sender's
-    interval the backend's way before the point-to-point sends. Pages for
-    which [is_inval] holds are governed by the single-writer invalidate
-    protocol: the payload is still received in place, but the LRC
-    watermark/revalidation bookkeeping is replaced by the [on_inval]
-    callback ([src] is the sending processor, [covered] tells whether the
-    push covered the whole page). *)
 
 val push :
   Types.t ->
@@ -51,4 +30,6 @@ val push :
     receives its own intersections in place (no diff space). Only the
     pushed sections are made consistent; everything else may remain
     inconsistent until the next global synchronization. Synchronous only,
-    as in the paper's implementation (Section 3.3). *)
+    as in the paper's implementation (Section 3.3). The backend's release
+    closes the sender's interval; pages under the invalidate protocol are
+    received through {!Invalidate.push_received}. *)

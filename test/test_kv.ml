@@ -76,6 +76,30 @@ let test_sync_async_agree () =
         ra.digest)
     backends
 
+(* An asynchronous Validate_w_sync of an object page that an earlier
+   object skip left readable: its response can never be consumed by a
+   fault, so it must be answered at the barrier, not left pending. *)
+let test_async_wsync_after_skip () =
+  let module Tmk = Dsm_tmk.Tmk in
+  let module I = Tmk.Shm.I64_1 in
+  List.iter
+    (fun (backend, bname) ->
+      let sys = Tmk.make { (cfg 2) with Config.backend } in
+      let objs = Tmk.Alloc.objs sys "objs" ~obj_size:64 ~count:16 in
+      let obj i = [ I.section objs (8 * i, (8 * i) + 7, 1) ] in
+      let seen = ref (-1) in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then I.set t objs 0 42;
+          Tmk.barrier t;
+          if Tmk.pid t = 1 then begin
+            Tmk.validate t (obj 1) Tmk.Read;
+            Tmk.validate_w_sync t ~async:true (obj 0) Tmk.Read
+          end;
+          Tmk.barrier t;
+          if Tmk.pid t = 1 then seen := I.get t objs 0);
+      Alcotest.(check int) (bname ^ ": P1 reads P0's write") 42 !seen)
+    [ (Config.Lrc, "lrc"); (Config.Hlrc, "hlrc") ]
+
 let test_checker_clean () =
   let sink = Dsm_trace.Sink.create ~nprocs:4 () in
   let r = run ~trace:sink ~procs:4 () in
@@ -249,6 +273,8 @@ let tests =
       test_digest_domains;
     Alcotest.test_case "sync and async agree per backend" `Slow
       test_sync_async_agree;
+    Alcotest.test_case "async validate_w_sync after an object skip" `Quick
+      test_async_wsync_after_skip;
     Alcotest.test_case "traced run checker-clean, skips exercised" `Quick
       test_checker_clean;
     Alcotest.test_case "object granularity sheds false-sharing traffic" `Slow
