@@ -172,17 +172,38 @@ let json_mode args =
     | _ :: tl -> keyed k tl
     | [] -> None
   in
-  let out = Option.value ~default:"BENCH_8.json" (keyed "--out" args) in
+  (* malformed options exit 2 naming the field, before any work runs *)
+  let bad field msg =
+    Format.eprintf "bench json: %s: %s@." field msg;
+    exit 2
+  in
+  let out, pr =
+    match keyed "--out" args with
+    | None -> bad "--out" "required (BENCH_<n>.json)"
+    | Some out -> (
+        (* the trajectory labels itself with the number in its file name *)
+        let base = Filename.basename out in
+        match Scanf.sscanf_opt base "BENCH_%u.json%!" Fun.id with
+        | Some pr -> (out, pr)
+        | None ->
+            bad "--out" (Printf.sprintf "%S is not named BENCH_<n>.json" base))
+  in
   let against = keyed "--against" args in
   let tolerance =
     match keyed "--tolerance" args with
-    | Some s -> float_of_string s
     | None -> 0.20
+    | Some s -> (
+        match float_of_string_opt s with
+        | Some t when Float.is_finite t && t >= 0.0 -> t
+        | _ -> bad "--tolerance" (Printf.sprintf "%S is not a fraction >= 0" s))
   in
   let repeat =
     match keyed "--repeat" args with
-    | Some s -> int_of_string s
     | None -> if quick then 2 else 1
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some r when r >= 1 -> r
+        | _ -> bad "--repeat" (Printf.sprintf "%S is not a count >= 1" s))
   in
   (* profiling on/off invariance: the same experiment must produce the same
      simulated output whether or not the self-profiler is enabled *)
@@ -207,7 +228,7 @@ let json_mode args =
   Dsm_prof.Prof.disable ();
   let measure_once round =
     let log =
-      Bench_log.create ~pr:8 ~label:(if quick then "quick" else "full") ~quick
+      Bench_log.create ~pr ~label:(if quick then "quick" else "full") ~quick
     in
     Bench_log.set_prof_invariant log (d_off = d_on);
     Bench_log.set_profile log profile_json;

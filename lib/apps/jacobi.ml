@@ -75,7 +75,7 @@ let seq_time_us { m; iters; update_cost; copy_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_cost } as prm) ~level ~async =
+let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; update_cost; copy_cost } as prm) ~level ~async =
   let sys = Tmk.make ?plan cfg in
   let b = Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ m; m ] in
   let np = cfg.Dsm_sim.Config.nprocs in
@@ -167,9 +167,12 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; iters; update_cost; copy_co
         done);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
-  make_result ~time_us ~stats ~max_err:!err
-    ~digest:(if digest then Tmk.digest sys else "")
-    ~homes ~classes ()
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err:!err ~digest ~homes ~classes ()
+
+let run_tmk ?trace ?digest ?plan cfg prm ~level ~async =
+  run_tmk_inspect ?trace ?digest ?plan ~inspect:ignore cfg prm ~level ~async
 
 (* {1 Message-passing versions}
 

@@ -31,6 +31,19 @@ val run_tmk :
     callers that size custom runs; {!tmk} below is the registry-facing
     equivalent. *)
 
+val run_tmk_inspect :
+  ?trace:Dsm_trace.Sink.t ->
+  ?digest:bool ->
+  ?plan:Dsm_tmk.Proto_plan.t ->
+  inspect:(Dsm_tmk.Tmk.system -> unit) ->
+  Dsm_sim.Config.t ->
+  params ->
+  level:App_common.opt_level ->
+  async:bool ->
+  App_common.result
+(** {!run_tmk}, handing the final system state to [inspect] after the
+    verification pass (for tests of the run-time's memory footprint). *)
+
 val run_pvm : Dsm_sim.Config.t -> params -> App_common.result
 val run_xhpf : (Dsm_sim.Config.t -> params -> App_common.result) option
 

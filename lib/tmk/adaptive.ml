@@ -65,10 +65,10 @@ let switchable sys page =
       if List.exists (fun (g, _, _) -> g = page) st.partial_push then
         ok := false;
       if Hashtbl.mem st.dirty page then ok := false;
-      (match Hashtbl.find_opt st.meta page with
+      (match Dsm_mem.Page_map.find st.meta page with
       | Some m -> if not (Range.is_empty m.write_all) then ok := false
       | None -> ());
-      let pg = Page_table.get st.pt page in
+      let pg = Page_table.entry st.pt page in
       if pg.Page_table.prot = Page_table.Read_write then ok := false)
     sys.states;
   !ok
@@ -81,7 +81,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
      materialized so no twin survives the switch. *)
   ignore (Protocol.pull_notices sys o ~upto:sys.barrier.departure_vc);
   for w = 0 to sys.nprocs - 1 do
-    let pg = Page_table.get sys.states.(w).pt page in
+    let pg = Page_table.entry sys.states.(w).pt page in
     if pg.Page_table.twin <> None then begin
       let c = Protocol.materialize sys ~writer:w ~page in
       if c > 0.0 then Cluster.charge sys.cluster w c
@@ -137,7 +137,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
           (* every released interval is reflected in the distributed copy:
              no writer must ever re-flush pre-switch history *)
           for w = 0 to sys.nprocs - 1 do
-            let m = Protocol.meta sys.states.(w) ~nprocs:sys.nprocs page in
+            let m = Protocol.meta sys.states.(w) page in
             let own = Vc.get sys.states.(w).vc w in
             if own > m.home_flushed then m.home_flushed <- own
           done

@@ -120,7 +120,7 @@ let fault sys p page ~write =
              fetch sys p proto [ page ] ~mode:Protocol.Prepaid ()
          | None -> fetch sys p proto [ page ] ~mode:Protocol.Rpc ());
       if write then begin
-        let m = Protocol.meta st ~nprocs:sys.nprocs page in
+        let m = Protocol.meta st page in
         if Range.is_empty m.write_all && pg.Page_table.twin = None then
           Protocol.make_twin sys p page pg;
         Protocol.mark_dirty st page;

@@ -48,7 +48,7 @@ module Ft = Dsm_ft.Ft
    runs in its release) and fetch every unit not flushed yet; returns the
    units and the highest interval they cover. *)
 let flush_units sys p ~seq page =
-  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let m = Protocol.meta sys.states.(p) page in
   let c = Protocol.materialize sys ~writer:p ~page in
   if c > 0.0 then Cluster.charge sys.cluster p c;
   let r =
@@ -58,7 +58,7 @@ let flush_units sys p ~seq page =
 
 (* [home]'s copy of [page] now holds [p]'s intervals up to [high]. *)
 let absorbed sys p ~home page high =
-  let hm = Protocol.meta sys.states.(home) ~nprocs:sys.nprocs page in
+  let hm = Protocol.meta sys.states.(home) page in
   if high > Wmap.get hm.applied p then Wmap.set hm.applied p high;
   if Wmap.get hm.known p < Wmap.get hm.applied p then
     Wmap.set hm.known p (Wmap.get hm.applied p);
@@ -80,7 +80,7 @@ let flush_pages_replicated sys p ~seq pages =
   let quorum = sys.ft.Ft.quorum in
   List.iter
     (fun page ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       let r, high = flush_units sys p ~seq page in
       let payload = r.Diff_store.charge_bytes in
       let live =
@@ -105,7 +105,7 @@ let flush_pages_replicated sys p ~seq pages =
             ignore
               (Cluster.occupy sys.cluster member ~arrival
                  ~handler_time:service);
-            let hm = Protocol.meta hst ~nprocs:sys.nprocs page in
+            let hm = Protocol.meta hst page in
             Protocol.apply_units (Page_table.get hst.pt page)
               (List.filter
                  (fun u -> u.Diff_store.upto_seq > Wmap.get hm.applied p)
@@ -153,7 +153,7 @@ let flush_pages sys p ~seq pages =
                (the homeless protocol would do both lazily). *)
             let c = Protocol.materialize sys ~writer:p ~page in
             if c > 0.0 then Cluster.charge sys.cluster p c;
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
+            let m = Protocol.meta st page in
             if seq > m.home_flushed then m.home_flushed <- seq
           end
           else by_home.(home) <- page :: by_home.(home))
@@ -168,7 +168,7 @@ let flush_pages sys p ~seq pages =
             let per_page =
               List.map
                 (fun page ->
-                  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+                  let m = Protocol.meta st page in
                   let r, high = flush_units sys p ~seq page in
                   payload := !payload + r.Diff_store.charge_bytes;
                   (page, m, r, high))
@@ -219,8 +219,8 @@ let release sys p =
 
 (* A page's copy is stale when a write notice outruns the applied
    watermark. Pages already consistent need no data movement. *)
-let stale st ~nprocs p page =
-  let m = Protocol.meta st ~nprocs page in
+let stale st p page =
+  let m = Protocol.meta st page in
   Wmap.exists (fun q kv -> q <> p && kv > Wmap.get m.applied q) m.known
 
 (* The home's own copy needs no message: flushes landed in it eagerly, so
@@ -228,8 +228,7 @@ let stale st ~nprocs p page =
    rollback or a foreign notice invalidated the home's page). *)
 let revalidate_local sys p page =
   Protocol.mark_current sys p page;
-  (Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page).ob_stale <-
-    Pset.empty;
+  (Protocol.meta sys.states.(p) page).ob_stale <- Pset.empty;
   if sys.trace <> None then begin
     Protocol.emit sys p
       (Dsm_trace.Event.Home_fetch { page; home = p; bytes = 0 });
@@ -251,7 +250,7 @@ let install_home_copy sys p page ~home =
   let st = sys.states.(p) in
   let hpg = Page_table.get sys.states.(home).pt page in
   let pg = Page_table.get st.pt page in
-  let m = Protocol.meta st ~nprocs:sys.nprocs page in
+  let m = Protocol.meta st page in
   let cur =
     match pg.Page_table.twin with
     | Some twin -> Some (Diff.create ~twin ~current:pg.Page_table.data)
@@ -317,8 +316,7 @@ let quorum_fetch_pages sys p pages ~mode =
   let by_src = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st ~nprocs:sys.nprocs p page || Ft.is_lost sys.ft p page
-      then begin
+      if stale st p page || Ft.is_lost sys.ft p page then begin
         let live =
           Recover.live_members sys p (Recover.group_of sys ~toucher:p page)
         in
@@ -349,10 +347,8 @@ let quorum_fetch_pages sys p pages ~mode =
                (e.g. right after the reader restarted from an old
                checkpoint); adopt its watermarks so the install is not
                immediately re-judged stale *)
-            let m = Protocol.meta st ~nprocs:sys.nprocs page in
-            let cm =
-              Protocol.meta sys.states.(src) ~nprocs:sys.nprocs page
-            in
+            let m = Protocol.meta st page in
+            let cm = Protocol.meta sys.states.(src) page in
             Wmap.iter
               (fun q cv ->
                 if cv > Wmap.get m.applied q then begin
@@ -401,7 +397,7 @@ let fetch_pages_single sys p pages ~mode =
   let by_home = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st ~nprocs:sys.nprocs p page then begin
+      if stale st p page then begin
         let home = home_of sys ~toucher:p page in
         if home = p then revalidate_local sys p page
         else by_home.(home) <- page :: by_home.(home)

@@ -19,7 +19,8 @@
      touch. Before the first directory transaction for a page that is
      fine (every copy is zero, all are valid); at entry creation the
      protocol neutralizes the artifact by forcing every non-directory
-     frame to [No_access], so no processor can keep silently reading a
+     copy to [No_access] (a frameless record where the processor never
+     touched the page), so no processor can keep silently reading a
      copy the directory does not track.
    - Fault service never yields the engine turn, so a transaction reads
      quiescent remote state, exactly like the LRC fetch paths.
@@ -47,8 +48,8 @@ let entry sys page =
   | None ->
       let d = dir_of sys page in
       for q = 0 to sys.nprocs - 1 do
-        let pg = Page_table.get sys.states.(q).pt page in
-        if q <> d then pg.Page_table.prot <- Page_table.No_access
+        if q = d then ignore (Page_table.entry sys.states.(q).pt page)
+        else ignore (Page_table.invalidate sys.states.(q).pt page)
       done;
       let e = { iv_owner = d; iv_excl = false; iv_sharers = [ d ] } in
       Hashtbl.replace sys.iv_dir page e;
@@ -98,9 +99,10 @@ let install sys page ~owner =
   Hashtbl.replace sys.iv_dir page
     { iv_owner = owner; iv_excl = false; iv_sharers = [ owner ] };
   for q = 0 to sys.nprocs - 1 do
-    let pg = Page_table.get sys.states.(q).pt page in
-    pg.Page_table.prot <-
-      (if q = owner then Page_table.Read_only else Page_table.No_access)
+    if q = owner then
+      (Page_table.get sys.states.(q).pt page).Page_table.prot <-
+        Page_table.Read_only
+    else ignore (Page_table.invalidate sys.states.(q).pt page)
   done
 
 (* An exclusive owner drops to shared (read-only) so [reader] can join
@@ -108,7 +110,7 @@ let install sys page ~owner =
 let downgrade sys e page ~reader =
   if e.iv_excl then begin
     let o = e.iv_owner in
-    let opg = Page_table.get sys.states.(o).pt page in
+    let opg = Page_table.entry sys.states.(o).pt page in
     if opg.Page_table.prot = Page_table.Read_write then
       opg.Page_table.prot <- Page_table.Read_only;
     e.iv_excl <- false;
@@ -153,8 +155,7 @@ let ensure_excl sys p page =
             if sys.trace <> None then
               Protocol.emit sys d (Dsm_trace.Event.Inval_send { page; dst = q });
             let arrival = Net.send sys.net ~src:d ~dst:q ~bytes:16 in
-            let qpg = Page_table.get sys.states.(q).pt page in
-            qpg.Page_table.prot <- Page_table.No_access;
+            ignore (Page_table.invalidate sys.states.(q).pt page);
             (* the victim's handler drops the copy and acks to the writer *)
             let service =
               cfg.Config.interrupt_us +. (2.0 *. cfg.Config.msg_overhead_us)

@@ -10,6 +10,7 @@ module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
 module Net = Dsm_net.Net
 module Page_table = Dsm_mem.Page_table
+module Page_map = Dsm_mem.Page_map
 module Diff = Dsm_mem.Diff
 module Range = Dsm_rsd.Range
 module Prof = Dsm_prof.Prof
@@ -34,23 +35,17 @@ let in_dirty st page = Hashtbl.mem st.dirty page
 let mark_dirty st page =
   if not (Hashtbl.mem st.dirty page) then Hashtbl.replace st.dirty page ()
 
-let meta st ~nprocs:_ page =
-  match Hashtbl.find_opt st.meta page with
-  | Some m -> m
-  | None ->
-      let m =
-        {
-          applied = Wmap.create ();
-          known = Wmap.create ();
-          write_all = Range.empty;
-          lazy_hi = 0;
-          lazy_vcsum = 0;
-          home_flushed = 0;
-          ob_stale = Pset.empty;
-        }
-      in
-      Hashtbl.replace st.meta page m;
-      m
+let meta st page =
+  Page_map.find_or_add st.meta page (fun () ->
+      {
+        applied = Wmap.create ();
+        known = Wmap.create ();
+        write_all = Range.empty;
+        lazy_hi = 0;
+        lazy_vcsum = 0;
+        home_flushed = 0;
+        ob_stale = Pset.empty;
+      })
 
 (* {1 Object granularity}
 
@@ -120,7 +115,7 @@ let release_pages sys p =
       let vcsum = Vc.sum st.vc in
       List.iter
         (fun page ->
-          let m = meta st ~nprocs:sys.nprocs page in
+          let m = meta st page in
           (* A materialized diff covers every interval since the last
              materialization; it is stamped with its FIRST interval's clock.
              Applying spans at their head position is order-correct: the
@@ -132,7 +127,7 @@ let release_pages sys p =
           m.lazy_hi <- seq;
           Wmap.set m.applied p seq;
           Wmap.set m.known p seq;
-          let pg = Page_table.get st.pt page in
+          let pg = Page_table.entry st.pt page in
           if pg.Page_table.prot = Page_table.Read_write then
             pg.Page_table.prot <- Page_table.Read_only)
         pages;
@@ -149,7 +144,7 @@ let release_pages sys p =
             match Hashtbl.find_opt sys.obj_regions page with
             | None -> ()
             | Some osz ->
-                let m = meta st ~nprocs:sys.nprocs page in
+                let m = meta st page in
                 let pg = Page_table.get st.pt page in
                 let slots =
                   if not (Range.is_empty m.write_all) then
@@ -195,7 +190,7 @@ let release sys p =
    request's service time. *)
 let materialize sys ~writer ~page =
   let st = sys.states.(writer) in
-  let m = meta st ~nprocs:sys.nprocs page in
+  let m = meta st page in
   if m.lazy_hi = 0 then 0.0
   else begin
     let pstats = sys.cluster.Cluster.stats.(writer) in
@@ -292,7 +287,7 @@ let apply_notice sys p ~writer ~seq ~pages =
     let invalidated = ref [] in
     List.iter
       (fun page ->
-        let m = meta st ~nprocs:sys.nprocs page in
+        let m = meta st page in
         if seq > Wmap.get m.known writer then Wmap.set m.known writer seq;
         if Wmap.get m.known writer > Wmap.get m.applied writer then begin
           (if sys.has_objs then
@@ -311,11 +306,8 @@ let apply_notice sys p ~writer ~seq ~pages =
                  m.ob_stale <- Pset.union m.ob_stale slots);
           if m.lazy_hi > 0 then
             Cluster.charge sys.cluster p (materialize sys ~writer:p ~page);
-          let pg = Page_table.get st.pt page in
-          if pg.Page_table.prot <> Page_table.No_access then begin
-            pg.Page_table.prot <- Page_table.No_access;
+          if Page_table.invalidate st.pt page then
             invalidated := page :: !invalidated
-          end
         end;
         if sys.trace <> None then
           emit sys p
@@ -325,7 +317,7 @@ let apply_notice sys p ~writer ~seq ~pages =
                  seq;
                  page;
                  invalidated =
-                   (Page_table.get st.pt page).Page_table.prot
+                   (Page_table.entry st.pt page).Page_table.prot
                    = Page_table.No_access;
                }))
       pages;
@@ -490,7 +482,7 @@ let apply_units ?(each = ignore) pg units =
    watermark to the known one and tell the diff store. [restate] also
    restates the watermarks that did not move. *)
 let mark_current ?(restate = false) sys p page =
-  let m = meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let m = meta sys.states.(p) page in
   List.iter
     (fun q ->
       let raised = Wmap.get m.known q > Wmap.get m.applied q in
@@ -513,7 +505,7 @@ let gather_needs sys p pages ?only_via () =
   let mat_costs : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun page ->
-      let m = meta st ~nprocs:sys.nprocs page in
+      let m = meta st page in
       let needed = ref [] in
       (* ascending scan of the known watermarks, accumulated in reverse:
          [needed] ends up ascending, exactly like the dense loop it
@@ -527,10 +519,7 @@ let gather_needs sys p pages ?only_via () =
               | Some r ->
                   q = r
                   || Dsm_mem.Page_table.find sys.states.(r).pt page <> None
-                     && Wmap.get
-                          (meta sys.states.(r) ~nprocs:sys.nprocs page).applied
-                          q
-                        >= kv
+                     && Wmap.get (meta sys.states.(r) page).applied q >= kv
             in
             if keep then needed := q :: !needed
           end)
@@ -645,7 +634,7 @@ let fetch sys p pages ~mode ?only_via () =
                 l
           in
           cell := r.Diff_store.units @ !cell;
-          let m = meta st ~nprocs:sys.nprocs page in
+          let m = meta st page in
           let high =
             List.fold_left
               (fun acc u -> max acc u.Diff_store.upto_seq)
@@ -706,7 +695,7 @@ let fetch sys p pages ~mode ?only_via () =
       List.iter
         (fun page ->
           if Hashtbl.mem sys.obj_regions page then
-            match Hashtbl.find_opt st.meta page with
+            match Page_map.find st.meta page with
             | Some m when not (Pset.is_empty m.ob_stale) ->
                 if
                   not
@@ -746,7 +735,7 @@ let record_write_all sys p ranges =
   let st = sys.states.(p) in
   List.iter
     (fun page ->
-      let m = meta st ~nprocs:sys.nprocs page in
+      let m = meta st page in
       m.write_all <-
         Range.union m.write_all
           (Range.clip_to_page ~page_size:sys.page_size ~page ranges))
@@ -811,7 +800,7 @@ let obj_skip sys p ~ranges pages =
         match Hashtbl.find_opt sys.obj_regions page with
         | None -> keep := page :: !keep
         | Some osz ->
-            let m = meta st ~nprocs:sys.nprocs page in
+            let m = meta st page in
             let stale =
               Wmap.exists
                 (fun q kv -> q <> p && kv > Wmap.get m.applied q)
@@ -857,7 +846,7 @@ let split_unfaultable sys p pages =
     List.partition
       (fun page ->
         (not (Hashtbl.mem sys.obj_regions page))
-        || (Page_table.get st.pt page).Page_table.prot = Page_table.No_access)
+        || (Page_table.entry st.pt page).Page_table.prot = Page_table.No_access)
       pages
 
 (* The sub-ranges of [ranges] falling on [pages]. *)
@@ -911,9 +900,7 @@ let detect_bcast sys ~epoch ~departure_clock entries =
               (fun (r, _) ->
                 List.iter
                   (fun page ->
-                    let m =
-                      meta sys.states.(r) ~nprocs:sys.nprocs page
-                    in
+                    let m = meta sys.states.(r) page in
                     for q = 0 to sys.nprocs - 1 do
                       if
                         q <> r
@@ -936,10 +923,7 @@ let detect_bcast sys ~epoch ~departure_clock entries =
                       let after =
                         List.fold_left
                           (fun acc (r, _) ->
-                            let m =
-                              meta sys.states.(r) ~nprocs:sys.nprocs
-                                page
-                            in
+                            let m = meta sys.states.(r) page in
                             min acc (Wmap.get m.applied q))
                           max_int entries
                       in

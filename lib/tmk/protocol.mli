@@ -30,7 +30,7 @@ val emit : system -> int -> Dsm_trace.Event.kind -> unit
     event payload so a disabled trace allocates nothing; emission never
     charges simulated time. *)
 
-val meta : pstate -> nprocs:int -> int -> page_meta
+val meta : pstate -> int -> page_meta
 (** Per-page protocol metadata (applied/known watermarks, WRITE_ALL ranges,
     pending lazy interval), created on first use. *)
 

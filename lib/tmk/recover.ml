@@ -37,6 +37,7 @@ module Stats = Dsm_sim.Stats
 module Net = Dsm_net.Net
 module Ft = Dsm_ft.Ft
 module Page_table = Dsm_mem.Page_table
+module Page_map = Dsm_mem.Page_map
 module Plan = Dsm_net.Plan
 
 (* {1 Home assignment}
@@ -114,9 +115,9 @@ let live_members sys p members =
    dominance test is per reader rather than a global "newest copy"
    order. *)
 let pick_source sys p page ~live =
-  let m = Protocol.meta sys.states.(p) ~nprocs:sys.nprocs page in
+  let m = Protocol.meta sys.states.(p) page in
   let dominates c =
-    let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
+    let cm = Protocol.meta sys.states.(c) page in
     (not (Ft.is_lost sys.ft c page)) && Wmap.dominates cm.applied m.known
   in
   List.find_opt (fun c -> c <> p && dominates c) live
@@ -126,8 +127,8 @@ let pick_source sys p page ~live =
 let take_ckpt sys p ~epoch =
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
-  let known = Hashtbl.create (Hashtbl.length st.meta) in
-  Hashtbl.iter
+  let known = Hashtbl.create (Page_map.length st.meta) in
+  Page_map.iter
     (fun page (m : page_meta) ->
       (* Wmap snapshots are immutable pair lists: O(1), safely shared *)
       Hashtbl.replace known page (Wmap.to_pairs m.known))
@@ -138,7 +139,7 @@ let take_ckpt sys p ~epoch =
   (* stable-storage scan: one pass over the page metadata *)
   Cluster.charge sys.cluster p
     (cfg.Config.wsync_scan_per_page_us
-    *. float_of_int (Hashtbl.length st.meta));
+    *. float_of_int (Page_map.length st.meta));
   let pstats = sys.cluster.Cluster.stats.(p) in
   pstats.Stats.ckpts <- pstats.Stats.ckpts + 1;
   Protocol.emit sys p
@@ -157,11 +158,9 @@ let wipe sys p =
     | None -> ()
     | Some pg ->
         Ft.mark_lost sys.ft p page;
-        Bytes.fill pg.Page_table.data 0 sys.page_size '\000';
-        pg.Page_table.prot <- Page_table.No_access;
-        Page_table.drop_twin pg
+        Page_table.drop_frame pg
   done;
-  Hashtbl.reset st.meta;
+  Page_map.reset st.meta;
   Hashtbl.reset st.dirty;
   Hashtbl.reset st.pending_async;
   st.pending_wsync <- [];
@@ -186,7 +185,7 @@ let restore sys p =
   Array.iteri (fun q v -> if q <> p then Vc.set st.vc q v) ck.Ft.ck_vc;
   Hashtbl.iter
     (fun page known ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       List.iter
         (fun (q, v) -> if v > Wmap.get m.known q then Wmap.set m.known q v)
         known)
@@ -224,8 +223,8 @@ let repair_homed sys p =
             match acc with
             | None -> Some c
             | Some b ->
-                let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
-                let bm = Protocol.meta sys.states.(b) ~nprocs:sys.nprocs page in
+                let cm = Protocol.meta sys.states.(c) page in
+                let bm = Protocol.meta sys.states.(b) page in
                 if
                   Wmap.exists_gt cm.applied bm.applied
                   && Wmap.dominates cm.applied bm.applied
@@ -236,11 +235,11 @@ let repair_homed sys p =
       match best with
       | None -> ()  (* nobody else homes it; the lost mark forces a refetch *)
       | Some c ->
-          let cm = Protocol.meta sys.states.(c) ~nprocs:sys.nprocs page in
+          let cm = Protocol.meta sys.states.(c) page in
           let cpg = Page_table.get sys.states.(c).pt page in
           let pg = Page_table.get st.pt page in
           Bytes.blit cpg.Page_table.data 0 pg.Page_table.data 0 sys.page_size;
-          let m = Protocol.meta st ~nprocs:sys.nprocs page in
+          let m = Protocol.meta st page in
           List.iter
             (fun q ->
               let cv = Wmap.get cm.applied q in

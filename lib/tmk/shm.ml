@@ -24,7 +24,7 @@ let[@inline] offset_of t addr =
 
 let[@inline] page_for_read t addr =
   let page = page_of t addr in
-  let pg = Page_table.get t.st.pt page in
+  let pg = Page_table.entry t.st.pt page in
   match pg.Page_table.prot with
   | Page_table.No_access ->
       (* cold path: enter the run-time's fault handler *)
@@ -34,7 +34,7 @@ let[@inline] page_for_read t addr =
 
 let[@inline] page_for_write t addr =
   let page = page_of t addr in
-  let pg = Page_table.get t.st.pt page in
+  let pg = Page_table.entry t.st.pt page in
   match pg.Page_table.prot with
   | Page_table.Read_write -> pg
   | Page_table.No_access | Page_table.Read_only ->

@@ -122,7 +122,7 @@ let barrier t =
   let rolled = ref [] in
   List.iter
     (fun (page, writer, seq) ->
-      let m = Protocol.meta st ~nprocs:sys.nprocs page in
+      let m = Protocol.meta st page in
       if Wmap.get m.applied writer = seq then begin
         if sys.trace <> None then
           Protocol.emit sys p
@@ -135,11 +135,8 @@ let barrier t =
            match Hashtbl.find_opt sys.obj_regions page with
            | None -> ()
            | Some osz -> m.ob_stale <- Protocol.obj_all_slots sys osz);
-        let pg = Dsm_mem.Page_table.get st.pt page in
-        if pg.Dsm_mem.Page_table.prot <> Dsm_mem.Page_table.No_access then begin
-          pg.Dsm_mem.Page_table.prot <- Dsm_mem.Page_table.No_access;
+        if Dsm_mem.Page_table.invalidate st.pt page then
           rolled := page :: !rolled
-        end
       end)
     st.partial_push;
   st.partial_push <- [];

@@ -46,7 +46,7 @@ let make ?plan cfg =
             pt = Dsm_mem.Page_table.create ~page_size:cfg.Config.page_size;
             vc = Vc.create nprocs;
             dirty = Hashtbl.create 64;
-            meta = Hashtbl.create 256;
+            meta = Dsm_mem.Page_map.create ();
             pending_async = Hashtbl.create 64;
             pending_wsync = [];
             barrier_epoch = 0;
@@ -309,13 +309,10 @@ let digest sys =
     let forced = ref [] in
     Hashtbl.iter
       (fun page (_ : int) ->
-        match Hashtbl.find_opt st0.Types.meta page with
+        match Dsm_mem.Page_map.find st0.Types.meta page with
         | Some m when not (Types.Pset.is_empty m.Types.ob_stale) ->
-            let pg = Page_table.get st0.Types.pt page in
-            if pg.Page_table.prot <> Page_table.No_access then begin
-              pg.Page_table.prot <- Page_table.No_access;
+            if Page_table.invalidate st0.Types.pt page then
               forced := page :: !forced
-            end
         | _ -> ())
       sys.Types.obj_regions;
     if !forced <> [] then Protocol.protect_runs sys 0 !forced

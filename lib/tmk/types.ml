@@ -58,7 +58,9 @@ type pstate = {
   dirty : (int, unit) Hashtbl.t;
       (* pages write-enabled in the current interval; a set — {!Protocol.release}
          takes a sorted snapshot so behaviour stays deterministic *)
-  meta : (int, page_meta) Hashtbl.t;
+  meta : page_meta Dsm_mem.Page_map.t;
+      (* dense by page number; an entry exists for every page this
+         processor has touched or heard a write notice for *)
   pending_async : (int, float) Hashtbl.t;  (* page -> response arrival time *)
   mutable pending_wsync : wsync_req list;
   mutable barrier_epoch : int;

@@ -251,7 +251,7 @@ let push t ~read_sections ~write_sections =
             if Fetch.proto_of sys page = P_inval then
               Invalidate.push_received sys p ~page ~covered
             else begin
-              let m = Protocol.meta st ~nprocs:sys.nprocs page in
+              let m = Protocol.meta st page in
               if msg.pm_seq > Wmap.get m.applied i then begin
                 Wmap.set m.applied i msg.pm_seq;
                 if msg.pm_seq > Wmap.get m.known i then

@@ -58,6 +58,40 @@ let test_opt_reduces_faults (module A : Dsm_apps.Workload.KERNEL) () =
   Alcotest.(check bool) "fewer faults" true
     (opt.stats.Dsm_sim.Stats.segv < base.stats.Dsm_sim.Stats.segv)
 
+(* Demand-zero frames: a processor's memory follows the pages it touches.
+   Under lrc every processor hears a write notice for every column, but
+   Jacobi only reads its own block and the two neighbouring columns, so
+   only those pages may hold a frame. Processor 0 is excluded: the
+   verification pass reads the whole grid through it. *)
+let test_jacobi_frames_follow_touches () =
+  let nprocs = 16 in
+  let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs } in
+  let prm = Dsm_apps.Jacobi.small in
+  let m = prm.Dsm_apps.Jacobi.m in
+  let inspect (sys : Dsm_tmk.Tmk.system) =
+    let b =
+      List.find
+        (fun (a : Dsm_rsd.Section.array_info) -> a.name = "b")
+        (Dsm_mem.Addr_space.arrays sys.space)
+    in
+    let page_of_col j = (b.base + (8 * j * m)) / sys.page_size in
+    let last_page_of_col j = (b.base + (8 * (((j + 1) * m) - 1))) / sys.page_size in
+    for p = 1 to nprocs - 1 do
+      let lo, hi = Dsm_apps.Jacobi.bounds m nprocs p in
+      let first = page_of_col (lo - 1)
+      and last = last_page_of_col (hi + 1) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "proc %d frames = pages of columns %d..%d" p (lo - 1)
+           (hi + 1))
+        (List.init (last - first + 1) (fun k -> first + k))
+        (Dsm_mem.Page_table.frames sys.states.(p).pt)
+    done
+  in
+  let r =
+    Dsm_apps.Jacobi.run_tmk_inspect ~inspect cfg prm ~level:Base ~async:false
+  in
+  Alcotest.(check (float 1e-6)) "jacobi correct" 0.0 r.max_err
+
 let apps : (string * (module Dsm_apps.Workload.KERNEL)) list =
   [
     ("jacobi", (module Dsm_apps.Jacobi));
@@ -82,3 +116,7 @@ let tests =
           (test_opt_reduces_faults m);
       ])
     apps
+  @ [
+      Alcotest.test_case "jacobi: frames only for touched columns" `Slow
+        test_jacobi_frames_follow_touches;
+    ]

@@ -3,6 +3,7 @@
 module Diff = Dsm_mem.Diff
 module Addr_space = Dsm_mem.Addr_space
 module Page_table = Dsm_mem.Page_table
+module Page_map = Dsm_mem.Page_map
 module Section = Dsm_rsd.Section
 module Rsd = Dsm_rsd.Rsd
 module Range = Dsm_rsd.Range
@@ -162,6 +163,66 @@ let test_page_table () =
   Page_table.drop_twin pg;
   Alcotest.(check bool) "twin dropped" true (pg.Page_table.twin = None)
 
+(* Demand-zero frames: a write-notice invalidation of a page the processor
+   never held records protection only; data paths get a zero frame. *)
+let test_page_table_frameless () =
+  let pt = Page_table.create ~page_size:128 in
+  Alcotest.(check bool) "absent page invalidated counts as accessible" true
+    (Page_table.invalidate pt 7);
+  Alcotest.(check (list int)) "protection-only entry allocates no frame" []
+    (Page_table.frames pt);
+  let rec_ = Option.get (Page_table.find pt 7) in
+  Alcotest.(check int) "frameless record exists" 0
+    (Bytes.length rec_.Page_table.data);
+  Alcotest.(check bool) "frameless is never accessible" true
+    (rec_.Page_table.prot = Page_table.No_access
+    && (Page_table.entry pt 7).Page_table.prot = Page_table.No_access);
+  Alcotest.(check (list int)) "entry keeps it frameless" []
+    (Page_table.frames pt);
+  Alcotest.(check bool) "second invalidation is a no-op" false
+    (Page_table.invalidate pt 7);
+  let pg = Page_table.get pt 7 in
+  Alcotest.(check int) "get allocates a page-size frame" 128
+    (Bytes.length pg.Page_table.data);
+  Alcotest.(check bool) "zero-filled" true
+    (Bytes.for_all (fun c -> c = '\000') pg.Page_table.data);
+  Alcotest.(check bool) "get keeps the protection" true
+    (pg.Page_table.prot = Page_table.No_access);
+  Alcotest.(check (list int)) "frame counted" [ 7 ] (Page_table.frames pt);
+  (* invalidating a page with a frame keeps its contents *)
+  Bytes.set pg.Page_table.data 0 'x';
+  pg.Page_table.prot <- Page_table.Read_only;
+  Alcotest.(check bool) "valid page invalidated" true
+    (Page_table.invalidate pt 7);
+  Alcotest.(check char) "contents survive invalidation" 'x'
+    (Bytes.get pg.Page_table.data 0);
+  Page_table.make_twin pg;
+  Page_table.drop_frame pg;
+  Alcotest.(check bool) "dropped frame is inaccessible, twinless" true
+    (pg.Page_table.prot = Page_table.No_access && pg.Page_table.twin = None);
+  Alcotest.(check bool) "record survives the drop" true
+    (Page_table.find pt 7 <> None);
+  Alcotest.(check (list int)) "no frame after the drop" [] (Page_table.frames pt);
+  Alcotest.(check char) "a re-got frame reads zero" '\000'
+    (Bytes.get (Page_table.get pt 7).Page_table.data 0)
+
+let test_page_map () =
+  let t = Page_map.create () in
+  Alcotest.(check bool) "find does not create" true (Page_map.find t 3 = None);
+  Alcotest.(check int) "still empty" 0 (Page_map.length t);
+  Alcotest.(check string) "created" "a" (Page_map.find_or_add t 3 (fun () -> "a"));
+  Alcotest.(check string) "found, not re-created" "a"
+    (Page_map.find_or_add t 3 (fun () -> "b"));
+  ignore (Page_map.find_or_add t 1000 (fun () -> "c"));
+  Alcotest.(check int) "exact count" 2 (Page_map.length t);
+  let seen = ref [] in
+  Page_map.iter (fun n v -> seen := (n, v) :: !seen) t;
+  Alcotest.(check (list (pair int string))) "ascending iteration"
+    [ (3, "a"); (1000, "c") ] (List.rev !seen);
+  Page_map.reset t;
+  Alcotest.(check int) "reset empties" 0 (Page_map.length t);
+  Alcotest.(check bool) "reset forgets" true (Page_map.find t 1000 = None)
+
 let tests =
   [
     Alcotest.test_case "diff roundtrip" `Quick test_diff_roundtrip;
@@ -174,5 +235,8 @@ let tests =
     Alcotest.test_case "section ranges" `Quick test_section_ranges;
     Alcotest.test_case "section inter" `Quick test_section_inter;
     Alcotest.test_case "page table" `Quick test_page_table;
+    Alcotest.test_case "page table: frameless pages" `Quick
+      test_page_table_frameless;
+    Alcotest.test_case "page map" `Quick test_page_map;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ qcheck_diff; qcheck_merge ]

@@ -164,15 +164,34 @@ let test_bench_log_roundtrip () =
           Alcotest.(check string) "digest preserved" a.e_digest b.e_digest)
         (Bench_log.entries log) loaded)
 
+(* Every baseline is derived from the current log's own entries, so no
+   check depends on how long two separate runs took. The measured
+   formatter spins for a millisecond of CPU time, so the recorded wall is
+   never zero and halving it is a real slowdown. *)
 let test_bench_log_gate () =
-  let baseline = Bench_log.entries (mk_log [ ("alpha", "one") ]) in
-  let same = mk_log [ ("alpha", "one") ] in
-  Alcotest.(check bool) "identical output passes" true
-    (Bench_log.compare_against null_ppf ~baseline ~current:same ~tolerance:0.2);
-  let diverged = mk_log [ ("alpha", "CHANGED") ] in
+  let current = Bench_log.create ~pr:99 ~label:"test" ~quick:true in
+  ignore
+    (Bench_log.measure current ~name:"alpha" (fun ppf ->
+         let t0 = Sys.time () in
+         while Sys.time () -. t0 < 0.001 do
+           ()
+         done;
+         Format.fprintf ppf "one@."));
+  let own = Bench_log.entries current in
+  let gate baseline =
+    Bench_log.compare_against null_ppf ~baseline ~current ~tolerance:0.2
+  in
+  Alcotest.(check bool) "equal walls and digests pass" true (gate own);
+  Alcotest.(check bool) "a baseline twice as fast fails on the total" false
+    (gate
+       (List.map
+          (fun (e : Bench_log.entry) -> { e with e_wall_ms = e.e_wall_ms /. 2.0 })
+          own));
   Alcotest.(check bool) "changed simulated output fails" false
-    (Bench_log.compare_against null_ppf ~baseline ~current:diverged
-       ~tolerance:0.2)
+    (gate
+       (List.map
+          (fun (e : Bench_log.entry) -> { e with e_digest = "0" ^ e.e_digest })
+          own))
 
 let test_bench_log_min_merge () =
   let a = mk_log [ ("alpha", "one") ] and b = mk_log [ ("alpha", "one") ] in
