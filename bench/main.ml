@@ -206,7 +206,9 @@ let json_mode args =
         | _ -> bad "--repeat" (Printf.sprintf "%S is not a count >= 1" s))
   in
   (* profiling on/off invariance: the same experiment must produce the same
-     simulated output whether or not the self-profiler is enabled *)
+     simulated output whether or not the self-profiler is enabled. The
+     ablation runs Gauss, IS and MGS through the protocol, so the spans the
+     profiler opens there are exercised. *)
   let digest_of f =
     let buf = Buffer.create 1024 in
     let bppf = Format.formatter_of_buffer buf in
@@ -214,16 +216,13 @@ let json_mode args =
     Format.pp_print_flush bppf ();
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let micro ppf = Experiments.micro ppf Dsm_sim.Config.default in
-  let d_off = digest_of micro in
+  let ablation ppf = Experiments.ablation ppf Dsm_sim.Config.default in
+  let d_off = digest_of ablation in
+  (* the profiled run doubles as the per-subsystem profile of one
+     representative workload, embedded in the trajectory so a PR's profile
+     shift is machine-diffable too *)
   Dsm_prof.Prof.enable ();
-  let d_on = digest_of micro in
-  Dsm_prof.Prof.disable ();
-  (* per-subsystem profile of one representative workload, embedded in the
-     trajectory so a PR's profile shift is machine-diffable too *)
-  Dsm_prof.Prof.enable ();
-  ignore
-    (digest_of (fun ppf -> Experiments.ablation ppf Dsm_sim.Config.default));
+  let d_on = digest_of ablation in
   let profile_json = Dsm_prof.Prof.to_json () in
   Dsm_prof.Prof.disable ();
   let measure_once round =
@@ -236,7 +235,7 @@ let json_mode args =
       ignore (Bench_log.measure log ~name f);
       Format.printf "  [%d/%d] %-10s done@." round repeat name
     in
-    m "micro" micro;
+    m "micro" (fun ppf -> Experiments.micro ppf Dsm_sim.Config.default);
     if not quick then begin
       (* building the runset runs the uniprocessor sims eagerly; everything
          else is memoized and charged to the first experiment that asks *)
@@ -257,7 +256,7 @@ let json_mode args =
          the host O(nprocs^2), too slow for the quick CI gate *)
       m "scaling_deep" (fun ppf ->
           Experiments.scaling_deep ppf Dsm_sim.Config.default);
-    m "ablation" (fun ppf -> Experiments.ablation ppf Dsm_sim.Config.default);
+    m "ablation" ablation;
     m "faults" (fun ppf -> Experiments.faults ppf Dsm_sim.Config.default);
     m "availability" (fun ppf ->
         Experiments.availability ppf Dsm_sim.Config.default);

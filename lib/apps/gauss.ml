@@ -116,6 +116,9 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
         end
       done;
       Tmk.barrier t;
+      (* private multiplier buffer, reused by every step: step [k] writes
+         l(k+1..m-1) before reading them *)
+      let l = Array.make m 0.0 in
       for k = 0 to m - 2 do
         let owner = k mod np in
         let work_section = [ Shm.F64_1.section work (k + 1, m, 1) ] in
@@ -177,9 +180,8 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
             if !own_cols <> [] then Tmk.validate t !own_cols Tmk.Read_write
         | Base | Push_opt -> ());
         let piv = int_of_float (Shm.F64_1.get t work (k + 1)) in
-        (* copy the multipliers to a private buffer; the shared reads fault
-           once, further uses are local *)
-        let l = Array.make m 0.0 in
+        (* copy the multipliers to the private buffer; the shared reads
+           fault once, further uses are local *)
         for i = k + 1 to m - 1 do
           l.(i) <- Shm.F64_1.get t work (k + 1 + (i - k))
         done;

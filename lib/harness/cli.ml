@@ -194,7 +194,7 @@ let term =
       value & opt crash_conv []
       & info [ "crash" ] ~docv:"SCHED"
           ~doc:
-            "Deterministic crash schedule $(b,P\\@T+D[,P\\@T+D...]): \
+            "Deterministic crash schedule $(b,P@T+D[,P@T+D...]): \
              processor $(b,P) fail-stops at its first barrier arrival at or \
              after virtual time $(b,T) us and rejoins from its last \
              checkpoint after $(b,D) us of downtime. Requires the hlrc \

@@ -6,7 +6,10 @@
     of the page. *)
 
 type t
-(** A list of (offset, payload) segments, sorted by offset, disjoint. *)
+(** Disjoint (offset, payload) segments, sorted by offset. Stored flat:
+    one byte string of 32-bit (offset, length) pairs and one of the
+    payloads back to back, so a diff is two allocations however many
+    segments it has. *)
 
 val empty : t
 val is_empty : t -> bool

@@ -130,7 +130,7 @@ let take_ckpt sys p ~epoch =
   let known = Hashtbl.create (Page_map.length st.meta) in
   Page_map.iter
     (fun page (m : page_meta) ->
-      (* Wmap snapshots are immutable pair lists: O(1), safely shared *)
+      (* an O(entries) copy: later sets cannot reach the checkpoint *)
       Hashtbl.replace known page (Wmap.to_pairs m.known))
     st.meta;
   let ck =

@@ -96,8 +96,38 @@ let test_determinism () =
   Alcotest.(check int) "same bytes" r1.stats.Dsm_sim.Stats.bytes
     r2.stats.Dsm_sim.Stats.bytes
 
+(* [--help=plain] for both CLIs renders without cmdliner doc-markup
+   errors (an illegal escape in a doc string is only reported when the
+   help page is rendered, on stderr). The executables are test deps. *)
+let test_help_renders () =
+  List.iter
+    (fun exe ->
+      let out = Filename.temp_file "help" ".txt" in
+      let cmd =
+        Printf.sprintf
+          "TERM=dumb PAGER=cat MANPAGER=cat %s --help=plain > %s 2>&1"
+          (Filename.quote exe) (Filename.quote out)
+      in
+      Alcotest.(check int) (exe ^ " --help exits 0") 0 (Sys.command cmd);
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      Sys.remove out;
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length text
+          && (String.sub text i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) (exe ^ ": rendered NAME section") true
+        (contains "NAME");
+      Alcotest.(check bool) (exe ^ ": no cmdliner error") false
+        (contains "cmdliner error"))
+    [ "../bin/dsm_run.exe"; "../bin/dsm_lint.exe" ]
+
 let tests =
   [
+    Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

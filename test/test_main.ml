@@ -26,4 +26,5 @@ let () =
       ("backends", Test_backends.tests);
       ("proto-plan", Test_plan.tests);
       ("engine-par", Test_engine_par.tests);
+      ("wmap", Test_wmap.tests);
     ]

@@ -203,8 +203,35 @@ let test_bench_log_min_merge () =
     (min (wall a) (wall b))
     (wall merged)
 
+(* {1 Allocation budget}
+
+   The protocol layer's allocation is deterministic for a fixed run, so a
+   budget catches a hot-path representation regressing to per-update
+   allocation. Gauss small, Base, 64 processors, lrc: every processor
+   reads every broadcast page, so each page's watermark maps hold up to 64
+   writers. Measured at 95.6 Mw of minor allocation with flat watermark
+   maps and diffs (163.8 Mw with sorted pair lists); the budget leaves
+   ~15% headroom. *)
+
+let gauss64_budget_mw = 110.0
+
+let test_gauss64_alloc_budget () =
+  let cfg = { Config.default with Config.nprocs = 64 } in
+  let before = Gc.minor_words () in
+  let r =
+    Dsm_apps.Gauss.run_tmk cfg Dsm_apps.Gauss.small
+      ~level:Dsm_apps.App_common.Base ~async:false
+  in
+  let mw = (Gc.minor_words () -. before) /. 1e6 in
+  Alcotest.(check (float 0.0)) "correct" 0.0 r.Dsm_apps.App_common.max_err;
+  if mw > gauss64_budget_mw then
+    Alcotest.failf "Gauss small/Base/64 allocated %.1f Mw > budget %.1f Mw"
+      mw gauss64_budget_mw
+
 let tests =
   [
+    Alcotest.test_case "alloc budget: gauss 64 procs" `Quick
+      test_gauss64_alloc_budget;
     Alcotest.test_case "prof: disabled is a no-op" `Quick
       test_prof_disabled_noop;
     Alcotest.test_case "prof: spans and ticks" `Quick test_prof_spans_and_ticks;
