@@ -121,7 +121,7 @@ let run app version level size procs common sync trace_file check recheck
           match version with
           | "tmk" -> (
               match Cli.find_level level with
-              | None -> Error ("unknown level: " ^ level)
+              | None -> Error (Cli.level_error level)
               | Some l -> (
                   (* a plan whose geometry disagrees with the run (procs,
                      page size, program) is rejected by Tmk.make *)

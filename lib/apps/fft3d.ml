@@ -233,6 +233,27 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
       let w = hi - lo + 1 in
       let re = Array.make n 0.0
       and im = Array.make n 0.0 in
+      (* One row (fixed i2 and i3, all 2n floats along d0) is contiguous:
+         the row loops move it with one span. A row lies within one page,
+         so a span faults where its element loop does. The i2 FFT and the
+         transposes are strided and stay on the element path. *)
+      let row = Array.make (2 * n) 0.0 in
+      let read_row a i2 i3 =
+        Shm.read_f64s t (Shm.F64_3.addr a 0 i2 i3) row 0 (2 * n)
+      and write_row a i2 i3 =
+        Shm.write_f64s t (Shm.F64_3.addr a 0 i2 i3) row 0 (2 * n)
+      in
+      let unpack () =
+        for d = 0 to n - 1 do
+          re.(d) <- row.(2 * d);
+          im.(d) <- row.((2 * d) + 1)
+        done
+      and pack () =
+        for d = 0 to n - 1 do
+          row.(2 * d) <- re.(d);
+          row.((2 * d) + 1) <- im.(d)
+        done
+      in
       (* initialize own X slab *)
       (match level with
       | Cons_elim | Sync_merge | Push_opt ->
@@ -241,9 +262,10 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
       for i3 = lo to hi do
         for i2 = 0 to n - 1 do
           for i1 = 0 to n - 1 do
-            Shm.F64_3.set t x (2 * i1) i2 i3 (init_re i1 i2 i3);
-            Shm.F64_3.set t x ((2 * i1) + 1) i2 i3 (init_im i1 i2 i3)
-          done
+            row.(2 * i1) <- init_re i1 i2 i3;
+            row.((2 * i1) + 1) <- init_im i1 i2 i3
+          done;
+          write_row x i2 i3
         done
       done;
       Tmk.charge t (bf_cost /. 4.0 *. float_of_int (n * n * w));
@@ -258,28 +280,24 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
         | Base -> ());
         for i3 = lo to hi do
           for i2 = 0 to n - 1 do
+            read_row x i2 i3;
             for i1 = 0 to n - 1 do
-              let r = Shm.F64_3.get t x (2 * i1) i2 i3
-              and i = Shm.F64_3.get t x ((2 * i1) + 1) i2 i3 in
-              Shm.F64_3.set t x (2 * i1) i2 i3
-                ((r *. evolve_re) -. (i *. evolve_im));
-              Shm.F64_3.set t x ((2 * i1) + 1) i2 i3
-                ((r *. evolve_im) +. (i *. evolve_re))
-            done
+              let r = row.(2 * i1)
+              and i = row.((2 * i1) + 1) in
+              row.(2 * i1) <- (r *. evolve_re) -. (i *. evolve_im);
+              row.((2 * i1) + 1) <- (r *. evolve_im) +. (i *. evolve_re)
+            done;
+            write_row x i2 i3
           done
         done;
         Tmk.charge t (bf_cost /. 4.0 *. float_of_int (n * n * w));
         for i3 = lo to hi do
           for i2 = 0 to n - 1 do
-            for i1 = 0 to n - 1 do
-              re.(i1) <- Shm.F64_3.get t x (2 * i1) i2 i3;
-              im.(i1) <- Shm.F64_3.get t x ((2 * i1) + 1) i2 i3
-            done;
+            read_row x i2 i3;
+            unpack ();
             fft_inplace re im;
-            for i1 = 0 to n - 1 do
-              Shm.F64_3.set t x (2 * i1) i2 i3 re.(i1);
-              Shm.F64_3.set t x ((2 * i1) + 1) i2 i3 im.(i1)
-            done
+            pack ();
+            write_row x i2 i3
           done;
           for i1 = 0 to n - 1 do
             for i2 = 0 to n - 1 do
@@ -325,15 +343,11 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
         Tmk.charge t (bf_cost /. 2.0 *. float_of_int (n * n * w));
         for i1 = lo to hi do
           for i2 = 0 to n - 1 do
-            for i3 = 0 to n - 1 do
-              re.(i3) <- Shm.F64_3.get t y (2 * i3) i2 i1;
-              im.(i3) <- Shm.F64_3.get t y ((2 * i3) + 1) i2 i1
-            done;
+            read_row y i2 i1;
+            unpack ();
             fft_inplace re im;
-            for i3 = 0 to n - 1 do
-              Shm.F64_3.set t y (2 * i3) i2 i1 re.(i3);
-              Shm.F64_3.set t y ((2 * i3) + 1) i2 i1 im.(i3)
-            done
+            pack ();
+            write_row y i2 i1
           done
         done;
         Tmk.charge t (fft_phase_cost bf_cost n (n * w));
@@ -374,17 +388,19 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
   let xref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let row = Array.make (2 * n) 0.0 in
         for i3 = 0 to n - 1 do
           for i2 = 0 to n - 1 do
+            Shm.read_f64s t (Shm.F64_3.addr x 0 i2 i3) row 0 (2 * n);
             for d0 = 0 to (2 * n) - 1 do
-              let v = Shm.F64_3.get t x d0 i2 i3 in
               err :=
                 combine_err !err
-                  (v -. xref.(d0 + (2 * n * (i2 + (n * i3)))))
+                  (row.(d0) -. xref.(d0 + (2 * n * (i2 + (n * i3)))))
             done
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

@@ -106,19 +106,21 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
+      (* private multiplier buffer, reused by every step: step [k] writes
+         l(k+1..m-1) before reading them; it also stages the initial
+         columns *)
+      let l = Array.make m 0.0 in
       (* initialize own (cyclic) columns *)
       for j = 0 to m - 1 do
         if j mod np = p then begin
           for i = 0 to m - 1 do
-            Shm.F64_2.set t a i j (init_value i j)
+            l.(i) <- init_value i j
           done;
+          Shm.F64_2.write_col t a j ~lo:0 ~len:m l;
           Tmk.charge t (0.03 *. float_of_int m)
         end
       done;
       Tmk.barrier t;
-      (* private multiplier buffer, reused by every step: step [k] writes
-         l(k+1..m-1) before reading them *)
-      let l = Array.make m 0.0 in
       for k = 0 to m - 2 do
         let owner = k mod np in
         let work_section = [ Shm.F64_1.section work (k + 1, m, 1) ] in
@@ -180,11 +182,9 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
             if !own_cols <> [] then Tmk.validate t !own_cols Tmk.Read_write
         | Base | Push_opt -> ());
         let piv = int_of_float (Shm.F64_1.get t work (k + 1)) in
-        (* copy the multipliers to the private buffer; the shared reads
-           fault once, further uses are local *)
-        for i = k + 1 to m - 1 do
-          l.(i) <- Shm.F64_1.get t work (k + 1 + (i - k))
-        done;
+        (* copy the multipliers l(k+1..m-1) = work(k+2..m) to the private
+           buffer; the shared reads fault once, further uses are local *)
+        Shm.read_f64s t (Shm.F64_1.addr work (k + 2)) l (k + 1) (m - 1 - k);
         (* update own columns j > k *)
         for j = k + 1 to m - 1 do
           if j mod np = p then begin
@@ -195,9 +195,7 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
             end;
             Tmk.charge t (swap_cost u);
             let akj = Shm.F64_2.get t a k j in
-            for i = k + 1 to m - 1 do
-              Shm.F64_2.rmw t a i j (fun x -> x -. (l.(i) *. akj))
-            done;
+            Shm.F64_2.axpy_col t a j ~lo:(k + 1) ~len:(m - 1 - k) l akj;
             Tmk.charge t (u *. float_of_int (m - 1 - k))
           end
         done;
@@ -208,12 +206,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; update_cost = u } as prm) ~
   let aref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to m - 1 do
+          Shm.F64_2.read_col t a j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err := combine_err !err (Shm.F64_2.get t a i j -. aref.(j).(i))
+            err := combine_err !err (col.(i) -. aref.(j).(i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

@@ -93,6 +93,11 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
       let lo, hi = bounds m np p in
       let width = hi - lo + 1 in
       let a = Array.make (m * width) 0.0 in
+      (* column buffers for the spans: left neighbour, own, right
+         neighbour *)
+      let cl = Array.make m 0.0
+      and cc = Array.make m 0.0
+      and cr = Array.make m 0.0 in
       (* initialize own columns; the edge processors also own the static
          boundary columns *)
       let ilo = if p = 0 then 0 else lo
@@ -105,8 +110,9 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
       | Base | Comm_aggr -> ());
       for j = ilo to ihi do
         for i = 0 to m - 1 do
-          Shm.F64_2.set t b i j (init_value i j)
+          cc.(i) <- init_value i j
         done;
+        Shm.F64_2.write_col t b j ~lo:0 ~len:m cc;
         Tmk.charge t (init_cost *. float_of_int m)
       done;
       Tmk.barrier t;
@@ -118,15 +124,16 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
         | Comm_aggr | Cons_elim ->
             Tmk.validate t ~async read_sections.(p) Tmk.Read
         | Base | Sync_merge | Push_opt -> ());
-        (* phase 1: a <- average of b *)
+        (* phase 1: a <- average of b. Operands evaluate right to left, so
+           the element loop first touches column j+1, then j-1, then j:
+           the spans follow that order. *)
         for j = lo to hi do
+          Shm.F64_2.read_col t b (j + 1) ~lo:1 ~len:(m - 2) cr;
+          Shm.F64_2.read_col t b (j - 1) ~lo:1 ~len:(m - 2) cl;
+          Shm.F64_2.read_col t b j ~lo:0 ~len:m cc;
           for i = 1 to m - 2 do
             a.(((j - lo) * m) + i) <-
-              0.25
-              *. (Shm.F64_2.get t b (i - 1) j
-                 +. Shm.F64_2.get t b (i + 1) j
-                 +. Shm.F64_2.get t b i (j - 1)
-                 +. Shm.F64_2.get t b i (j + 1))
+              0.25 *. (cc.(i - 1) +. cc.(i + 1) +. cl.(i) +. cr.(i))
           done;
           Tmk.charge t (update_cost *. float_of_int (m - 2))
         done;
@@ -140,9 +147,7 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
         | Base -> ());
         (* phase 2: b <- a *)
         for j = lo to hi do
-          for i = 0 to m - 1 do
-            Shm.F64_2.set t b i j a.(((j - lo) * m) + i)
-          done;
+          Shm.write_f64s t (Shm.F64_2.addr b 0 j) a ((j - lo) * m) m;
           Tmk.charge t (copy_cost *. float_of_int m)
         done;
         match level with
@@ -158,13 +163,15 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
   let bref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to m - 1 do
+          Shm.F64_2.read_col t b j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err :=
-              combine_err !err (Shm.F64_2.get t b i j -. bref.((j * m) + i))
+            err := combine_err !err (col.(i) -. bref.((j * m) + i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   let digest = if digest then Tmk.digest sys else "" in

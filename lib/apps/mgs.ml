@@ -79,11 +79,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
+      (* private copy of the vector being broadcast (it also stages the
+         initial and the normalized columns) *)
+      let vi = Array.make m 0.0 in
       for j = 0 to n - 1 do
         if j mod np = p then begin
           for i = 0 to m - 1 do
-            Shm.F64_2.set t q i j (init_value i j)
+            vi.(i) <- init_value i j
           done;
+          Shm.F64_2.write_col t q j ~lo:0 ~len:m vi;
           Tmk.charge t (0.03 *. float_of_int m)
         end
       done;
@@ -98,15 +102,17 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
               Tmk.validate t vec_section Tmk.Read_write_all
           | Comm_aggr -> Tmk.validate t vec_section Tmk.Read_write
           | Base | Push_opt -> ());
+          Shm.F64_2.read_col t q i ~lo:0 ~len:m vi;
           let s = ref 0.0 in
           for r = 0 to m - 1 do
-            let x = Shm.F64_2.get t q r i in
+            let x = vi.(r) in
             s := !s +. (x *. x)
           done;
           let norm = sqrt !s in
           for r = 0 to m - 1 do
-            Shm.F64_2.set t q r i (Shm.F64_2.get t q r i /. norm)
+            vi.(r) <- vi.(r) /. norm
           done;
+          Shm.F64_2.write_col t q i ~lo:0 ~len:m vi;
           Tmk.charge t (norm_cost dot_cost *. float_of_int m)
         end
         else begin
@@ -132,17 +138,12 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
         | Base | Push_opt -> ());
         (* copy vector i to a private buffer: the shared reads fault once,
            the repeated uses below are local *)
-        let vi = Array.init m (fun r -> Shm.F64_2.get t q r i) in
+        Shm.F64_2.read_col t q i ~lo:0 ~len:m vi;
         for j = i + 1 to n - 1 do
           if j mod np = p then begin
-            let d = ref 0.0 in
-            for r = 0 to m - 1 do
-              d := !d +. (vi.(r) *. Shm.F64_2.get t q r j)
-            done;
-            let dv = !d in
-            for r = 0 to m - 1 do
-              Shm.F64_2.rmw t q r j (fun x -> x -. (dv *. vi.(r)))
-            done;
+            let dv = Shm.F64_2.dot_col t q j ~lo:0 ~len:m vi in
+            (* x -. vi(r) *. dv: the same float as dv *. vi(r) *)
+            Shm.F64_2.axpy_col t q j ~lo:0 ~len:m vi dv;
             Tmk.charge t (dot_cost *. float_of_int m)
           end
         done;
@@ -153,12 +154,15 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~leve
   let qref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         for j = 0 to n - 1 do
+          Shm.F64_2.read_col t q j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err := combine_err !err (Shm.F64_2.get t q i j -. qref.(j).(i))
+            err := combine_err !err (col.(i) -. qref.(j).(i))
           done
-        done);
+        done
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err

@@ -59,14 +59,24 @@ let p_init m n i j =
      +. cos (2.0 *. float_of_int j *. tpi /. float_of_int n))
   +. 50000.0
 
-(* {1 The model, over an abstract array accessor}
+(* {1 The model, a column at a time}
 
    The same phase functions drive the sequential arrays, the DSM and the
-   message-passing versions, guaranteeing an identical operation order. *)
+   message-passing versions, guaranteeing identical floats. They work on
+   whole columns: [load] yields a column's current contents, [out] a
+   buffer to compute a column into, and [store] publishes a computed
+   column. Over local storage [load] and [out] return the stored column
+   itself and [store] copies only a column that is not already in place;
+   the DSM version moves columns with spans. Each column step loads and
+   stores its columns in the order the original element loop first
+   touched them at row 0 (operands evaluate right to left): a column of
+   the paper's sizes lies within one page, so every page is first
+   touched at row 0 and the spans fault exactly where that loop did. *)
 
 type grid = {
-  get : int -> int -> int -> float;  (* array-id, i, j *)
-  set : int -> int -> int -> float -> unit;
+  load : int -> int -> float array;  (* array-id, column *)
+  out : int -> int -> float array;
+  store : int -> int -> float array -> unit;
 }
 
 (* array ids *)
@@ -88,23 +98,45 @@ let n_arrays = 13
 
 let phase1 g m n jlo jhi =
   for j = jlo to jhi do
-    let jp = (j + 1) mod n in
+    let jm = (j + n - 1) mod n
+    and jp = (j + 1) mod n in
+    let u = g.load iu j in
+    let p = g.load ip j in
+    let cu = g.out icu j in
+    for i = 0 to m - 1 do
+      cu.(i) <- 0.5 *. (p.(i) +. p.((i + m - 1) mod m)) *. u.(i)
+    done;
+    g.store icu j cu;
+    let v = g.load iv j in
+    let pm = g.load ip jm in
+    let cv = g.out icv j in
+    for i = 0 to m - 1 do
+      cv.(i) <- 0.5 *. (p.(i) +. pm.(i)) *. v.(i)
+    done;
+    g.store icv j cv;
+    let pp = g.load ip jp in
+    let up = g.load iu jp in
+    let z = g.out iz j in
     for i = 0 to m - 1 do
       let ipp = (i + 1) mod m in
-      g.set icu i j (0.5 *. (g.get ip i j +. g.get ip ((i + m - 1) mod m) j) *. g.get iu i j);
-      g.set icv i j (0.5 *. (g.get ip i j +. g.get ip i ((j + n - 1) mod n)) *. g.get iv i j);
-      g.set iz i j
-        (((fsdx *. (g.get iv ipp j -. g.get iv i j))
-         -. (fsdy *. (g.get iu i jp -. g.get iu i j)))
-        /. (g.get ip i j +. g.get ip ipp j +. g.get ip ipp jp +. g.get ip i jp));
-      g.set ih i j
-        (g.get ip i j
+      z.(i) <-
+        ((fsdx *. (v.(ipp) -. v.(i))) -. (fsdy *. (up.(i) -. u.(i))))
+        /. (p.(i) +. p.(ipp) +. pp.(ipp) +. pp.(i))
+    done;
+    g.store iz j z;
+    let vp = g.load iv jp in
+    let h = g.out ih j in
+    for i = 0 to m - 1 do
+      let ipp = (i + 1) mod m in
+      h.(i) <-
+        p.(i)
         +. (0.25
-           *. ((g.get iu i j *. g.get iu i j)
-              +. (g.get iu ipp j *. g.get iu ipp j)
-              +. (g.get iv i j *. g.get iv i j)
-              +. (g.get iv i jp *. g.get iv i jp))))
-    done
+           *. ((u.(i) *. u.(i))
+              +. (u.(ipp) *. u.(ipp))
+              +. (v.(i) *. v.(i))
+              +. (vp.(i) *. vp.(i))))
+    done;
+    g.store ih j h
   done
 
 let phase2 g m n ~tdt jlo jhi =
@@ -112,83 +144,112 @@ let phase2 g m n ~tdt jlo jhi =
   and tdtsdx = tdt /. dx
   and tdtsdy = tdt /. dy in
   for j = jlo to jhi do
-    let jm = (j + n - 1) mod n in
+    let jm = (j + n - 1) mod n
+    and jp = (j + 1) mod n in
+    let h = g.load ih j in
+    let cvp = g.load icv jp in
+    let cv = g.load icv j in
+    let zp = g.load iz jp in
+    let z = g.load iz j in
+    let uold = g.load iuold j in
+    let unew = g.out iunew j in
     for i = 0 to m - 1 do
       let im = (i + m - 1) mod m in
-      g.set iunew i j
-        (g.get iuold i j
+      unew.(i) <-
+        uold.(i)
         +. (tdts8
-           *. (g.get iz i j +. g.get iz i ((j + 1) mod n))
-           *. (g.get icv i j +. g.get icv im j
-              +. g.get icv im ((j + 1) mod n)
-              +. g.get icv i ((j + 1) mod n)))
-        -. (tdtsdx *. (g.get ih i j -. g.get ih im j)));
-      g.set ivnew i j
-        (g.get ivold i j
+           *. (z.(i) +. zp.(i))
+           *. (cv.(i) +. cv.(im) +. cvp.(im) +. cvp.(i)))
+        -. (tdtsdx *. (h.(i) -. h.(im)))
+    done;
+    g.store iunew j unew;
+    let hm = g.load ih jm in
+    let cum = g.load icu jm in
+    let cu = g.load icu j in
+    let vold = g.load ivold j in
+    let vnew = g.out ivnew j in
+    for i = 0 to m - 1 do
+      let ipp = (i + 1) mod m in
+      vnew.(i) <-
+        vold.(i)
         -. (tdts8
-           *. (g.get iz i j +. g.get iz ((i + 1) mod m) j)
-           *. (g.get icu i j +. g.get icu ((i + 1) mod m) j
-              +. g.get icu ((i + 1) mod m) jm
-              +. g.get icu i jm))
-        -. (tdtsdy *. (g.get ih i j -. g.get ih i jm)));
-      g.set ipnew i j
-        (g.get ipold i j
-        -. (tdtsdx *. (g.get icu ((i + 1) mod m) j -. g.get icu i j))
-        -. (tdtsdy *. (g.get icv i ((j + 1) mod n) -. g.get icv i j)))
-    done
+           *. (z.(i) +. z.(ipp))
+           *. (cu.(i) +. cu.(ipp) +. cum.(ipp) +. cum.(i)))
+        -. (tdtsdy *. (h.(i) -. hm.(i)))
+    done;
+    g.store ivnew j vnew;
+    let pold = g.load ipold j in
+    let pnew = g.out ipnew j in
+    for i = 0 to m - 1 do
+      pnew.(i) <-
+        pold.(i)
+        -. (tdtsdx *. (cu.((i + 1) mod m) -. cu.(i)))
+        -. (tdtsdy *. (cvp.(i) -. cv.(i)))
+    done;
+    g.store ipnew j pnew
   done
 
+(* time smoothing: [old <- cur + alpha (new - 2 cur + old)] (plain copies
+   at the first step), then [cur <- new] *)
 let phase3 g m ~first jlo jhi =
-  ignore m;
   for j = jlo to jhi do
-    for i = 0 to m - 1 do
-      if first then begin
-        g.set iuold i j (g.get iu i j);
-        g.set ivold i j (g.get iv i j);
-        g.set ipold i j (g.get ip i j);
-        g.set iu i j (g.get iunew i j);
-        g.set iv i j (g.get ivnew i j);
-        g.set ip i j (g.get ipnew i j)
-      end
-      else begin
-        let su = g.get iu i j
-        and sv = g.get iv i j
-        and sp = g.get ip i j in
-        g.set iuold i j
-          (su +. (alpha *. (g.get iunew i j -. (2.0 *. su) +. g.get iuold i j)));
-        g.set ivold i j
-          (sv +. (alpha *. (g.get ivnew i j -. (2.0 *. sv) +. g.get ivold i j)));
-        g.set ipold i j
-          (sp +. (alpha *. (g.get ipnew i j -. (2.0 *. sp) +. g.get ipold i j)));
-        g.set iu i j (g.get iunew i j);
-        g.set iv i j (g.get ivnew i j);
-        g.set ip i j (g.get ipnew i j)
-      end
-    done
+    if first then
+      List.iter
+        (fun (cur, old) -> g.store old j (g.load cur j))
+        [ (iu, iuold); (iv, ivold); (ip, ipold) ]
+    else begin
+      let u = g.load iu j in
+      let v = g.load iv j in
+      let p = g.load ip j in
+      List.iter
+        (fun (cur, nw, old) ->
+          let o = g.load old j in
+          let x = g.load nw j in
+          for i = 0 to m - 1 do
+            o.(i) <- cur.(i) +. (alpha *. (x.(i) -. (2.0 *. cur.(i)) +. o.(i)))
+          done;
+          g.store old j o)
+        [ (u, iunew, iuold); (v, ivnew, ivold); (p, ipnew, ipold) ]
+    end;
+    List.iter
+      (fun (nw, cur) -> g.store cur j (g.load nw j))
+      [ (iunew, iu); (ivnew, iv); (ipnew, ip) ]
   done
 
 let init g m n jlo jhi =
   for j = jlo to jhi do
-    for i = 0 to m - 1 do
-      g.set iu i j (u_init m n i j);
-      g.set iv i j (v_init m n i j);
-      g.set ip i j (p_init m n i j);
-      g.set iuold i j (u_init m n i j);
-      g.set ivold i j (v_init m n i j);
-      g.set ipold i j (p_init m n i j)
-    done
+    let fill a f =
+      let c = g.out a j in
+      for i = 0 to m - 1 do
+        c.(i) <- f m n i j
+      done;
+      g.store a j c;
+      c
+    in
+    let u = fill iu u_init in
+    let v = fill iv v_init in
+    let p = fill ip p_init in
+    g.store iuold j u;
+    g.store ivold j v;
+    g.store ipold j p
   done
+
+(* a grid over local column storage *)
+let local_grid m col =
+  {
+    load = col;
+    out = col;
+    store =
+      (fun a j c ->
+        let d = col a j in
+        if c != d then Array.blit c 0 d 0 m);
+  }
 
 (* {1 Sequential reference} *)
 
 let seq_arrays { m; n; steps; _ } =
-  let data = Array.init n_arrays (fun _ -> Array.make (m * n) 0.0) in
-  let g =
-    {
-      get = (fun a i j -> data.(a).((j * m) + i));
-      set = (fun a i j v -> data.(a).((j * m) + i) <- v);
-    }
-  in
+  let data = Array.init n_arrays (fun _ -> Array.make_matrix n m 0.0) in
+  let g = local_grid m (fun a j -> data.(a).(j)) in
   init g m n 0 (n - 1);
   let tdt = ref dt in
   for step = 1 to steps do
@@ -199,7 +260,8 @@ let seq_arrays { m; n; steps; _ } =
   done;
   data
 
-let seq_memo : (int * int * int, float array array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int * int * int, float array array array) Hashtbl.t =
+  Hashtbl.create 4
 
 let reference prm =
   memo seq_memo (prm.m, prm.n, prm.steps) (fun () -> seq_arrays prm)
@@ -226,10 +288,24 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as p
       let p = Tmk.pid t in
       let jlo, jhi = bounds n np p in
       let width = jhi - jlo + 1 in
+      (* column buffers, handed out round robin: one column step holds
+         at most 14 of them (phase 2) *)
+      let pool = Array.init 16 (fun _ -> Array.make m 0.0) in
+      let next = ref 0 in
+      let buf () =
+        next := (!next + 1) land 15;
+        pool.(!next)
+      in
       let g =
         {
-          get = (fun a i j -> Shm.F64_2.get t arrs.(a) i j);
-          set = (fun a i j v -> Shm.F64_2.set t arrs.(a) i j v);
+          load =
+            (fun a j ->
+              let c = buf () in
+              Shm.F64_2.read_col t arrs.(a) j ~lo:0 ~len:m c;
+              c);
+          out = (fun _ _ -> buf ());
+          store =
+            (fun a j c -> Shm.F64_2.write_col t arrs.(a) j ~lo:0 ~len:m c);
         }
       in
       (* sections: own partition and the (wrapped) neighbour columns *)
@@ -290,17 +366,18 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as p
   let dref = reference prm in
   let err = ref 0.0 in
   Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then
+      if Tmk.pid t = 0 then begin
+        let col = Array.make m 0.0 in
         List.iter
           (fun a ->
             for j = 0 to n - 1 do
+              Shm.F64_2.read_col t arrs.(a) j ~lo:0 ~len:m col;
               for i = 0 to m - 1 do
-                err :=
-                  combine_err !err
-                    (Shm.F64_2.get t arrs.(a) i j -. dref.(a).((j * m) + i))
+                err := combine_err !err (col.(i) -. dref.(a).(j).(i))
               done
             done)
-          [ iu; iv; ip ]);
+          [ iu; iv; ip ]
+      end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
   make_result ~time_us ~stats ~max_err:!err
@@ -309,7 +386,7 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as p
 
 (* {1 Message-passing versions}
 
-   Each processor holds full columns for its partition plus one halo column
+   Each processor holds the columns of its partition plus one halo column
    on each side; the halos of the arrays a phase reads are refreshed by a
    ring exchange before the phase. *)
 
@@ -321,26 +398,30 @@ let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
       let p = Mp.pid t in
       let jlo, jhi = bounds n np p in
       let width = jhi - jlo + 1 in
-      (* local storage: every array gets all n columns, but only the own
-         partition and the two halo columns are ever valid *)
-      let data = Array.init n_arrays (fun _ -> Array.make (m * n) 0.0) in
-      let g =
-        {
-          get = (fun a i j -> data.(a).((j * m) + i));
-          set = (fun a i j v -> data.(a).((j * m) + i) <- v);
-        }
-      in
       let left_n = (p + np - 1) mod np
       and right_n = (p + 1) mod np in
       let left_col = (jlo + n - 1) mod n
       and right_col = (jhi + 1) mod n in
+      (* local storage: slot 0 is the left halo, slots 1..width the own
+         partition, slot width+1 the right halo (an own column wins when
+         the ring wraps onto itself) *)
+      let data =
+        Array.init n_arrays (fun _ -> Array.make_matrix (width + 2) m 0.0)
+      in
+      let slot j =
+        if jlo <= j && j <= jhi then j - jlo + 1
+        else if j = left_col then 0
+        else if j = right_col then width + 1
+        else invalid_arg "shallow mp: column outside partition and halos"
+      in
+      let g = local_grid m (fun a j -> data.(a).(slot j)) in
       let exchange ids =
         (* send own edge columns, receive halos (periodic ring) *)
         let count = List.length ids in
         let sendbuf edge =
           let buf = Array.make (count * m) 0.0 in
           List.iteri
-            (fun k a -> Array.blit data.(a) (edge * m) buf (k * m) m)
+            (fun k a -> Array.blit data.(a).(slot edge) 0 buf (k * m) m)
             ids;
           buf
         in
@@ -352,8 +433,8 @@ let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
         pack t (count * m * 2);
         List.iteri
           (fun k a ->
-            Array.blit from_left (k * m) data.(a) (left_col * m) m;
-            Array.blit from_right (k * m) data.(a) (right_col * m) m)
+            Array.blit from_left (k * m) data.(a).(0) 0 m;
+            Array.blit from_right (k * m) data.(a).(width + 1) 0 m)
           ids
       in
       init g m n jlo jhi;
@@ -372,7 +453,7 @@ let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
         exchange [ iu; iv; ip ];
         if step = 1 then tdt := !tdt +. !tdt
       done;
-      results.(p) <- Array.concat (Array.to_list data));
+      results.(p) <- data);
   let dref = reference prm in
   let err = ref 0.0 in
   Array.iteri
@@ -384,7 +465,7 @@ let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
             for i = 0 to m - 1 do
               err :=
                 combine_err !err
-                  (res.((a * m * n) + (j * m) + i) -. dref.(a).((j * m) + i))
+                  (res.(a).(j - jlo + 1).(i) -. dref.(a).(j).(i))
             done
           done)
         [ iu; iv; ip ])

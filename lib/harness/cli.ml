@@ -30,8 +30,24 @@ let levels : (string * A.opt_level) list =
     ("push", A.Push_opt);
   ]
 
-let find_level name = List.assoc_opt name levels
 let level_names = List.map fst levels
+
+(* The short CLI names and the names results are printed under
+   ({!Dsm_apps.App_common.opt_level_name}: comm-aggr, cons-elim,
+   sync-merge) both select a level. *)
+let find_level name =
+  List.find_map
+    (fun (short, l) ->
+      if name = short || name = A.opt_level_name l then Some l else None)
+    levels
+
+let level_error name =
+  let choice (short, l) =
+    let long = A.opt_level_name l in
+    if long = short then short else short ^ "|" ^ long
+  in
+  Printf.sprintf "unknown level: %s (choices: %s)" name
+    (String.concat ", " (List.map choice levels))
 
 (* {1 List parsing} *)
 

@@ -17,7 +17,14 @@ val levels : (string * Dsm_apps.App_common.opt_level) list
     (base, aggr, cons, merge, push). *)
 
 val find_level : string -> Dsm_apps.App_common.opt_level option
+(** Accepts the CLI name or the printed name
+    ({!Dsm_apps.App_common.opt_level_name}), so [merge] and [sync-merge]
+    select the same level. *)
+
 val level_names : string list
+
+val level_error : string -> string
+(** [unknown level: NAME (choices: ...)], listing both spellings. *)
 
 (** {1 List parsing} *)
 

@@ -3,9 +3,14 @@ type t = (int * int) list
 let empty = []
 let of_interval lo hi = if hi <= lo then [] else [ (lo, hi) ]
 
+(* intervals ordered by [lo], then [hi]: a typed comparison instead of
+   polymorphic [compare] on the pairs *)
+let compare_interval ((lo1 : int), (hi1 : int)) (lo2, hi2) =
+  if lo1 <> lo2 then Int.compare lo1 lo2 else Int.compare hi1 hi2
+
 let normalize l =
   let l = List.filter (fun (lo, hi) -> hi > lo) l in
-  let l = List.sort compare l in
+  let l = List.sort compare_interval l in
   let rec merge = function
     | [] -> []
     | [ x ] -> [ x ]

@@ -73,8 +73,7 @@ let ranges t =
 let inter_ranges a b = Range.inter (ranges a) (ranges b)
 let diff_ranges a b = Range.diff (ranges a) (ranges b)
 
-let union_ranges l =
-  List.fold_left (fun acc s -> Range.union acc (ranges s)) Range.empty l
+let union_ranges l = Range.normalize (List.concat_map ranges l)
 let is_contiguous t = Range.is_contiguous (ranges t)
 
 let pp ppf t =

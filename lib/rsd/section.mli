@@ -40,7 +40,9 @@ val diff_ranges : t -> t -> Range.t
     the static lint to report uncovered or excess data. *)
 
 val union_ranges : t list -> Range.t
-(** Byte ranges covered by any of the sections. *)
+(** Byte ranges covered by any of the sections: the contiguous address
+    ranges the run-time receives for a section list (Section 3.3 of the
+    paper), built with one sort over all the sections' intervals. *)
 
 val is_contiguous : t -> bool
 

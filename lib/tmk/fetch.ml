@@ -60,11 +60,8 @@ let observe sys p access page =
   end
 
 let page_cover sys pages =
-  List.fold_left
-    (fun acc g ->
-      Range.union acc
-        (Range.of_interval (g * sys.page_size) ((g + 1) * sys.page_size)))
-    Range.empty pages
+  Range.normalize
+    (List.map (fun g -> (g * sys.page_size, (g + 1) * sys.page_size)) pages)
 
 (* [pages] split by the protocol governing them, each group with the part
    of [ranges] on its pages: one group under a fixed backend; the

@@ -85,6 +85,62 @@ let set_i32 t addr v =
   let pg = page_for_write t addr in
   Bytes.set_int32_le pg.Page_table.data (offset_of t addr) (Int32.of_int v)
 
+(* {1 Spans}
+
+   A span moves a contiguous run of 8-byte elements between the segment
+   and a caller-owned [float array], checking protection once per page
+   instead of once per element: the software counterpart of Validate
+   turning a section into address ranges. Pages are entered in ascending
+   order, each through the same fault kind the element loop would take,
+   so a span faults exactly where the loop [for e = 0 to n - 1 do
+   dst.(pos + e) <- get_f64 t (addr + 8 * e) done] (or its store
+   counterpart) faults. Between the checks the loads and stores are
+   unchecked: a page that passed its check stays accessible until the
+   next synchronization, and a span never synchronizes. *)
+
+let check_span name (a : float array) pos n =
+  if n < 0 || pos < 0 || pos + n > Array.length a then invalid_arg name
+
+(* elements of a span of [rem] left that fit on the page from in-page
+   byte offset [off] on *)
+let[@inline] chunk t off rem = min rem ((t.sys.page_size - off) lsr 3)
+
+let read_f64s t addr (dst : float array) pos n =
+  check_span "Shm.read_f64s" dst pos n;
+  let addr = ref addr
+  and pos = ref pos
+  and rem = ref n in
+  while !rem > 0 do
+    let data = (page_for_read t !addr).Page_table.data in
+    let off = offset_of t !addr in
+    let k = chunk t off !rem in
+    for e = 0 to k - 1 do
+      Array.unsafe_set dst (!pos + e)
+        (Int64.float_of_bits (get_64_le data (off + (e lsl 3))))
+    done;
+    addr := !addr + (k lsl 3);
+    pos := !pos + k;
+    rem := !rem - k
+  done
+
+let write_f64s t addr (src : float array) pos n =
+  check_span "Shm.write_f64s" src pos n;
+  let addr = ref addr
+  and pos = ref pos
+  and rem = ref n in
+  while !rem > 0 do
+    let data = (page_for_write t !addr).Page_table.data in
+    let off = offset_of t !addr in
+    let k = chunk t off !rem in
+    for e = 0 to k - 1 do
+      set_64_le data (off + (e lsl 3))
+        (Int64.bits_of_float (Array.unsafe_get src (!pos + e)))
+    done;
+    addr := !addr + (k lsl 3);
+    pos := !pos + k;
+    rem := !rem - k
+  done
+
 (* {1 Array views}
 
    Thin wrappers computing byte addresses from indices (column-major, as in
@@ -119,6 +175,56 @@ module F64_2 = struct
     let off = offset_of tmk ad in
     let x = Int64.float_of_bits (get_64_le pg.Page_table.data off) in
     set_64_le pg.Page_table.data off (Int64.bits_of_float (f x))
+  (* Column spans: row [i] of column [j] lives at index [i] of the
+     caller's buffer. *)
+  let read_col tmk a j ~lo ~len dst = read_f64s tmk (addr a lo j) dst lo len
+  let write_col tmk a j ~lo ~len src = write_f64s tmk (addr a lo j) src lo len
+
+  (* a(i) <- a(i) -. x(i) *. s through the write-fault path: the
+     read-modify-write loop of an elimination step, one check per page *)
+  let axpy_col tmk a j ~lo ~len (x : float array) s =
+    check_span "Shm.F64_2.axpy_col" x lo len;
+    let ad = ref (addr a lo j)
+    and pos = ref lo
+    and rem = ref len in
+    while !rem > 0 do
+      let data = (page_for_write tmk !ad).Page_table.data in
+      let off = offset_of tmk !ad in
+      let k = chunk tmk off !rem in
+      for e = 0 to k - 1 do
+        let o = off + (e lsl 3) in
+        let v = Int64.float_of_bits (get_64_le data o) in
+        set_64_le data o
+          (Int64.bits_of_float (v -. (Array.unsafe_get x (!pos + e) *. s)))
+      done;
+      ad := !ad + (k lsl 3);
+      pos := !pos + k;
+      rem := !rem - k
+    done
+
+  (* the sum of x(i) *. a(i), accumulated in ascending row order *)
+  let dot_col tmk a j ~lo ~len (x : float array) =
+    check_span "Shm.F64_2.dot_col" x lo len;
+    let d = ref 0.0 in
+    let ad = ref (addr a lo j)
+    and pos = ref lo
+    and rem = ref len in
+    while !rem > 0 do
+      let data = (page_for_read tmk !ad).Page_table.data in
+      let off = offset_of tmk !ad in
+      let k = chunk tmk off !rem in
+      for e = 0 to k - 1 do
+        d :=
+          !d
+          +. (Array.unsafe_get x (!pos + e)
+             *. Int64.float_of_bits (get_64_le data (off + (e lsl 3))))
+      done;
+      ad := !ad + (k lsl 3);
+      pos := !pos + k;
+      rem := !rem - k
+    done;
+    !d
+
   let dim0 (a : t) = a.Section.extents.(0)
   let dim1 (a : t) = a.Section.extents.(1)
 

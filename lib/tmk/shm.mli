@@ -24,6 +24,28 @@ val get_raw64 : Types.t -> int -> int64
 val get_i32 : Types.t -> int -> int
 val set_i32 : Types.t -> int -> int -> unit
 
+(** {1 Spans}
+
+    A span moves [n] consecutive 8-byte elements starting at byte address
+    [addr] between the segment and [a.(pos) .. a.(pos + n - 1)] of a
+    caller-owned array, checking protection once per page rather than
+    once per element. The contract is fault equivalence with the element
+    loop: the span enters its pages in ascending address order, each
+    through the fault kind the loop would take ({!page_for_read} for
+    loads, {!page_for_write} for stores), so faults, twins, messages,
+    statistics, trace events and virtual time are exactly those of
+    [for e = 0 to n - 1 do a.(pos + e) <- get_f64 t (addr + (8 * e)) done]
+    (or the {!set_f64} loop). A kernel that replaces several interleaved
+    element loops by spans keeps that equivalence only if it issues the
+    spans in the order the loops first touch their pages. Raise
+    [Invalid_argument] if [pos .. pos + n - 1] is not within [a]. *)
+
+val read_f64s : Types.t -> int -> float array -> int -> int -> unit
+(** [read_f64s t addr dst pos n]: loads through the read-fault path. *)
+
+val write_f64s : Types.t -> int -> float array -> int -> int -> unit
+(** [write_f64s t addr src pos n]: stores through the write-fault path. *)
+
 (** 1-dimensional float array view. *)
 module F64_1 : sig
   type t = Dsm_rsd.Section.array_info
@@ -48,6 +70,26 @@ module F64_2 : sig
 
   val rmw : Types.t -> t -> int -> int -> (float -> float) -> unit
   (** Read-modify-write with a single page lookup. *)
+
+  (** Column spans (see {!read_f64s}): rows [lo .. lo + len - 1] of column
+      [j], row [i] at index [i] of the caller's buffer. *)
+
+  val read_col :
+    Types.t -> t -> int -> lo:int -> len:int -> float array -> unit
+
+  val write_col :
+    Types.t -> t -> int -> lo:int -> len:int -> float array -> unit
+
+  val axpy_col :
+    Types.t -> t -> int -> lo:int -> len:int -> float array -> float -> unit
+  (** [axpy_col t a j ~lo ~len x s] sets [a(i, j) <- a(i, j) -. (x.(i) *. s)]
+      for the rows of the span, through the write-fault path: the fault
+      behaviour of the {!rmw} loop over those rows. *)
+
+  val dot_col : Types.t -> t -> int -> lo:int -> len:int -> float array -> float
+  (** [dot_col t a j ~lo ~len x] is the sum of [x.(i) *. a(i, j)] over the
+      rows of the span, accumulated from [0.0] in ascending row order,
+      through the read-fault path. *)
 
   val dim0 : t -> int
   val dim1 : t -> int

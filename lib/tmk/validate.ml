@@ -12,11 +12,6 @@ module Section = Dsm_rsd.Section
 module Page_table = Dsm_mem.Page_table
 module Prof = Dsm_prof.Prof
 
-let ranges_of_sections sections =
-  List.fold_left
-    (fun acc s -> Range.union acc (Section.ranges s))
-    Range.empty sections
-
 (* Validate(section, access_type), Figure 3. The synchronous version fetches
    and applies diffs before returning; the asynchronous version only sends
    the fetch requests — the page-fault handler completes the work at the
@@ -43,7 +38,7 @@ let validate t ?(async = false) sections access =
   let st = state t in
   let pstats = stats t in
   pstats.Stats.validates <- pstats.Stats.validates + 1;
-  let ranges = ranges_of_sections sections in
+  let ranges = Section.union_ranges sections in
   let pages = Range.pages ~page_size:sys.page_size ranges in
   if sys.trace <> None then
     Protocol.emit sys p
@@ -107,7 +102,7 @@ let validate_w_sync t ?(async = false) sections access =
   let st = state t in
   let pstats = stats t in
   pstats.Stats.validates <- pstats.Stats.validates + 1;
-  let ranges = ranges_of_sections sections in
+  let ranges = Section.union_ranges sections in
   if sys.trace <> None then
     Protocol.emit sys t.p
       (Dsm_trace.Event.Validate
@@ -151,8 +146,8 @@ let iter_chunks sys st ~lo ~hi f =
 let push t ~read_sections ~write_sections =
   let sys = t.sys
   and p = t.p in
-  let my_writes = ranges_of_sections write_sections.(p)
-  and my_reads = ranges_of_sections read_sections.(p) in
+  let my_writes = Section.union_ranges write_sections.(p)
+  and my_reads = Section.union_ranges read_sections.(p) in
   List.iter (Fetch.observe sys p Write)
     (Range.pages ~page_size:sys.page_size my_writes);
   List.iter (Fetch.observe sys p Read)
@@ -167,7 +162,9 @@ let push t ~read_sections ~write_sections =
   (* send phase *)
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
-      let inter = Range.inter (ranges_of_sections read_sections.(i)) my_writes in
+      let inter =
+        Range.inter (Section.union_ranges read_sections.(i)) my_writes
+      in
       if not (Range.is_empty inter) then begin
         (* collect payload from my own copy *)
         let payload = ref [] in
@@ -200,7 +197,7 @@ let push t ~read_sections ~write_sections =
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
       let expect =
-        Range.inter (ranges_of_sections write_sections.(i)) my_reads
+        Range.inter (Section.union_ranges write_sections.(i)) my_reads
       in
       if not (Range.is_empty expect) then begin
         Prof.exit Prof.Sync;
@@ -211,19 +208,23 @@ let push t ~read_sections ~write_sections =
         Cluster.recv_charge sys.cluster ~dst:p ~arrival:msg.pm_arrival
           ~interrupt:true;
         (* overlay the pushed data in place *)
-        let pushed_ranges = ref Range.empty in
         let total = ref 0 in
         List.iter
           (fun (lo, buf) ->
             let hi = lo + Bytes.length buf in
             total := !total + (hi - lo);
-            pushed_ranges := Range.union !pushed_ranges (Range.of_interval lo hi);
             iter_chunks sys st ~lo ~hi (fun pg off at len ->
                 Bytes.blit buf at pg.Page_table.data off len;
                 match pg.Page_table.twin with
                 | Some twin -> Bytes.blit buf at twin off len
                 | None -> ()))
           msg.pm_payload;
+        let pushed_ranges =
+          Range.normalize
+            (List.map
+               (fun (lo, buf) -> (lo, lo + Bytes.length buf))
+               msg.pm_payload)
+        in
         Cluster.charge sys.cluster p
           (cfg.Config.diff_apply_per_byte_us *. float_of_int !total);
         if sys.trace <> None then
@@ -233,7 +234,7 @@ let push t ~read_sections ~write_sections =
                  src = i;
                  bytes = !total;
                  seq = msg.pm_seq;
-                 pages = Range.pages ~page_size:sys.page_size !pushed_ranges;
+                 pages = Range.pages ~page_size:sys.page_size pushed_ranges;
                });
         (* The pushed interval counts as received in place for every page it
            touched — even partially covered ones: the compiler guarantees
@@ -245,7 +246,7 @@ let push t ~read_sections ~write_sections =
         List.iter
           (fun page ->
             let covered =
-              Range.covers !pushed_ranges ~lo:(page * sys.page_size)
+              Range.covers pushed_ranges ~lo:(page * sys.page_size)
                 ~hi:((page + 1) * sys.page_size)
             in
             if Fetch.proto_of sys page = P_inval then
@@ -275,7 +276,7 @@ let push t ~read_sections ~write_sections =
                 revalidated := page :: !revalidated
               end
             end)
-          (Range.pages ~page_size:sys.page_size !pushed_ranges);
+          (Range.pages ~page_size:sys.page_size pushed_ranges);
         if !revalidated <> [] then Protocol.protect_runs sys p !revalidated
       end
     end

@@ -1,9 +1,5 @@
 (** The augmented run-time interface of Section 3 of the paper. *)
 
-val ranges_of_sections : Dsm_rsd.Section.t list -> Dsm_rsd.Range.t
-(** Sections are translated to contiguous address ranges, as in the actual
-    implementation (Section 3.3). *)
-
 val validate :
   Types.t -> ?async:bool -> Dsm_rsd.Section.t list -> Types.access -> unit
 (** [Validate(section, access_type)] (Figure 3). The consistency-preserving

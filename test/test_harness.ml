@@ -96,6 +96,13 @@ let test_determinism () =
   Alcotest.(check int) "same bytes" r1.stats.Dsm_sim.Stats.bytes
     r2.stats.Dsm_sim.Stats.bytes
 
+let contains text sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+  in
+  go 0
+
 (* [--help=plain] for both CLIs renders without cmdliner doc-markup
    errors (an illegal escape in a doc string is only reported when the
    help page is rendered, on stderr). The executables are test deps. *)
@@ -111,23 +118,42 @@ let test_help_renders () =
       Alcotest.(check int) (exe ^ " --help exits 0") 0 (Sys.command cmd);
       let text = In_channel.with_open_bin out In_channel.input_all in
       Sys.remove out;
-      let contains sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length text
-          && (String.sub text i n = sub || go (i + 1))
-        in
-        go 0
-      in
       Alcotest.(check bool) (exe ^ ": rendered NAME section") true
-        (contains "NAME");
+        (contains text "NAME");
       Alcotest.(check bool) (exe ^ ": no cmdliner error") false
-        (contains "cmdliner error"))
+        (contains text "cmdliner error"))
     [ "../bin/dsm_run.exe"; "../bin/dsm_lint.exe" ]
+
+(* Levels are printed as comm-aggr/cons-elim/sync-merge but typed as
+   aggr/cons/merge: both spellings select the level, and an unknown name
+   is rejected with the choices listed. *)
+let test_level_spellings () =
+  let module Cli = Dsm_harness.Cli in
+  List.iter
+    (fun (short, l) ->
+      let long = Dsm_apps.App_common.opt_level_name l in
+      Alcotest.(check bool) (short ^ " selects its level") true
+        (Cli.find_level short = Some l);
+      Alcotest.(check bool) (long ^ " selects its level") true
+        (Cli.find_level long = Some l))
+    Cli.levels;
+  Alcotest.(check bool) "typo rejected" true (Cli.find_level "sync-mrg" = None);
+  let out = Filename.temp_file "level" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/dsm_run.exe -a jacobi -l sync-mrg > %s 2>&1"
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "cli error exit" 124 code;
+  Alcotest.(check bool) "error lists the choices" true
+    (contains text (Cli.level_error "sync-mrg"))
 
 let tests =
   [
     Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
+    Alcotest.test_case "cli: level spellings" `Quick test_level_spellings;
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

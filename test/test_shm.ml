@@ -100,12 +100,174 @@ let test_write_detection_reset () =
   Alcotest.(check int) "no diff materialized until requested" 0
     st.Dsm_sim.Stats.diffs_created
 
+(* {1 Spans}
+
+   Each span operation runs against the element loop it replaces, on twin
+   systems: the same program runs once with the span and once with the
+   loop. Before the operation, processor 1 writes some elements and
+   processor 0 writes others on both sides of a barrier, so processor 0's
+   pages are in every protection state (invalid, write-protected,
+   writable, never touched). The array starts 8 bytes into a page and its
+   20-row columns are 160 bytes against 128-byte pages, so spans start,
+   end and cross anywhere. After the operation a barrier and a full read
+   by processor 1 propagate its writes. Memory, statistics, clocks, the
+   operation's result and the trace event sequence must all be
+   identical. *)
+
+type span_op = Read | Write | Axpy | Dot
+
+type span_case = {
+  op : span_op;
+  backend : Config.backend_kind;
+  col : int;  (* column of the column operations *)
+  lo : int;  (* first element: row for columns, index for raw spans *)
+  len : int;
+  pos : int;  (* buffer index of the first element of a raw span *)
+  other : int list;  (* written by processor 1 before the barrier *)
+  early : int list;  (* written by processor 0 before the barrier *)
+  late : int list;  (* written by processor 0 after the barrier *)
+}
+
+let span_rows = 20
+let span_cols = 6
+let span_n = span_rows * span_cols
+
+let gen_span_case =
+  let open QCheck.Gen in
+  let elems = list_size (int_bound 6) (int_bound (span_n - 1)) in
+  let* op = oneofl [ Read; Write; Axpy; Dot ] in
+  let* backend = oneofl [ Config.Lrc; Config.Inval ] in
+  let* col = int_bound (span_cols - 1) in
+  let* lo, len =
+    match op with
+    | Read | Write ->
+        let* lo = int_bound (span_n - 1) in
+        let* len = int_bound (span_n - lo) in
+        return (lo, len)
+    | Axpy | Dot ->
+        let* lo = int_bound (span_rows - 1) in
+        let* len = int_bound (span_rows - lo) in
+        return (lo, len)
+  in
+  let* pos = int_bound 5 in
+  let* other = elems in
+  let* early = elems in
+  let* late = elems in
+  return { op; backend; col; lo; len; pos; other; early; late }
+
+let print_span_case c =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf
+    "%s %s col=%d lo=%d len=%d pos=%d other=[%s] early=[%s] late=[%s]"
+    (match c.op with
+    | Read -> "read"
+    | Write -> "write"
+    | Axpy -> "axpy"
+    | Dot -> "dot")
+    (Config.backend_name c.backend)
+    c.col c.lo c.len c.pos (ints c.other) (ints c.early) (ints c.late)
+
+(* run [c] with the span ([~span:true]) or its element loop; the result
+   is the operation's output followed by the observable system state *)
+let run_span_case ~span c =
+  let sys =
+    Tmk.make
+      {
+        Config.default with
+        Config.nprocs = 2;
+        page_size = 128;
+        backend = c.backend;
+      }
+  in
+  let _pad = Tmk.Alloc.array sys "pad" Tmk.F64 ~dims:[ 1 ] in
+  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ span_rows; span_cols ] in
+  let sink = Dsm_trace.Sink.create ~nprocs:2 () in
+  let buf = Array.init (span_n + 6) (fun k -> 0.5 +. float_of_int k) in
+  let dot = ref 0.0 in
+  let addr k = a.Dsm_rsd.Section.base + (8 * k) in
+  let write_all t l v = List.iter (fun k -> Shm.set_f64 t (addr k) (v k)) l in
+  Tmk.run ~trace:sink sys (fun t ->
+      if Tmk.pid t = 1 then begin
+        write_all t c.other (fun k -> 100.0 +. float_of_int k);
+        Tmk.barrier t;
+        Tmk.barrier t;
+        for k = 0 to span_n - 1 do
+          ignore (Shm.get_f64 t (addr k))
+        done
+      end
+      else begin
+        write_all t c.early (fun k -> 200.0 +. float_of_int k);
+        Tmk.barrier t;
+        write_all t c.late (fun k -> 300.0 +. float_of_int k);
+        (match c.op with
+        | Read when span -> Shm.read_f64s t (addr c.lo) buf c.pos c.len
+        | Read ->
+            for e = 0 to c.len - 1 do
+              buf.(c.pos + e) <- Shm.get_f64 t (addr (c.lo + e))
+            done
+        | Write when span -> Shm.write_f64s t (addr c.lo) buf c.pos c.len
+        | Write ->
+            for e = 0 to c.len - 1 do
+              Shm.set_f64 t (addr (c.lo + e)) buf.(c.pos + e)
+            done
+        | Axpy when span ->
+            Shm.F64_2.axpy_col t a c.col ~lo:c.lo ~len:c.len buf 0.75
+        | Axpy ->
+            for i = c.lo to c.lo + c.len - 1 do
+              Shm.F64_2.rmw t a i c.col (fun x -> x -. (buf.(i) *. 0.75))
+            done
+        | Dot when span ->
+            dot := Shm.F64_2.dot_col t a c.col ~lo:c.lo ~len:c.len buf
+        | Dot ->
+            for i = c.lo to c.lo + c.len - 1 do
+              dot := !dot +. (buf.(i) *. Shm.F64_2.get t a i c.col)
+            done);
+        Tmk.barrier t
+      end);
+  let time = Tmk.elapsed sys
+  and stats = Tmk.total_stats sys
+  and events = Dsm_trace.Sink.events sink in
+  (buf, !dot, time, stats, events, Tmk.digest sys)
+
+let prop_span_equivalence =
+  QCheck.Test.make ~count:300
+    ~name:"span ops fault, charge and trace like their element loops"
+    (QCheck.make ~print:print_span_case gen_span_case) (fun c ->
+      let buf1, dot1, time1, stats1, ev1, dig1 = run_span_case ~span:true c
+      and buf2, dot2, time2, stats2, ev2, dig2 = run_span_case ~span:false c in
+      let bits = Array.map Int64.bits_of_float in
+      bits buf1 = bits buf2
+      && Int64.bits_of_float dot1 = Int64.bits_of_float dot2
+      && Int64.bits_of_float time1 = Int64.bits_of_float time2
+      && stats1 = stats2 && ev1 = ev2 && dig1 = dig2)
+
+let test_span_bounds () =
+  let sys = Tmk.make cfg in
+  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 8; 4 ] in
+  Tmk.run sys (fun t ->
+      if Tmk.pid t = 0 then begin
+        let buf = Array.make 8 0.0 in
+        Alcotest.check_raises "span past the buffer"
+          (Invalid_argument "Shm.read_f64s") (fun () ->
+            Shm.read_f64s t a.Dsm_rsd.Section.base buf 4 5);
+        Alcotest.check_raises "negative length"
+          (Invalid_argument "Shm.write_f64s") (fun () ->
+            Shm.write_f64s t a.Dsm_rsd.Section.base buf 0 (-1));
+        Shm.F64_2.write_col t a 2 ~lo:0 ~len:8
+          (Array.init 8 float_of_int);
+        Shm.F64_2.read_col t a 2 ~lo:3 ~len:4 buf;
+        Alcotest.(check (array (float 0.0))) "rows land at their index"
+          [| 0.; 0.; 0.; 3.; 4.; 5.; 6.; 0. |] buf
+      end)
+
 let tests =
   [
     Alcotest.test_case "scalar accessors" `Quick test_scalar_accessors;
+    Alcotest.test_case "span bounds and placement" `Quick test_span_bounds;
     Alcotest.test_case "view addressing" `Quick test_views_addressing;
     Alcotest.test_case "rmw" `Quick test_rmw;
     Alcotest.test_case "section helpers" `Quick test_section_helpers;
     Alcotest.test_case "fault counting" `Quick test_fault_counting;
     Alcotest.test_case "write detection reset" `Quick test_write_detection_reset;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_span_equivalence ]
