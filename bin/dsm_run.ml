@@ -117,6 +117,13 @@ let run app version level size procs common sync trace_file check recheck
           else None
         in
         if prof then Core.Prof.enable ();
+        (* a message-passing version rejects, before running, a processor
+           count its data partition cannot cover *)
+        let mp_run run =
+          match run () with
+          | r -> Ok r
+          | exception Invalid_argument e -> Error ("--procs: " ^ e)
+        in
         let result =
           match version with
           | "tmk" -> (
@@ -136,10 +143,10 @@ let run app version level size procs common sync trace_file check recheck
               if proto_plan <> None then
                 Format.eprintf
                   "note: --plan applies to the tmk version only@.";
-              Ok (W.pvm cfg ~size:wsize ~behavior)
+              mp_run (fun () -> W.pvm cfg ~size:wsize ~behavior)
           | "xhpf" -> (
               match W.xhpf with
-              | Some f -> Ok (f cfg ~size:wsize ~behavior)
+              | Some f -> mp_run (fun () -> f cfg ~size:wsize ~behavior)
               | None -> Error "XHPF cannot parallelize this application")
           | v -> Error ("unknown version: " ^ v)
         in

@@ -412,6 +412,13 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~l
    Local slabs; the transpose is an all-to-all where each pair exchanges the
    intersection of the sender's slab and the receiver's target slab. *)
 
+(* Once processors outnumber the planes by about 2:1, [bounds] starts
+   the trailing slabs past the last plane ([hi + 1 < lo]). Their width is
+   clamped to 0: an empty slab that sends and receives empty transposes. *)
+let slab_width n np p =
+  let lo, hi = bounds n np p in
+  max 0 (hi - lo + 1)
+
 let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
   let sys = Mp.make cfg in
   let np = cfg.Dsm_sim.Config.nprocs in
@@ -419,7 +426,7 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
   Mp.run sys (fun t ->
       let p = Mp.pid t in
       let lo, hi = bounds n np p in
-      let w = hi - lo + 1 in
+      let w = slab_width n np p in
       (* local slabs, same index order as the shared layout *)
       let idx i1 i2 i3l = 2 * (i1 + (n * (i2 + (n * i3l)))) in
       let x = Array.make (2 * n * n * w) 0.0 in
@@ -440,7 +447,7 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
         for q = 0 to np - 1 do
           if q <> p then begin
             let qlo, qhi = bounds n np q in
-            let qw = qhi - qlo + 1 in
+            let qw = slab_width n np q in
             let buf = Array.make (2 * qw * n * w) 0.0 in
             let pos = ref 0 in
             for i3l = 0 to w - 1 do
@@ -468,7 +475,7 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
         for q = 0 to np - 1 do
           if q <> p then begin
             let qlo, qhi = bounds n np q in
-            let qw = qhi - qlo + 1 in
+            let qw = slab_width n np q in
             let buf = Mp.recv_floats t ~src:q ~tag:(300 + q) in
             pack t (2 * qw * n * w);
             (* buf holds src_q(i1 in own slab, i2, i3 in q's slab):

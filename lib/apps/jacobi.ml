@@ -191,8 +191,6 @@ let mp_body ~exchange ~charge t { m; iters; update_cost; copy_cost } =
   and np = Mp.nprocs t in
   let lo, hi = bounds m np p in
   let width = hi - lo + 1 in
-  if width = 0 then
-    invalid_arg "jacobi mp: more processors than interior columns";
   (* local columns lo-1 .. hi+1 *)
   let col j = Array.init m (fun i -> init_value i j) in
   let b = Array.init (width + 2) (fun k -> col (lo - 1 + k)) in
@@ -237,11 +235,20 @@ let mp_err prm results =
     results;
   !err
 
-let run_mp ~exchange cfg prm =
+(* Every processor must own an interior column: its halo exchange sends
+   its edge columns. The blocks fill from processor 0, so the last
+   processor is the first left without one. *)
+let run_mp ~version ~exchange cfg prm =
+  let np = cfg.Dsm_sim.Config.nprocs in
+  let lo, hi = bounds prm.m np (np - 1) in
+  if hi < lo then
+    invalid_arg
+      (Printf.sprintf
+         "jacobi %s on %d processors leaves processor %d without any of \
+          the %d interior columns"
+         version np (np - 1) (prm.m - 2));
   let sys = Mp.make cfg in
-  let results =
-    Array.make cfg.Dsm_sim.Config.nprocs ([| [| 0.0 |] |], 0, -1)
-  in
+  let results = Array.make np ([| [| 0.0 |] |], 0, -1) in
   Mp.run sys (fun t ->
       results.(Mp.pid t) <- mp_body ~exchange ~charge:Mp.charge t prm);
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
@@ -259,13 +266,13 @@ let run_pvm cfg prm =
     in
     (fl, fr)
   in
-  run_mp ~exchange cfg prm
+  run_mp ~version:"pvm" ~exchange cfg prm
 
 let run_xhpf =
   Some
     (fun cfg prm ->
       let exchange t ~left ~right = Hpf.shift_exchange t ~tag:1 ~left ~right in
-      run_mp ~exchange cfg prm)
+      run_mp ~version:"xhpf" ~exchange cfg prm)
 
 (* {1 Workload.S instance: sizes are the params records, no behavior
       knobs} *)

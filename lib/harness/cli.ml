@@ -87,7 +87,6 @@ type t = {
   replicas : int;
   ckpt_every : int;
   crash : (int * float * float) list;
-  domains : int;
 }
 
 (* Both enum flags parse through {!Config.normalize_enum} (so
@@ -216,19 +215,8 @@ let term =
              checkpoint after $(b,D) us of downtime. Requires the hlrc \
              backend with $(b,--replicas) >= 3.")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Shard the simulated processors across $(docv) host OCaml \
-             domains (clamped to the processor count). Results are \
-             bit-identical to $(b,1) (the default, the sequential \
-             scheduler): this is a host-execution knob and never changes \
-             simulated clocks, statistics or memory contents.")
-  in
   let make backend home_policy net_drop net_dup net_jitter_us net_seed
-      replicas ckpt_every crash domains =
+      replicas ckpt_every crash =
     {
       backend;
       home_policy;
@@ -239,12 +227,11 @@ let term =
       replicas;
       ckpt_every;
       crash;
-      domains;
     }
   in
   Term.(
     const make $ backend $ home_policy $ drop $ dup $ jitter $ net_seed
-    $ replicas $ ckpt_every $ crash $ domains)
+    $ replicas $ ckpt_every $ crash)
 
 let config ?procs c =
   let cfg =
@@ -263,11 +250,8 @@ let config ?procs c =
       replicas = c.replicas;
       ckpt_every = c.ckpt_every;
       crash = c.crash;
-      domains = c.domains;
     }
   in
-  if c.domains < 1 then Error "domains must be positive"
-  else
   match Dsm_net.Plan.validate (Dsm_net.Plan.of_config cfg) with
   | Error e -> Error ("invalid fault parameters: " ^ e)
   | Ok _ -> (

@@ -49,15 +49,13 @@ type t = {
   replicas : int;
   ckpt_every : int;
   crash : (int * float * float) list;
-  domains : int;
 }
 (** Arguments common to every executable that builds a
     {!Dsm_sim.Config.t}. *)
 
 val term : t Cmdliner.Term.t
 (** [--backend/-b], [--home-policy], [--drop], [--dup], [--jitter],
-    [--net-seed], [--replicas], [--ckpt-every], [--crash] and
-    [--domains]. *)
+    [--net-seed], [--replicas], [--ckpt-every] and [--crash]. *)
 
 val config : ?procs:int -> t -> (Dsm_sim.Config.t, string) result
 (** Specialize {!Dsm_sim.Config.default} with the parsed arguments and

@@ -228,25 +228,6 @@ let scaling ppf cfg =
     ]
   in
   List.iter (scale_row ppf cfg ~procs:64) apps;
-  rule ppf 72;
-  (* Engine cross-check: the domain-sharded scheduler must be invisible in
-     the results. One representative row re-run under 4 host domains has to
-     match the sequential engine bit for bit (time, messages and the
-     protocol-level digest of the final shared state). *)
-  let prm = { Dsm_apps.Jacobi.large with m = 1024; iters = 5 } in
-  let run domains =
-    Dsm_apps.Jacobi.run_tmk ~digest:true
-      { cfg with Dsm_sim.Config.nprocs = 64; domains }
-      prm ~level:A.Base ~async:false
-  in
-  let d1 = run 1 and d4 = run 4 in
-  if
-    d1.A.digest <> d4.A.digest
-    || d1.A.time_us <> d4.A.time_us
-    || d1.A.stats.Stats.messages <> d4.A.stats.Stats.messages
-  then failwith "scaling: domains=4 diverged from the sequential engine";
-  Format.fprintf ppf
-    "engine cross-check: jacobi/64p bit-identical at --domains 1 and 4@.";
   rule ppf 72
 
 (* The 256- and 1024-processor tiers. Applications whose consistency

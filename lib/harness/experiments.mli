@@ -30,9 +30,7 @@ val scaling : Format.formatter -> Dsm_sim.Config.t -> unit
     (the per-processor slab stays meaningful as the cluster grows).
     Section 6.4 conjectures that consistency overhead "increases at larger
     numbers of processors" — this tier is where the curves start to bend,
-    with IS's all-to-all bucket updates as the deliberate stress case. The
-    experiment ends with an engine cross-check: one row re-run under 4
-    host domains must be bit-identical to the sequential scheduler. *)
+    with IS's all-to-all bucket updates as the deliberate stress case. *)
 
 val scaling_deep : Format.formatter -> Dsm_sim.Config.t -> unit
 (** Beyond the paper: the 256- and 1024-processor tiers of the scaling

@@ -12,11 +12,6 @@ type system = {
          a fault-free plan is a bit-identical pass-through *)
   boxes : (int * int * int, msg Queue.t) Hashtbl.t;  (* (src, dst, tag) *)
   nprocs : int;
-  lock : Mutex.t;
-  mutable parallel : bool;
-      (* true while running under the windowed engine: mailbox accesses
-         (the only cross-shard interaction of an MP run) take [lock];
-         false on the sequential/ordered engines — no locking at all *)
 }
 
 type t = { sys : system; p : int }
@@ -28,42 +23,16 @@ let make cfg =
     net = Net.create cluster;
     boxes = Hashtbl.create 256;
     nprocs = cfg.Config.nprocs;
-    lock = Mutex.create ();
-    parallel = false;
   }
 
-let[@inline] locked sys f =
-  if sys.parallel then Mutex.protect sys.lock f else f ()
+let run sys main = Engine.run ~nprocs:sys.nprocs (fun p -> main { sys; p })
 
-(* Message passing is an isolated workload in the {!Engine.run_windowed}
-   sense: a send charges the sender alone and appends to a per-(src,dst,
-   tag) FIFO, a receive charges the receiver alone — so, under a
-   pass-through network plan, shards may advance concurrently inside
-   lookahead windows and the run stays bit-identical to the sequential
-   engine. A faulty plan shares the fault-PRNG cursor and resequencing
-   floors across processors (draw order matters), so it falls back to
-   the ordered engine, which is deterministic for every workload. *)
-let run sys main =
-  let cfg = sys.cluster.Cluster.cfg in
-  let domains = cfg.Config.domains in
-  if domains > 1 && Net.passthrough sys.net then begin
-    sys.parallel <- true;
-    Fun.protect
-      ~finally:(fun () -> sys.parallel <- false)
-      (fun () ->
-        Engine.run_windowed ~domains ~nprocs:sys.nprocs
-          ~lookahead:(Float.max 1.0 cfg.Config.wire_latency_us)
-          ~clock:(fun p -> Cluster.time sys.cluster p)
-          (fun p -> main { sys; p }))
-  end
-  else Engine.run ~domains ~nprocs:sys.nprocs (fun p -> main { sys; p })
 let pid t = t.p
 let nprocs t = t.sys.nprocs
 let charge t us = Cluster.charge t.sys.cluster t.p us
 let time t = Cluster.time t.sys.cluster t.p
 
 let box sys key =
-  locked sys @@ fun () ->
   match Hashtbl.find_opt sys.boxes key with
   | Some q -> q
   | None ->
@@ -75,14 +44,12 @@ let send_floats t ~dst ~tag payload =
   let bytes = 8 * Array.length payload in
   let arrival = Net.send t.sys.net ~src:t.p ~dst ~bytes in
   let q = box t.sys (t.p, dst, tag) in
-  locked t.sys (fun () ->
-      Queue.push { arrival; payload = Array.copy payload } q)
+  Queue.push { arrival; payload = Array.copy payload } q
 
 let recv_floats t ~src ~tag =
   let q = box t.sys (src, t.p, tag) in
-  Engine.block ~until:(fun () ->
-      locked t.sys (fun () -> not (Queue.is_empty q)));
-  let m = locked t.sys (fun () -> Queue.pop q) in
+  Engine.block ~until:(fun () -> not (Queue.is_empty q));
+  let m = Queue.pop q in
   Cluster.recv_charge t.sys.cluster ~dst:t.p ~arrival:m.arrival ~interrupt:false;
   m.payload
 

@@ -12,12 +12,7 @@ type t
 val make : Dsm_sim.Config.t -> system
 
 val run : system -> (t -> unit) -> unit
-(** Run one fiber per processor to completion. With [cfg.domains > 1]
-    and a pass-through network plan, runs on the windowed conservative
-    engine ({!Dsm_sim.Engine.run_windowed}) — message passing satisfies
-    its isolation contract, so shards advance concurrently with
-    bit-identical results; faulty plans fall back to the ordered
-    engine. *)
+(** Run one fiber per processor to completion on {!Dsm_sim.Engine.run}. *)
 
 val pid : t -> int
 val nprocs : t -> int

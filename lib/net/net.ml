@@ -108,7 +108,6 @@ let create ?plan cluster =
 
 let cluster t = t.cluster
 let plan t = t.plan
-let passthrough t = t.passthrough
 let set_trace t sink = t.trace <- sink
 let set_vc_source t f = t.vc_of <- f
 

@@ -26,10 +26,6 @@ val create : ?plan:Plan.t -> Dsm_sim.Cluster.t -> t
 val cluster : t -> Dsm_sim.Cluster.t
 val plan : t -> Plan.t
 
-val passthrough : t -> bool
-(** The plan has no faults: this transport is a bit-identical
-    pass-through to the raw cluster cost functions. *)
-
 val set_trace : t -> Dsm_trace.Sink.t option -> unit
 (** Attach/detach the sink that receives [Msg_drop]/[Msg_dup]/
     [Retransmit]/[Timeout_fire]/[Ack] events. *)

@@ -35,71 +35,28 @@ let unattributed = n_sections
 
 let enabled = ref false
 
-(* {1 Per-domain state}
-
-   Counters, the span stack and the open-slice markers are per-domain
-   (domain-local storage): the sharded engine runs spans on every worker
-   domain concurrently, and a single global stack would interleave
-   them. Each domain charges its own wall-clock and its own minor-heap
-   counter (minor words are already a per-domain figure in OCaml 5);
-   {!report} and {!reset} aggregate over a registry of every state ever
-   created. Enabling, resetting and reporting are assumed to happen on
-   the main domain while no worker domains are live — the engine spawns
-   workers per run and joins them before returning, so the bench/CLI
-   call pattern (enable, run, report) satisfies this. *)
-
 let max_depth = 64
-
-type dstate = {
-  calls : int array;
-  ops : int array;
-  self_s : float array;
-  alloc_w : float array;
-  stack : int array;
-  mutable depth : int;
-  mutable slice_start : float;
-  mutable slice_alloc : float;
-}
-
-let reg_lock = Mutex.create ()
-let registry : dstate list ref = ref []
-
-let fresh_state () =
-  let st =
-    {
-      calls = Array.make (n_sections + 1) 0;
-      ops = Array.make (n_sections + 1) 0;
-      self_s = Array.make (n_sections + 1) 0.0;
-      alloc_w = Array.make (n_sections + 1) 0.0;
-      stack = Array.make max_depth 0;
-      depth = 0;
-      slice_start = Unix.gettimeofday ();
-      slice_alloc = Gc.minor_words ();
-    }
-  in
-  Mutex.protect reg_lock (fun () -> registry := st :: !registry);
-  st
-
-let key = Domain.DLS.new_key fresh_state
-let[@inline] state () = Domain.DLS.get key
+let calls = Array.make (n_sections + 1) 0
+let ops = Array.make (n_sections + 1) 0
+let self_s = Array.make (n_sections + 1) 0.0
+let alloc_w = Array.make (n_sections + 1) 0.0
+let stack = Array.make max_depth 0
+let depth = ref 0
+let slice_start = ref (Unix.gettimeofday ())
+let slice_alloc = ref (Gc.minor_words ())
 
 let enabled_at = ref 0.0
 let total_s = ref 0.0
 
 let reset () =
   let now = Unix.gettimeofday () in
-  Mutex.protect reg_lock (fun () ->
-      List.iter
-        (fun (st : dstate) ->
-          Array.fill st.calls 0 (n_sections + 1) 0;
-          Array.fill st.ops 0 (n_sections + 1) 0;
-          Array.fill st.self_s 0 (n_sections + 1) 0.0;
-          Array.fill st.alloc_w 0 (n_sections + 1) 0.0;
-          st.depth <- 0)
-        !registry);
-  let st = state () in
-  st.slice_start <- now;
-  st.slice_alloc <- Gc.minor_words ();
+  Array.fill calls 0 (n_sections + 1) 0;
+  Array.fill ops 0 (n_sections + 1) 0;
+  Array.fill self_s 0 (n_sections + 1) 0.0;
+  Array.fill alloc_w 0 (n_sections + 1) 0.0;
+  depth := 0;
+  slice_start := now;
+  slice_alloc := Gc.minor_words ();
   total_s := 0.0;
   enabled_at := now
 
@@ -109,53 +66,52 @@ let enable () =
 
 (* Charge the open slice to the innermost open section and start a new
    slice at [now]. *)
-let charge_slice st now aw =
-  let top = if st.depth = 0 then unattributed else st.stack.(st.depth - 1) in
-  st.self_s.(top) <- st.self_s.(top) +. (now -. st.slice_start);
-  st.alloc_w.(top) <- st.alloc_w.(top) +. (aw -. st.slice_alloc);
-  st.slice_start <- now;
-  st.slice_alloc <- aw
+let charge_slice now aw =
+  let top = if !depth = 0 then unattributed else stack.(!depth - 1) in
+  self_s.(top) <- self_s.(top) +. (now -. !slice_start);
+  alloc_w.(top) <- alloc_w.(top) +. (aw -. !slice_alloc);
+  slice_start := now;
+  slice_alloc := aw
 
 let disable () =
   if !enabled then begin
     let now = Unix.gettimeofday () in
-    charge_slice (state ()) now (Gc.minor_words ());
+    charge_slice now (Gc.minor_words ());
     total_s := now -. !enabled_at;
     enabled := false
   end
 
-let enter_on st s =
+let enter_on s =
   let i = index s in
-  charge_slice st (Unix.gettimeofday ()) (Gc.minor_words ());
-  if st.depth < max_depth then begin
-    st.stack.(st.depth) <- i;
-    st.depth <- st.depth + 1
+  charge_slice (Unix.gettimeofday ()) (Gc.minor_words ());
+  if !depth < max_depth then begin
+    stack.(!depth) <- i;
+    incr depth
   end
 
-let[@inline] enter s = if !enabled then enter_on (state ()) s
+let[@inline] enter s = if !enabled then enter_on s
 
-let exit_on st s =
+let exit_on s =
   let i = index s in
-  charge_slice st (Unix.gettimeofday ()) (Gc.minor_words ());
+  charge_slice (Unix.gettimeofday ()) (Gc.minor_words ());
   (* pop until the matching section is popped: spans abandoned by an
      exception unwind are closed here, keeping the stack consistent *)
   let rec pop () =
-    if st.depth > 0 then begin
-      st.depth <- st.depth - 1;
-      let top = st.stack.(st.depth) in
-      st.calls.(top) <- st.calls.(top) + 1;
+    if !depth > 0 then begin
+      decr depth;
+      let top = stack.(!depth) in
+      calls.(top) <- calls.(top) + 1;
       if top <> i then pop ()
     end
   in
   pop ()
 
-let[@inline] exit s = if !enabled then exit_on (state ()) s
+let[@inline] exit s = if !enabled then exit_on s
 
 let[@inline] tick s =
   if !enabled then begin
-    let st = state () in
     let i = index s in
-    st.ops.(i) <- st.ops.(i) + 1
+    ops.(i) <- ops.(i) + 1
   end
 
 let span s f =
@@ -180,24 +136,9 @@ let report () =
   (* a live profile (still enabled) reports up to the current instant *)
   if !enabled then begin
     let now = Unix.gettimeofday () in
-    charge_slice (state ()) now (Gc.minor_words ());
+    charge_slice now (Gc.minor_words ());
     total_s := now -. !enabled_at
   end;
-  (* aggregate every domain's figures; worker domains have been joined *)
-  let calls = Array.make (n_sections + 1) 0 in
-  let ops = Array.make (n_sections + 1) 0 in
-  let self_s = Array.make (n_sections + 1) 0.0 in
-  let alloc_w = Array.make (n_sections + 1) 0.0 in
-  Mutex.protect reg_lock (fun () ->
-      List.iter
-        (fun (st : dstate) ->
-          for i = 0 to n_sections do
-            calls.(i) <- calls.(i) + st.calls.(i);
-            ops.(i) <- ops.(i) + st.ops.(i);
-            self_s.(i) <- self_s.(i) +. st.self_s.(i);
-            alloc_w.(i) <- alloc_w.(i) +. st.alloc_w.(i)
-          done)
-        !registry);
   let rows =
     List.filter_map
       (fun s ->

@@ -10,18 +10,9 @@
     the cost functions account for the interrupt time stolen from the target
     processor (see DESIGN.md section 4).
 
-    {2 Domain safety}
-
-    Nothing here is locked. Under {!Engine.run} every slice — and therefore
-    every call into this module — executes inside the engine's critical
-    section, whatever the domain count, so clocks, statistics and occupancy
-    intervals need no protection of their own. Under {!Engine.run_windowed}
-    the isolation contract applies: a fiber may touch only its own
-    processor's rows (its clock, its [Stats] row), and the cross-processor
-    cost functions ({!rpc}, {!bcast}, {!occupy} — which mutate the {e
-    target's} state) must not be used from concurrently-running shards.
-    The message-passing runtime satisfies this by charging sends to the
-    sender alone; the DSM runtime does not, and always runs ordered. *)
+    Nothing here is locked: {!Engine.run} resumes one fiber at a time on
+    one domain, so clocks, statistics and occupancy intervals need no
+    protection of their own. *)
 
 type t = {
   cfg : Config.t;

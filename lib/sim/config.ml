@@ -81,10 +81,6 @@ type t = {
       (* fault tolerance: deterministic crash schedule [(proc, at_us,
          down_us)]; the processor fail-stops at its first release point at
          or after [at_us] and rejoins after [down_us] of virtual downtime *)
-  domains : int;
-      (* host domains the engine shards the simulated processors across;
-         1 = the sequential scheduler. Results are bit-identical either
-         way (see Engine) *)
 }
 
 (* Calibration (see config.mli): solving the roundtrip, lock and barrier
@@ -123,11 +119,9 @@ let default =
     replicas = 1;
     ckpt_every = 0;
     crash = [];
-    domains = 1;
   }
 
 let with_procs cfg n = { cfg with nprocs = n }
-let with_domains cfg d = { cfg with domains = d }
 
 let pp ppf c =
   Format.fprintf ppf

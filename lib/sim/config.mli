@@ -122,13 +122,6 @@ type t = {
           page state, and rejoins from its last checkpoint plus replica
           state after [down_us] of virtual downtime. Requires the hlrc
           backend with [replicas >= 3]. *)
-  domains : int;
-      (** number of host OCaml domains the engine shards the simulated
-          processors across (clamped to [nprocs]). [1] (the default)
-          runs the sequential scheduler; [> 1] the sharded ordered
-          engine, with bit-identical results — see {!Dsm_sim.Engine}.
-          This is a host-execution knob: it never affects simulated
-          clocks, statistics or memory contents. *)
 }
 
 val default : t
@@ -136,8 +129,5 @@ val default : t
 
 val with_procs : t -> int -> t
 (** [with_procs cfg n] is [cfg] with [nprocs = n]. *)
-
-val with_domains : t -> int -> t
-(** [with_domains cfg d] is [cfg] with [domains = d]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,22 +1,6 @@
-(* Deterministic scheduler for simulated processors, in two engines:
-
-   - a sequential cooperative scheduler (the original engine), used when
-     [domains <= 1]: one round-robin pass resumes every runnable fiber in
-     processor order;
-   - a sharded parallel engine on OCaml 5 domains, used when
-     [domains > 1]: processors are split into contiguous shards, each
-     fiber is created and resumed only on the domain that owns its shard,
-     and a token rotating through the shards serializes slice execution
-     in exactly the sequential engine's pass-major/processor-minor order.
-     Identical total order of slices means identical floating-point
-     charge order, hot-spot queueing and tie-breaks — bit-identical
-     results versus the sequential engine (the perf-golden bar).
-
-   A third entry point, {!run_windowed}, is the conservative
-   parallel-discrete-event (CMB-style) engine: shards advance truly
-   concurrently inside virtual-time windows bounded by the lookahead.
-   It is only deterministic for isolated workloads (see the mli);
-   the message-passing runtime qualifies, the DSM runtime does not. *)
+(* Deterministic cooperative scheduler for simulated processors: one
+   round-robin pass resumes every runnable fiber in processor order,
+   until all have finished or a full pass makes no progress. *)
 
 exception Deadlock of string
 
@@ -46,19 +30,6 @@ type cell =
   | Running
   | Finished
 
-(* {1 Sharding}
-
-   Balanced contiguous shards: shard [d] of [D] owns processors
-   [d*n/D .. (d+1)*n/D - 1]. Contiguity keeps each barrier subtree and
-   each block-partitioned array mostly shard-local. *)
-
-let shard_bounds ~domains ~nprocs d =
-  (d * nprocs / domains, (d + 1) * nprocs / domains)
-
-let shard_of ~domains ~nprocs p = (((p + 1) * domains) - 1) / nprocs
-
-(* Shared fiber-table helpers (both engines). *)
-
 let handler cells p =
   {
     Effect.Deep.retc = (fun () -> cells.(p) <- Finished);
@@ -80,12 +51,10 @@ let handler cells p =
         | _ -> None);
   }
 
-(* Unwind the suspended fibers in [lo, hi) (running their cleanup
-   handlers) so the scheduler never leaks a continuation when one
-   processor fails. Each continuation is discontinued on the domain that
-   owns its shard — a continuation never moves across domains. *)
-let discontinue_range cells lo hi =
-  for q = lo to hi - 1 do
+(* Unwind the suspended fibers (running their cleanup handlers) so the
+   scheduler never leaks a continuation when one processor fails. *)
+let discontinue_all cells =
+  for q = 0 to Array.length cells - 1 do
     match cells.(q) with
     | Waiting { k; _ } ->
         cells.(q) <- Finished;
@@ -105,10 +74,7 @@ let blocked_list cells =
 let deadlock cells =
   Deadlock (Printf.sprintf "fibers blocked: [%s]" (blocked_list cells))
 
-(* {1 The sequential engine} — the pre-existing single-domain scheduler,
-   byte-for-byte the hot path when [domains <= 1]. *)
-
-let run_seq ~nprocs main =
+let run ~nprocs main =
   let cells = Array.init nprocs (fun p -> Not_started (fun () -> main p)) in
   let rec loop () =
     let progress = ref false in
@@ -138,275 +104,5 @@ let run_seq ~nprocs main =
     (fun () ->
       try loop ()
       with e ->
-        discontinue_range cells 0 nprocs;
+        discontinue_all cells;
         raise e)
-
-(* {1 The sharded ordered engine}
-
-   One domain per shard; a token rotates through the shards in order.
-   Only the token holder runs slices, under the engine mutex (every
-   other domain is parked in [Condition.wait]), so the execution is a
-   serialization of exactly the sequential pass order and every slice is
-   separated from the next by a mutex release/acquire pair — the
-   happens-before edge that makes all simulator state (clocks, stats,
-   page tables, trace rings) safely visible across domains without any
-   per-structure locking.
-
-   The pass structure mirrors [run_seq]: shard [D-1] closes each pass,
-   deciding termination (all fibers finished), deadlock (no slice ran in
-   a full pass) or another pass. On deadlock or a fiber failure the
-   token keeps rotating in [Unwinding] phase: each shard discontinues
-   its own suspended fibers on its own domain; when all shards have
-   unwound, everyone stops and the first failure is re-raised on the
-   calling domain. *)
-
-type phase = Scheduling | Unwinding | Stopped
-
-let run_sharded ~domains ~nprocs main =
-  let cells = Array.init nprocs (fun p -> Not_started (fun () -> main p)) in
-  let m = Mutex.create () in
-  let turn_cv = Condition.create () in
-  let turn = ref 0 in
-  let progress = ref false in
-  let phase = ref Scheduling in
-  let failure = ref None in
-  let unwound = Array.make domains false in
-  let n_unwound = ref 0 in
-  let fail e =
-    if !failure = None then failure := Some e;
-    phase := Unwinding
-  in
-  (* Close of a pass (only shard [domains-1], only in [Scheduling]):
-     the same decision the sequential loop takes after its for-loop. *)
-  let finish_pass () =
-    let unfinished = ref false in
-    Array.iter (function Finished -> () | _ -> unfinished := true) cells;
-    if not !unfinished then phase := Stopped
-    else if !progress then progress := false
-    else fail (deadlock cells)
-  in
-  let worker d =
-    let lo, hi = shard_bounds ~domains ~nprocs d in
-    let run_slot () =
-      for p = lo to hi - 1 do
-        match cells.(p) with
-        | Not_started f ->
-            progress := true;
-            cells.(p) <- Running;
-            Effect.Deep.match_with f () (handler cells p)
-        | Waiting { pred; k } ->
-            if pred () then begin
-              progress := true;
-              cells.(p) <- Running;
-              Effect.Deep.continue k ()
-            end
-        | Running | Finished -> ()
-      done
-    in
-    Dsm_prof.Prof.enter Dsm_prof.Prof.Engine;
-    Mutex.lock m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.unlock m;
-        Dsm_prof.Prof.exit Dsm_prof.Prof.Engine)
-    @@ fun () ->
-    let rec loop () =
-      while !turn <> d && !phase <> Stopped do
-        Condition.wait turn_cv m
-      done;
-      if !phase <> Stopped then begin
-        (match !phase with
-        | Scheduling ->
-            (try run_slot () with e -> fail e);
-            if !phase = Scheduling && d = domains - 1 then finish_pass ()
-        | Unwinding ->
-            if not unwound.(d) then begin
-              unwound.(d) <- true;
-              discontinue_range cells lo hi;
-              incr n_unwound;
-              if !n_unwound = domains then phase := Stopped
-            end
-        | Stopped -> ());
-        turn := (d + 1) mod domains;
-        Condition.broadcast turn_cv;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let spawned =
-    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  let join_all () = Array.iter Domain.join spawned in
-  (match worker 0 with
-  | () -> join_all ()
-  | exception e ->
-      (* defensive: the worker body catches fiber failures itself, but a
-         crash of the scheduler proper must still release the others *)
-      Mutex.lock m;
-      fail e;
-      phase := Stopped;
-      Condition.broadcast turn_cv;
-      Mutex.unlock m;
-      join_all ());
-  match !failure with Some e -> raise e | None -> ()
-
-let run ?(domains = 1) ~nprocs main =
-  let domains = max 1 (min domains nprocs) in
-  if domains = 1 then run_seq ~nprocs main
-  else run_sharded ~domains ~nprocs main
-
-(* {1 The windowed conservative engine}
-
-   Classic CMB-style conservative parallel simulation: each domain
-   advances its own shard's fibers truly concurrently, but only while
-   their virtual clocks stay below the current window end
-   [min unfinished clock + lookahead]. When no fiber of a shard is
-   eligible the domain enters the window barrier; the last arriver
-   recomputes the window from the (now quiescent, and therefore
-   consistent) global clock minimum, detects termination and deadlock,
-   and releases a new round. A round with no global progress whose
-   runnable fibers are all beyond the window advances the window to the
-   earliest runnable clock instead of deadlocking — the engine's
-   substitute for CMB null messages. *)
-
-let run_windowed ~domains ~nprocs ~lookahead ~clock main =
-  let domains = max 1 (min domains nprocs) in
-  let cells = Array.init nprocs (fun p -> Not_started (fun () -> main p)) in
-  let m = Mutex.create () in
-  let round_cv = Condition.create () in
-  let window_end = ref lookahead in
-  let round = ref 0 in
-  let arrived = ref 0 in
-  let any_progress = ref false in
-  let phase = ref Scheduling in
-  let failure = ref None in
-  let unwound = Array.make domains false in
-  let n_unwound = ref 0 in
-  (* cross-domain "stop scanning" signal readable without the mutex *)
-  let abort = Atomic.make false in
-  let fail e =
-    if !failure = None then failure := Some e;
-    phase := Unwinding;
-    Atomic.set abort true
-  in
-  (* Window-barrier close, by the last arriver, engine mutex held: every
-     other domain is parked, so reading all clocks and predicates here is
-     race-free and current. *)
-  let close_round () =
-    if !phase = Scheduling then begin
-      let unfinished = ref false
-      and min_clock = ref infinity
-      and min_runnable = ref infinity in
-      Array.iteri
-        (fun p c ->
-          match c with
-          | Finished -> ()
-          | Running ->
-              (* unreachable: a quiescent shard has no Running cell *)
-              unfinished := true
-          | Not_started _ ->
-              unfinished := true;
-              min_clock := Float.min !min_clock (clock p);
-              min_runnable := Float.min !min_runnable (clock p)
-          | Waiting { pred; _ } ->
-              unfinished := true;
-              min_clock := Float.min !min_clock (clock p);
-              if pred () then min_runnable := Float.min !min_runnable (clock p))
-        cells;
-      if not !unfinished then phase := Stopped
-      else if (not !any_progress) && !min_runnable = infinity then
-        fail (deadlock cells)
-      else begin
-        (* conservative base; escape via the earliest runnable when the
-           window alone gated a whole quiescent round *)
-        let base = if !any_progress then !min_clock else !min_runnable in
-        window_end := base +. lookahead
-      end
-    end;
-    any_progress := false;
-    arrived := 0;
-    incr round;
-    Condition.broadcast round_cv
-  in
-  let worker d =
-    let lo, hi = shard_bounds ~domains ~nprocs d in
-    (* Run eligible fibers of [lo,hi) until a full scan runs none.
-       Outside the mutex: cells of this shard are domain-private, and the
-       caller's shared structures are the caller's to lock (see mli). *)
-    let scan_until_quiescent () =
-      let again = ref true in
-      let ran = ref false in
-      while !again && not (Atomic.get abort) do
-        again := false;
-        for p = lo to hi - 1 do
-          if not (Atomic.get abort) then
-            match cells.(p) with
-            | Not_started f when clock p < !window_end ->
-                ran := true;
-                again := true;
-                cells.(p) <- Running;
-                Effect.Deep.match_with f () (handler cells p)
-            | Waiting { pred; k } when clock p < !window_end && pred () ->
-                ran := true;
-                again := true;
-                cells.(p) <- Running;
-                Effect.Deep.continue k ()
-            | _ -> ()
-        done
-      done;
-      !ran
-    in
-    Dsm_prof.Prof.enter Dsm_prof.Prof.Engine;
-    Fun.protect
-      ~finally:(fun () -> Dsm_prof.Prof.exit Dsm_prof.Prof.Engine)
-    @@ fun () ->
-    let continue_ = ref true in
-    while !continue_ do
-      let ran = try scan_until_quiescent () with e -> Mutex.lock m; fail e;
-                                                     Mutex.unlock m; false in
-      Mutex.lock m;
-      if ran then any_progress := true;
-      incr arrived;
-      let my_round = !round in
-      if !arrived = domains then close_round ()
-      else
-        while !round = my_round && !phase <> Stopped do
-          Condition.wait round_cv m
-        done;
-      (match !phase with
-      | Unwinding ->
-          (* unwind order across shards is whoever reaches here first;
-             a failing run makes no determinism promise *)
-          if not unwound.(d) then begin
-            unwound.(d) <- true;
-            discontinue_range cells lo hi;
-            incr n_unwound;
-            if !n_unwound = domains then begin
-              phase := Stopped;
-              (* peers may be parked at the round barrier: the round will
-                 never close (we exit without arriving), so wake them *)
-              Condition.broadcast round_cv
-            end
-          end;
-          if !phase = Stopped then continue_ := false
-      | Stopped -> continue_ := false
-      | Scheduling -> ());
-      Mutex.unlock m
-    done
-  in
-  let spawned =
-    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  let join_all () = Array.iter Domain.join spawned in
-  (match worker 0 with
-  | () -> join_all ()
-  | exception e ->
-      Mutex.lock m;
-      fail e;
-      phase := Stopped;
-      incr round;
-      Condition.broadcast round_cv;
-      Mutex.unlock m;
-      join_all ());
-  match !failure with Some e -> raise e | None -> ()

@@ -1,13 +1,11 @@
-(** Deterministic scheduler for simulated processors — sequential, or
-    sharded across OCaml 5 domains.
+(** Deterministic scheduler for simulated processors.
 
     Each simulated processor runs as an OCaml-5 effect-based fiber. A
     fiber that must wait for another processor (barrier arrival, lock
     grant, message receive) performs {!block} with a predicate that some
     {e other} fiber's action will make true; the scheduler suspends it
     and resumes the next runnable fiber. Virtual time lives entirely in
-    {!Cluster} — the engine never looks at clocks except in
-    {!run_windowed}, which is handed an explicit [clock] function.
+    {!Cluster} — the engine never looks at clocks.
 
     {2 Execution model and determinism}
 
@@ -18,58 +16,31 @@
     the programs executed on the DSM are data-race free (conflicting
     accesses are ordered by synchronization), this fixed order at
     blocking points fully determines the result: clocks, statistics,
-    memory contents and trace are functions of the configuration alone.
-
-    With [domains > 1], {!run} keeps {e exactly the same total order of
-    slices}. Processors are split into contiguous shards
-    ({!shard_bounds}), one domain per shard; fibers are created,
-    resumed and discontinued only on their owning domain; and a token
-    rotating through the shards serializes slice execution in the
-    sequential pass order, each slice inside a mutex-held critical
-    section. Identical slice order means identical floating-point
-    accumulation order, identical hot-spot queueing decisions and
-    identical tie-breaks — results are bit-identical to [domains = 1]
-    (enforced by the perf-golden suite). What sharding buys is not
-    intra-run concurrency but domain affinity: each fiber's working set
-    stays on one domain, and independent runs can occupy sibling
-    domains (see {!Dsm_harness}'s fan-out).
-
-    {!run_windowed} is the genuinely concurrent engine — conservative
-    parallel discrete-event simulation in the Chandy–Misra–Bryant
-    style — and trades the universal determinism guarantee for an
-    isolation contract stated below. *)
+    memory contents and trace are functions of the configuration alone. *)
 
 exception Deadlock of string
 (** Raised when some fibers have not terminated but no fiber can make
-    progress: a full pass (or, in {!run_windowed}, a full window round)
-    resumed nothing and every remaining fiber's predicate is false. The
-    message lists the blocked processor ids, e.g.
-    ["fibers blocked: [1,3]"]. All engines raise it with the same
-    message format, and all unwind the remaining fibers (as for
-    {!Proc_failure}) before the exception escapes. *)
+    progress: a full pass resumed nothing and every remaining fiber's
+    predicate is false. The message lists the blocked processor ids,
+    e.g. ["fibers blocked: [1,3]"]. The remaining fibers are unwound (as
+    for {!Proc_failure}) before the exception escapes. *)
 
 exception Proc_failure of int * exn
 (** An exception escaped processor [p]'s fiber: re-raised as
     [Proc_failure (p, original)] after every suspended sibling fiber
-    has been discontinued (unwound through its cleanup handlers, each
-    on the domain that owns it), so a failing run leaks no continuation
-    and leaves no fiber marked running. If several fibers fail in one
-    multi-domain run, the first failure in scheduling order wins; the
-    rest are unwound like any other sibling. *)
+    has been discontinued (unwound through its cleanup handlers), so a
+    failing run leaks no continuation and leaves no fiber marked
+    running. *)
 
 val block : until:(unit -> bool) -> unit
 (** Suspend the calling fiber until [until ()] holds. Must be called
-    from within {!run} or {!run_windowed}.
+    from within {!run}.
 
     The predicate is re-evaluated by the scheduler — at least once per
     pass while the fiber is suspended — and must be made true by the
     action of some other fiber (or be immediately true, as in
     {!yield}). It must be pure apart from reading simulator state: it
-    can run many times, and under {!run_windowed} it may be evaluated
-    by the window-barrier closer on a different domain than the fiber's
-    own, so anything it reads that another domain mutates must be
-    protected by the caller (the message-passing runtime locks its
-    mailboxes for exactly this reason). *)
+    can run many times. *)
 
 val yield : unit -> unit
 (** Re-enter the scheduler with an immediately-true predicate: every
@@ -77,75 +48,11 @@ val yield : unit -> unit
     Useful to break one processor's long computation into slices that
     interleave deterministically with its peers. *)
 
-val run : ?domains:int -> nprocs:int -> (int -> unit) -> unit
-(** [run ~domains ~nprocs main] executes [main p] for
-    [p = 0..nprocs-1] as cooperative fibers until all terminate.
-
-    [domains] (default [1], clamped to [\[1, nprocs\]]) selects the
-    engine: [1] runs the single-domain sequential scheduler — the exact
-    pre-existing code path, no mutexes, no spawns, zero overhead;
-    [> 1] spawns [domains - 1] further domains and runs the sharded
-    ordered engine described above, producing bit-identical results.
+val run : nprocs:int -> (int -> unit) -> unit
+(** [run ~nprocs main] executes [main p] for [p = 0..nprocs-1] as
+    cooperative fibers until all terminate.
 
     @raise Deadlock if all remaining fibers are blocked on predicates
     that no runnable fiber can satisfy.
     @raise Proc_failure if an exception escapes one of the fibers; the
-    remaining fibers are discontinued first, each on its owning
-    domain. *)
-
-val run_windowed :
-  domains:int ->
-  nprocs:int ->
-  lookahead:float ->
-  clock:(int -> float) ->
-  (int -> unit) ->
-  unit
-(** [run_windowed ~domains ~nprocs ~lookahead ~clock main] is the
-    conservative parallel engine: shards advance truly concurrently
-    inside virtual-time windows.
-
-    A fiber is eligible only while [clock p < window_end]; when a shard
-    has no eligible fiber its domain enters the window barrier; the
-    last arriver recomputes [window_end = min unfinished clock +
-    lookahead] (all shards being quiescent, the minimum is consistent)
-    and releases the next round. [lookahead] is the minimum virtual
-    latency of any cross-processor interaction — for the simulated
-    cluster, the wire latency — so within a window no fiber can affect
-    a peer earlier than the window end. A quiescent round gated only by
-    the window (runnable fibers exist beyond it) advances the window to
-    the earliest runnable clock instead — the engine's substitute for
-    CMB null messages; a quiescent round with no runnable fiber at all
-    is a {!Deadlock}.
-
-    {b Isolation contract} — results are deterministic (and equal to
-    [run ~domains:1]) only if concurrently-running fibers are
-    {e isolated}: a fiber may freely mutate state owned by its
-    processor (its clock, its statistics row, its pages), and may
-    interact with other processors only through order-insensitive
-    channels — per-pair FIFO queues whose contents and costs do not
-    depend on the global interleaving, with sends charged to the sender
-    alone. The message-passing runtime with a pass-through network plan
-    satisfies this; the DSM runtime (cross-processor RPC charges,
-    hot-spot occupancy, barrier-arrival ordering) does not and must use
-    {!run}. Shared structures touched from predicates or slices of
-    different shards must be locked by the caller.
-
-    @raise Deadlock / @raise Proc_failure as for {!run}, except that
-    the unwind order across shards is not deterministic (a failing run
-    makes no determinism promise). *)
-
-(** {2 Sharding layout}
-
-    Exposed for tests, the harness fan-out and the trace merger: the
-    assignment is a pure function of [(domains, nprocs)], so any layer
-    can predict which domain owns a processor without asking the
-    engine. *)
-
-val shard_bounds : domains:int -> nprocs:int -> int -> int * int
-(** [shard_bounds ~domains ~nprocs d] is the half-open processor range
-    [(lo, hi)] owned by shard [d]: contiguous, balanced to within one
-    processor ([lo = d*nprocs/domains]). *)
-
-val shard_of : domains:int -> nprocs:int -> int -> int
-(** [shard_of ~domains ~nprocs p] is the shard owning processor [p] —
-    the inverse of {!shard_bounds}. *)
+    remaining fibers are discontinued first. *)

@@ -199,13 +199,7 @@ let run ?trace sys main =
       sys.Types.trace <- None;
       Dsm_net.Net.set_trace sys.Types.net None)
     (fun () ->
-      (* the DSM protocol interacts across processors through RPCs,
-         hot-spot occupancy and barrier arrival order, so it requires the
-         ordered engine; [domains] shards it without reordering slices *)
-      Engine.run
-        ~domains:sys.Types.cluster.Cluster.cfg.Config.domains
-        ~nprocs:sys.Types.nprocs
-        (fun p ->
+      Engine.run ~nprocs:sys.Types.nprocs (fun p ->
           let t = { Types.sys; p; st = sys.Types.states.(p) } in
           main t;
           Sync_ops.barrier t))

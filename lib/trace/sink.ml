@@ -7,14 +7,10 @@
    and never touches the simulated clocks or statistics, so tracing cannot
    perturb the cost model.
 
-   Domain safety under the sharded engine: each ring and its count are
-   written only by the processor that owns them — i.e. only by the one
-   domain that owns the processor's shard — so the rings need no locks.
-   The only cross-shard cell is the global sequence [next_id], which is
-   atomic; since the ordered engine serializes slices in the sequential
-   pass order, ids are assigned in the same order as the sequential run
-   and the ascending-id merge in [events] reproduces the exact
-   sequential event stream, bit for bit. *)
+   Each ring and its count are written only by the processor that owns
+   them. The global sequence [next_id] numbers events across processors
+   in emission order, so the ascending-id merge in [events] reproduces
+   the exact event stream of the run. *)
 
 type t = {
   nprocs : int;

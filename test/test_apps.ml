@@ -92,6 +92,20 @@ let test_jacobi_frames_follow_touches () =
   in
   Alcotest.(check (float 1e-6)) "jacobi correct" 0.0 r.max_err
 
+(* Regression: with twice as many processors as planes (16^3 at 32
+   processors) the trailing FFT slabs are empty, and the message-passing
+   versions must still run and verify instead of sizing a negative slab. *)
+let test_fft3d_mp_empty_slabs () =
+  let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs = 32 } in
+  let prm = Dsm_apps.Fft3d.small in
+  let r = Dsm_apps.Fft3d.run_pvm cfg prm in
+  Alcotest.(check (float 1e-6)) "fft3d pvm at 32 procs" 0.0 r.max_err;
+  match Dsm_apps.Fft3d.run_xhpf with
+  | Some f ->
+      let r = f cfg prm in
+      Alcotest.(check (float 1e-6)) "fft3d xhpf at 32 procs" 0.0 r.max_err
+  | None -> Alcotest.fail "fft3d has an xhpf version"
+
 let apps : (string * (module Dsm_apps.Workload.KERNEL)) list =
   [
     ("jacobi", (module Dsm_apps.Jacobi));
@@ -119,4 +133,6 @@ let tests =
   @ [
       Alcotest.test_case "jacobi: frames only for touched columns" `Slow
         test_jacobi_frames_follow_touches;
+      Alcotest.test_case "fft3d: mp versions with empty slabs" `Quick
+        test_fft3d_mp_empty_slabs;
     ]

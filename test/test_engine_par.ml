@@ -1,132 +1,33 @@
-(* The sharded parallel engine must be indistinguishable from the
-   sequential one: bit-identical simulated results (the perf-golden bar),
-   the same Deadlock/Proc_failure contracts across shard boundaries, and
-   deterministic repeated runs. The windowed conservative engine must
-   match the sequential engine on its supported (isolated, message-
-   passing) workloads. *)
+(* Failure contracts of the engine's scheduling loop, beyond the basic
+   cases in [Test_sim]: a deadlock report names only the fibers still
+   blocked, not those that already exited, and a Proc_failure raised
+   after a yield unwinds every suspended sibling through its finalizers.
+   The group keeps the name it had when it also covered a parallel
+   engine. *)
 
-module A = Dsm_apps.App_common
-module Config = Dsm_sim.Config
 module Engine = Dsm_sim.Engine
-module Stats = Dsm_sim.Stats
-module G = Test_perf_goldens
 
-(* {1 Sharding layout} *)
-
-let test_shard_layout () =
-  List.iter
-    (fun (domains, nprocs) ->
-      let covered = Array.make nprocs 0 in
-      for d = 0 to domains - 1 do
-        let lo, hi = Engine.shard_bounds ~domains ~nprocs d in
-        Alcotest.(check bool)
-          (Printf.sprintf "D=%d n=%d shard %d non-decreasing" domains nprocs d)
-          true (lo <= hi);
-        for p = lo to hi - 1 do
-          covered.(p) <- covered.(p) + 1;
-          Alcotest.(check int)
-            (Printf.sprintf "D=%d n=%d shard_of %d" domains nprocs p)
-            d
-            (Engine.shard_of ~domains ~nprocs p)
-        done
-      done;
-      Array.iteri
-        (fun p c ->
-          Alcotest.(check int)
-            (Printf.sprintf "D=%d n=%d proc %d covered once" domains nprocs p)
-            1 c)
-        covered)
-    [ (1, 1); (2, 2); (2, 8); (3, 8); (4, 8); (4, 5); (7, 8); (8, 8) ]
-
-(* {1 Bit-identical goldens under 2 and 4 domains}
-
-   Every sampled perf-golden configuration — all six apps, all levels,
-   faulty-network cases included — rendered with exact floats, must
-   match the sequential golden file exactly. *)
-
-let test_goldens_domains domains () =
-  let expected = List.map (fun (c, r) -> G.render c r) (Lazy.force G.actual) in
-  List.iteri
-    (fun i (c, e) ->
-      let g = G.render c (G.run_case ~domains c) in
-      Alcotest.(check string)
-        (Printf.sprintf "case %d (%s %s procs=%d) at %d domains" i c.G.app
-           c.G.size c.G.procs domains)
-        e g)
-    (List.combine G.cases expected)
-
-(* {1 Digest equality: six apps x four backends x {2,4} domains} *)
-
-let backends = [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ]
-
-let run_digest (module App : Dsm_apps.Workload.KERNEL) backend domains =
-  let cfg = { Config.default with Config.backend; domains } in
-  App.run_tmk ~digest:true cfg App.small ~level:A.Base ~async:true
-
-let test_digest_equality () =
-  List.iter
-    (fun (name, m) ->
-      List.iter
-        (fun backend ->
-          let seq = run_digest m backend 1 in
-          List.iter
-            (fun domains ->
-              let par = run_digest m backend domains in
-              let label what =
-                Printf.sprintf "%s/%s at %d domains: %s" name
-                  (Config.backend_name backend)
-                  domains what
-              in
-              Alcotest.(check string)
-                (label "digest") seq.A.digest par.A.digest;
-              Alcotest.(check (float 0.0))
-                (label "time") seq.A.time_us par.A.time_us;
-              Alcotest.(check int) (label "messages") seq.A.stats.Stats.messages
-                par.A.stats.Stats.messages;
-              Alcotest.(check int) (label "bytes") seq.A.stats.Stats.bytes
-                par.A.stats.Stats.bytes)
-            [ 2; 4 ])
-        backends)
-    G.apps
-
-(* {1 Deadlock across shards} *)
-
-let deadlock_msg f =
-  match f () with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception Engine.Deadlock m -> m
-
-let test_deadlock_across_shards () =
-  (* processor 1 (shard 0) waits on a flag only processor 2 (shard 1)
-     could set — but 2 exits without setting it; the blocked-fiber list
-     must match the sequential engine's exactly *)
-  let scenario domains () =
-    let flag = ref false in
-    Engine.run ~domains ~nprocs:4 (fun p ->
+let test_deadlock_lists_only_waiters () =
+  (* processor 1 waits on a flag only processor 2 could set, but 2 exits
+     without setting it; 0, 2 and 3 finish, so only 1 is reported *)
+  let flag = ref false in
+  match
+    Engine.run ~nprocs:4 (fun p ->
         if p = 1 then Engine.block ~until:(fun () -> !flag))
-  in
-  let seq = deadlock_msg (scenario 1) in
-  Alcotest.(check string) "sequential message" "fibers blocked: [1]" seq;
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "at %d domains" domains)
-        seq
-        (deadlock_msg (scenario domains)))
-    [ 2; 4 ]
-
-(* {1 Proc_failure unwinds fibers on other domains} *)
+  with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock m ->
+      Alcotest.(check string) "message" "fibers blocked: [1]" m
 
 exception Boom
 
-let test_failure_unwinds_other_domains () =
-  (* processors 0 and 1 live on shard 0, processor 3 on shard 1 (of 2).
-     3 fails after everyone is suspended; 0 and 1 must be unwound —
-     their Fun.protect finalizers run — and the failure must surface as
-     Proc_failure (3, Boom) on the calling domain. *)
+let test_failure_runs_finalizers () =
+  (* processor 3 fails after every other fiber is suspended; 0, 1 and 2
+     must be unwound (their Fun.protect finalizers run) and the failure
+     must surface as Proc_failure (3, Boom) *)
   let unwound = Array.make 4 false in
   let run () =
-    Engine.run ~domains:2 ~nprocs:4 (fun p ->
+    Engine.run ~nprocs:4 (fun p ->
         if p = 3 then begin
           Engine.yield ();
           raise Boom
@@ -147,120 +48,10 @@ let test_failure_unwinds_other_domains () =
         (p <> 3) got)
     unwound
 
-(* {1 Determinism of repeated multi-domain runs} *)
-
-let trace_lines sink =
-  List.map Dsm_trace.Event.to_json (Dsm_trace.Sink.events sink)
-
-let traced_run domains =
-  let cfg = { Config.default with Config.domains } in
-  let sink = Dsm_trace.Sink.create ~nprocs:cfg.Config.nprocs () in
-  let r =
-    Dsm_apps.Jacobi.run_tmk ~trace:sink cfg Dsm_apps.Jacobi.small
-      ~level:A.Push_opt ~async:true
-  in
-  (r, trace_lines sink)
-
-let test_trace_determinism () =
-  let r1, t1 = traced_run 4 in
-  let r2, t2 = traced_run 4 in
-  let rs, ts = traced_run 1 in
-  Alcotest.(check (float 0.0)) "repeat: same time" r1.A.time_us r2.A.time_us;
-  Alcotest.(check (list string)) "repeat: same trace" t1 t2;
-  Alcotest.(check (float 0.0)) "vs sequential: same time" rs.A.time_us
-    r1.A.time_us;
-  Alcotest.(check (list string)) "vs sequential: same trace" ts t1
-
-(* {1 The windowed conservative engine (message passing)} *)
-
-let test_windowed_mp_equality () =
-  List.iter
-    (fun (name, m) ->
-      let (module App : Dsm_apps.Workload.KERNEL) = m in
-      let seq = App.run_pvm Config.default App.small in
-      List.iter
-        (fun domains ->
-          let cfg = { Config.default with Config.domains } in
-          let par = App.run_pvm cfg App.small in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s pvm at %d domains: time" name domains)
-            seq.A.time_us par.A.time_us;
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s pvm at %d domains: err" name domains)
-            seq.A.max_err par.A.max_err;
-          Alcotest.(check int)
-            (Printf.sprintf "%s pvm at %d domains: messages" name domains)
-            seq.A.stats.Stats.messages par.A.stats.Stats.messages)
-        [ 2; 4 ])
-    G.apps
-
-let test_windowed_deadlock () =
-  let clocks = [| 0.0; 0.0; 0.0; 0.0 |] in
-  match
-    Engine.run_windowed ~domains:2 ~nprocs:4 ~lookahead:100.0
-      ~clock:(fun p -> clocks.(p))
-      (fun p ->
-        clocks.(p) <- float_of_int (10 * (p + 1));
-        if p = 2 then Engine.block ~until:(fun () -> false))
-  with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception Engine.Deadlock m ->
-      Alcotest.(check string) "blocked list" "fibers blocked: [2]" m
-
-let test_windowed_failure_unwinds () =
-  let unwound = ref false in
-  let clocks = Array.make 4 0.0 in
-  (* fiber 3 must not raise before fiber 0 has entered its Fun.protect and
-     blocked — otherwise the abort flag legitimately stops fiber 0 from
-     ever starting and there is no finalizer to run *)
-  let started = Atomic.make false in
-  match
-    Engine.run_windowed ~domains:2 ~nprocs:4 ~lookahead:100.0
-      ~clock:(fun p -> clocks.(p))
-      (fun p ->
-        if p = 3 then begin
-          Engine.block ~until:(fun () -> Atomic.get started);
-          raise Boom
-        end
-        else if p = 0 then
-          Fun.protect
-            ~finally:(fun () -> unwound := true)
-            (fun () ->
-              Atomic.set started true;
-              Engine.block ~until:(fun () -> false)))
-  with
-  | () -> Alcotest.fail "expected Proc_failure"
-  | exception Engine.Proc_failure (3, Boom) ->
-      Alcotest.(check bool) "fiber 0 finalizer ran" true !unwound
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-
-(* Clamping: more domains than processors must behave as nprocs shards. *)
-let test_domain_clamp () =
-  let hits = Array.make 3 0 in
-  Engine.run ~domains:8 ~nprocs:3 (fun p -> hits.(p) <- hits.(p) + 1);
-  Array.iter (fun h -> Alcotest.(check int) "ran once" 1 h) hits
-
 let tests =
   [
-    Alcotest.test_case "shard layout partitions processors" `Quick
-      test_shard_layout;
-    Alcotest.test_case "perf goldens bit-identical at 2 domains" `Slow
-      (test_goldens_domains 2);
-    Alcotest.test_case "perf goldens bit-identical at 4 domains" `Slow
-      (test_goldens_domains 4);
-    Alcotest.test_case "six apps x four backends digest equality" `Slow
-      test_digest_equality;
-    Alcotest.test_case "deadlock detection across shards" `Quick
-      test_deadlock_across_shards;
-    Alcotest.test_case "Proc_failure unwinds fibers on other domains" `Quick
-      test_failure_unwinds_other_domains;
-    Alcotest.test_case "multi-domain trace determinism" `Slow
-      test_trace_determinism;
-    Alcotest.test_case "windowed engine: mp runs bit-identical" `Slow
-      test_windowed_mp_equality;
-    Alcotest.test_case "windowed engine: deadlock detection" `Quick
-      test_windowed_deadlock;
-    Alcotest.test_case "windowed engine: failure unwinds" `Quick
-      test_windowed_failure_unwinds;
-    Alcotest.test_case "domains clamped to nprocs" `Quick test_domain_clamp;
+    Alcotest.test_case "deadlock detection across shared-flag waits" `Quick
+      test_deadlock_lists_only_waiters;
+    Alcotest.test_case "Proc_failure unwinds fibers and runs finalizers" `Quick
+      test_failure_runs_finalizers;
   ]

@@ -150,10 +150,31 @@ let test_level_spellings () =
   Alcotest.(check bool) "error lists the choices" true
     (contains text (Cli.level_error "sync-mrg"))
 
+(* A message-passing Jacobi whose block partition leaves a processor
+   without an interior column is a usage error naming --procs, not an
+   uncaught exception (cmdliner's exit 125). *)
+let test_jacobi_mp_procs_error () =
+  let out = Filename.temp_file "procs" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/dsm_run.exe --app jacobi --size small --version pvm --procs \
+          511 > %s 2>&1"
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "cli error exit" 124 code;
+  Alcotest.(check bool) "error names --procs" true (contains text "--procs");
+  Alcotest.(check int) "one-line error" 1
+    (List.length (String.split_on_char '\n' (String.trim text)))
+
 let tests =
   [
     Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
     Alcotest.test_case "cli: level spellings" `Quick test_level_spellings;
+    Alcotest.test_case "cli: jacobi mp procs limit" `Quick
+      test_jacobi_mp_procs_error;
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

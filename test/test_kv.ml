@@ -12,10 +12,9 @@ module Config = Dsm_sim.Config
 let cfg procs = { Config.default with Config.nprocs = procs }
 
 let run ?trace ?(digest = false) ?(procs = 4) ?(behavior = Kv.default_behavior)
-    ?(size = Kv.tiny) ?(async = true) ?(backend = Config.Lrc) ?(domains = 1) ()
-    =
+    ?(size = Kv.tiny) ?(async = true) ?(backend = Config.Lrc) () =
   Kv.tmk ?trace ~digest
-    { (cfg procs) with Config.backend; domains }
+    { (cfg procs) with Config.backend }
     ~size ~behavior ~level:Base ~async
 
 let backends =
@@ -26,7 +25,7 @@ let backends =
     (Config.Adaptive, "adpt");
   ]
 
-(* Whatever the backend, the interleaving or the engine, the cache must
+(* Whatever the backend or the interleaving, the cache must
    end bit-identical: updates are per-key version increments serialized
    by the shard lock, so the final memory is a function of the per-key
    operation counts alone. *)
@@ -56,12 +55,6 @@ let test_digest_backends () =
             rest
       | [] -> assert false)
     [ 1; 2; 4; 8 ]
-
-let test_digest_domains () =
-  let d1 = run ~digest:true ~procs:4 ~domains:1 ()
-  and d2 = run ~digest:true ~procs:4 ~domains:2 () in
-  Alcotest.(check string) "domains=2 digest" d1.digest d2.digest;
-  Alcotest.(check (float 0.0)) "domains=2 time" d1.time_us d2.time_us
 
 (* Sync and async fetching must agree on results; the async path crosses
    the skip machinery (pages an earlier skip left accessible must be
@@ -269,8 +262,6 @@ let tests =
   [
     Alcotest.test_case "digests backend-independent at 1/2/4/8p" `Slow
       test_digest_backends;
-    Alcotest.test_case "digest engine-independent (domains=2)" `Quick
-      test_digest_domains;
     Alcotest.test_case "sync and async agree per backend" `Slow
       test_sync_async_agree;
     Alcotest.test_case "async validate_w_sync after an object skip" `Quick

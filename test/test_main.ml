@@ -24,7 +24,7 @@ let () =
       ("perf-goldens", Test_perf_goldens.tests);
       ("perf-infra", Test_perf_infra.tests);
       ("backends", Test_backends.tests);
-      ("proto-plan", Test_plan.tests);
       ("engine-par", Test_engine_par.tests);
+      ("proto-plan", Test_plan.tests);
       ("wmap", Test_wmap.tests);
     ]

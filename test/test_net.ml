@@ -104,7 +104,8 @@ let test_passthrough_scripted () =
   let raw_r = script (Cluster.send raw) (Cluster.rpc raw) (Cluster.bcast raw) in
   let c = Cluster.create (cfg_n 8) in
   let net = Net.create c in
-  Alcotest.(check bool) "default plan is passthrough" true (Net.passthrough net);
+  Alcotest.(check bool) "default plan is passthrough" true 
+    (Plan.is_passthrough (Net.plan net));
   let sink = Sink.create ~nprocs:8 () in
   Net.set_trace net (Some sink);
   let net_r = script (Net.send net) (Net.rpc net) (Net.bcast net) in

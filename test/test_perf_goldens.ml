@@ -59,10 +59,7 @@ let cases =
   let st = Random.State.make [| 0x5eed; 3 |] in
   List.init 22 (fun _ -> gen_case st)
 
-(* [domains] shards the engine without changing results — the parallel
-   suite (test_engine_par) replays every sampled case at 2 and 4 domains
-   against the same goldens. *)
-let run_case ?trace ?(domains = 1) c =
+let run_case ?trace c =
   let (module App : Dsm_apps.Workload.KERNEL) = List.assoc c.app apps in
   let params = if c.size = "large" then App.large else App.small in
   let cfg =
@@ -73,7 +70,6 @@ let run_case ?trace ?(domains = 1) c =
       net_dup = (if c.drop > 0.0 then 0.01 else 0.0);
       net_jitter_us = (if c.drop > 0.0 then 50.0 else 0.0);
       net_seed = c.seed;
-      domains;
     }
   in
   App.run_tmk ?trace cfg params ~level:c.level ~async:c.async

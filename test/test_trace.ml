@@ -133,6 +133,23 @@ let test_trace_off_identical_locks () =
   Alcotest.(check int) "counter" 80 (int_of_float (List.hd m0));
   check_clean "lock program" sink
 
+(* Repeated runs of one configuration emit the same trace event for
+   event: the scheduler's pass order is the only interleaving. *)
+let test_trace_repeatable () =
+  let run () =
+    let cfg = Config.default in
+    let sink = Sink.create ~nprocs:cfg.Config.nprocs () in
+    let r =
+      Dsm_apps.Jacobi.run_tmk ~trace:sink cfg Dsm_apps.Jacobi.small
+        ~level:Push_opt ~async:true
+    in
+    (r, List.map Event.to_json (Sink.events sink))
+  in
+  let r1, t1 = run () in
+  let r2, t2 = run () in
+  Alcotest.(check (float 0.0)) "same time" r1.time_us r2.time_us;
+  Alcotest.(check (list string)) "same trace" t1 t2
+
 (* {1 Sink mechanics} *)
 
 let dummy_kind = Event.Lock_request { lock = 0 }
@@ -818,4 +835,6 @@ let tests =
       test_engine_proc_failure;
     Alcotest.test_case "tmk: failure mid-barrier" `Quick
       test_tmk_failure_mid_barrier;
+    Alcotest.test_case "repeated runs: identical trace" `Slow
+      test_trace_repeatable;
   ]
