@@ -22,7 +22,7 @@ type result = {
   max_err : float;
   digest : string;
       (* content digest of the final shared state, observed through the
-         protocol ({!Dsm_tmk.Tmk.digest}); computed only when [run_tmk
+         protocol ({!Dsm_tmk.Tmk.digest}); computed only when [tmk
          ~digest:true] asks for it (an extra read pass), and [""]
          otherwise. A string, never a closure over the system: results
          are memoized across the whole benchmark suite, and anything

@@ -28,7 +28,7 @@ type result = {
   digest : string;
       (** content digest of the final shared state through the protocol
           ({!Dsm_tmk.Tmk.digest}), when the run asked for it with
-          [run_tmk ~digest:true]; [""] otherwise (and always for the
+          [tmk ~digest:true]; [""] otherwise (and always for the
           message-passing versions, which have no shared state). Kept a
           plain string so memoized results never pin run-time state. *)
   homes : (int * int) list;

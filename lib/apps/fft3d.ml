@@ -202,7 +202,9 @@ let seq_time_us { n; iters; bf_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let run_tmk ?trace ?(digest = false) ?plan cfg ({ n; iters; bf_cost } as prm) ~level ~async =
+let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
+    ~async =
+  let { n; iters; bf_cost } = prm in
   let sys = Tmk.make ?plan cfg in
   let x = Tmk.Alloc.array sys "x" Tmk.F64 ~dims:[ (2 * n); n; n ] in
   let y = Tmk.Alloc.array sys "y" Tmk.F64 ~dims:[ (2 * n); n; n ] in
@@ -569,10 +571,12 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:!err ()
 
-let run_pvm cfg prm = run_mp ~pack:(fun _ _ -> ()) cfg prm
+let pvm cfg ~size:prm ~behavior:() = run_mp ~pack:(fun _ _ -> ()) cfg prm
 
-let run_xhpf =
-  Some (fun cfg prm -> run_mp ~pack:(fun t elems -> Hpf.charge_pack t elems) cfg prm)
+let xhpf =
+  Some
+    (fun cfg ~size:prm ~behavior:() ->
+      run_mp ~pack:(fun t elems -> Hpf.charge_pack t elems) cfg prm)
 
 (* {1 Workload.S instance: sizes are the params records, no behavior
       knobs} *)
@@ -584,9 +588,3 @@ let sizes = [ ("large", large); ("small", small) ]
 let default_behavior = ()
 let knob_doc = []
 let with_knob = Workload.no_knobs ~workload:name
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior:() ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size ~level ~async
-
-let pvm cfg ~size ~behavior:() = run_pvm cfg size
-let xhpf = Option.map (fun f cfg ~size ~behavior:() -> f cfg size) run_xhpf

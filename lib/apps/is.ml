@@ -93,8 +93,9 @@ let seq_time_us { n_keys; n_buckets; reps; key_cost; bucket_cost } =
 let run_page_size ~nprocs ~page_size { n_buckets; _ } =
   min page_size (n_buckets / nprocs * 8)
 
-let run_tmk ?trace ?(digest = false) ?plan cfg ({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
-    ~level ~async =
+let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
+    ~async =
+  let { n_keys; n_buckets; reps; key_cost; bucket_cost } = prm in
   (* Our buckets stand in for 16x the paper's (2^19 vs 2^15, 2^15 vs 2^11):
      scale the per-page cost of matching piggy-backed section requests
      against the local page list accordingly, so that the Section 3.3
@@ -206,8 +207,9 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ n_keys; n_buckets; reps; key_c
    own counts; after np-1 hops the completed sections are broadcast for the
    ranking phase. *)
 
-let run_pvm cfg ({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm) =
-  (* same wire-cost scaling as the DSM versions (see run_tmk) *)
+let pvm cfg ~size:({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
+    ~behavior:() =
+  (* same wire-cost scaling as the DSM versions (see tmk) *)
   let cfg =
     { cfg with Dsm_sim.Config.per_byte_us = cfg.Dsm_sim.Config.per_byte_us *. 16.0 }
   in
@@ -292,7 +294,7 @@ let run_pvm cfg ({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm) =
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:!err ()
 
-let run_xhpf = None
+let xhpf = None
 
 (* {1 Workload.S instance: sizes are the params records, no behavior
       knobs} *)
@@ -304,9 +306,3 @@ let sizes = [ ("large", large); ("small", small) ]
 let default_behavior = ()
 let knob_doc = []
 let with_knob = Workload.no_knobs ~workload:name
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior:() ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size ~level ~async
-
-let pvm cfg ~size ~behavior:() = run_pvm cfg size
-let xhpf = Option.map (fun f cfg ~size ~behavior:() -> f cfg size) run_xhpf

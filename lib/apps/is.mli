@@ -22,20 +22,4 @@ val run_page_size : nprocs:int -> page_size:int -> params -> int
 val large : params
 val small : params
 
-val run_tmk :
-  ?trace:Dsm_trace.Sink.t ->
-  ?digest:bool ->
-  ?plan:Dsm_tmk.Proto_plan.t ->
-  Dsm_sim.Config.t ->
-  params ->
-  level:App_common.opt_level ->
-  async:bool ->
-  App_common.result
-(** Concrete entry point with an explicit [params] record, kept for
-    callers that size custom runs; {!tmk} below is the registry-facing
-    equivalent. *)
-
-val run_pvm : Dsm_sim.Config.t -> params -> App_common.result
-val run_xhpf : (Dsm_sim.Config.t -> params -> App_common.result) option
-
 include Workload.S with type size = params and type behavior = unit

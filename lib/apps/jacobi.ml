@@ -75,7 +75,9 @@ let seq_time_us { m; iters; update_cost; copy_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; update_cost; copy_cost } as prm) ~level ~async =
+let tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ~size:prm
+    ~behavior:() ~level ~async =
+  let { m; iters; update_cost; copy_cost } = prm in
   let sys = Tmk.make ?plan cfg in
   let b = Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ m; m ] in
   let np = cfg.Dsm_sim.Config.nprocs in
@@ -178,8 +180,9 @@ let run_tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ({ m; iters; upd
   inspect sys;
   make_result ~time_us ~stats ~max_err:!err ~digest ~homes ~classes ()
 
-let run_tmk ?trace ?digest ?plan cfg prm ~level ~async =
-  run_tmk_inspect ?trace ?digest ?plan ~inspect:ignore cfg prm ~level ~async
+let tmk ?trace ?digest ?plan cfg ~size ~behavior ~level ~async =
+  tmk_inspect ?trace ?digest ?plan ~inspect:ignore cfg ~size ~behavior ~level
+    ~async
 
 (* {1 Message-passing versions}
 
@@ -254,7 +257,7 @@ let run_mp ~version ~exchange cfg prm =
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:(mp_err prm results) ()
 
-let run_pvm cfg prm =
+let pvm cfg ~size:prm ~behavior:() =
   let exchange t ~left ~right =
     let p = Mp.pid t
     and np = Mp.nprocs t in
@@ -268,9 +271,9 @@ let run_pvm cfg prm =
   in
   run_mp ~version:"pvm" ~exchange cfg prm
 
-let run_xhpf =
+let xhpf =
   Some
-    (fun cfg prm ->
+    (fun cfg ~size:prm ~behavior:() ->
       let exchange t ~left ~right = Hpf.shift_exchange t ~tag:1 ~left ~right in
       run_mp ~version:"xhpf" ~exchange cfg prm)
 
@@ -284,9 +287,3 @@ let sizes = [ ("large", large); ("small", small) ]
 let default_behavior = ()
 let knob_doc = []
 let with_knob = Workload.no_knobs ~workload:name
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior:() ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size ~level ~async
-
-let pvm cfg ~size ~behavior:() = run_pvm cfg size
-let xhpf = Option.map (fun f cfg ~size ~behavior:() -> f cfg size) run_xhpf

@@ -253,7 +253,7 @@ let reference e ~nprocs =
 
 (* {1 TreadMarks version} *)
 
-let run_tmk ?trace ?(digest = false) ?plan cfg size behavior ~level:_ ~async =
+let tmk ?trace ?(digest = false) ?plan cfg ~size ~behavior ~level:_ ~async =
   let np = cfg.Dsm_sim.Config.nprocs in
   let e = effective size behavior ~nprocs:np in
   let sys = Tmk.make ?plan cfg in
@@ -340,7 +340,7 @@ let run_tmk ?trace ?(digest = false) ?plan cfg size behavior ~level:_ ~async =
 
 let mp_window = 64
 
-let run_pvm cfg size behavior =
+let pvm cfg ~size ~behavior =
   let np = cfg.Dsm_sim.Config.nprocs in
   let e = effective size behavior ~nprocs:np in
   let cdf = zipf_cdf ~keys:e.e_keys ~theta:e.e_theta in
@@ -440,13 +440,6 @@ let run_pvm cfg size behavior =
     ~max_err:(Array.fold_left combine_err 0.0 errs)
     ~latencies_us:latencies
     ~nops:(e.e_per_proc * np) ()
-
-(* {1 Workload.S instance} *)
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size behavior ~level ~async
-
-let pvm cfg ~size ~behavior = run_pvm cfg size behavior
 
 (* XHPF cannot parallelize the cache: which object an operation touches
    is data-dependent (drawn from the Zipfian stream), outside its

@@ -72,7 +72,9 @@ let seq_time_us { m; n; dot_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; dot_cost } as prm) ~level ~async =
+let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
+    ~async =
+  let { m; n; dot_cost } = prm in
   let cfg = { cfg with Dsm_sim.Config.page_size = page_size prm } in
   let sys = Tmk.make ?plan cfg in
   let q = Tmk.Alloc.array sys "q" Tmk.F64 ~dims:[ m; n ] in
@@ -231,12 +233,12 @@ let run_mp ~bcast cfg ({ m; n; dot_cost } as prm) =
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:!err ()
 
-let run_pvm cfg prm =
+let pvm cfg ~size:prm ~behavior:() =
   run_mp ~bcast:(fun t ~root ~tag msg -> Mp.bcast_floats t ~root ~tag msg) cfg prm
 
-let run_xhpf =
+let xhpf =
   Some
-    (fun cfg prm ->
+    (fun cfg ~size:prm ~behavior:() ->
       run_mp
         ~bcast:(fun t ~root ~tag msg -> Hpf.bcast_section t ~root ~tag msg)
         cfg prm)
@@ -251,9 +253,3 @@ let sizes = [ ("large", large); ("small", small) ]
 let default_behavior = ()
 let knob_doc = []
 let with_knob = Workload.no_knobs ~workload:name
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior:() ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size ~level ~async
-
-let pvm cfg ~size ~behavior:() = run_pvm cfg size
-let xhpf = Option.map (fun f cfg ~size ~behavior:() -> f cfg size) run_xhpf

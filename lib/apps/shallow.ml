@@ -276,7 +276,9 @@ let bounds n nprocs p =
   let w = (n + nprocs - 1) / nprocs in
   (p * w, min (n - 1) (((p + 1) * w) - 1))
 
-let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as prm) ~level ~async =
+let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
+    ~async =
+  let { m; n; steps; point_cost } = prm in
   let sys = Tmk.make ?plan cfg in
   let names =
     [| "u"; "v"; "p"; "unew"; "vnew"; "pnew"; "uold"; "vold"; "pold";
@@ -390,9 +392,19 @@ let run_tmk ?trace ?(digest = false) ?plan cfg ({ m; n; steps; point_cost } as p
    on each side; the halos of the arrays a phase reads are refreshed by a
    ring exchange before the phase. *)
 
-let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
-  let sys = Mp.make cfg in
+(* Every processor must own a column: its halo exchange sends its edge
+   columns. The ceiling-width blocks fill from processor 0, so the last
+   processor is the first left without one (44 processors at n = 128). *)
+let run_mp ~version ~pack cfg ({ m; n; steps; point_cost } as prm) =
   let np = cfg.Dsm_sim.Config.nprocs in
+  let lo, hi = bounds n np (np - 1) in
+  if hi < lo then
+    invalid_arg
+      (Printf.sprintf
+         "shallow %s on %d processors leaves processor %d without any of \
+          the %d columns"
+         version np (np - 1) n);
+  let sys = Mp.make cfg in
   let results = Array.make np [||] in
   Mp.run sys (fun t ->
       let p = Mp.pid t in
@@ -473,10 +485,13 @@ let run_mp ~pack cfg ({ m; n; steps; point_cost } as prm) =
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:!err ()
 
-let run_pvm cfg prm = run_mp ~pack:(fun _ _ -> ()) cfg prm
+let pvm cfg ~size:prm ~behavior:() =
+  run_mp ~version:"pvm" ~pack:(fun _ _ -> ()) cfg prm
 
-let run_xhpf =
-  Some (fun cfg prm -> run_mp ~pack:(fun t e -> Hpf.charge_pack t e) cfg prm)
+let xhpf =
+  Some
+    (fun cfg ~size:prm ~behavior:() ->
+      run_mp ~version:"xhpf" ~pack:(fun t e -> Hpf.charge_pack t e) cfg prm)
 
 (* {1 Workload.S instance: sizes are the params records, no behavior
       knobs} *)
@@ -488,9 +503,3 @@ let sizes = [ ("large", large); ("small", small) ]
 let default_behavior = ()
 let knob_doc = []
 let with_knob = Workload.no_knobs ~workload:name
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior:() ~level ~async =
-  run_tmk ?trace ?digest ?plan cfg size ~level ~async
-
-let pvm cfg ~size ~behavior:() = run_pvm cfg size
-let xhpf = Option.map (fun f cfg ~size ~behavior:() -> f cfg size) run_xhpf

@@ -76,36 +76,10 @@ module type S = sig
       accesses; the KV cache's data-dependent control flow). *)
 end
 
-(* The concrete face the six paper kernels keep exporting alongside
-   {!S}: a [params] record with calibrated [large]/[small] instances and
-   direct (behavior-free) entry points. Tests and experiments that build
-   custom [params] literals pack kernels at this type; the KV cache does
-   not match it (its behavior is not part of [params]). *)
-module type KERNEL = sig
-  type params
-
-  val name : string
-  val large : params
-  val small : params
-  val size_name : params -> string
-  val seq_time_us : params -> float
-  val levels : App_common.opt_level list
-
-  val run_tmk :
-    ?trace:Dsm_trace.Sink.t ->
-    ?digest:bool ->
-    ?plan:Dsm_tmk.Proto_plan.t ->
-    Dsm_sim.Config.t ->
-    params ->
-    level:App_common.opt_level ->
-    async:bool ->
-    App_common.result
-
-  val run_pvm : Dsm_sim.Config.t -> params -> App_common.result
-
-  val run_xhpf :
-    (Dsm_sim.Config.t -> params -> App_common.result) option
-end
+(* Implementations bind [~size] to a plain variable and destructure it in
+   the body of [tmk]: a record pattern after an optional argument with a
+   default makes the compiler split the function, and every call through
+   [S] then allocates the intermediate closures. *)
 
 (* {1 Helpers for implementations} *)
 

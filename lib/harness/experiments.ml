@@ -2,10 +2,10 @@ open Dsm_apps.App_common
 module A = Dsm_apps.App_common
 module Stats = Dsm_sim.Stats
 
-(* Experiments that size their own data sets (custom [params] literals)
-   pack the kernels at their concrete face; everything behavior-knobbed
-   goes through {!Dsm_apps.Workload.S}. *)
-module type KERNEL = Dsm_apps.Workload.KERNEL
+module type S = Dsm_apps.Workload.S
+
+(* A paper kernel from the registry, by its registry name. *)
+let kernel name : (module S) = List.assoc name Dsm_apps.Registry.kernels
 
 let rule ppf n = Format.fprintf ppf "%s@." (String.make n '-')
 
@@ -139,7 +139,7 @@ let figure7 ppf apps =
 type sized_run =
   | Sized : {
       label : string;
-      app : (module KERNEL with type params = 'p);
+      app : (module S with type size = 'p and type behavior = unit);
       params : 'p;
     }
       -> sized_run
@@ -167,7 +167,7 @@ let scale_row ppf cfg ~procs (Sized { label; app; params }) =
   List.iter
     (fun (backend, bname) ->
       let c = { cfg with Dsm_sim.Config.nprocs = procs; backend } in
-      let r = App.run_tmk c params ~level:A.Base ~async:false in
+      let r = App.tmk c ~size:params ~behavior:() ~level:A.Base ~async:false in
       if r.A.max_err > 1e-6 then
         failwith (label ^ "/" ^ bname ^ ": wrong result");
       Format.fprintf ppf " %9.1f" (seq /. r.A.time_us);
@@ -288,32 +288,37 @@ let ablation ppf cfg =
   rule ppf 76;
   let time_of (r : A.result) = r.A.time_us /. 1e3 in
   let bytes_of (r : A.result) = float_of_int r.A.stats.Stats.bytes /. 1e6 in
+  let run name cfg ~level ~async =
+    let (module W) = kernel name in
+    W.tmk cfg ~size:(List.assoc "small" W.sizes) ~behavior:W.default_behavior
+      ~level ~async
+  in
   (* 1. barrier-time broadcast: Gauss sync+data merge *)
-  let on = Dsm_apps.Gauss.run_tmk cfg Dsm_apps.Gauss.small ~level:A.Sync_merge ~async:false in
+  let on = run "gauss" cfg ~level:A.Sync_merge ~async:false in
   let off =
-    Dsm_apps.Gauss.run_tmk
+    run "gauss"
       { cfg with Dsm_sim.Config.enable_bcast = false }
-      Dsm_apps.Gauss.small ~level:A.Sync_merge ~async:false
+      ~level:A.Sync_merge ~async:false
   in
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "barrier broadcast (Gauss small, sync+merge)" (time_of on) (time_of off);
   (* 2. supersede pruning: IS cons-elim data volume *)
-  let on = Dsm_apps.Is.run_tmk cfg Dsm_apps.Is.small ~level:A.Cons_elim ~async:true in
+  let on = run "is" cfg ~level:A.Cons_elim ~async:true in
   let off =
-    Dsm_apps.Is.run_tmk
+    run "is"
       { cfg with Dsm_sim.Config.enable_supersede = false }
-      Dsm_apps.Is.small ~level:A.Cons_elim ~async:true
+      ~level:A.Cons_elim ~async:true
   in
   Format.fprintf ppf "%-46s %10.1fMB %10.1fMB@."
     "WRITE_ALL supersede (IS small, data moved)" (bytes_of on) (bytes_of off);
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "WRITE_ALL supersede (IS small, time)" (time_of on) (time_of off);
   (* 3. hot-spot queueing: MGS base (single-producer fetch storms) *)
-  let on = Dsm_apps.Mgs.run_tmk cfg Dsm_apps.Mgs.small ~level:A.Base ~async:false in
+  let on = run "mgs" cfg ~level:A.Base ~async:false in
   let off =
-    Dsm_apps.Mgs.run_tmk
+    run "mgs"
       { cfg with Dsm_sim.Config.enable_hotspot_queueing = false }
-      Dsm_apps.Mgs.small ~level:A.Base ~async:false
+      ~level:A.Base ~async:false
   in
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "hot-spot queueing (MGS small, base)" (time_of on) (time_of off);
@@ -336,27 +341,16 @@ let backends ppf cfg =
   Format.fprintf ppf "%-10s %-10s %9s %9s %9s %9s %8s %8s@." "Application"
     "level" "msg lrc" "msg hlrc" "MB lrc" "MB hlrc" "sp lrc" "sp hlrc";
   rule ppf 86;
-  let apps : (string * (module KERNEL)) list =
-    [
-      ("Jacobi", (module Dsm_apps.Jacobi));
-      ("3D-FFT", (module Dsm_apps.Fft3d));
-      ("Shallow", (module Dsm_apps.Shallow));
-      ("IS", (module Dsm_apps.Is));
-      ("Gauss", (module Dsm_apps.Gauss));
-      ("MGS", (module Dsm_apps.Mgs));
-    ]
-  in
   List.iter
-    (fun (name, m) ->
-      let module App = (val m : KERNEL) in
-      let params = App.small in
-      let seq = App.seq_time_us params in
+    (fun (_, (module W : S)) ->
+      let name = W.name and size = List.assoc "small" W.sizes in
+      let seq = W.seq_time_us size in
       List.iter
         (fun level ->
           let run backend =
-            App.run_tmk
+            W.tmk
               { cfg with Config.backend }
-              params ~level ~async:true
+              ~size ~behavior:W.default_behavior ~level ~async:true
           in
           let rl = run Config.Lrc and rh = run Config.Hlrc in
           if rl.A.max_err > 1e-6 || rh.A.max_err > 1e-6 then
@@ -369,8 +363,8 @@ let backends ppf cfg =
             (A.opt_level_name level)
             rl.A.stats.Stats.messages rh.A.stats.Stats.messages (mb rl)
             (mb rh) (seq /. rl.A.time_us) (seq /. rh.A.time_us))
-        App.levels)
-    apps;
+        W.levels)
+    Dsm_apps.Registry.kernels;
   rule ppf 86
 
 (* The whole protocol family side by side: which consistency protocol
@@ -402,30 +396,19 @@ let protocol_matrix ppf cfg =
   List.iter (fun (_, n) -> Format.fprintf ppf " %8s" ("s." ^ n)) backends;
   Format.fprintf ppf "@.";
   rule ppf 112;
-  let apps : (string * (module KERNEL)) list =
-    [
-      ("Jacobi", (module Dsm_apps.Jacobi));
-      ("3D-FFT", (module Dsm_apps.Fft3d));
-      ("Shallow", (module Dsm_apps.Shallow));
-      ("IS", (module Dsm_apps.Is));
-      ("Gauss", (module Dsm_apps.Gauss));
-      ("MGS", (module Dsm_apps.Mgs));
-    ]
-  in
   List.iter
-    (fun (name, m) ->
-      let module App = (val m : KERNEL) in
-      let params = App.small in
-      let seq = App.seq_time_us params in
-      let best = List.fold_left (fun _ l -> l) A.Base App.levels in
+    (fun (_, (module W : S)) ->
+      let name = W.name and size = List.assoc "small" W.sizes in
+      let seq = W.seq_time_us size in
+      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
       List.iter
         (fun level ->
           let rs =
             List.map
               (fun (backend, bname) ->
                 let r =
-                  App.run_tmk { cfg with Config.backend } params ~level
-                    ~async:true
+                  W.tmk { cfg with Config.backend } ~size
+                    ~behavior:W.default_behavior ~level ~async:true
                 in
                 if r.A.max_err > 1e-6 then
                   failwith (name ^ "/" ^ bname ^ ": wrong result");
@@ -449,7 +432,7 @@ let protocol_matrix ppf cfg =
             sps;
           Format.fprintf ppf "@.")
         (List.sort_uniq compare [ A.Base; best ]))
-    apps;
+    Dsm_apps.Registry.kernels;
   rule ppf 112
 
 (* Drop-rate sweep over the unreliable transport: correctness must be
@@ -463,19 +446,10 @@ let faults ppf cfg =
   Format.fprintf ppf "%-12s %6s %12s %8s %8s %8s %8s@." "Application" "drop"
     "time(us)" "dropped" "timeout" "retrans" "dup";
   rule ppf 78;
-  let apps : (string * (module KERNEL)) list =
-    [
-      ("Jacobi", (module Dsm_apps.Jacobi));
-      ("3D-FFT", (module Dsm_apps.Fft3d));
-      ("Gauss", (module Dsm_apps.Gauss));
-      ("IS", (module Dsm_apps.Is));
-    ]
-  in
   List.iter
-    (fun (name, m) ->
-      let module App = (val m : KERNEL) in
-      let params = App.small in
-      let best = List.fold_left (fun _ l -> l) A.Base App.levels in
+    (fun (module W : S) ->
+      let name = W.name and size = List.assoc "small" W.sizes in
+      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
       List.iter
         (fun drop ->
           let faulty = drop > 0.0 in
@@ -489,7 +463,9 @@ let faults ppf cfg =
               net_seed = 1;
             }
           in
-          let r = App.run_tmk c params ~level:best ~async:true in
+          let r =
+            W.tmk c ~size ~behavior:W.default_behavior ~level:best ~async:true
+          in
           if r.A.max_err > 1e-6 then
             failwith (name ^ ": wrong result under faults");
           let s = r.A.stats in
@@ -497,7 +473,7 @@ let faults ppf cfg =
             r.A.time_us s.Stats.dropped s.Stats.timeouts s.Stats.retransmits
             s.Stats.duplicates)
         [ 0.0; 0.01; 0.05 ])
-    apps;
+    (List.map kernel [ "jacobi"; "fft3d"; "gauss"; "is" ]);
   rule ppf 78
 
 (* Availability vs overhead: what k-replicated homes cost when nothing
@@ -514,14 +490,6 @@ let availability ppf cfg =
     "Application" "config" "time(us)" "slow" "msgs" "bytes" "qwrite"
     "qread" "ckpt" "digest";
   rule ppf 100;
-  let apps : (string * (module KERNEL)) list =
-    [
-      ("Jacobi", (module Dsm_apps.Jacobi));
-      ("3D-FFT", (module Dsm_apps.Fft3d));
-      ("Gauss", (module Dsm_apps.Gauss));
-      ("IS", (module Dsm_apps.Is));
-    ]
-  in
   let crash = [ (1, 20000.0, 10000.0) ] in
   let rows =
     [
@@ -532,10 +500,9 @@ let availability ppf cfg =
     ]
   in
   List.iter
-    (fun (name, m) ->
-      let module App = (val m : KERNEL) in
-      let params = App.small in
-      let best = List.fold_left (fun _ l -> l) A.Base App.levels in
+    (fun (module W : S) ->
+      let name = W.name and size = List.assoc "small" W.sizes in
+      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
       let baseline = ref None in
       List.iter
         (fun (label, replicas, ckpt_every, crash) ->
@@ -549,7 +516,10 @@ let availability ppf cfg =
               crash;
             }
           in
-          let r = App.run_tmk ~digest:true c params ~level:best ~async:true in
+          let r =
+            W.tmk ~digest:true c ~size ~behavior:W.default_behavior
+              ~level:best ~async:true
+          in
           if r.A.max_err > 1e-6 then
             failwith (name ^ ": wrong result under " ^ label);
           let base_time, base_digest =
@@ -571,7 +541,7 @@ let availability ppf cfg =
             s.Stats.messages s.Stats.bytes s.Stats.quorum_writes
             s.Stats.quorum_reads s.Stats.ckpts "=")
         rows)
-    apps;
+    (List.map kernel [ "jacobi"; "fft3d"; "gauss"; "is" ]);
   rule ppf 100
 
 (* The sharded key-value/session cache: a latency-bound workload (the

@@ -1,15 +1,18 @@
 (* Modeled unreliable transport with a reliable-delivery layer on top.
 
-   Every protocol message of the DSM run-time and the message-passing
-   library is routed through here instead of calling the raw
-   {!Dsm_sim.Cluster} cost functions. The network below can drop,
-   duplicate, reorder (jitter) or delay message copies according to the
-   run's {!Plan}; the reliable layer recovers exactly-once in-order
-   delivery with sequence numbers, acknowledgements, timeout-driven
-   retransmission with exponential backoff, duplicate suppression and
-   per-flow resequencing, and charges every recovery cost (retransmit
-   wire time, timeout stalls, ack overhead) to the virtual clocks and the
-   per-processor {!Dsm_sim.Stats}.
+   The DSM run-time's sends and request/response exchanges (page and
+   diff fetches, lock requests, barrier arrivals, pushes, home flushes)
+   and every message of the message-passing library are routed through
+   here instead of calling the raw {!Dsm_sim.Cluster} cost functions;
+   the messages listed in the last modeling note below are not. The
+   network below can drop, duplicate, reorder (jitter) or delay message
+   copies according to the run's {!Plan}; the reliable layer recovers
+   exactly-once in-order delivery with sequence numbers,
+   acknowledgements, timeout-driven retransmission with exponential
+   backoff, duplicate suppression and per-flow resequencing, and charges
+   every recovery cost (retransmit wire time, timeout stalls, ack
+   overhead) to the virtual clocks and the per-processor
+   {!Dsm_sim.Stats}.
 
    Two properties the tests pin down:
 
@@ -33,7 +36,16 @@
      overhead) since it happens concurrently with its own progress.
    - In-order delivery per flow is modeled by flooring each delivery at
      the flow's previous delivery time (a reordered copy waits in the
-     resequencing buffer). *)
+     resequencing buffer).
+   - Some DSM messages are charged directly on the cluster (clocks and
+     statistics) and never cross this layer, so they are never dropped,
+     duplicated or jittered:
+     - barrier-departure notices ([Sync_ops.barrier]);
+     - lock forwards and grants ([Sync_ops.lock_acquire]);
+     - piggy-backed and asynchronous diff responses ([Protocol.move]);
+     - the barrier-time broadcast ([Fetch.answer_barrier]);
+     - invalidation acks ([Invalidate.ensure_excl]).
+     Under a lossy plan their cost is the reliable-network cost. *)
 
 module Config = Dsm_sim.Config
 module Cluster = Dsm_sim.Cluster
@@ -275,56 +287,3 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~service =
     ack t ~src:dst ~dst:src ~msg:sl.msg ~attempts:sl.attempts
   end);
   Prof.exit Prof.Net
-
-let bcast t ~src ~bytes =
-  Prof.enter Prof.Net;
-  let r =
-  if t.passthrough then Cluster.bcast t.cluster ~src ~bytes
-  else begin
-    let c = t.cluster.Cluster.cfg in
-    let n = Cluster.nprocs t.cluster in
-    let st = t.cluster.Cluster.stats.(src) in
-    st.Stats.messages <- st.Stats.messages + (n - 1);
-    st.Stats.bytes <- st.Stats.bytes + (bytes * (n - 1));
-    st.Stats.broadcasts <- st.Stats.broadcasts + 1;
-    let per_hop =
-      c.Config.msg_overhead_us
-      +. (c.Config.per_byte_us *. float_of_int bytes)
-      +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
-    in
-    let hops =
-      if c.Config.bcast_log_tree then
-        int_of_float (ceil (log (float_of_int n) /. log 2.0))
-      else n - 1
-    in
-    (* Model each of the root's tree hops as a reliable leg to that hop's
-       first receiver; faults on a hop delay every later hop (the tree
-       stages serialize at the root). [penalty] accumulates the extra
-       delay plus the root's retransmission CPU. *)
-    let penalty = ref 0.0 in
-    for h = 0 to hops - 1 do
-      let dst =
-        if c.Config.bcast_log_tree then (src + (1 lsl h)) mod n
-        else (src + h + 1) mod n
-      in
-      let xmit =
-        Cluster.time t.cluster src
-        +. !penalty
-        +. (float_of_int h *. per_hop)
-        +. c.Config.msg_overhead_us
-        +. (c.Config.per_byte_us *. float_of_int bytes)
-      in
-      let l = reliable_leg t ~src ~dst ~bytes ~xmit in
-      penalty :=
-        !penalty
-        +. (l.deliver -. (xmit +. c.Config.wire_latency_us))
-        +. float_of_int (l.attempts - 1) *. retransmit_cpu c ~bytes;
-      if l.dup then Cluster.charge t.cluster dst c.Config.msg_overhead_us;
-      ack t ~src ~dst ~msg:l.msg ~attempts:l.attempts
-    done;
-    Cluster.charge t.cluster src ((float_of_int hops *. per_hop) +. !penalty);
-    Cluster.time t.cluster src
-  end
-  in
-  Prof.exit Prof.Net;
-  r

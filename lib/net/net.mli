@@ -1,7 +1,7 @@
 (** Modeled unreliable transport with a reliable-delivery layer on top.
 
     Drop-in replacements for the {!Dsm_sim.Cluster} cost functions
-    ([send]/[rpc]/[bcast]) that route every message over a network which
+    ([send]/[rpc]) that route a message over a network which
     may drop, duplicate, delay or reorder copies according to the run's
     {!Plan}, and recover exactly-once in-order delivery with sequence
     numbers, acks, timeout + exponential-backoff retransmission,
@@ -14,7 +14,13 @@
     delegates directly to the corresponding [Cluster] function —
     bit-identical clocks, statistics and trace. All fault decisions come
     from a counter-based deterministic PRNG, so a faulty run is exactly
-    reproducible from [(config, seed)]. *)
+    reproducible from [(config, seed)].
+
+    Modeling approximation: not every DSM message crosses this layer.
+    Barrier-departure notices, lock forwards and grants, piggy-backed
+    and asynchronous diff responses, the barrier-time broadcast and
+    invalidation acks are charged directly on the cluster, so they are
+    never dropped, duplicated or jittered. *)
 
 type t
 
@@ -54,11 +60,6 @@ val rpc :
     requester's unblock time and charge the responder's CPU. Advances
     [src]'s virtual clock past the full roundtrip; does not suspend the
     calling fiber. *)
-
-val bcast : t -> src:int -> bytes:int -> float
-(** Binary-tree broadcast of [bytes] to all other processors; each tree
-    hop is its own reliable leg, so a fault on one hop delays that whole
-    subtree. Returns the root's completion time (virtual µs). *)
 
 (** {1 Exposed for tests} *)
 

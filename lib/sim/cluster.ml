@@ -89,26 +89,6 @@ let rpc t ~src ~dst ~req_bytes ~resp_bytes ~service =
     start +. handler_time +. c.Config.wire_latency_us
     +. c.Config.msg_overhead_us
 
-let bcast t ~src ~bytes =
-  let c = t.cfg in
-  let n = nprocs t in
-  let st = t.stats.(src) in
-  st.Stats.messages <- st.Stats.messages + (n - 1);
-  st.Stats.bytes <- st.Stats.bytes + (bytes * (n - 1));
-  st.Stats.broadcasts <- st.Stats.broadcasts + 1;
-  let per_hop =
-    c.Config.msg_overhead_us
-    +. (c.Config.per_byte_us *. float_of_int bytes)
-    +. c.Config.wire_latency_us +. c.Config.msg_overhead_us
-  in
-  let hops =
-    if c.Config.bcast_log_tree then
-      int_of_float (ceil (log (float_of_int n) /. log 2.0))
-    else n - 1
-  in
-  charge t src (float_of_int hops *. per_hop);
-  t.clocks.(src)
-
 let mm_op t p ~npages =
   let c = t.cfg in
   charge t p

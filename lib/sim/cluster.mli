@@ -2,8 +2,10 @@
     statistics, and the network cost model.
 
     All times are in microseconds of virtual time. Computation is charged
-    explicitly with {!charge}; communication with the [send]/[rpc]/[bcast]
-    cost functions, which update both clocks and statistics.
+    explicitly with {!charge}; point-to-point communication with the
+    [send]/[rpc] cost functions, which update both clocks and statistics
+    (replies and broadcasts the protocol models inline update them
+    directly).
 
     Request handlers (diff requests, lock grants) in the DSM run synchronously
     in simulation: the requester directly manipulates the target's state and
@@ -63,11 +65,6 @@ val rpc :
     the requester the full roundtrip and the target the interrupt-stolen
     handler time; counts two messages. With zero payloads and zero service
     this costs the paper's 365 us minimum roundtrip. *)
-
-val bcast : t -> src:int -> bytes:int -> float
-(** Broadcast from [src] to all other processors; returns the completion
-    time (arrival at the last receiver). Counts [nprocs-1] messages. Modeled
-    as a binomial tree when [cfg.bcast_log_tree]. *)
 
 val occupy : t -> int -> arrival:float -> handler_time:float -> float
 (** Claim a processor's request handler: returns the service start time,

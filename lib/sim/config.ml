@@ -55,7 +55,6 @@ type t = {
   wsync_scan_per_page_us : float;
   diff_service_us : float;
   notice_bytes : int;
-  bcast_log_tree : bool;
   enable_bcast : bool;
   enable_supersede : bool;
   enable_hotspot_queueing : bool;
@@ -104,7 +103,6 @@ let default =
     wsync_scan_per_page_us = 2.5;
     diff_service_us = 25.0;
     notice_bytes = 12;
-    bcast_log_tree = true;
     enable_bcast = true;
     enable_supersede = true;
     enable_hotspot_queueing = true;

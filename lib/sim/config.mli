@@ -73,8 +73,6 @@ type t = {
       (** fixed handler time to service a diff request, on top of per-byte
           response costs *)
   notice_bytes : int;  (** wire size of one write notice *)
-  bcast_log_tree : bool;
-      (** model broadcast as a binomial tree (true) or as sequential sends *)
   enable_bcast : bool;
       (** ablation: barrier-time broadcast detection in
           [Fetch_diffs_w_sync] (Section 3.2.1) *)

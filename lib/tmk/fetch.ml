@@ -252,9 +252,7 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
       pstats.Stats.bytes <- pstats.Stats.bytes + (bytes * (sys.nprocs - 1));
       pstats.Stats.broadcasts <- pstats.Stats.broadcasts + 1;
       let hops =
-        if cfg.Config.bcast_log_tree then
-          int_of_float (ceil (log (float_of_int sys.nprocs) /. log 2.0))
-        else sys.nprocs - 1
+        int_of_float (ceil (log (float_of_int sys.nprocs) /. log 2.0))
       in
       Cluster.charge sys.cluster p
         (float_of_int hops

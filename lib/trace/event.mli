@@ -156,6 +156,8 @@ val to_json : t -> string
 (** One-line JSON object (the [--trace out.jsonl] format of [dsm_run]). *)
 
 exception Parse_error of string
+(** The same exception as {!Dsm_util.Jflat.Parse_error}: lines are parsed
+    by that module, so a handler for either matches. *)
 
 val of_json : string -> t
 (** Parse one line of {!to_json} output back into an event.

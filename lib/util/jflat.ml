@@ -1,7 +1,6 @@
 (* Minimal parser for the flat one-line JSON objects this project writes
    itself: string, number, bool and int-list values, no nesting. Shared
-   by the protocol-plan loader; the trace event parser predates it and
-   keeps its own copy to stay self-contained. *)
+   by the protocol-plan loader and the trace event decoder. *)
 
 exception Parse_error of string
 
@@ -148,5 +147,11 @@ let str t k =
   match get t k with
   | Str s -> s
   | _ -> raise (Parse_error (Printf.sprintf "field %S: expected a string" k))
+
+let ints t k =
+  match get t k with
+  | Ints l -> l
+  | _ ->
+      raise (Parse_error (Printf.sprintf "field %S: expected an int array" k))
 
 let mem t k = List.mem_assoc k t

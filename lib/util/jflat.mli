@@ -3,8 +3,9 @@
     Handles exactly the shape this project's own file formats use — a
     single object of string, number, bool and flat int-array fields, no
     nesting — which is all the protocol-plan format ({!Dsm_tmk.Proto_plan})
-    needs. All accessors raise {!Parse_error} on missing fields or type
-    mismatches, carrying a message precise enough to show the user. *)
+    and the trace JSONL format ({!Dsm_trace.Event}) need. All accessors
+    raise {!Parse_error} on missing fields or type mismatches, carrying a
+    message precise enough to show the user. *)
 
 exception Parse_error of string
 
@@ -24,6 +25,7 @@ val num : t -> string -> float
 val int : t -> string -> int
 val bool : t -> string -> bool
 val str : t -> string -> string
+val ints : t -> string -> int list
 
 val mem : t -> string -> bool
 (** Field presence, for optional fields. *)

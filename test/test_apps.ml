@@ -8,13 +8,21 @@ open Dsm_apps.App_common
 
 let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs = 4 }
 
-let check_app name (module A : Dsm_apps.Workload.KERNEL) =
-  let params = A.small in
+(* A kernel's tmk version at its small data set. *)
+let tmk (module A : Dsm_apps.Workload.S) ~level ~async =
+  A.tmk cfg ~size:(List.assoc "small" A.sizes) ~behavior:A.default_behavior
+    ~level ~async
+
+let best_level (module A : Dsm_apps.Workload.S) =
+  List.fold_left (fun _ l -> l) Base A.levels
+
+let check_app name (module A : Dsm_apps.Workload.S) =
+  let size = List.assoc "small" A.sizes and behavior = A.default_behavior in
   List.iter
     (fun level ->
       List.iter
         (fun async ->
-          let r = A.run_tmk cfg params ~level ~async in
+          let r = A.tmk cfg ~size ~behavior ~level ~async in
           Alcotest.(check (float 1e-6))
             (Printf.sprintf "%s tmk %s %s" name (opt_level_name level)
                (if async then "async" else "sync"))
@@ -24,37 +32,32 @@ let check_app name (module A : Dsm_apps.Workload.KERNEL) =
             true (r.time_us > 0.0))
         [ false; true ])
     A.levels;
-  let r = A.run_pvm cfg params in
+  let r = A.pvm cfg ~size ~behavior in
   Alcotest.(check (float 1e-6)) (name ^ " pvm") 0.0 r.max_err;
-  match A.run_xhpf with
+  match A.xhpf with
   | Some f ->
-      let r = f cfg params in
+      let r = f cfg ~size ~behavior in
       Alcotest.(check (float 1e-6)) (name ^ " xhpf") 0.0 r.max_err
   | None -> ()
 
-let test_speedups_sane (module A : Dsm_apps.Workload.KERNEL) () =
+let test_speedups_sane (module A : Dsm_apps.Workload.S) () =
   (* parallel virtual time beats a processor count's worth of slowdown and
      never beats perfect speedup by more than rounding *)
-  let params = A.small in
-  let seq = A.seq_time_us params in
-  let r = A.run_tmk cfg params ~level:Base ~async:false in
+  let seq = A.seq_time_us (List.assoc "small" A.sizes) in
+  let r = tmk (module A) ~level:Base ~async:false in
   let s = seq /. r.time_us in
   Alcotest.(check bool) "0.2 <= speedup <= nprocs" true
     (s >= 0.2 && s <= float_of_int cfg.Dsm_sim.Config.nprocs +. 0.01)
 
-let test_opt_reduces_messages (module A : Dsm_apps.Workload.KERNEL) () =
-  let params = A.small in
-  let base = A.run_tmk cfg params ~level:Base ~async:false in
-  let best_level = List.fold_left (fun _ l -> l) Base A.levels in
-  let opt = A.run_tmk cfg params ~level:best_level ~async:true in
+let test_opt_reduces_messages app () =
+  let base = tmk app ~level:Base ~async:false in
+  let opt = tmk app ~level:(best_level app) ~async:true in
   Alcotest.(check bool) "fewer or equal messages" true
     (opt.stats.Dsm_sim.Stats.messages <= base.stats.Dsm_sim.Stats.messages)
 
-let test_opt_reduces_faults (module A : Dsm_apps.Workload.KERNEL) () =
-  let params = A.small in
-  let base = A.run_tmk cfg params ~level:Base ~async:false in
-  let best_level = List.fold_left (fun _ l -> l) Base A.levels in
-  let opt = A.run_tmk cfg params ~level:best_level ~async:true in
+let test_opt_reduces_faults app () =
+  let base = tmk app ~level:Base ~async:false in
+  let opt = tmk app ~level:(best_level app) ~async:true in
   Alcotest.(check bool) "fewer faults" true
     (opt.stats.Dsm_sim.Stats.segv < base.stats.Dsm_sim.Stats.segv)
 
@@ -88,7 +91,8 @@ let test_jacobi_frames_follow_touches () =
     done
   in
   let r =
-    Dsm_apps.Jacobi.run_tmk_inspect ~inspect cfg prm ~level:Base ~async:false
+    Dsm_apps.Jacobi.tmk_inspect ~inspect cfg ~size:prm ~behavior:() ~level:Base
+      ~async:false
   in
   Alcotest.(check (float 1e-6)) "jacobi correct" 0.0 r.max_err
 
@@ -98,23 +102,13 @@ let test_jacobi_frames_follow_touches () =
 let test_fft3d_mp_empty_slabs () =
   let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs = 32 } in
   let prm = Dsm_apps.Fft3d.small in
-  let r = Dsm_apps.Fft3d.run_pvm cfg prm in
+  let r = Dsm_apps.Fft3d.pvm cfg ~size:prm ~behavior:() in
   Alcotest.(check (float 1e-6)) "fft3d pvm at 32 procs" 0.0 r.max_err;
-  match Dsm_apps.Fft3d.run_xhpf with
+  match Dsm_apps.Fft3d.xhpf with
   | Some f ->
-      let r = f cfg prm in
+      let r = f cfg ~size:prm ~behavior:() in
       Alcotest.(check (float 1e-6)) "fft3d xhpf at 32 procs" 0.0 r.max_err
   | None -> Alcotest.fail "fft3d has an xhpf version"
-
-let apps : (string * (module Dsm_apps.Workload.KERNEL)) list =
-  [
-    ("jacobi", (module Dsm_apps.Jacobi));
-    ("fft3d", (module Dsm_apps.Fft3d));
-    ("shallow", (module Dsm_apps.Shallow));
-    ("is", (module Dsm_apps.Is));
-    ("gauss", (module Dsm_apps.Gauss));
-    ("mgs", (module Dsm_apps.Mgs));
-  ]
 
 let tests =
   List.concat_map
@@ -129,7 +123,7 @@ let tests =
         Alcotest.test_case (name ^ ": opt reduces faults") `Slow
           (test_opt_reduces_faults m);
       ])
-    apps
+    Dsm_apps.Registry.kernels
   @ [
       Alcotest.test_case "jacobi: frames only for touched columns" `Slow
         test_jacobi_frames_follow_touches;

@@ -70,32 +70,44 @@ let cases : case list =
     {
       app = "jacobi";
       levels = Dsm_apps.Jacobi.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Jacobi.run_tmk ?trace ?digest c jacobi_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Jacobi.tmk ?trace ?digest c ~size:jacobi_prm ~behavior:());
     };
     {
       app = "fft3d";
       levels = Dsm_apps.Fft3d.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Fft3d.run_tmk ?trace ?digest c fft3d_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Fft3d.tmk ?trace ?digest c ~size:fft3d_prm ~behavior:());
     };
     {
       app = "shallow";
       levels = Dsm_apps.Shallow.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Shallow.run_tmk ?trace ?digest c shallow_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Shallow.tmk ?trace ?digest c ~size:shallow_prm ~behavior:());
     };
     {
       app = "is";
       levels = Dsm_apps.Is.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Is.run_tmk ?trace ?digest c is_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Is.tmk ?trace ?digest c ~size:is_prm ~behavior:());
     };
     {
       app = "gauss";
       levels = Dsm_apps.Gauss.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Gauss.run_tmk ?trace ?digest c gauss_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Gauss.tmk ?trace ?digest c ~size:gauss_prm ~behavior:());
     };
     {
       app = "mgs";
       levels = Dsm_apps.Mgs.levels;
-      run = (fun ?trace ?digest c -> Dsm_apps.Mgs.run_tmk ?trace ?digest c mgs_prm);
+      run =
+        (fun ?trace ?digest c ->
+          Dsm_apps.Mgs.tmk ?trace ?digest c ~size:mgs_prm ~behavior:());
     };
   ]
 

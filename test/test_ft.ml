@@ -145,14 +145,16 @@ let runners =
       rname = "jacobi";
       rrun =
         (fun ?trace cfg ->
-          Dsm_apps.Jacobi.run_tmk ?trace ~digest:true cfg jacobi_prm
+          Dsm_apps.Jacobi.tmk ?trace ~digest:true cfg ~size:jacobi_prm
+            ~behavior:()
             ~level:Push_opt ~async:true);
     };
     {
       rname = "gauss";
       rrun =
         (fun ?trace cfg ->
-          Dsm_apps.Gauss.run_tmk ?trace ~digest:true cfg gauss_prm
+          Dsm_apps.Gauss.tmk ?trace ~digest:true cfg ~size:gauss_prm
+            ~behavior:()
             ~level:Push_opt ~async:true);
     };
   ]

@@ -57,11 +57,14 @@ let test_micro_prints () = Experiments.micro null Config.default
 
 let test_ablation_supersede () =
   (* turning supersede pruning off must increase IS's data volume *)
-  let on = Dsm_apps.Is.run_tmk cfg4 Dsm_apps.Is.small ~level:Cons_elim ~async:true in
+  let on =
+    Dsm_apps.Is.tmk cfg4 ~size:Dsm_apps.Is.small ~behavior:() ~level:Cons_elim
+      ~async:true
+  in
   let off =
-    Dsm_apps.Is.run_tmk
+    Dsm_apps.Is.tmk
       { cfg4 with Config.enable_supersede = false }
-      Dsm_apps.Is.small ~level:Cons_elim ~async:true
+      ~size:Dsm_apps.Is.small ~behavior:() ~level:Cons_elim ~async:true
   in
   Alcotest.(check (float 1e-6)) "still correct" 0.0 off.max_err;
   Alcotest.(check bool) "more data without pruning" true
@@ -70,9 +73,9 @@ let test_ablation_supersede () =
 let test_ablation_bcast () =
   (* without broadcast detection, no broadcasts happen and results hold *)
   let off =
-    Dsm_apps.Gauss.run_tmk
+    Dsm_apps.Gauss.tmk
       { cfg4 with Config.enable_bcast = false }
-      Dsm_apps.Gauss.small ~level:Sync_merge ~async:false
+      ~size:Dsm_apps.Gauss.small ~behavior:() ~level:Sync_merge ~async:false
   in
   Alcotest.(check (float 1e-6)) "still correct" 0.0 off.max_err;
   Alcotest.(check int) "no broadcasts" 0 off.stats.Dsm_sim.Stats.broadcasts
@@ -80,16 +83,20 @@ let test_ablation_bcast () =
 let test_ablation_queueing () =
   (* disabling hot-spot queueing only changes time, never results *)
   let off =
-    Dsm_apps.Mgs.run_tmk
+    Dsm_apps.Mgs.tmk
       { cfg4 with Config.enable_hotspot_queueing = false }
-      Dsm_apps.Mgs.small ~level:Base ~async:false
+      ~size:Dsm_apps.Mgs.small ~behavior:() ~level:Base ~async:false
   in
   Alcotest.(check (float 1e-6)) "still correct" 0.0 off.max_err
 
 let test_determinism () =
   (* identical runs produce identical virtual times and statistics *)
-  let r1 = Dsm_apps.Jacobi.run_tmk cfg4 Dsm_apps.Jacobi.small ~level:Push_opt ~async:true in
-  let r2 = Dsm_apps.Jacobi.run_tmk cfg4 Dsm_apps.Jacobi.small ~level:Push_opt ~async:true in
+  let run () =
+    Dsm_apps.Jacobi.tmk cfg4 ~size:Dsm_apps.Jacobi.small ~behavior:()
+      ~level:Push_opt ~async:true
+  in
+  let r1 = run () in
+  let r2 = run () in
   Alcotest.(check (float 0.0)) "same time" r1.time_us r2.time_us;
   Alcotest.(check int) "same messages" r1.stats.Dsm_sim.Stats.messages
     r2.stats.Dsm_sim.Stats.messages;
@@ -150,17 +157,17 @@ let test_level_spellings () =
   Alcotest.(check bool) "error lists the choices" true
     (contains text (Cli.level_error "sync-mrg"))
 
-(* A message-passing Jacobi whose block partition leaves a processor
-   without an interior column is a usage error naming --procs, not an
-   uncaught exception (cmdliner's exit 125). *)
-let test_jacobi_mp_procs_error () =
+(* A message-passing version whose block partition leaves a processor
+   without a column is a usage error naming --procs, not an uncaught
+   exception (cmdliner's exit 125). *)
+let test_mp_procs_error ~app ~version ~procs () =
   let out = Filename.temp_file "procs" ".txt" in
   let code =
     Sys.command
       (Printf.sprintf
-         "../bin/dsm_run.exe --app jacobi --size small --version pvm --procs \
-          511 > %s 2>&1"
-         (Filename.quote out))
+         "../bin/dsm_run.exe --app %s --size small --version %s --procs %d \
+          > %s 2>&1"
+         app version procs (Filename.quote out))
   in
   let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
@@ -174,7 +181,9 @@ let tests =
     Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
     Alcotest.test_case "cli: level spellings" `Quick test_level_spellings;
     Alcotest.test_case "cli: jacobi mp procs limit" `Quick
-      test_jacobi_mp_procs_error;
+      (test_mp_procs_error ~app:"jacobi" ~version:"pvm" ~procs:511);
+    Alcotest.test_case "cli: shallow mp procs limit" `Quick
+      (test_mp_procs_error ~app:"shallow" ~version:"pvm" ~procs:44);
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

@@ -92,23 +92,22 @@ let test_plan_validate () =
    fault-free Net: clocks, statistics and return values must be
    bit-identical, and the Net must emit no events. *)
 let test_passthrough_scripted () =
-  let script send rpc bcast =
+  let script send rpc =
     let r1 = send ~src:0 ~dst:1 ~bytes:4096 in
     rpc ~src:2 ~dst:1 ~req_bytes:16 ~resp_bytes:4096 ~service:25.0;
-    let r2 = bcast ~src:3 ~bytes:128 in
     rpc ~src:1 ~dst:0 ~req_bytes:0 ~resp_bytes:0 ~service:0.0;
-    let r3 = send ~src:0 ~dst:1 ~bytes:12 in
-    (r1, r2, r3)
+    let r2 = send ~src:0 ~dst:1 ~bytes:12 in
+    (r1, r2)
   in
   let raw = Cluster.create (cfg_n 8) in
-  let raw_r = script (Cluster.send raw) (Cluster.rpc raw) (Cluster.bcast raw) in
+  let raw_r = script (Cluster.send raw) (Cluster.rpc raw) in
   let c = Cluster.create (cfg_n 8) in
   let net = Net.create c in
   Alcotest.(check bool) "default plan is passthrough" true 
     (Plan.is_passthrough (Net.plan net));
   let sink = Sink.create ~nprocs:8 () in
   Net.set_trace net (Some sink);
-  let net_r = script (Net.send net) (Net.rpc net) (Net.bcast net) in
+  let net_r = script (Net.send net) (Net.rpc net) in
   Alcotest.(check bool) "return values identical" true (raw_r = net_r);
   Alcotest.(check bool) "clocks identical" true
     (Array.to_list raw.Cluster.clocks = Array.to_list c.Cluster.clocks);
@@ -125,7 +124,7 @@ let test_passthrough_scripted () =
 let test_passthrough_app () =
   let prm = { Dsm_apps.Jacobi.small with m = 128; iters = 3 } in
   let run cfg =
-    Dsm_apps.Jacobi.run_tmk cfg prm ~level:Sync_merge ~async:true
+    Dsm_apps.Jacobi.tmk cfg ~size:prm ~behavior:() ~level:Sync_merge ~async:true
   in
   let a = run (cfg_n 4)
   and b = run { (cfg_n 4) with Config.net_seed = 12345 } in
@@ -195,9 +194,13 @@ let test_inorder_delivery () =
 let last_level l = List.fold_left (fun _ x -> x) (List.hd l) l
 
 let fault_apps : (string * (Config.t -> ?trace:Sink.t -> unit -> result)) list =
-  let app (type p) (module A : Dsm_apps.Workload.KERNEL with type params = p) (prm : p) =
+  let app (type p)
+      (module A : Dsm_apps.Workload.S
+        with type size = p
+         and type behavior = unit) (prm : p) =
     fun cfg ?trace () ->
-      A.run_tmk ?trace cfg prm ~level:(last_level A.levels) ~async:true
+      A.tmk ?trace cfg ~size:prm ~behavior:() ~level:(last_level A.levels)
+        ~async:true
   in
   [
     ( "jacobi",
@@ -273,9 +276,9 @@ let test_backend_digest_self_identity () =
     (fun backend ->
       let name = Config.backend_name backend in
       let once () =
-        Dsm_apps.Gauss.run_tmk ~digest:true
+        Dsm_apps.Gauss.tmk ~digest:true
           { (faulty_cfg 4) with Config.backend = backend }
-          prm ~level:Sync_merge ~async:true
+          ~size:prm ~behavior:() ~level:Sync_merge ~async:true
       in
       let r0 = once ()
       and r1 = once () in

@@ -22,15 +22,9 @@ module A = Dsm_apps.App_common
 module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
 
-let apps : (string * (module Dsm_apps.Workload.KERNEL)) list =
-  [
-    ("jacobi", (module Dsm_apps.Jacobi));
-    ("fft3d", (module Dsm_apps.Fft3d));
-    ("shallow", (module Dsm_apps.Shallow));
-    ("is", (module Dsm_apps.Is));
-    ("gauss", (module Dsm_apps.Gauss));
-    ("mgs", (module Dsm_apps.Mgs));
-  ]
+(* [gen_case] draws an index into this list, so the registry's order is
+   part of the golden contract. *)
+let apps = Dsm_apps.Registry.kernels
 
 type case = {
   app : string;
@@ -47,7 +41,7 @@ type case = {
 let gen_case : case QCheck.Gen.t =
   let open QCheck.Gen in
   let* app_idx = int_bound (List.length apps - 1) in
-  let app, (module App : Dsm_apps.Workload.KERNEL) = List.nth apps app_idx in
+  let app, (module App : Dsm_apps.Workload.S) = List.nth apps app_idx in
   let* size = frequency [ (4, return "small"); (1, return "large") ] in
   let* procs = oneofl [ 1; 2; 4; 8 ] in
   let* level = oneofl App.levels in
@@ -60,8 +54,8 @@ let cases =
   List.init 22 (fun _ -> gen_case st)
 
 let run_case ?trace c =
-  let (module App : Dsm_apps.Workload.KERNEL) = List.assoc c.app apps in
-  let params = if c.size = "large" then App.large else App.small in
+  let (module App : Dsm_apps.Workload.S) = List.assoc c.app apps in
+  let size = List.assoc c.size App.sizes in
   let cfg =
     {
       Config.default with
@@ -72,7 +66,8 @@ let run_case ?trace c =
       net_seed = c.seed;
     }
   in
-  App.run_tmk ?trace cfg params ~level:c.level ~async:c.async
+  App.tmk ?trace cfg ~size ~behavior:App.default_behavior ~level:c.level
+    ~async:c.async
 
 let render_result (r : A.result) =
   let s = r.A.stats in
@@ -150,7 +145,7 @@ type bcase = { label : string; brun : unit -> A.result }
 
 let kernel_case ?(policy = Config.Home_block) ?(replicas = 1) ?(ckpt_every = 0)
     ?(crash = []) ?(drop = 0.0) ?(tag = "") backend app ~deepest =
-  let (module App : Dsm_apps.Workload.KERNEL) = List.assoc app apps in
+  let (module App : Dsm_apps.Workload.S) = List.assoc app apps in
   let level =
     if deepest then List.nth App.levels (List.length App.levels - 1) else A.Base
   in
@@ -173,7 +168,11 @@ let kernel_case ?(policy = Config.Home_block) ?(replicas = 1) ?(ckpt_every = 0)
     label =
       Printf.sprintf "%s%s %s small procs=4 level=%s async=%b"
         (Config.backend_name backend) tag app (A.opt_level_name level) deepest;
-    brun = (fun () -> App.run_tmk cfg App.small ~level ~async:deepest);
+    brun =
+      (fun () ->
+        App.tmk cfg
+          ~size:(List.assoc "small" App.sizes)
+          ~behavior:App.default_behavior ~level ~async:deepest);
   }
 
 let kv_case backend =

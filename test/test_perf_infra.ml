@@ -219,7 +219,7 @@ let test_gauss64_alloc_budget () =
   let cfg = { Config.default with Config.nprocs = 64 } in
   let before = Gc.minor_words () in
   let r =
-    Dsm_apps.Gauss.run_tmk cfg Dsm_apps.Gauss.small
+    Dsm_apps.Gauss.tmk cfg ~size:Dsm_apps.Gauss.small ~behavior:()
       ~level:Dsm_apps.App_common.Base ~async:false
   in
   let mw = (Gc.minor_words () -. before) /. 1e6 in
@@ -239,17 +239,17 @@ let kernel_budgets_mw =
     ( "jacobi",
       2.2,
       fun cfg ->
-        Dsm_apps.Jacobi.run_tmk cfg Dsm_apps.Jacobi.small
+        Dsm_apps.Jacobi.tmk cfg ~size:Dsm_apps.Jacobi.small ~behavior:()
           ~level:Dsm_apps.App_common.Base ~async:false );
     ( "gauss",
       5.6,
       fun cfg ->
-        Dsm_apps.Gauss.run_tmk cfg Dsm_apps.Gauss.small
+        Dsm_apps.Gauss.tmk cfg ~size:Dsm_apps.Gauss.small ~behavior:()
           ~level:Dsm_apps.App_common.Base ~async:false );
     ( "mgs",
       1.6,
       fun cfg ->
-        Dsm_apps.Mgs.run_tmk cfg Dsm_apps.Mgs.small
+        Dsm_apps.Mgs.tmk cfg ~size:Dsm_apps.Mgs.small ~behavior:()
           ~level:Dsm_apps.App_common.Base ~async:false );
   ]
 

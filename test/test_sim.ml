@@ -169,13 +169,6 @@ let test_mm_cost () =
   Alcotest.(check bool) "within published 18..800 range" true
     (t >= 18.0 && t <= 800.0)
 
-let test_bcast () =
-  let c = Cluster.create cfg in
-  ignore (Cluster.bcast c ~src:0 ~bytes:100);
-  Alcotest.(check int) "n-1 messages"
-    (cfg.Config.nprocs - 1)
-    c.Cluster.stats.(0).Dsm_sim.Stats.messages
-
 let test_vc () =
   let a = Vc.create 4
   and b = Vc.create 4 in
@@ -212,7 +205,6 @@ let tests =
     Alcotest.test_case "occupy: rpc hot-spot ordering" `Quick
       test_occupy_rpc_hotspot;
     Alcotest.test_case "mm cost range" `Quick test_mm_cost;
-    Alcotest.test_case "bcast" `Quick test_bcast;
     Alcotest.test_case "vector clocks" `Quick test_vc;
   ]
   @ [ QCheck_alcotest.to_alcotest qcheck_vc ]

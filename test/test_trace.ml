@@ -35,13 +35,18 @@ let check_clean name sink =
 let last l = List.fold_left (fun _ x -> x) (List.hd l) l
 
 let check_app_levels (type p)
-    (module A : Dsm_apps.Workload.KERNEL with type params = p) (prm : p) () =
+    (module A : Dsm_apps.Workload.S
+      with type size = p
+       and type behavior = unit) (prm : p) () =
   List.iter
     (fun nprocs ->
       List.iter
         (fun level ->
           let sink = Sink.create ~nprocs () in
-          let r = A.run_tmk ~trace:sink (cfg_n nprocs) prm ~level ~async:true in
+          let r =
+            A.tmk ~trace:sink (cfg_n nprocs) ~size:prm ~behavior:() ~level
+              ~async:true
+          in
           let name =
             Printf.sprintf "%s %s p%d" A.name (opt_level_name level) nprocs
           in
@@ -83,7 +88,7 @@ let is_prm =
 let test_trace_off_identical () =
   let run trace =
     let sink = if trace then Some (Sink.create ~nprocs:4 ()) else None in
-    Dsm_apps.Jacobi.run_tmk ?trace:sink (cfg_n 4) jacobi_prm
+    Dsm_apps.Jacobi.tmk ?trace:sink (cfg_n 4) ~size:jacobi_prm ~behavior:()
       ~level:Sync_merge ~async:true
   in
   let off = run false
@@ -140,8 +145,8 @@ let test_trace_repeatable () =
     let cfg = Config.default in
     let sink = Sink.create ~nprocs:cfg.Config.nprocs () in
     let r =
-      Dsm_apps.Jacobi.run_tmk ~trace:sink cfg Dsm_apps.Jacobi.small
-        ~level:Push_opt ~async:true
+      Dsm_apps.Jacobi.tmk ~trace:sink cfg ~size:Dsm_apps.Jacobi.small
+        ~behavior:() ~level:Push_opt ~async:true
     in
     (r, List.map Event.to_json (Sink.events sink))
   in
@@ -378,10 +383,20 @@ let test_parse_line_variants () =
       Alcotest.(check string) "kind name reported" "warp_speculate" k
   | Event.Event _ | Event.Malformed _ ->
       Alcotest.fail "unknown kind must be classified, not rejected");
-  match Event.parse_line (String.sub good_line 0 (String.length good_line / 2)) with
-  | Event.Malformed _ -> ()
-  | Event.Event _ | Event.Unknown_kind _ ->
-      Alcotest.fail "torn line must be malformed"
+  (* a torn write glued to the next record, or any other trailing input
+     after the object, is malformed too: accepting it would silently lose
+     the second event *)
+  List.iter
+    (fun (what, line) ->
+      match Event.parse_line line with
+      | Event.Malformed _ -> ()
+      | Event.Event _ | Event.Unknown_kind _ ->
+          Alcotest.failf "%s must be malformed" what)
+    [
+      ("torn line", String.sub good_line 0 (String.length good_line / 2));
+      ("glued line", good_line ^ good_line);
+      ("trailing garbage", good_line ^ " garbage");
+    ]
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -441,6 +456,93 @@ let test_load_jsonl_roundtrip () =
   in
   Alcotest.(check int) "no warnings" 0 (List.length l.Event.warnings);
   Alcotest.(check bool) "events round-trip" true (l.Event.events = evs)
+
+(* Mid-file, the glued line is a warning (so --strict-recheck fails the
+   load) and the lines around it still parse. *)
+let test_load_jsonl_glued_line () =
+  let contents =
+    String.concat "\n" [ good_line; good_line ^ good_line; good_line; "" ]
+  in
+  let l = load_tmp contents in
+  Alcotest.(check int) "whole lines kept" 2 (List.length l.Event.events);
+  (match l.Event.warnings with
+  | [ (line, msg) ] ->
+      Alcotest.(check int) "warning on line 2" 2 line;
+      Alcotest.(check bool)
+        "reported as malformed" true
+        (contains ~sub:"malformed line" msg)
+  | ws -> Alcotest.failf "expected exactly one warning, got %d" (List.length ws));
+  let path = write_tmp contents in
+  let code =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Sys.command
+          (Printf.sprintf
+             "../bin/dsm_run.exe --recheck %s --procs 2 --strict-recheck \
+              > /dev/null 2>&1"
+             (Filename.quote path)))
+  in
+  Alcotest.(check int) "--strict-recheck rejects the file" 124 code
+
+(* One sample of every event kind, with the corners the per-family cases
+   miss: a float field, a -1 owner and empty int lists. *)
+let every_kind =
+  Event.
+    [
+      Page_fault { page = 3; write = true; fetch = false };
+      Twin { page = 3 };
+      Diff_create { page = 3; seq = 2; bytes = 64; write_all = true };
+      Diff_fetch { writer = 1; page = 3; after = 0; upto = 2 };
+      Diff_apply { writer = 1; page = 3; order = 5; upto_seq = 2; bytes = 64 };
+      Fetch_done { page = 3; full = true };
+      Notice_send { seq = 2; pages = [] };
+      Notice_apply { writer = 1; seq = 2; page = 3; invalidated = true };
+      Barrier_arrive { epoch = 4 };
+      Barrier_depart { epoch = 4 };
+      Lock_request { lock = 0 };
+      Lock_grant { lock = 0; grantor = 1; notices = 0 };
+      Validate
+        { access = "WRITE_ALL"; npages = 2; async = true; w_sync = false };
+      Push_send { dst = 1; bytes = 128; seq = 2 };
+      Push_recv { src = 0; bytes = 128; seq = 2; pages = [ 3; 4 ] };
+      Push_rollback { page = 3; writer = 0; seq = 2 };
+      Broadcast { bytes = 4096; requesters = [] };
+      Home_flush { page = 3; home = 1; seq = 2; bytes = 64 };
+      Home_fetch { page = 3; home = 1; bytes = 4096 };
+      Inval_send { page = 3; dst = 1 };
+      Inval_ack { page = 3; writer = 0 };
+      Downgrade { page = 3; reader = 1 };
+      Proto_switch { page = 3; proto = "lrc"; owner = -1; epoch = 4 };
+      Plan_applied { lo_page = 0; hi_page = 7; proto = "hlrc"; owner = 2 };
+      Obj_region { base_page = 0; npages = 4; obj_size = 64; count = 256 };
+      Obj_skip { page = 3; slots = [] };
+      Crash { epoch = 4 };
+      Restart { epoch = 5; ckpt = 1 };
+      Suspect { peer = 1; attempts = 8 };
+      Quorum_write { page = 3; seq = 2; acks = [ 1; 2 ]; needed = 2 };
+      Quorum_read { page = 3; from = 2; acks = []; needed = 2 };
+      Ckpt { id = 1; ckpt_epoch = 4 };
+      Msg_drop { msg = 17; src = 0; dst = 1; attempt = 1 };
+      Msg_dup { msg = 17; src = 0; dst = 1 };
+      Retransmit { msg = 17; src = 0; dst = 1; attempt = 2 };
+      Timeout_fire
+        { msg = 17; src = 0; dst = 1; attempt = 1; backoff_us = 312.5 };
+      Ack { msg = 17; src = 0; dst = 1; attempts = 2 };
+    ]
+
+let test_every_kind_roundtrip () =
+  List.iter
+    (fun kind ->
+      let e = ev 7 1 3.25 [| 2; 5 |] kind in
+      Alcotest.(check bool)
+        (Event.kind_name kind ^ " round-trips")
+        true
+        (Event.of_json (Event.to_json e) = e))
+    every_kind;
+  let names = List.map Event.kind_name every_kind in
+  Alcotest.(check int) "kind names pairwise distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let test_checker_catches_moving_home () =
   let vs =
@@ -593,8 +695,8 @@ let test_phases () =
   let nprocs = 4 in
   let sink = Sink.create ~nprocs () in
   let r =
-    Dsm_apps.Jacobi.run_tmk ~trace:sink (cfg_n nprocs) jacobi_prm ~level:Base
-      ~async:false
+    Dsm_apps.Jacobi.tmk ~trace:sink (cfg_n nprocs) ~size:jacobi_prm
+      ~behavior:() ~level:Base ~async:false
   in
   Alcotest.(check (float 1e-6)) "verified" 0.0 r.max_err;
   let phases = Dsm_harness.Phases.of_events (Sink.events sink) in
@@ -837,4 +939,8 @@ let tests =
       test_tmk_failure_mid_barrier;
     Alcotest.test_case "repeated runs: identical trace" `Slow
       test_trace_repeatable;
+    Alcotest.test_case "load_jsonl warns on a glued line" `Quick
+      test_load_jsonl_glued_line;
+    Alcotest.test_case "every event kind: json round-trip" `Quick
+      test_every_kind_roundtrip;
   ]
