@@ -58,19 +58,27 @@ let make_result ~time_us ~stats ~max_err ?(digest = "") ?(homes = [])
 
 let combine_err a b = Float.max a (abs_float b)
 
-(* Memoization of each app's sequential reference solution. One process-
-   wide lock, held across the compute: the tables are tiny (a handful of
-   problem sizes), the compute is deterministic, and the harness fans
-   independent runs out across domains (Fanout), where an unlocked
-   Hashtbl.replace would race. *)
-let memo_lock = Mutex.create ()
-
+(* Memoization of each app's sequential reference solution: the tables
+   are tiny (a handful of problem sizes) and the compute is
+   deterministic. *)
 let memo tbl key compute =
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt tbl key with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          Hashtbl.replace tbl key v;
-          v)
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.replace tbl key v;
+      v
+
+(* Memoized references live as long as the process and are only read,
+   so they are kept outside the OCaml heap (see the interface). *)
+type floats =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let floats_of_array a =
+  Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
+
+let floats_of_columns cols = floats_of_array (Array.concat (Array.to_list cols))
+let ints_of_array a = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a
 

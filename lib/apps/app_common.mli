@@ -70,10 +70,30 @@ val combine_err : float -> float -> float
 
 val memo : ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
 (** [memo tbl key compute] returns the cached value for [key], computing
-    and caching it under a process-wide lock otherwise. Used for the
-    apps' sequential reference solutions, which are shared across runs —
-    including runs the harness fans out over several domains, where an
-    unlocked table would race. *)
+    and caching it otherwise. Used for the apps' sequential reference
+    solutions, which are shared across runs. *)
+
+(** {2 Off-heap references}
+
+    A memoized reference lives as long as the process and is only read,
+    so the apps keep it in a Bigarray, outside the OCaml heap. The major
+    GC lets garbage grow in proportion to the heap it manages: a
+    reference held there raises the peak heap of every later run by more
+    than its own size, by an amount that depends on where the
+    collector's cycles fall relative to the runs. *)
+
+type floats =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val floats_of_array : float array -> floats
+
+val floats_of_columns : float array array -> floats
+(** The columns laid end to end: with columns of [m] elements, column [j]
+    element [i] is at [(j * m) + i]. *)
+
+val ints_of_array : int array -> ints
 
 (** The informal [APP] module type that used to live here was replaced
     by the first-class {!Dsm_apps.Workload.S}, which splits [params]

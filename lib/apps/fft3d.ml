@@ -181,10 +181,11 @@ let seq_arrays { n; iters; _ } =
   done;
   x
 
-let seq_memo : (int * int, float array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int * int, floats) Hashtbl.t = Hashtbl.create 4
 
 let reference prm =
-  memo seq_memo (prm.n, prm.iters) (fun () -> seq_arrays prm)
+  memo seq_memo (prm.n, prm.iters) (fun () ->
+      floats_of_array (seq_arrays prm))
 
 (* virtual-time charges per iteration, per processor slab of width w *)
 let fft_phase_cost bf n cols =
@@ -398,7 +399,7 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
             for d0 = 0 to (2 * n) - 1 do
               err :=
                 combine_err !err
-                  (row.(d0) -. xref.(d0 + (2 * n * (i2 + (n * i3)))))
+                  (row.(d0) -. xref.{d0 + (2 * n * (i2 + (n * i3)))})
             done
           done
         done
@@ -563,7 +564,7 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
             err :=
               combine_err !err
                 (xs.(d0 + (2 * n * (i2 + (n * (i3 - qlo)))))
-                -. xref.(d0 + (2 * n * (i2 + (n * i3)))))
+                -. xref.{d0 + (2 * n * (i2 + (n * i3)))})
           done
         done
       done)

@@ -79,9 +79,10 @@ let seq_arrays { m; _ } =
   done;
   a
 
-let seq_memo : (int, float array array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int, floats) Hashtbl.t = Hashtbl.create 4
 
-let reference p = memo seq_memo p.m (fun () -> seq_arrays p)
+let reference p =
+  memo seq_memo p.m (fun () -> floats_of_columns (seq_arrays p))
 
 let seq_time_us { m; update_cost = u } =
   let t = ref 0.0 in
@@ -213,7 +214,7 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
         for j = 0 to m - 1 do
           Shm.F64_2.read_col t a j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. aref.(j).(i))
+            err := combine_err !err (col.(i) -. aref.{(j * m) + i})
           done
         done
       end);
@@ -292,7 +293,7 @@ let run_mp ~bcast cfg ({ m; update_cost = u } as prm) =
         (fun c col ->
           let j = (c * cfg.Dsm_sim.Config.nprocs) + p in
           for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. aref.(j).(i))
+            err := combine_err !err (col.(i) -. aref.{(j * m) + i})
           done)
         cols)
     results;

@@ -63,28 +63,39 @@ let seq_ranks { n_keys; n_buckets; _ } ~nprocs =
      earlier equal keys (deterministic per-processor tie-breaking) *)
   let chunk = n_keys / nprocs in
   let ranks = Array.make n_keys 0 in
+  let seen = Array.make n_buckets 0 in
   for p = 0 to nprocs - 1 do
-    let seen = Hashtbl.create 97 in
+    Array.fill seen 0 n_buckets 0;
     for i = p * chunk to ((p + 1) * chunk) - 1 do
       let v = key n_buckets i in
-      let prior = Option.value ~default:0 (Hashtbl.find_opt seen v) in
-      ranks.(i) <- rank_base.(v) + prior;
-      Hashtbl.replace seen v (prior + 1)
+      ranks.(i) <- rank_base.(v) + seen.(v);
+      seen.(v) <- seen.(v) + 1
     done
   done;
   ranks
 
-let seq_memo : (int * int * int, int array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int * int * int, ints) Hashtbl.t = Hashtbl.create 4
 
 let reference prm ~nprocs =
   memo seq_memo
     (prm.n_keys, prm.n_buckets, nprocs)
-    (fun () -> seq_ranks prm ~nprocs)
+    (fun () -> ints_of_array (seq_ranks prm ~nprocs))
 
 let seq_time_us { n_keys; n_buckets; reps; key_cost; bucket_cost } =
   float_of_int reps
   *. ((2.0 *. float_of_int n_keys *. key_cost)
      +. (2.0 *. float_of_int n_buckets *. bucket_cost))
+
+(* Rank the keys [lo, lo+chunk) of one processor, whose count of key [v]
+   is [priv.(v)]: a reverse scan hands each key the number of its equal
+   keys that come earlier, the same tie-breaking as {!seq_ranks}. Leaves
+   [priv] zeroed. *)
+let rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo ~chunk =
+  for i = lo + chunk - 1 downto lo do
+    let v = key n_buckets i in
+    priv.(v) <- priv.(v) - 1;
+    ranks.(i) <- rank_base.(v) + priv.(v)
+  done
 
 (* {1 TreadMarks versions} *)
 
@@ -177,13 +188,7 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
           acc := !acc + Shm.I64_1.get t bucket v
         done;
         Tmk.charge t (bucket_cost *. float_of_int n_buckets);
-        let seen = Hashtbl.create 97 in
-        for i = my_lo to my_lo + chunk - 1 do
-          let v = key n_buckets i in
-          let prior = Option.value ~default:0 (Hashtbl.find_opt seen v) in
-          ranks.(i) <- rank_base.(v) + prior;
-          Hashtbl.replace seen v (prior + 1)
-        done;
+        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~chunk;
         Tmk.charge t (key_cost *. float_of_int chunk);
         Tmk.barrier t
       done);
@@ -192,7 +197,7 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
   let rref = reference prm ~nprocs:np in
   let err = ref 0.0 in
   for i = 0 to n_keys - 1 do
-    err := combine_err !err (float_of_int (ranks.(i) - rref.(i)))
+    err := combine_err !err (float_of_int (ranks.(i) - rref.{i}))
   done;
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
@@ -277,19 +282,13 @@ let pvm cfg ~size:({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
           acc := !acc + int_of_float full.(v)
         done;
         Mp.charge t (bucket_cost *. float_of_int n_buckets);
-        let seen = Hashtbl.create 97 in
-        for i = my_lo to my_lo + chunk - 1 do
-          let v = key n_buckets i in
-          let prior = Option.value ~default:0 (Hashtbl.find_opt seen v) in
-          ranks.(i) <- rank_base.(v) + prior;
-          Hashtbl.replace seen v (prior + 1)
-        done;
+        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~chunk;
         Mp.charge t (key_cost *. float_of_int chunk)
       done);
   let rref = reference prm ~nprocs:np in
   let err = ref 0.0 in
   for i = 0 to n_keys - 1 do
-    err := combine_err !err (float_of_int (ranks.(i) - rref.(i)))
+    err := combine_err !err (float_of_int (ranks.(i) - rref.{i}))
   done;
   make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
     ~max_err:!err ()

@@ -63,9 +63,10 @@ let seq_arrays { m; iters; _ } =
   done;
   b
 
-let seq_memo : (int * int, float array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int * int, floats) Hashtbl.t = Hashtbl.create 4
 
-let reference p = memo seq_memo (p.m, p.iters) (fun () -> seq_arrays p)
+let reference p =
+  memo seq_memo (p.m, p.iters) (fun () -> floats_of_array (seq_arrays p))
 
 let seq_time_us { m; iters; update_cost; copy_cost } =
   let interior = float_of_int ((m - 2) * (m - 2)) in
@@ -170,7 +171,7 @@ let tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ~size:prm
         for j = 0 to m - 1 do
           Shm.F64_2.read_col t b j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. bref.((j * m) + i))
+            err := combine_err !err (col.(i) -. bref.{(j * m) + i})
           done
         done
       end);
@@ -232,7 +233,7 @@ let mp_err prm results =
     (fun (b, lo, hi) ->
       for j = lo to hi do
         for i = 0 to m - 1 do
-          err := combine_err !err (b.(j - lo + 1).(i) -. bref.((j * m) + i))
+          err := combine_err !err (b.(j - lo + 1).(i) -. bref.{(j * m) + i})
         done
       done)
     results;

@@ -229,8 +229,6 @@ let counts_memo : (int * int * int * int64 * int64, int array) Hashtbl.t =
   Hashtbl.create 8
 
 let reference e ~nprocs =
-  (* fetched outside the memo thunk: [memo]'s process-wide lock is not
-     reentrant, and [zipf_cdf] takes it too *)
   let cdf = zipf_cdf ~keys:e.e_keys ~theta:e.e_theta in
   memo counts_memo
     ( e.e_keys,

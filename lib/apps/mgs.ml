@@ -58,9 +58,10 @@ let seq_arrays { m; n; _ } =
   done;
   q
 
-let seq_memo : (int * int, float array array) Hashtbl.t = Hashtbl.create 4
+let seq_memo : (int * int, floats) Hashtbl.t = Hashtbl.create 4
 
-let reference p = memo seq_memo (p.m, p.n) (fun () -> seq_arrays p)
+let reference p =
+  memo seq_memo (p.m, p.n) (fun () -> floats_of_columns (seq_arrays p))
 
 let seq_time_us { m; n; dot_cost } =
   let t = ref 0.0 in
@@ -161,7 +162,7 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
         for j = 0 to n - 1 do
           Shm.F64_2.read_col t q j ~lo:0 ~len:m col;
           for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. qref.(j).(i))
+            err := combine_err !err (col.(i) -. qref.{(j * m) + i})
           done
         done
       end);
@@ -226,7 +227,7 @@ let run_mp ~bcast cfg ({ m; n; dot_cost } as prm) =
         (fun c col ->
           let j = (c * cfg.Dsm_sim.Config.nprocs) + p in
           for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. qref.(j).(i))
+            err := combine_err !err (col.(i) -. qref.{(j * m) + i})
           done)
         cols)
     results;

@@ -260,11 +260,12 @@ let seq_arrays { m; n; steps; _ } =
   done;
   data
 
-let seq_memo : (int * int * int, float array array array) Hashtbl.t =
-  Hashtbl.create 4
+let seq_memo : (int * int * int, floats) Hashtbl.t = Hashtbl.create 4
 
+(* array [a], column [j], row [i] at [(((a * n) + j) * m) + i] *)
 let reference prm =
-  memo seq_memo (prm.m, prm.n, prm.steps) (fun () -> seq_arrays prm)
+  memo seq_memo (prm.m, prm.n, prm.steps) (fun () ->
+      floats_of_columns (Array.concat (Array.to_list (seq_arrays prm))))
 
 let seq_time_us { m; n; steps; point_cost } =
   float_of_int steps *. 3.0 *. float_of_int (m * n) *. point_cost
@@ -375,7 +376,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
             for j = 0 to n - 1 do
               Shm.F64_2.read_col t arrs.(a) j ~lo:0 ~len:m col;
               for i = 0 to m - 1 do
-                err := combine_err !err (col.(i) -. dref.(a).(j).(i))
+                err :=
+                  combine_err !err
+                    (col.(i) -. dref.{(((a * n) + j) * m) + i})
               done
             done)
           [ iu; iv; ip ]
@@ -477,7 +480,8 @@ let run_mp ~version ~pack cfg ({ m; n; steps; point_cost } as prm) =
             for i = 0 to m - 1 do
               err :=
                 combine_err !err
-                  (res.(a).(j - jlo + 1).(i) -. dref.(a).(j).(i))
+                  (res.(a).(j - jlo + 1).(i)
+                  -. dref.{(((a * n) + j) * m) + i})
             done
           done)
         [ iu; iv; ip ])

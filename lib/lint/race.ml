@@ -162,7 +162,9 @@ let check prog ~nprocs =
             acc epoch
         in
         (* Across distinct regions of the same epoch (lock-separated
-           regions run concurrently). *)
+           regions run concurrently): the earlier region's accesses
+           against the later one's writes, and the later region's reads
+           against the earlier one's writes. *)
         let rec pairs acc = function
           | [] -> acc
           | r1 :: rest ->
@@ -176,7 +178,9 @@ let check prog ~nprocs =
                           List.fold_left
                             (fun acc q ->
                               if q = p then acc
-                              else check_pair ctx ~ww:true r1 r2 ~p ~q acc)
+                              else
+                                check_pair ctx ~ww:true r1 r2 ~p ~q acc
+                                |> check_pair ctx ~ww:false r2 r1 ~p ~q)
                             acc procs)
                         acc procs)
                   acc rest

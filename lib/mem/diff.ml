@@ -96,12 +96,33 @@ let full page = one_seg ~off:0 (Bytes.copy page)
 let of_range page ~off ~len =
   if len <= 0 then empty else one_seg ~off (Bytes.sub page off len)
 
+external unsafe_set_64 : Bytes.t -> int -> int64 -> unit
+  = "%caml_bytes_set64u"
+
+(* A diff's segments are ascending and disjoint, so the last one ends
+   furthest: checking it first leaves [dst] untouched when the diff does
+   not fit. Each segment is still bounds-checked before its unchecked
+   copy. Most segments are one or two words (IS's bucket counts change in
+   their low words only), so those are moved with a single load and store
+   instead of a [Bytes.blit] call. *)
 let apply t dst =
+  let n = nsegments t in
+  let dlen = Bytes.length dst in
+  if n > 0 && seg_off t (n - 1) > dlen - seg_len t (n - 1) then
+    invalid_arg "Bytes.blit";
   Prof.enter Prof.Diff_apply;
+  let data = t.data in
   let pos = ref 0 in
-  for i = 0 to nsegments t - 1 do
-    let len = seg_len t i in
-    Bytes.blit t.data !pos dst (seg_off t i) len;
+  for i = 0 to n - 1 do
+    let off = seg_off t i and len = seg_len t i in
+    if off < 0 || len < 0 || off > dlen - len then begin
+      Prof.exit Prof.Diff_apply;
+      invalid_arg "Bytes.blit"
+    end;
+    (match len with
+    | 4 -> set_32 dst off (get_32 data !pos)
+    | 8 -> unsafe_set_64 dst off (unsafe_get_64 data !pos)
+    | _ -> Bytes.blit data !pos dst off len);
     pos := !pos + len
   done;
   Prof.exit Prof.Diff_apply
@@ -154,6 +175,15 @@ let merge older newer ~page_size =
   end
 
 let size_bytes t = Bytes.length t.data
+
+let segments t =
+  let acc = ref [] and pos = ref 0 in
+  for i = 0 to nsegments t - 1 do
+    let len = seg_len t i in
+    acc := (seg_off t i, Bytes.sub_string t.data !pos len) :: !acc;
+    pos := !pos + len
+  done;
+  List.rev !acc
 
 let covers_page t ~page_size =
   nsegments t = 1 && seg_off t 0 = 0 && seg_len t 0 = page_size

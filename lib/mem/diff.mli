@@ -26,7 +26,9 @@ val of_range : Bytes.t -> off:int -> len:int -> t
 (** A diff carrying the page subrange [\[off, off+len)] verbatim. *)
 
 val apply : t -> Bytes.t -> unit
-(** Overlay the segments onto the destination page. *)
+(** Overlay the segments onto the destination page. Raises
+    [Invalid_argument] and leaves the page untouched when a segment
+    falls outside it. *)
 
 val merge : t -> t -> page_size:int -> t
 (** [merge older newer ~page_size]: a diff equivalent to applying [older]
@@ -36,6 +38,10 @@ val size_bytes : t -> int
 (** Payload bytes (what a diff message carries). *)
 
 val nsegments : t -> int
+
+val segments : t -> (int * string) list
+(** The (offset, payload) segments, ascending by offset. *)
+
 val covers_page : t -> page_size:int -> bool
 (** Whether the diff overwrites every byte of the page. *)
 

@@ -1,7 +1,9 @@
 (** Global repository of diffs and write notices.
 
     The store holds, per (writer, page), the list of intervals in which the
-    writer modified the page, with the corresponding diffs. Diffs are created
+    writer modified the page, with the corresponding diffs. It is indexed
+    by page: each page keeps its writers' records in an array sorted by
+    writer. Diffs are created
     eagerly at a release (see DESIGN.md: the eager-diffing LRC variant) and
     fetched lazily on access misses or through the augmented [Validate]
     interface.
@@ -57,9 +59,18 @@ val note_applied : t -> writer:int -> page:int -> by:int -> seq:int -> unit
     [seq] for [page]; enables payload coalescing. *)
 
 val writers_of_page : t -> page:int -> int list
+(** Every writer that stored a diff for the page, ascending. *)
+
+val single_writer : t -> page:int -> writer:int -> bool
+(** Whether [writer] is the only writer that stored a diff for the page. *)
 
 val latest_vcsum : t -> writer:int -> page:int -> int option
 (** Vector-clock sum of the writer's most recent stored diff for the page. *)
+
+val latest_writer : t -> page:int -> int list -> int
+(** Among [writers] (ascending), the first whose most recent stored diff
+    for the page has the largest {!latest_vcsum}; [-1] when none stored
+    one. *)
 
 val latest_full_page : t -> writer:int -> page:int -> (int * int) option
 (** [(vcsum, seq)] of the writer's most recent diff when that diff

@@ -395,22 +395,23 @@ let await st page arrival =
   in
   Hashtbl.replace st.pending_async page (Float.max prev arrival)
 
+(* One data message [r.peer] sends at [at], its sending cost stolen from
+   the peer's cpu; returns the arrival at the requester. *)
+let answer_at sys r at bytes =
+  let cfg = sys.cluster.Cluster.cfg in
+  let qstats = sys.cluster.Cluster.stats.(r.peer) in
+  qstats.Stats.messages <- qstats.Stats.messages + 1;
+  qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
+  Cluster.charge sys.cluster r.peer
+    (cfg.Config.msg_overhead_us
+    +. (cfg.Config.per_byte_us *. float_of_int bytes));
+  at
+  +. (cfg.Config.per_byte_us *. float_of_int bytes)
+  +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+
 let move sys p mode r =
   let cfg = sys.cluster.Cluster.cfg in
   let resp_bytes = r.data + r.hdr in
-  (* one data message the peer sends at [at], its sending cost stolen from
-     the peer's cpu; returns the arrival at [p] *)
-  let answer_at at bytes =
-    let qstats = sys.cluster.Cluster.stats.(r.peer) in
-    qstats.Stats.messages <- qstats.Stats.messages + 1;
-    qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
-    Cluster.charge sys.cluster r.peer
-      (cfg.Config.msg_overhead_us
-      +. (cfg.Config.per_byte_us *. float_of_int bytes));
-    at
-    +. (cfg.Config.per_byte_us *. float_of_int bytes)
-    +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
-  in
   match mode with
   | Rpc ->
       Net.rpc sys.net ~src:p ~dst:r.peer ~req_bytes:(16 * r.nreq) ~resp_bytes
@@ -421,7 +422,7 @@ let move sys p mode r =
   | Piggyback at ->
       Cluster.charge sys.cluster r.peer r.mat;
       if resp_bytes > 0 then
-        Cluster.sync_clock sys.cluster p (answer_at at resp_bytes)
+        Cluster.sync_clock sys.cluster p (answer_at sys r at resp_bytes)
   | Async ->
       let arrival_at_peer =
         Net.send sys.net ~src:p ~dst:r.peer ~bytes:(16 * r.nreq)
@@ -449,7 +450,7 @@ let move sys p mode r =
          carries the payload only — no per-diff framing, and the
          materialization it triggered is not charged *)
       if r.data > 0 then begin
-        let arrival = answer_at at r.data in
+        let arrival = answer_at sys r at r.data in
         List.iter (fun page -> await sys.states.(p) page arrival) r.pages
       end
 
@@ -465,18 +466,21 @@ let transfer sys p mode groups ~respond ~install =
     groups
 
 (* Apply diff units to a copy and its twin in happens-before order;
-   [each] sees every unit first. *)
+   [each] sees every unit first. The sort is stable: units of equal order
+   are applied in list order. *)
 let apply_units ?(each = ignore) pg units =
-  List.iter
+  let units = Array.of_list units in
+  Array.stable_sort
+    (fun a b -> compare a.Diff_store.order b.Diff_store.order)
+    units;
+  Array.iter
     (fun u ->
       each u;
       Diff.apply u.Diff_store.payload pg.Page_table.data;
       match pg.Page_table.twin with
       | Some twin -> Diff.apply u.Diff_store.payload twin
       | None -> ())
-    (List.sort
-       (fun a b -> compare a.Diff_store.order b.Diff_store.order)
-       units)
+    units
 
 (* [p]'s copy of [page] was just made current: raise every applied
    watermark to the known one and tell the diff store. [restate] also
@@ -494,11 +498,13 @@ let mark_current ?(restate = false) sys p page =
 
 (* {1 The homeless policy: per-writer diffs} *)
 
-(* Compute which writers' diffs [p] is missing for [pages], materialize the
-   pending lazy diffs (recording the cost per writer), and apply supersede
-   pruning. Shared by the synchronous, piggy-backed and asynchronous fetch
-   paths. [only_via r] restricts to diffs processor [r] holds locally (its
-   own, or ones it has applied). *)
+(* Compute which writers' diffs [p] is missing for [pages] (ascending,
+   distinct), materialize the pending lazy diffs, and apply supersede
+   pruning. Returns one [(writer, requests, materialization cost)] group
+   per writer, each request a [(page, after, upto)] triple. Shared by the
+   synchronous, piggy-backed and asynchronous fetch paths. [only_via r]
+   restricts to diffs processor [r] holds locally (its own, or ones it has
+   applied). *)
 let gather_needs sys p pages ?only_via () =
   let st = sys.states.(p) in
   let by_writer : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 8 in
@@ -553,20 +559,12 @@ let gather_needs sys p pages ?only_via () =
             || not sys.cluster.Cluster.cfg.Config.enable_supersede
           then !needed
           else begin
-            let best = ref None in
-            List.iter
-              (fun q ->
-                match Diff_store.latest_vcsum sys.store ~writer:q ~page with
-                | Some v -> (
-                    match !best with
-                    | Some (_, bv) when bv >= v -> ()
-                    | _ -> best := Some (q, v))
-                | None -> ())
-              !needed;
-            match !best with
-            | Some (qstar, _)
-              when Diff_store.latest_full_page sys.store ~writer:qstar ~page
-                   <> None ->
+            let qstar = Diff_store.latest_writer sys.store ~page !needed in
+            if
+              qstar >= 0
+              && Diff_store.latest_full_page sys.store ~writer:qstar ~page
+                 <> None
+            then begin
                 List.iter
                   (fun q ->
                     if q <> qstar then begin
@@ -587,7 +585,8 @@ let gather_needs sys p pages ?only_via () =
                     end)
                   !needed;
                 [ qstar ]
-            | _ -> !needed
+            end
+            else !needed
           end
         in
         List.iter
@@ -597,95 +596,149 @@ let gather_needs sys p pages ?only_via () =
               ((page, Wmap.get m.applied q, Wmap.get m.known q) :: prev))
           chosen
       end)
-    (List.sort_uniq compare pages);
-  (by_writer, mat_costs)
+    pages;
+  (* writers in the table's iteration order *)
+  Hashtbl.fold
+    (fun q reqs acc ->
+      let mat =
+        match Hashtbl.find_opt mat_costs q with Some c -> !c | None -> 0.0
+      in
+      (q, reqs, mat) :: acc)
+    by_writer []
+  |> List.rev
+
+(* The order in which [Hashtbl.iter] visits [n] distinct int keys that a
+   fresh [Hashtbl.create 8] received through [replace], the [i]th inserted
+   being [key i]: ascending bucket (the key's [Hashtbl.hash] masked to the
+   table size, which starts at 16 and doubles whenever the table holds
+   more than twice as many keys), newest first within a bucket. Returns
+   the insertion indices in that order. *)
+let hashtbl_order n key =
+  let size = ref 16 in
+  while n > 2 * !size do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let bucket = Array.init n (fun i -> Hashtbl.hash (key i) land mask) in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = compare bucket.(i) bucket.(j) in
+      if c <> 0 then c else compare j i)
+    order;
+  order
 
 (* Fetch every missing diff for [pages], one response per writer (the
    communication-aggregation optimization uses a many-page [pages] list;
    the base run-time passes the single faulting page). Unless [mode] leaves
    the work to the fault handler, the units are then applied page by page
-   in happens-before order. *)
+   in happens-before order.
+
+   Each page's units are consed onto one list as the responses come in,
+   so a later writer's units lie in front. A writer's own units never tie
+   in order and [apply_units] sorts stably, so units of equal order from
+   different writers apply later writer first. Pages are applied in the
+   order [hashtbl_order] gives for them in order of first response: the
+   order of the page-keyed table earlier versions kept, so that traces
+   stay comparable. *)
 let fetch sys p pages ~mode ?only_via () =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let pstats = sys.cluster.Cluster.stats.(p) in
   let cfg = sys.cluster.Cluster.cfg in
   let now = not (is_async mode) in
-  let by_writer, mat_costs = gather_needs sys p pages ?only_via () in
-  let units_by_page : (int, Diff_store.unit_to_apply list ref) Hashtbl.t =
-    Hashtbl.create 8
+  let pages = List.sort_uniq compare pages in
+  let groups = gather_needs sys p pages ?only_via () in
+  let page_of = Array.of_list pages in
+  let npages = Array.length page_of in
+  let index page =
+    let lo = ref 0 and hi = ref (npages - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if page_of.(mid) < page then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
+  (* per page: its units so far, and the rank at which a response first
+     answered it (-1 while none has) *)
+  let units = Array.make npages [] in
+  let rank = Array.make npages (-1) in
+  let answered = ref 0 in
   let applied_bytes = ref 0 in
-  let respond (q, reqs) =
-    let total_bytes = ref 0
-    and total_ndiffs = ref 0 in
-    List.iter
-      (fun (page, after, upto) ->
-        let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
-        total_bytes := !total_bytes + r.Diff_store.charge_bytes;
-        total_ndiffs := !total_ndiffs + r.Diff_store.ndiffs;
-        if now then begin
-          let cell =
-            match Hashtbl.find_opt units_by_page page with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace units_by_page page l;
-                l
-          in
-          cell := r.Diff_store.units @ !cell;
-          let m = meta st page in
-          let high =
-            List.fold_left
-              (fun acc u -> max acc u.Diff_store.upto_seq)
-              upto r.Diff_store.units
-          in
-          if sys.trace <> None then
-            emit sys p
-              (Dsm_trace.Event.Diff_fetch
-                 { writer = q; page; after; upto = high });
-          Wmap.set m.applied q (max (Wmap.get m.applied q) high);
-          Diff_store.note_applied sys.store ~writer:q ~page ~by:p
-            ~seq:(Wmap.get m.applied q)
-        end)
-      reqs;
-    if now then begin
-      applied_bytes := !applied_bytes + !total_bytes;
-      pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + !total_ndiffs;
-      pstats.Stats.diff_bytes_applied <-
-        pstats.Stats.diff_bytes_applied + !total_bytes
+  let install q (page, after, upto) (r : Diff_store.fetch_result) =
+    let i = index page in
+    if rank.(i) < 0 then begin
+      rank.(i) <- !answered;
+      incr answered
     end;
+    units.(i) <- List.rev_append r.Diff_store.units units.(i);
+    let m = meta st page in
+    let high =
+      List.fold_left
+        (fun acc u -> max acc u.Diff_store.upto_seq)
+        upto r.Diff_store.units
+    in
+    if sys.trace <> None then
+      emit sys p
+        (Dsm_trace.Event.Diff_fetch { writer = q; page; after; upto = high });
+    Wmap.set m.applied q (max (Wmap.get m.applied q) high);
+    Diff_store.note_applied sys.store ~writer:q ~page ~by:p
+      ~seq:(Wmap.get m.applied q)
+  in
+  let rec serve q bytes ndiffs = function
+    | [] ->
+        if now then begin
+          applied_bytes := !applied_bytes + bytes;
+          pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + ndiffs;
+          pstats.Stats.diff_bytes_applied <-
+            pstats.Stats.diff_bytes_applied + bytes
+        end;
+        (bytes, ndiffs)
+    | ((page, after, upto) as req) :: rest ->
+        let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
+        if now then install q req r;
+        serve q
+          (bytes + r.Diff_store.charge_bytes)
+          (ndiffs + r.Diff_store.ndiffs)
+          rest
+  in
+  let respond (q, reqs, mat) =
+    let data, ndiffs = serve q 0 0 reqs in
     {
       peer = q;
       pages = List.map (fun (page, _, _) -> page) reqs;
       nreq = List.length reqs;
-      data = !total_bytes;
-      hdr = 8 * !total_ndiffs;
-      ndiffs = !total_ndiffs;
-      mat = (match Hashtbl.find_opt mat_costs q with Some c -> !c | None -> 0.0);
+      data;
+      hdr = 8 * ndiffs;
+      ndiffs;
+      mat;
     }
   in
-  (* writers in the table's iteration order *)
-  transfer sys p mode
-    (List.rev (Hashtbl.fold (fun q reqs acc -> (q, reqs) :: acc) by_writer []))
-    ~respond ~install:ignore;
+  transfer sys p mode groups ~respond ~install:ignore;
   if now then begin
-    Hashtbl.iter
-      (fun page units ->
-        apply_units
-          ~each:(fun u ->
-            if sys.trace <> None then
-              emit sys p
-                (Dsm_trace.Event.Diff_apply
-                   {
-                     writer = u.Diff_store.writer;
-                     page;
-                     order = u.Diff_store.order;
-                     upto_seq = u.Diff_store.upto_seq;
-                     bytes = Diff.size_bytes u.Diff_store.payload;
-                   }))
-          (Page_table.get st.pt page) !units)
-      units_by_page;
+    let by_rank = Array.make !answered 0 in
+    Array.iteri (fun i k -> if k >= 0 then by_rank.(k) <- i) rank;
+    Array.iter
+      (fun k ->
+        let i = by_rank.(k) in
+        let page = page_of.(i) in
+        let each =
+          if sys.trace = None then None
+          else
+            Some
+              (fun u ->
+                emit sys p
+                  (Dsm_trace.Event.Diff_apply
+                     {
+                       writer = u.Diff_store.writer;
+                       page;
+                       order = u.Diff_store.order;
+                       upto_seq = u.Diff_store.upto_seq;
+                       bytes = Diff.size_bytes u.Diff_store.payload;
+                     }))
+        in
+        apply_units ?each (Page_table.get st.pt page) units.(i))
+      (hashtbl_order !answered (fun k -> page_of.(by_rank.(k))));
     Cluster.charge sys.cluster p
       (cfg.Config.diff_apply_per_byte_us *. float_of_int !applied_bytes);
     (* an object-granularity page whose copy is fully current again sheds
@@ -704,13 +757,13 @@ let fetch sys p pages ~mode ?only_via () =
                        m.known)
                 then m.ob_stale <- Pset.empty
             | _ -> ())
-        (List.sort_uniq compare pages);
+        pages;
     if sys.trace <> None then
       List.iter
         (fun page ->
           emit sys p
             (Dsm_trace.Event.Fetch_done { page; full = only_via = None }))
-        (List.sort_uniq compare pages)
+        pages
   end;
   Prof.exit Prof.Protocol
 

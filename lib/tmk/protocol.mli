@@ -112,12 +112,19 @@ val transfer :
 
 val apply_units : ?each:(Diff_store.unit_to_apply -> unit) ->
   Dsm_mem.Page_table.page -> Diff_store.unit_to_apply list -> unit
-(** Apply diff units to a copy and its twin in happens-before order. *)
+(** Apply diff units to a copy and its twin in happens-before order
+    (a stable sort by [order]: ties apply in list order). *)
 
 val mark_current : ?restate:bool -> system -> int -> int -> unit
 (** [mark_current sys p page]: [p]'s copy was just made current — raise its
     applied watermarks to the known ones and tell the diff store;
     [restate] also restates the watermarks that did not move. *)
+
+val hashtbl_order : int -> (int -> int) -> int array
+(** [hashtbl_order n key]: the order in which [Hashtbl.iter] visits [n]
+    distinct int keys that a fresh [Hashtbl.create 8] received through
+    [Hashtbl.replace], the [i]th inserted being [key i], as insertion
+    indices. {!fetch} applies its pages in this order. *)
 
 val fetch :
   system -> int -> int list -> mode:mode -> ?only_via:int -> unit -> unit

@@ -68,6 +68,7 @@ let make ?plan cfg =
         bcast_plan = None;
       };
     pushbox = Hashtbl.create 64;
+    push_ranges = [];
     page_size = cfg.Config.page_size;
     page_shift =
       (let ps = cfg.Config.page_size in

@@ -187,6 +187,12 @@ type system = {
   locks : (int, lock) Hashtbl.t;
   barrier : barrier;
   pushbox : (int * int, push_msg) Hashtbl.t;  (* (src, dst) *)
+  mutable push_ranges : (Dsm_rsd.Section.t list array * Dsm_rsd.Range.t array) list;
+      (* {!Validate.push}'s per-processor section arrays, each with its
+         normalized byte ranges: every processor of a push epoch passes
+         the same arrays, so each is normalized once, not once per
+         sender. Keyed by a copy of the array, compared element-wise by
+         physical equality; the most recent few are kept *)
   page_size : int;
   page_shift : int;
       (* log2 page_size when the page size is a power of two, -1 otherwise;

@@ -143,11 +143,30 @@ let iter_chunks sys st ~lo ~hi f =
     pos := !pos + len
   done
 
+(* The normalized ranges of every processor's sections in [sections],
+   from the cache when the array's elements are the ones cached (the
+   eight most recent arrays are kept). *)
+let push_ranges sys sections =
+  let same (snapshot, _) =
+    Array.length snapshot = Array.length sections
+    && Array.for_all2 ( == ) snapshot sections
+  in
+  match List.find_opt same sys.push_ranges with
+  | Some (_, ranges) -> ranges
+  | None ->
+      let ranges = Array.map Section.union_ranges sections in
+      sys.push_ranges <-
+        (Array.copy sections, ranges)
+        :: List.filteri (fun i _ -> i < 7) sys.push_ranges;
+      ranges
+
 let push t ~read_sections ~write_sections =
   let sys = t.sys
   and p = t.p in
-  let my_writes = Section.union_ranges write_sections.(p)
-  and my_reads = Section.union_ranges read_sections.(p) in
+  let read_ranges = push_ranges sys read_sections
+  and write_ranges = push_ranges sys write_sections in
+  let my_writes = write_ranges.(p)
+  and my_reads = read_ranges.(p) in
   List.iter (Fetch.observe sys p Write)
     (Range.pages ~page_size:sys.page_size my_writes);
   List.iter (Fetch.observe sys p Read)
@@ -162,9 +181,7 @@ let push t ~read_sections ~write_sections =
   (* send phase *)
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
-      let inter =
-        Range.inter (Section.union_ranges read_sections.(i)) my_writes
-      in
+      let inter = Range.inter read_ranges.(i) my_writes in
       if not (Range.is_empty inter) then begin
         (* collect payload from my own copy *)
         let payload = ref [] in
@@ -196,9 +213,7 @@ let push t ~read_sections ~write_sections =
   (* receive phase *)
   for i = 0 to sys.nprocs - 1 do
     if i <> p then begin
-      let expect =
-        Range.inter (Section.union_ranges write_sections.(i)) my_reads
-      in
+      let expect = Range.inter write_ranges.(i) my_reads in
       if not (Range.is_empty expect) then begin
         Prof.exit Prof.Sync;
         Engine.block ~until:(fun () -> Hashtbl.mem sys.pushbox (i, p));

@@ -18,7 +18,7 @@ type t = {
   mask : int;  (* capacity - 1 when a power of two, -1 otherwise *)
   rings : Event.t option array array;
   count : int array;  (* total emitted per processor *)
-  next_id : int Atomic.t;
+  mutable next_id : int;
 }
 
 let default_capacity = 1 lsl 18
@@ -31,7 +31,7 @@ let create ?(capacity = default_capacity) ~nprocs () =
     mask = (if capacity land (capacity - 1) = 0 then capacity - 1 else -1);
     rings = Array.init nprocs (fun _ -> Array.make capacity None);
     count = Array.make nprocs 0;
-    next_id = Atomic.make 0;
+    next_id = 0;
   }
 
 let nprocs t = t.nprocs
@@ -39,7 +39,8 @@ let capacity t = t.capacity
 
 let emit t ~proc ~time ~vc kind =
   Dsm_prof.Prof.tick Dsm_prof.Prof.Trace;
-  let id = Atomic.fetch_and_add t.next_id 1 in
+  let id = t.next_id in
+  t.next_id <- id + 1;
   let ring = t.rings.(proc) in
   let c = t.count.(proc) in
   let slot = if t.mask >= 0 then c land t.mask else c mod t.capacity in
@@ -77,7 +78,7 @@ let events t =
 let clear t =
   Array.iter (fun ring -> Array.fill ring 0 t.capacity None) t.rings;
   Array.fill t.count 0 t.nprocs 0;
-  Atomic.set t.next_id 0
+  t.next_id <- 0
 
 let write_jsonl oc t =
   List.iter

@@ -110,6 +110,26 @@ let test_fft3d_mp_empty_slabs () =
       Alcotest.(check (float 1e-6)) "fft3d xhpf at 32 procs" 0.0 r.max_err
   | None -> Alcotest.fail "fft3d has an xhpf version"
 
+(* Memoized references are laid out column after column and live
+   outside the OCaml heap, where the major GC neither counts nor paces
+   itself by them. *)
+let test_references_off_heap () =
+  let open Dsm_apps.App_common in
+  let r = floats_of_columns [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
+  Alcotest.(check int) "all elements" 6 (Bigarray.Array1.dim r);
+  Alcotest.(check (float 0.0)) "column 1, row 2 at 1 * 3 + 2" 6.0 r.{(1 * 3) + 2};
+  let n = 1 lsl 20 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let big = floats_of_array (Array.make n 1.0) in
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "a %d-element reference adds %d live heap words" n grown)
+    true
+    (grown < n / 100);
+  Alcotest.(check (float 0.0)) "reference kept" 1.0 big.{n - 1}
+
 let tests =
   List.concat_map
     (fun (name, m) ->
@@ -129,4 +149,6 @@ let tests =
         test_jacobi_frames_follow_touches;
       Alcotest.test_case "fft3d: mp versions with empty slabs" `Quick
         test_fft3d_mp_empty_slabs;
+      Alcotest.test_case "references: column layout, off the OCaml heap"
+        `Quick test_references_off_heap;
     ]

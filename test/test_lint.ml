@@ -167,6 +167,78 @@ let test_inexact_race_is_warning () =
       | _ -> Alcotest.fail "non-race diagnostic")
     ds
 
+(* Writes and reads of [a] in one barrier epoch, separated only by an
+   empty lock critical section: each processor writes its own block of
+   [a] and reads a reversed index that crosses into other blocks. The
+   lock orders nothing here (whichever processor acquires it first, the
+   others' accesses are unordered), so the lint must report a read-write
+   race on [a] with the write region first and with it second. *)
+let lock_separated ~write_first ~n =
+  let wloop =
+    Ir.For
+      {
+        ivar = "i";
+        lo = v "begin";
+        hi = v "end";
+        body =
+          [ Ir.Assign ({ Ir.aname = "a"; aidx = [ v "i" ] }, Ir.Fconst 1.0) ];
+      }
+  and rloop =
+    Ir.For
+      {
+        ivar = "i";
+        lo = v "begin";
+        hi = v "end";
+        body =
+          [
+            Ir.Assign
+              ( { Ir.aname = "s"; aidx = [ v "i" ] },
+                Ir.Load
+                  { Ir.aname = "a"; aidx = [ Lin.sub (c (n - 1)) (v "i") ] } );
+          ];
+      }
+  in
+  let first, second = if write_first then (wloop, rloop) else (rloop, wloop) in
+  {
+    Ir.pname = (if write_first then "write-then-read" else "read-then-write");
+    params = [ ("n", n) ];
+    arrays = [ ("a", [ c n ]); ("s", [ c n ]) ];
+    privates = [];
+    proc_bindings =
+      (fun ~nprocs ~p ->
+        let chunk = n / nprocs in
+        let lo = p * chunk in
+        let hi = if p = nprocs - 1 then n - 1 else ((p + 1) * chunk) - 1 in
+        [ ("begin", lo); ("end", hi); ("p", p) ]);
+    body =
+      [
+        Ir.Barrier 0;
+        first;
+        Ir.Lock_acquire 0;
+        Ir.Lock_release 0;
+        second;
+        Ir.Barrier 1;
+      ];
+  }
+
+let test_lock_separated_race () =
+  List.iter
+    (fun write_first ->
+      let prog = lock_separated ~write_first ~n:32 in
+      let ds = Race.check prog ~nprocs:4 in
+      Alcotest.(check bool) (prog.Ir.pname ^ ": race reported") true (ds <> []);
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) "is error" true (Diag.is_error d);
+          match d.Diag.kind with
+          | Diag.Race { array; race; inexact; _ } ->
+              Alcotest.(check string) "array" "a" array;
+              Alcotest.(check bool) "read-write" true (race = Diag.Read_write);
+              Alcotest.(check bool) "exact" false inexact
+          | _ -> Alcotest.fail "non-race diagnostic")
+        ds)
+    [ true; false ]
+
 (* Regression for the cyclic steady state: the region after Jacobi's last
    barrier wraps around to the compute phase, whose reads extend one
    column into each neighbour (the paper's Fprec(p1) = b2). The wrapped
@@ -466,6 +538,8 @@ let tests =
       test_seeded_race;
     Alcotest.test_case "inexact overlap degrades to warning" `Quick
       test_inexact_race_is_warning;
+    Alcotest.test_case "race across an empty lock section" `Quick
+      test_lock_separated_race;
     Alcotest.test_case "jacobi wrap-around region (Fprec(p1)=b2)" `Quick
       test_jacobi_wraparound;
     Alcotest.test_case "verifier accepts all transformed programs" `Quick

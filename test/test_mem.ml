@@ -101,6 +101,100 @@ let qcheck_merge =
       Diff.apply (Diff.merge d1 d2 ~page_size) merged;
       Bytes.equal seq merged)
 
+(* {2 [Diff.apply] against a [Bytes.blit] reference} *)
+
+(* What [apply] must do: blit each segment's payload to its offset. *)
+let blit_apply d dst =
+  List.iter
+    (fun (off, payload) ->
+      Bytes.blit_string payload 0 dst off (String.length payload))
+    (Diff.segments d)
+
+(* A diff built one of three ways: [create] from word edits (runs of one
+   word give 4-byte segments, of two words 8-byte ones, longer runs go
+   through [Bytes.blit]); [of_range] at any offset and length (odd-length
+   segments); or the [merge] of two such diffs. *)
+type diff_spec =
+  | Edits of (int * int * char) list  (* word index, run length, fill *)
+  | Span of int * int * char  (* offset, length, fill *)
+  | Merged of diff_spec * diff_spec
+
+let rec build_diff twin = function
+  | Edits edits ->
+      let current = Bytes.copy twin in
+      List.iter
+        (fun (w, run, c) ->
+          let off = 4 * w in
+          let len = min (4 * run) (page_size - off) in
+          Bytes.fill current off len c)
+        edits;
+      Diff.create ~twin ~current
+  | Span (off, len, c) ->
+      let page = Bytes.make page_size c in
+      Diff.of_range page ~off ~len
+  | Merged (a, b) ->
+      Diff.merge (build_diff twin a) (build_diff twin b) ~page_size
+
+let rec print_spec = function
+  | Edits l ->
+      "edits["
+      ^ String.concat ";"
+          (List.map (fun (w, r, c) -> Printf.sprintf "%d+%d=%C" w r c) l)
+      ^ "]"
+  | Span (o, l, c) -> Printf.sprintf "span(%d,%d,%C)" o l c
+  | Merged (a, b) -> "merge(" ^ print_spec a ^ "," ^ print_spec b ^ ")"
+
+let gen_spec =
+  let open QCheck.Gen in
+  let edits =
+    map
+      (fun l -> Edits l)
+      (list_size (int_bound 24)
+         (triple
+            (int_bound ((page_size / 4) - 1))
+            (frequency [ (4, return 1); (3, return 2); (1, int_range 3 9) ])
+            (char_range 'a' 'z')))
+  in
+  let span =
+    int_bound (page_size - 1) >>= fun off ->
+    int_bound (page_size - off) >>= fun len ->
+    map (fun c -> Span (off, len, c)) (char_range 'A' 'Z')
+  in
+  let leaf = frequency [ (3, edits); (2, span) ] in
+  frequency [ (3, leaf); (2, map2 (fun a b -> Merged (a, b)) leaf leaf) ]
+
+let qcheck_apply_ref =
+  QCheck.Test.make ~count:500
+    ~name:"apply = Bytes.blit reference on a copy and a twin"
+    (QCheck.make ~print:print_spec gen_spec) (fun spec ->
+      let twin = Bytes.init page_size (fun i -> Char.chr (i mod 113)) in
+      let d = build_diff twin spec in
+      (* the page copy and its twin, which differ before the apply *)
+      let copy = Bytes.init page_size (fun i -> Char.chr ((i * 7) mod 256)) in
+      let twin' = Bytes.copy twin in
+      List.for_all
+        (fun dst ->
+          let expect = Bytes.copy dst in
+          blit_apply d expect;
+          Diff.apply d dst;
+          Bytes.equal dst expect)
+        [ copy; twin' ])
+
+let test_apply_overrun () =
+  let twin = Bytes.make page_size '\000' in
+  let current = Bytes.copy twin in
+  (* a segment that fits a half-size destination, then one that does not *)
+  Bytes.set current 4 'a';
+  Bytes.set current (page_size - 4) 'b';
+  let d = Diff.create ~twin ~current in
+  Alcotest.(check int) "two segments" 2 (Diff.nsegments d);
+  let dst = Bytes.make (page_size / 2) 'z' in
+  Alcotest.check_raises "overrun raises"
+    (Invalid_argument "Bytes.blit") (fun () -> Diff.apply d dst);
+  Alcotest.(check string) "dst untouched"
+    (String.make (page_size / 2) 'z')
+    (Bytes.to_string dst)
+
 let test_addr_space () =
   let sp = Addr_space.create ~page_size:4096 in
   let a = Addr_space.alloc sp ~name:"a" ~bytes:100 () in
@@ -230,6 +324,8 @@ let tests =
     Alcotest.test_case "diff empty" `Quick test_diff_empty;
     Alcotest.test_case "diff full/range" `Quick test_diff_full_and_range;
     Alcotest.test_case "diff merge" `Quick test_diff_merge;
+    Alcotest.test_case "diff apply overrun leaves dst untouched" `Quick
+      test_apply_overrun;
     Alcotest.test_case "addr space" `Quick test_addr_space;
     Alcotest.test_case "array layout" `Quick test_array_layout;
     Alcotest.test_case "section ranges" `Quick test_section_ranges;
@@ -239,4 +335,5 @@ let tests =
       test_page_table_frameless;
     Alcotest.test_case "page map" `Quick test_page_map;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ qcheck_diff; qcheck_merge ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_diff; qcheck_merge; qcheck_apply_ref ]

@@ -231,9 +231,10 @@ let test_gauss64_alloc_budget () =
 (* The kernels' inner loops move columns with page spans, so an
    8-processor small Base run allocates little beyond the protocol's own
    bookkeeping. Budgets are the measured minor allocation (Jacobi 1.88,
-   Gauss 4.84, MGS 1.40 Mw) with ~15% headroom; the element-at-a-time
-   loops, with a boxed float per load and a closure per
-   read-modify-write, allocated 28.4, 61.1 and 16.5 Mw. *)
+   Gauss 4.84, MGS 1.40, IS 0.61 Mw) with ~15% headroom; the
+   element-at-a-time loops, with a boxed float per load and a closure per
+   read-modify-write, allocated 28.4, 61.1 and 16.5 Mw, and IS's ranking
+   through a hash table of the keys seen so far 1.13 Mw. *)
 let kernel_budgets_mw =
   [
     ( "jacobi",
@@ -251,6 +252,11 @@ let kernel_budgets_mw =
       fun cfg ->
         Dsm_apps.Mgs.tmk cfg ~size:Dsm_apps.Mgs.small ~behavior:()
           ~level:Dsm_apps.App_common.Base ~async:false );
+    ( "is",
+      0.7,
+      fun cfg ->
+        Dsm_apps.Is.tmk cfg ~size:Dsm_apps.Is.small ~behavior:()
+          ~level:Dsm_apps.App_common.Base ~async:false );
   ]
 
 let test_kernel_alloc_budget (name, budget_mw, run) () =
@@ -266,6 +272,28 @@ let test_kernel_alloc_budget (name, budget_mw, run) () =
     Alcotest.failf "%s small/Base/8 allocated %.2f Mw > budget %.1f Mw" name
       mw budget_mw
 
+(* IS small, Base, 64 processors, lrc: every processor writes every
+   bucket page, so each fault applies the diffs of ~32 writers. Measured
+   at 124.5 Mw with page-indexed diff cells and one unit list per page
+   (216.4 Mw with (writer, page)-keyed cells and per-page unit tables);
+   the budget leaves ~15% headroom. *)
+let is64_budget_mw = 143.0
+
+let test_is64_alloc_budget () =
+  let cfg = { Config.default with Config.nprocs = 64 } in
+  let run () =
+    Dsm_apps.Is.tmk cfg ~size:Dsm_apps.Is.small ~behavior:()
+      ~level:Dsm_apps.App_common.Base ~async:false
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let mw = (Gc.minor_words () -. before) /. 1e6 in
+  Alcotest.(check (float 0.0)) "correct" 0.0 r.Dsm_apps.App_common.max_err;
+  if mw > is64_budget_mw then
+    Alcotest.failf "IS small/Base/64 allocated %.1f Mw > budget %.1f Mw" mw
+      is64_budget_mw
+
 let tests =
   [
     Alcotest.test_case "alloc budget: gauss 64 procs" `Quick
@@ -277,6 +305,8 @@ let tests =
           (test_kernel_alloc_budget k))
       kernel_budgets_mw
   @ [
+    Alcotest.test_case "alloc budget: is 64 procs" `Quick
+      test_is64_alloc_budget;
     Alcotest.test_case "prof: disabled is a no-op" `Quick
       test_prof_disabled_noop;
     Alcotest.test_case "prof: spans and ticks" `Quick test_prof_spans_and_ticks;

@@ -172,6 +172,300 @@ let test_gc_of_applied_entries () =
   Alcotest.(check bool) "has_any survives GC" true
     (Store.has_any t ~writer:0 ~page:0 ~after:20)
 
+(* {1 Model test}
+
+   The page-indexed store against a naive model: one record per (writer,
+   page) in an association list, with entries kept oldest first and
+   filtered per fetch. Random add / note_applied / fetch sequences over up
+   to 64 writers insert writers at the front, middle and back of a page's
+   writer set. *)
+
+module Model = struct
+  type entry = {
+    lo : int;
+    seq : int;
+    vcsum : int;
+    size : int;
+    supersede : bool;
+    mutable payload : Diff.t option;
+  }
+
+  type cell = {
+    writer : int;
+    page : int;
+    mutable base : Diff.t;
+    mutable base_seq : int;
+    mutable base_vcsum : int;
+    mutable entries : entry list;  (* oldest first *)
+    mutable hi_seq : int;
+    mutable newest : entry option;
+    applied_by : int array;
+  }
+
+  type t = { nprocs : int; mutable cells : cell list }
+
+  let create ~nprocs = { nprocs; cells = [] }
+
+  let find t ~writer ~page =
+    List.find_opt (fun c -> c.writer = writer && c.page = page) t.cells
+
+  let writers_of_page t ~page =
+    List.sort compare
+      (List.filter_map
+         (fun c -> if c.page = page then Some c.writer else None)
+         t.cells)
+
+  let single_writer t ~page ~writer = writers_of_page t ~page = [ writer ]
+
+  let get t ~writer ~page =
+    match find t ~writer ~page with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            writer;
+            page;
+            base = Diff.empty;
+            base_seq = 0;
+            base_vcsum = 0;
+            entries = [];
+            hi_seq = 0;
+            newest = None;
+            applied_by = Array.make t.nprocs 0;
+          }
+        in
+        t.cells <- c :: t.cells;
+        c
+
+  let coalesce t c =
+    let min_applied = Array.fold_left min max_int c.applied_by in
+    let solo = single_writer t ~page:c.page ~writer:c.writer in
+    List.iter
+      (fun e ->
+        match e.payload with
+        | Some d when solo || e.seq <= min_applied ->
+            c.base <- Diff.merge c.base d ~page_size;
+            c.base_seq <- max c.base_seq e.seq;
+            c.base_vcsum <- max c.base_vcsum e.vcsum;
+            e.payload <- None
+        | _ -> ())
+      c.entries;
+    c.entries <-
+      List.filter
+        (fun e -> not (e.payload = None && e.seq <= min_applied - 1))
+        c.entries
+
+  let add t ~writer ~page ~seq ~vcsum ~diff ~supersedes =
+    let c = get t ~writer ~page in
+    let lo = max (c.base_seq + 1) (c.hi_seq + 1) in
+    let e =
+      {
+        lo;
+        seq;
+        vcsum;
+        size = Diff.size_bytes diff;
+        supersede = supersedes;
+        payload = Some diff;
+      }
+    in
+    c.hi_seq <- seq;
+    c.newest <- Some e;
+    if supersedes then begin
+      c.base <- Diff.empty;
+      c.base_seq <- 0;
+      c.base_vcsum <- 0;
+      c.entries <- [ e ]
+    end
+    else begin
+      c.entries <- c.entries @ [ e ];
+      if List.length c.entries > 8 then coalesce t c
+    end
+
+  (* units as (order, writer, upto_seq, segments) *)
+  let fetch t ~writer ~page ~after ~upto =
+    match find t ~writer ~page with
+    | None -> ([], 0, 0)
+    | Some c ->
+        let covered =
+          List.filter (fun e -> e.seq > after && e.lo <= upto) c.entries
+        in
+        let base =
+          if c.base_seq > after && not (Diff.is_empty c.base) then
+            [ (c.base_vcsum, writer, c.base_seq, Diff.segments c.base) ]
+          else []
+        in
+        let units =
+          List.filter_map
+            (fun e ->
+              Option.map
+                (fun d -> (e.vcsum, writer, e.seq, Diff.segments d))
+                e.payload)
+            covered
+        in
+        ( base @ units,
+          List.fold_left (fun a e -> a + e.size) 0 covered,
+          List.length covered )
+
+  let latest_vcsum t ~writer ~page =
+    match find t ~writer ~page with
+    | None -> None
+    | Some c -> (
+        match c.newest with
+        | Some e -> Some e.vcsum
+        | None -> if c.base_seq > 0 then Some c.base_vcsum else None)
+
+  let latest_full_page t ~writer ~page =
+    match find t ~writer ~page with
+    | Some { newest = Some ({ supersede = true; payload = Some d; _ } as e); _ }
+      when Diff.covers_page d ~page_size ->
+        Some (e.vcsum, e.seq)
+    | _ -> None
+
+  let latest_writer t ~page writers =
+    List.fold_left
+      (fun best q ->
+        match (latest_vcsum t ~writer:q ~page, best) with
+        | Some v, None -> Some (q, v)
+        | Some v, Some (_, bv) when v > bv -> Some (q, v)
+        | _ -> best)
+      None writers
+    |> Option.fold ~none:(-1) ~some:fst
+
+  let note_applied t ~writer ~page ~by ~seq =
+    match find t ~writer ~page with
+    | Some c -> if seq > c.applied_by.(by) then c.applied_by.(by) <- seq
+    | None -> ()
+end
+
+type op =
+  | Add of int * int * int * bool  (* writer, page, diff kind, supersedes *)
+  | Note of int * int * int * int  (* writer, page, by, seq lag *)
+  | Fetch of int * int * int * int  (* writer, page, after lag, upto span *)
+
+let model_nprocs = 64
+let model_pages = 3
+
+let print_op = function
+  | Add (w, p, k, s) -> Printf.sprintf "add(w%d,p%d,k%d,%b)" w p k s
+  | Note (w, p, b, l) -> Printf.sprintf "note(w%d,p%d,by%d,-%d)" w p b l
+  | Fetch (w, p, a, u) -> Printf.sprintf "fetch(w%d,p%d,-%d,+%d)" w p a u
+
+let gen_ops =
+  let open QCheck.Gen in
+  (* a few hot writers pile up entries (coalescing, GC); the rest spread
+     over the whole range *)
+  let writer =
+    frequency [ (2, int_bound (model_nprocs - 1)); (1, oneofl [ 0; 31; 63 ]) ]
+  in
+  let page = int_bound (model_pages - 1) in
+  list_size (int_range 1 150)
+    (frequency
+       [
+         ( 5,
+           map
+             (fun (w, p, k, sup) -> Add (w, p, k, sup))
+             (quad writer page (int_bound 3) (frequencyl [ (6, false); (1, true) ]))
+         );
+         ( 2,
+           map
+             (fun (w, p, b, l) -> Note (w, p, b, l))
+             (quad writer page (int_bound (model_nprocs - 1)) (int_bound 3)) );
+         ( 3,
+           map
+             (fun (w, p, a, u) -> Fetch (w, p, a, u))
+             (quad writer page (int_bound 12) (int_bound 12)) );
+       ])
+
+let model_diff kind =
+  match kind with
+  | 0 -> mk_diff 0 4 'a'
+  | 1 -> mk_diff 8 16 'b'
+  | 2 -> mk_diff 4 4 'c'
+  | _ -> full_diff 'f'
+
+let store_units r =
+  List.map
+    (fun u ->
+      (u.Store.order, u.Store.writer, u.Store.upto_seq, Diff.segments u.Store.payload))
+    r.Store.units
+
+let prop_store_model =
+  QCheck.Test.make ~count:150 ~name:"page-indexed store agrees with the model"
+    (QCheck.make ~print:(QCheck.Print.list print_op) gen_ops) (fun ops ->
+      let t = Store.create ~nprocs:model_nprocs ~page_size in
+      let m = Model.create ~nprocs:model_nprocs in
+      let seq = Array.make model_nprocs 0 in
+      let all = List.init model_nprocs Fun.id in
+      let queries_agree () =
+        List.for_all
+          (fun page ->
+            let ws = Store.writers_of_page t ~page in
+            ws = Model.writers_of_page m ~page
+            && Store.latest_writer t ~page all = Model.latest_writer m ~page all
+            && Store.latest_writer t ~page ws = Model.latest_writer m ~page ws
+            && List.for_all
+                 (fun writer ->
+                   Store.single_writer t ~page ~writer
+                   = Model.single_writer m ~page ~writer
+                   && Store.latest_vcsum t ~writer ~page
+                      = Model.latest_vcsum m ~writer ~page
+                   && Store.latest_full_page t ~writer ~page
+                      = Model.latest_full_page m ~writer ~page)
+                 all)
+          (List.init model_pages Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Add (writer, page, kind, supersedes) ->
+                seq.(writer) <- seq.(writer) + 1;
+                (* stamps grow with the writer's own seq, so writers at
+                   the same seq tie, as concurrent releases can *)
+                let diff = model_diff kind in
+                let seq = seq.(writer) in
+                let vcsum = (2 * seq) + (writer mod 2) in
+                Store.add t ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+                Model.add m ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+                true
+            | Note (writer, page, by, lag) ->
+                let seq = max 0 (seq.(writer) - lag) in
+                Store.note_applied t ~writer ~page ~by ~seq;
+                Model.note_applied m ~writer ~page ~by ~seq;
+                true
+            | Fetch (writer, page, lag, span) ->
+                let after = max 0 (seq.(writer) - lag) in
+                let upto = after + span in
+                let r = Store.fetch t ~writer ~page ~after ~upto in
+                let units, bytes, ndiffs = Model.fetch m ~writer ~page ~after ~upto in
+                store_units r = units
+                && r.Store.charge_bytes = bytes
+                && r.Store.ndiffs = ndiffs
+          in
+          step_ok && queries_agree ())
+        ops)
+
+let prop_hashtbl_order =
+  QCheck.Test.make ~count:300 ~name:"hashtbl_order = Hashtbl.iter order"
+    QCheck.(list_of_size Gen.(int_range 0 150) (int_bound 5000))
+    (fun keys ->
+      (* distinct keys, in the order of their first occurrence *)
+      let inserted =
+        Array.of_list
+          (List.rev
+             (List.fold_left
+                (fun acc k -> if List.mem k acc then acc else k :: acc)
+                [] keys))
+      in
+      let tbl = Hashtbl.create 8 in
+      Array.iter (fun k -> Hashtbl.replace tbl k ()) inserted;
+      let visited = List.rev (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
+      let order =
+        Dsm_tmk.Protocol.hashtbl_order (Array.length inserted) (fun i ->
+            inserted.(i))
+      in
+      visited = Array.to_list (Array.map (fun i -> inserted.(i)) order))
+
 let tests =
   [
     Alcotest.test_case "fetch after watermark" `Quick test_fetch_after;
@@ -187,3 +481,4 @@ let tests =
       test_coalesce_preserves_accounting;
     Alcotest.test_case "apply order by stamp" `Quick test_apply_order;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_store_model; prop_hashtbl_order ]
