@@ -4,105 +4,84 @@
 
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe table1          -- one experiment
-     dune exec bench/main.exe bechamel        -- wall-clock Bechamel runs
      dune exec bench/main.exe bechamel micro  -- hot-primitive Bechamel runs
      dune exec bench/main.exe json [--quick] [--out F] [--against F]
                                               -- machine-readable trajectory
 
    Virtual times come from the simulator; they model the paper's 8-node IBM
-   SP/2. The Bechamel modes instead measure host wall-clock: of each
-   experiment's simulation, and of the hot run-time primitives. The json
-   mode writes a BENCH_<n>.json trajectory file (see {!Dsm_harness.Bench_log})
-   and, with [--against], gates on a committed baseline. *)
+   SP/2. The Bechamel mode instead measures the host wall-clock of the hot
+   run-time primitives. The json mode writes a BENCH_<n>.json trajectory
+   file (see {!Dsm_harness.Bench_log}) and, with [--against], gates on a
+   committed baseline. *)
 
 module Experiments = Dsm_harness.Experiments
 module Runset = Dsm_harness.Runset
 module Bench_log = Dsm_harness.Bench_log
 
 let ppf = Format.std_formatter
+let cfg = Dsm_sim.Config.default
 
-let with_apps =
-  let cache = ref None in
-  fun f ->
-    let apps =
-      match !cache with
-      | Some apps -> apps
-      | None ->
-          let apps = Runset.all Dsm_sim.Config.default in
-          cache := Some apps;
-          apps
-    in
-    f apps
+(* The sized-application rows the paper's tables share: building them runs
+   the uniprocessor sims eagerly, everything else is memoized inside and
+   charged to the first experiment that asks. [fresh_apps] starts over, so
+   every json round pays the same costs. *)
+let apps_memo = ref None
+let fresh_apps () = apps_memo := None
 
-let run_one = function
-  | "table1" -> with_apps (Experiments.table1 ppf)
-  | "table2" -> with_apps (Experiments.table2 ppf)
-  | "fig5" | "figure5" -> with_apps (Experiments.figure5 ppf)
-  | "fig6" | "figure6" -> with_apps (Experiments.figure6 ppf)
-  | "fig7" | "figure7" -> with_apps (Experiments.figure7 ppf)
-  | "micro" -> Experiments.micro ppf Dsm_sim.Config.default
-  | "scale" | "scaling" -> Experiments.scaling ppf Dsm_sim.Config.default
-  | "scale-deep" | "scaling-deep" ->
-      Experiments.scaling_deep ppf Dsm_sim.Config.default
-  | "ablation" -> Experiments.ablation ppf Dsm_sim.Config.default
-  | "faults" -> Experiments.faults ppf Dsm_sim.Config.default
-  | "availability" -> Experiments.availability ppf Dsm_sim.Config.default
-  | "backends" -> Experiments.backends ppf Dsm_sim.Config.default
-  | "protocols" | "matrix" ->
-      Experiments.protocol_matrix ppf Dsm_sim.Config.default
-  | "kv" -> Experiments.kv ppf Dsm_sim.Config.default
-  | name -> failwith ("unknown experiment: " ^ name)
+let apps () =
+  match !apps_memo with
+  | Some apps -> apps
+  | None ->
+      let apps = Runset.all cfg in
+      apps_memo := Some apps;
+      apps
 
-let run_all () =
-  Experiments.micro ppf Dsm_sim.Config.default;
-  with_apps (fun apps ->
-      Experiments.table1 ppf apps;
-      Experiments.table2 ppf apps;
-      Experiments.figure5 ppf apps;
-      Experiments.figure6 ppf apps;
-      Experiments.figure7 ppf apps);
-  Experiments.scaling ppf Dsm_sim.Config.default;
-  Experiments.scaling_deep ppf Dsm_sim.Config.default;
-  Experiments.ablation ppf Dsm_sim.Config.default;
-  Experiments.faults ppf Dsm_sim.Config.default;
-  Experiments.availability ppf Dsm_sim.Config.default;
-  Experiments.backends ppf Dsm_sim.Config.default;
-  Experiments.protocol_matrix ppf Dsm_sim.Config.default;
-  Experiments.kv ppf Dsm_sim.Config.default
+(* Every experiment, in run order. [name] is the json entry name, so it is
+   part of the trajectory format; [aliases] are accepted on the command
+   line; [quick] experiments make up [json --quick]. *)
+type experiment = {
+  name : string;
+  aliases : string list;
+  quick : bool;
+  run : Format.formatter -> unit;
+}
 
-(* Bechamel wall-clock benchmarks: one Test.make per table/figure. Each run
-   re-executes the experiment's simulations from scratch (no caching), so
-   the estimate reflects the simulator's own cost. *)
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let quick name f = Test.make ~name (Staged.stage f) in
-  let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let mk_apps () = Runset.all Dsm_sim.Config.default in
-  let tests =
-    Test.make_grouped ~name:"paper-experiments"
-      [
-        quick "micro" (fun () -> Experiments.micro null Dsm_sim.Config.default);
-        quick "table1" (fun () -> Experiments.table1 null (mk_apps ()));
-        quick "table2" (fun () -> Experiments.table2 null (mk_apps ()));
-        quick "figure5" (fun () -> Experiments.figure5 null (mk_apps ()));
-        quick "figure6" (fun () -> Experiments.figure6 null (mk_apps ()));
-        quick "figure7" (fun () -> Experiments.figure7 null (mk_apps ()));
-      ]
+let experiments =
+  let e ?(aliases = []) ?(quick = true) name run = { name; aliases; quick; run } in
+  let paper ?aliases name f =
+    e name ?aliases ~quick:false (fun ppf -> f ppf (apps ()))
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2 ~quota:(Time.second 30.0) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-40s %14.0f ns/run@." name est
-      | _ -> Format.printf "%-40s (no estimate)@." name)
-    results
+  [
+    e "micro" (fun ppf -> Experiments.micro ppf cfg);
+    e "runset" ~quick:false (fun ppf ->
+        Format.fprintf ppf "built %d sized-app rows@." (List.length (apps ())));
+    paper "table1" Experiments.table1;
+    paper "table2" Experiments.table2;
+    paper "figure5" ~aliases:[ "fig5" ] Experiments.figure5;
+    paper "figure6" ~aliases:[ "fig6" ] Experiments.figure6;
+    paper "figure7" ~aliases:[ "fig7" ] Experiments.figure7;
+    e "scaling" ~aliases:[ "scale" ] (fun ppf -> Experiments.scaling ppf cfg);
+    (* 256/1024-processor tiers: the barrier write-notice exchange costs the
+       host O(nprocs^2), too slow for the quick CI gate *)
+    e "scaling_deep" ~aliases:[ "scale-deep"; "scaling-deep" ] ~quick:false
+      (fun ppf -> Experiments.scaling_deep ppf cfg);
+    e "ablation" (fun ppf -> Experiments.ablation ppf cfg);
+    e "faults" (fun ppf -> Experiments.faults ppf cfg);
+    e "availability" (fun ppf -> Experiments.availability ppf cfg);
+    e "backends" (fun ppf -> Experiments.backends ppf cfg);
+    e "protocols" ~aliases:[ "matrix" ] (fun ppf ->
+        Experiments.protocol_matrix ppf cfg);
+    e "kv" (fun ppf -> Experiments.kv ppf cfg);
+  ]
+
+let run_one name =
+  match
+    List.find_opt (fun x -> x.name = name || List.mem name x.aliases) experiments
+  with
+  | Some x -> x.run ppf
+  | None -> failwith ("unknown experiment: " ^ name)
+
+let run_all () = List.iter (fun x -> x.run ppf) experiments
 
 (* Bechamel over the hot run-time primitives the profiling work optimized:
    diff creation/application/merge, vector-clock operations, range-to-page
@@ -216,7 +195,7 @@ let json_mode args =
     Format.pp_print_flush bppf ();
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let ablation ppf = Experiments.ablation ppf Dsm_sim.Config.default in
+  let ablation ppf = Experiments.ablation ppf cfg in
   let d_off = digest_of ablation in
   (* the profiled run doubles as the per-subsystem profile of one
      representative workload, embedded in the trajectory so a PR's profile
@@ -235,36 +214,8 @@ let json_mode args =
       ignore (Bench_log.measure log ~name f);
       Format.printf "  [%d/%d] %-10s done@." round repeat name
     in
-    m "micro" (fun ppf -> Experiments.micro ppf Dsm_sim.Config.default);
-    if not quick then begin
-      (* building the runset runs the uniprocessor sims eagerly; everything
-         else is memoized and charged to the first experiment that asks *)
-      let apps = ref [] in
-      m "runset" (fun ppf ->
-          apps := Runset.all Dsm_sim.Config.default;
-          Format.fprintf ppf "built %d sized-app rows@." (List.length !apps));
-      let apps = !apps in
-      m "table1" (fun ppf -> Experiments.table1 ppf apps);
-      m "table2" (fun ppf -> Experiments.table2 ppf apps);
-      m "figure5" (fun ppf -> Experiments.figure5 ppf apps);
-      m "figure6" (fun ppf -> Experiments.figure6 ppf apps);
-      m "figure7" (fun ppf -> Experiments.figure7 ppf apps)
-    end;
-    m "scaling" (fun ppf -> Experiments.scaling ppf Dsm_sim.Config.default);
-    if not quick then
-      (* 256/1024-processor tiers: the barrier write-notice exchange costs
-         the host O(nprocs^2), too slow for the quick CI gate *)
-      m "scaling_deep" (fun ppf ->
-          Experiments.scaling_deep ppf Dsm_sim.Config.default);
-    m "ablation" ablation;
-    m "faults" (fun ppf -> Experiments.faults ppf Dsm_sim.Config.default);
-    m "availability" (fun ppf ->
-        Experiments.availability ppf Dsm_sim.Config.default);
-    m "backends" (fun ppf ->
-        Experiments.backends ppf Dsm_sim.Config.default);
-    m "protocols" (fun ppf ->
-        Experiments.protocol_matrix ppf Dsm_sim.Config.default);
-    m "kv" (fun ppf -> Experiments.kv ppf Dsm_sim.Config.default);
+    fresh_apps ();
+    List.iter (fun x -> if x.quick || not quick then m x.name x.run) experiments;
     log
   in
   Format.printf "bench json (%s set, best of %d):@."
@@ -297,7 +248,6 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | [] -> run_all ()
-  | [ "bechamel" ] -> bechamel ()
   | [ "bechamel"; "micro" ] | [ "bechamel-micro" ] -> bechamel_micro ()
   | "json" :: rest -> json_mode rest
   | names -> List.iter run_one names

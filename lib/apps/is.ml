@@ -20,7 +20,7 @@ let name = "IS"
 
 type params = {
   n_keys : int;
-  n_buckets : int;  (** multiple of the processor count *)
+  n_buckets : int;
   reps : int;
   key_cost : float;  (** per key counted/ranked *)
   bucket_cost : float;  (** per bucket summed/prefixed *)
@@ -41,7 +41,15 @@ let size_name p =
 
 let levels = [ Base; Comm_aggr; Cons_elim; Sync_merge ]
 
-(* deterministic key sequence; proc [p] of [np] owns keys [p*chunk ..] *)
+(* Block [p]'s share [lo, hi) of [n] items split over [np] processors:
+   equal blocks, the last one taking the remainder. *)
+let block ~n ~np p =
+  let per = n / np in
+  (p * per, if p = np - 1 then n else (p + 1) * per)
+
+let bucket_section prm ~nprocs s = block ~n:prm.n_buckets ~np:nprocs s
+
+(* deterministic key sequence; proc [p] owns the keys of its {!block} *)
 let key n_buckets i =
   let x = ((i * 1103515245) + 12345) land 0x3FFFFFFF in
   x mod n_buckets
@@ -61,12 +69,12 @@ let seq_ranks { n_keys; n_buckets; _ } ~nprocs =
   done;
   (* rank of each key instance: global base + occurrence among the owner's
      earlier equal keys (deterministic per-processor tie-breaking) *)
-  let chunk = n_keys / nprocs in
   let ranks = Array.make n_keys 0 in
   let seen = Array.make n_buckets 0 in
   for p = 0 to nprocs - 1 do
     Array.fill seen 0 n_buckets 0;
-    for i = p * chunk to ((p + 1) * chunk) - 1 do
+    let lo, hi = block ~n:n_keys ~np:nprocs p in
+    for i = lo to hi - 1 do
       let v = key n_buckets i in
       ranks.(i) <- rank_base.(v) + seen.(v);
       seen.(v) <- seen.(v) + 1
@@ -86,12 +94,12 @@ let seq_time_us { n_keys; n_buckets; reps; key_cost; bucket_cost } =
   *. ((2.0 *. float_of_int n_keys *. key_cost)
      +. (2.0 *. float_of_int n_buckets *. bucket_cost))
 
-(* Rank the keys [lo, lo+chunk) of one processor, whose count of key [v]
-   is [priv.(v)]: a reverse scan hands each key the number of its equal
+(* Rank the keys [lo, hi) of one processor, whose count of key [v] is
+   [priv.(v)]: a reverse scan hands each key the number of its equal
    keys that come earlier, the same tie-breaking as {!seq_ranks}. Leaves
    [priv] zeroed. *)
-let rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo ~chunk =
-  for i = lo + chunk - 1 downto lo do
+let rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo ~hi =
+  for i = hi - 1 downto lo do
     let v = key n_buckets i in
     priv.(v) <- priv.(v) - 1;
     ranks.(i) <- rank_base.(v) + priv.(v)
@@ -126,33 +134,34 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
   let sys = Tmk.make ?plan cfg in
   let bucket = Tmk.Alloc.array sys "bucket" Tmk.I64 ~dims:[ n_buckets ] in
   let np = cfg.Dsm_sim.Config.nprocs in
-  let chunk = n_keys / np in
-  let sec_len = n_buckets / np in
+  let sec s = block ~n:n_buckets ~np s in
   let sec_section s =
-    [ Shm.I64_1.section bucket (s * sec_len, ((s + 1) * sec_len) - 1, 1) ]
+    let lo, hi = sec s in
+    [ Shm.I64_1.section bucket (lo, hi - 1, 1) ]
   in
   let whole_section = [ Shm.I64_1.section bucket (0, n_buckets - 1, 1) ] in
   let ranks = Array.make n_keys 0 in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
       let priv = Array.make n_buckets 0 in
-      let my_lo = p * chunk in
+      let my_lo, my_hi = block ~n:n_keys ~np p in
       for _rep = 1 to reps do
         (* zero own section of the shared buckets *)
         (match level with
         | Cons_elim | Sync_merge -> Tmk.validate t (sec_section p) Tmk.Write_all
         | Base | Comm_aggr | Push_opt -> ());
-        for k = p * sec_len to ((p + 1) * sec_len) - 1 do
+        let lo, hi = sec p in
+        for k = lo to hi - 1 do
           Shm.I64_1.set t bucket k 0
         done;
-        Tmk.charge t (bucket_cost *. float_of_int sec_len);
+        Tmk.charge t (bucket_cost *. float_of_int (hi - lo));
         (* private counting *)
         Array.fill priv 0 n_buckets 0;
-        for i = my_lo to my_lo + chunk - 1 do
+        for i = my_lo to my_hi - 1 do
           let v = key n_buckets i in
           priv.(v) <- priv.(v) + 1
         done;
-        Tmk.charge t (key_cost *. float_of_int chunk);
+        Tmk.charge t (key_cost *. float_of_int (my_hi - my_lo));
         Tmk.barrier t;
         (* staggered lock-protected section updates (migratory data) *)
         for step = 0 to np - 1 do
@@ -167,10 +176,11 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
           | Cons_elim ->
               Tmk.validate t ~async (sec_section s) Tmk.Read_write_all
           | Base | Sync_merge | Push_opt -> ());
-          for k = s * sec_len to ((s + 1) * sec_len) - 1 do
+          let lo, hi = sec s in
+          for k = lo to hi - 1 do
             Shm.I64_1.set t bucket k (Shm.I64_1.get t bucket k + priv.(k))
           done;
-          Tmk.charge t (bucket_cost *. float_of_int sec_len);
+          Tmk.charge t (bucket_cost *. float_of_int (hi - lo));
           Tmk.lock_release t s
         done;
         (* ranking phase: read all buckets *)
@@ -188,8 +198,8 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
           acc := !acc + Shm.I64_1.get t bucket v
         done;
         Tmk.charge t (bucket_cost *. float_of_int n_buckets);
-        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~chunk;
-        Tmk.charge t (key_cost *. float_of_int chunk);
+        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~hi:my_hi;
+        Tmk.charge t (key_cost *. float_of_int (my_hi - my_lo));
         Tmk.barrier t
       done);
   let time_us = Tmk.elapsed sys in
@@ -220,59 +230,59 @@ let pvm cfg ~size:({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
   in
   let sys = Mp.make cfg in
   let np = cfg.Dsm_sim.Config.nprocs in
-  let chunk = n_keys / np in
-  let sec_len = n_buckets / np in
+  let sec s = block ~n:n_buckets ~np s in
   let ranks = Array.make n_keys 0 in
   Mp.run sys (fun t ->
       let p = Mp.pid t in
       let priv = Array.make n_buckets 0 in
-      let my_lo = p * chunk in
+      let my_lo, my_hi = block ~n:n_keys ~np p in
       for _rep = 1 to reps do
         Array.fill priv 0 n_buckets 0;
-        for i = my_lo to my_lo + chunk - 1 do
+        for i = my_lo to my_hi - 1 do
           let v = key n_buckets i in
           priv.(v) <- priv.(v) + 1
         done;
-        Mp.charge t (key_cost *. float_of_int chunk);
+        Mp.charge t (key_cost *. float_of_int (my_hi - my_lo));
         (* pipeline: section s starts at processor (s+1) mod np and ends at
            its final owner s after np-1 hops *)
         let full = Array.make n_buckets 0.0 in
         for step = 0 to np - 1 do
           let s = (p + step) mod np in
-          let base = s * sec_len in
+          let base, hi = sec s in
+          let len = hi - base in
           let part =
             if step = 0 then begin
-              let a = Array.make sec_len 0.0 in
-              for k = 0 to sec_len - 1 do
+              let a = Array.make len 0.0 in
+              for k = 0 to len - 1 do
                 a.(k) <- float_of_int priv.(base + k)
               done;
               a
             end
             else begin
               let a = Mp.recv_floats t ~src:((p + 1) mod np) ~tag:(1000 + s) in
-              for k = 0 to sec_len - 1 do
+              for k = 0 to len - 1 do
                 a.(k) <- a.(k) +. float_of_int priv.(base + k)
               done;
               a
             end
           in
-          Mp.charge t (bucket_cost *. float_of_int sec_len);
+          Mp.charge t (bucket_cost *. float_of_int len);
           if step < np - 1 then
             Mp.send_floats t ~dst:((p + np - 1) mod np) ~tag:(1000 + s) part
           else
-            Array.blit part 0 full base sec_len
+            Array.blit part 0 full base len
         done;
         (* ring allgather of the completed sections for ranking; after np-1
            hops the completed section s sits at processor (s+1) mod np, so
            processor p starts the ring with section p-1 *)
         let cur = ref ((p + np - 1) mod np) in
         for _hop = 0 to np - 2 do
-          let base = !cur * sec_len in
+          let base, hi = sec !cur in
           Mp.send_floats t ~dst:((p + 1) mod np) ~tag:(2000 + !cur)
-            (Array.sub full base sec_len);
+            (Array.sub full base (hi - base));
           let prev = (!cur + np - 1) mod np in
-          let sec = Mp.recv_floats t ~src:((p + np - 1) mod np) ~tag:(2000 + prev) in
-          Array.blit sec 0 full (prev * sec_len) sec_len;
+          let got = Mp.recv_floats t ~src:((p + np - 1) mod np) ~tag:(2000 + prev) in
+          Array.blit got 0 full (fst (sec prev)) (Array.length got);
           cur := prev
         done;
         let rank_base = Array.make n_buckets 0 in
@@ -282,8 +292,8 @@ let pvm cfg ~size:({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
           acc := !acc + int_of_float full.(v)
         done;
         Mp.charge t (bucket_cost *. float_of_int n_buckets);
-        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~chunk;
-        Mp.charge t (key_cost *. float_of_int chunk)
+        rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~hi:my_hi;
+        Mp.charge t (key_cost *. float_of_int (my_hi - my_lo))
       done);
   let rref = reference prm ~nprocs:np in
   let err = ref 0.0 in

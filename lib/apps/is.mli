@@ -7,7 +7,7 @@
 
 type params = {
   n_keys : int;
-  n_buckets : int;  (** multiple of the processor count *)
+  n_buckets : int;
   reps : int;
   key_cost : float;  (** per key counted/ranked *)
   bucket_cost : float;  (** per bucket summed/prefixed *)
@@ -16,8 +16,15 @@ type params = {
 
 val run_page_size : nprocs:int -> page_size:int -> params -> int
 (** The page size the tmk run actually uses: the configured size capped
-    so a bucket section is a whole number of pages. Exposed for the
-    static sharing-pattern models ({!Dsm_lint.App_models}). *)
+    so a bucket section is a whole number of pages when the processor
+    count divides the bucket count. Exposed for the static
+    sharing-pattern models ({!Dsm_lint.App_models}). *)
+
+val bucket_section : params -> nprocs:int -> int -> int * int
+(** [bucket_section prm ~nprocs s] is the bucket range [[lo, hi)] of
+    section [s], the one processor [s] zeroes and lock [s] protects:
+    equal sections, the last one taking the remainder. Processor [p]
+    owns the keys of the same split of [n_keys]. *)
 
 val large : params
 val small : params

@@ -1,34 +1,9 @@
 module Mp = Dsm_mp.Mp
 
-module Dist = struct
-  type t = Block | Cyclic
-
-  let owner t ~nprocs ~n i =
-    match t with
-    | Block ->
-        let per = (n + nprocs - 1) / nprocs in
-        i / per
-    | Cyclic -> i mod nprocs
-
-  let local_count t ~nprocs ~n ~p =
-    match t with
-    | Block ->
-        let per = (n + nprocs - 1) / nprocs in
-        let lo = p * per in
-        if lo >= n then 0 else min per (n - lo)
-    | Cyclic -> (n - p + nprocs - 1) / nprocs
-
-  let block_lo ~nprocs ~n ~p =
-    let per = (n + nprocs - 1) / nprocs in
-    ignore n;
-    p * per
-
-  let block_hi ~nprocs ~n ~p =
-    let per = (n + nprocs - 1) / nprocs in
-    min (n - 1) (((p + 1) * per) - 1)
-end
-
+(* per element on each side of a generic section pack/unpack *)
 let pack_us_per_elem = 0.012
+
+(* per-communication distribution bookkeeping *)
 let comm_setup_us = 8.0
 
 let charge_pack t n = Mp.charge t (pack_us_per_elem *. float_of_int n)
@@ -69,13 +44,3 @@ let bcast_section t ~root ~tag payload =
   let r = Mp.bcast_floats t ~root ~tag payload in
   if Mp.pid t <> root then charge_pack t (Array.length r);
   r
-
-let allreduce_sum t ~tag payload =
-  Mp.charge t comm_setup_us;
-  charge_pack t (Array.length payload);
-  Mp.allreduce_sum t ~tag payload
-
-let allreduce_max t ~tag payload =
-  Mp.charge t comm_setup_us;
-  charge_pack t (Array.length payload);
-  Mp.allreduce_max t ~tag payload

@@ -10,27 +10,6 @@
     few percent of PVMe, a bit slower where access patterns are strided
     (MGS, Gauss). *)
 
-module Dist : sig
-  type t = Block | Cyclic
-
-  val owner : t -> nprocs:int -> n:int -> int -> int
-  (** Owning processor of global index [i]. *)
-
-  val local_count : t -> nprocs:int -> n:int -> p:int -> int
-  (** Number of indices owned by processor [p]. *)
-
-  val block_lo : nprocs:int -> n:int -> p:int -> int
-  val block_hi : nprocs:int -> n:int -> p:int -> int
-  (** Inclusive global bounds of a BLOCK partition. *)
-end
-
-val pack_us_per_elem : float
-(** Cost charged per element on each side of a generic section
-    pack/unpack. *)
-
-val comm_setup_us : float
-(** Per-communication distribution bookkeeping. *)
-
 val shift_exchange :
   Dsm_mp.Mp.t -> tag:int -> left:float array -> right:float array ->
   float array option * float array option
@@ -40,9 +19,6 @@ val shift_exchange :
 
 val bcast_section : Dsm_mp.Mp.t -> root:int -> tag:int -> float array -> float array
 (** Broadcast of an owned section through the distribution run-time. *)
-
-val allreduce_sum : Dsm_mp.Mp.t -> tag:int -> float array -> float array
-val allreduce_max : Dsm_mp.Mp.t -> tag:int -> float array -> float array
 
 val charge_pack : Dsm_mp.Mp.t -> int -> unit
 (** Charge generic pack/unpack handling for [n] elements (used by XHPF app

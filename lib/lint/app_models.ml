@@ -203,7 +203,8 @@ let is (prm : Dsm_apps.Is.params) ~nprocs ~page_size =
   let page_size = Dsm_apps.Is.run_page_size ~nprocs ~page_size prm in
   let whole = [ lohi (c 0) (c (nb - 1)) ] in
   let bindings ~nprocs ~p =
-    [ ("slo", p * (nb / nprocs)); ("scnt", (nb / nprocs) - 1) ]
+    let lo, hi = Dsm_apps.Is.bucket_section prm ~nprocs p in
+    [ ("slo", lo); ("scnt", hi - lo - 1) ]
   in
   let body =
     [ Ir.Barrier 0 ]

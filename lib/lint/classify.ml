@@ -272,7 +272,7 @@ let accumulate tbl prog ~nprocs ~page_size infos ~p (en : Access.summary_entry)
       Option.iter (touch ~write:false) reads;
       Option.iter (touch ~write:true) writes
 
-let classify ?(window = Dsm_sim.Config.default.Dsm_sim.Config.adapt_window)
+let classify ?(window = Dsm_tmk.Proto_plan.window)
     ~nprocs (m : model) : page_class list =
   let window = max 1 window in
   let page_size = m.page_size in

@@ -73,7 +73,7 @@ type page_class = {
 
 val classify : ?window:int -> nprocs:int -> model -> page_class list
 (** Every page any processor touches, sorted; [window] defaults to
-    {!Dsm_sim.Config.default}'s [adapt_window]. *)
+    {!Dsm_tmk.Proto_plan.window}. *)
 
 val plan :
   ?window:int ->

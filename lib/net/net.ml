@@ -1,24 +1,25 @@
 (* Modeled unreliable transport with a reliable-delivery layer on top.
 
-   The DSM run-time's sends and request/response exchanges (page and
-   diff fetches, lock requests, barrier arrivals, pushes, home flushes)
-   and every message of the message-passing library are routed through
-   here instead of calling the raw {!Dsm_sim.Cluster} cost functions;
-   the messages listed in the last modeling note below are not. The
-   network below can drop, duplicate, reorder (jitter) or delay message
-   copies according to the run's {!Plan}; the reliable layer recovers
-   exactly-once in-order delivery with sequence numbers,
-   acknowledgements, timeout-driven retransmission with exponential
-   backoff, duplicate suppression and per-flow resequencing, and charges
-   every recovery cost (retransmit wire time, timeout stalls, ack
-   overhead) to the virtual clocks and the per-processor
-   {!Dsm_sim.Stats}.
+   This is the one module that counts and times a DSM message: every
+   send, request/response exchange and one-way delivery of the run-time
+   (page and diff fetches, lock requests, forwards and grants, barrier
+   arrivals and departures, broadcasts, pushes, home flushes,
+   invalidation acks) and every message of the message-passing library
+   goes through here. The network below can drop, duplicate, reorder
+   (jitter) or delay message copies according to the run's {!Plan}; the
+   reliable layer recovers exactly-once in-order delivery with sequence
+   numbers, acknowledgements, timeout-driven retransmission with
+   exponential backoff, duplicate suppression and per-flow
+   resequencing, and charges every recovery cost (retransmit wire time,
+   timeout stalls, ack overhead) to the virtual clocks and the
+   per-processor {!Dsm_sim.Stats}.
 
    Two properties the tests pin down:
 
    - With a passthrough plan (drop = dup = jitter = 0) every function
-     delegates directly to the corresponding [Cluster] function: no PRNG
-     draws, no acks, no events — bit-identical clocks, stats and results.
+     computes exactly what the corresponding [Cluster] cost function
+     does: no PRNG draws, no acks, no events — bit-identical clocks,
+     stats and results.
    - All fault decisions come from a counter-based splitmix64 stream, and
      the simulator's fiber scheduler is deterministic, so a faulty run is
      exactly reproducible from [(config, seed)].
@@ -36,16 +37,7 @@
      overhead) since it happens concurrently with its own progress.
    - In-order delivery per flow is modeled by flooring each delivery at
      the flow's previous delivery time (a reordered copy waits in the
-     resequencing buffer).
-   - Some DSM messages are charged directly on the cluster (clocks and
-     statistics) and never cross this layer, so they are never dropped,
-     duplicated or jittered:
-     - barrier-departure notices ([Sync_ops.barrier]);
-     - lock forwards and grants ([Sync_ops.lock_acquire]);
-     - piggy-backed and asynchronous diff responses ([Protocol.move]);
-     - the barrier-time broadcast ([Fetch.answer_barrier]);
-     - invalidation acks ([Invalidate.ensure_excl]).
-     Under a lossy plan their cost is the reliable-network cost. *)
+     resequencing buffer). *)
 
 module Config = Dsm_sim.Config
 module Cluster = Dsm_sim.Cluster
@@ -220,16 +212,19 @@ let retransmit_cpu c ~bytes =
 
 (* {1 The transport cost functions} *)
 
-let send t ~src ~dst ~bytes =
-  Prof.enter Prof.Net;
-  let r =
-  if t.passthrough then Cluster.send t.cluster ~src ~dst ~bytes
+(* The one place a message is counted: [bytes] on [src]'s statistics, and
+   its fault-free delivery time [at] made reliable. The first copy left
+   one wire latency before [at]; the sender's CPU pays for each
+   retransmission since it happens concurrently with its own progress. *)
+let deliver_leg t ~src ~dst ~bytes ~at =
+  let st = t.cluster.Cluster.stats.(src) in
+  st.Stats.messages <- st.Stats.messages + 1;
+  st.Stats.bytes <- st.Stats.bytes + bytes;
+  if t.passthrough then at
   else begin
     let c = t.cluster.Cluster.cfg in
-    let base_arrival = Cluster.send t.cluster ~src ~dst ~bytes in
-    let xmit = base_arrival -. c.Config.wire_latency_us in
+    let xmit = at -. c.Config.wire_latency_us in
     let l = reliable_leg t ~src ~dst ~bytes ~xmit in
-    (* Non-blocking send: the sender's CPU pays for each retransmission. *)
     if l.attempts > 1 then
       Cluster.charge t.cluster src
         (float_of_int (l.attempts - 1) *. retransmit_cpu c ~bytes);
@@ -239,6 +234,21 @@ let send t ~src ~dst ~bytes =
     ack t ~src ~dst ~msg:l.msg ~attempts:l.attempts;
     l.deliver
   end
+
+let deliver t ~src ~dst ~bytes ~at =
+  Prof.enter Prof.Net;
+  let r = deliver_leg t ~src ~dst ~bytes ~at in
+  Prof.exit Prof.Net;
+  r
+
+let send t ~src ~dst ~bytes =
+  Prof.enter Prof.Net;
+  let c = t.cluster.Cluster.cfg in
+  Cluster.charge t.cluster src
+    (c.Config.msg_overhead_us +. (c.Config.per_byte_us *. float_of_int bytes));
+  let r =
+    deliver_leg t ~src ~dst ~bytes
+      ~at:(Cluster.time t.cluster src +. c.Config.wire_latency_us)
   in
   Prof.exit Prof.Net;
   r

@@ -1,9 +1,11 @@
 (** Modeled unreliable transport with a reliable-delivery layer on top.
 
-    Drop-in replacements for the {!Dsm_sim.Cluster} cost functions
-    ([send]/[rpc]) that route a message over a network which
+    The one module that counts and times a message. [send] and [rpc]
+    are drop-in replacements for the {!Dsm_sim.Cluster} cost functions,
+    and [deliver] carries a message whose fault-free delivery time the
+    caller computed itself. Each routes the message over a network which
     may drop, duplicate, delay or reorder copies according to the run's
-    {!Plan}, and recover exactly-once in-order delivery with sequence
+    {!Plan}, and recovers exactly-once in-order delivery with sequence
     numbers, acks, timeout + exponential-backoff retransmission,
     duplicate suppression and per-flow resequencing. Recovery costs
     (retransmit wire time, timeout stalls, ack overhead) are charged to
@@ -11,16 +13,10 @@
     ([retransmits], [timeouts], [dropped], [duplicates]).
 
     With a passthrough plan (all fault rates zero) every function
-    delegates directly to the corresponding [Cluster] function —
+    computes exactly what the corresponding [Cluster] function does —
     bit-identical clocks, statistics and trace. All fault decisions come
     from a counter-based deterministic PRNG, so a faulty run is exactly
-    reproducible from [(config, seed)].
-
-    Modeling approximation: not every DSM message crosses this layer.
-    Barrier-departure notices, lock forwards and grants, piggy-backed
-    and asynchronous diff responses, the barrier-time broadcast and
-    invalidation acks are charged directly on the cluster, so they are
-    never dropped, duplicated or jittered. *)
+    reproducible from [(config, seed)]. *)
 
 type t
 
@@ -47,8 +43,18 @@ val send : t -> src:int -> dst:int -> bytes:int -> float
     never earlier than the previous [src]→[dst] delivery, after any
     retransmissions and jitter). The sender's CPU is charged for the
     initial attempt and every retransmission; the ack leg is charged to
-    both ends. None of this touches the host clock — like every cost
-    function here it is deterministic given [(plan, call sequence)]. *)
+    both ends: {!deliver} after charging the sending cost. None of this
+    touches the host clock — like every cost function here it is
+    deterministic given [(plan, call sequence)]. *)
+
+val deliver : t -> src:int -> dst:int -> bytes:int -> at:float -> float
+(** One-way message of [bytes] payload bytes whose fault-free delivery
+    time at [dst] is [at] and whose sending CPU the caller has already
+    charged (a reply or forward sent from inside a handler, a barrier
+    departure, a broadcast hop). Counts one message and [bytes] on
+    [src]. Under a passthrough plan returns [at]; otherwise returns the
+    reliable delivery time, charging [src] for each retransmission,
+    [dst] for duplicate suppression and both ends for the ack. *)
 
 val rpc :
   t -> src:int -> dst:int -> req_bytes:int -> resp_bytes:int ->

@@ -37,7 +37,7 @@ let of_config (c : Config.t) =
     dup = c.Config.net_dup;
     jitter_us = c.Config.net_jitter_us;
     seed = c.Config.net_seed;
-    rto_us = c.Config.net_rto_us;
+    rto_us = default.rto_us;
     max_attempts = default_max_attempts;
   }
 

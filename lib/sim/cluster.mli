@@ -3,9 +3,9 @@
 
     All times are in microseconds of virtual time. Computation is charged
     explicitly with {!charge}; point-to-point communication with the
-    [send]/[rpc] cost functions, which update both clocks and statistics
-    (replies and broadcasts the protocol models inline update them
-    directly).
+    [send]/[rpc] cost functions, which update both clocks and statistics.
+    The run-time reaches them only through {!Dsm_net.Net}, which
+    reproduces them exactly under a fault-free plan.
 
     Request handlers (diff requests, lock grants) in the DSM run synchronously
     in simulation: the requester directly manipulates the target's state and

@@ -62,12 +62,8 @@ type t = {
   net_dup : float;
   net_jitter_us : float;
   net_seed : int;
-  net_rto_us : float;
   backend : backend_kind;
   home_policy : home_policy;
-  adapt_window : int;
-      (* adaptive backend: number of barrier epochs observed before a page's
-         sharing pattern is (re)classified and its protocol may switch *)
   replicas : int;
       (* fault tolerance: size k of each page's home replica group (hlrc
          only); 1 = the plain single-home protocol, bit-identical to the
@@ -110,10 +106,8 @@ let default =
     net_dup = 0.0;
     net_jitter_us = 0.0;
     net_seed = 0;
-    net_rto_us = 1000.0;
     backend = Lrc;
     home_policy = Home_block;
-    adapt_window = 2;
     replicas = 1;
     ckpt_every = 0;
     crash = [];

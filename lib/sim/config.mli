@@ -93,15 +93,9 @@ type t = {
   net_seed : int;
       (** PRNG seed of the fault plan: any faulty run is exactly reproducible
           from [(config, seed)] *)
-  net_rto_us : float;
-      (** base retransmission timeout of the reliable-delivery layer; doubles
-          on every consecutive loss (exponential backoff) *)
   backend : backend_kind;  (** coherence protocol run by {!Dsm_tmk.Tmk} *)
   home_policy : home_policy;
       (** static page-to-home assignment (HLRC only) *)
-  adapt_window : int;
-      (** adaptive backend: barrier epochs observed per classification
-          window; a page's protocol can switch once per window *)
   replicas : int;
       (** fault tolerance: size [k] of each page's home replica group under
           the hlrc backend. Release-time flushes become quorum writes (acked

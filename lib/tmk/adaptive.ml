@@ -6,8 +6,8 @@
    {!Fetch} look each page's policy up ({!Fetch.proto_of}) and record the
    sharing observations. This module reclassifies pages online from their
    observed sharing pattern. Pages start under LRC (the paper's default,
-   correct for anything); every [adapt_window] barrier epochs the per-window
-   read/write processor masks decide:
+   correct for anything); every {!Proto_plan.window} barrier epochs the
+   per-window read/write processor masks decide:
 
    - one processor both reads and writes the page (private, or migratory
      when the processor changes between windows) -> invalidate, owned by
@@ -79,7 +79,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
      own departure pull has not run yet (we are inside the last arriver's
      turn) — and any lazily deferred diff for the page must be
      materialized so no twin survives the switch. *)
-  ignore (Protocol.pull_notices sys o ~upto:sys.barrier.departure_vc);
+  Protocol.pull_notices sys o ~upto:sys.barrier.departure_vc;
   for w = 0 to sys.nprocs - 1 do
     let pg = Page_table.entry sys.states.(w).pt page in
     if pg.Page_table.twin <> None then begin
@@ -179,8 +179,7 @@ let reclassify sys ~epoch =
 (* Runs once per barrier, in the last arriver's turn, at quiescence. *)
 let plan_bcast sys ~epoch ~departure_clock:_ _entries =
   sys.adapt_tick <- sys.adapt_tick + 1;
-  let w = max 1 sys.cluster.Cluster.cfg.Config.adapt_window in
-  if sys.adapt_tick >= w then begin
+  if sys.adapt_tick >= Proto_plan.window then begin
     sys.adapt_tick <- 0;
     reclassify sys ~epoch
   end;

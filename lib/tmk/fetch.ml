@@ -18,6 +18,7 @@ open Types
 module Cluster = Dsm_sim.Cluster
 module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
+module Net = Dsm_net.Net
 module Range = Dsm_rsd.Range
 module Page_table = Dsm_mem.Page_table
 module Prof = Dsm_prof.Prof
@@ -248,8 +249,6 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
   | Some (e, plan) when e = epoch && plan.bp_src = p ->
       let bytes = plan.bp_bytes in
       let pstats = sys.cluster.Cluster.stats.(p) in
-      pstats.Stats.messages <- pstats.Stats.messages + (sys.nprocs - 1);
-      pstats.Stats.bytes <- pstats.Stats.bytes + (bytes * (sys.nprocs - 1));
       pstats.Stats.broadcasts <- pstats.Stats.broadcasts + 1;
       let hops =
         int_of_float (ceil (log (float_of_int sys.nprocs) /. log 2.0))
@@ -264,7 +263,7 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
              { bytes; requesters = plan.bp_requesters })
   | Some _ | None -> ());
   (* Requester side: a broadcast reaches each requester at its depth in
-     the binomial tree. *)
+     the binomial tree, one message from the source per requester. *)
   List.iter
     (fun req ->
       let bcast =
@@ -280,7 +279,10 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
                 (List.find_index (( = ) p) plan.bp_requesters)
             in
             let depth = ceil (log (float_of_int (pos + 2)) /. log 2.0) in
-            Some (plan.bp_base +. (depth *. plan.bp_per_hop))
+            Some
+              (Net.deliver sys.net ~src:plan.bp_src ~dst:p
+                 ~bytes:plan.bp_bytes
+                 ~at:(plan.bp_base +. (depth *. plan.bp_per_hop)))
         | Some _ | None -> None
       in
       answer sys p ~at:departure_clock ?bcast ~async:req.wr_async req)

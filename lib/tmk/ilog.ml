@@ -41,10 +41,13 @@ let add t ~seq pages =
 
 let hi t = t.hi
 
+let clamp t s = if s >= t.hi then t.hi else if s < 0 then 0 else s
+
+(* Number of write notices in intervals with [lo < seq <= hi]. *)
+let count_window t ~lo ~hi = t.cum.(clamp t hi) - t.cum.(clamp t lo)
+
 (* Number of write notices in intervals newer than [seq]. *)
-let count_since t seq =
-  let s = if seq >= t.hi then t.hi else if seq < 0 then 0 else seq in
-  t.cum.(t.hi) - t.cum.(s)
+let count_since t seq = count_window t ~lo:seq ~hi:t.hi
 
 (* [f seq pages] for every recorded interval with [lo < seq <= hi],
    newest first. *)

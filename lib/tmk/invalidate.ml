@@ -161,16 +161,14 @@ let ensure_excl sys p page =
               cfg.Config.interrupt_us +. (2.0 *. cfg.Config.msg_overhead_us)
             in
             Cluster.charge sys.cluster q service;
-            let qstats = sys.cluster.Cluster.stats.(q) in
-            qstats.Stats.messages <- qstats.Stats.messages + 1;
-            qstats.Stats.bytes <- qstats.Stats.bytes + 16;
             if sys.trace <> None then
               Protocol.emit sys q
                 (Dsm_trace.Event.Inval_ack { page; writer = p });
             let start =
               Cluster.occupy sys.cluster q ~arrival ~handler_time:service
             in
-            start +. service +. cfg.Config.wire_latency_us)
+            Net.deliver sys.net ~src:q ~dst:p ~bytes:16
+              ~at:(start +. service +. cfg.Config.wire_latency_us))
           victims
       in
       List.iter

@@ -16,6 +16,7 @@ module Plan = Dsm_net.Plan
 
 let magic = "dsm-protocol-plan"
 let version = 1
+let window = 2
 
 type proto = Lrc | Hlrc | Inval
 

@@ -15,6 +15,11 @@
 val magic : string
 val version : int
 
+val window : int
+(** Barrier epochs per classification window: the adaptive backend
+    reclassifies its pages once per window, and the static classifier
+    judges a decision exact by the same windows. *)
+
 type proto = Lrc | Hlrc | Inval
 
 val proto_name : proto -> string

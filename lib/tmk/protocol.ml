@@ -324,31 +324,42 @@ let apply_notice sys p ~writer ~seq ~pages =
     if !invalidated <> [] then protect_runs sys p !invalidated
   end
 
+(* The size, in notices, of the write notices [p] is missing up to [upto]
+   (for message-size accounting). An object-granularity page's per-slot
+   extent travels with its notice, modeled as one extra notice-sized
+   entry per page. *)
+let count_notices sys p ~upto =
+  let st = sys.states.(p) in
+  let count = ref 0 in
+  for q = 0 to sys.nprocs - 1 do
+    let lo = Vc.get st.vc q
+    and hi = Vc.get upto q in
+    if q <> p && hi > lo then begin
+      count := !count + Ilog.count_window sys.logs.(q) ~lo ~hi;
+      if sys.has_objs then
+        Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun _ pages ->
+            List.iter
+              (fun g -> if Hashtbl.mem sys.obj_regions g then incr count)
+              pages)
+    end
+  done;
+  !count
+
 (* Apply, from the global interval logs, every notice of every processor [q]
-   with [vc_me.(q) < seq <= upto.(q)]; advance the vector clock. Returns the
-   number of notices applied (for message-size accounting). *)
+   with [vc_me.(q) < seq <= upto.(q)]; advance the vector clock. *)
 let pull_notices sys p ~upto =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
-  let count = ref 0 in
   for q = 0 to sys.nprocs - 1 do
     if q <> p && Vc.get upto q > Vc.get st.vc q then begin
       let lo = Vc.get st.vc q
       and hi = Vc.get upto q in
       Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun seq pages ->
-          count := !count + List.length pages;
-          (* object-granularity pages: the per-slot extent travels with
-             the notice, modeled as one extra notice-sized entry per page *)
-          if sys.has_objs then
-            List.iter
-              (fun g -> if Hashtbl.mem sys.obj_regions g then incr count)
-              pages;
           apply_notice sys p ~writer:q ~seq ~pages);
       Vc.set st.vc q hi
     end
   done;
-  Prof.exit Prof.Protocol;
-  !count
+  Prof.exit Prof.Protocol
 
 (* {1 The transfer pipeline}
 
@@ -395,19 +406,18 @@ let await st page arrival =
   in
   Hashtbl.replace st.pending_async page (Float.max prev arrival)
 
-(* One data message [r.peer] sends at [at], its sending cost stolen from
-   the peer's cpu; returns the arrival at the requester. *)
-let answer_at sys r at bytes =
+(* One data message [r.peer] sends to [p] at [at], its sending cost
+   stolen from the peer's cpu; returns the arrival at [p]. *)
+let answer_at sys p r at bytes =
   let cfg = sys.cluster.Cluster.cfg in
-  let qstats = sys.cluster.Cluster.stats.(r.peer) in
-  qstats.Stats.messages <- qstats.Stats.messages + 1;
-  qstats.Stats.bytes <- qstats.Stats.bytes + bytes;
   Cluster.charge sys.cluster r.peer
     (cfg.Config.msg_overhead_us
     +. (cfg.Config.per_byte_us *. float_of_int bytes));
-  at
-  +. (cfg.Config.per_byte_us *. float_of_int bytes)
-  +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us
+  Net.deliver sys.net ~src:r.peer ~dst:p ~bytes
+    ~at:
+      (at
+      +. (cfg.Config.per_byte_us *. float_of_int bytes)
+      +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us)
 
 let move sys p mode r =
   let cfg = sys.cluster.Cluster.cfg in
@@ -422,7 +432,7 @@ let move sys p mode r =
   | Piggyback at ->
       Cluster.charge sys.cluster r.peer r.mat;
       if resp_bytes > 0 then
-        Cluster.sync_clock sys.cluster p (answer_at sys r at resp_bytes)
+        Cluster.sync_clock sys.cluster p (answer_at sys p r at resp_bytes)
   | Async ->
       let arrival_at_peer =
         Net.send sys.net ~src:p ~dst:r.peer ~bytes:(16 * r.nreq)
@@ -435,22 +445,22 @@ let move sys p mode r =
         +. (cfg.Config.per_byte_us *. float_of_int resp_bytes)
       in
       Cluster.charge sys.cluster r.peer service;
-      let qstats = sys.cluster.Cluster.stats.(r.peer) in
-      qstats.Stats.messages <- qstats.Stats.messages + 1;
-      qstats.Stats.bytes <- qstats.Stats.bytes + resp_bytes;
       (* back-to-back requests serialize at the peer's handler *)
       let start =
         Cluster.occupy sys.cluster r.peer ~arrival:arrival_at_peer
           ~handler_time:service
       in
-      let arrival = start +. service +. cfg.Config.wire_latency_us in
+      let arrival =
+        Net.deliver sys.net ~src:r.peer ~dst:p ~bytes:resp_bytes
+          ~at:(start +. service +. cfg.Config.wire_latency_us)
+      in
       List.iter (fun page -> await sys.states.(p) page arrival) r.pages
   | Async_at at ->
       (* the historical cost model: an asynchronous piggy-backed answer
          carries the payload only — no per-diff framing, and the
          materialization it triggered is not charged *)
       if r.data > 0 then begin
-        let arrival = answer_at sys r at r.data in
+        let arrival = answer_at sys p r at r.data in
         List.iter (fun page -> await sys.states.(p) page arrival) r.pages
       end
 

@@ -51,10 +51,13 @@ val apply_notice : system -> int -> writer:int -> seq:int -> pages:int list -> u
 (** Record write notices; invalidate stale local copies; force local
     materialization where needed. *)
 
-val pull_notices : system -> int -> upto:Vc.t -> int
+val count_notices : system -> int -> upto:Vc.t -> int
+(** The number of notices {!pull_notices} would apply (for message-size
+    accounting), counted without applying them. *)
+
+val pull_notices : system -> int -> upto:Vc.t -> unit
 (** Apply every notice in the global interval logs between the processor's
-    vector clock and [upto]; advance the clock. Returns the notice count
-    (for message-size accounting). *)
+    vector clock and [upto]; advance the clock. *)
 
 (** {1 The transfer pipeline}
 

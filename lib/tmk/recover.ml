@@ -77,9 +77,9 @@ let group_of sys ~toucher page =
    retransmits — and emits the [Suspect] event. *)
 let note_down sys ~observer ~peer ~window =
   if Ft.suspect_once sys.ft ~observer ~peer ~window then begin
-    let cfg = sys.cluster.Cluster.cfg in
     Cluster.charge sys.cluster observer
-      (cfg.Config.net_rto_us *. float_of_int Plan.default_max_attempts);
+      ((Net.plan sys.net).Plan.rto_us
+      *. float_of_int Plan.default_max_attempts);
     let ostats = sys.cluster.Cluster.stats.(observer) in
     ostats.Stats.suspects <- ostats.Stats.suspects + 1;
     Protocol.emit sys observer

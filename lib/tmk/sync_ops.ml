@@ -82,7 +82,6 @@ let barrier t =
     let n1 = float_of_int (sys.nprocs - 1) in
     let ready = !latest +. (n1 *. (i +. o)) in
     let dep_send = ready +. (n1 *. o) in
-    b.master_resume_clock <- dep_send;
     b.departure_clock <- dep_send +. alpha +. o;
     (* Master's departure messages redistribute all new notices. *)
     let total_new =
@@ -92,11 +91,13 @@ let barrier t =
       done;
       !sum
     in
-    let mstats = sys.cluster.Cluster.stats.(0) in
-    mstats.Stats.messages <- mstats.Stats.messages + (sys.nprocs - 1);
-    mstats.Stats.bytes <-
-      mstats.Stats.bytes
-      + ((sys.nprocs - 1) * cfg.Config.notice_bytes * total_new);
+    b.resume_clock.(0) <- dep_send;
+    for q = 1 to sys.nprocs - 1 do
+      b.resume_clock.(q) <-
+        Net.deliver sys.net ~src:0 ~dst:q
+          ~bytes:(cfg.Config.notice_bytes * total_new)
+          ~at:b.departure_clock
+    done;
     let dvc = Vc.create sys.nprocs in
     Array.iter (fun stq -> Vc.merge dvc stq.vc) sys.states;
     b.departure_vc <- dvc;
@@ -111,11 +112,10 @@ let barrier t =
   Prof.exit Prof.Sync;
   Engine.block ~until:(fun () -> b.epoch > my_epoch);
   Prof.enter Prof.Sync;
-  if p = 0 then Cluster.sync_clock sys.cluster 0 b.master_resume_clock
-  else Cluster.sync_clock sys.cluster p b.departure_clock;
+  Cluster.sync_clock sys.cluster p b.resume_clock.(p);
   if sys.trace <> None then
     Protocol.emit sys p (Dsm_trace.Event.Barrier_depart { epoch = my_epoch });
-  ignore (Protocol.pull_notices sys p ~upto:b.departure_vc);
+  Protocol.pull_notices sys p ~upto:b.departure_vc;
   (* restore full consistency for pages only partially covered by pushes:
      roll the applied watermark back so the next access refetches the whole
      modification set *)
@@ -194,15 +194,14 @@ let lock_acquire t lid =
   let arrival =
     if manager <> lk.last_releaser && manager <> p then begin
       (* the manager forwards the request to the current owner *)
-      let mstats = sys.cluster.Cluster.stats.(manager) in
-      mstats.Stats.messages <- mstats.Stats.messages + 1;
-      mstats.Stats.bytes <- mstats.Stats.bytes + req_bytes;
       Cluster.charge sys.cluster manager
         (cfg.Config.interrupt_us +. (2.0 *. cfg.Config.msg_overhead_us));
-      arrival
-      +. cfg.Config.interrupt_us
-      +. (2.0 *. cfg.Config.msg_overhead_us)
-      +. cfg.Config.wire_latency_us
+      Net.deliver sys.net ~src:manager ~dst:lk.last_releaser ~bytes:req_bytes
+        ~at:
+          (arrival
+          +. cfg.Config.interrupt_us
+          +. (2.0 *. cfg.Config.msg_overhead_us)
+          +. cfg.Config.wire_latency_us)
     end
     else arrival
   in
@@ -232,14 +231,15 @@ let lock_acquire t lid =
       Cluster.charge sys.cluster grantor
         (cfg.Config.interrupt_us +. cfg.Config.msg_overhead_us
        +. cfg.Config.lock_service_us);
-      let gstats = sys.cluster.Cluster.stats.(grantor) in
-      gstats.Stats.messages <- gstats.Stats.messages + 1;
-      Cluster.sync_clock sys.cluster p
-        (grant_ready +. cfg.Config.wire_latency_us +. cfg.Config.msg_overhead_us);
       let upto = match lk.release_vc with Some v -> v | None -> st.vc in
-      let ncount = Protocol.pull_notices sys p ~upto in
+      let ncount = Protocol.count_notices sys p ~upto in
       let grant_bytes = 16 + (cfg.Config.notice_bytes * ncount) in
-      gstats.Stats.bytes <- gstats.Stats.bytes + grant_bytes;
+      Cluster.sync_clock sys.cluster p
+        (Net.deliver sys.net ~src:grantor ~dst:p ~bytes:grant_bytes
+           ~at:
+             (grant_ready +. cfg.Config.wire_latency_us
+            +. cfg.Config.msg_overhead_us));
+      Protocol.pull_notices sys p ~upto;
       Cluster.charge sys.cluster p
         (cfg.Config.per_byte_us *. float_of_int grant_bytes);
       ncount

@@ -61,7 +61,7 @@ let make ?plan cfg =
         arrived = 0;
         arrival_clock = Array.make nprocs 0.0;
         departure_clock = 0.0;
-        master_resume_clock = 0.0;
+        resume_clock = Array.make nprocs 0.0;
         departure_vc = Vc.create nprocs;
         wsync_tbl = Hashtbl.create 64;
         wsync_done = Hashtbl.create 64;

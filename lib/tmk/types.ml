@@ -109,8 +109,10 @@ type barrier = {
   mutable epoch : int;
   mutable arrived : int;
   arrival_clock : float array;  (* per proc, at arrival-send completion *)
-  mutable departure_clock : float;  (* resume clock for non-master procs *)
-  mutable master_resume_clock : float;
+  mutable departure_clock : float;
+      (* fault-free departure arrival: the broadcast base and the send time
+         of piggy-backed answers *)
+  resume_clock : float array;  (* per proc, when its departure arrived *)
   mutable departure_vc : Vc.t;  (* pointwise max of all vcs at departure *)
   wsync_tbl : (int, (int * wsync_req list) list) Hashtbl.t;
       (* epoch -> requests piggy-backed on arrival messages, per requester *)

@@ -110,6 +110,30 @@ let test_fft3d_mp_empty_slabs () =
       Alcotest.(check (float 1e-6)) "fft3d xhpf at 32 procs" 0.0 r.max_err
   | None -> Alcotest.fail "fft3d has an xhpf version"
 
+(* Regression: at processor counts that divide neither the key nor the
+   bucket count, the last processor owns the remainder keys and the last
+   section the remainder buckets, so every key is ranked. *)
+let test_is_uneven_procs () =
+  let size = Dsm_apps.Is.small in
+  List.iter
+    (fun nprocs ->
+      let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs } in
+      List.iter
+        (fun level ->
+          let r =
+            Dsm_apps.Is.tmk cfg ~size ~behavior:() ~level ~async:false
+          in
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "is tmk %s at %d procs" (opt_level_name level)
+               nprocs)
+            0.0 r.max_err)
+        Dsm_apps.Is.levels;
+      let r = Dsm_apps.Is.pvm cfg ~size ~behavior:() in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "is pvm at %d procs" nprocs)
+        0.0 r.max_err)
+    [ 3; 5; 6 ]
+
 (* Memoized references are laid out column after column and live
    outside the OCaml heap, where the major GC neither counts nor paces
    itself by them. *)
@@ -149,6 +173,8 @@ let tests =
         test_jacobi_frames_follow_touches;
       Alcotest.test_case "fft3d: mp versions with empty slabs" `Quick
         test_fft3d_mp_empty_slabs;
+      Alcotest.test_case "is: 3, 5 and 6 processors" `Quick
+        test_is_uneven_procs;
       Alcotest.test_case "references: column layout, off the OCaml heap"
         `Quick test_references_off_heap;
     ]

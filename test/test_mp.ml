@@ -184,18 +184,6 @@ let test_collectives_under_faults () =
     (c_s.Dsm_sim.Stats.dropped + c_s.Dsm_sim.Stats.duplicates
     + c_s.Dsm_sim.Stats.retransmits + c_s.Dsm_sim.Stats.timeouts)
 
-let test_hpf_dist () =
-  Alcotest.(check int) "block owner" 1 (Hpf.Dist.owner Hpf.Dist.Block ~nprocs:4 ~n:16 5);
-  Alcotest.(check int) "cyclic owner" 1 (Hpf.Dist.owner Hpf.Dist.Cyclic ~nprocs:4 ~n:16 5);
-  Alcotest.(check int) "block count" 4
-    (Hpf.Dist.local_count Hpf.Dist.Block ~nprocs:4 ~n:16 ~p:2);
-  Alcotest.(check int) "cyclic count" 4
-    (Hpf.Dist.local_count Hpf.Dist.Cyclic ~nprocs:4 ~n:16 ~p:3);
-  Alcotest.(check int) "cyclic uneven" 3
-    (Hpf.Dist.local_count Hpf.Dist.Cyclic ~nprocs:4 ~n:15 ~p:3);
-  Alcotest.(check int) "block lo" 8 (Hpf.Dist.block_lo ~nprocs:4 ~n:16 ~p:2);
-  Alcotest.(check int) "block hi" 11 (Hpf.Dist.block_hi ~nprocs:4 ~n:16 ~p:2)
-
 let test_hpf_shift () =
   let n = 4 in
   let sys = Mp.make (cfg n) in
@@ -243,7 +231,6 @@ let tests =
     Alcotest.test_case "sendrecv ring" `Quick test_sendrecv_ring;
     Alcotest.test_case "barrier" `Quick test_barrier;
     Alcotest.test_case "mp timing (no interrupts)" `Quick test_mp_timing;
-    Alcotest.test_case "hpf distributions" `Quick test_hpf_dist;
     Alcotest.test_case "hpf shift exchange" `Quick test_hpf_shift;
     Alcotest.test_case "hpf packing overhead" `Quick test_hpf_costs_more;
     Alcotest.test_case "collectives under faults" `Quick

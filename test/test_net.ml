@@ -3,10 +3,11 @@
    Covers: the deterministic fault PRNG, plan validation, the bit-identical
    zero-fault pass-through (scripted transport sequences and full
    applications), reliable-delivery accounting under forced loss, per-flow
-   in-order delivery under jitter, all six applications at 8 processors
-   under drop+dup+jitter (termination, numerically identical results, clean
-   checker replay, trace-identical reproduction from the same
-   (config, seed)), JSONL round-tripping of the new event kinds, and
+   in-order delivery under jitter, all six applications under all four
+   backends at 8 processors under drop+dup+jitter (termination, exact
+   results, clean checker replay, trace-identical reproduction from the
+   same (config, seed)), total loss proving every message crosses the
+   reliable layer, JSONL round-tripping of the new event kinds, and
    checker rejection of corrupted reliable-delivery traces. *)
 
 module Config = Dsm_sim.Config
@@ -193,59 +194,100 @@ let test_inorder_delivery () =
 
 let last_level l = List.fold_left (fun _ x -> x) (List.hd l) l
 
-let fault_apps : (string * (Config.t -> ?trace:Sink.t -> unit -> result)) list =
-  let app (type p)
+(* The six kernels at test sizes, at any level and on the message-passing
+   baseline. *)
+type kernel = {
+  levels : opt_level list;
+  tmk :
+    Config.t -> ?trace:Sink.t -> level:opt_level -> async:bool -> unit -> result;
+  pvm : Config.t -> result;
+}
+
+let kernels : (string * kernel) list =
+  let kernel (type p)
       (module A : Dsm_apps.Workload.S
         with type size = p
          and type behavior = unit) (prm : p) =
-    fun cfg ?trace () ->
-      A.tmk ?trace cfg ~size:prm ~behavior:() ~level:(last_level A.levels)
-        ~async:true
+    {
+      levels = A.levels;
+      tmk =
+        (fun cfg ?trace ~level ~async () ->
+          A.tmk ?trace cfg ~size:prm ~behavior:() ~level ~async);
+      pvm = (fun cfg -> A.pvm cfg ~size:prm ~behavior:());
+    }
   in
   [
     ( "jacobi",
-      app (module Dsm_apps.Jacobi)
+      kernel (module Dsm_apps.Jacobi)
         { Dsm_apps.Jacobi.small with m = 128; iters = 3 } );
     ( "shallow",
-      app (module Dsm_apps.Shallow)
+      kernel (module Dsm_apps.Shallow)
         { Dsm_apps.Shallow.small with m = 64; n = 32; steps = 3 } );
-    ("gauss", app (module Dsm_apps.Gauss) { Dsm_apps.Gauss.small with m = 64 });
+    ( "gauss",
+      kernel (module Dsm_apps.Gauss) { Dsm_apps.Gauss.small with m = 64 } );
     ( "mgs",
-      app (module Dsm_apps.Mgs) { Dsm_apps.Mgs.small with m = 48; n = 32 } );
+      kernel (module Dsm_apps.Mgs) { Dsm_apps.Mgs.small with m = 48; n = 32 }
+    );
     ( "fft3d",
-      app (module Dsm_apps.Fft3d)
+      kernel (module Dsm_apps.Fft3d)
         { Dsm_apps.Fft3d.small with n = 8; iters = 2 } );
     ( "is",
-      app (module Dsm_apps.Is)
+      kernel (module Dsm_apps.Is)
         { Dsm_apps.Is.small with n_keys = 1 lsl 12; n_buckets = 1 lsl 8;
           reps = 2 } );
   ]
 
+(* Each kernel at its deepest level, asynchronous. *)
+let fault_apps : (string * (Config.t -> ?trace:Sink.t -> unit -> result)) list
+    =
+  List.map
+    (fun (name, k) ->
+      ( name,
+        fun cfg ?trace () ->
+          k.tmk cfg ?trace ~level:(last_level k.levels) ~async:true () ))
+    kernels
+
+let backends = [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ]
+
+(* Every kernel under every backend at 8 processors, 10% loss plus
+   duplication and jitter: the answer stays exact and the checker,
+   including its reliable-delivery rules, stays clean. *)
 let test_apps_under_faults () =
   List.iter
-    (fun (name, (run : Config.t -> ?trace:Sink.t -> unit -> result)) ->
-      let clean = run (cfg_n 8) () in
-      let sink = Sink.create ~nprocs:8 () in
-      let r = run (faulty_cfg 8) ~trace:sink () in
-      (* terminates (we got here) with numerically identical results *)
-      Alcotest.(check (float 0.0))
-        (name ^ ": same result as fault-free run")
-        clean.max_err r.max_err;
-      Alcotest.(check bool)
-        (name ^ ": faults actually injected")
-        true
-        (r.stats.Stats.dropped > 0 || r.stats.Stats.duplicates > 0);
-      Alcotest.(check bool)
-        (name ^ ": recovery costs time")
-        true (r.time_us > clean.time_us);
-      (* the trace, including the transport events, passes the checker *)
-      Alcotest.(check int) (name ^ ": no ring overflow") 0 (Sink.dropped sink);
-      match Check.run_sink sink with
-      | [] -> ()
-      | vs ->
-          Alcotest.failf "%s under faults: %d violations, first: %a" name
-            (List.length vs) Check.pp_violation (List.hd vs))
-    fault_apps
+    (fun backend ->
+      List.iter
+        (fun (name, (run : Config.t -> ?trace:Sink.t -> unit -> result)) ->
+          let name = name ^ "/" ^ Config.backend_name backend in
+          let clean = run { (cfg_n 8) with Config.backend } () in
+          let sink = Sink.create ~nprocs:8 () in
+          let r =
+            run
+              { (faulty_cfg 8) with Config.backend; net_drop = 0.1 }
+              ~trace:sink ()
+          in
+          (* terminates (we got here) with the exact answer *)
+          Alcotest.(check (float 0.0)) (name ^ ": correct") 0.0 r.max_err;
+          Alcotest.(check (float 0.0))
+            (name ^ ": same result as fault-free run")
+            clean.max_err r.max_err;
+          Alcotest.(check bool)
+            (name ^ ": faults actually injected")
+            true
+            (r.stats.Stats.dropped > 0 || r.stats.Stats.duplicates > 0);
+          Alcotest.(check bool)
+            (name ^ ": recovery costs time")
+            true (r.time_us > clean.time_us);
+          (* the trace, including the transport events, passes the
+             checker *)
+          Alcotest.(check int) (name ^ ": no ring overflow") 0
+            (Sink.dropped sink);
+          match Check.run_sink sink with
+          | [] -> ()
+          | vs ->
+              Alcotest.failf "%s under faults: %d violations, first: %a" name
+                (List.length vs) Check.pp_violation (List.hd vs))
+        fault_apps)
+    backends
 
 let test_fault_reproducibility () =
   (* same (config, seed): identical trace, clocks and statistics, twice *)
@@ -291,7 +333,68 @@ let test_backend_digest_self_identity () =
       Alcotest.(check (float 0.0))
         (name ^ ": replayed clock identical")
         r0.time_us r1.time_us)
-    [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ]
+    backends
+
+(* {1 One transport: every message crosses the lossy layer}
+
+   With drop = 1.0 every delivery attempt but the forced last one is lost,
+   so each message — a one-way send, a delivery timed by its caller, or
+   either leg of an RPC — is transmitted [k] times and acked once: [k + 1]
+   messages for [k - 1] retransmissions. A message counted anywhere but in
+   [Net] breaks the ratio. *)
+let test_drop_all_invariant () =
+  let k = Plan.default_max_attempts in
+  let check label (r : result) =
+    let s = r.stats in
+    Alcotest.(check (float 0.0)) (label ^ ": correct") 0.0 r.max_err;
+    Alcotest.(check bool) (label ^ ": messages sent") true (s.Stats.messages > 0);
+    Alcotest.(check int)
+      (label ^ ": messages x (k-1) = retransmits x (k+1)")
+      (s.Stats.messages * (k - 1))
+      (s.Stats.retransmits * (k + 1))
+  in
+  let lost = { (cfg_n 4) with Config.net_drop = 1.0 } in
+  let runs =
+    List.concat_map
+      (fun (name, kn) ->
+        check (name ^ "/pvm") (kn.pvm lost);
+        List.concat_map
+          (fun backend ->
+            List.map
+              (fun (level, async) ->
+                let r =
+                  kn.tmk { lost with Config.backend } ~level ~async ()
+                in
+                check
+                  (Printf.sprintf "%s/%s/%s%s" name
+                     (Config.backend_name backend) (opt_level_name level)
+                     (if async then "/async" else ""))
+                  r;
+                (name, backend, level, async, r.stats))
+              [ (Base, false); (last_level kn.levels, true) ])
+          backends)
+      kernels
+  in
+  (* the sample reaches every message kind that once bypassed [Net] *)
+  let sum f =
+    List.fold_left (fun acc (n, b, l, a, s) -> acc + f n b l a s) 0 runs
+  in
+  Alcotest.(check bool) "lock forwards and grants (IS)" true
+    (sum (fun n _ _ _ s -> if n = "is" then s.Stats.lock_acquires else 0) > 0);
+  Alcotest.(check bool) "barrier broadcast (MGS sync-merge, lrc)" true
+    (sum (fun n b l _ s ->
+         if n = "mgs" && b = Config.Lrc && l = Sync_merge then
+           s.Stats.broadcasts
+         else 0)
+    > 0);
+  Alcotest.(check bool) "invalidation acks (inval)" true
+    (sum (fun _ b _ _ s -> if b = Config.Inval then s.Stats.invals else 0) > 0);
+  Alcotest.(check bool) "piggy-backed answers (a sync-merge case)" true
+    (List.exists (fun (_, _, l, _, _) -> l = Sync_merge) runs);
+  Alcotest.(check bool) "asynchronous responses (an async validate case)" true
+    (List.exists
+       (fun (_, _, l, a, _) -> a && (l = Comm_aggr || l = Cons_elim))
+       runs)
 
 (* {1 JSONL round-trip} *)
 
@@ -523,6 +626,8 @@ let tests =
       test_fault_reproducibility;
     Alcotest.test_case "four backends: digest self-identity under faults"
       `Quick test_backend_digest_self_identity;
+    Alcotest.test_case "drop = 1: every message crosses the lossy layer"
+      `Quick test_drop_all_invariant;
     Alcotest.test_case "jsonl round-trip (new kinds)" `Quick
       test_jsonl_roundtrip;
     Alcotest.test_case "jsonl round-trip (full faulty run)" `Quick
