@@ -117,13 +117,16 @@ let bechamel_micro () =
             ignore (Dsm_tmk.Vc.sum (Dsm_tmk.Vc.copy vc_a)));
         quick "range-pages" (fun () ->
             ignore (Dsm_rsd.Range.pages ~page_size ranges));
-        quick "ilog-64-adds+scan" (fun () ->
+        quick "ilog-64-adds+scan+touch" (fun () ->
             let l = Dsm_tmk.Ilog.create () in
             for s = 1 to 64 do
               Dsm_tmk.Ilog.add l ~seq:s [ s; s + 1 ]
             done;
             ignore (Dsm_tmk.Ilog.count_since l 0);
-            Dsm_tmk.Ilog.iter_desc l ~lo:0 ~hi:64 (fun _ _ -> ()));
+            Dsm_tmk.Ilog.iter_desc l ~lo:0 ~hi:64 (fun _ _ -> ());
+            for page = 1 to 65 do
+              ignore (Dsm_tmk.Ilog.newest_touch l page ~upto:32)
+            done);
       ]
   in
   let instances = Instance.[ monotonic_clock ] in

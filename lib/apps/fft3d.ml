@@ -203,8 +203,8 @@ let seq_time_us { n; iters; bf_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
-    ~async =
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
+    ~behavior:() ~level ~async =
   let { n; iters; bf_cost } = prm in
   let sys = Tmk.make ?plan cfg in
   let x = Tmk.Alloc.array sys "x" Tmk.F64 ~dims:[ (2 * n); n; n ] in
@@ -406,8 +406,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
       end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
-  make_result ~time_us ~stats ~max_err:!err
-    ~digest:(if digest then Tmk.digest sys else "")
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err:!err ~digest
     ~homes ~classes ()
 
 (* {1 Message-passing versions}

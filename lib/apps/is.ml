@@ -112,8 +112,8 @@ let rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo ~hi =
 let run_page_size ~nprocs ~page_size { n_buckets; _ } =
   min page_size (n_buckets / nprocs * 8)
 
-let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
-    ~async =
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
+    ~behavior:() ~level ~async =
   let { n_keys; n_buckets; reps; key_cost; bucket_cost } = prm in
   (* Our buckets stand in for 16x the paper's (2^19 vs 2^15, 2^15 vs 2^11):
      scale the per-page cost of matching piggy-backed section requests
@@ -211,8 +211,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
   done;
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
-  make_result ~time_us ~stats ~max_err:!err
-    ~digest:(if digest then Tmk.digest sys else "")
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err:!err ~digest
     ~homes ~classes ()
 
 (* {1 Hand-coded message passing}

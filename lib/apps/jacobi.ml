@@ -76,7 +76,7 @@ let seq_time_us { m; iters; update_cost; copy_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ~size:prm
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     ~behavior:() ~level ~async =
   let { m; iters; update_cost; copy_cost } = prm in
   let sys = Tmk.make ?plan cfg in
@@ -180,10 +180,6 @@ let tmk_inspect ?trace ?(digest = false) ?plan ~inspect cfg ~size:prm
   let digest = if digest then Tmk.digest sys else "" in
   inspect sys;
   make_result ~time_us ~stats ~max_err:!err ~digest ~homes ~classes ()
-
-let tmk ?trace ?digest ?plan cfg ~size ~behavior ~level ~async =
-  tmk_inspect ?trace ?digest ?plan ~inspect:ignore cfg ~size ~behavior ~level
-    ~async
 
 (* {1 Message-passing versions}
 

@@ -19,17 +19,3 @@ val large : params
 val small : params
 
 include Workload.S with type size = params and type behavior = unit
-
-val tmk_inspect :
-  ?trace:Dsm_trace.Sink.t ->
-  ?digest:bool ->
-  ?plan:Dsm_tmk.Proto_plan.t ->
-  inspect:(Dsm_tmk.Tmk.system -> unit) ->
-  Dsm_sim.Config.t ->
-  size:params ->
-  behavior:unit ->
-  level:App_common.opt_level ->
-  async:bool ->
-  App_common.result
-(** {!tmk}, handing the final system state to [inspect] after the
-    verification pass (for tests of the run-time's memory footprint). *)

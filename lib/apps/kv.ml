@@ -251,7 +251,8 @@ let reference e ~nprocs =
 
 (* {1 TreadMarks version} *)
 
-let tmk ?trace ?(digest = false) ?plan cfg ~size ~behavior ~level:_ ~async =
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size ~behavior
+    ~level:_ ~async =
   let np = cfg.Dsm_sim.Config.nprocs in
   let e = effective size behavior ~nprocs:np in
   let sys = Tmk.make ?plan cfg in
@@ -321,8 +322,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size ~behavior ~level:_ ~async =
   let max_err = Array.fold_left combine_err 0.0 errs in
   let latencies = Array.concat (Array.to_list lat) in
   Array.sort compare latencies;
-  make_result ~time_us ~stats ~max_err
-    ~digest:(if digest then Tmk.digest sys else "")
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err ~digest
     ~homes ~classes ~latencies_us:latencies
     ~nops:(e.e_per_proc * np) ()
 

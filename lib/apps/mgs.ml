@@ -73,8 +73,8 @@ let seq_time_us { m; n; dot_cost } =
 
 (* {1 TreadMarks versions} *)
 
-let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
-    ~async =
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
+    ~behavior:() ~level ~async =
   let { m; n; dot_cost } = prm in
   let cfg = { cfg with Dsm_sim.Config.page_size = page_size prm } in
   let sys = Tmk.make ?plan cfg in
@@ -168,8 +168,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
       end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
-  make_result ~time_us ~stats ~max_err:!err
-    ~digest:(if digest then Tmk.digest sys else "")
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err:!err ~digest
     ~homes ~classes ()
 
 (* {1 Message-passing versions} *)

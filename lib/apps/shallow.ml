@@ -277,8 +277,8 @@ let bounds n nprocs p =
   let w = (n + nprocs - 1) / nprocs in
   (p * w, min (n - 1) (((p + 1) * w) - 1))
 
-let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
-    ~async =
+let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
+    ~behavior:() ~level ~async =
   let { m; n; steps; point_cost } = prm in
   let sys = Tmk.make ?plan cfg in
   let names =
@@ -385,8 +385,9 @@ let tmk ?trace ?(digest = false) ?plan cfg ~size:prm ~behavior:() ~level
       end);
   let homes = Tmk.homes sys in
   let classes = Tmk.adapt_classes sys in
-  make_result ~time_us ~stats ~max_err:!err
-    ~digest:(if digest then Tmk.digest sys else "")
+  let digest = if digest then Tmk.digest sys else "" in
+  inspect sys;
+  make_result ~time_us ~stats ~max_err:!err ~digest
     ~homes ~classes ()
 
 (* {1 Message-passing versions}

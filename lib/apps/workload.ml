@@ -52,6 +52,7 @@ module type S = sig
     ?trace:Dsm_trace.Sink.t ->
     ?digest:bool ->
     ?plan:Dsm_tmk.Proto_plan.t ->
+    ?inspect:(Dsm_tmk.Tmk.system -> unit) ->
     Dsm_sim.Config.t ->
     size:size ->
     behavior:behavior ->
@@ -63,7 +64,9 @@ module type S = sig
       [digest] (default false) adds a protocol-level read pass over the
       final shared state; [plan] seeds the adaptive/hlrc backend's
       per-page protocol state before the first access
-      ({!Dsm_tmk.Tmk.make}). *)
+      ({!Dsm_tmk.Tmk.make}); [inspect] is handed the final system state
+      after the verification and digest passes (tests of the run-time's
+      own state). *)
 
   val pvm :
     Dsm_sim.Config.t -> size:size -> behavior:behavior -> App_common.result

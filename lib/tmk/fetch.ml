@@ -122,10 +122,10 @@ let fault sys p page ~write =
         if Range.is_empty m.write_all && pg.Page_table.twin = None then
           Protocol.make_twin sys p page pg;
         Protocol.mark_dirty st page;
-        pg.Page_table.prot <- Page_table.Read_write
+        Protocol.grant st page pg Page_table.Read_write
       end
       else
-        pg.Page_table.prot <-
+        Protocol.grant st page pg
           (if Protocol.in_dirty st page then Page_table.Read_write
            else Page_table.Read_only));
   Prof.exit Prof.Protocol

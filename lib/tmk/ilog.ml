@@ -1,30 +1,97 @@
-(* Indexed per-processor write-notice log.
+(* Indexed per-processor write-notice log, with two views of one log.
 
    [Protocol.release] allocates interval sequence numbers densely (1, 2,
    ...), so the log is an array indexed by seq instead of the former
-   newest-first association list. This turns the three hot queries —
-   pulling the notices of a vector-clock window, counting notices newer
-   than a watermark, and finding the newest interval touching a page —
-   from O(full history) scans into O(window) loops or O(1) lookups. A
-   cumulative notice count gives the watermark query without touching
-   the entries at all.
+   newest-first association list. This turns the hot queries — pulling
+   the notices of a vector-clock window and counting notices newer than a
+   watermark — from O(full history) scans into O(window) loops or O(1)
+   lookups. A cumulative notice count gives the watermark query without
+   touching the entries at all.
+
+   The second view indexes the same notices by page: for every page, the
+   seqs of this writer's intervals that list it, as runs of consecutive
+   seqs (a page written in every interval costs one run). {!newest_touch}
+   answers "the newest interval up to [upto] that wrote the page" with one
+   comparison in the common case (the last run ends at or below [upto])
+   and a binary search over the runs otherwise. A {!writers} table,
+   shared by every processor's log, records which writers ever listed
+   each page and the newest interval of each that did, so
+   {!iter_newest} visits a writer's own index only when that interval
+   lies above [upto]. The receiver's quiet pages ({!Protocol}) fold their
+   [known] watermarks from this view instead of applying every notice
+   eagerly.
+
+   Each interval's pages are kept as an [int array]: one word per page
+   instead of a list's three.
 
    Iteration is seq-descending, matching the former newest-first list
    order exactly: simulated results are bit-identical. *)
 
+(* A page-indexed table of rows: page -> [| n; <head - 1 header words>;
+   n entries of [width] words |], grown by doubling; [||] while the page
+   has no entry. *)
+type index = { head : int; width : int; mutable by_page : int array array }
+
+let count ix page =
+  if page < Array.length ix.by_page then
+    let a = Array.unsafe_get ix.by_page page in
+    if Array.length a = 0 then 0 else a.(0)
+  else 0
+
+(* Append an entry to [page]'s row; returns its first slot. *)
+let push ix page =
+  let len = Array.length ix.by_page in
+  if page >= len then begin
+    let b = Array.make (max (page + 1) (2 * len)) [||] in
+    Array.blit ix.by_page 0 b 0 len;
+    ix.by_page <- b
+  end;
+  let a = ix.by_page.(page) in
+  let n = if Array.length a = 0 then 0 else a.(0) in
+  let slot = ix.head + (n * ix.width) in
+  if slot + ix.width > Array.length a then begin
+    let b = Array.make (max (ix.head + ix.width) (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    ix.by_page.(page) <- b
+  end;
+  ix.by_page.(page).(0) <- n + 1;
+  slot
+
+(* The writers that ever listed each page, in order of first listing:
+   rows of (writer, newest interval of the writer listing the page). *)
+type writers = index
+
+let writers () = { head = 1; width = 2; by_page = [||] }
+
 type t = {
-  mutable pages : int list array;  (* slot s: pages of interval seq s *)
+  owner : int;
+  shared : writers;
+  mutable pages : int array array;  (* slot s: pages of interval seq s *)
   mutable cum : int array;  (* slot s: total notice count of seqs <= s *)
   mutable hi : int;  (* highest recorded seq; slots 1..hi are valid *)
+  touch : index;
+      (* page -> [| n; this log's slot in [shared]'s row; n entries |]:
+         the seqs of the intervals listing the page, ascending, with a run
+         of consecutive seqs lo..hi stored as [lo; -hi] (a page written
+         in every interval, the usual case for an owner's block, costs
+         two words) *)
 }
 
-let create () = { pages = Array.make 64 []; cum = Array.make 64 0; hi = 0 }
+let create ?(owner = 0) ?(writers = writers ()) () =
+  {
+    owner;
+    shared = writers;
+    pages = Array.make 64 [||];
+    cum = Array.make 64 0;
+    hi = 0;
+    touch = { head = 2; width = 1; by_page = [||] };
+  }
 
 let grow t n =
   let len = Array.length t.pages in
   if n >= len then begin
     let len' = max (n + 1) (2 * len) in
-    let p = Array.make len' [] in
+    let p = Array.make len' [||] in
     Array.blit t.pages 0 p 0 len;
     t.pages <- p;
     let c = Array.make len' 0 in
@@ -35,9 +102,33 @@ let grow t n =
 let add t ~seq pages =
   if seq <> t.hi + 1 then invalid_arg "Ilog.add: non-consecutive seq";
   grow t seq;
+  let pages = Array.of_list pages in
   t.pages.(seq) <- pages;
-  t.cum.(seq) <- t.cum.(t.hi) + List.length pages;
-  t.hi <- seq
+  t.cum.(seq) <- t.cum.(t.hi) + Array.length pages;
+  t.hi <- seq;
+  Array.iter
+    (fun page ->
+      let n = count t.touch page in
+      let last = if n = 0 then 0 else t.touch.by_page.(page).(n + 1) in
+      (* a page listed twice in one interval is indexed once *)
+      if abs last <> seq then begin
+        if n > 0 && last = -(seq - 1) then
+          t.touch.by_page.(page).(n + 1) <- -seq
+        else begin
+          let slot = push t.touch page in
+          let row = t.touch.by_page.(page) in
+          (* a singleton directly below [seq] becomes a run *)
+          row.(slot) <- (if n > 0 && last = seq - 1 then -seq else seq);
+          if n = 0 then begin
+            let at = push t.shared page in
+            t.shared.by_page.(page).(at) <- t.owner;
+            row.(1) <- at
+          end
+        end;
+        let row = t.touch.by_page.(page) in
+        t.shared.by_page.(page).(row.(1) + 1) <- seq
+      end)
+    pages
 
 let hi t = t.hi
 
@@ -57,11 +148,42 @@ let iter_desc t ~lo ~hi f =
     f s t.pages.(s)
   done
 
-(* Newest interval with [lo < seq <= upto] whose page list contains
-   [page]; 0 if none. *)
-let newest_containing t ~lo ~upto page =
-  let top = if upto > t.hi then t.hi else upto in
-  let rec go s =
-    if s <= lo then 0 else if List.mem page t.pages.(s) then s else go (s - 1)
-  in
-  go top
+(* Newest interval with [seq <= upto] whose pages include [page]; 0 if
+   none. *)
+let newest_touch t page ~upto =
+  let n = count t.touch page in
+  if n = 0 then 0
+  else begin
+    let a = t.touch.by_page.(page) in
+    if abs a.(n + 1) <= upto then abs a.(n + 1)
+    else if a.(2) > upto then 0
+    else begin
+      (* the last entry at or below [upto]: abs a.(lo) <= upto <
+         abs a.(hi) *)
+      let lo = ref 2 and hi = ref (n + 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) lsr 1 in
+        if abs a.(mid) <= upto then lo := mid else hi := mid
+      done;
+      let e = a.(!lo) in
+      if e < 0 then -e (* a run ending at or below [upto] *)
+      else if a.(!lo + 1) < 0 then upto (* inside the run starting at e *)
+      else e
+    end
+  end
+
+(* [f q s] for every writer [q] of [logs] that listed [page], in order of
+   first listing, with [s] its newest interval listing the page up to
+   [upto q] (0 if none). The newest listing overall is read from the
+   shared row, so a writer with nothing newer than [upto q] costs no
+   visit to its own index. *)
+let iter_newest (w : writers) logs page ~upto f =
+  let n = count w page in
+  if n > 0 then begin
+    let a = w.by_page.(page) in
+    for i = 0 to n - 1 do
+      let q = a.(1 + (2 * i)) and last = a.(2 + (2 * i)) in
+      let u = upto q in
+      f q (if last <= u then last else newest_touch logs.(q) page ~upto:u)
+    done
+  end

@@ -100,8 +100,8 @@ let install sys page ~owner =
     { iv_owner = owner; iv_excl = false; iv_sharers = [ owner ] };
   for q = 0 to sys.nprocs - 1 do
     if q = owner then
-      (Page_table.get sys.states.(q).pt page).Page_table.prot <-
-        Page_table.Read_only
+      let st = sys.states.(q) in
+      Protocol.grant st page (Page_table.get st.pt page) Page_table.Read_only
     else ignore (Page_table.invalidate sys.states.(q).pt page)
   done
 
@@ -121,9 +121,10 @@ let downgrade sys e page ~reader =
   end
 
 let readable sys p page =
-  let pg = Page_table.get sys.states.(p).pt page in
+  let st = sys.states.(p) in
+  let pg = Page_table.get st.pt page in
   if pg.Page_table.prot = Page_table.No_access then
-    pg.Page_table.prot <- Page_table.Read_only
+    Protocol.grant st page pg Page_table.Read_only
 
 (* Read miss: join the sharers, downgrading an exclusive owner. *)
 let ensure_shared sys p page =
@@ -182,8 +183,8 @@ let ensure_excl sys p page =
     e.iv_excl <- true;
     e.iv_sharers <- [ p ]
   end;
-  (Page_table.get sys.states.(p).pt page).Page_table.prot <-
-    Page_table.Read_write
+  let st = sys.states.(p) in
+  Protocol.grant st page (Page_table.get st.pt page) Page_table.Read_write
 
 (* Serve an access to [pages] by the directory transactions. They always
    complete within the call: there is nothing for an asynchronous request

@@ -35,17 +35,91 @@ let in_dirty st page = Hashtbl.mem st.dirty page
 let mark_dirty st page =
   if not (Hashtbl.mem st.dirty page) then Hashtbl.replace st.dirty page ()
 
+(* {1 Quiet pages}
+
+   The receiver's half of lazy diffing. A write notice for a page the
+   processor already holds invalid, with no pending lazy diff of its own
+   and outside any object region, changes nothing but the page's [known]
+   watermark — and nothing reads that until the page's metadata is next
+   used. Such a page is {e quiet}: a notice for it only marks it pending
+   in [st.quiet], and {!meta} folds [known] in from the writers' page
+   index when the page is next used. The fold is exact: the eager
+   [known.(q)] is the newest interval of [q] listing the page up to
+   [vc.(q)] (every window up to [vc.(q)] was pulled), raised by explicit
+   sets that still write the map; [vc.(q)] only grows between folds, and
+   a fold only raises.
+
+   Invariant: a page in state [quiet] or [pending] is [No_access], has
+   metadata, has [lazy_hi = 0] and is not in an object region. {!grant}
+   is the only way out of [No_access]; it folds the page and makes it
+   eager again. *)
+
+let eager = '\000'
+let quiet = '\001'
+let pending = '\002'
+
+let qstate st page =
+  if page < Bytes.length st.quiet then Bytes.unsafe_get st.quiet page
+  else eager
+
+let set_qstate st page c =
+  let len = Bytes.length st.quiet in
+  if page >= len && c <> eager then begin
+    let b = Bytes.make (max (page + 1) (2 * len)) eager in
+    Bytes.blit st.quiet 0 b 0 len;
+    st.quiet <- b
+  end;
+  if page < Bytes.length st.quiet then Bytes.unsafe_set st.quiet page c
+
+let fold st page m =
+  Ilog.iter_newest st.page_writers st.logs page ~upto:(Vc.get st.vc)
+    (fun q s ->
+      if q <> st.me && s > Wmap.get m.known q then Wmap.set m.known q s)
+
+let new_meta () =
+  {
+    applied = Wmap.create ();
+    known = Wmap.create ();
+    write_all = Range.empty;
+    lazy_hi = 0;
+    lazy_vcsum = 0;
+    home_flushed = 0;
+    ob_stale = Pset.empty;
+  }
+
 let meta st page =
-  Page_map.find_or_add st.meta page (fun () ->
-      {
-        applied = Wmap.create ();
-        known = Wmap.create ();
-        write_all = Range.empty;
-        lazy_hi = 0;
-        lazy_vcsum = 0;
-        home_flushed = 0;
-        ob_stale = Pset.empty;
-      })
+  let m = Page_map.find_or_add st.meta page new_meta in
+  if qstate st page = pending then begin
+    fold st page m;
+    set_qstate st page quiet
+  end;
+  m
+
+(* Raise [pg]'s protection to [prot]: the only way a page leaves
+   [No_access]. A quiet page is folded and applies notices eagerly again. *)
+let grant st page pg prot =
+  if qstate st page <> eager then begin
+    ignore (meta st page);
+    set_qstate st page eager
+  end;
+  pg.Page_table.prot <- prot
+
+(* Fold every pending page (before a checkpoint snapshots [known]). *)
+let fold_all st =
+  for page = 0 to Bytes.length st.quiet - 1 do
+    if qstate st page = pending then ignore (meta st page)
+  done
+
+(* Every page applies notices eagerly again (after a wipe). *)
+let forget_quiet st = st.quiet <- Bytes.empty
+
+(* Pages in state quiet or pending, ascending. *)
+let quiet_pages st =
+  let acc = ref [] in
+  for page = Bytes.length st.quiet - 1 downto 0 do
+    if qstate st page <> eager then acc := page :: !acc
+  done;
+  !acc
 
 (* {1 Object granularity}
 
@@ -280,13 +354,24 @@ let materialize sys ~writer ~page =
    When a notice arrives for a page with pending un-materialized local
    modifications, the local diff is created first (as in TreadMarks):
    otherwise a later accumulated diff would span the other writer's
-   ordered-in-between interval and could be applied out of order. *)
+   ordered-in-between interval and could be applied out of order.
+
+   A notice for a quiet page only marks it pending; a page the notice
+   leaves invalid becomes quiet when it qualifies. *)
 let apply_notice sys p ~writer ~seq ~pages =
   if writer <> p then begin
     let st = sys.states.(p) in
     let invalidated = ref [] in
-    List.iter
+    Array.iter
       (fun page ->
+        if qstate st page <> eager then begin
+          set_qstate st page pending;
+          if sys.trace <> None then
+            emit sys p
+              (Dsm_trace.Event.Notice_apply
+                 { writer; seq; page; invalidated = true })
+        end
+        else
         let m = meta st page in
         if seq > Wmap.get m.known writer then Wmap.set m.known writer seq;
         if Wmap.get m.known writer > Wmap.get m.applied writer then begin
@@ -309,17 +394,17 @@ let apply_notice sys p ~writer ~seq ~pages =
           if Page_table.invalidate st.pt page then
             invalidated := page :: !invalidated
         end;
+        let invalid =
+          (Page_table.entry st.pt page).Page_table.prot = Page_table.No_access
+        in
         if sys.trace <> None then
           emit sys p
             (Dsm_trace.Event.Notice_apply
-               {
-                 writer;
-                 seq;
-                 page;
-                 invalidated =
-                   (Page_table.entry st.pt page).Page_table.prot
-                   = Page_table.No_access;
-               }))
+               { writer; seq; page; invalidated = invalid });
+        if
+          invalid && m.lazy_hi = 0
+          && not (sys.has_objs && Hashtbl.mem sys.obj_regions page)
+        then set_qstate st page quiet)
       pages;
     if !invalidated <> [] then protect_runs sys p !invalidated
   end
@@ -338,7 +423,7 @@ let count_notices sys p ~upto =
       count := !count + Ilog.count_window sys.logs.(q) ~lo ~hi;
       if sys.has_objs then
         Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun _ pages ->
-            List.iter
+            Array.iter
               (fun g -> if Hashtbl.mem sys.obj_regions g then incr count)
               pages)
     end
@@ -815,7 +900,7 @@ let apply_access_state sys p ~ranges ~access =
         let pg = Page_table.get st.pt page in
         if twin && pg.Page_table.twin = None then make_twin sys p page pg;
         if pg.Page_table.prot <> Page_table.Read_write then begin
-          pg.Page_table.prot <- Page_table.Read_write;
+          grant st page pg Page_table.Read_write;
           transitions := page :: !transitions
         end;
         mark_dirty st page)
@@ -829,7 +914,7 @@ let apply_access_state sys p ~ranges ~access =
         (fun page ->
           let pg = Page_table.get st.pt page in
           if pg.Page_table.prot = Page_table.No_access then begin
-            pg.Page_table.prot <- Page_table.Read_only;
+            grant st page pg Page_table.Read_only;
             transitions := page :: !transitions
           end)
         pages;
@@ -955,8 +1040,8 @@ let detect_bcast sys ~epoch ~departure_clock entries =
               (* newest interval of [q] touching [page] within the window
                  the requester [r] is about to learn of *)
               let upto = Vc.get sys.barrier.departure_vc q in
-              let lo = Vc.get sys.states.(r).vc q in
-              Ilog.newest_containing sys.logs.(q) ~lo ~upto page
+              let s = Ilog.newest_touch sys.logs.(q) page ~upto in
+              if s > Vc.get sys.states.(r).vc q then s else 0
             in
             let writers = ref [] in
             List.iter

@@ -32,7 +32,33 @@ val emit : system -> int -> Dsm_trace.Event.kind -> unit
 
 val meta : pstate -> int -> page_meta
 (** Per-page protocol metadata (applied/known watermarks, WRITE_ALL ranges,
-    pending lazy interval), created on first use. *)
+    pending lazy interval), created on first use. A quiet page's [known]
+    watermarks are folded in from the interval logs here first. *)
+
+(** {1 Quiet pages}
+
+    A write notice for a page the processor already holds invalid (with no
+    pending lazy diff, outside any object region) only marks the page
+    pending; {!meta} folds its [known] watermarks in from the writers'
+    page index when the page is next used. Simulated behaviour is
+    identical to applying every notice eagerly. *)
+
+val grant :
+  pstate -> int -> Dsm_mem.Page_table.page -> Dsm_mem.Page_table.prot -> unit
+(** [grant st page pg prot] sets the page's protection to [prot]. The only
+    way out of [No_access] in the run-time: a quiet page is folded and
+    applies notices eagerly again. *)
+
+val fold_all : pstate -> unit
+(** Fold every pending page (before a checkpoint snapshots [known]). *)
+
+val forget_quiet : pstate -> unit
+(** Make every page apply notices eagerly again (after a wipe). *)
+
+val quiet_pages : pstate -> int list
+(** Pages currently quiet (folded or pending), ascending. Each is
+    [No_access], has metadata with [lazy_hi = 0], and is not in an object
+    region. *)
 
 val protect_runs : system -> int -> int list -> unit
 (** Charge and count one protection operation per contiguous run. *)
@@ -47,9 +73,11 @@ val materialize : system -> writer:int -> page:int -> float
     interrupt handler). Cleans the page (twin dropped, write-protected,
     off the dirty list) unless the writer is mid-interval on it. *)
 
-val apply_notice : system -> int -> writer:int -> seq:int -> pages:int list -> unit
+val apply_notice :
+  system -> int -> writer:int -> seq:int -> pages:int array -> unit
 (** Record write notices; invalidate stale local copies; force local
-    materialization where needed. *)
+    materialization where needed. A notice for a quiet page only marks it
+    pending. *)
 
 val count_notices : system -> int -> upto:Vc.t -> int
 (** The number of notices {!pull_notices} would apply (for message-size

@@ -127,6 +127,7 @@ let pick_source sys p page ~live =
 let take_ckpt sys p ~epoch =
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
+  Protocol.fold_all st;
   let known = Hashtbl.create (Page_map.length st.meta) in
   Page_map.iter
     (fun page (m : page_meta) ->
@@ -161,6 +162,7 @@ let wipe sys p =
         Page_table.drop_frame pg
   done;
   Page_map.reset st.meta;
+  Protocol.forget_quiet st;
   Hashtbl.reset st.dirty;
   Hashtbl.reset st.pending_async;
   st.pending_wsync <- [];

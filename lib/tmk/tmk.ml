@@ -33,6 +33,10 @@ let make ?plan cfg =
              ~range:(Printf.sprintf "{%d}" cfg.Config.page_size)));
   let cluster = Cluster.create cfg in
   let net = Dsm_net.Net.create cluster in
+  let page_writers = Ilog.writers () in
+  let logs =
+    Array.init nprocs (fun q -> Ilog.create ~owner:q ~writers:page_writers ())
+  in
   let sys =
   {
     Types.cluster;
@@ -52,8 +56,11 @@ let make ?plan cfg =
             barrier_epoch = 0;
             notices_sent_seq = 0;
             partial_push = [];
+            quiet = Bytes.empty;
+            logs;
+            page_writers;
           });
-    logs = Array.init nprocs (fun _ -> Ilog.create ());
+    logs;
     locks = Hashtbl.create 16;
     barrier =
       {

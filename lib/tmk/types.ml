@@ -61,6 +61,13 @@ type pstate = {
   meta : page_meta Dsm_mem.Page_map.t;
       (* dense by page number; an entry exists for every page this
          processor has touched or heard a write notice for *)
+  mutable quiet : Bytes.t;
+      (* dense by page number, read and written only by {!Protocol}: 0 the
+         page applies write notices eagerly; 1 quiet (invalid, with no
+         pending lazy diff, not in an object region); 2 quiet with notices
+         not yet folded into [known]. Pages past the end are 0 *)
+  logs : Ilog.t array;  (* the system's interval logs, for folding *)
+  page_writers : Ilog.writers;  (* shared by every log: page -> writers *)
   pending_async : (int, float) Hashtbl.t;  (* page -> response arrival time *)
   mutable pending_wsync : wsync_req list;
   mutable barrier_epoch : int;

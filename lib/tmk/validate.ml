@@ -287,7 +287,7 @@ let push t ~read_sections ~write_sections =
                         (fun q kv -> q <> p && kv > Wmap.get m.applied q)
                         m.known)
               then begin
-                pg.Page_table.prot <- Page_table.Read_only;
+                Protocol.grant st page pg Page_table.Read_only;
                 revalidated := page :: !revalidated
               end
             end)

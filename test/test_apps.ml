@@ -91,7 +91,7 @@ let test_jacobi_frames_follow_touches () =
     done
   in
   let r =
-    Dsm_apps.Jacobi.tmk_inspect ~inspect cfg ~size:prm ~behavior:() ~level:Base
+    Dsm_apps.Jacobi.tmk ~inspect cfg ~size:prm ~behavior:() ~level:Base
       ~async:false
   in
   Alcotest.(check (float 1e-6)) "jacobi correct" 0.0 r.max_err

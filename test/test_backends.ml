@@ -62,6 +62,7 @@ type case = {
   run :
     ?trace:Sink.t ->
     ?digest:bool ->
+    ?inspect:(Tmk.system -> unit) ->
     Config.t -> level:opt_level -> async:bool -> result;
 }
 
@@ -71,43 +72,49 @@ let cases : case list =
       app = "jacobi";
       levels = Dsm_apps.Jacobi.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Jacobi.tmk ?trace ?digest c ~size:jacobi_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Jacobi.tmk ?trace ?digest ?inspect c ~size:jacobi_prm
+            ~behavior:());
     };
     {
       app = "fft3d";
       levels = Dsm_apps.Fft3d.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Fft3d.tmk ?trace ?digest c ~size:fft3d_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Fft3d.tmk ?trace ?digest ?inspect c ~size:fft3d_prm
+            ~behavior:());
     };
     {
       app = "shallow";
       levels = Dsm_apps.Shallow.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Shallow.tmk ?trace ?digest c ~size:shallow_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Shallow.tmk ?trace ?digest ?inspect c ~size:shallow_prm
+            ~behavior:());
     };
     {
       app = "is";
       levels = Dsm_apps.Is.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Is.tmk ?trace ?digest c ~size:is_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Is.tmk ?trace ?digest ?inspect c ~size:is_prm
+            ~behavior:());
     };
     {
       app = "gauss";
       levels = Dsm_apps.Gauss.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Gauss.tmk ?trace ?digest c ~size:gauss_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Gauss.tmk ?trace ?digest ?inspect c ~size:gauss_prm
+            ~behavior:());
     };
     {
       app = "mgs";
       levels = Dsm_apps.Mgs.levels;
       run =
-        (fun ?trace ?digest c ->
-          Dsm_apps.Mgs.tmk ?trace ?digest c ~size:mgs_prm ~behavior:());
+        (fun ?trace ?digest ?inspect c ->
+          Dsm_apps.Mgs.tmk ?trace ?digest ?inspect c ~size:mgs_prm
+            ~behavior:());
     };
   ]
 

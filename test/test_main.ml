@@ -27,4 +27,5 @@ let () =
       ("engine-par", Test_engine_par.tests);
       ("proto-plan", Test_plan.tests);
       ("wmap", Test_wmap.tests);
+      ("quiet", Test_quiet.tests);
     ]

@@ -107,22 +107,77 @@ let test_ilog_iter_desc () =
     [ 5; 4; 3; 2; 1 ]
     (List.rev_map fst !seen);
   seen := [];
-  Ilog.iter_desc l ~lo:2 ~hi:4 (fun s _ -> seen := (s, []) :: !seen);
+  Ilog.iter_desc l ~lo:2 ~hi:4 (fun s _ -> seen := (s, [||]) :: !seen);
   Alcotest.(check (list int)) "window excludes lo, includes hi" [ 4; 3 ]
     (List.rev_map fst !seen)
 
-let test_ilog_newest_containing () =
+(* The newest interval in a window [lo < seq <= upto] listing a page:
+   [newest_touch ~upto] above [lo], as the broadcast planner asks it. *)
+let test_ilog_newest_touch () =
   let l = Ilog.create () in
   Ilog.add l ~seq:1 [ 7 ];
   Ilog.add l ~seq:2 [ 8 ];
   Ilog.add l ~seq:3 [ 7; 9 ];
-  Alcotest.(check int) "newest hit" 3 (Ilog.newest_containing l ~lo:0 ~upto:3 7);
-  Alcotest.(check int) "bounded by upto" 1
-    (Ilog.newest_containing l ~lo:0 ~upto:2 7);
-  Alcotest.(check int) "lo excluded" 0
-    (Ilog.newest_containing l ~lo:1 ~upto:2 7);
-  Alcotest.(check int) "absent page" 0
-    (Ilog.newest_containing l ~lo:0 ~upto:3 99)
+  let in_window ~lo ~upto page =
+    let s = Ilog.newest_touch l page ~upto in
+    if s > lo then s else 0
+  in
+  Alcotest.(check int) "newest hit" 3 (in_window ~lo:0 ~upto:3 7);
+  Alcotest.(check int) "bounded by upto" 1 (in_window ~lo:0 ~upto:2 7);
+  Alcotest.(check int) "lo excluded" 0 (in_window ~lo:1 ~upto:2 7);
+  Alcotest.(check int) "absent page" 0 (in_window ~lo:0 ~upto:3 99)
+
+(* Model: the page index agrees with a linear scan of the interval lists,
+   for random logs with repeated pages inside an interval, empty
+   intervals, and [upto] below the first seq or above [hi]; the shared
+   writer rows visit exactly the logs that listed the page, each once. *)
+let ilog_model_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 3)
+         (list_size (int_range 0 12)
+            (list_size (int_range 0 4) (int_range 0 9))))
+      (pair (int_range 0 9) (int_range (-2) 16)))
+
+let test_ilog_index_model =
+  QCheck.Test.make ~count:1000 ~name:"ilog: page index matches a linear scan"
+    (QCheck.make ilog_model_gen) (fun (logs, (page, upto)) ->
+      let w = Ilog.writers () in
+      let ls =
+        Array.of_list
+          (List.mapi
+             (fun q intervals ->
+               let l = Ilog.create ~owner:q ~writers:w () in
+               List.iteri
+                 (fun i pages -> Ilog.add l ~seq:(i + 1) pages)
+                 intervals;
+               l)
+             logs)
+      in
+      let scan intervals =
+        let best = ref 0 in
+        List.iteri
+          (fun i pages ->
+            if i + 1 <= upto && List.mem page pages then best := i + 1)
+          intervals;
+        !best
+      in
+      let visited = ref [] in
+      Ilog.iter_newest w ls page ~upto:(fun _ -> upto) (fun q s ->
+          visited := (q, s) :: !visited);
+      let expected =
+        List.concat
+          (List.mapi
+             (fun q intervals ->
+               if List.exists (List.mem page) intervals then
+                 [ (q, scan intervals) ]
+               else [])
+             logs)
+      in
+      List.for_all2
+        (fun l intervals -> Ilog.newest_touch l page ~upto = scan intervals)
+        (Array.to_list ls) logs
+      && List.rev !visited = expected)
 
 let test_ilog_grow () =
   let l = Ilog.create () in
@@ -318,8 +373,8 @@ let tests =
     Alcotest.test_case "ilog: dense seqs enforced" `Quick
       test_ilog_dense_seqs_only;
     Alcotest.test_case "ilog: iter_desc order" `Quick test_ilog_iter_desc;
-    Alcotest.test_case "ilog: newest_containing" `Quick
-      test_ilog_newest_containing;
+    Alcotest.test_case "ilog: newest_touch" `Quick test_ilog_newest_touch;
+    QCheck_alcotest.to_alcotest test_ilog_index_model;
     Alcotest.test_case "ilog: growth" `Quick test_ilog_grow;
     Alcotest.test_case "bench-log: json roundtrip" `Quick
       test_bench_log_roundtrip;
