@@ -18,7 +18,7 @@
    [--drop R --dup R --jitter US --net-seed N] inject
    deterministic network faults: messages are dropped/duplicated/delayed
    and recovered by the reliable-delivery layer, whose costs appear in
-   the statistics and in a per-run fault summary.
+   the statistics (after a [fault plan:] line naming the plan).
 
    The argument vocabulary shared with dsm_lint (applications, levels,
    processors, backend, network faults) lives in {!Core.Harness.Cli}. *)
@@ -173,15 +173,8 @@ let run app version level size procs common sync trace_file check recheck
             if prof then
               Format.printf "@[<v>  host-cost profile:@,%a@]@." Core.Prof.pp_table
                 ();
-            if not (Core.Net_plan.is_passthrough plan) then begin
-              let s = r.A.stats in
+            if not (Core.Net_plan.is_passthrough plan) then
               Format.printf "  fault plan:        %a@." Core.Net_plan.pp plan;
-              Format.printf "  fault summary:     %10s %10s %10s %10s@."
-                "dropped" "timeouts" "retrans" "duplicates";
-              Format.printf "                     %10d %10d %10d %10d@."
-                s.Core.Stats.dropped s.Core.Stats.timeouts
-                s.Core.Stats.retransmits s.Core.Stats.duplicates
-            end;
             (match sink with
             | None ->
                 if trace_file <> None || check then

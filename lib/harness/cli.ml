@@ -233,14 +233,11 @@ let term =
     const make $ backend $ home_policy $ drop $ dup $ jitter $ net_seed
     $ replicas $ ckpt_every $ crash)
 
-let config ?procs c =
+let config ?(procs = Config.default.Config.nprocs) c =
   let cfg =
     {
       Config.default with
-      Config.nprocs =
-        (match procs with
-        | Some p -> p
-        | None -> Config.default.Config.nprocs);
+      Config.nprocs = procs;
       backend = c.backend;
       home_policy = c.home_policy;
       net_drop = c.net_drop;
@@ -252,6 +249,12 @@ let config ?procs c =
       crash = c.crash;
     }
   in
+  (* the processor count first: the fault-plan checks range over it *)
+  if procs < 1 then
+    Error
+      (Dsm_net.Plan.field_error ~field:"--procs" ~value:(string_of_int procs)
+         ~range:"[1, max_int]")
+  else
   match Dsm_net.Plan.validate (Dsm_net.Plan.of_config cfg) with
   | Error e -> Error ("invalid fault parameters: " ^ e)
   | Ok _ -> (

@@ -59,8 +59,9 @@ val term : t Cmdliner.Term.t
 
 val config : ?procs:int -> t -> (Dsm_sim.Config.t, string) result
 (** Specialize {!Dsm_sim.Config.default} with the parsed arguments and
-    validate the resulting network fault plan and crash schedule (both
-    error paths share the {!Dsm_net.Plan.field_error} message format). *)
+    validate the processor count (at least 1, reported as [--procs]),
+    then the resulting network fault plan and crash schedule (every
+    error path shares the {!Dsm_net.Plan.field_error} message format). *)
 
 val plan_conv : Dsm_tmk.Proto_plan.t Cmdliner.Arg.conv
 (** Loads and validates a protocol-placement plan file at parse time;

@@ -7,52 +7,63 @@
    event order, so a fixed global split would misfile events of processors
    that have not crossed the barrier yet. *)
 
+module Stats = Dsm_sim.Stats
+module E = Dsm_trace.Event
+
 type phase = {
   epoch : int;
   events : int;
   end_time : float;  (* max virtual time of any event in the phase *)
-  faults : int;
-  twins : int;
-  diffs_created : int;
-  diffs_applied : int;
-  diff_bytes : int;  (* bytes of diff data applied *)
-  notices : int;  (* write notices applied *)
-  invalidations : int;
-  lock_acquires : int;
-  validates : int;
-  push_msgs : int;
-  push_bytes : int;
-  broadcasts : int;
+  counts : Stats.t;
 }
 
-let empty epoch =
-  {
-    epoch;
-    events = 0;
-    end_time = 0.0;
-    faults = 0;
-    twins = 0;
-    diffs_created = 0;
-    diffs_applied = 0;
-    diff_bytes = 0;
-    notices = 0;
-    invalidations = 0;
-    lock_acquires = 0;
-    validates = 0;
-    push_msgs = 0;
-    push_bytes = 0;
-    broadcasts = 0;
-  }
+(* The events that each add one to a counter the trace reproduces. A
+   counter whose events count something else has no entry: [pushes]
+   counts calls where [Push_send] is per destination, [home_flushes]
+   counts messages per home where [Home_flush] is per page,
+   [home_fetches] skips the [Quorum_read]s of a restart's repair, and the
+   byte counters charge sizes the events do not carry. *)
+let traced : (Stats.counter * (E.kind -> bool)) list =
+  List.map
+    (fun (name, bumps) -> (Stats.find name, bumps))
+    [
+      ("segv", function E.Page_fault _ -> true | _ -> false);
+      ("twins", function E.Twin _ -> true | _ -> false);
+      ( "diffs_created",
+        function E.Diff_create { write_all; _ } -> not write_all | _ -> false );
+      ("diffs_applied", function E.Diff_apply _ -> true | _ -> false);
+      ("lock_acquires", function E.Lock_grant _ -> true | _ -> false);
+      ("barriers", function E.Barrier_arrive _ -> true | _ -> false);
+      ("validates", function E.Validate _ -> true | _ -> false);
+      ("broadcasts", function E.Broadcast _ -> true | _ -> false);
+      ("retransmits", function E.Retransmit _ -> true | _ -> false);
+      ("timeouts", function E.Timeout_fire _ -> true | _ -> false);
+      ("dropped", function E.Msg_drop _ -> true | _ -> false);
+      ("duplicates", function E.Msg_dup _ -> true | _ -> false);
+      ("invals", function E.Inval_send _ -> true | _ -> false);
+      ("downgrades", function E.Downgrade _ -> true | _ -> false);
+      ("proto_switches", function E.Proto_switch _ -> true | _ -> false);
+      ("obj_skips", function E.Obj_skip _ -> true | _ -> false);
+      ("crashes", function E.Crash _ -> true | _ -> false);
+      ("restarts", function E.Restart _ -> true | _ -> false);
+      ("suspects", function E.Suspect _ -> true | _ -> false);
+      ("quorum_writes", function E.Quorum_write _ -> true | _ -> false);
+      ("quorum_reads", function E.Quorum_read _ -> true | _ -> false);
+      ("ckpts", function E.Ckpt _ -> true | _ -> false);
+    ]
+
+let traced_counters = List.map fst traced
 
 let of_events events =
-  let module E = Dsm_trace.Event in
   let phases : (int, phase ref) Hashtbl.t = Hashtbl.create 16 in
   let depart_count : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let phase_of epoch =
     match Hashtbl.find_opt phases epoch with
     | Some r -> r
     | None ->
-        let r = ref (empty epoch) in
+        let r =
+          ref { epoch; events = 0; end_time = 0.0; counts = Stats.create () }
+        in
         Hashtbl.replace phases epoch r;
         r
   in
@@ -60,62 +71,16 @@ let of_events events =
     (fun (e : E.t) ->
       let k = Option.value ~default:0 (Hashtbl.find_opt depart_count e.proc) in
       let r = phase_of k in
-      let ph = !r in
-      let ph = { ph with events = ph.events + 1 } in
-      let ph =
-        if e.time > ph.end_time then { ph with end_time = e.time } else ph
-      in
-      let ph =
-        match e.kind with
-        | E.Page_fault _ -> { ph with faults = ph.faults + 1 }
-        | E.Twin _ -> { ph with twins = ph.twins + 1 }
-        | E.Diff_create _ -> { ph with diffs_created = ph.diffs_created + 1 }
-        | E.Diff_apply { bytes; _ } ->
-            {
-              ph with
-              diffs_applied = ph.diffs_applied + 1;
-              diff_bytes = ph.diff_bytes + bytes;
-            }
-        | E.Notice_apply { invalidated; _ } ->
-            {
-              ph with
-              notices = ph.notices + 1;
-              invalidations = (ph.invalidations + if invalidated then 1 else 0);
-            }
-        | E.Lock_grant _ -> { ph with lock_acquires = ph.lock_acquires + 1 }
-        | E.Validate _ -> { ph with validates = ph.validates + 1 }
-        | E.Push_send { bytes; _ } ->
-            {
-              ph with
-              push_msgs = ph.push_msgs + 1;
-              push_bytes = ph.push_bytes + bytes;
-            }
-        | E.Broadcast _ -> { ph with broadcasts = ph.broadcasts + 1 }
-        | E.Home_flush { bytes; _ } ->
-            (* HLRC traffic files under the diff columns: a flush is a diff
-               application at the home, a fetch a (full-page) diff receipt *)
-            {
-              ph with
-              diffs_applied = ph.diffs_applied + 1;
-              diff_bytes = ph.diff_bytes + bytes;
-            }
-        | E.Home_fetch { bytes; _ } ->
-            { ph with diff_bytes = ph.diff_bytes + bytes }
-        | E.Inval_ack _ ->
-            (* a dropped copy under the single-writer protocol files under
-               the same column as LRC notice invalidations *)
-            { ph with invalidations = ph.invalidations + 1 }
-        | E.Diff_fetch _ | E.Fetch_done _ | E.Notice_send _
-        | E.Barrier_arrive _ | E.Barrier_depart _ | E.Lock_request _
-        | E.Push_recv _ | E.Push_rollback _ | E.Msg_drop _ | E.Msg_dup _
-        | E.Retransmit _ | E.Timeout_fire _ | E.Ack _ | E.Inval_send _
-        | E.Downgrade _ | E.Proto_switch _ | E.Plan_applied _
-        | E.Obj_region _ | E.Obj_skip _ | E.Crash _
-        | E.Restart _
-        | E.Suspect _ | E.Quorum_write _ | E.Quorum_read _ | E.Ckpt _ ->
-            ph
-      in
-      r := ph;
+      r :=
+        {
+          !r with
+          events = !r.events + 1;
+          end_time = Float.max !r.end_time e.time;
+        };
+      List.iter
+        (fun ((c : Stats.counter), bumps) ->
+          if bumps e.kind then c.set !r.counts (c.get !r.counts + 1))
+        traced;
       match e.kind with
       | E.Barrier_depart _ -> Hashtbl.replace depart_count e.proc (k + 1)
       | _ -> ())
@@ -123,16 +88,29 @@ let of_events events =
   Hashtbl.fold (fun _ r acc -> !r :: acc) phases []
   |> List.sort (fun a b -> compare a.epoch b.epoch)
 
+(* One column per counter that is nonzero in some phase, headed by its
+   [Stats] name and as wide as the wider of name and values. *)
 let pp ppf phases =
-  Format.fprintf ppf
-    "@[<v>%6s %8s %10s %7s %6s %7s %7s %9s %8s %6s %6s %6s@,"
-    "phase" "events" "end(us)" "faults" "twins" "diff_c" "diff_a" "bytes"
-    "notices" "locks" "valid" "push";
+  let width (c : Stats.counter) =
+    List.fold_left
+      (fun w p -> max w (String.length (string_of_int (c.get p.counts))))
+      (String.length c.name) phases
+  in
+  let cols =
+    List.filter_map
+      (fun (c : Stats.counter) ->
+        if List.exists (fun p -> c.get p.counts <> 0) phases then
+          Some (c, width c)
+        else None)
+      Stats.counters
+  in
+  Format.fprintf ppf "@[<v>%6s %8s %10s" "phase" "events" "end(us)";
+  List.iter (fun (c, w) -> Format.fprintf ppf " %*s" w c.Stats.name) cols;
   List.iter
     (fun p ->
-      Format.fprintf ppf
-        "%6d %8d %10.0f %7d %6d %7d %7d %9d %8d %6d %6d %6d@," p.epoch
-        p.events p.end_time p.faults p.twins p.diffs_created p.diffs_applied
-        p.diff_bytes p.notices p.lock_acquires p.validates p.push_msgs)
+      Format.fprintf ppf "@,%6d %8d %10.0f" p.epoch p.events p.end_time;
+      List.iter
+        (fun (c, w) -> Format.fprintf ppf " %*d" w (c.Stats.get p.counts))
+        cols)
     phases;
   Format.fprintf ppf "@]"

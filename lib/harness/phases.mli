@@ -9,23 +9,21 @@ type phase = {
   epoch : int;
   events : int;
   end_time : float;  (** max virtual time of any event in the phase, us *)
-  faults : int;
-  twins : int;
-  diffs_created : int;
-  diffs_applied : int;
-  diff_bytes : int;  (** bytes of diff data applied *)
-  notices : int;  (** write notices applied *)
-  invalidations : int;
-  lock_acquires : int;
-  validates : int;
-  push_msgs : int;
-  push_bytes : int;
-  broadcasts : int;
+  counts : Dsm_sim.Stats.t;
+      (** the phase's share of each {!traced_counters} counter; the
+          others stay zero *)
 }
+
+val traced_counters : Dsm_sim.Stats.counter list
+(** The counters the trace reproduces: for a run whose sink dropped no
+    event, each one summed over the phases equals its
+    {!Dsm_sim.Stats.total} over the processors. *)
 
 val of_events : Dsm_trace.Event.t list -> phase list
 (** Aggregate an event list (in emission order, e.g. from
     {!Dsm_trace.Sink.events}) into per-phase summaries, sorted by epoch. *)
 
 val pp : Format.formatter -> phase list -> unit
-(** Render as an aligned table, one row per phase. *)
+(** Render as an aligned table, one row per phase and one column per
+    counter that is nonzero in some phase, headed by its
+    {!Dsm_sim.Stats} name. *)

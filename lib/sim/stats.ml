@@ -67,104 +67,68 @@ let create () =
     ckpts = 0;
   }
 
-let reset t =
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.segv <- 0;
-  t.mprotects <- 0;
-  t.twins <- 0;
-  t.diffs_created <- 0;
-  t.diffs_applied <- 0;
-  t.diff_bytes_applied <- 0;
-  t.lock_acquires <- 0;
-  t.barriers <- 0;
-  t.validates <- 0;
-  t.pushes <- 0;
-  t.broadcasts <- 0;
-  t.retransmits <- 0;
-  t.timeouts <- 0;
-  t.dropped <- 0;
-  t.duplicates <- 0;
-  t.home_flushes <- 0;
-  t.home_flush_bytes <- 0;
-  t.home_fetches <- 0;
-  t.home_fetch_bytes <- 0;
-  t.invals <- 0;
-  t.downgrades <- 0;
-  t.proto_switches <- 0;
-  t.obj_skips <- 0;
-  t.crashes <- 0;
-  t.restarts <- 0;
-  t.suspects <- 0;
-  t.quorum_writes <- 0;
-  t.quorum_reads <- 0;
-  t.ckpts <- 0
+type counter = { name : string; get : t -> int; set : t -> int -> unit }
 
-let add acc x =
-  acc.messages <- acc.messages + x.messages;
-  acc.bytes <- acc.bytes + x.bytes;
-  acc.segv <- acc.segv + x.segv;
-  acc.mprotects <- acc.mprotects + x.mprotects;
-  acc.twins <- acc.twins + x.twins;
-  acc.diffs_created <- acc.diffs_created + x.diffs_created;
-  acc.diffs_applied <- acc.diffs_applied + x.diffs_applied;
-  acc.diff_bytes_applied <- acc.diff_bytes_applied + x.diff_bytes_applied;
-  acc.lock_acquires <- acc.lock_acquires + x.lock_acquires;
-  acc.barriers <- acc.barriers + x.barriers;
-  acc.validates <- acc.validates + x.validates;
-  acc.pushes <- acc.pushes + x.pushes;
-  acc.broadcasts <- acc.broadcasts + x.broadcasts;
-  acc.retransmits <- acc.retransmits + x.retransmits;
-  acc.timeouts <- acc.timeouts + x.timeouts;
-  acc.dropped <- acc.dropped + x.dropped;
-  acc.duplicates <- acc.duplicates + x.duplicates;
-  acc.home_flushes <- acc.home_flushes + x.home_flushes;
-  acc.home_flush_bytes <- acc.home_flush_bytes + x.home_flush_bytes;
-  acc.home_fetches <- acc.home_fetches + x.home_fetches;
-  acc.home_fetch_bytes <- acc.home_fetch_bytes + x.home_fetch_bytes;
-  acc.invals <- acc.invals + x.invals;
-  acc.downgrades <- acc.downgrades + x.downgrades;
-  acc.proto_switches <- acc.proto_switches + x.proto_switches;
-  acc.obj_skips <- acc.obj_skips + x.obj_skips;
-  acc.crashes <- acc.crashes + x.crashes;
-  acc.restarts <- acc.restarts + x.restarts;
-  acc.suspects <- acc.suspects + x.suspects;
-  acc.quorum_writes <- acc.quorum_writes + x.quorum_writes;
-  acc.quorum_reads <- acc.quorum_reads + x.quorum_reads;
-  acc.ckpts <- acc.ckpts + x.ckpts
+(* The one description of the counters, in field order: everything below
+   is a fold over it. *)
+let counters =
+  let c name get set = { name; get; set } in
+  [
+    c "messages" (fun t -> t.messages) (fun t v -> t.messages <- v);
+    c "bytes" (fun t -> t.bytes) (fun t v -> t.bytes <- v);
+    c "segv" (fun t -> t.segv) (fun t v -> t.segv <- v);
+    c "mprotects" (fun t -> t.mprotects) (fun t v -> t.mprotects <- v);
+    c "twins" (fun t -> t.twins) (fun t v -> t.twins <- v);
+    c "diffs_created" (fun t -> t.diffs_created) (fun t v ->
+        t.diffs_created <- v);
+    c "diffs_applied" (fun t -> t.diffs_applied) (fun t v ->
+        t.diffs_applied <- v);
+    c "diff_bytes_applied" (fun t -> t.diff_bytes_applied) (fun t v ->
+        t.diff_bytes_applied <- v);
+    c "lock_acquires" (fun t -> t.lock_acquires) (fun t v ->
+        t.lock_acquires <- v);
+    c "barriers" (fun t -> t.barriers) (fun t v -> t.barriers <- v);
+    c "validates" (fun t -> t.validates) (fun t v -> t.validates <- v);
+    c "pushes" (fun t -> t.pushes) (fun t v -> t.pushes <- v);
+    c "broadcasts" (fun t -> t.broadcasts) (fun t v -> t.broadcasts <- v);
+    c "retransmits" (fun t -> t.retransmits) (fun t v -> t.retransmits <- v);
+    c "timeouts" (fun t -> t.timeouts) (fun t v -> t.timeouts <- v);
+    c "dropped" (fun t -> t.dropped) (fun t v -> t.dropped <- v);
+    c "duplicates" (fun t -> t.duplicates) (fun t v -> t.duplicates <- v);
+    c "home_flushes" (fun t -> t.home_flushes) (fun t v ->
+        t.home_flushes <- v);
+    c "home_flush_bytes" (fun t -> t.home_flush_bytes) (fun t v ->
+        t.home_flush_bytes <- v);
+    c "home_fetches" (fun t -> t.home_fetches) (fun t v ->
+        t.home_fetches <- v);
+    c "home_fetch_bytes" (fun t -> t.home_fetch_bytes) (fun t v ->
+        t.home_fetch_bytes <- v);
+    c "invals" (fun t -> t.invals) (fun t v -> t.invals <- v);
+    c "downgrades" (fun t -> t.downgrades) (fun t v -> t.downgrades <- v);
+    c "proto_switches" (fun t -> t.proto_switches) (fun t v ->
+        t.proto_switches <- v);
+    c "obj_skips" (fun t -> t.obj_skips) (fun t v -> t.obj_skips <- v);
+    c "crashes" (fun t -> t.crashes) (fun t v -> t.crashes <- v);
+    c "restarts" (fun t -> t.restarts) (fun t v -> t.restarts <- v);
+    c "suspects" (fun t -> t.suspects) (fun t v -> t.suspects <- v);
+    c "quorum_writes" (fun t -> t.quorum_writes) (fun t v ->
+        t.quorum_writes <- v);
+    c "quorum_reads" (fun t -> t.quorum_reads) (fun t v ->
+        t.quorum_reads <- v);
+    c "ckpts" (fun t -> t.ckpts) (fun t v -> t.ckpts <- v);
+  ]
+
+let find name = List.find (fun c -> c.name = name) counters
+let add acc x = List.iter (fun c -> c.set acc (c.get acc + c.get x)) counters
 
 let total arr =
   let acc = create () in
-  Array.iter (fun x -> add acc x) arr;
+  Array.iter (add acc) arr;
   acc
 
 let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>msgs=%d bytes=%d segv=%d mprotect=%d twins=%d diffs+%d/-%d \
-     diff_bytes=%d locks=%d barriers=%d validates=%d pushes=%d bcasts=%d \
-     retx=%d tmo=%d drop=%d dup=%d@]"
-    t.messages t.bytes t.segv t.mprotects t.twins t.diffs_created
-    t.diffs_applied t.diff_bytes_applied t.lock_acquires t.barriers t.validates
-    t.pushes t.broadcasts t.retransmits t.timeouts t.dropped t.duplicates;
-  (* home-based counters stay silent under the homeless protocol so that
-     LRC output is unchanged byte-for-byte *)
-  if t.home_flushes <> 0 || t.home_fetches <> 0 then
-    Format.fprintf ppf "@[<v> hflush=%d/%dB hfetch=%d/%dB@]" t.home_flushes
-      t.home_flush_bytes t.home_fetches t.home_fetch_bytes;
-  (* likewise for the invalidate/adaptive counters *)
-  if t.invals <> 0 || t.downgrades <> 0 || t.proto_switches <> 0 then
-    Format.fprintf ppf "@[<v> inval=%d downgrade=%d switch=%d@]" t.invals
-      t.downgrades t.proto_switches;
-  (* the object-granularity counter stays silent for page-granular
-     workloads, keeping kernel output byte-identical *)
-  if t.obj_skips <> 0 then
-    Format.fprintf ppf "@[<v> objskip=%d@]" t.obj_skips;
-  (* and for the fault-tolerance counters: fault-free single-home runs keep
-     byte-identical output *)
-  if
-    t.crashes <> 0 || t.suspects <> 0 || t.quorum_writes <> 0
-    || t.quorum_reads <> 0 || t.ckpts <> 0
-  then
-    Format.fprintf ppf
-      "@[<v> crash=%d restart=%d suspect=%d qwrite=%d qread=%d ckpt=%d@]"
-      t.crashes t.restarts t.suspects t.quorum_writes t.quorum_reads t.ckpts
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
+    (fun ppf c -> Format.fprintf ppf "%s=%d" c.name (c.get t))
+    ppf
+    (List.filter (fun c -> c.get t <> 0) counters)

@@ -53,7 +53,18 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
+(** All counters zero. *)
+
+type counter = { name : string; get : t -> int; set : t -> int -> unit }
+(** One counter: its field name and accessors. *)
+
+val counters : counter list
+(** Every field of {!t}, once, in declaration order. {!add}, {!total} and
+    {!pp} are folds over this list, so a new field needs only a record
+    field, its [create] initializer and one entry here. *)
+
+val find : string -> counter
+(** The counter with this field name; raises [Not_found] otherwise. *)
 
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc] field-wise. *)
@@ -62,3 +73,5 @@ val total : t array -> t
 (** Field-wise sum over all processors. *)
 
 val pp : Format.formatter -> t -> unit
+(** [name=value] for every nonzero counter, in {!counters} order,
+    separated by single spaces on one line. *)

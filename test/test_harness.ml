@@ -159,13 +159,15 @@ let test_level_spellings () =
 
 (* A message-passing version whose block partition leaves a processor
    without a column is a usage error naming --procs, not an uncaught
-   exception (cmdliner's exit 125). *)
-let test_mp_procs_error ~app ~version ~procs () =
+   exception (cmdliner's exit 125); so is a processor count below one,
+   for every version, ahead of the fault-plan checks that range over
+   it. *)
+let test_procs_error ~app ~version ~procs () =
   let out = Filename.temp_file "procs" ".txt" in
   let code =
     Sys.command
       (Printf.sprintf
-         "../bin/dsm_run.exe --app %s --size small --version %s --procs %d \
+         "../bin/dsm_run.exe --app %s --size small --version %s --procs=%d \
           > %s 2>&1"
          app version procs (Filename.quote out))
   in
@@ -173,6 +175,7 @@ let test_mp_procs_error ~app ~version ~procs () =
   Sys.remove out;
   Alcotest.(check int) "cli error exit" 124 code;
   Alcotest.(check bool) "error names --procs" true (contains text "--procs");
+  Alcotest.(check bool) "no fault-plan error" false (contains text "fault");
   Alcotest.(check int) "one-line error" 1
     (List.length (String.split_on_char '\n' (String.trim text)))
 
@@ -181,9 +184,13 @@ let tests =
     Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
     Alcotest.test_case "cli: level spellings" `Quick test_level_spellings;
     Alcotest.test_case "cli: jacobi mp procs limit" `Quick
-      (test_mp_procs_error ~app:"jacobi" ~version:"pvm" ~procs:511);
+      (test_procs_error ~app:"jacobi" ~version:"pvm" ~procs:511);
     Alcotest.test_case "cli: shallow mp procs limit" `Quick
-      (test_mp_procs_error ~app:"shallow" ~version:"pvm" ~procs:44);
+      (test_procs_error ~app:"shallow" ~version:"pvm" ~procs:44);
+    Alcotest.test_case "cli: zero procs" `Quick
+      (test_procs_error ~app:"jacobi" ~version:"tmk" ~procs:0);
+    Alcotest.test_case "cli: negative procs" `Quick
+      (test_procs_error ~app:"is" ~version:"pvm" ~procs:(-3));
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;

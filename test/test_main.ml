@@ -28,4 +28,5 @@ let () =
       ("proto-plan", Test_plan.tests);
       ("wmap", Test_wmap.tests);
       ("quiet", Test_quiet.tests);
+      ("counters", Test_counters.tests);
     ]
