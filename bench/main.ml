@@ -110,7 +110,7 @@ let bechamel_micro () =
             ignore (Dsm_mem.Diff.create ~twin ~current));
         quick "diff-apply" (fun () -> Dsm_mem.Diff.apply diff dst);
         quick "diff-merge" (fun () ->
-            ignore (Dsm_mem.Diff.merge diff diff ~page_size));
+            ignore (Dsm_mem.Diff.merge diff diff));
         quick "vc-merge" (fun () -> Dsm_tmk.Vc.merge vc_a vc_b);
         quick "vc-leq" (fun () -> ignore (Dsm_tmk.Vc.leq vc_a vc_b));
         quick "vc-copy+sum" (fun () ->

@@ -18,76 +18,89 @@ external set_32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 let seg_off t i = Int32.to_int (get_32 t.segs (8 * i))
 let seg_len t i = Int32.to_int (get_32 t.segs ((8 * i) + 4))
 
+let set_seg segs i ~off ~len =
+  set_32 segs (8 * i) (Int32.of_int off);
+  set_32 segs ((8 * i) + 4) (Int32.of_int len)
+
 let one_seg ~off data =
   let segs = Bytes.create 8 in
-  set_32 segs 0 (Int32.of_int off);
-  set_32 segs 4 (Int32.of_int (Bytes.length data));
+  set_seg segs 0 ~off ~len:(Bytes.length data);
   { segs; data }
 
-(* Output buffers of [create] and [merge], grown to the largest page seen.
-   A page of [n] bytes has at most [n/2 + 1] runs (runs are separated by
-   at least one unchanged byte), so [segs_out] needs [4n + 8] bytes; the
-   result is cut to size with two [Bytes.sub]. Slices never interleave
-   (the engine runs one at a time), so one buffer pair is enough. *)
+external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external unsafe_set_64 : Bytes.t -> int -> int64 -> unit
+  = "%caml_bytes_set64u"
+
+(* Copy [len] bytes from [src] at [pos] to [dst] at [dpos]. Most runs are
+   one or two words (IS's bucket counts change in their low words only),
+   so those are moved with a single load and store instead of a
+   [Bytes.blit] call. Unchecked: callers bound both ranges. *)
+let copy_run src pos dst dpos len =
+  match len with
+  | 4 -> set_32 dst dpos (get_32 src pos)
+  | 8 -> unsafe_set_64 dst dpos (unsafe_get_64 src pos)
+  | _ -> Bytes.blit src pos dst dpos len
+
+(* Output buffers of [create] and [merge], grown to the largest diff seen
+   and cut to size with two [Bytes.sub] by [finish]. Slices never
+   interleave (the engine runs one at a time), so one buffer pair is
+   enough. *)
 let segs_out = ref Bytes.empty
 let data_out = ref Bytes.empty
 
-let reserve n =
-  if Bytes.length !data_out < n then begin
-    segs_out := Bytes.create ((4 * n) + 8);
-    data_out := Bytes.create n
-  end
+(* [Stdlib.min]/[max] are polymorphic: a compare call per use. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
 
-(* Append the run [src.[off, off+len)] to the output buffers. *)
-let emit ~nsegs ~ndata src off len =
-  let s = 8 * !nsegs in
-  set_32 !segs_out s (Int32.of_int off);
-  set_32 !segs_out (s + 4) (Int32.of_int len);
-  Bytes.blit src off !data_out !ndata len;
-  incr nsegs;
-  ndata := !ndata + len
+let reserve ~nsegs ~ndata =
+  if Bytes.length !segs_out < 8 * nsegs then
+    segs_out := Bytes.create (imax (8 * nsegs) (2 * Bytes.length !segs_out));
+  if Bytes.length !data_out < ndata then
+    data_out := Bytes.create (imax ndata (2 * Bytes.length !data_out))
 
 let finish ~nsegs ~ndata =
-  if !nsegs = 0 then empty
+  if nsegs = 0 then empty
   else
     {
-      segs = Bytes.sub !segs_out 0 (8 * !nsegs);
-      data = Bytes.sub !data_out 0 !ndata;
+      segs = Bytes.sub !segs_out 0 (8 * nsegs);
+      data = Bytes.sub !data_out 0 ndata;
     }
 
 (* TreadMarks compares twin and copy at 32-bit word granularity; diffs are
-   runs of changed words. *)
-(* Unchecked native-order reads for the word-compare scan: offsets are
-   bounded by the loop condition, and equality of same-offset words is
-   independent of byte order, so these are safe on any host. *)
-external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-
+   maximal runs of changed words. The scan moves by byte offset: one
+   64-bit compare skips each equal pair of words (the bulk of a page is
+   usually unchanged), and a changed run is extended one 32-bit compare
+   at a time. Reads are unchecked: offsets are bounded by the loop
+   conditions, and equality of same-offset words is independent of byte
+   order. *)
 let create ~twin ~current =
   Prof.enter Prof.Diff_create;
   let n = Bytes.length current in
   assert (Bytes.length twin = n && n mod 4 = 0);
-  reserve n;
-  let words = n / 4 in
-  let differs w = get_32 twin (4 * w) <> get_32 current (4 * w) in
+  (* runs are separated by at least one unchanged word *)
+  reserve ~nsegs:((n / 8) + 1) ~ndata:n;
+  let segs = !segs_out and data = !data_out in
   let nsegs = ref 0 and ndata = ref 0 in
-  let w = ref 0 in
-  while !w < words do
-    (* fast path: one 64-bit compare skips two equal words — the bulk of a
-       page is usually unchanged *)
-    if
-      !w + 1 < words
-      && unsafe_get_64 twin (4 * !w) = unsafe_get_64 current (4 * !w)
-    then w := !w + 2
-    else if differs !w then begin
-      let start = !w in
-      while !w < words && differs !w do
-        incr w
+  let i = ref 0 in
+  while !i < n do
+    if !i + 8 <= n && unsafe_get_64 twin !i = unsafe_get_64 current !i then
+      i := !i + 8
+    else if get_32 twin !i = get_32 current !i then i := !i + 4
+    else begin
+      let start = !i in
+      i := !i + 4;
+      while !i < n && get_32 twin !i <> get_32 current !i do
+        i := !i + 4
       done;
-      emit ~nsegs ~ndata current (4 * start) (4 * (!w - start))
+      let len = !i - start in
+      set_seg segs !nsegs ~off:start ~len;
+      copy_run current start data !ndata len;
+      incr nsegs;
+      ndata := !ndata + len
     end
-    else incr w
   done;
-  let d = finish ~nsegs ~ndata in
+  let d = finish ~nsegs:!nsegs ~ndata:!ndata in
   Prof.exit Prof.Diff_create;
   d
 
@@ -96,15 +109,10 @@ let full page = one_seg ~off:0 (Bytes.copy page)
 let of_range page ~off ~len =
   if len <= 0 then empty else one_seg ~off (Bytes.sub page off len)
 
-external unsafe_set_64 : Bytes.t -> int -> int64 -> unit
-  = "%caml_bytes_set64u"
-
 (* A diff's segments are ascending and disjoint, so the last one ends
    furthest: checking it first leaves [dst] untouched when the diff does
    not fit. Each segment is still bounds-checked before its unchecked
-   copy. Most segments are one or two words (IS's bucket counts change in
-   their low words only), so those are moved with a single load and store
-   instead of a [Bytes.blit] call. *)
+   copy. *)
 let apply t dst =
   let n = nsegments t in
   let dlen = Bytes.length dst in
@@ -119,57 +127,79 @@ let apply t dst =
       Prof.exit Prof.Diff_apply;
       invalid_arg "Bytes.blit"
     end;
-    (match len with
-    | 4 -> set_32 dst off (get_32 data !pos)
-    | 8 -> unsafe_set_64 dst off (unsafe_get_64 data !pos)
-    | _ -> Bytes.blit data !pos dst off len);
+    copy_run data !pos dst off len;
     pos := !pos + len
   done;
   Prof.exit Prof.Diff_apply
 
-(* Reusable scratch for [merge], grown to the largest page size seen:
-   merging is frequent enough that two page-sized allocations per call
-   showed up in allocation profiles. *)
-let merge_scratch = ref Bytes.empty
-let merge_mask = ref Bytes.empty
-
-let merge older newer ~page_size =
+(* One walk of the two ascending segment lists. The output is the union of
+   the covered bytes as maximal runs — pieces that touch fuse — with
+   [newer]'s bytes wherever both cover a byte: each newer segment goes out
+   whole, and older bytes only below the next newer segment and past
+   [cur], the end of everything emitted so far. Older segment [i] is the
+   first one ending past [cur]; [bpos] is the payload offset of newer
+   segment [j]. *)
+let merge older newer =
   if is_empty older then newer
   else if is_empty newer then older
   else begin
     Prof.enter Prof.Diff_create;
-    if Bytes.length !merge_scratch < page_size then begin
-      merge_scratch := Bytes.create page_size;
-      merge_mask := Bytes.create page_size
-    end;
-    reserve page_size;
-    let scratch = !merge_scratch
-    and mask = !merge_mask in
-    Bytes.fill mask 0 page_size '\000';
-    let overlay d =
-      let pos = ref 0 in
-      for i = 0 to nsegments d - 1 do
-        let off = seg_off d i and len = seg_len d i in
-        Bytes.blit d.data !pos scratch off len;
-        Bytes.fill mask off len '\001';
-        pos := !pos + len
-      done
-    in
-    overlay older;
-    overlay newer;
-    let nsegs = ref 0 and ndata = ref 0 in
-    let i = ref 0 in
-    while !i < page_size do
-      if Bytes.unsafe_get mask !i = '\001' then begin
-        let start = !i in
-        while !i < page_size && Bytes.unsafe_get mask !i = '\001' do
-          incr i
-        done;
-        emit ~nsegs ~ndata scratch start (!i - start)
+    let na = nsegments older and nb = nsegments newer in
+    reserve ~nsegs:(na + nb)
+      ~ndata:(Bytes.length older.data + Bytes.length newer.data);
+    let segs = !segs_out and data = !data_out in
+    let nsegs = ref 0 and ndata = ref 0 and last_end = ref (-1) in
+    let put src pos ~off ~len =
+      if len > 0 then begin
+        copy_run src pos data !ndata len;
+        if off = !last_end then begin
+          let s = (8 * (!nsegs - 1)) + 4 in
+          set_32 segs s (Int32.add (get_32 segs s) (Int32.of_int len))
+        end
+        else begin
+          set_seg segs !nsegs ~off ~len;
+          incr nsegs
+        end;
+        last_end := off + len;
+        ndata := !ndata + len
       end
-      else incr i
+    in
+    (* older segment [i] spans [astart, aend) (both [max_int] once the
+       older segments run out) and its payload starts at [apos] *)
+    let i = ref 0 and apos = ref 0 in
+    let astart = ref (seg_off older 0) in
+    let aend = ref (!astart + seg_len older 0) in
+    let j = ref 0 and bpos = ref 0 in
+    let cur = ref (-1) in
+    while !j < nb || !i < na do
+      let boff = if !j < nb then seg_off newer !j else max_int in
+      let aoff = imax !cur !astart in
+      if aoff < boff then begin
+        let stop = imin !aend boff in
+        put older.data (!apos + aoff - !astart) ~off:aoff ~len:(stop - aoff);
+        cur := stop
+      end
+      else begin
+        let blen = seg_len newer !j in
+        put newer.data !bpos ~off:boff ~len:blen;
+        bpos := !bpos + blen;
+        incr j;
+        cur := boff + blen
+      end;
+      while !aend <= !cur do
+        apos := !apos + !aend - !astart;
+        incr i;
+        if !i < na then begin
+          astart := seg_off older !i;
+          aend := !astart + seg_len older !i
+        end
+        else begin
+          astart := max_int;
+          aend := max_int
+        end
+      done
     done;
-    let d = finish ~nsegs ~ndata in
+    let d = finish ~nsegs:!nsegs ~ndata:!ndata in
     Prof.exit Prof.Diff_create;
     d
   end

@@ -30,9 +30,12 @@ val apply : t -> Bytes.t -> unit
     [Invalid_argument] and leaves the page untouched when a segment
     falls outside it. *)
 
-val merge : t -> t -> page_size:int -> t
-(** [merge older newer ~page_size]: a diff equivalent to applying [older]
-    then [newer]. *)
+val merge : t -> t -> t
+(** [merge older newer]: a diff equivalent to applying [older] then
+    [newer]. Its segments are the maximal runs of bytes either one covers
+    (segments that touch fuse), so the layout depends only on the covered
+    bytes; the cost is linear in the two diffs' segments and payloads, not
+    in the page size. *)
 
 val size_bytes : t -> int
 (** Payload bytes (what a diff message carries). *)

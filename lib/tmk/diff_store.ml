@@ -14,31 +14,38 @@ type fetch_result = {
   ndiffs : int;
 }
 
-type entry = {
-  lo : int;  (* first interval seq the (accumulated) diff covers *)
-  seq : int;  (* last interval seq it covers *)
-  vcsum : int;
-  size : int;
-  supersede : bool;  (* a WRITE_ALL materialization (verbatim content) *)
-  mutable live : unit_to_apply option;
-      (* the entry's payload as the unit every fetch hands out (built once
-         at [add]); None once merged into the base *)
-}
+(* A cell's entries, one per stored diff, sit in slots [first, len) of
+   two parallel arrays, ascending by seq. Slots [first, live) are merged
+   into [base] and kept for byte accounting only: a late requester is
+   still charged their sizes (Section 6's diff accumulation). Slots
+   [live, len) still hand out their own payload. Coalescing always merges
+   the oldest live entries, so merged entries are a prefix.
 
+   Both an entry's seq and its lo (the first interval seq its accumulated
+   diff covers) ascend with the slot, so a fetch's entries
+   ([seq > after], [lo <= upto]) are one slot range, found with two binary
+   searches, and its charge is a difference of running byte totals. *)
 type cell = {
   writer : int;
   mutable base : unit_to_apply option;
       (* merged payloads of entries <= base_seq; None while empty *)
   mutable base_seq : int;
   mutable base_vcsum : int;
-  mutable entries : entry list;
-      (* newest first, so an add is a cons and a fetch's walk conses its
-         units back into ascending order; sizes kept even if merged *)
-  mutable nentries : int;
+  mutable acct : int array;
+      (* per slot, three ints: seq, lo, and the bytes of every earlier
+         entry since the cell's last supersede *)
+  mutable units : unit_to_apply array;
+      (* per live slot, the unit every fetch hands out (built once at
+         [add]); [no_unit] elsewhere, so merged payloads can be freed *)
+  mutable first : int;
+  mutable live : int;
+  mutable len : int;
+  mutable total : int;  (* bytes of every entry since the last supersede *)
   mutable hi_seq : int;  (* highest entry seq ever added — O(1) [lo] *)
-  mutable newest : entry option;
-      (* the newest entry, kept even after GC drops it from [entries]:
-         {!latest_vcsum} and {!latest_full_page} depend only on it *)
+  mutable last_vcsum : int;
+      (* of the newest entry, kept even after GC drops it: {!latest_vcsum}
+         depends only on it; min_int before the first add *)
+  mutable last_supersede : bool;  (* the newest entry is a WRITE_ALL one *)
   mutable applied_by : int array;  (* per-proc applied watermark, for GC *)
 }
 
@@ -74,12 +81,67 @@ let no_cell =
     base = None;
     base_seq = 0;
     base_vcsum = 0;
-    entries = [];
-    nentries = 0;
+    acct = [||];
+    units = [||];
+    first = 0;
+    live = 0;
+    len = 0;
+    total = 0;
     hi_seq = 0;
-    newest = None;
+    last_vcsum = min_int;
+    last_supersede = false;
     applied_by = [||];
   }
+
+let no_unit = { order = 0; payload = Diff.empty; writer = -1; upto_seq = 0 }
+
+let seq_at c k = Array.unsafe_get c.acct (3 * k)
+
+(* Bytes of the entries before slot [k] since the last supersede. *)
+let bytes_before c k = if k = c.len then c.total else c.acct.((3 * k) + 2)
+
+(* The first slot in [lo, hi) whose [field] (0: seq, 1: lo) exceeds [x],
+   or [hi]. *)
+let first_above c ~field ~lo ~hi x =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get c.acct ((3 * mid) + field) <= x then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* Make room for one more slot: slide the retained slots down to 0 when
+   at most half the arrays are in use, or else double them. The arrays
+   start at two slots, allocated with the cell's first entry. *)
+let make_room c =
+  let n = c.len - c.first and cap = Array.length c.units in
+  if cap > 0 && 2 * n <= cap then begin
+    Array.blit c.acct (3 * c.first) c.acct 0 (3 * n);
+    Array.blit c.units c.first c.units 0 n;
+    Array.fill c.units n (cap - n) no_unit
+  end
+  else begin
+    let cap = max 2 (2 * cap) in
+    let acct = Array.make (3 * cap) 0 and units = Array.make cap no_unit in
+    Array.blit c.acct (3 * c.first) acct 0 (3 * n);
+    Array.blit c.units c.first units 0 n;
+    c.acct <- acct;
+    c.units <- units
+  end;
+  c.live <- c.live - c.first;
+  c.len <- n;
+  c.first <- 0
+
+let push c ~seq ~lo ~size u =
+  if c.len = Array.length c.units then make_room c;
+  let k = c.len in
+  c.acct.(3 * k) <- seq;
+  c.acct.((3 * k) + 1) <- lo;
+  c.acct.((3 * k) + 2) <- c.total;
+  c.units.(k) <- u;
+  c.total <- c.total + size;
+  c.len <- k + 1
 
 let lookup t ~writer ~page =
   let pg = page_of t page in
@@ -126,86 +188,63 @@ let base_unit c base =
 
 (* Merge into [base] every entry payload that can no longer differ from
    applying the individual diffs in order: entries applied by everyone, or
-   any entry when this page has a single writer. Then drop merged entries
-   no future fetch can cover: a requester's [after] is at least its
-   applied watermark minus one (a push rollback moves the page watermark
-   back a single interval), so [seq <= min_applied - 1] entries are dead
-   even for byte accounting. *)
+   any entry when this page has a single writer. Those are the oldest live
+   entries. Then drop merged entries no future fetch can cover: a
+   requester's [after] is at least its applied watermark minus one (a push
+   rollback moves the page watermark back a single interval), so
+   [seq <= min_applied - 1] entries are dead even for byte accounting. *)
 let coalesce t ~page c =
-  let min_applied = Array.fold_left min max_int c.applied_by in
-  let solo = single_writer t ~page ~writer:c.writer in
-  let base =
-    ref (match c.base with Some u -> u.payload | None -> Diff.empty)
+  let min_applied = ref max_int in
+  Array.iter (fun s -> if s < !min_applied then min_applied := s) c.applied_by;
+  let min_applied = !min_applied in
+  let stop =
+    if single_writer t ~page ~writer:c.writer then c.len
+    else first_above c ~field:0 ~lo:c.live ~hi:c.len min_applied
   in
-  List.iter
-    (fun (e : entry) ->
-      match e.live with
-      | Some u when solo || e.seq <= min_applied ->
-          base := Diff.merge !base u.payload ~page_size:t.page_size;
-          c.base_seq <- max c.base_seq e.seq;
-          c.base_vcsum <- max c.base_vcsum e.vcsum;
-          e.live <- None
-      | Some _ | None -> ())
-    (List.rev c.entries);
-  c.base <- base_unit c !base;
-  c.entries <-
-    List.filter
-      (fun (e : entry) -> Option.is_some e.live || e.seq > min_applied - 1)
-      c.entries;
-  c.nentries <- List.length c.entries
+  if stop > c.live then begin
+    let base =
+      ref (match c.base with Some u -> u.payload | None -> Diff.empty)
+    in
+    for k = c.live to stop - 1 do
+      let u = c.units.(k) in
+      base := Diff.merge !base u.payload;
+      if u.upto_seq > c.base_seq then c.base_seq <- u.upto_seq;
+      if u.order > c.base_vcsum then c.base_vcsum <- u.order;
+      c.units.(k) <- no_unit
+    done;
+    c.live <- stop;
+    c.base <- base_unit c !base
+  end;
+  while c.first < c.live && seq_at c c.first < min_applied do
+    c.first <- c.first + 1
+  done
 
 let add t ~writer ~page ~seq ~vcsum ~diff ~supersedes =
   let c = get_cell t ~writer ~page in
-  (* [fetch]'s walk relies on seqs growing with every add *)
+  (* [fetch]'s slot search relies on seqs growing with every add *)
   assert (seq > c.hi_seq);
   (* the accumulated diff covers every interval since the last one *)
-  let lo = max (c.base_seq + 1) (c.hi_seq + 1) in
-  let e =
-    {
-      lo;
-      seq;
-      vcsum;
-      size = Diff.size_bytes diff;
-      supersede = supersedes;
-      live = Some { order = vcsum; payload = diff; writer; upto_seq = seq };
-    }
-  in
-  c.hi_seq <- seq;
-  c.newest <- Some e;
+  let lo = 1 + if c.base_seq > c.hi_seq then c.base_seq else c.hi_seq in
   if supersedes then begin
     (* WRITE_ALL: the new content replaces all of this writer's history for
        the page — older payloads and sizes are dropped. *)
     c.base <- None;
     c.base_seq <- 0;
     c.base_vcsum <- 0;
-    c.entries <- [ e ];
-    c.nentries <- 1
-  end
-  else begin
-    c.entries <- e :: c.entries;
-    c.nentries <- c.nentries + 1;
-    if c.nentries > 8 then coalesce t ~page c
-  end
+    Array.fill c.units c.live (c.len - c.live) no_unit;
+    c.first <- 0;
+    c.live <- 0;
+    c.len <- 0;
+    c.total <- 0
+  end;
+  push c ~seq ~lo ~size:(Diff.size_bytes diff)
+    { order = vcsum; payload = diff; writer; upto_seq = seq };
+  c.hi_seq <- seq;
+  c.last_vcsum <- vcsum;
+  c.last_supersede <- supersedes;
+  if (not supersedes) && c.len - c.first > 8 then coalesce t ~page c
 
 let no_units = { units = []; charge_bytes = 0; ndiffs = 0 }
-
-(* One walk of the newest-first entries: consing the covered units yields
-   them ascending, and the base unit goes in front. A cell's diffs are
-   materialized in interval order, so entry seqs fall strictly along the
-   walk and it stops at the first entry at or below [after]. *)
-let rec collect c ~after ~upto units bytes n = function
-  | (e : entry) :: older when e.seq > after ->
-      if e.lo <= upto then
-        let units = match e.live with Some u -> u :: units | None -> units in
-        collect c ~after ~upto units (bytes + e.size) (n + 1) older
-      else collect c ~after ~upto units bytes n older
-  | _ -> (
-      match c.base with
-      | Some b when c.base_seq > after ->
-          { units = b :: units; charge_bytes = bytes; ndiffs = n }
-      | Some _ | None ->
-          if n = 0 then no_units
-          else { units; charge_bytes = bytes; ndiffs = n })
 
 (* Only intervals the requester holds write notices for ([seq <= upto]) may
    be sent; an accumulated entry whose span merely extends past [upto] is
@@ -215,19 +254,26 @@ let rec collect c ~after ~upto units bytes n = function
    before an ordered-in-between interval of another writer. *)
 let fetch t ~writer ~page ~after ~upto =
   let c = lookup t ~writer ~page in
-  collect c ~after ~upto [] 0 0 c.entries
+  let i = first_above c ~field:0 ~lo:c.first ~hi:c.len after in
+  let j = first_above c ~field:1 ~lo:i ~hi:c.len upto in
+  let units = ref [] in
+  for k = j - 1 downto if i > c.live then i else c.live do
+    units := c.units.(k) :: !units
+  done;
+  let bytes = bytes_before c j - bytes_before c i and n = j - i in
+  match c.base with
+  | Some b when c.base_seq > after ->
+      { units = b :: !units; charge_bytes = bytes; ndiffs = n }
+  | Some _ | None ->
+      if n = 0 then no_units
+      else { units = !units; charge_bytes = bytes; ndiffs = n }
 
 let has_any t ~writer ~page ~after =
   let c = lookup t ~writer ~page in
   c != no_cell && (c.base_seq > after || c.hi_seq > after)
 
-let newest_vcsum c =
-  match c.newest with
-  | Some (last : entry) -> last.vcsum
-  | None -> if c.base_seq > 0 then c.base_vcsum else min_int
-
 let latest_vcsum t ~writer ~page =
-  let v = newest_vcsum (lookup t ~writer ~page) in
+  let v = (lookup t ~writer ~page).last_vcsum in
   if v = min_int then None else Some v
 
 (* One merge walk of [writers] (ascending) against the page's ids. *)
@@ -242,7 +288,7 @@ let latest_writer t ~page writers =
           incr i
         done;
         if !i < n && pg.ids.(!i) = q then
-          let v = newest_vcsum pg.cells.(!i) in
+          let v = pg.cells.(!i).last_vcsum in
           if v <> min_int && (best < 0 || v > best_v) then walk !i q v rest
           else walk !i best best_v rest
         else walk !i best best_v rest
@@ -254,11 +300,14 @@ let latest_writer t ~page writers =
    for locations another writer overwrote in an ordered-in-between
    interval. *)
 let latest_full_page t ~writer ~page =
-  match (lookup t ~writer ~page).newest with
-  | Some ({ supersede = true; live = Some u; _ } as last)
-    when Diff.covers_page u.payload ~page_size:t.page_size ->
-      Some (last.vcsum, last.seq)
-  | Some _ | None -> None
+  let c = lookup t ~writer ~page in
+  (* A WRITE_ALL entry resets its cell and coalescing only runs on later
+     adds, so while it is the newest it is the live slot [len - 1]. *)
+  if
+    c.last_supersede
+    && Diff.covers_page c.units.(c.len - 1).payload ~page_size:t.page_size
+  then Some (c.last_vcsum, c.hi_seq)
+  else None
 
 let note_applied t ~writer ~page ~by ~seq =
   let c = lookup t ~writer ~page in

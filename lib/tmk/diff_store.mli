@@ -1,9 +1,9 @@
 (** Global repository of diffs and write notices.
 
-    The store holds, per (writer, page), the list of intervals in which the
-    writer modified the page, with the corresponding diffs. It is indexed
-    by page: each page keeps its writers' records in an array sorted by
-    writer. Diffs are created
+    The store holds, per (writer, page), the intervals in which the writer
+    modified the page, with the corresponding diffs. It is indexed by page:
+    each page keeps its writers' records in an array sorted by writer.
+    Diffs are created
     eagerly at a release (see DESIGN.md: the eager-diffing LRC variant) and
     fetched lazily on access misses or through the augmented [Validate]
     interface.
@@ -16,7 +16,11 @@
     values: for intervals every processor has already applied, or when the
     page has a single writer so far. A [WRITE_ALL] full diff supersedes the
     writer's earlier payloads {e and} sizes for the page (Section 3.1.1: no
-    twins or diffs are made; the whole section content stands in). *)
+    twins or diffs are made; the whole section content stands in).
+
+    Costs: a fetch is two binary searches over the record's entries plus
+    one list cell per live unit returned, and coalescing touches only the
+    entries it merges or drops — never the page's whole history. *)
 
 type t
 

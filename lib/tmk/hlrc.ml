@@ -74,6 +74,7 @@ let absorbed sys p ~home page high =
    [home_flushed] restarts at 0, so it re-fetches already-delivered units
    from the store) idempotent. *)
 let flush_pages_replicated sys p ~seq pages =
+  Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = sys.cluster.Cluster.stats.(p) in
@@ -129,7 +130,8 @@ let flush_pages_replicated sys p ~seq pages =
         Protocol.emit sys p
           (Dsm_trace.Event.Quorum_write
              { page; seq = high; acks = live; needed = quorum }))
-    pages
+    pages;
+  Prof.exit Prof.Protocol
 
 (* Push a closed interval's diffs for [pages] into the home copies. One
    message per home aggregates all of the release's pages homed there.
@@ -138,6 +140,7 @@ let flush_pages_replicated sys p ~seq pages =
    a materialization. Factored out of {!release} so the adaptive backend
    can flush just the pages it currently runs under this protocol. *)
 let flush_pages sys p ~seq pages =
+  Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = sys.cluster.Cluster.stats.(p) in
@@ -203,7 +206,8 @@ let flush_pages sys p ~seq pages =
             pstats.Stats.home_flushes <- pstats.Stats.home_flushes + 1;
             pstats.Stats.home_flush_bytes <-
               pstats.Stats.home_flush_bytes + !payload
-  done
+  done;
+  Prof.exit Prof.Protocol
 
 (* Close the interval exactly as the homeless protocol does (write notices,
    interval log, write protection), then flush its diffs home. *)

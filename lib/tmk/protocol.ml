@@ -281,9 +281,7 @@ let materialize sys ~writer ~page =
             let off = lo - base_addr
             and len = hi - lo in
             segs :=
-              Diff.merge !segs
-                (Diff.of_range pg.Page_table.data ~off ~len)
-                ~page_size:sys.page_size);
+              Diff.merge !segs (Diff.of_range pg.Page_table.data ~off ~len));
         cost :=
           !cost
           +. (cfg.Config.twin_per_byte_us *. float_of_int (Range.size m.write_all));

@@ -57,7 +57,7 @@ let test_diff_merge () =
   Bytes.set p2 8 'c';
   let d1 = Diff.create ~twin:base ~current:p1 in
   let d2 = Diff.create ~twin:base ~current:p2 in
-  let m = Diff.merge d1 d2 ~page_size in
+  let m = Diff.merge d1 d2 in
   let dst = Bytes.copy base in
   Diff.apply m dst;
   Alcotest.(check char) "newer wins" 'b' (Bytes.get dst 4);
@@ -98,7 +98,7 @@ let qcheck_merge =
       Diff.apply d1 seq;
       Diff.apply d2 seq;
       let merged = Bytes.copy base in
-      Diff.apply (Diff.merge d1 d2 ~page_size) merged;
+      Diff.apply (Diff.merge d1 d2) merged;
       Bytes.equal seq merged)
 
 (* {2 [Diff.apply] against a [Bytes.blit] reference} *)
@@ -110,13 +110,15 @@ let blit_apply d dst =
       Bytes.blit_string payload 0 dst off (String.length payload))
     (Diff.segments d)
 
-(* A diff built one of three ways: [create] from word edits (runs of one
+(* A diff built one of four ways: [create] from word edits (runs of one
    word give 4-byte segments, of two words 8-byte ones, longer runs go
    through [Bytes.blit]); [of_range] at any offset and length (odd-length
-   segments); or the [merge] of two such diffs. *)
+   segments, and pieces that touch another diff's); [full]; or the
+   [merge] of two such diffs, merges of merges included. *)
 type diff_spec =
   | Edits of (int * int * char) list  (* word index, run length, fill *)
   | Span of int * int * char  (* offset, length, fill *)
+  | Full of char
   | Merged of diff_spec * diff_spec
 
 let rec build_diff twin = function
@@ -132,8 +134,9 @@ let rec build_diff twin = function
   | Span (off, len, c) ->
       let page = Bytes.make page_size c in
       Diff.of_range page ~off ~len
+  | Full c -> Diff.full (Bytes.make page_size c)
   | Merged (a, b) ->
-      Diff.merge (build_diff twin a) (build_diff twin b) ~page_size
+      Diff.merge (build_diff twin a) (build_diff twin b)
 
 let rec print_spec = function
   | Edits l ->
@@ -142,6 +145,7 @@ let rec print_spec = function
           (List.map (fun (w, r, c) -> Printf.sprintf "%d+%d=%C" w r c) l)
       ^ "]"
   | Span (o, l, c) -> Printf.sprintf "span(%d,%d,%C)" o l c
+  | Full c -> Printf.sprintf "full(%C)" c
   | Merged (a, b) -> "merge(" ^ print_spec a ^ "," ^ print_spec b ^ ")"
 
 let gen_spec =
@@ -160,8 +164,23 @@ let gen_spec =
     int_bound (page_size - off) >>= fun len ->
     map (fun c -> Span (off, len, c)) (char_range 'A' 'Z')
   in
-  let leaf = frequency [ (3, edits); (2, span) ] in
-  frequency [ (3, leaf); (2, map2 (fun a b -> Merged (a, b)) leaf leaf) ]
+  let leaf =
+    frequency
+      [ (3, edits); (2, span); (1, map (fun c -> Full c) (char_range '0' '9')) ]
+  in
+  int_bound 3
+  >>= fix (fun self depth ->
+          if depth = 0 then leaf
+          else
+            frequency
+              [
+                (1, leaf);
+                ( 2,
+                  map2
+                    (fun a b -> Merged (a, b))
+                    (self (depth - 1))
+                    (self (depth - 1)) );
+              ])
 
 let qcheck_apply_ref =
   QCheck.Test.make ~count:500
@@ -179,6 +198,129 @@ let qcheck_apply_ref =
           Diff.apply d dst;
           Bytes.equal dst expect)
         [ copy; twin' ])
+
+(* {2 Layout oracles}
+
+   [Diff.covers_page] (a WRITE_ALL diff superseding older history) reads
+   the segment layout, not just the bytes a diff writes, so [create] and
+   [merge] are checked segment for segment against the simplest
+   implementations: a word-at-a-time scan and a page-sized byte mask. *)
+
+(* Maximal runs of changed 32-bit words. *)
+let ref_create ~twin ~current =
+  let words = Bytes.length current / 4 in
+  let differs w = Bytes.sub twin (4 * w) 4 <> Bytes.sub current (4 * w) 4 in
+  let rec runs w acc =
+    if w >= words then List.rev acc
+    else if not (differs w) then runs (w + 1) acc
+    else
+      let e = ref w in
+      while !e < words && differs !e do
+        incr e
+      done;
+      runs !e ((4 * w, Bytes.sub_string current (4 * w) (4 * (!e - w))) :: acc)
+  in
+  runs 0 []
+
+(* Overlay [older] then [newer] onto a scratch page, marking each written
+   byte, and read the marked bytes back as maximal runs. *)
+let ref_merge older newer ~page_size =
+  if older = [] then newer
+  else if newer = [] then older
+  else begin
+    let scratch = Bytes.make page_size '\000'
+    and mask = Bytes.make page_size '\000' in
+    let overlay =
+      List.iter (fun (off, s) ->
+          Bytes.blit_string s 0 scratch off (String.length s);
+          Bytes.fill mask off (String.length s) '\001')
+    in
+    overlay older;
+    overlay newer;
+    let rec runs i acc =
+      if i >= page_size then List.rev acc
+      else if Bytes.get mask i = '\000' then runs (i + 1) acc
+      else
+        let e = ref i in
+        while !e < page_size && Bytes.get mask !e = '\001' do
+          incr e
+        done;
+        runs !e ((i, Bytes.sub_string scratch i (!e - i)) :: acc)
+    in
+    runs 0 []
+  end
+
+let ref_covers segs ~page_size =
+  match segs with [ (0, s) ] -> String.length s = page_size | _ -> false
+
+(* The reference layout of a [diff_spec]: [ref_create] for edits and
+   [ref_merge] for merges. *)
+let rec ref_build twin = function
+  | Edits edits ->
+      let current = Bytes.copy twin in
+      List.iter
+        (fun (w, run, c) ->
+          let off = 4 * w in
+          Bytes.fill current off (min (4 * run) (page_size - off)) c)
+        edits;
+      ref_create ~twin ~current
+  | Span (off, len, c) -> if len <= 0 then [] else [ (off, String.make len c) ]
+  | Full c -> [ (0, String.make page_size c) ]
+  | Merged (a, b) -> ref_merge (ref_build twin a) (ref_build twin b) ~page_size
+
+let qcheck_merge_layout =
+  QCheck.Test.make ~count:1000
+    ~name:"merge layout = byte-mask reference (segments, covers_page)"
+    (QCheck.make ~print:print_spec gen_spec) (fun spec ->
+      let twin = Bytes.init page_size (fun i -> Char.chr (i mod 113)) in
+      let d = build_diff twin spec and r = ref_build twin spec in
+      Diff.segments d = r
+      && Diff.covers_page d ~page_size = ref_covers r ~page_size)
+
+(* Pages of [nwords] 32-bit words, so an odd count leaves a tail word the
+   64-bit skip cannot cover; [floats] edits change only the low word of a
+   float (IS's counts, Jacobi's small updates), leaving 4-byte runs at
+   8-byte strides. *)
+let qcheck_create_layout =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 80) bool
+        (list_size (int_bound 40) (pair (int_bound 79) (int_range 1 3))))
+  in
+  let print (nwords, floats, edits) =
+    Printf.sprintf "words=%d floats=%b edits=[%s]" nwords floats
+      (String.concat ";"
+         (List.map (fun (w, r) -> Printf.sprintf "%d+%d" w r) edits))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"create layout = word-scan reference (tail word, float low words)"
+    (QCheck.make ~print gen) (fun (nwords, floats, edits) ->
+      let n = 4 * nwords in
+      let twin = Bytes.init n (fun i -> Char.chr ((i * 31) mod 251)) in
+      let current = Bytes.copy twin in
+      List.iter
+        (fun (w, run) ->
+          let w = w mod nwords in
+          if floats then
+            (* the low (first) word of each of [run] floats from word [w] *)
+            for k = 0 to run - 1 do
+              let off = 8 * ((w / 2) + k) in
+              if off + 8 <= n then
+                Bytes.set_int64_le current off
+                  (Int64.add (Bytes.get_int64_le current off) 1L)
+            done
+          else
+            (* one byte of each of [run] words, at a varying position *)
+            for k = w to min (nwords - 1) (w + run - 1) do
+              let off = (4 * k) + (k mod 4) in
+              Bytes.set current off
+                (Char.chr ((Char.code (Bytes.get current off) + 1) mod 256))
+            done)
+        edits;
+      let d = Diff.create ~twin ~current in
+      let dst = Bytes.copy twin in
+      Diff.apply d dst;
+      Diff.segments d = ref_create ~twin ~current && Bytes.equal dst current)
 
 let test_apply_overrun () =
   let twin = Bytes.make page_size '\000' in
@@ -336,4 +478,10 @@ let tests =
     Alcotest.test_case "page map" `Quick test_page_map;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_diff; qcheck_merge; qcheck_apply_ref ]
+      [
+        qcheck_diff;
+        qcheck_merge;
+        qcheck_apply_ref;
+        qcheck_merge_layout;
+        qcheck_create_layout;
+      ]

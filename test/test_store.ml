@@ -244,7 +244,7 @@ module Model = struct
       (fun e ->
         match e.payload with
         | Some d when solo || e.seq <= min_applied ->
-            c.base <- Diff.merge c.base d ~page_size;
+            c.base <- Diff.merge c.base d;
             c.base_seq <- max c.base_seq e.seq;
             c.base_vcsum <- max c.base_vcsum e.vcsum;
             e.payload <- None
@@ -330,6 +330,11 @@ module Model = struct
         | _ -> best)
       None writers
     |> Option.fold ~none:(-1) ~some:fst
+
+  let has_any t ~writer ~page ~after =
+    match find t ~writer ~page with
+    | Some c -> c.base_seq > after || c.hi_seq > after
+    | None -> false
 
   let note_applied t ~writer ~page ~by ~seq =
     match find t ~writer ~page with
@@ -445,6 +450,110 @@ let prop_store_model =
           step_ok && queries_agree ())
         ops)
 
+(* Dense cells: a few writers and many adds per (writer, page), so every
+   cell passes the coalescing threshold many times over, with seq gaps
+   (accumulated diffs span several intervals), overlapping and touching
+   payloads, and watermarks from every processor so merged entries are
+   both retained for accounting and dropped. Page 0 has writer 0 only
+   (single-writer coalescing), page 1 up to four writers. *)
+
+type dense_op =
+  | D_add of int * int * int * (int * int * char) * bool
+      (* writer, page, seq gap, (off, len, fill), supersedes *)
+  | D_note of int * int * int * int  (* writer, page, by, seq lag *)
+  | D_fetch of int * int * int * int  (* writer, page, after lag, upto span *)
+
+let dense_nprocs = 4
+
+let print_dense_op = function
+  | D_add (w, p, g, (o, l, c), s) ->
+      Printf.sprintf "add(w%d,p%d,+%d,%d:%d=%C,%b)" w p g o l c s
+  | D_note (w, p, b, l) -> Printf.sprintf "note(w%d,p%d,by%d,-%d)" w p b l
+  | D_fetch (w, p, a, u) -> Printf.sprintf "fetch(w%d,p%d,-%d,+%d)" w p a u
+
+let gen_dense_ops =
+  let open QCheck.Gen in
+  let writer = int_bound (dense_nprocs - 1) and page = int_bound 1 in
+  let payload =
+    int_bound (page_size - 1) >>= fun off ->
+    frequency
+      [ (3, int_range 1 8); (1, int_range 1 (page_size - off)) ]
+    >>= fun len -> map (fun c -> (off, min len (page_size - off), c)) printable
+  in
+  list_size (int_range 40 200)
+    (frequency
+       [
+         ( 6,
+           map
+             (fun ((w, p, g), d, sup) ->
+               D_add ((if p = 0 then 0 else w), p, g, d, sup))
+             (triple
+                (triple writer page (frequencyl [ (4, 1); (1, 2); (1, 3) ]))
+                payload
+                (frequencyl [ (20, false); (1, true) ])) );
+         ( 3,
+           map
+             (fun (w, p, b, l) -> D_note (w, p, b, l))
+             (quad writer page writer (int_bound 4)) );
+         ( 3,
+           map
+             (fun (w, p, a, u) -> D_fetch (w, p, a, u))
+             (quad writer page (int_bound 14) (int_bound 6)) );
+       ])
+
+let prop_dense_cells =
+  QCheck.Test.make ~count:200 ~name:"dense cells agree with the list model"
+    (QCheck.make ~print:(QCheck.Print.list print_dense_op) gen_dense_ops)
+    (fun ops ->
+      let t = Store.create ~nprocs:dense_nprocs ~page_size in
+      let m = Model.create ~nprocs:dense_nprocs in
+      let seq = Array.make dense_nprocs 0 and vcsum = ref 0 in
+      let all = List.init dense_nprocs Fun.id in
+      let queries_agree page =
+        Store.latest_writer t ~page all = Model.latest_writer m ~page all
+        && List.for_all
+             (fun writer ->
+               Store.latest_vcsum t ~writer ~page
+               = Model.latest_vcsum m ~writer ~page
+               && Store.latest_full_page t ~writer ~page
+                  = Model.latest_full_page m ~writer ~page
+               && List.for_all
+                    (fun after ->
+                      Store.has_any t ~writer ~page ~after
+                      = Model.has_any m ~writer ~page ~after)
+                    [ 0; seq.(writer) - 1; seq.(writer) ])
+             all
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | D_add (writer, page, gap, (off, len, c), supersedes) ->
+              seq.(writer) <- seq.(writer) + gap;
+              incr vcsum;
+              let diff =
+                if supersedes then full_diff c else mk_diff off len c
+              in
+              let seq = seq.(writer) and vcsum = !vcsum in
+              Store.add t ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+              Model.add m ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+              queries_agree page
+          | D_note (writer, page, by, lag) ->
+              let seq = max 0 (seq.(writer) - lag) in
+              Store.note_applied t ~writer ~page ~by ~seq;
+              Model.note_applied m ~writer ~page ~by ~seq;
+              true
+          | D_fetch (writer, page, lag, span) ->
+              let after = max 0 (seq.(writer) - lag) in
+              let upto = after + span in
+              let r = Store.fetch t ~writer ~page ~after ~upto in
+              let units, bytes, ndiffs =
+                Model.fetch m ~writer ~page ~after ~upto
+              in
+              store_units r = units
+              && r.Store.charge_bytes = bytes
+              && r.Store.ndiffs = ndiffs)
+        ops)
+
 let prop_hashtbl_order =
   QCheck.Test.make ~count:300 ~name:"hashtbl_order = Hashtbl.iter order"
     QCheck.(list_of_size Gen.(int_range 0 150) (int_bound 5000))
@@ -481,4 +590,5 @@ let tests =
       test_coalesce_preserves_accounting;
     Alcotest.test_case "apply order by stamp" `Quick test_apply_order;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_store_model; prop_hashtbl_order ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_store_model; prop_hashtbl_order; prop_dense_cells ]
