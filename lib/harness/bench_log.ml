@@ -18,30 +18,35 @@ type t = {
 let create ~pr ~label ~quick =
   { pr; label; quick; entries = []; prof_invariant = None; profile = None }
 
+let record t e = t.entries <- e :: t.entries
+
 let measure t ~name f =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  let g0 = Gc.quick_stat () in
+  (* Words allocated by [f]: minor-heap allocation plus direct major
+     allocation (major words less promoted ones). [Gc.quick_stat]'s
+     counts move only at collections, so they would depend on the heap's
+     state when [f] started; [Gc.minor_words] and [Gc.counters]' major
+     and promoted counts are exact to the word. *)
+  let _, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   f ppf;
   Format.pp_print_flush ppf ();
   let t1 = Unix.gettimeofday () in
+  let m1 = Gc.minor_words () in
+  let _, p1, j1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   let out = Buffer.contents buf in
-  let alloc =
-    g1.Gc.minor_words -. g0.Gc.minor_words
-    +. (g1.Gc.major_words -. g0.Gc.major_words)
-    -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  in
-  t.entries <-
+  let alloc = m1 -. m0 +. (j1 -. j0) -. (p1 -. p0) in
+  record t
     {
       e_name = name;
       e_wall_ms = (t1 -. t0) *. 1000.0;
       e_alloc_mwords = alloc /. 1e6;
       e_top_heap_words = g1.Gc.top_heap_words;
       e_digest = Digest.to_hex (Digest.string out);
-    }
-    :: t.entries;
+    };
   out
 
 let set_prof_invariant t ok = t.prof_invariant <- Some ok
@@ -51,12 +56,18 @@ let entries t = List.rev t.entries
 (* Best-of-N: keep each experiment's fastest measurement. Wall-clock on a
    busy host is min-stable (noise only ever adds time); digests must not
    disagree between repeats — that would mean nondeterministic simulated
-   output, which the comparison gate reports via the surviving entry. *)
+   output, which the comparison gate reports via the surviving entry.
+   Allocation takes its own minimum: only a process's first round fills
+   the apps' memoized sequential references, so the first round
+   allocates more whichever round is faster, and the minimum is the
+   round-independent figure. *)
 let min_merge a b =
   let pick (ea : entry) =
     match List.find_opt (fun e -> e.e_name = ea.e_name) b.entries with
-    | Some eb when eb.e_wall_ms < ea.e_wall_ms -> eb
-    | _ -> ea
+    | Some eb ->
+        let e = if eb.e_wall_ms < ea.e_wall_ms then eb else ea in
+        { e with e_alloc_mwords = Float.min ea.e_alloc_mwords eb.e_alloc_mwords }
+    | None -> ea
   in
   {
     a with

@@ -24,6 +24,9 @@ type t
 
 val create : pr:int -> label:string -> quick:bool -> t
 
+val record : t -> entry -> unit
+(** Append an entry measured elsewhere. *)
+
 val measure : t -> name:string -> (Format.formatter -> unit) -> string
 (** [measure t ~name f] runs [f] against a buffer formatter, appends an
     {!entry} for it, and returns the captured output. *)
@@ -40,8 +43,11 @@ val entries : t -> entry list
 
 val min_merge : t -> t -> t
 (** Best-of-N de-noising: per experiment (matched by name), keep the faster
-    of the two measurements. Wall-clock noise on a shared host only ever
-    adds time, so the minimum is the stable statistic. *)
+    of the two measurements, with the smaller of the two allocations.
+    Wall-clock noise on a shared host only ever adds time, so the minimum
+    is the stable statistic; allocation is deterministic except that a
+    process's first round also fills memoized references, so its minimum
+    does not depend on which round ran faster. *)
 
 val total_wall_ms : t -> float
 val to_json : t -> string

@@ -104,6 +104,28 @@ let create ~twin ~current =
   Prof.exit Prof.Diff_create;
   d
 
+(* The slots of a page of [slot_size]-byte objects whose bytes differ
+   between twin and copy, ascending. Each slot is scanned one 64-bit word
+   at a time up to its first difference; [slot_size] is a multiple of 8
+   dividing the page (checked by the object allocator), so no slot has
+   a byte tail. *)
+let changed_slots ~twin ~current ~slot_size =
+  let n = Bytes.length current in
+  if
+    Bytes.length twin <> n || slot_size <= 0 || slot_size mod 8 <> 0
+    || n mod slot_size <> 0
+  then invalid_arg "Diff.changed_slots";
+  let acc = ref [] in
+  for s = (n / slot_size) - 1 downto 0 do
+    let i = ref (s * slot_size) in
+    let stop = !i + slot_size in
+    while !i < stop && unsafe_get_64 twin !i = unsafe_get_64 current !i do
+      i := !i + 8
+    done;
+    if !i < stop then acc := s :: !acc
+  done;
+  !acc
+
 let full page = one_seg ~off:0 (Bytes.copy page)
 
 let of_range page ~off ~len =

@@ -17,6 +17,13 @@ val is_empty : t -> bool
 val create : twin:Bytes.t -> current:Bytes.t -> t
 (** Word-granularity comparison of twin and current page contents. *)
 
+val changed_slots : twin:Bytes.t -> current:Bytes.t -> slot_size:int -> int list
+(** The indices, ascending, of the [slot_size]-byte slots of the page in
+    which twin and current contents differ. The page splits into slots of
+    a multiple of 8 bytes; each is compared a 64-bit word at a time and
+    left at its first difference. Raises [Invalid_argument] when the
+    lengths differ or [slot_size] is not a multiple of 8 dividing them. *)
+
 val full : Bytes.t -> t
 (** A "diff" carrying the entire page verbatim: produced at a release for
     pages validated with [WRITE_ALL] access (no twin exists; the whole page

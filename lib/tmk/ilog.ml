@@ -22,7 +22,13 @@
    eagerly.
 
    Each interval's pages are kept as an [int array]: one word per page
-   instead of a list's three.
+   instead of a list's three. Beside them, parallel to the pages, lie the
+   object slots each page's notice covers ([Some slots] for a page of an
+   object region, [None] otherwise), and a second cumulative count, of
+   object-page notices, sizes the extents a window ships in O(1). Both
+   arrays are allocated with the log's first object page, so the kernels
+   pay nothing for them; after that an interval with no object page
+   keeps the shared empty array.
 
    Iteration is seq-descending, matching the former newest-first list
    order exactly: simulated results are bit-identical. *)
@@ -67,7 +73,14 @@ type t = {
   owner : int;
   shared : writers;
   mutable pages : int array array;  (* slot s: pages of interval seq s *)
+  mutable extents : Dsm_util.Pset.t option array array;
+      (* slot s: per page of interval s, the object slots it wrote; [||]
+         when none of them lies in an object region. [||] as a whole
+         until the first interval with an extent *)
   mutable cum : int array;  (* slot s: total notice count of seqs <= s *)
+  mutable cum_obj : int array;
+      (* slot s: notices of seqs <= s that carry an extent; [||] while
+         [extents] is *)
   mutable hi : int;  (* highest recorded seq; slots 1..hi are valid *)
   touch : index;
       (* page -> [| n; this log's slot in [shared]'s row; n entries |]:
@@ -82,7 +95,9 @@ let create ?(owner = 0) ?(writers = writers ()) () =
     owner;
     shared = writers;
     pages = Array.make 64 [||];
+    extents = [||];
     cum = Array.make 64 0;
+    cum_obj = [||];
     hi = 0;
     touch = { head = 2; width = 1; by_page = [||] };
   }
@@ -91,20 +106,43 @@ let grow t n =
   let len = Array.length t.pages in
   if n >= len then begin
     let len' = max (n + 1) (2 * len) in
-    let p = Array.make len' [||] in
-    Array.blit t.pages 0 p 0 len;
-    t.pages <- p;
-    let c = Array.make len' 0 in
-    Array.blit t.cum 0 c 0 len;
-    t.cum <- c
+    let widen a fill =
+      let b = Array.make len' fill in
+      Array.blit a 0 b 0 len;
+      b
+    in
+    t.pages <- widen t.pages [||];
+    t.cum <- widen t.cum 0;
+    if Array.length t.cum_obj > 0 then begin
+      t.extents <- widen t.extents [||];
+      t.cum_obj <- widen t.cum_obj 0
+    end
   end
 
-let add t ~seq pages =
+(* Record interval [seq] over [pages]; [extents], when given, is parallel
+   to [pages]. *)
+let add t ~seq ?(extents = [||]) pages =
   if seq <> t.hi + 1 then invalid_arg "Ilog.add: non-consecutive seq";
-  grow t seq;
   let pages = Array.of_list pages in
+  if Array.length extents > 0 && Array.length extents <> Array.length pages
+  then invalid_arg "Ilog.add: extents not parallel to pages";
+  let nobj =
+    Array.fold_left
+      (fun n e -> match e with None -> n | Some _ -> n + 1)
+      0 extents
+  in
+  grow t seq;
   t.pages.(seq) <- pages;
   t.cum.(seq) <- t.cum.(t.hi) + Array.length pages;
+  if nobj > 0 && Array.length t.cum_obj = 0 then begin
+    (* every earlier interval carried no extent *)
+    t.extents <- Array.make (Array.length t.pages) [||];
+    t.cum_obj <- Array.make (Array.length t.pages) 0
+  end;
+  if Array.length t.cum_obj > 0 then begin
+    if nobj > 0 then t.extents.(seq) <- extents;
+    t.cum_obj.(seq) <- t.cum_obj.(t.hi) + nobj
+  end;
   t.hi <- seq;
   Array.iter
     (fun page ->
@@ -137,16 +175,26 @@ let clamp t s = if s >= t.hi then t.hi else if s < 0 then 0 else s
 (* Number of write notices in intervals with [lo < seq <= hi]. *)
 let count_window t ~lo ~hi = t.cum.(clamp t hi) - t.cum.(clamp t lo)
 
+(* Number of those notices that carry an extent. *)
+let count_obj_window t ~lo ~hi =
+  if Array.length t.cum_obj = 0 then 0
+  else t.cum_obj.(clamp t hi) - t.cum_obj.(clamp t lo)
+
 (* Number of write notices in intervals newer than [seq]. *)
 let count_since t seq = count_window t ~lo:seq ~hi:t.hi
 
-(* [f seq pages] for every recorded interval with [lo < seq <= hi],
-   newest first. *)
+(* [f seq pages extents] for every recorded interval with
+   [lo < seq <= hi], newest first. *)
 let iter_desc t ~lo ~hi f =
   let top = if hi > t.hi then t.hi else hi in
+  let none = Array.length t.extents = 0 in
   for s = top downto lo + 1 do
-    f s t.pages.(s)
+    f s t.pages.(s) (if none then [||] else t.extents.(s))
   done
+
+(* The extent of the [i]th page of an interval whose extents are
+   [extents]. *)
+let extent extents i = if Array.length extents = 0 then None else extents.(i)
 
 (* Newest interval with [seq <= upto] whose pages include [page]; 0 if
    none. *)

@@ -126,11 +126,18 @@ let quiet_pages st =
    Pages inside a {!Tmk.Alloc.objs} region hold packed fixed-size objects,
    and the protocol tracks staleness per object slot (page offset divided
    by the object size) on top of the per-page watermarks: releases record
-   which slots each interval wrote ([sys.obj_extents]), applied notices
-   grow the receiver's [ob_stale] slot set, and a validate whose objects
-   are all disjoint from [ob_stale] may skip the fetch entirely — the
-   false-sharing remedy of sub-page allocation. Every hook is guarded by
-   [sys.has_objs], so the paper's kernels execute bit-identically. *)
+   which slots each interval wrote (its extents in the writer's {!Ilog}),
+   applied notices grow the receiver's [ob_stale] slot set, and a validate
+   whose objects are all disjoint from [ob_stale] may skip the fetch
+   entirely — the false-sharing remedy of sub-page allocation. Every hook
+   is guarded by [sys.has_objs] or reads [sys.obj_sizes], empty without
+   object regions, so the paper's kernels execute bit-identically. *)
+
+(* The object size of [page], 0 outside any object region. *)
+let obj_size sys page =
+  if page < Array.length sys.obj_sizes then
+    Array.unsafe_get sys.obj_sizes page
+  else 0
 
 let obj_all_slots sys osz =
   Pset.of_list (List.init (sys.page_size / osz) Fun.id)
@@ -212,39 +219,33 @@ let release_pages sys p =
          comparison over-approximates (it sees every write since the twin
          was made, possibly spanning intervals) — safe: a larger extent
          only forces more fetching, never less. *)
-      if sys.has_objs then
-        List.iter
-          (fun page ->
-            match Hashtbl.find_opt sys.obj_regions page with
-            | None -> ()
-            | Some osz ->
-                let m = meta st page in
-                let pg = Page_table.get st.pt page in
-                let slots =
-                  if not (Range.is_empty m.write_all) then
-                    obj_slots_of_ranges sys ~page ~osz m.write_all
-                  else
-                    match pg.Page_table.twin with
-                    | Some twin ->
-                        let acc = ref Pset.empty in
-                        for s = 0 to (sys.page_size / osz) - 1 do
-                          let off = s * osz in
-                          let differs = ref false in
-                          for i = off to off + osz - 1 do
-                            if
-                              Bytes.unsafe_get twin i
-                              <> Bytes.unsafe_get pg.Page_table.data i
-                            then differs := true
-                          done;
-                          if !differs then acc := Pset.add s !acc
-                        done;
-                        !acc
-                    | None -> obj_all_slots sys osz
-                in
-                Hashtbl.replace sys.obj_extents (p, seq, page) slots)
-          pages;
+      let extents =
+        if not sys.has_objs then [||]
+        else
+          Array.of_list
+            (List.map
+               (fun page ->
+                 let osz = obj_size sys page in
+                 if osz = 0 then None
+                 else
+                   let m = meta st page in
+                   let pg = Page_table.get st.pt page in
+                   Some
+                     (if not (Range.is_empty m.write_all) then
+                        obj_slots_of_ranges sys ~page ~osz m.write_all
+                      else
+                        match pg.Page_table.twin with
+                        | Some twin ->
+                            (* ascending: each add conses at the head *)
+                            List.fold_right Pset.add
+                              (Diff.changed_slots ~twin
+                                 ~current:pg.Page_table.data ~slot_size:osz)
+                              Pset.empty
+                        | None -> obj_all_slots sys osz))
+               pages)
+      in
       Hashtbl.reset st.dirty;
-      Ilog.add sys.logs.(p) ~seq pages;
+      Ilog.add sys.logs.(p) ~seq ~extents pages;
       if sys.trace <> None then
         emit sys p (Dsm_trace.Event.Notice_send { seq; pages });
       Some (seq, pages)
@@ -356,54 +357,49 @@ let materialize sys ~writer ~page =
 
    A notice for a quiet page only marks it pending; a page the notice
    leaves invalid becomes quiet when it qualifies. *)
-let apply_notice sys p ~writer ~seq ~pages =
+let apply_notice sys p ~writer ~seq ~pages ~extents =
   if writer <> p then begin
     let st = sys.states.(p) in
     let invalidated = ref [] in
-    Array.iter
-      (fun page ->
-        if qstate st page <> eager then begin
-          set_qstate st page pending;
-          if sys.trace <> None then
-            emit sys p
-              (Dsm_trace.Event.Notice_apply
-                 { writer; seq; page; invalidated = true })
-        end
-        else
-        let m = meta st page in
-        if seq > Wmap.get m.known writer then Wmap.set m.known writer seq;
-        if Wmap.get m.known writer > Wmap.get m.applied writer then begin
-          (if sys.has_objs then
-             match Hashtbl.find_opt sys.obj_regions page with
-             | None -> ()
-             | Some osz ->
-                 (* grow the stale-slot set by the interval's recorded
-                    extent; a missing extent (foreign pre-allocation
-                    history) conservatively stales the whole page *)
-                 let slots =
-                   match Hashtbl.find_opt sys.obj_extents (writer, seq, page)
-                   with
-                   | Some s -> s
-                   | None -> obj_all_slots sys osz
-                 in
-                 m.ob_stale <- Pset.union m.ob_stale slots);
-          if m.lazy_hi > 0 then
-            Cluster.charge sys.cluster p (materialize sys ~writer:p ~page);
-          if Page_table.invalidate st.pt page then
-            invalidated := page :: !invalidated
-        end;
-        let invalid =
-          (Page_table.entry st.pt page).Page_table.prot = Page_table.No_access
-        in
+    for i = 0 to Array.length pages - 1 do
+      let page = pages.(i) in
+      if qstate st page <> eager then begin
+        set_qstate st page pending;
         if sys.trace <> None then
           emit sys p
             (Dsm_trace.Event.Notice_apply
-               { writer; seq; page; invalidated = invalid });
-        if
-          invalid && m.lazy_hi = 0
-          && not (sys.has_objs && Hashtbl.mem sys.obj_regions page)
-        then set_qstate st page quiet)
-      pages;
+               { writer; seq; page; invalidated = true })
+      end
+      else
+      let m = meta st page in
+      if seq > Wmap.get m.known writer then Wmap.set m.known writer seq;
+      if Wmap.get m.known writer > Wmap.get m.applied writer then begin
+        (let osz = obj_size sys page in
+         if osz > 0 then
+           (* grow the stale-slot set by the interval's recorded
+              extent; a missing extent (foreign pre-allocation history)
+              conservatively stales the whole page *)
+           let slots =
+             match Ilog.extent extents i with
+             | Some s -> s
+             | None -> obj_all_slots sys osz
+           in
+           m.ob_stale <- Pset.union m.ob_stale slots);
+        if m.lazy_hi > 0 then
+          Cluster.charge sys.cluster p (materialize sys ~writer:p ~page);
+        if Page_table.invalidate st.pt page then
+          invalidated := page :: !invalidated
+      end;
+      let invalid =
+        (Page_table.entry st.pt page).Page_table.prot = Page_table.No_access
+      in
+      if sys.trace <> None then
+        emit sys p
+          (Dsm_trace.Event.Notice_apply
+             { writer; seq; page; invalidated = invalid });
+      if invalid && m.lazy_hi = 0 && obj_size sys page = 0 then
+        set_qstate st page quiet
+    done;
     if !invalidated <> [] then protect_runs sys p !invalidated
   end
 
@@ -417,14 +413,11 @@ let count_notices sys p ~upto =
   for q = 0 to sys.nprocs - 1 do
     let lo = Vc.get st.vc q
     and hi = Vc.get upto q in
-    if q <> p && hi > lo then begin
-      count := !count + Ilog.count_window sys.logs.(q) ~lo ~hi;
-      if sys.has_objs then
-        Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun _ pages ->
-            Array.iter
-              (fun g -> if Hashtbl.mem sys.obj_regions g then incr count)
-              pages)
-    end
+    if q <> p && hi > lo then
+      count :=
+        !count
+        + Ilog.count_window sys.logs.(q) ~lo ~hi
+        + Ilog.count_obj_window sys.logs.(q) ~lo ~hi
   done;
   !count
 
@@ -437,8 +430,8 @@ let pull_notices sys p ~upto =
     if q <> p && Vc.get upto q > Vc.get st.vc q then begin
       let lo = Vc.get st.vc q
       and hi = Vc.get upto q in
-      Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun seq pages ->
-          apply_notice sys p ~writer:q ~seq ~pages);
+      Ilog.iter_desc sys.logs.(q) ~lo ~hi (fun seq pages extents ->
+          apply_notice sys p ~writer:q ~seq ~pages ~extents);
       Vc.set st.vc q hi
     end
   done;
@@ -840,7 +833,7 @@ let fetch sys p pages ~mode ?only_via () =
     if sys.has_objs then
       List.iter
         (fun page ->
-          if Hashtbl.mem sys.obj_regions page then
+          if obj_size sys page > 0 then
             match Page_map.find st.meta page with
             | Some m when not (Pset.is_empty m.ob_stale) ->
                 if
@@ -943,38 +936,38 @@ let obj_skip sys p ~ranges pages =
     and skipped = ref [] in
     List.iter
       (fun page ->
-        match Hashtbl.find_opt sys.obj_regions page with
-        | None -> keep := page :: !keep
-        | Some osz ->
-            let m = meta st page in
-            let stale =
-              Wmap.exists
-                (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                m.known
-            in
-            let slots =
-              if stale && not (Pset.is_empty m.ob_stale) then
-                obj_slots_of_ranges sys ~page ~osz ranges
-              else Pset.empty
-            in
-            if
-              stale
-              && (not (Pset.is_empty m.ob_stale))
-              && (not (Pset.is_empty slots))
-              && Pset.disjoint slots m.ob_stale
-              (* an outstanding asynchronous response must be consumed by
-                 the normal fault path; granting access now would bury it *)
-              && not (Hashtbl.mem st.pending_async page)
-            then begin
-              let pstats = sys.cluster.Cluster.stats.(p) in
-              pstats.Stats.obj_skips <- pstats.Stats.obj_skips + 1;
-              if sys.trace <> None then
-                emit sys p
-                  (Dsm_trace.Event.Obj_skip
-                     { page; slots = Pset.to_list slots });
-              skipped := page :: !skipped
-            end
-            else keep := page :: !keep)
+        let osz = obj_size sys page in
+        if osz = 0 then keep := page :: !keep
+        else
+        let m = meta st page in
+        let stale =
+          Wmap.exists
+            (fun q kv -> q <> p && kv > Wmap.get m.applied q)
+            m.known
+        in
+        let slots =
+          if stale && not (Pset.is_empty m.ob_stale) then
+            obj_slots_of_ranges sys ~page ~osz ranges
+          else Pset.empty
+        in
+        if
+          stale
+          && (not (Pset.is_empty m.ob_stale))
+          && (not (Pset.is_empty slots))
+          && Pset.disjoint slots m.ob_stale
+          (* an outstanding asynchronous response must be consumed by
+             the normal fault path; granting access now would bury it *)
+          && not (Hashtbl.mem st.pending_async page)
+        then begin
+          let pstats = sys.cluster.Cluster.stats.(p) in
+          pstats.Stats.obj_skips <- pstats.Stats.obj_skips + 1;
+          if sys.trace <> None then
+            emit sys p
+              (Dsm_trace.Event.Obj_skip
+                 { page; slots = Pset.to_list slots });
+          skipped := page :: !skipped
+        end
+        else keep := page :: !keep)
       pages;
     (List.rev !keep, List.rev !skipped)
   end
@@ -991,7 +984,7 @@ let split_unfaultable sys p pages =
     let st = sys.states.(p) in
     List.partition
       (fun page ->
-        (not (Hashtbl.mem sys.obj_regions page))
+        obj_size sys page = 0
         || (Page_table.entry st.pt page).Page_table.prot = Page_table.No_access)
       pages
 

@@ -74,10 +74,17 @@ val materialize : system -> writer:int -> page:int -> float
     off the dirty list) unless the writer is mid-interval on it. *)
 
 val apply_notice :
-  system -> int -> writer:int -> seq:int -> pages:int array -> unit
+  system ->
+  int ->
+  writer:int ->
+  seq:int ->
+  pages:int array ->
+  extents:Pset.t option array ->
+  unit
 (** Record write notices; invalidate stale local copies; force local
     materialization where needed. A notice for a quiet page only marks it
-    pending. *)
+    pending. [extents] is the interval's {!Ilog} extents: the slots each
+    object page's notice grows the receiver's stale-slot set by. *)
 
 val count_notices : system -> int -> upto:Vc.t -> int
 (** The number of notices {!pull_notices} would apply (for message-size
@@ -185,6 +192,10 @@ val apply_access_state :
     any required data movement has happened: [READ] write-protects,
     [WRITE]/[READ&WRITE] create twins and enable writing, the [_ALL] types
     enable writing without twins and record the WRITE_ALL ranges. *)
+
+val obj_size : system -> int -> int
+(** The object size of a page inside an object-granularity region, 0
+    outside any: one bounds check and one read. *)
 
 val obj_all_slots : system -> int -> Pset.t
 (** Every slot of a page holding objects of the given size: the

@@ -131,10 +131,8 @@ let barrier t =
         (* the rollback regresses [applied], so the stale-slot tracking no
            longer under-approximates what a fetch would bring: stale the
            whole object page conservatively *)
-        (if sys.has_objs then
-           match Hashtbl.find_opt sys.obj_regions page with
-           | None -> ()
-           | Some osz -> m.ob_stale <- Protocol.obj_all_slots sys osz);
+        (let osz = Protocol.obj_size sys page in
+         if osz > 0 then m.ob_stale <- Protocol.obj_all_slots sys osz);
         if Dsm_mem.Page_table.invalidate st.pt page then
           rolled := page :: !rolled
       end)

@@ -100,8 +100,7 @@ let make ?plan cfg =
       | Config.Adaptive -> Adaptive.backend);
     trace = None;
     pending_plan = plan;
-    obj_regions = Hashtbl.create 64;
-    obj_extents = Hashtbl.create 256;
+    obj_sizes = [||];
     obj_decls = [];
     has_objs = false;
   }
@@ -258,9 +257,13 @@ module Alloc = struct
     | Object ->
         let base_page = a.Dsm_rsd.Section.base / page_size in
         let npages = ((count * obj_size) + page_size - 1) / page_size in
-        for page = base_page to base_page + npages - 1 do
-          Hashtbl.replace sys.Types.obj_regions page obj_size
-        done;
+        let sizes = sys.Types.obj_sizes in
+        if base_page + npages > Array.length sizes then begin
+          let b = Array.make (base_page + npages) 0 in
+          Array.blit sizes 0 b 0 (Array.length sizes);
+          sys.Types.obj_sizes <- b
+        end;
+        Array.fill sys.Types.obj_sizes base_page npages obj_size;
         sys.Types.obj_decls <-
           {
             Types.or_base_page = base_page;
@@ -309,14 +312,15 @@ let digest sys =
   if sys.Types.has_objs then begin
     let st0 = sys.Types.states.(0) in
     let forced = ref [] in
-    Hashtbl.iter
-      (fun page (_ : int) ->
-        match Dsm_mem.Page_map.find st0.Types.meta page with
-        | Some m when not (Types.Pset.is_empty m.Types.ob_stale) ->
-            if Page_table.invalidate st0.Types.pt page then
-              forced := page :: !forced
-        | _ -> ())
-      sys.Types.obj_regions;
+    Array.iteri
+      (fun page osz ->
+        if osz > 0 then
+          match Dsm_mem.Page_map.find st0.Types.meta page with
+          | Some m when not (Types.Pset.is_empty m.Types.ob_stale) ->
+              if Page_table.invalidate st0.Types.pt page then
+                forced := page :: !forced
+          | _ -> ())
+      sys.Types.obj_sizes;
     if !forced <> [] then Protocol.protect_runs sys 0 !forced
   end;
   run sys (fun t ->

@@ -234,13 +234,13 @@ type system = {
       (* static protocol-placement plan ([dsm_run --plan]) awaiting
          application; consumed at the start of the first {!Tmk.run} so the
          later digest pass does not re-seed over the run's final state *)
-  obj_regions : (int, int) Hashtbl.t;
-      (* page -> obj_size for pages inside an object-granularity region
-         ({!Tmk.Alloc.objs}); empty (and all hooks dead) for the kernels *)
-  obj_extents : (int * int * int, Pset.t) Hashtbl.t;
-      (* (writer, seq, page) -> slots the writer's interval [seq] modified
-         on the page; recorded at release, consumed when the notice is
-         applied to grow the receiver's [ob_stale] *)
+  mutable obj_sizes : int array;
+      (* dense by page number: the object size of a page inside an
+         object-granularity region ({!Tmk.Alloc.objs}), 0 outside any;
+         empty (and all hooks dead) for the kernels. Read through
+         {!Protocol.obj_size}. The slots each interval wrote on such a
+         page travel with its write notice in the writer's {!Ilog}, and
+         grow the receiver's [ob_stale] when the notice is applied *)
   mutable obj_decls : obj_region list;
       (* declaration order reversed; {!Tmk.run} emits one [Obj_region]
          trace event per region so the checker learns the geometry *)

@@ -123,6 +123,37 @@ let test_false_sharing_regression () =
     true
     (obj.stats.Stats.messages < page.stats.Stats.messages)
 
+(* Regression pin of the object-granularity paths at a size the perf
+   goldens do not reach: [small] at 8 processors has 128 object pages
+   (the goldens' [tiny] at 4 has 8). Host-side rewrites of the slot
+   tracking must leave every virtual result where it is. *)
+let test_small_pin () =
+  List.iter
+    (fun (backend, bname, mix, skips, msgs, time_us, digest) ->
+      let r =
+        Kv.tmk ~digest:true
+          { (cfg 8) with Config.backend }
+          ~size:Kv.small
+          ~behavior:{ Kv.default_behavior with Kv.mix }
+          ~level:Base ~async:true
+      in
+      let what = Printf.sprintf "%s/%s" bname mix in
+      Alcotest.(check int) (what ^ " obj_skips") skips r.stats.Stats.obj_skips;
+      Alcotest.(check int) (what ^ " messages") msgs r.stats.Stats.messages;
+      Alcotest.(check string) (what ^ " time_us") time_us
+        (Printf.sprintf "%.3f" r.time_us);
+      Alcotest.(check string) (what ^ " digest") digest r.digest)
+    [
+      (Config.Lrc, "lrc", "write90", 3116, 62316, "2051986.112",
+       "495271cabb198e0879206d9a0875e058");
+      (Config.Lrc, "lrc", "read90", 3519, 29914, "2049076.124",
+       "f929ad4a34893c4124e0273cba089ec0");
+      (Config.Hlrc, "hlrc", "write90", 2731, 35779, "2052513.848",
+       "495271cabb198e0879206d9a0875e058");
+      (Config.Hlrc, "hlrc", "read90", 3106, 25606, "2048251.676",
+       "f929ad4a34893c4124e0273cba089ec0");
+    ]
+
 let test_pvm () =
   let r = Kv.pvm (cfg 4) ~size:Kv.tiny ~behavior:Kv.default_behavior in
   Alcotest.(check (float 1e-6)) "pvm correct" 0.0 r.max_err;
@@ -270,6 +301,8 @@ let tests =
       test_checker_clean;
     Alcotest.test_case "object granularity sheds false-sharing traffic" `Slow
       test_false_sharing_regression;
+    Alcotest.test_case "small 8p object pages pinned (lrc, hlrc)" `Slow
+      test_small_pin;
     Alcotest.test_case "pvm baseline correct with sane latencies" `Quick
       test_pvm;
     Alcotest.test_case "tmk latencies sorted and positive" `Quick

@@ -459,6 +459,95 @@ let test_page_map () =
   Alcotest.(check int) "reset empties" 0 (Page_map.length t);
   Alcotest.(check bool) "reset forgets" true (Page_map.find t 1000 = None)
 
+(* {1 Object-slot scan}
+
+   [Diff.changed_slots] must name exactly the slots a byte-by-byte
+   comparison of every slot names. *)
+
+let slot_sizes = [ 8; 16; 64; 512; 4096 ]
+
+(* the run-time's page size, so a 4096-byte object fills a page *)
+let slot_page = 4096
+
+(* the reference: every byte of every slot, no early exit *)
+let changed_slots_ref ~twin ~current ~slot_size =
+  let acc = ref [] in
+  for s = 0 to (Bytes.length current / slot_size) - 1 do
+    let off = s * slot_size in
+    let differs = ref false in
+    for i = off to off + slot_size - 1 do
+      if Bytes.get twin i <> Bytes.get current i then differs := true
+    done;
+    if !differs then acc := s :: !acc
+  done;
+  List.rev !acc
+
+(* Edit (slot, where) pairs: [where] 0 is the slot's first byte, 1 its
+   last, 2 both the last byte and the next slot's first (adjacent slots
+   straddling a boundary), anything else a byte in between. *)
+let flip_slot_bytes current ~slot_size edits =
+  let nslots = Bytes.length current / slot_size in
+  let flip i =
+    Bytes.set current i (Char.chr ((Char.code (Bytes.get current i) + 1) land 255))
+  in
+  List.iter
+    (fun (slot, where) ->
+      let slot = slot mod nslots in
+      let off = slot * slot_size in
+      match where with
+      | 0 -> flip off
+      | 1 -> flip (off + slot_size - 1)
+      | 2 ->
+          flip (off + slot_size - 1);
+          if slot + 1 < nslots then flip (off + slot_size)
+      | w -> flip (off + (w mod slot_size)))
+    edits
+
+let test_changed_slots_edges () =
+  List.iter
+    (fun slot_size ->
+      List.iter
+        (fun edits ->
+          let twin = Bytes.init slot_page (fun i -> Char.chr (i mod 251)) in
+          let current = Bytes.copy twin in
+          flip_slot_bytes current ~slot_size edits;
+          Alcotest.(check (list int))
+            (Printf.sprintf "size %d edits %s" slot_size
+               (String.concat ","
+                  (List.map (fun (s, w) -> Printf.sprintf "%d@%d" s w) edits)))
+            (changed_slots_ref ~twin ~current ~slot_size)
+            (Diff.changed_slots ~twin ~current ~slot_size))
+        [ []; [ (0, 0) ]; [ (0, 1) ]; [ (0, 2) ]; [ (3, 0); (4, 1) ];
+          [ (1000, 2) ]; [ (511, 1) ]; [ (7, 5) ] ])
+    slot_sizes;
+  Alcotest.check_raises "slot size not a multiple of 8"
+    (Invalid_argument "Diff.changed_slots") (fun () ->
+      ignore
+        (Diff.changed_slots ~twin:(Bytes.make 64 'a') ~current:(Bytes.make 64 'a')
+           ~slot_size:12))
+
+let qcheck_changed_slots =
+  let gen =
+    QCheck.Gen.(
+      triple (oneofl slot_sizes) (int_bound 1000)
+        (list_size (int_bound 12) (pair (int_bound 600) (int_bound 40))))
+  in
+  let print (slot_size, seed, edits) =
+    Printf.sprintf "slot=%d seed=%d edits=[%s]" slot_size seed
+      (String.concat ";"
+         (List.map (fun (s, w) -> Printf.sprintf "%d@%d" s w) edits))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"changed_slots = byte-by-byte reference (first/last byte, adjacent)"
+    (QCheck.make ~print gen) (fun (slot_size, seed, edits) ->
+      let twin =
+        Bytes.init slot_page (fun i -> Char.chr (((i * 37) + seed) land 255))
+      in
+      let current = Bytes.copy twin in
+      flip_slot_bytes current ~slot_size edits;
+      Diff.changed_slots ~twin ~current ~slot_size
+      = changed_slots_ref ~twin ~current ~slot_size)
+
 let tests =
   [
     Alcotest.test_case "diff roundtrip" `Quick test_diff_roundtrip;
@@ -476,6 +565,8 @@ let tests =
     Alcotest.test_case "page table: frameless pages" `Quick
       test_page_table_frameless;
     Alcotest.test_case "page map" `Quick test_page_map;
+    Alcotest.test_case "changed slots: first/last byte, adjacent slots" `Quick
+      test_changed_slots_edges;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -484,4 +575,5 @@ let tests =
         qcheck_apply_ref;
         qcheck_merge_layout;
         qcheck_create_layout;
+        qcheck_changed_slots;
       ]

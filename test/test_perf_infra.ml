@@ -5,6 +5,7 @@
 
 module Prof = Dsm_prof.Prof
 module Ilog = Dsm_tmk.Ilog
+module Pset = Dsm_util.Pset
 module Bench_log = Dsm_harness.Bench_log
 module Tmk = Dsm_tmk.Tmk
 module Shm = Dsm_tmk.Shm
@@ -94,7 +95,10 @@ let test_ilog_dense_seqs_only () =
   Ilog.add l ~seq:1 [ 1 ];
   Alcotest.check_raises "gap rejected"
     (Invalid_argument "Ilog.add: non-consecutive seq") (fun () ->
-      Ilog.add l ~seq:3 [ 2 ])
+      Ilog.add l ~seq:3 [ 2 ]);
+  Alcotest.check_raises "extents must be parallel to the pages"
+    (Invalid_argument "Ilog.add: extents not parallel to pages") (fun () ->
+      Ilog.add l ~seq:2 ~extents:[| None |] [ 2; 3 ])
 
 let test_ilog_iter_desc () =
   let l = Ilog.create () in
@@ -102,12 +106,12 @@ let test_ilog_iter_desc () =
     Ilog.add l ~seq:s [ s * 100 ]
   done;
   let seen = ref [] in
-  Ilog.iter_desc l ~lo:0 ~hi:5 (fun s pages -> seen := (s, pages) :: !seen);
+  Ilog.iter_desc l ~lo:0 ~hi:5 (fun s pages _ -> seen := (s, pages) :: !seen);
   Alcotest.(check (list int)) "newest first over the whole window"
     [ 5; 4; 3; 2; 1 ]
     (List.rev_map fst !seen);
   seen := [];
-  Ilog.iter_desc l ~lo:2 ~hi:4 (fun s _ -> seen := (s, [||]) :: !seen);
+  Ilog.iter_desc l ~lo:2 ~hi:4 (fun s _ _ -> seen := (s, [||]) :: !seen);
   Alcotest.(check (list int)) "window excludes lo, includes hi" [ 4; 3 ]
     (List.rev_map fst !seen)
 
@@ -130,18 +134,25 @@ let test_ilog_newest_touch () =
 (* Model: the page index agrees with a linear scan of the interval lists,
    for random logs with repeated pages inside an interval, empty
    intervals, and [upto] below the first seq or above [hi]; the shared
-   writer rows visit exactly the logs that listed the page, each once. *)
+   writer rows visit exactly the logs that listed the page, each once.
+   Intervals carry extents (the object slots a notice covers, [None] for a
+   page outside any object region): [iter_desc] hands back each page's
+   extent, and the O(1) window counts equal a walk of every window. *)
 let ilog_model_gen =
   QCheck.Gen.(
     pair
       (list_size (int_range 1 3)
          (list_size (int_range 0 12)
-            (list_size (int_range 0 4) (int_range 0 9))))
+            (list_size (int_range 0 4)
+               (pair (int_range 0 9)
+                  (opt (list_size (int_range 0 3) (int_range 0 7)))))))
       (pair (int_range 0 9) (int_range (-2) 16)))
 
 let test_ilog_index_model =
   QCheck.Test.make ~count:1000 ~name:"ilog: page index matches a linear scan"
-    (QCheck.make ilog_model_gen) (fun (logs, (page, upto)) ->
+    (QCheck.make ilog_model_gen) (fun (model, (page, upto)) ->
+      let logs = List.map (List.map (List.map fst)) model in
+      let extent_of = Option.map Pset.of_list in
       let w = Ilog.writers () in
       let ls =
         Array.of_list
@@ -149,10 +160,19 @@ let test_ilog_index_model =
              (fun q intervals ->
                let l = Ilog.create ~owner:q ~writers:w () in
                List.iteri
-                 (fun i pages -> Ilog.add l ~seq:(i + 1) pages)
+                 (fun i notices ->
+                   let pages = List.map fst notices in
+                   if List.for_all (fun (_, e) -> e = None) notices then
+                     Ilog.add l ~seq:(i + 1) pages
+                   else
+                     Ilog.add l ~seq:(i + 1)
+                       ~extents:
+                         (Array.of_list
+                            (List.map (fun (_, e) -> extent_of e) notices))
+                       pages)
                  intervals;
                l)
-             logs)
+             model)
       in
       let scan intervals =
         let best = ref 0 in
@@ -174,19 +194,62 @@ let test_ilog_index_model =
                else [])
              logs)
       in
+      let extents_ok l intervals =
+        let n = List.length intervals in
+        let seen = ref [] in
+        Ilog.iter_desc l ~lo:0 ~hi:n (fun _ pages extents ->
+            seen :=
+              List.init (Array.length pages) (fun i ->
+                  (pages.(i), Ilog.extent extents i))
+              :: !seen);
+        let walk f ~lo ~hi =
+          List.fold_left ( + ) 0
+            (List.mapi
+               (fun i notices -> if i + 1 > lo && i + 1 <= hi then f notices else 0)
+               intervals)
+        in
+        let windows_ok = ref true in
+        for lo = -1 to n + 1 do
+          for hi = lo to n + 1 do
+            if
+              Ilog.count_window l ~lo ~hi <> walk List.length ~lo ~hi
+              || Ilog.count_obj_window l ~lo ~hi
+                 <> walk
+                      (fun ns -> List.length (List.filter (fun (_, e) -> e <> None) ns))
+                      ~lo ~hi
+            then windows_ok := false
+          done
+        done;
+        !windows_ok
+        && !seen
+           = List.map (List.map (fun (pg, e) -> (pg, extent_of e))) intervals
+      in
       List.for_all2
         (fun l intervals -> Ilog.newest_touch l page ~upto = scan intervals)
         (Array.to_list ls) logs
-      && List.rev !visited = expected)
+      && List.rev !visited = expected
+      && List.for_all2 extents_ok (Array.to_list ls) model)
 
 let test_ilog_grow () =
   let l = Ilog.create () in
+  (* from seq 10 on, every third interval's second page carries an
+     extent: the extent arrays start mid-log and grow with it *)
+  let extent s = if s >= 10 && s mod 3 = 0 then Some (Pset.singleton s) else None in
   for s = 1 to 300 do
-    Ilog.add l ~seq:s [ s; s + 1 ]
+    Ilog.add l ~seq:s ~extents:[| None; extent s |] [ s; s + 1 ]
   done;
   Alcotest.(check int) "grown past initial capacity" 300 (Ilog.hi l);
   Alcotest.(check int) "counts survive growth" 600 (Ilog.count_since l 0);
-  Alcotest.(check int) "window count" 20 (Ilog.count_since l 290)
+  Alcotest.(check int) "window count" 20 (Ilog.count_since l 290);
+  Alcotest.(check int) "extents counted before the first" 0
+    (Ilog.count_obj_window l ~lo:0 ~hi:9);
+  Alcotest.(check int) "extents survive growth" 97
+    (Ilog.count_obj_window l ~lo:0 ~hi:300);
+  Ilog.iter_desc l ~lo:298 ~hi:300 (fun s _ extents ->
+      Alcotest.(check bool)
+        (Printf.sprintf "extent of seq %d" s)
+        true
+        (Ilog.extent extents 1 = extent s))
 
 (* {1 Bench_log} *)
 
@@ -256,7 +319,34 @@ let test_bench_log_min_merge () =
   in
   Alcotest.(check (float 0.0)) "keeps the faster measurement"
     (min (wall a) (wall b))
-    (wall merged)
+    (wall merged);
+  (* the first round fills memoized references, so the faster round may
+     allocate more: wall time and allocation take their minima apart *)
+  let entry wall alloc =
+    {
+      Bench_log.e_name = "alpha";
+      e_wall_ms = wall;
+      e_alloc_mwords = alloc;
+      e_top_heap_words = 1;
+      e_digest = "d";
+    }
+  in
+  let log e =
+    let l = Bench_log.create ~pr:99 ~label:"test" ~quick:true in
+    Bench_log.record l e;
+    l
+  in
+  let check what a b =
+    match Bench_log.entries (Bench_log.min_merge (log a) (log b)) with
+    | [ e ] ->
+        Alcotest.(check (float 0.0)) (what ^ ": min wall") 10.0
+          e.Bench_log.e_wall_ms;
+        Alcotest.(check (float 0.0)) (what ^ ": min alloc") 63.5
+          e.Bench_log.e_alloc_mwords
+    | _ -> Alcotest.fail (what ^ ": one entry expected")
+  in
+  check "first round faster" (entry 10.0 65.4) (entry 12.0 63.5);
+  check "later round faster" (entry 12.0 65.4) (entry 10.0 63.5)
 
 (* {1 Allocation budget}
 

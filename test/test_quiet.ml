@@ -40,7 +40,7 @@ let check_quiet ~name (sys : Tmk.system) =
                 Alcotest.failf "%s is quiet with lazy_hi %d" where
                   m.Types.lazy_hi
           | None -> Alcotest.failf "%s is quiet without metadata" where);
-          if Hashtbl.mem sys.Types.obj_regions page then
+          if Protocol.obj_size sys page > 0 then
             Alcotest.failf "%s is quiet inside an object region" where)
         (Protocol.quiet_pages st))
     sys.Types.states;
