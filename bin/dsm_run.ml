@@ -28,41 +28,63 @@ module A = Core.Apps.Common
 module Workload = Core.Apps.Workload
 module Cli = Core.Harness.Cli
 
+(* The processor count a trace was recorded at is the length of its
+   vector clocks (the first event's: the checker flags any event of
+   another shape). An explicit [--procs] must agree with it. *)
+let recheck_nprocs procs events =
+  let recorded =
+    match events with
+    | [] -> None
+    | e :: _ -> Some (Array.length e.Core.Trace.Event.vc)
+  in
+  match (procs, recorded) with
+  | Some p, Some n when p <> n ->
+      Error
+        (Printf.sprintf
+           "--procs: %d does not match the trace, whose vector clocks have \
+            %d components"
+           p n)
+  | Some p, _ | None, Some p -> Ok p
+  | None, None -> Ok Core.Config.default.Core.Config.nprocs
+
 (* Replay a trace file through the checker without running anything.
    Malformed input degrades to warnings: unknown event kinds are skipped
    with a count (trace written by a newer build), and a torn final line
    (crash mid-write) is reported but does not fail the load. *)
-let recheck_file ~nprocs ~strict file =
+let recheck_file ~procs ~strict file =
   match Core.Trace.Event.load_jsonl file with
   | exception Sys_error msg -> `Error (false, "cannot read trace: " ^ msg)
   | { Core.Trace.Event.events; warnings; unknown_kinds } -> (
-      List.iter
-        (fun (line, msg) ->
-          Format.eprintf "%s:%d: warning: %s@." file line msg)
-        warnings;
-      if unknown_kinds > 0 then
-        Format.eprintf "%s: skipped %d events of unknown kind@." file
-          unknown_kinds;
-      (* unknown kinds are already in [warnings] — no double count *)
-      let nwarnings = List.length warnings in
-      match Core.Trace.Check.run ~nprocs events with
-      | [] when strict && nwarnings > 0 ->
-          Format.printf "%s: %d events, 0 violations, %d warnings@." file
-            (List.length events) nwarnings;
-          `Error
-            ( false,
-              "trace loaded with warnings (tolerated without \
-               --strict-recheck)" )
-      | [] ->
-          Format.printf "%s: %d events, 0 violations@." file
-            (List.length events);
-          `Ok ()
-      | vs ->
-          Format.printf "@[<v>%s: %d events, %d violations@,%a@]@." file
-            (List.length events) (List.length vs)
-            (Format.pp_print_list Core.Trace.Check.pp_violation)
-            vs;
-          `Error (false, "protocol invariant violations found"))
+      match recheck_nprocs procs events with
+      | Error e -> `Error (false, e)
+      | Ok nprocs -> (
+          List.iter
+            (fun (line, msg) ->
+              Format.eprintf "%s:%d: warning: %s@." file line msg)
+            warnings;
+          if unknown_kinds > 0 then
+            Format.eprintf "%s: skipped %d events of unknown kind@." file
+              unknown_kinds;
+          (* unknown kinds are already in [warnings] — no double count *)
+          let nwarnings = List.length warnings in
+          match Core.Trace.Check.run ~nprocs events with
+          | [] when strict && nwarnings > 0 ->
+              Format.printf "%s: %d events, 0 violations, %d warnings@." file
+                (List.length events) nwarnings;
+              `Error
+                ( false,
+                  "trace loaded with warnings (tolerated without \
+                   --strict-recheck)" )
+          | [] ->
+              Format.printf "%s: %d events, 0 violations@." file
+                (List.length events);
+              `Ok ()
+          | vs ->
+              Format.printf "@[<v>%s: %d events, %d violations@,%a@]@." file
+                (List.length events) (List.length vs)
+                (Format.pp_print_list Core.Trace.Check.pp_violation)
+                vs;
+              `Error (false, "protocol invariant violations found")))
 
 let run app version level size procs common sync trace_file check recheck
     strict_recheck digest proto_plan prof list knobs =
@@ -86,8 +108,11 @@ let run app version level size procs common sync trace_file check recheck
   end
   else
     match recheck with
-    | Some file -> recheck_file ~nprocs:procs ~strict:strict_recheck file
+    | Some file -> recheck_file ~procs ~strict:strict_recheck file
     | None -> (
+    let procs =
+      Option.value procs ~default:Core.Config.default.Core.Config.nprocs
+    in
     match Cli.find_app app with
     | None -> `Error (false, "unknown application: " ^ app)
     | Some m -> (
@@ -116,7 +141,10 @@ let run app version level size procs common sync trace_file check recheck
             Some (Core.Trace.Sink.create ~nprocs:procs ())
           else None
         in
-        if prof then Core.Prof.enable ();
+        if prof then begin
+          Core.Prof.enable ();
+          Core.Sampler.start ()
+        end;
         (* a message-passing version rejects, before running, a processor
            count its data partition cannot cover *)
         let mp_run run =
@@ -150,7 +178,10 @@ let run app version level size procs common sync trace_file check recheck
               | None -> Error "XHPF cannot parallelize this application")
           | v -> Error ("unknown version: " ^ v)
         in
-        if prof then Core.Prof.disable ();
+        if prof then begin
+          Core.Sampler.stop ();
+          Core.Prof.disable ()
+        end;
         (match result with
         | Error e -> `Error (false, e)
         | Ok r ->
@@ -170,9 +201,12 @@ let run app version level size procs common sync trace_file check recheck
             Format.printf "  %a@." Core.Stats.pp r.A.stats;
             if digest && r.A.digest <> "" then
               Format.printf "  digest:            %s@." r.A.digest;
-            if prof then
-              Format.printf "@[<v>  host-cost profile:@,%a@]@." Core.Prof.pp_table
-                ();
+            if prof then begin
+              Format.printf "@[<v>  host-cost profile:@,%a@]@."
+                Core.Prof.pp_table ();
+              Format.printf "@[<v>  sampled host stacks:@,%a@]@."
+                Core.Sampler.pp ()
+            end;
             if not (Core.Net_plan.is_passthrough plan) then
               Format.printf "  fault plan:        %a@." Core.Net_plan.pp plan;
             (match sink with
@@ -254,8 +288,9 @@ let cmd =
       & info [ "recheck" ] ~docv:"FILE"
           ~doc:
             "Replay a previously recorded JSONL trace through the invariant \
-             checker instead of running an application ($(b,--procs) must \
-             match the recorded run). Unknown event kinds and a truncated \
+             checker instead of running an application (the processor \
+             count is the trace's own; a $(b,--procs) that disagrees is an \
+             error). Unknown event kinds and a truncated \
              final line are reported as warnings and skipped.")
   in
   let strict_recheck =

@@ -28,6 +28,7 @@ module Proto_plan = Dsm_tmk.Proto_plan
 module Shm = Dsm_tmk.Shm
 module Vc = Dsm_tmk.Vc
 module Prof = Dsm_prof.Prof
+module Sampler = Dsm_prof.Sampler
 
 module Trace = struct
   module Event = Dsm_trace.Event

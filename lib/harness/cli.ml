@@ -347,7 +347,11 @@ let knobs_t =
   Term.(const make $ mix $ skew $ sessions $ granularity $ keys $ shards)
 
 let procs_t =
-  Arg.(value & opt int 8 & info [ "procs"; "p" ] ~doc:"Processor count.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "procs"; "p" ] ~docv:"N"
+        ~doc:"Processor count (default 8; a trace re-check reads its own).")
 
 let procs_list_t =
   Arg.(

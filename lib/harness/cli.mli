@@ -84,8 +84,9 @@ val knobs_t : (string * string) list Cmdliner.Term.t
     selected workload does not understand (or a value out of range) is
     rejected with the standard field/value/range message. *)
 
-val procs_t : int Cmdliner.Term.t
-(** [--procs/-p] as a single count, defaulting to 8. *)
+val procs_t : int option Cmdliner.Term.t
+(** [--procs/-p] as a single count; [None] when not given (a run then
+    uses 8, a trace re-check the count the trace was recorded at). *)
 
 val procs_list_t : string Cmdliner.Term.t
 (** [--procs/-p] as a comma-separated list, defaulting to [1,2,4,8]. *)

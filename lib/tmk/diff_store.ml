@@ -12,6 +12,7 @@ type fetch_result = {
   units : unit_to_apply list;
   charge_bytes : int;
   ndiffs : int;
+  high : int;
 }
 
 (* A cell's entries, one per stored diff, sit in slots [first, len) of
@@ -244,7 +245,7 @@ let add t ~writer ~page ~seq ~vcsum ~diff ~supersedes =
   c.last_supersede <- supersedes;
   if (not supersedes) && c.len - c.first > 8 then coalesce t ~page c
 
-let no_units = { units = []; charge_bytes = 0; ndiffs = 0 }
+let no_units = { units = []; charge_bytes = 0; ndiffs = 0; high = 0 }
 
 (* Only intervals the requester holds write notices for ([seq <= upto]) may
    be sent; an accumulated entry whose span merely extends past [upto] is
@@ -252,21 +253,39 @@ let no_units = { units = []; charge_bytes = 0; ndiffs = 0 }
    writer's interval is ordered inside the span), but an entry starting
    beyond [upto] is not requested and must not be sent — it could be applied
    before an ordered-in-between interval of another writer. *)
-let fetch t ~writer ~page ~after ~upto =
-  let c = lookup t ~writer ~page in
+let fetch_cell c ~after ~upto =
   let i = first_above c ~field:0 ~lo:c.first ~hi:c.len after in
   let j = first_above c ~field:1 ~lo:i ~hi:c.len upto in
-  let units = ref [] in
+  let units = ref [] and high = ref 0 in
   for k = j - 1 downto if i > c.live then i else c.live do
-    units := c.units.(k) :: !units
+    let u = c.units.(k) in
+    if u.upto_seq > !high then high := u.upto_seq;
+    units := u :: !units
   done;
   let bytes = bytes_before c j - bytes_before c i and n = j - i in
   match c.base with
   | Some b when c.base_seq > after ->
-      { units = b :: !units; charge_bytes = bytes; ndiffs = n }
+      {
+        units = b :: !units;
+        charge_bytes = bytes;
+        ndiffs = n;
+        high = (if b.upto_seq > !high then b.upto_seq else !high);
+      }
   | Some _ | None ->
       if n = 0 then no_units
-      else { units = !units; charge_bytes = bytes; ndiffs = n }
+      else { units = !units; charge_bytes = bytes; ndiffs = n; high = !high }
+
+let fetch t ~writer ~page ~after ~upto =
+  fetch_cell (lookup t ~writer ~page) ~after ~upto
+
+let note_cell c ~by ~seq =
+  if c != no_cell && seq > c.applied_by.(by) then c.applied_by.(by) <- seq
+
+let fetch_note t ~writer ~page ~after ~upto ~by =
+  let c = lookup t ~writer ~page in
+  let r = fetch_cell c ~after ~upto in
+  note_cell c ~by ~seq:(if r.high > upto then r.high else upto);
+  r
 
 let has_any t ~writer ~page ~after =
   let c = lookup t ~writer ~page in
@@ -276,24 +295,26 @@ let latest_vcsum t ~writer ~page =
   let v = (lookup t ~writer ~page).last_vcsum in
   if v = min_int then None else Some v
 
-(* One merge walk of [writers] (ascending) against the page's ids. *)
-let latest_writer t ~page writers =
+(* One merge walk of [writers.(0 .. n-1)] (ascending) against the page's
+   ids. *)
+let latest_writer t ~page writers n =
   let pg = page_of t page in
-  let n = Array.length pg.ids in
-  let rec walk i best best_v = function
-    | [] -> best
-    | q :: rest ->
-        let i = ref i in
-        while !i < n && pg.ids.(!i) < q do
-          incr i
-        done;
-        if !i < n && pg.ids.(!i) = q then
-          let v = pg.cells.(!i).last_vcsum in
-          if v <> min_int && (best < 0 || v > best_v) then walk !i q v rest
-          else walk !i best best_v rest
-        else walk !i best best_v rest
-  in
-  walk 0 (-1) 0 writers
+  let nids = Array.length pg.ids in
+  let i = ref 0 and best = ref (-1) and best_v = ref 0 in
+  for k = 0 to n - 1 do
+    let q = writers.(k) in
+    while !i < nids && pg.ids.(!i) < q do
+      incr i
+    done;
+    if !i < nids && pg.ids.(!i) = q then begin
+      let v = pg.cells.(!i).last_vcsum in
+      if v <> min_int && (!best < 0 || v > !best_v) then begin
+        best := q;
+        best_v := v
+      end
+    end
+  done;
+  !best
 
 (* Only a WRITE_ALL materialization may supersede other writers' diffs: a
    twin-accumulated diff can cover a whole page while carrying stale bytes
@@ -310,5 +331,4 @@ let latest_full_page t ~writer ~page =
   else None
 
 let note_applied t ~writer ~page ~by ~seq =
-  let c = lookup t ~writer ~page in
-  if c != no_cell && seq > c.applied_by.(by) then c.applied_by.(by) <- seq
+  note_cell (lookup t ~writer ~page) ~by ~seq

@@ -35,6 +35,7 @@ type fetch_result = {
   units : unit_to_apply list;  (** apply in increasing [order] *)
   charge_bytes : int;  (** what the diff response message carries *)
   ndiffs : int;  (** number of (historical) diffs transferred *)
+  high : int;  (** highest interval seq any unit covers; 0 without units *)
 }
 
 val create : nprocs:int -> page_size:int -> t
@@ -56,6 +57,13 @@ val fetch : t -> writer:int -> page:int -> after:int -> upto:int -> fetch_result
     ordered within its span). The requester's applied watermark should
     advance to [max upto (highest covered seq)]. *)
 
+val fetch_note :
+  t -> writer:int -> page:int -> after:int -> upto:int -> by:int ->
+  fetch_result
+(** [fetch] followed by [note_applied ~by ~seq:(max upto r.high)] — the
+    watermark the requester's applied entry rises to — with one lookup of
+    the (writer, page) record. *)
+
 val has_any : t -> writer:int -> page:int -> after:int -> bool
 
 val note_applied : t -> writer:int -> page:int -> by:int -> seq:int -> unit
@@ -71,8 +79,9 @@ val single_writer : t -> page:int -> writer:int -> bool
 val latest_vcsum : t -> writer:int -> page:int -> int option
 (** Vector-clock sum of the writer's most recent stored diff for the page. *)
 
-val latest_writer : t -> page:int -> int list -> int
-(** Among [writers] (ascending), the first whose most recent stored diff
+val latest_writer : t -> page:int -> int array -> int -> int
+(** [latest_writer t ~page writers n]: among [writers.(0 .. n-1)]
+    (ascending), the first whose most recent stored diff
     for the page has the largest {!latest_vcsum}; [-1] when none stored
     one. *)
 

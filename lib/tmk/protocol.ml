@@ -555,18 +555,22 @@ let transfer sys p mode groups ~respond ~install =
    [each] sees every unit first. The sort is stable: units of equal order
    are applied in list order. *)
 let apply_units ?(each = ignore) pg units =
-  let units = Array.of_list units in
-  Array.stable_sort
-    (fun a b -> compare a.Diff_store.order b.Diff_store.order)
-    units;
-  Array.iter
-    (fun u ->
-      each u;
-      Diff.apply u.Diff_store.payload pg.Page_table.data;
-      match pg.Page_table.twin with
-      | Some twin -> Diff.apply u.Diff_store.payload twin
-      | None -> ())
-    units
+  let apply u =
+    each u;
+    Diff.apply u.Diff_store.payload pg.Page_table.data;
+    match pg.Page_table.twin with
+    | Some twin -> Diff.apply u.Diff_store.payload twin
+    | None -> ()
+  in
+  match units with
+  | [] -> ()
+  | [ u ] -> apply u
+  | _ ->
+      let units = Array.of_list units in
+      Array.stable_sort
+        (fun a b -> Int.compare a.Diff_store.order b.Diff_store.order)
+        units;
+      Array.iter apply units
 
 (* [p]'s copy of [page] was just made current: raise every applied
    watermark to the known one and tell the diff store. [restate] also
@@ -584,135 +588,175 @@ let mark_current ?(restate = false) sys p page =
 
 (* {1 The homeless policy: per-writer diffs} *)
 
-(* Compute which writers' diffs [p] is missing for [pages] (ascending,
-   distinct), materialize the pending lazy diffs, and apply supersede
-   pruning. Returns one [(writer, requests, materialization cost)] group
-   per writer, each request a [(page, after, upto)] triple. Shared by the
-   synchronous, piggy-backed and asynchronous fetch paths. [only_via r]
-   restricts to diffs processor [r] holds locally (its own, or ones it has
-   applied). *)
-let gather_needs sys p pages ?only_via () =
-  let st = sys.states.(p) in
-  let by_writer : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 8 in
-  let mat_costs : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun page ->
-      let m = meta st page in
-      let needed = ref [] in
-      (* ascending scan of the known watermarks, accumulated in reverse:
-         [needed] ends up ascending, exactly like the dense loop it
-         replaces (a writer with no known entry cannot be stale) *)
-      Wmap.iter
-        (fun q kv ->
-          if q <> p && kv > Wmap.get m.applied q then begin
-            let keep =
-              match only_via with
-              | None -> true
-              | Some r ->
-                  q = r
-                  || Dsm_mem.Page_table.find sys.states.(r).pt page <> None
-                     && Wmap.get (meta sys.states.(r) page).applied q >= kv
-            in
-            if keep then needed := q :: !needed
-          end)
-        m.known;
-      needed := List.rev !needed;
-      if !needed <> [] then begin
-        (* materialize the pending lazy diffs; the cost is charged as
-           request service time at each writer *)
-        List.iter
-          (fun q ->
-            let c = materialize sys ~writer:q ~page in
-            if c > 0.0 then begin
-              let cell =
-                match Hashtbl.find_opt mat_costs q with
-                | Some r -> r
-                | None ->
-                    let r = ref 0.0 in
-                    Hashtbl.replace mat_costs q r;
-                    r
-              in
-              cell := !cell +. c
-            end)
-          !needed;
-        (* supersede pruning: if the happens-latest candidate diff
-           overwrites the whole page, every older diff of the page is dead
-           data — fetch only from that writer (this is what kills the IS
-           diff-accumulation under READ&WRITE_ALL) *)
-        let chosen =
-          if
-            List.length !needed < 2
-            || not sys.cluster.Cluster.cfg.Config.enable_supersede
-          then !needed
-          else begin
-            let qstar = Diff_store.latest_writer sys.store ~page !needed in
-            if
-              qstar >= 0
-              && Diff_store.latest_full_page sys.store ~writer:qstar ~page
-                 <> None
-            then begin
-                List.iter
-                  (fun q ->
-                    if q <> qstar then begin
-                      (* pruned history counts as applied without moving
-                         data; the watermark advance is still an event *)
-                      if sys.trace <> None then
-                        emit sys p
-                          (Dsm_trace.Event.Diff_fetch
-                             {
-                               writer = q;
-                               page;
-                               after = Wmap.get m.applied q;
-                               upto = Wmap.get m.known q;
-                             });
-                      Wmap.set m.applied q (Wmap.get m.known q);
-                      Diff_store.note_applied sys.store ~writer:q ~page ~by:p
-                        ~seq:(Wmap.get m.applied q)
-                    end)
-                  !needed;
-                [ qstar ]
-            end
-            else !needed
-          end
-        in
-        List.iter
-          (fun q ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt by_writer q) in
-            Hashtbl.replace by_writer q
-              ((page, Wmap.get m.applied q, Wmap.get m.known q) :: prev))
-          chosen
-      end)
-    pages;
-  (* writers in the table's iteration order *)
-  Hashtbl.fold
-    (fun q reqs acc ->
-      let mat =
-        match Hashtbl.find_opt mat_costs q with Some c -> !c | None -> 0.0
-      in
-      (q, reqs, mat) :: acc)
-    by_writer []
-  |> List.rev
-
-(* The order in which [Hashtbl.iter] visits [n] distinct int keys that a
-   fresh [Hashtbl.create 8] received through [replace], the [i]th inserted
-   being [key i]: ascending bucket (the key's [Hashtbl.hash] masked to the
-   table size, which starts at 16 and doubles whenever the table holds
-   more than twice as many keys), newest first within a bucket. Returns
-   the insertion indices in that order. *)
-let hashtbl_order n key =
+let table_size n =
   let size = ref 16 in
   while n > 2 * !size do
     size := 2 * !size
   done;
-  let mask = !size - 1 in
-  let bucket = Array.init n (fun i -> Hashtbl.hash (key i) land mask) in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = compare bucket.(i) bucket.(j) in
-      if c <> 0 then c else compare j i)
-    order;
-  order
+  !size
+
+let fetch_scratch nprocs =
+  {
+    whash = Array.init nprocs Hashtbl.hash;
+    head = Array.make nprocs (-1);
+    mat = Array.make nprocs 0.0;
+    writers = Array.make nprocs 0;
+    nw = 0;
+    mat_ws = Array.make nprocs 0;
+    nmat = 0;
+    need = Array.make nprocs 0;
+    need_after = Array.make nprocs 0;
+    need_upto = Array.make nprocs 0;
+    reqs = Array.make (4 * nprocs) 0;
+    nreq = 0;
+    buckets = Array.make (table_size nprocs) 0;
+    order = Array.make nprocs 0;
+  }
+
+(* Record [q]'s request for page index [i] at the head of its chain. *)
+let add_request (fx : fetch_scratch) q i ~after ~upto =
+  let k = fx.nreq in
+  if 4 * (k + 1) > Array.length fx.reqs then begin
+    let grown = Array.make (2 * Array.length fx.reqs) 0 in
+    Array.blit fx.reqs 0 grown 0 (4 * k);
+    fx.reqs <- grown
+  end;
+  let r = fx.reqs in
+  r.(4 * k) <- i;
+  r.((4 * k) + 1) <- after;
+  r.((4 * k) + 2) <- upto;
+  r.((4 * k) + 3) <- fx.head.(q);
+  if fx.head.(q) < 0 then begin
+    fx.writers.(fx.nw) <- q;
+    fx.nw <- fx.nw + 1
+  end;
+  fx.head.(q) <- k;
+  fx.nreq <- k + 1
+
+(* Compute which writers' diffs [p] is missing for [page_of] (ascending,
+   distinct), materialize the pending lazy diffs, and apply supersede
+   pruning. Leaves in [sys.fx], per writer, its requests
+   [(page index, after, upto)], newest (highest page) first, and its
+   materialization cost; the writers in order of first request. Shared by
+   the synchronous, piggy-backed and asynchronous fetch paths.
+   [only_via r] restricts to diffs processor [r] holds locally (its own,
+   or ones it has applied). *)
+let gather_needs sys p page_of ?only_via () =
+  let (fx : fetch_scratch) = sys.fx and st = sys.states.(p) in
+  for k = 0 to fx.nw - 1 do
+    fx.head.(fx.writers.(k)) <- -1
+  done;
+  for k = 0 to fx.nmat - 1 do
+    fx.mat.(fx.mat_ws.(k)) <- 0.0
+  done;
+  fx.nw <- 0;
+  fx.nmat <- 0;
+  fx.nreq <- 0;
+  let supersede = sys.cluster.Cluster.cfg.Config.enable_supersede in
+  for i = 0 to Array.length page_of - 1 do
+    let page = page_of.(i) in
+    let m = meta st page in
+    let n = ref 0 in
+    (* ascending by writer (a writer with no known entry cannot be
+       stale) *)
+    Wmap.iter_above
+      (fun q kv av ->
+        if
+          q <> p
+          &&
+          match only_via with
+          | None -> true
+          | Some r ->
+              q = r
+              || Dsm_mem.Page_table.find sys.states.(r).pt page <> None
+                 && Wmap.get (meta sys.states.(r) page).applied q >= kv
+        then begin
+          fx.need.(!n) <- q;
+          fx.need_after.(!n) <- av;
+          fx.need_upto.(!n) <- kv;
+          incr n
+        end)
+      m.known m.applied;
+    let n = !n in
+    (* materialize the pending lazy diffs; the cost is charged as request
+       service time at each writer *)
+    for k = 0 to n - 1 do
+      let q = fx.need.(k) in
+      let c = materialize sys ~writer:q ~page in
+      if c > 0.0 then begin
+        if fx.mat.(q) = 0.0 then begin
+          fx.mat_ws.(fx.nmat) <- q;
+          fx.nmat <- fx.nmat + 1
+        end;
+        fx.mat.(q) <- fx.mat.(q) +. c
+      end
+    done;
+    (* supersede pruning: if the happens-latest candidate diff overwrites
+       the whole page, every older diff of the page is dead data — fetch
+       only from that writer (this is what kills the IS diff-accumulation
+       under READ&WRITE_ALL) *)
+    let qstar =
+      if n < 2 || not supersede then -1
+      else
+        let q = Diff_store.latest_writer sys.store ~page fx.need n in
+        if
+          q >= 0
+          && Diff_store.latest_full_page sys.store ~writer:q ~page <> None
+        then q
+        else -1
+    in
+    for k = 0 to n - 1 do
+      let q = fx.need.(k) and after = fx.need_after.(k)
+      and upto = fx.need_upto.(k) in
+      if qstar < 0 || q = qstar then add_request fx q i ~after ~upto
+      else begin
+        (* pruned history counts as applied without moving data; the
+           watermark advance is still an event *)
+        if sys.trace <> None then
+          emit sys p
+            (Dsm_trace.Event.Diff_fetch { writer = q; page; after; upto });
+        Wmap.set m.applied q upto;
+        Diff_store.note_applied sys.store ~writer:q ~page ~by:p ~seq:upto
+      end
+    done
+  done
+
+(* The order in which [Hashtbl.fold] (or [iter]) visits [n] distinct keys
+   that a fresh [Hashtbl.create 8] received through [replace], the [i]th
+   inserted key having [Hashtbl.hash] value [hash i]: ascending bucket
+   (the hash masked to the table size, which starts at 16 and doubles
+   whenever the table holds more than twice as many keys), newest first
+   within a bucket. Writes the insertion indices in that order to
+   [out.(0 .. n-1)], by one counting pass over [buckets] (at least
+   [table_size n] long). *)
+let hashtbl_order_into n hash ~buckets ~out =
+  if n = 1 then out.(0) <- 0
+  else if n > 1 then begin
+    let mask = table_size n - 1 in
+    Array.fill buckets 0 (mask + 1) 0;
+    for i = 0 to n - 1 do
+      let b = hash i land mask in
+      buckets.(b) <- buckets.(b) + 1
+    done;
+    (* each bucket's end position *)
+    let acc = ref 0 in
+    for b = 0 to mask do
+      acc := !acc + buckets.(b);
+      buckets.(b) <- !acc
+    done;
+    (* oldest first into each bucket's last free position *)
+    for i = 0 to n - 1 do
+      let b = hash i land mask in
+      let e = buckets.(b) - 1 in
+      buckets.(b) <- e;
+      out.(e) <- i
+    done
+  end
+
+let hashtbl_order n hash =
+  let out = Array.make n 0 in
+  hashtbl_order_into n hash ~buckets:(Array.make (table_size n) 0) ~out;
+  out
 
 (* Fetch every missing diff for [pages], one response per writer (the
    communication-aggregation optimization uses a many-page [pages] list;
@@ -720,138 +764,155 @@ let hashtbl_order n key =
    the work to the fault handler, the units are then applied page by page
    in happens-before order.
 
-   Each page's units are consed onto one list as the responses come in,
-   so a later writer's units lie in front. A writer's own units never tie
-   in order and [apply_units] sorts stably, so units of equal order from
+   Writers respond in the order a writer-keyed [Hashtbl] that received
+   them in order of first request would visit them — the order earlier
+   versions had, which sets each peer's handler occupancy and so the
+   virtual clock — and each serves its requests highest page first. Each
+   page's units are consed onto one list as the responses come in, so a
+   later writer's units lie in front. A writer's own units never tie in
+   order and [apply_units] sorts stably, so units of equal order from
    different writers apply later writer first. Pages are applied in the
    order [hashtbl_order] gives for them in order of first response: the
    order of the page-keyed table earlier versions kept, so that traces
    stay comparable. *)
 let fetch sys p pages ~mode ?only_via () =
-  Prof.enter Prof.Protocol;
-  let st = sys.states.(p) in
-  let pstats = sys.cluster.Cluster.stats.(p) in
-  let cfg = sys.cluster.Cluster.cfg in
-  let now = not (is_async mode) in
-  let pages = List.sort_uniq compare pages in
-  let groups = gather_needs sys p pages ?only_via () in
-  let page_of = Array.of_list pages in
-  let npages = Array.length page_of in
-  let index page =
-    let lo = ref 0 and hi = ref (npages - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if page_of.(mid) < page then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  (* per page: its units so far, and the rank at which a response first
-     answered it (-1 while none has) *)
-  let units = Array.make npages [] in
-  let rank = Array.make npages (-1) in
-  let answered = ref 0 in
-  let applied_bytes = ref 0 in
-  let install q (page, after, upto) (r : Diff_store.fetch_result) =
-    let i = index page in
-    if rank.(i) < 0 then begin
-      rank.(i) <- !answered;
-      incr answered
-    end;
-    units.(i) <- List.rev_append r.Diff_store.units units.(i);
-    let m = meta st page in
-    let high =
-      List.fold_left
-        (fun acc u -> max acc u.Diff_store.upto_seq)
-        upto r.Diff_store.units
+  if pages <> [] then begin
+    Prof.enter Prof.Protocol;
+    let st = sys.states.(p) in
+    let pstats = sys.cluster.Cluster.stats.(p) in
+    let cfg = sys.cluster.Cluster.cfg in
+    let now = not (is_async mode) in
+    let page_of = Array.of_list (List.sort_uniq compare pages) in
+    let npages = Array.length page_of in
+    gather_needs sys p page_of ?only_via ();
+    let fx = sys.fx in
+    (* per page: its units so far, and the rank at which a response first
+       answered it (-1 while none has) *)
+    let units = Array.make npages [] in
+    let rank = Array.make npages (-1) in
+    let answered = ref 0 in
+    let applied_bytes = ref 0 in
+    (* the request's [after] is still [p]'s applied watermark of [q]
+       (one request per page and writer, and nothing between the plan and
+       here moves it), and [upto] exceeds it: the new watermark is [upto]
+       raised to the highest seq the units cover *)
+    let install q i ~after ~upto (r : Diff_store.fetch_result) =
+      if rank.(i) < 0 then begin
+        rank.(i) <- !answered;
+        incr answered
+      end;
+      units.(i) <- List.rev_append r.Diff_store.units units.(i);
+      let page = page_of.(i) in
+      let high = if r.Diff_store.high > upto then r.Diff_store.high else upto in
+      if sys.trace <> None then
+        emit sys p
+          (Dsm_trace.Event.Diff_fetch { writer = q; page; after; upto = high });
+      Wmap.set (meta st page).applied q high
     in
-    if sys.trace <> None then
-      emit sys p
-        (Dsm_trace.Event.Diff_fetch { writer = q; page; after; upto = high });
-    Wmap.set m.applied q (max (Wmap.get m.applied q) high);
-    Diff_store.note_applied sys.store ~writer:q ~page ~by:p
-      ~seq:(Wmap.get m.applied q)
-  in
-  let rec serve q bytes ndiffs = function
-    | [] ->
-        if now then begin
-          applied_bytes := !applied_bytes + bytes;
-          pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + ndiffs;
-          pstats.Stats.diff_bytes_applied <-
-            pstats.Stats.diff_bytes_applied + bytes
-        end;
-        (bytes, ndiffs)
-    | ((page, after, upto) as req) :: rest ->
-        let r = Diff_store.fetch sys.store ~writer:q ~page ~after ~upto in
-        if now then install q req r;
-        serve q
-          (bytes + r.Diff_store.charge_bytes)
-          (ndiffs + r.Diff_store.ndiffs)
-          rest
-  in
-  let respond (q, reqs, mat) =
-    let data, ndiffs = serve q 0 0 reqs in
-    {
-      peer = q;
-      pages = List.map (fun (page, _, _) -> page) reqs;
-      nreq = List.length reqs;
-      data;
-      hdr = 8 * ndiffs;
-      ndiffs;
-      mat;
-    }
-  in
-  transfer sys p mode groups ~respond ~install:ignore;
-  if now then begin
-    let by_rank = Array.make !answered 0 in
-    Array.iteri (fun i k -> if k >= 0 then by_rank.(k) <- i) rank;
-    Array.iter
-      (fun k ->
-        let i = by_rank.(k) in
+    let respond q =
+      let bytes = ref 0 and ndiffs = ref 0 and nreq = ref 0
+      and served = ref [] in
+      let k = ref fx.head.(q) in
+      while !k >= 0 do
+        let req = 4 * !k in
+        let i = fx.reqs.(req)
+        and after = fx.reqs.(req + 1)
+        and upto = fx.reqs.(req + 2) in
         let page = page_of.(i) in
-        let each =
-          if sys.trace = None then None
-          else
-            Some
-              (fun u ->
-                emit sys p
-                  (Dsm_trace.Event.Diff_apply
-                     {
-                       writer = u.Diff_store.writer;
-                       page;
-                       order = u.Diff_store.order;
-                       upto_seq = u.Diff_store.upto_seq;
-                       bytes = Diff.size_bytes u.Diff_store.payload;
-                     }))
+        let r =
+          if now then begin
+            let r =
+              Diff_store.fetch_note sys.store ~writer:q ~page ~after ~upto ~by:p
+            in
+            install q i ~after ~upto r;
+            r
+          end
+          else begin
+            served := page :: !served;
+            Diff_store.fetch sys.store ~writer:q ~page ~after ~upto
+          end
         in
-        apply_units ?each (Page_table.get st.pt page) units.(i))
-      (hashtbl_order !answered (fun k -> page_of.(by_rank.(k))));
-    Cluster.charge sys.cluster p
-      (cfg.Config.diff_apply_per_byte_us *. float_of_int !applied_bytes);
-    (* an object-granularity page whose copy is fully current again sheds
-       its stale-slot set (a restricted [only_via] fetch can leave residual
-       staleness, so re-check the watermarks rather than clear blindly) *)
-    if sys.has_objs then
-      List.iter
-        (fun page ->
-          if obj_size sys page > 0 then
-            match Page_map.find st.meta page with
-            | Some m when not (Pset.is_empty m.ob_stale) ->
-                if
-                  not
-                    (Wmap.exists
-                       (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                       m.known)
-                then m.ob_stale <- Pset.empty
-            | _ -> ())
-        pages;
-    if sys.trace <> None then
-      List.iter
-        (fun page ->
-          emit sys p
-            (Dsm_trace.Event.Fetch_done { page; full = only_via = None }))
-        pages
-  end;
-  Prof.exit Prof.Protocol
+        bytes := !bytes + r.Diff_store.charge_bytes;
+        ndiffs := !ndiffs + r.Diff_store.ndiffs;
+        incr nreq;
+        k := fx.reqs.(req + 3)
+      done;
+      if now then begin
+        applied_bytes := !applied_bytes + !bytes;
+        pstats.Stats.diffs_applied <- pstats.Stats.diffs_applied + !ndiffs;
+        pstats.Stats.diff_bytes_applied <-
+          pstats.Stats.diff_bytes_applied + !bytes
+      end;
+      {
+        peer = q;
+        pages = !served;
+        nreq = !nreq;
+        data = !bytes;
+        hdr = 8 * !ndiffs;
+        ndiffs = !ndiffs;
+        mat = fx.mat.(q);
+      }
+    in
+    hashtbl_order_into fx.nw
+      (fun k -> fx.whash.(fx.writers.(k)))
+      ~buckets:fx.buckets ~out:fx.order;
+    for k = 0 to fx.nw - 1 do
+      move sys p mode (respond fx.writers.(fx.order.(k)))
+    done;
+    if now then begin
+      let by_rank = Array.make !answered 0 in
+      Array.iteri (fun i k -> if k >= 0 then by_rank.(k) <- i) rank;
+      Array.iter
+        (fun k ->
+          let i = by_rank.(k) in
+          let page = page_of.(i) in
+          let each =
+            if sys.trace = None then None
+            else
+              Some
+                (fun u ->
+                  emit sys p
+                    (Dsm_trace.Event.Diff_apply
+                       {
+                         writer = u.Diff_store.writer;
+                         page;
+                         order = u.Diff_store.order;
+                         upto_seq = u.Diff_store.upto_seq;
+                         bytes = Diff.size_bytes u.Diff_store.payload;
+                       }))
+          in
+          apply_units ?each (Page_table.get st.pt page) units.(i))
+        (hashtbl_order !answered (fun k ->
+             Hashtbl.hash page_of.(by_rank.(k))));
+      Cluster.charge sys.cluster p
+        (cfg.Config.diff_apply_per_byte_us *. float_of_int !applied_bytes);
+      (* an object-granularity page whose copy is fully current again sheds
+         its stale-slot set (a restricted [only_via] fetch can leave
+         residual staleness, so re-check the watermarks rather than clear
+         blindly) *)
+      if sys.has_objs then
+        Array.iter
+          (fun page ->
+            if obj_size sys page > 0 then
+              match Page_map.find st.meta page with
+              | Some m when not (Pset.is_empty m.ob_stale) ->
+                  if
+                    not
+                      (Wmap.exists
+                         (fun q kv -> q <> p && kv > Wmap.get m.applied q)
+                         m.known)
+                  then m.ob_stale <- Pset.empty
+              | _ -> ())
+          page_of;
+      if sys.trace <> None then
+        Array.iter
+          (fun page ->
+            emit sys p
+              (Dsm_trace.Event.Fetch_done { page; full = only_via = None }))
+          page_of
+    end;
+    Prof.exit Prof.Protocol
+  end
 
 (* {1 Consistency-state actions of the augmented interface}
 

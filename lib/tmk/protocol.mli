@@ -159,10 +159,15 @@ val mark_current : ?restate:bool -> system -> int -> int -> unit
     [restate] also restates the watermarks that did not move. *)
 
 val hashtbl_order : int -> (int -> int) -> int array
-(** [hashtbl_order n key]: the order in which [Hashtbl.iter] visits [n]
-    distinct int keys that a fresh [Hashtbl.create 8] received through
-    [Hashtbl.replace], the [i]th inserted being [key i], as insertion
-    indices. {!fetch} applies its pages in this order. *)
+(** [hashtbl_order n hash]: the order in which [Hashtbl.iter] visits [n]
+    distinct keys that a fresh [Hashtbl.create 8] received through
+    [Hashtbl.replace], the [i]th inserted having [Hashtbl.hash] value
+    [hash i], as insertion indices; one counting pass over the buckets.
+    {!fetch} orders its responses (by writer) and applies its pages in
+    this order. *)
+
+val fetch_scratch : int -> fetch_scratch
+(** [fetch_scratch nprocs]: the per-system scratch {!fetch} reuses. *)
 
 val fetch :
   system -> int -> int list -> mode:mode -> ?only_via:int -> unit -> unit

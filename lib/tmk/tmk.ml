@@ -43,6 +43,7 @@ let make ?plan cfg =
     net;
     space = Dsm_mem.Addr_space.create ~page_size:cfg.Config.page_size;
     store = Diff_store.create ~nprocs ~page_size:cfg.Config.page_size;
+    fx = Protocol.fetch_scratch nprocs;
     states =
       Array.init nprocs (fun p ->
           {

@@ -183,6 +183,30 @@ type obj_region = {
   or_count : int;
 }
 
+(* Scratch of the homeless fetch ({!Protocol.fetch}), one per system and
+   reused by every call: a fetch never blocks, so calls do not overlap.
+   Arrays of length [nprocs] are indexed by writer unless noted. *)
+type fetch_scratch = {
+  whash : int array;  (* [Hashtbl.hash] of each writer id *)
+  head : int array;  (* a writer's newest request in [reqs]; -1 for none *)
+  mat : float array;  (* a writer's materialization cost in this fetch *)
+  writers : int array;  (* by position: writers in order of first request *)
+  mutable nw : int;
+  mat_ws : int array;  (* by position: the writers whose [mat] is non-zero *)
+  mutable nmat : int;
+  need : int array;
+      (* by position: one page's stale writers, ascending, with their
+         applied and known watermarks in [need_after] and [need_upto] *)
+  need_after : int array;
+  need_upto : int array;
+  mutable reqs : int array;
+      (* four ints per request: page index, after, upto, and the index of
+         the same writer's previous request (-1 for none) *)
+  mutable nreq : int;
+  buckets : int array;  (* per hash bucket of the response order *)
+  order : int array;  (* by position: the response order *)
+}
+
 type system = {
   cluster : Dsm_sim.Cluster.t;
   net : Dsm_net.Net.t;
@@ -191,6 +215,7 @@ type system = {
          bit-identical pass-through to the [cluster] cost functions. *)
   space : Dsm_mem.Addr_space.t;
   store : Diff_store.t;
+  fx : fetch_scratch;
   states : pstate array;
   logs : Ilog.t array;  (* per proc: write-notice log indexed by seq *)
   locks : (int, lock) Hashtbl.t;

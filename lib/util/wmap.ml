@@ -107,6 +107,26 @@ let union_keys x y =
   in
   go (x.n - 1) (y.n - 1) []
 
+(* [iter_above f a b]: [f k va vb] for every explicit entry [(k, va)] of
+   [a] with [va > vb], where [vb = get b k], ascending by key. One merge
+   walk over both maps. [f] must not insert keys into [a] or [b]. *)
+let iter_above f a b =
+  let aa = a.a and ba = b.a and an = a.n and bn = b.n in
+  let j = ref 0 in
+  for i = 0 to an - 1 do
+    let k = Array.unsafe_get aa (2 * i) in
+    while !j < bn && Array.unsafe_get ba (2 * !j) < k do
+      incr j
+    done;
+    let va = Array.unsafe_get aa ((2 * i) + 1) in
+    let vb =
+      if !j < bn && Array.unsafe_get ba (2 * !j) = k then
+        Array.unsafe_get ba ((2 * !j) + 1)
+      else 0
+    in
+    if va > vb then f k va vb
+  done
+
 (* [for_all_of a b f]: [f (get a k) v] holds for every explicit entry
    [(k, v)] of [b]. One merge walk over both maps, stopping at the first
    failure. *)

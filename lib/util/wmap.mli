@@ -16,7 +16,8 @@
     - {!set} on a present key: O(log n), in place, no allocation;
     - {!set} on a new key: O(n) tail shift, amortised O(1) growth;
     - {!iter}, {!exists}, {!keys}: O(n);
-    - {!union_keys}, {!dominates}, {!exists_gt}: one O(n + m) merge walk;
+    - {!union_keys}, {!iter_above}, {!dominates}, {!exists_gt}: one
+      O(n + m) merge walk;
     - {!to_pairs}: an O(n) copy (see there).
 
     Shared by the run-time ([Dsm_tmk], which re-exports it) and the trace
@@ -56,6 +57,12 @@ val keys : t -> int list
 
 val union_keys : t -> t -> int list
 (** Keys explicit in either map, ascending. *)
+
+val iter_above : (int -> int -> int -> unit) -> t -> t -> unit
+(** [iter_above f a b] calls [f k va vb] for each explicit entry [(k, va)]
+    of [a] with [va > vb], where [vb = get b k], ascending by key: the
+    writers whose known watermark is ahead of the applied one, in one
+    O(n + m) merge walk. [f] must not {!set} a new key in [a] or [b]. *)
 
 val dominates : t -> t -> bool
 (** [dominates a b] iff [get a k >= get b k] for every key [k]. *)

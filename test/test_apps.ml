@@ -134,6 +134,27 @@ let test_is_uneven_procs () =
         0.0 r.max_err)
     [ 3; 5; 6 ]
 
+(* A fault with more than 32 writers: IS's diff accumulation makes every
+   processor write every bucket page, so at 64 processors each fault
+   fetches from dozens of writers, past the size where a 16-bucket
+   writer-keyed table would resize. The response order sets each peer's
+   handler occupancy and so the virtual clock; the 8-processor goldens
+   never reach this size, so pin the run (1,290,240 per-writer diff
+   applications). *)
+let test_is_64_pinned () =
+  let cfg = { Dsm_sim.Config.default with Dsm_sim.Config.nprocs = 64 } in
+  let r =
+    Dsm_apps.Is.tmk ~digest:true cfg ~size:Dsm_apps.Is.small ~behavior:()
+      ~level:Base ~async:false
+  in
+  Alcotest.(check (float 0.0)) "correct" 0.0 r.max_err;
+  Alcotest.(check string) "time_us" "11557429"
+    (Printf.sprintf "%.0f" r.time_us);
+  Alcotest.(check int) "messages" 2643169 r.stats.Dsm_sim.Stats.messages;
+  Alcotest.(check int) "diffs_applied" 1290240
+    r.stats.Dsm_sim.Stats.diffs_applied;
+  Alcotest.(check string) "digest" "d4bf53a37863a4faa956f4b901032a67" r.digest
+
 (* Memoized references are laid out column after column and live
    outside the OCaml heap, where the major GC neither counts nor paces
    itself by them. *)
@@ -177,4 +198,6 @@ let tests =
         test_is_uneven_procs;
       Alcotest.test_case "references: column layout, off the OCaml heap"
         `Quick test_references_off_heap;
+      Alcotest.test_case "is: 64 processors, many-writer faults pinned" `Slow
+        test_is_64_pinned;
     ]

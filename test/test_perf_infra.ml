@@ -76,6 +76,26 @@ let test_prof_does_not_perturb_simulation () =
   Prof.disable ();
   Alcotest.(check (float 0.0)) "virtual time identical under profiling" off on
 
+(* The stack sampler of [dsm_run --prof] is a pure observer too, and its
+   report says how to read its self column. *)
+let test_sampler_does_not_perturb_simulation () =
+  let off = run_small_sim () in
+  Dsm_prof.Sampler.start ();
+  let on = run_small_sim () in
+  Dsm_prof.Sampler.stop ();
+  Alcotest.(check (float 0.0)) "virtual time identical under sampling" off on;
+  let report = Format.asprintf "%a" Dsm_prof.Sampler.pp () in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length report
+      && (String.sub report i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "header names the poll-point bias" true
+    (contains "poll points")
+
 (* {1 Ilog} *)
 
 let test_ilog_count_since () =
@@ -499,4 +519,6 @@ let tests =
       test_bench_log_min_merge;
     Alcotest.test_case "alloc budget: gauss hlrc 8 procs" `Quick
       test_gauss_hlrc_alloc_budget;
+    Alcotest.test_case "sampler: does not perturb the simulation" `Quick
+      test_sampler_does_not_perturb_simulation;
   ]

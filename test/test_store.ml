@@ -13,6 +13,10 @@ let mk_diff off len v =
 
 let full_diff v = Diff.full (Bytes.make page_size v)
 
+let latest_writer t ~page ws =
+  let a = Array.of_list ws in
+  Store.latest_writer t ~page a (Array.length a)
+
 let test_fetch_after () =
   let t = Store.create ~nprocs:4 ~page_size in
   Store.add t ~writer:1 ~page:0 ~seq:2 ~vcsum:5 ~diff:(mk_diff 0 4 'a')
@@ -406,8 +410,8 @@ let prop_store_model =
           (fun page ->
             let ws = Store.writers_of_page t ~page in
             ws = Model.writers_of_page m ~page
-            && Store.latest_writer t ~page all = Model.latest_writer m ~page all
-            && Store.latest_writer t ~page ws = Model.latest_writer m ~page ws
+            && latest_writer t ~page all = Model.latest_writer m ~page all
+            && latest_writer t ~page ws = Model.latest_writer m ~page ws
             && List.for_all
                  (fun writer ->
                    Store.single_writer t ~page ~writer
@@ -510,7 +514,7 @@ let prop_dense_cells =
       let seq = Array.make dense_nprocs 0 and vcsum = ref 0 in
       let all = List.init dense_nprocs Fun.id in
       let queries_agree page =
-        Store.latest_writer t ~page all = Model.latest_writer m ~page all
+        latest_writer t ~page all = Model.latest_writer m ~page all
         && List.for_all
              (fun writer ->
                Store.latest_vcsum t ~writer ~page
@@ -554,9 +558,68 @@ let prop_dense_cells =
               && r.Store.ndiffs = ndiffs)
         ops)
 
+(* [fetch_note] against the two calls it fuses: [fetch], then
+   [note_applied] at [upto] raised to the highest seq the units cover.
+   Two stores replay the same dense operations; the notes drive
+   coalescing, so a wrong note shows in a later fetch's units. *)
+let prop_fetch_note =
+  QCheck.Test.make ~count:200 ~name:"fetch_note = fetch + note_applied"
+    (QCheck.make ~print:(QCheck.Print.list print_dense_op) gen_dense_ops)
+    (fun ops ->
+      let fused = Store.create ~nprocs:dense_nprocs ~page_size
+      and split = Store.create ~nprocs:dense_nprocs ~page_size in
+      let seq = Array.make dense_nprocs 0 and vcsum = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | D_add (writer, page, gap, (off, len, c), supersedes) ->
+              seq.(writer) <- seq.(writer) + gap;
+              incr vcsum;
+              let diff =
+                if supersedes then full_diff c else mk_diff off len c
+              in
+              let seq = seq.(writer) and vcsum = !vcsum in
+              Store.add fused ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+              Store.add split ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+              true
+          | D_note (writer, page, by, lag) ->
+              let seq = max 0 (seq.(writer) - lag) in
+              Store.note_applied fused ~writer ~page ~by ~seq;
+              Store.note_applied split ~writer ~page ~by ~seq;
+              true
+          | D_fetch (writer, page, lag, span) ->
+              let after = max 0 (seq.(writer) - lag) in
+              let upto = after + span
+              and by = (writer + lag) mod dense_nprocs in
+              let r = Store.fetch_note fused ~writer ~page ~after ~upto ~by in
+              let r' = Store.fetch split ~writer ~page ~after ~upto in
+              let high =
+                List.fold_left
+                  (fun acc u -> max acc u.Store.upto_seq)
+                  0 r'.Store.units
+              in
+              Store.note_applied split ~writer ~page ~by ~seq:(max upto high);
+              store_units r = store_units r'
+              && r.Store.charge_bytes = r'.Store.charge_bytes
+              && r.Store.ndiffs = r'.Store.ndiffs
+              && r.Store.high = high
+              && r'.Store.high = high)
+        ops)
+
+(* sparse keys, and dense writer ids (ascending, as a many-writer fault
+   requests them, or shuffled) past the 16-bucket table's first resize *)
+let gen_hashtbl_keys =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, list_size (int_range 0 150) (int_bound 5000));
+        (1, map (fun n -> List.init n Fun.id) (int_range 33 200));
+        (1, int_range 33 200 >>= fun n -> shuffle_l (List.init n Fun.id));
+      ])
+
 let prop_hashtbl_order =
   QCheck.Test.make ~count:300 ~name:"hashtbl_order = Hashtbl.iter order"
-    QCheck.(list_of_size Gen.(int_range 0 150) (int_bound 5000))
+    (QCheck.make ~print:QCheck.Print.(list int) gen_hashtbl_keys)
     (fun keys ->
       (* distinct keys, in the order of their first occurrence *)
       let inserted =
@@ -571,7 +634,7 @@ let prop_hashtbl_order =
       let visited = List.rev (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
       let order =
         Dsm_tmk.Protocol.hashtbl_order (Array.length inserted) (fun i ->
-            inserted.(i))
+            Hashtbl.hash inserted.(i))
       in
       visited = Array.to_list (Array.map (fun i -> inserted.(i)) order))
 
@@ -591,4 +654,6 @@ let tests =
     Alcotest.test_case "apply order by stamp" `Quick test_apply_order;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_store_model; prop_hashtbl_order; prop_dense_cells ]
+      [
+        prop_store_model; prop_hashtbl_order; prop_dense_cells; prop_fetch_note;
+      ]

@@ -485,6 +485,45 @@ let test_load_jsonl_glued_line () =
   in
   Alcotest.(check int) "--strict-recheck rejects the file" 124 code
 
+(* A re-check takes the processor count from the trace's vector clocks:
+   a 2-processor trace checks clean without --procs (the run default of 8
+   would flag every event), and a --procs that disagrees with the trace
+   is a usage error naming --procs. *)
+let test_recheck_procs_from_trace () =
+  let trace = Filename.temp_file "recheck" ".jsonl"
+  and out = Filename.temp_file "recheck" ".txt" in
+  let dsm_run args =
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/dsm_run.exe %s > %s 2>&1" args
+           (Filename.quote out))
+    in
+    (code, In_channel.with_open_bin out In_channel.input_all)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace; Sys.remove out)
+    (fun () ->
+      let code, _ =
+        dsm_run
+          (Printf.sprintf "--app jacobi --procs 2 --trace %s"
+             (Filename.quote trace))
+      in
+      Alcotest.(check int) "traced run" 0 code;
+      let code, text =
+        dsm_run
+          (Printf.sprintf "--recheck %s --strict-recheck"
+             (Filename.quote trace))
+      in
+      Alcotest.(check int) "re-check without --procs" 0 code;
+      Alcotest.(check bool) "0 violations" true
+        (contains ~sub:" 0 violations" text);
+      let code, text =
+        dsm_run (Printf.sprintf "--recheck %s --procs 8" (Filename.quote trace))
+      in
+      Alcotest.(check int) "wrong --procs is a cli error" 124 code;
+      Alcotest.(check bool) "error names --procs" true
+        (contains ~sub:"--procs:" text))
+
 (* One sample of every event kind, with the corners the per-family cases
    miss: a float field, a -1 owner and empty int lists. *)
 let every_kind =
@@ -943,4 +982,6 @@ let tests =
       test_load_jsonl_glued_line;
     Alcotest.test_case "every event kind: json round-trip" `Quick
       test_every_kind_roundtrip;
+    Alcotest.test_case "recheck: processor count from the trace" `Quick
+      test_recheck_procs_from_trace;
   ]

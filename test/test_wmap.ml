@@ -91,6 +91,21 @@ let prop_pairwise =
       && Wmap.exists_gt a b = any (fun k -> model_get la k > model_get lb k)
       && Wmap.exists_gt b a = any (fun k -> model_get lb k > model_get la k))
 
+(* [iter_above]'s merge walk against the scan it replaces: [iter] over
+   [a] with a [get] of [b] per key *)
+let prop_iter_above =
+  QCheck.Test.make ~count:500 ~name:"iter_above = iter filtered by get" arb_two
+    (fun (oa, ob) ->
+      let a = build oa and b = build ob in
+      let walked = ref [] and scanned = ref [] in
+      Wmap.iter_above (fun k va vb -> walked := (k, va, vb) :: !walked) a b;
+      Wmap.iter
+        (fun k va ->
+          let vb = Wmap.get b k in
+          if va > vb then scanned := (k, va, vb) :: !scanned)
+        a;
+      !walked = !scanned)
+
 (* [dominates] over a map and a pointwise-lowered copy of it, padded with
    explicit 0 entries at keys the map lacks: the random pairs above rarely
    dominate, so cover the true case — with the merge walk skipping absent
@@ -158,6 +173,7 @@ let tests =
          prop_queries;
          prop_exists;
          prop_pairwise;
+         prop_iter_above;
          prop_dominates_lowered;
          prop_snapshot;
        ]
