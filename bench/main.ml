@@ -15,26 +15,16 @@
    committed baseline. *)
 
 module Experiments = Dsm_harness.Experiments
-module Runset = Dsm_harness.Runset
+module Grid = Dsm_harness.Grid
 module Bench_log = Dsm_harness.Bench_log
 
 let ppf = Format.std_formatter
 let cfg = Dsm_sim.Config.default
 
-(* The sized-application rows the paper's tables share: building them runs
-   the uniprocessor sims eagerly, everything else is memoized inside and
-   charged to the first experiment that asks. [fresh_apps] starts over, so
-   every json round pays the same costs. *)
-let apps_memo = ref None
-let fresh_apps () = apps_memo := None
-
-let apps () =
-  match !apps_memo with
-  | Some apps -> apps
-  | None ->
-      let apps = Runset.all cfg in
-      apps_memo := Some apps;
-      apps
+(* The one grid every experiment reads its rows from: a row is charged to
+   the first experiment that asks for it. Each json round starts a fresh
+   grid, so every round pays the same costs. *)
+let grid = ref (Grid.create cfg)
 
 (* Every experiment, in run order. [name] is the json entry name, so it is
    part of the trajectory format; [aliases] are accepted on the command
@@ -43,45 +33,54 @@ type experiment = {
   name : string;
   aliases : string list;
   quick : bool;
-  run : Format.formatter -> unit;
+  view : Format.formatter -> Grid.t -> unit;
 }
 
 let experiments =
-  let e ?(aliases = []) ?(quick = true) name run = { name; aliases; quick; run } in
-  let paper ?aliases name f =
-    e name ?aliases ~quick:false (fun ppf -> f ppf (apps ()))
+  let e ?(aliases = []) ?(quick = true) name view =
+    { name; aliases; quick; view }
   in
   [
-    e "micro" (fun ppf -> Experiments.micro ppf cfg);
-    e "runset" ~quick:false (fun ppf ->
-        Format.fprintf ppf "built %d sized-app rows@." (List.length (apps ())));
-    paper "table1" Experiments.table1;
-    paper "table2" Experiments.table2;
-    paper "figure5" ~aliases:[ "fig5" ] Experiments.figure5;
-    paper "figure6" ~aliases:[ "fig6" ] Experiments.figure6;
-    paper "figure7" ~aliases:[ "fig7" ] Experiments.figure7;
-    e "scaling" ~aliases:[ "scale" ] (fun ppf -> Experiments.scaling ppf cfg);
+    e "micro" Experiments.micro;
+    e "table1" ~quick:false Experiments.table1;
+    e "table2" ~quick:false Experiments.table2;
+    e "figure5" ~aliases:[ "fig5" ] ~quick:false Experiments.figure5;
+    e "figure6" ~aliases:[ "fig6" ] ~quick:false Experiments.figure6;
+    e "figure7" ~aliases:[ "fig7" ] ~quick:false Experiments.figure7;
+    e "scaling" ~aliases:[ "scale" ] Experiments.scaling;
     (* 256/1024-processor tiers: the barrier write-notice exchange costs the
        host O(nprocs^2), too slow for the quick CI gate *)
     e "scaling_deep" ~aliases:[ "scale-deep"; "scaling-deep" ] ~quick:false
-      (fun ppf -> Experiments.scaling_deep ppf cfg);
-    e "ablation" (fun ppf -> Experiments.ablation ppf cfg);
-    e "faults" (fun ppf -> Experiments.faults ppf cfg);
-    e "availability" (fun ppf -> Experiments.availability ppf cfg);
-    e "backends" (fun ppf -> Experiments.backends ppf cfg);
-    e "protocols" ~aliases:[ "matrix" ] (fun ppf ->
-        Experiments.protocol_matrix ppf cfg);
-    e "kv" (fun ppf -> Experiments.kv ppf cfg);
+      Experiments.scaling_deep;
+    e "ablation" Experiments.ablation;
+    e "faults" Experiments.faults;
+    e "availability" Experiments.availability;
+    e "protocols" ~aliases:[ "matrix" ] Experiments.protocol_matrix;
+    e "kv" Experiments.kv;
   ]
 
-let run_one name =
-  match
-    List.find_opt (fun x -> x.name = name || List.mem name x.aliases) experiments
-  with
-  | Some x -> x.run ppf
-  | None -> failwith ("unknown experiment: " ^ name)
+let run x ppf = x.view ppf !grid
 
-let run_all () = List.iter (fun x -> x.run ppf) experiments
+(* Every name is resolved before any experiment runs; an unknown one exits
+   2 naming the field and listing what is accepted. *)
+let resolve names =
+  let find name =
+    List.find_opt (fun x -> x.name = name || List.mem name x.aliases) experiments
+  in
+  match List.find_opt (fun n -> find n = None) names with
+  | None -> List.map (fun n -> Option.get (find n)) names
+  | Some unknown ->
+      let accepted =
+        List.map
+          (fun x ->
+            match x.aliases with
+            | [] -> x.name
+            | aliases -> Printf.sprintf "%s (%s)" x.name (String.concat ", " aliases))
+          experiments
+      in
+      Format.eprintf "bench: experiment: unknown name %S; accepted: %s@." unknown
+        (String.concat ", " accepted);
+      exit 2
 
 (* Bechamel over the hot run-time primitives the profiling work optimized:
    diff creation/application/merge, vector-clock operations, range-to-page
@@ -144,9 +143,9 @@ let bechamel_micro () =
     results
 
 (* Machine-readable trajectory: run the experiments, timing each against a
-   buffer formatter, and emit BENCH_<n>.json. Experiments share the lazily
-   memoized runset, so each entry carries its incremental host cost and the
-   sum matches a plain [run_all]. *)
+   buffer formatter, and emit BENCH_<n>.json. Experiments share one grid,
+   so each entry carries its incremental host cost and the sum matches a
+   plain run of every experiment. *)
 let json_mode args =
   let quick = List.mem "--quick" args in
   let rec keyed k = function
@@ -198,7 +197,7 @@ let json_mode args =
     Format.pp_print_flush bppf ();
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let ablation ppf = Experiments.ablation ppf cfg in
+  let ablation ppf = Experiments.ablation ppf (Grid.create cfg) in
   let d_off = digest_of ablation in
   (* the profiled run doubles as the per-subsystem profile of one
      representative workload, embedded in the trajectory so a PR's profile
@@ -213,12 +212,12 @@ let json_mode args =
     in
     Bench_log.set_prof_invariant log (d_off = d_on);
     Bench_log.set_profile log profile_json;
-    let m name f =
-      ignore (Bench_log.measure log ~name f);
-      Format.printf "  [%d/%d] %-10s done@." round repeat name
+    let m x =
+      ignore (Bench_log.measure log ~name:x.name (run x));
+      Format.printf "  [%d/%d] %-10s done@." round repeat x.name
     in
-    fresh_apps ();
-    List.iter (fun x -> if x.quick || not quick then m x.name x.run) experiments;
+    grid := Grid.create cfg;
+    List.iter (fun x -> if x.quick || not quick then m x) experiments;
     log
   in
   Format.printf "bench json (%s set, best of %d):@."
@@ -250,7 +249,7 @@ let json_mode args =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | [] -> run_all ()
+  | [] -> List.iter (fun x -> run x ppf) experiments
   | [ "bechamel"; "micro" ] | [ "bechamel-micro" ] -> bechamel_micro ()
   | "json" :: rest -> json_mode rest
-  | names -> List.iter run_one names
+  | names -> List.iter (fun x -> run x ppf) (resolve names)

@@ -78,7 +78,7 @@ module Apps = struct
 end
 
 module Harness = struct
-  module Runset = Dsm_harness.Runset
+  module Grid = Dsm_harness.Grid
   module Experiments = Dsm_harness.Experiments
   module Phases = Dsm_harness.Phases
   module Cli = Dsm_harness.Cli

@@ -4,29 +4,28 @@ module Stats = Dsm_sim.Stats
 
 module type S = Dsm_apps.Workload.S
 
-(* A paper kernel from the registry, by its registry name. *)
-let kernel name : (module S) = List.assoc name Dsm_apps.Registry.kernels
-
 let rule ppf n = Format.fprintf ppf "%s@." (String.make n '-')
 
-let table1 ppf apps =
+let title r = r.Grid.name ^ " - " ^ r.Grid.size_name
+
+let table1 ppf _g =
   Format.fprintf ppf "@.Table 1: applications, data set sizes, and uniprocessor execution times@.";
   rule ppf 64;
   Format.fprintf ppf "%-12s %-12s %14s@." "Application" "Data set" "Time (s)";
   rule ppf 64;
   List.iter
-    (fun (sa : Runset.sized_app) ->
+    (fun r ->
       Format.fprintf ppf "%-12s %-12s %14.1f@."
-        (sa.Runset.app_name ^ " - " ^ sa.Runset.size_label)
-        sa.Runset.size_name
-        (sa.Runset.seq_time_us /. 1e6))
-    apps;
+        (r.Grid.name ^ " - " ^ r.Grid.label)
+        r.Grid.size_name
+        (r.Grid.seq_time_us /. 1e6))
+    Grid.paper;
   rule ppf 64
 
 let pct_reduction base opt =
   100.0 *. (float_of_int base -. float_of_int opt) /. float_of_int (max 1 base)
 
-let table2 ppf apps =
+let table2 ppf g =
   Format.fprintf ppf
     "@.Table 2: percentage reduction in page faults (segv), messages and data@.";
   Format.fprintf ppf "(compiler-optimized TreadMarks vs base TreadMarks)@.";
@@ -34,22 +33,21 @@ let table2 ppf apps =
   Format.fprintf ppf "%-22s %8s %8s %8s@." "Application" "% segv" "% msg" "% data";
   rule ppf 64;
   List.iter
-    (fun (sa : Runset.sized_app) ->
-      let b = Runset.base sa
-      and o = Runset.best_opt_sync sa in
-      Format.fprintf ppf "%-22s %8.1f %8.1f %8.1f@."
-        (sa.Runset.app_name ^ " - " ^ sa.Runset.size_name)
+    (fun r ->
+      let b = Grid.base g r
+      and o = Grid.best_opt g ~async:false r in
+      Format.fprintf ppf "%-22s %8.1f %8.1f %8.1f@." (title r)
         (pct_reduction b.stats.Stats.segv o.stats.Stats.segv)
         (pct_reduction b.stats.Stats.messages o.stats.Stats.messages)
         (pct_reduction b.stats.Stats.bytes o.stats.Stats.bytes))
-    apps;
+    Grid.paper;
   rule ppf 64
 
 let pp_speedup ppf = function
   | Some s -> Format.fprintf ppf "%8.2f" s
   | None -> Format.fprintf ppf "%8s" "-"
 
-let figure5 ppf apps =
+let figure5 ppf g =
   Format.fprintf ppf
     "@.Figure 5: speedups on 8 processors (Tmk, Opt-Tmk, XHPF, PVMe)@.";
   rule ppf 70;
@@ -57,19 +55,18 @@ let figure5 ppf apps =
     "XHPF" "PVMe";
   rule ppf 70;
   List.iter
-    (fun (sa : Runset.sized_app) ->
-      let sp r = Runset.speedup sa r in
-      Format.fprintf ppf "%-22s %8.2f %8.2f %a %8.2f@."
-        (sa.Runset.app_name ^ " - " ^ sa.Runset.size_name)
-        (sp (Runset.base sa))
-        (sp (Runset.best_opt sa))
+    (fun r ->
+      let sp = Grid.speedup r in
+      Format.fprintf ppf "%-22s %8.2f %8.2f %a %8.2f@." (title r)
+        (sp (Grid.base g r))
+        (sp (Grid.best_opt g ~async:true r))
         pp_speedup
-        (Option.map sp (sa.Runset.run Runset.Xhpf))
-        (sp (Option.get (sa.Runset.run Runset.Pvm))))
-    apps;
+        (Option.map sp (Grid.get g r Grid.Xhpf))
+        (sp (Option.get (Grid.get g r Grid.Pvm))))
+    Grid.paper;
   rule ppf 70
 
-let figure6 ppf apps =
+let figure6 ppf g =
   Format.fprintf ppf
     "@.Figure 6: speedups under cumulative optimization levels@.";
   Format.fprintf ppf
@@ -79,44 +76,37 @@ let figure6 ppf apps =
     "C.Aggr" "C.Elim" "S+D" "Push" "XHPF" "PVMe";
   rule ppf 100;
   List.iter
-    (fun (sa : Runset.sized_app) ->
-      let level l =
-        Option.map (Runset.speedup sa) (sa.Runset.run (Runset.Tmk_level (l, true)))
-      in
-      Format.fprintf ppf "%-22s %8.2f %a %a %a %a %a %8.2f@."
-        (sa.Runset.app_name ^ " - " ^ sa.Runset.size_name)
-        (Runset.speedup sa (Runset.base sa))
+    (fun r ->
+      let sp = Grid.speedup r in
+      let level l = Option.map sp (Grid.get g r (Grid.Tmk (l, true))) in
+      Format.fprintf ppf "%-22s %8.2f %a %a %a %a %a %8.2f@." (title r)
+        (sp (Grid.base g r))
         pp_speedup (level Comm_aggr) pp_speedup (level Cons_elim) pp_speedup
         (level Sync_merge) pp_speedup (level Push_opt) pp_speedup
-        (Option.map (Runset.speedup sa) (sa.Runset.run Runset.Xhpf))
-        (Runset.speedup sa (Option.get (sa.Runset.run Runset.Pvm))))
-    apps;
+        (Option.map sp (Grid.get g r Grid.Xhpf))
+        (sp (Option.get (Grid.get g r Grid.Pvm))))
+    Grid.paper;
   rule ppf 100
 
-let figure7 ppf apps =
+let figure7 ppf g =
   Format.fprintf ppf
     "@.Figure 7: synchronous vs asynchronous data fetching (large data sets)@.";
   rule ppf 58;
   Format.fprintf ppf "%-22s %8s %8s %8s@." "Application" "Tmk" "Sync" "Async";
   rule ppf 58;
   List.iter
-    (fun (sa : Runset.sized_app) ->
-      if sa.Runset.size_label = "large" then begin
+    (fun r ->
+      if r.Grid.label = "large" then begin
         (* the contrast is between fetch modes of the Validate-based
            configuration (consistency elimination level, applicable to
            every program); Push is synchronous-only per Section 3.3 *)
-        let l = Cons_elim in
-        let sync = sa.Runset.run (Runset.Tmk_level (l, false))
-        and async = sa.Runset.run (Runset.Tmk_level (l, true)) in
-        Format.fprintf ppf "%-22s %8.2f %a %a@."
-          (sa.Runset.app_name ^ " - " ^ sa.Runset.size_name)
-          (Runset.speedup sa (Runset.base sa))
-          pp_speedup
-          (Option.map (Runset.speedup sa) sync)
-          pp_speedup
-          (Option.map (Runset.speedup sa) async)
+        let sp = Grid.speedup r in
+        let fetch async = Option.map sp (Grid.get g r (Grid.Tmk (Cons_elim, async))) in
+        Format.fprintf ppf "%-22s %8.2f %a %a@." (title r)
+          (sp (Grid.base g r))
+          pp_speedup (fetch false) pp_speedup (fetch true)
       end)
-    apps;
+    Grid.paper;
   rule ppf 58
 
 (* {1 Extension experiments (beyond the paper)} *)
@@ -134,100 +124,54 @@ let figure7 ppf apps =
    uniprocessor run, so they are bit-deterministic and digest-gated like
    every other experiment. *)
 
-(* One application with custom-sized parameters; the existential lets one
-   list mix the six apps' distinct params types. *)
-type sized_run =
-  | Sized : {
-      label : string;
-      app : (module S with type size = 'p and type behavior = unit);
-      params : 'p;
-    }
-      -> sized_run
-
-let scale_backends =
-  [
-    (Dsm_sim.Config.Lrc, "lrc");
-    (Dsm_sim.Config.Hlrc, "hlrc");
-    (Dsm_sim.Config.Inval, "inval");
-    (Dsm_sim.Config.Adaptive, "adpt");
-  ]
-
 let scale_header ppf =
   rule ppf 72;
   Format.fprintf ppf "%-26s %5s" "Application" "procs";
-  List.iter (fun (_, n) -> Format.fprintf ppf " %9s" n) scale_backends;
+  List.iter (fun (_, n) -> Format.fprintf ppf " %9s" n) Grid.backends;
   Format.fprintf ppf "@.";
   rule ppf 72
 
-let scale_row ppf cfg ~procs (Sized { label; app; params }) =
-  let module App = (val app) in
-  let seq = App.seq_time_us params in
+(* One application at custom-sized parameters, under each backend. *)
+let scale_row (type p) ppf g ~procs label
+    (module W : S with type size = p and type behavior = unit) (params : p) =
+  let seq = W.seq_time_us params in
   Format.fprintf ppf "%-26s %5d" label procs;
   Format.pp_print_flush ppf ();
   List.iter
-    (fun (backend, bname) ->
-      let c = { cfg with Dsm_sim.Config.nprocs = procs; backend } in
-      let r = App.tmk c ~size:params ~behavior:() ~level:A.Base ~async:false in
-      if r.A.max_err > 1e-6 then
-        failwith (label ^ "/" ^ bname ^ ": wrong result");
+    (fun (backend, _) ->
+      let cfg = { (Grid.cfg g) with Dsm_sim.Config.nprocs = procs; backend } in
+      let r =
+        Option.get
+          (Grid.run g (module W) ~cfg ~size:(label, params)
+             (Grid.Tmk (A.Base, false)))
+      in
       Format.fprintf ppf " %9.1f" (seq /. r.A.time_us);
       (* flush per cell: these rows take minutes at 1024 procs, and a
          watcher (CI log, tee) should see progress cell by cell *)
       Format.pp_print_flush ppf ())
-    scale_backends;
+    Grid.backends;
   Format.fprintf ppf "@."
 
 (* The 64-processor tier: all six applications under all four coherence
    backends. IS is the stress case on purpose — its bucket array is
    written by every processor, so consistency traffic grows quadratically
    with the cluster and the speedup curve bends first. *)
-let scaling ppf cfg =
+let scaling ppf g =
   Format.fprintf ppf
     "@.Scaling: six applications at 64 simulated processors, four backends@.";
   Format.fprintf ppf
     "(weak-scaled data sets; simulated speedup over the uniprocessor run)@.";
   scale_header ppf;
-  let apps =
-    [
-      Sized
-        {
-          label = "Jacobi 1024x1024 i5";
-          app = (module Dsm_apps.Jacobi);
-          params = { Dsm_apps.Jacobi.large with m = 1024; iters = 5 };
-        };
-      Sized
-        {
-          label = "IS 2^18 keys r2";
-          app = (module Dsm_apps.Is);
-          params = { Dsm_apps.Is.large with reps = 2 };
-        };
-      Sized
-        {
-          label = "Gauss 512x512";
-          app = (module Dsm_apps.Gauss);
-          params = Dsm_apps.Gauss.large;
-        };
-      Sized
-        {
-          label = "3D-FFT 64^3 i1";
-          app = (module Dsm_apps.Fft3d);
-          params = { Dsm_apps.Fft3d.large with n = 64; iters = 1 };
-        };
-      Sized
-        {
-          label = "MGS 256x256";
-          app = (module Dsm_apps.Mgs);
-          params = Dsm_apps.Mgs.large;
-        };
-      Sized
-        {
-          label = "Shallow 512x256 s4";
-          app = (module Dsm_apps.Shallow);
-          params = { Dsm_apps.Shallow.large with m = 512; n = 256; steps = 4 };
-        };
-    ]
-  in
-  List.iter (scale_row ppf cfg ~procs:64) apps;
+  let row label w params = scale_row ppf g ~procs:64 label w params in
+  row "Jacobi 1024x1024 i5" (module Dsm_apps.Jacobi)
+    { Dsm_apps.Jacobi.large with m = 1024; iters = 5 };
+  row "IS 2^18 keys r2" (module Dsm_apps.Is) { Dsm_apps.Is.large with reps = 2 };
+  row "Gauss 512x512" (module Dsm_apps.Gauss) Dsm_apps.Gauss.large;
+  row "3D-FFT 64^3 i1" (module Dsm_apps.Fft3d)
+    { Dsm_apps.Fft3d.large with n = 64; iters = 1 };
+  row "MGS 256x256" (module Dsm_apps.Mgs) Dsm_apps.Mgs.large;
+  row "Shallow 512x256 s4" (module Dsm_apps.Shallow)
+    { Dsm_apps.Shallow.large with m = 512; n = 256; steps = 4 };
   rule ppf 72
 
 (* The 256- and 1024-processor tiers. Applications whose consistency
@@ -237,208 +181,124 @@ let scaling ppf cfg =
    cluster is meaningful. Host cost grows with nprocs^2 per barrier (write
    notices), so this experiment is measured in the full bench set only —
    the quick CI gate runs {!scaling} above. *)
-let scaling_deep ppf cfg =
+let scaling_deep ppf g =
   Format.fprintf ppf
     "@.Scaling deep: 256 and 1024 simulated processors, four backends@.";
   Format.fprintf ppf
     "(weak-scaled data sets; simulated speedup over the uniprocessor run)@.";
   scale_header ppf;
-  let tier_256 =
-    [
-      Sized
-        {
-          label = "Jacobi 2048x2048 i3";
-          app = (module Dsm_apps.Jacobi);
-          params = { Dsm_apps.Jacobi.large with m = 2048; iters = 3 };
-        };
-      Sized
-        {
-          label = "MGS 512x512";
-          app = (module Dsm_apps.Mgs);
-          params = { Dsm_apps.Mgs.large with m = 512; n = 512 };
-        };
-      Sized
-        {
-          label = "Shallow 1024x512 s3";
-          app = (module Dsm_apps.Shallow);
-          params =
-            { Dsm_apps.Shallow.large with m = 1024; n = 512; steps = 3 };
-        };
-    ]
-  and tier_1024 =
-    [
-      (* m = 2050: 2048 interior columns, exactly two per processor *)
-      Sized
-        {
-          label = "Jacobi 2050x2050 i2";
-          app = (module Dsm_apps.Jacobi);
-          params = { Dsm_apps.Jacobi.large with m = 2050; iters = 2 };
-        };
-    ]
-  in
-  List.iter (scale_row ppf cfg ~procs:256) tier_256;
-  List.iter (scale_row ppf cfg ~procs:1024) tier_1024;
+  scale_row ppf g ~procs:256 "Jacobi 2048x2048 i3" (module Dsm_apps.Jacobi)
+    { Dsm_apps.Jacobi.large with m = 2048; iters = 3 };
+  scale_row ppf g ~procs:256 "MGS 512x512" (module Dsm_apps.Mgs)
+    { Dsm_apps.Mgs.large with m = 512; n = 512 };
+  scale_row ppf g ~procs:256 "Shallow 1024x512 s3" (module Dsm_apps.Shallow)
+    { Dsm_apps.Shallow.large with m = 1024; n = 512; steps = 3 };
+  (* m = 2050: 2048 interior columns, exactly two per processor *)
+  scale_row ppf g ~procs:1024 "Jacobi 2050x2050 i2" (module Dsm_apps.Jacobi)
+    { Dsm_apps.Jacobi.large with m = 2050; iters = 2 };
   rule ppf 72
 
 (* Each DESIGN.md mechanism toggled off, on the workload it serves. *)
-let ablation ppf cfg =
+let ablation ppf g =
   Format.fprintf ppf "@.Ablations: run-time mechanisms toggled off@.";
   rule ppf 76;
   Format.fprintf ppf "%-46s %12s %12s@." "mechanism / workload" "on" "off";
   rule ppf 76;
   let time_of (r : A.result) = r.A.time_us /. 1e3 in
   let bytes_of (r : A.result) = float_of_int r.A.stats.Stats.bytes /. 1e6 in
-  let run name cfg ~level ~async =
-    let (module W) = kernel name in
-    W.tmk cfg ~size:(List.assoc "small" W.sizes) ~behavior:W.default_behavior
-      ~level ~async
+  let cfg = Grid.cfg g in
+  let run name cfg level async =
+    Option.get (Grid.get g ~cfg (Grid.kernel name ~size:"small") (Grid.Tmk (level, async)))
   in
   (* 1. barrier-time broadcast: Gauss sync+data merge *)
-  let on = run "gauss" cfg ~level:A.Sync_merge ~async:false in
+  let on = run "gauss" cfg A.Sync_merge false in
   let off =
-    run "gauss"
-      { cfg with Dsm_sim.Config.enable_bcast = false }
-      ~level:A.Sync_merge ~async:false
+    run "gauss" { cfg with Dsm_sim.Config.enable_bcast = false } A.Sync_merge false
   in
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "barrier broadcast (Gauss small, sync+merge)" (time_of on) (time_of off);
   (* 2. supersede pruning: IS cons-elim data volume *)
-  let on = run "is" cfg ~level:A.Cons_elim ~async:true in
+  let on = run "is" cfg A.Cons_elim true in
   let off =
-    run "is"
-      { cfg with Dsm_sim.Config.enable_supersede = false }
-      ~level:A.Cons_elim ~async:true
+    run "is" { cfg with Dsm_sim.Config.enable_supersede = false } A.Cons_elim true
   in
   Format.fprintf ppf "%-46s %10.1fMB %10.1fMB@."
     "WRITE_ALL supersede (IS small, data moved)" (bytes_of on) (bytes_of off);
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "WRITE_ALL supersede (IS small, time)" (time_of on) (time_of off);
   (* 3. hot-spot queueing: MGS base (single-producer fetch storms) *)
-  let on = run "mgs" cfg ~level:A.Base ~async:false in
+  let on = run "mgs" cfg A.Base false in
   let off =
     run "mgs"
       { cfg with Dsm_sim.Config.enable_hotspot_queueing = false }
-      ~level:A.Base ~async:false
+      A.Base false
   in
   Format.fprintf ppf "%-46s %10.0fms %10.0fms@."
     "hot-spot queueing (MGS small, base)" (time_of on) (time_of off);
   rule ppf 76
 
-(* Homeless vs home-based LRC, per application and optimization level.
-   Correctness is protocol-independent (the backend-equivalence tests
-   pin the outputs bit-for-bit); what moves is where modifications live
-   and who pays to assemble them, visible as messages, data volume and
-   the resulting speedup. *)
-let backends ppf cfg =
-  let module Config = Dsm_sim.Config in
-  Format.fprintf ppf
-    "@.Backends: homeless (lrc) vs home-based (hlrc) LRC@.";
-  Format.fprintf ppf
-    "(small data sets, %d processors, async fetch, hlrc homes: %s)@."
-    cfg.Config.nprocs
-    (Config.home_policy_name cfg.Config.home_policy);
-  rule ppf 86;
-  Format.fprintf ppf "%-10s %-10s %9s %9s %9s %9s %8s %8s@." "Application"
-    "level" "msg lrc" "msg hlrc" "MB lrc" "MB hlrc" "sp lrc" "sp hlrc";
-  rule ppf 86;
-  List.iter
-    (fun (_, (module W : S)) ->
-      let name = W.name and size = List.assoc "small" W.sizes in
-      let seq = W.seq_time_us size in
-      List.iter
-        (fun level ->
-          let run backend =
-            W.tmk
-              { cfg with Config.backend }
-              ~size ~behavior:W.default_behavior ~level ~async:true
-          in
-          let rl = run Config.Lrc and rh = run Config.Hlrc in
-          if rl.A.max_err > 1e-6 || rh.A.max_err > 1e-6 then
-            failwith (name ^ ": wrong result");
-          let mb (r : A.result) =
-            float_of_int r.A.stats.Stats.bytes /. 1e6
-          in
-          Format.fprintf ppf "%-10s %-10s %9d %9d %9.1f %9.1f %8.2f %8.2f@."
-            name
-            (A.opt_level_name level)
-            rl.A.stats.Stats.messages rh.A.stats.Stats.messages (mb rl)
-            (mb rh) (seq /. rl.A.time_us) (seq /. rh.A.time_us))
-        W.levels)
-    Dsm_apps.Registry.kernels;
-  rule ppf 86
-
 (* The whole protocol family side by side: which consistency protocol
    suits which sharing pattern. Base rows are fault-driven (the protocol
-   alone moves the data); best-level rows show how much the compiler's
+   alone moves the data); deepest-level rows show how much the compiler's
    Validate/Push annotations flatten the differences. Correctness is
-   again protocol-independent — the table reports only where the costs
-   go. *)
-let protocol_matrix ppf cfg =
+   protocol-independent (the backend-equivalence tests pin the outputs
+   bit-for-bit), so the table reports where the costs go: messages, data
+   volume and speedup. Any other level is one key away. *)
+let protocol_matrix ppf g =
   let module Config = Dsm_sim.Config in
-  let backends =
-    [
-      (Config.Lrc, "lrc");
-      (Config.Hlrc, "hlrc");
-      (Config.Inval, "inval");
-      (Config.Adaptive, "adpt");
-    ]
-  in
+  let cfg = Grid.cfg g in
   Format.fprintf ppf
     "@.Protocol matrix: lrc / hlrc / inval / adaptive across the six \
      applications@.";
   Format.fprintf ppf
-    "(small data sets, %d processors, async fetch; '*' marks the row's \
-     fewest messages and best speedup)@."
-    cfg.Config.nprocs;
-  rule ppf 112;
+    "(small data sets, %d processors, async fetch, hlrc homes: %s; '*' \
+     marks the row's fewest messages, least data and best speedup)@."
+    cfg.Config.nprocs
+    (Config.home_policy_name cfg.Config.home_policy);
+  rule ppf 133;
   Format.fprintf ppf "%-10s %-10s" "Application" "level";
-  List.iter (fun (_, n) -> Format.fprintf ppf " %9s" ("m." ^ n)) backends;
-  List.iter (fun (_, n) -> Format.fprintf ppf " %8s" ("s." ^ n)) backends;
+  List.iter (fun (_, n) -> Format.fprintf ppf " %9s" ("m." ^ n)) Grid.backends;
+  List.iter (fun (_, n) -> Format.fprintf ppf " %8s" ("MB." ^ n)) Grid.backends;
+  List.iter (fun (_, n) -> Format.fprintf ppf " %8s" ("s." ^ n)) Grid.backends;
   Format.fprintf ppf "@.";
-  rule ppf 112;
+  rule ppf 133;
   List.iter
-    (fun (_, (module W : S)) ->
-      let name = W.name and size = List.assoc "small" W.sizes in
-      let seq = W.seq_time_us size in
-      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
+    (fun (name, _) ->
+      let row = Grid.kernel name ~size:"small" in
       List.iter
         (fun level ->
           let rs =
             List.map
-              (fun (backend, bname) ->
-                let r =
-                  W.tmk { cfg with Config.backend } ~size
-                    ~behavior:W.default_behavior ~level ~async:true
-                in
-                if r.A.max_err > 1e-6 then
-                  failwith (name ^ "/" ^ bname ^ ": wrong result");
-                r)
-              backends
+              (fun (backend, _) ->
+                Option.get
+                  (Grid.get g ~cfg:{ cfg with Config.backend } row
+                     (Grid.Tmk (level, true))))
+              Grid.backends
           in
-          let msgs =
-            List.map (fun (r : A.result) -> r.A.stats.Stats.messages) rs
-          in
-          let sps = List.map (fun (r : A.result) -> seq /. r.A.time_us) rs in
+          (* each column marks its row's best value with a '*' *)
+          let marked best value = if value = best then "*" else " " in
+          let msgs = List.map (fun (r : A.result) -> r.A.stats.Stats.messages) rs
+          and bytes = List.map (fun (r : A.result) -> r.A.stats.Stats.bytes) rs
+          and sps = List.map (Grid.speedup row) rs in
           let min_m = List.fold_left min max_int msgs
+          and min_b = List.fold_left min max_int bytes
           and max_s = List.fold_left max 0.0 sps in
-          Format.fprintf ppf "%-10s %-10s" name (A.opt_level_name level);
+          Format.fprintf ppf "%-10s %-10s" row.Grid.name (A.opt_level_name level);
+          List.iter (fun m -> Format.fprintf ppf " %8d%s" m (marked min_m m)) msgs;
           List.iter
-            (fun m ->
-              Format.fprintf ppf " %8d%s" m (if m = min_m then "*" else " "))
-            msgs;
-          List.iter
-            (fun s ->
-              Format.fprintf ppf " %7.2f%s" s (if s = max_s then "*" else " "))
-            sps;
+            (fun b ->
+              Format.fprintf ppf " %7.1f%s" (float_of_int b /. 1e6) (marked min_b b))
+            bytes;
+          List.iter (fun s -> Format.fprintf ppf " %7.2f%s" s (marked max_s s)) sps;
           Format.fprintf ppf "@.")
-        (List.sort_uniq compare [ A.Base; best ]))
+        (List.sort_uniq compare [ A.Base; Grid.deepest row ]))
     Dsm_apps.Registry.kernels;
-  rule ppf 112
+  rule ppf 133
 
 (* Drop-rate sweep over the unreliable transport: correctness must be
    untouched (losses are recovered by the reliable layer), only time and
    the fault counters move. *)
-let faults ppf cfg =
+let faults ppf g =
   Format.fprintf ppf
     "@.Fault injection: drop-rate sweep (8 processors, small sets, best \
      level; dup 1%%, jitter 50us, seed 1)@.";
@@ -447,15 +307,14 @@ let faults ppf cfg =
     "time(us)" "dropped" "timeout" "retrans" "dup";
   rule ppf 78;
   List.iter
-    (fun (module W : S) ->
-      let name = W.name and size = List.assoc "small" W.sizes in
-      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
+    (fun name ->
+      let row = Grid.kernel name ~size:"small" in
       List.iter
         (fun drop ->
           let faulty = drop > 0.0 in
-          let c =
+          let cfg =
             {
-              cfg with
+              (Grid.cfg g) with
               Dsm_sim.Config.nprocs = 8;
               net_drop = drop;
               net_dup = (if faulty then 0.01 else 0.0);
@@ -464,23 +323,21 @@ let faults ppf cfg =
             }
           in
           let r =
-            W.tmk c ~size ~behavior:W.default_behavior ~level:best ~async:true
+            Option.get (Grid.get g ~cfg row (Grid.Tmk (Grid.deepest row, true)))
           in
-          if r.A.max_err > 1e-6 then
-            failwith (name ^ ": wrong result under faults");
           let s = r.A.stats in
-          Format.fprintf ppf "%-12s %6.2f %12.0f %8d %8d %8d %8d@." name drop
-            r.A.time_us s.Stats.dropped s.Stats.timeouts s.Stats.retransmits
-            s.Stats.duplicates)
+          Format.fprintf ppf "%-12s %6.2f %12.0f %8d %8d %8d %8d@."
+            row.Grid.name drop r.A.time_us s.Stats.dropped s.Stats.timeouts
+            s.Stats.retransmits s.Stats.duplicates)
         [ 0.0; 0.01; 0.05 ])
-    (List.map kernel [ "jacobi"; "fft3d"; "gauss"; "is" ]);
+    [ "jacobi"; "fft3d"; "gauss"; "is" ];
   rule ppf 78
 
 (* Availability vs overhead: what k-replicated homes cost when nothing
    fails, and what a crash plus recovery costs on top. Every row's final
    shared memory must be bit-identical to the unreplicated baseline —
    the table would be meaningless if fault tolerance changed results. *)
-let availability ppf cfg =
+let availability ppf g =
   Format.fprintf ppf
     "@.Availability: replicated homes and crash recovery (hlrc, 8 \
      processors, small sets, best level; crash rows: p1 down at 20ms for \
@@ -491,7 +348,7 @@ let availability ppf cfg =
     "qread" "ckpt" "digest";
   rule ppf 100;
   let crash = [ (1, 20000.0, 10000.0) ] in
-  let rows =
+  let configs =
     [
       ("k=1", 1, 0, []);
       ("k=3", 3, 2, []);
@@ -500,15 +357,15 @@ let availability ppf cfg =
     ]
   in
   List.iter
-    (fun (module W : S) ->
-      let name = W.name and size = List.assoc "small" W.sizes in
-      let best = List.fold_left (fun _ l -> l) A.Base W.levels in
+    (fun app ->
+      let row = Grid.kernel app ~size:"small" in
+      let name = row.Grid.name in
       let baseline = ref None in
       List.iter
         (fun (label, replicas, ckpt_every, crash) ->
-          let c =
+          let cfg =
             {
-              cfg with
+              (Grid.cfg g) with
               Dsm_sim.Config.nprocs = 8;
               backend = Dsm_sim.Config.Hlrc;
               replicas;
@@ -517,11 +374,10 @@ let availability ppf cfg =
             }
           in
           let r =
-            W.tmk ~digest:true c ~size ~behavior:W.default_behavior
-              ~level:best ~async:true
+            Option.get
+              (Grid.get g ~cfg ~digest:true row
+                 (Grid.Tmk (Grid.deepest row, true)))
           in
-          if r.A.max_err > 1e-6 then
-            failwith (name ^ ": wrong result under " ^ label);
           let base_time, base_digest =
             match !baseline with
             | None ->
@@ -540,8 +396,8 @@ let availability ppf cfg =
             (r.A.time_us /. base_time)
             s.Stats.messages s.Stats.bytes s.Stats.quorum_writes
             s.Stats.quorum_reads s.Stats.ckpts "=")
-        rows)
-    (List.map kernel [ "jacobi"; "fft3d"; "gauss"; "is" ]);
+        configs)
+    [ "jacobi"; "fft3d"; "gauss"; "is" ];
   rule ppf 100
 
 (* The sharded key-value/session cache: a latency-bound workload (the
@@ -553,7 +409,7 @@ let availability ppf cfg =
    page and a hot-key skew turns that into fetch traffic; per-object
    staleness tracking skips those fetches. The page rows are the
    control, the PVMe rows the hand-coded message-passing bound. *)
-let kv ppf cfg =
+let kv ppf g =
   let module Config = Dsm_sim.Config in
   let module Kv = Dsm_apps.Kv in
   let pct arr q =
@@ -561,15 +417,7 @@ let kv ppf cfg =
     if n = 0 then 0.0
     else arr.(min (n - 1) (int_of_float (q *. float_of_int (n - 1) +. 0.5)))
   in
-  let backends =
-    [
-      (Config.Lrc, "lrc");
-      (Config.Hlrc, "hlrc");
-      (Config.Inval, "inval");
-      (Config.Adaptive, "adpt");
-    ]
-  in
-  let cfg = { cfg with Config.nprocs = 8 } in
+  let cfg = { (Grid.cfg g) with Config.nprocs = 8 } in
   Format.fprintf ppf
     "@.KV session cache: tail latency and per-operation traffic@.";
   Format.fprintf ppf
@@ -587,39 +435,40 @@ let kv ppf cfg =
       (per r.A.stats.Stats.messages)
       (per r.A.stats.Stats.bytes)
   in
-  (* write90/lrc message counts, for the false-sharing gate below *)
-  let gate = Hashtbl.create 4 in
+  let tmk mix (granularity, gname) backend =
+    Option.get
+      (Grid.run g (module Kv) ~cfg:{ cfg with Config.backend }
+         ~size:("small", Kv.small)
+         ~behavior:
+           (mix ^ "/" ^ gname, { Kv.default_behavior with Kv.mix; granularity })
+         (Grid.Tmk (A.Base, true)))
+  in
+  let object_ = (Dsm_tmk.Tmk.Alloc.Object, "object")
+  and page = (Dsm_tmk.Tmk.Alloc.Page, "page") in
   List.iter
-    (fun (mix, _) ->
+    (fun mix ->
       List.iter
-        (fun (gran, gname) ->
+        (fun gran ->
           List.iter
             (fun (backend, bname) ->
-              let behavior =
-                { Kv.default_behavior with Kv.mix; granularity = gran }
-              in
-              let r =
-                Kv.tmk { cfg with Config.backend } ~size:Kv.small ~behavior
-                  ~level:A.Base ~async:true
-              in
-              if r.A.max_err > 1e-6 then
-                failwith ("kv/" ^ mix ^ "/" ^ gname ^ "/" ^ bname
-                          ^ ": wrong result");
-              if mix = "write90" && backend = Config.Lrc then
-                Hashtbl.replace gate gname r.A.stats.Stats.messages;
-              Format.fprintf ppf "%-8s %-7s %-8s %a %8d@." mix gname bname
+              let r = tmk mix gran backend in
+              Format.fprintf ppf "%-8s %-7s %-8s %a %8d@." mix (snd gran) bname
                 lat_cols r r.A.stats.Stats.obj_skips)
-            backends)
-        [ (Dsm_tmk.Tmk.Alloc.Object, "object"); (Dsm_tmk.Tmk.Alloc.Page, "page") ];
-      let r = Kv.pvm cfg ~size:Kv.small ~behavior:{ Kv.default_behavior with Kv.mix } in
-      if r.A.max_err > 1e-6 then failwith ("kv/" ^ mix ^ "/pvm: wrong result");
+            Grid.backends)
+        [ object_; page ];
+      let r =
+        Option.get
+          (Grid.run g (module Kv) ~cfg ~size:("small", Kv.small)
+             ~behavior:(mix, { Kv.default_behavior with Kv.mix })
+             Grid.Pvm)
+      in
       Format.fprintf ppf "%-8s %-7s %-8s %a %8s@." mix "-" "pvm" lat_cols r "-")
-    [ ("read90", 0.90); ("write90", 0.10) ];
+    [ "read90"; "write90" ];
   rule ppf 88;
   (* the point of the object granularity: under the write-heavy skewed
      mix it must shed messages relative to the page-granular control *)
-  let m_obj = Hashtbl.find gate "object"
-  and m_page = Hashtbl.find gate "page" in
+  let messages gran = (tmk "write90" gran Config.Lrc).A.stats.Stats.messages in
+  let m_obj = messages object_ and m_page = messages page in
   if m_obj >= m_page then
     failwith "kv: object granularity did not reduce messages vs page";
   Format.fprintf ppf
@@ -628,12 +477,23 @@ let kv ppf cfg =
     m_page m_obj
     (pct_reduction m_page m_obj);
   (* checker coverage: one traced object-granularity run must replay
-     cleanly through the LRC invariant checker, with skips exercised *)
+     cleanly through the LRC invariant checker, with skips exercised; the
+     trace is the run's side output, so the run is not a grid row *)
   let sink = Dsm_trace.Sink.create ~nprocs:cfg.Config.nprocs () in
   let r =
     Kv.tmk ~trace:sink cfg ~size:Kv.tiny ~behavior:Kv.default_behavior
       ~level:A.Base ~async:true
   in
+  Grid.check
+    {
+      Grid.app = Kv.name;
+      size = "tiny";
+      behavior = "";
+      cfg;
+      system = Grid.Tmk (A.Base, true);
+      digest = false;
+    }
+    r;
   let violations = Dsm_trace.Check.run_sink sink in
   if violations <> [] then failwith "kv: traced run violates LRC invariants";
   if r.A.stats.Stats.obj_skips = 0 then
@@ -645,8 +505,9 @@ let kv ppf cfg =
 
 (* {1 Platform microbenchmarks (Section 5)} *)
 
-let micro ppf cfg =
+let micro ppf g =
   let module Cluster = Dsm_sim.Cluster in
+  let cfg = Grid.cfg g in
   Format.fprintf ppf
     "@.Platform microbenchmarks (Section 5), simulated vs published SP/2@.";
   rule ppf 66;

@@ -1,6 +1,6 @@
 (* The experiment harness and the ablation switches. *)
 
-module Runset = Dsm_harness.Runset
+module Grid = Dsm_harness.Grid
 module Experiments = Dsm_harness.Experiments
 module Config = Dsm_sim.Config
 open Dsm_apps.App_common
@@ -11,49 +11,105 @@ let null =
 let cfg4 = { Config.default with Config.nprocs = 4 }
 
 let test_runset_shape () =
-  let apps = Runset.all cfg4 in
-  Alcotest.(check int) "12 rows (6 apps x 2 sizes)" 12 (List.length apps);
-  let names = List.map (fun (a : Runset.sized_app) -> a.Runset.app_name) apps in
+  let g = Grid.create cfg4 in
+  Alcotest.(check int) "12 rows (6 apps x 2 sizes)" 12 (List.length Grid.paper);
+  let names = List.map (fun r -> r.Grid.name) Grid.paper in
   List.iter
     (fun n -> Alcotest.(check bool) n true (List.mem n names))
     [ "Jacobi"; "3D-FFT"; "Shallow"; "IS"; "Gauss"; "MGS" ];
-  let is_rows =
-    List.filter (fun (a : Runset.sized_app) -> a.Runset.app_name = "IS") apps
-  in
   List.iter
-    (fun (a : Runset.sized_app) ->
-      Alcotest.(check bool) "IS has no xhpf" false a.Runset.has_xhpf;
-      Alcotest.(check bool) "IS xhpf run is None" true
-        (a.Runset.run Runset.Xhpf = None))
-    is_rows
+    (fun r ->
+      if r.Grid.name = "IS" then
+        Alcotest.(check bool) "IS xhpf run is None" true
+          (Grid.get g r Grid.Xhpf = None))
+    Grid.paper;
+  Alcotest.(check int) "an inapplicable row runs nothing" 0 (Grid.runs g)
+
+let jacobi_small = Grid.kernel "jacobi" ~size:"small"
 
 let test_run_caching () =
-  let apps = Runset.all cfg4 in
-  let jac =
-    List.find
-      (fun (a : Runset.sized_app) ->
-        a.Runset.app_name = "Jacobi" && a.Runset.size_label = "small")
-      apps
+  let g = Grid.create cfg4 in
+  let r1 = Grid.base g jacobi_small
+  and r2 = Grid.base g jacobi_small in
+  Alcotest.(check bool) "memoized (same result)" true (r1 == r2);
+  Alcotest.(check int) "one run" 1 (Grid.runs g)
+
+(* Figure 6's small asynchronous lrc rows at the deepest level are rows of
+   the protocol matrix too: the matrix reads those six, runs only the
+   other 42, and hands back the very results Figure 6 got. *)
+let test_views_share_rows () =
+  let g = Grid.create cfg4 in
+  let fig6 r = Grid.get g r (Grid.Tmk (Grid.deepest r, true)) in
+  let small = List.filter (fun r -> r.Grid.label = "small") Grid.paper in
+  let before = List.map fig6 small in
+  Alcotest.(check int) "Figure 6's deepest small rows" 6 (Grid.runs g);
+  Experiments.protocol_matrix null g;
+  Alcotest.(check int) "then the protocol matrix" 48 (Grid.runs g);
+  List.iter2
+    (fun r b ->
+      let lrc =
+        Grid.get g ~cfg:{ cfg4 with Config.backend = Config.Lrc } r
+          (Grid.Tmk (Grid.deepest r, true))
+      in
+      Alcotest.(check bool) (r.Grid.name ^ ": same result") true
+        (Option.get b == Option.get lrc))
+    small before
+
+let test_fresh_grid_reruns () =
+  let r1 = Grid.base (Grid.create cfg4) jacobi_small in
+  let g = Grid.create cfg4 in
+  let r2 = Grid.base g jacobi_small in
+  Alcotest.(check bool) "a fresh grid runs again" false (r1 == r2);
+  Alcotest.(check int) "one run in the fresh grid" 1 (Grid.runs g);
+  Alcotest.(check (float 0.0)) "same virtual time" r1.time_us r2.time_us
+
+let contains text sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
   in
-  let r1 = Runset.base jac
-  and r2 = Runset.base jac in
-  Alcotest.(check bool) "memoized (same result)" true (r1 == r2)
+  go 0
+
+(* The one result check rejects a wrong result and names its row. *)
+let test_check_names_key () =
+  let key =
+    {
+      Grid.app = "Jacobi";
+      size = "small";
+      behavior = "";
+      cfg = { cfg4 with Config.backend = Config.Hlrc };
+      system = Grid.Tmk (Sync_merge, true);
+      digest = false;
+    }
+  in
+  let r =
+    make_result ~time_us:1.0 ~stats:(Dsm_sim.Stats.create ()) ~max_err:1e-6 ()
+  in
+  Grid.check key r;
+  match Grid.check key { r with max_err = 2e-6 } with
+  | () -> Alcotest.fail "a max error of 2e-6 passed the check"
+  | exception Failure msg ->
+      List.iter
+        (fun part ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %S" msg part) true
+            (contains msg part))
+        [ "app Jacobi"; "size small"; "backend hlrc"; "level sync-merge"; "async true" ]
 
 let test_best_opt_beats_base () =
-  let apps = Runset.all cfg4 in
+  let g = Grid.create cfg4 in
   List.iter
-    (fun (a : Runset.sized_app) ->
-      if a.Runset.size_label = "small" then begin
-        let b = Runset.base a
-        and o = Runset.best_opt a in
+    (fun r ->
+      if r.Grid.label = "small" then begin
+        let b = Grid.base g r
+        and o = Grid.best_opt g ~async:true r in
         Alcotest.(check bool)
-          (a.Runset.app_name ^ ": optimization does not hurt")
+          (r.Grid.name ^ ": optimization does not hurt")
           true
           (o.time_us <= b.time_us)
       end)
-    apps
+    Grid.paper
 
-let test_micro_prints () = Experiments.micro null Config.default
+let test_micro_prints () = Experiments.micro null (Grid.create Config.default)
 
 let test_ablation_supersede () =
   (* turning supersede pruning off must increase IS's data volume *)
@@ -102,13 +158,6 @@ let test_determinism () =
     r2.stats.Dsm_sim.Stats.messages;
   Alcotest.(check int) "same bytes" r1.stats.Dsm_sim.Stats.bytes
     r2.stats.Dsm_sim.Stats.bytes
-
-let contains text sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
-  in
-  go 0
 
 (* [--help=plain] for both CLIs renders without cmdliner doc-markup
    errors (an illegal escape in a doc string is only reported when the
@@ -179,10 +228,37 @@ let test_procs_error ~app ~version ~procs () =
   Alcotest.(check int) "one-line error" 1
     (List.length (String.split_on_char '\n' (String.trim text)))
 
+(* Every experiment name is resolved before any experiment runs: an
+   unknown one (here the retired [backends]) exits 2 naming the field and
+   listing the accepted names, and the known name before it never ran. *)
+let test_bench_unknown_name () =
+  let out = Filename.temp_file "bench" ".out"
+  and err = Filename.temp_file "bench" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bench/main.exe table1 backends > %s 2> %s"
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read f =
+    let text = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    text
+  in
+  let out = read out and err = read err in
+  Alcotest.(check int) "usage error exit" 2 code;
+  Alcotest.(check string) "table1 did not run" "" out;
+  List.iter
+    (fun part ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %S" err part) true
+        (contains err part))
+    [ "bench: experiment: unknown name \"backends\""; "protocols (matrix)"; "figure6 (fig6)" ]
+
 let tests =
   [
     Alcotest.test_case "cli: --help renders cleanly" `Quick test_help_renders;
     Alcotest.test_case "cli: level spellings" `Quick test_level_spellings;
+    Alcotest.test_case "cli: bench rejects unknown experiment names" `Quick
+      test_bench_unknown_name;
     Alcotest.test_case "cli: jacobi mp procs limit" `Quick
       (test_procs_error ~app:"jacobi" ~version:"pvm" ~procs:511);
     Alcotest.test_case "cli: shallow mp procs limit" `Quick
@@ -194,6 +270,12 @@ let tests =
     Alcotest.test_case "runset shape" `Slow test_runset_shape;
     Alcotest.test_case "run caching" `Slow test_run_caching;
     Alcotest.test_case "best opt beats base" `Slow test_best_opt_beats_base;
+    Alcotest.test_case "grid: protocol matrix reads Figure 6's rows" `Slow
+      test_views_share_rows;
+    Alcotest.test_case "grid: a fresh grid re-runs its rows" `Slow
+      test_fresh_grid_reruns;
+    Alcotest.test_case "grid: the result check names the key" `Quick
+      test_check_names_key;
     Alcotest.test_case "micro experiment prints" `Quick test_micro_prints;
     Alcotest.test_case "ablation: supersede" `Slow test_ablation_supersede;
     Alcotest.test_case "ablation: broadcast" `Slow test_ablation_bcast;
