@@ -2,8 +2,9 @@
    evaluation section (Tables 1 and 2, Figures 5, 6 and 7), plus the
    Section 5 platform microbenchmarks.
 
-     dune exec bench/main.exe                 -- everything
-     dune exec bench/main.exe table1          -- one experiment
+     dune exec bench/main.exe                 -- every experiment, scale-deep
+                                                 included (~22 min, > 8 GB)
+     dune exec bench/main.exe table1 fig5     -- the named experiments
      dune exec bench/main.exe bechamel micro  -- hot-primitive Bechamel runs
      dune exec bench/main.exe json [--quick] [--out F] [--against F]
                                               -- machine-readable trajectory

@@ -90,24 +90,12 @@ let run_diff prog ~cfg ~nprocs level_names =
         Array.iteri
           (fun p (s : Core.Lint.Differential.proc_stat) ->
             Format.printf
-              "  %-10s %-5s p%d: %d static pages, %d dynamic, %d covered, \
-               %d dropped@."
+              "  %-10s %-5s p%d: %d static pages, %d dynamic, %d covered@."
               prog.Ir.pname lname p s.Core.Lint.Differential.static_pages
               s.Core.Lint.Differential.dynamic_pages
-              s.Core.Lint.Differential.covered_pages
-              s.Core.Lint.Differential.dropped)
+              s.Core.Lint.Differential.covered_pages)
           r.Core.Lint.Differential.per_proc;
-        if r.Core.Lint.Differential.dropped > 0 then
-          Diag.make Diag.Warning ~program:prog.Ir.pname
-            (Diag.Structure
-               {
-                 reason =
-                   Printf.sprintf
-                     "trace dropped %d events; check incomplete"
-                     r.Core.Lint.Differential.dropped;
-               })
-          :: r.Core.Lint.Differential.diags
-        else r.Core.Lint.Differential.diags)
+        r.Core.Lint.Differential.diags)
       level_names
 
 (* {1 Plan mode: static sharing-pattern classification of the shipped

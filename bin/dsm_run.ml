@@ -216,11 +216,11 @@ let run app version level size procs common sync trace_file check recheck
                     "note: --trace/--check apply to the tmk version only@.";
                 `Ok ()
             | Some sink ->
-                Format.printf "  trace: %d events (%d dropped)@."
-                  (Core.Trace.Sink.emitted sink)
-                  (Core.Trace.Sink.dropped sink);
+                let events = Core.Trace.Sink.events sink in
+                Format.printf "  trace: %d events@."
+                  (Core.Trace.Sink.emitted sink);
                 Format.printf "%a@." Core.Harness.Phases.pp
-                  (Core.Harness.Phases.of_events (Core.Trace.Sink.events sink));
+                  (Core.Harness.Phases.of_events events);
                 let write_err =
                   match trace_file with
                   | Some file -> (
@@ -239,7 +239,7 @@ let run app version level size procs common sync trace_file check recheck
                 | Some msg -> `Error (false, msg)
                 | None ->
                 if check then begin
-                  match Core.Trace.Check.run_sink sink with
+                  match Core.Trace.Check.run ~nprocs:procs events with
                   | [] ->
                       Format.printf "  checker: 0 violations@.";
                       `Ok ()

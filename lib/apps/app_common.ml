@@ -7,15 +7,6 @@ let opt_level_name = function
   | Sync_merge -> "sync-merge"
   | Push_opt -> "push"
 
-let rank = function
-  | Base -> 0
-  | Comm_aggr -> 1
-  | Cons_elim -> 2
-  | Sync_merge -> 3
-  | Push_opt -> 4
-
-let level_leq a b = rank a <= rank b
-
 type result = {
   time_us : float;
   stats : Dsm_sim.Stats.t;

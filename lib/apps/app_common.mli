@@ -16,8 +16,6 @@ type opt_level =
   | Push_opt  (** + replacing barriers with Push *)
 
 val opt_level_name : opt_level -> string
-val level_leq : opt_level -> opt_level -> bool
-(** Ordering of the cumulative levels. *)
 
 (** Outcome of one parallel run. Built with {!make_result} so optional
     fields can be added without revisiting every construction site. *)

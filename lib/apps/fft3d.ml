@@ -93,6 +93,14 @@ let bounds n nprocs p =
   let w = (n + nprocs - 1) / nprocs in
   (p * w, min (n - 1) (((p + 1) * w) - 1))
 
+(* Once processors outnumber the planes by about 2:1, [bounds] starts
+   the trailing slabs past the last plane ([hi + 1 < lo]). Their width is
+   clamped to 0: an empty slab, which computes nothing and sends and
+   receives empty transposes. *)
+let slab_width n np p =
+  let lo, hi = bounds n np p in
+  max 0 (hi - lo + 1)
+
 (* {1 Sequential reference}
 
    Identical operation sequence on plain arrays; X and Y are stored flat in
@@ -233,7 +241,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
       let lo, hi = bounds n np p in
-      let w = hi - lo + 1 in
+      let w = slab_width n np p in
       let re = Array.make n 0.0
       and im = Array.make n 0.0 in
       (* One row (fixed i2 and i3, all 2n floats along d0) is contiguous:
@@ -415,13 +423,6 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
 
    Local slabs; the transpose is an all-to-all where each pair exchanges the
    intersection of the sender's slab and the receiver's target slab. *)
-
-(* Once processors outnumber the planes by about 2:1, [bounds] starts
-   the trailing slabs past the last plane ([hi + 1 < lo]). Their width is
-   clamped to 0: an empty slab that sends and receives empty transposes. *)
-let slab_width n np p =
-  let lo, hi = bounds n np p in
-  max 0 (hi - lo + 1)
 
 let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
   let sys = Mp.make cfg in

@@ -290,7 +290,8 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
       let jlo, jhi = bounds n np p in
-      let width = jhi - jlo + 1 in
+      (* a processor past the last column owns none *)
+      let width = max 0 (jhi - jlo + 1) in
       (* column buffers, handed out round robin: one column step holds
          at most 14 of them (phase 2) *)
       let pool = Array.init 16 (fun _ -> Array.make m 0.0) in

@@ -49,8 +49,6 @@ let is_sync = function
     ->
       false
 
-let is_fetch_point = is_sync
-
 let array_extents p name = List.assoc name p.arrays
 
 let probe_env prog ~nprocs v =

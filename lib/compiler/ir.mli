@@ -61,7 +61,6 @@ type program = {
 }
 
 val is_sync : stmt -> bool
-val is_fetch_point : stmt -> bool
 
 val array_extents : program -> string -> Lin.t list
 (** @raise Not_found for an unknown array. *)

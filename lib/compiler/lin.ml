@@ -26,7 +26,6 @@ let sub a b = add a (scale (-1) b)
 let offset a k = { a with const = a.const + k }
 let equal a b = a.const = b.const && a.terms = b.terms
 let is_const a = if a.terms = [] then Some a.const else None
-let vars a = List.map fst a.terms
 let coeff_of a v = Option.value ~default:0 (List.assoc_opt v a.terms)
 
 let subst a v e =

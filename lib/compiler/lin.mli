@@ -16,8 +16,6 @@ val offset : t -> int -> t
 
 val equal : t -> t -> bool
 val is_const : t -> int option
-
-val vars : t -> string list
 val coeff_of : t -> string -> int
 
 val subst : t -> string -> t -> t

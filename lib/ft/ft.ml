@@ -91,8 +91,6 @@ let down_window t ~peer ~at =
     in
     go 0 t.windows.(peer)
 
-let is_down t ~peer ~at = down_window t ~peer ~at <> None
-
 (* First-time suspicion of [peer]'s given down window by [observer]:
    returns true exactly once per (observer, peer, window), so the caller
    charges the RTO-exhaustion detection cost once. *)

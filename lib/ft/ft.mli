@@ -45,8 +45,6 @@ val disarm : t -> unit
 val down_window : t -> peer:int -> at:float -> int option
 (** Index of [peer]'s static down window covering virtual time [at]. *)
 
-val is_down : t -> peer:int -> at:float -> bool
-
 val suspect_once : t -> observer:int -> peer:int -> window:int -> bool
 (** True exactly once per (observer, peer, window): the caller pays the
     RTO-exhaustion detection cost and emits the [Suspect] event. *)

@@ -15,9 +15,8 @@ type phase = {
 }
 
 val traced_counters : Dsm_sim.Stats.counter list
-(** The counters the trace reproduces: for a run whose sink dropped no
-    event, each one summed over the phases equals its
-    {!Dsm_sim.Stats.total} over the processors. *)
+(** The counters the trace reproduces: each one summed over the phases
+    equals its {!Dsm_sim.Stats.total} over the processors. *)
 
 val of_events : Dsm_trace.Event.t list -> phase list
 (** Aggregate an event list (in emission order, e.g. from

@@ -6,13 +6,11 @@ type proc_stat = {
   static_pages : int;
   dynamic_pages : int;
   covered_pages : int;
-  dropped : int;
 }
 
 type report = {
   nprocs : int;
   per_proc : proc_stat array;
-  dropped : int;
   diags : Diag.t list;
 }
 
@@ -66,10 +64,9 @@ let check ~program ~page_size ~nprocs ~static ?page_owner accesses =
                            (Range.of_interval (page * page_size)
                               ((page + 1) * page_size)))))
                  dyn);
-          dropped = 0;
         })
   in
-  { nprocs; per_proc; dropped = 0; diags = List.rev !diags }
+  { nprocs; per_proc; diags = List.rev !diags }
 
 let static_ranges (prog : Ir.program) ~nprocs ~arrays =
   let summaries =
@@ -132,18 +129,8 @@ let run ?(opts = Transform.all) ?cfg (prog : Ir.program) ~nprocs =
       outcome.Interp.arrays
   in
   let accesses = Dsm_trace.Replay.accesses (Dsm_trace.Sink.events sink) in
-  let report =
-    check ~program:prog.Ir.pname
-      ~page_size:cfg.Dsm_sim.Config.page_size ~nprocs ~static ~page_owner
-      accesses
-  in
-  let per_proc =
-    Array.mapi
-      (fun p (st : proc_stat) ->
-        { st with dropped = Dsm_trace.Sink.dropped_of sink p })
-      report.per_proc
-  in
-  { report with per_proc; dropped = Dsm_trace.Sink.dropped sink }
+  check ~program:prog.Ir.pname ~page_size:cfg.Dsm_sim.Config.page_size
+    ~nprocs ~static ~page_owner accesses
 
 (* {1 Static protocol-plan grading} *)
 

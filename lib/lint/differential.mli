@@ -19,17 +19,11 @@ type proc_stat = {
   static_pages : int;  (** pages in the processor's static summary *)
   dynamic_pages : int;  (** distinct pages it touched at run time *)
   covered_pages : int;  (** dynamic pages inside the static summary *)
-  dropped : int;
-      (** trace events this processor lost to ring overflow — its pages
-          are undercounted by up to this many *)
 }
 
 type report = {
   nprocs : int;
   per_proc : proc_stat array;
-  dropped : int;
-      (** trace events lost to ring overflow — nonzero means the check
-          is incomplete *)
   diags : Diag.t list;
 }
 
@@ -43,7 +37,7 @@ val check :
   report
 (** Pure core: compare replayed accesses against per-processor static
     byte ranges (real addresses). Exposed so tests can seed a truncated
-    summary and watch the check fail. [dropped] is reported as 0. *)
+    summary and watch the check fail. *)
 
 val static_ranges :
   Dsm_compiler.Ir.program ->
@@ -62,8 +56,7 @@ val run :
   report
 (** Transform the program (default {!Dsm_compiler.Transform.all}),
     execute it with tracing, and {!check} the trace against
-    {!static_ranges} of the {e original} program. Per-processor
-    [dropped] counts are filled from the sink's ring statistics. *)
+    {!static_ranges} of the {e original} program. *)
 
 (** {1 Static protocol-plan grading}
 

@@ -21,6 +21,5 @@ let alloc_array t ~name ?(page_align = false) ~elem_size extents =
   t.arrs <- info :: t.arrs;
   info
 
-let used_bytes t = t.brk
 let n_pages t = (t.brk + t.page_size - 1) / t.page_size
 let arrays t = List.rev t.arrs

@@ -22,7 +22,6 @@ val alloc_array :
 (** Allocate a (column-major) array with the given per-dimension extents and
     return its layout record. *)
 
-val used_bytes : t -> int
 val n_pages : t -> int
 (** Pages in use: determines fault/mprotect cost (Section 5 of the paper). *)
 

@@ -76,9 +76,6 @@ let frames t =
   done;
   !acc
 
-let page_of_addr t addr = addr / t.page_size
-let offset_in_page t addr = addr mod t.page_size
-
 let make_twin p =
   match p.twin with
   | Some _ -> ()

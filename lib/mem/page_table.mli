@@ -61,8 +61,5 @@ val drop_frame : page -> unit
 val frames : t -> int list
 (** Page numbers backed by a frame, ascending. *)
 
-val page_of_addr : t -> int -> int
-val offset_in_page : t -> int -> int
-
 val make_twin : page -> unit
 val drop_twin : page -> unit

@@ -85,9 +85,9 @@ type t = {
       (* per-flow (src,dst) resequencing floor: in-order delivery *)
   mutable trace : Sink.t option;
   mutable vc_of : int -> int array;
-      (* vector-clock snapshot provider for emitted events; the DSM
-         run-time points this at its per-processor vector clocks so net
-         events satisfy the checker's vc rules *)
+      (* the emitter's live vector clock, snapshotted by the sink; the
+         DSM run-time points this at its per-processor vector clocks so
+         net events satisfy the checker's vc rules *)
 }
 
 let create ?plan cluster =
@@ -107,7 +107,9 @@ let create ?plan cluster =
         next_msg = 0;
         last_delivery = Hashtbl.create 64;
         trace = None;
-        vc_of = (fun _ -> Array.make (Cluster.nprocs cluster) 0);
+        vc_of =
+          (let zero = Array.make (Cluster.nprocs cluster) 0 in
+           fun _ -> zero);
       }
 
 let cluster t = t.cluster

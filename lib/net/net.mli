@@ -33,9 +33,10 @@ val set_trace : t -> Dsm_trace.Sink.t option -> unit
     [Retransmit]/[Timeout_fire]/[Ack] events. *)
 
 val set_vc_source : t -> (int -> int array) -> unit
-(** Provide per-processor vector-clock snapshots for emitted events (the
-    DSM run-time points this at its protocol vector clocks so net events
-    satisfy the checker's vc rules). Defaults to all-zero clocks. *)
+(** Provide each processor's live vector clock for emitted events (the
+    sink snapshots it; the DSM run-time points this at its protocol
+    vector clocks so net events satisfy the checker's vc rules).
+    Defaults to all-zero clocks. *)
 
 val send : t -> src:int -> dst:int -> bytes:int -> float
 (** Reliable one-way message of [bytes] payload bytes; returns the

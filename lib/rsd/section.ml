@@ -71,7 +71,6 @@ let ranges t =
   end
 
 let inter_ranges a b = Range.inter (ranges a) (ranges b)
-let diff_ranges a b = Range.diff (ranges a) (ranges b)
 
 let union_ranges l = Range.normalize (List.concat_map ranges l)
 let is_contiguous t = Range.is_contiguous (ranges t)

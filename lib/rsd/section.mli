@@ -35,10 +35,6 @@ val inter_ranges : t -> t -> Range.t
 (** Byte ranges in the intersection of two sections ({!Range.inter} of their
     range translations); used by [Push] to compute what to send. *)
 
-val diff_ranges : t -> t -> Range.t
-(** Byte ranges covered by the first section but not the second; used by
-    the static lint to report uncovered or excess data. *)
-
 val union_ranges : t list -> Range.t
 (** Byte ranges covered by any of the sections: the contiguous address
     ranges the run-time receives for a section list (Section 3.3 of the

@@ -162,12 +162,7 @@ let reclassify sys ~epoch =
         else if nw = 1 then Some (P_hlrc, Pset.min_elt writers)
         else Some (P_lrc, if a.ap_last_writer >= 0 then a.ap_last_writer else 0)
       in
-      if nw = 1 then begin
-        let w = Pset.min_elt writers in
-        if a.ap_last_writer >= 0 && a.ap_last_writer <> w then
-          a.ap_migrations <- a.ap_migrations + 1;
-        a.ap_last_writer <- w
-      end;
+      if nw = 1 then a.ap_last_writer <- Pset.min_elt writers;
       a.ap_readers <- Pset.empty;
       a.ap_writers <- Pset.empty;
       match decision with

@@ -48,7 +48,6 @@ let observe sys p access page =
               ap_readers = Pset.empty;
               ap_writers = Pset.empty;
               ap_last_writer = -1;
-              ap_migrations = 0;
             }
           in
           Hashtbl.replace sys.adapt page a;

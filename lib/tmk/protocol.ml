@@ -25,8 +25,7 @@ let emit sys p kind =
   | Some sink ->
       Dsm_trace.Sink.emit sink ~proc:p
         ~time:(Cluster.time sys.cluster p)
-        ~vc:(Vc.copy sys.states.(p).vc)
-        kind
+        ~vc:sys.states.(p).vc kind
 
 (* The current interval's write set, as a sorted page list (dirty is a
    hash set; every consumer needs a deterministic order). *)

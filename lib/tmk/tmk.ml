@@ -108,8 +108,7 @@ let make ?plan cfg =
   in
   (* net events carry the emitting processor's protocol vector clock, so
      they satisfy the checker's vc rules like any other protocol event *)
-  Dsm_net.Net.set_vc_source net (fun p ->
-      Vc.copy sys.Types.states.(p).Types.vc);
+  Dsm_net.Net.set_vc_source net (fun p -> sys.Types.states.(p).Types.vc);
   sys
 
 (* {1 Static plan seeding}
@@ -134,7 +133,6 @@ let seed_plan sys (pl : Proto_plan.t) =
         ap_readers = Types.Pset.empty;
         ap_writers = Types.Pset.empty;
         ap_last_writer = owner;
-        ap_migrations = 0;
       }
   in
   List.iter

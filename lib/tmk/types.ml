@@ -134,8 +134,6 @@ type push_msg = {
   pm_arrival : float;
   pm_payload : (int * Bytes.t) list;  (* (absolute address, bytes) runs *)
   pm_seq : int;  (* sender's interval seq covering the pushed writes *)
-  pm_notices : (int * int list) list;  (* sender's new (seq, pages) *)
-  pm_vc : Vc.t;
 }
 
 (* Per-page directory entry of the single-writer invalidate protocol
@@ -169,7 +167,6 @@ type adapt_page = {
   mutable ap_readers : Pset.t;  (* procs that read-faulted/validated *)
   mutable ap_writers : Pset.t;  (* procs that write-faulted/validated *)
   mutable ap_last_writer : int;  (* previous window's single writer, -1 *)
-  mutable ap_migrations : int;  (* windows in which the writer changed *)
 }
 
 (* One object-granularity shared region ({!Tmk.Alloc.objs}): [or_count]

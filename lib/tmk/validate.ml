@@ -176,7 +176,7 @@ let push t ~read_sections ~write_sections =
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = stats t in
   pstats.Stats.pushes <- pstats.Stats.pushes + 1;
-  let entry = sys.bops.b_release sys p in
+  ignore (sys.bops.b_release sys p);
   let my_seq = Vc.get st.vc p in
   (* send phase *)
   for i = 0 to sys.nprocs - 1 do
@@ -204,8 +204,6 @@ let push t ~read_sections ~write_sections =
             pm_arrival = arrival;
             pm_payload = List.rev !payload;
             pm_seq = my_seq;
-            pm_notices = (match entry with Some e -> [ e ] | None -> []);
-            pm_vc = Vc.copy st.vc;
           }
       end
     end

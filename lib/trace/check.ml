@@ -284,7 +284,7 @@ let step st (e : Event.t) =
         fail st e "time-monotone" "clock regressed %.3f -> %.3f" ps.last_time
           e.time;
       ps.last_time <- Float.max ps.last_time e.time;
-      ps.last_vc <- Some (Array.copy e.vc)
+      ps.last_vc <- Some e.vc
     end;
     (* {2 Access-miss service window} *)
     (match ps.pending_fetch with
@@ -942,37 +942,4 @@ let run ~nprocs events =
   List.iter (step st) events;
   finish st
 
-let run_sink sink =
-  let violations =
-    if Sink.dropped sink > 0 then
-      [
-        {
-          event = None;
-          rule = "trace-dropped";
-          detail =
-            Printf.sprintf
-              "%d events lost to ring overflow: trace incomplete, replay \
-               unsound (raise the sink capacity)"
-              (Sink.dropped sink);
-        };
-      ]
-    else []
-  in
-  violations @ run ~nprocs:(Sink.nprocs sink) (Sink.events sink)
-
-exception Invariant_violation of violation list
-
-let check_exn sink =
-  match run_sink sink with
-  | [] -> ()
-  | vs -> raise (Invariant_violation vs)
-
-let () =
-  Printexc.register_printer (function
-    | Invariant_violation vs ->
-        Some
-          (Format.asprintf "@[<v>Invariant_violation (%d):@,%a@]"
-             (List.length vs)
-             (Format.pp_print_list pp_violation)
-             vs)
-    | _ -> None)
+let run_sink sink = run ~nprocs:(Sink.nprocs sink) (Sink.events sink)

@@ -37,12 +37,3 @@ let fold f init events =
     init events
 
 let accesses events = List.rev (fold (fun acc a -> a :: acc) [] events)
-
-let pages_by_proc ~nprocs accs =
-  let sets = Array.make nprocs [] in
-  List.iter
-    (fun a ->
-      if a.proc >= 0 && a.proc < nprocs then
-        sets.(a.proc) <- a.page :: sets.(a.proc))
-    accs;
-  Array.map (fun l -> List.sort_uniq compare l) sets

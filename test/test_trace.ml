@@ -2,7 +2,7 @@
 
    Covers: the checker over every application at 1/2/4/8 processors (zero
    violations), trace-on/trace-off determinism (clocks, statistics and
-   results bit-identical), the ring-buffer sink, synthetic violating traces
+   results bit-identical), the lossless sink, synthetic violating traces
    (the checker must catch them), per-phase summaries, the bounded
    piggy-backed-request table, lock grant ordering under contention, and
    exception propagation out of the fiber scheduler. *)
@@ -19,7 +19,6 @@ open Dsm_apps.App_common
 let cfg_n nprocs = { Config.default with Config.nprocs = nprocs }
 
 let check_clean name sink =
-  Alcotest.(check int) (name ^ ": no dropped events") 0 (Sink.dropped sink);
   match Check.run_sink sink with
   | [] -> ()
   | vs ->
@@ -82,6 +81,21 @@ let fft3d_prm =
 let is_prm =
   let open Dsm_apps.Is in
   { small with n_keys = 1 lsl 12; n_buckets = 1 lsl 8; reps = 2 }
+
+(* A processor past the last plane or column owns no data: it charges no
+   compute, so its clock never moves backwards ("time-monotone"). *)
+let check_idle_procs (type p)
+    (module A : Dsm_apps.Workload.S
+      with type size = p
+       and type behavior = unit) (prm : p) ~nprocs () =
+  let sink = Sink.create ~nprocs () in
+  let r =
+    A.tmk ~trace:sink (cfg_n nprocs) ~size:prm ~behavior:()
+      ~level:(List.hd A.levels) ~async:true
+  in
+  let name = Printf.sprintf "%s p%d" A.name nprocs in
+  Alcotest.(check (float 1e-6)) (name ^ ": verified") 0.0 r.max_err;
+  check_clean name sink
 
 (* {1 Determinism: tracing is invisible to the simulation} *)
 
@@ -159,23 +173,44 @@ let test_trace_repeatable () =
 
 let dummy_kind = Event.Lock_request { lock = 0 }
 
-let test_sink_ring () =
-  let s = Sink.create ~capacity:4 ~nprocs:1 () in
-  for i = 0 to 9 do
-    Sink.emit s ~proc:0 ~time:(float_of_int i) ~vc:[| 0 |] dummy_kind
+let test_sink_lossless () =
+  let s = Sink.create ~capacity:4 ~nprocs:2 () in
+  let vc = [| 0; 0 |] in
+  let n = 37 in
+  for i = 0 to n - 1 do
+    if i mod 5 = 0 then vc.(0) <- vc.(0) + 1;
+    Sink.emit s ~proc:(i mod 2) ~time:(float_of_int i) ~vc dummy_kind
   done;
-  Alcotest.(check int) "emitted" 10 (Sink.emitted s);
-  Alcotest.(check int) "dropped" 6 (Sink.dropped s);
+  Alcotest.(check int) "emitted" n (Sink.emitted s);
+  Alcotest.(check bool) "the log grew" true (Sink.capacity s >= n);
   let evs = Sink.events s in
-  Alcotest.(check (list int)) "oldest dropped, order kept" [ 6; 7; 8; 9 ]
+  Alcotest.(check (list int)) "every event, in emission order"
+    (List.init n Fun.id)
     (List.map (fun (e : Event.t) -> e.id) evs);
-  (* an overflowed sink must not claim a clean replay *)
-  Alcotest.(check bool) "trace-dropped violation" true
-    (List.exists
-       (fun (v : Check.violation) -> v.rule = "trace-dropped")
-       (Check.run_sink s));
-  Sink.clear s;
-  Alcotest.(check int) "cleared" 0 (Sink.emitted s)
+  Alcotest.(check (list int)) "one processor's events"
+    (List.filter (fun i -> i mod 2 = 1) (List.init n Fun.id))
+    (List.map (fun (e : Event.t) -> e.id) (Sink.proc_events s 1));
+  (* the stored snapshot is the clock at emission, not the live clock *)
+  let last = List.nth evs (n - 1) in
+  Alcotest.(check (array int)) "snapshot taken at emission" [| 8; 0 |]
+    last.vc;
+  vc.(1) <- 99;
+  Alcotest.(check (array int)) "later writes do not reach it" [| 8; 0 |]
+    last.vc;
+  (* equal clocks share one array; a changed clock gets a fresh one *)
+  let s = Sink.create ~nprocs:1 () in
+  let vc = [| 1 |] in
+  Sink.emit s ~proc:0 ~time:0.0 ~vc dummy_kind;
+  Sink.emit s ~proc:0 ~time:1.0 ~vc dummy_kind;
+  vc.(0) <- 2;
+  Sink.emit s ~proc:0 ~time:2.0 ~vc dummy_kind;
+  match Sink.events s with
+  | [ a; b; c ] ->
+      Alcotest.(check bool) "equal clocks share" true (a.vc == b.vc);
+      Alcotest.(check bool) "a changed clock is copied" true
+        (b.vc != c.vc && c.vc != vc);
+      Alcotest.(check (array int)) "old snapshot kept" [| 1 |] a.vc
+  | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
 
 let test_sink_jsonl () =
   let s = Sink.create ~nprocs:2 () in
@@ -916,7 +951,7 @@ let tests =
       test_trace_off_identical;
     Alcotest.test_case "tracing off = tracing on (locks)" `Quick
       test_trace_off_identical_locks;
-    Alcotest.test_case "sink: ring overflow" `Quick test_sink_ring;
+    Alcotest.test_case "sink: lossless log" `Quick test_sink_lossless;
     Alcotest.test_case "sink: jsonl serialization" `Quick test_sink_jsonl;
     Alcotest.test_case "checker catches vc regression" `Quick
       test_checker_catches_vc_regression;
@@ -984,4 +1019,12 @@ let tests =
       test_every_kind_roundtrip;
     Alcotest.test_case "recheck: processor count from the trace" `Quick
       test_recheck_procs_from_trace;
+    Alcotest.test_case "checker: fft3d with idle processors" `Quick
+      (check_idle_procs (module Dsm_apps.Fft3d) Dsm_apps.Fft3d.small
+         ~nprocs:18);
+    Alcotest.test_case "checker: shallow with idle processors" `Quick
+      (check_idle_procs
+         (module Dsm_apps.Shallow)
+         { Dsm_apps.Shallow.small with m = 16; n = 8; steps = 2 }
+         ~nprocs:10);
   ]
