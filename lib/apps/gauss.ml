@@ -29,6 +29,9 @@ let small = { m = 256; update_cost = 12.2 }
 let page_size { m; _ } = if m >= 512 then 4096 else 2048
 let size_name p = Printf.sprintf "%dx%d" p.m p.m
 
+(* 8-byte elements from byte address [ad] to the end of its page *)
+let room ps ad = (ps - (ad mod ps)) / 8
+
 (* serial-section costs derive from the update cost *)
 let pivot_scan_cost u = u /. 4.0
 let mult_cost u = u /. 2.0
@@ -101,7 +104,8 @@ let seq_time_us { m; update_cost = u } =
 let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     ~behavior:() ~level ~async =
   let { m; update_cost = u } = prm in
-  let cfg = { cfg with Dsm_sim.Config.page_size = page_size prm } in
+  let ps = page_size prm in
+  let cfg = { cfg with Dsm_sim.Config.page_size = ps } in
   let sys = Tmk.make ?plan cfg in
   let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ m; m ] in
   (* work(k+1) = pivot row (as float); work(k+1+d) = multiplier l(k+d) *)
@@ -134,26 +138,44 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
               Tmk.validate t work_section Tmk.Write_all
           | Comm_aggr -> Tmk.validate t work_section Tmk.Write
           | Base | Push_opt -> ());
+          (* The step runs on rows k..m-1 of column k staged in [l]. The
+             element loop's pivot scan reads those rows in ascending
+             order; the swap then writes a(k,k) and a(piv,k), if the
+             pivot row moved, before work(k+1); the multiplier loop
+             writes a(i,k) then work(i+1) for each row i. The spans enter
+             the pages in that order. *)
+          Shm.F64_2.read_col t a k ~lo:k ~len:(m - k) l;
           let piv = ref k in
           for i = k + 1 to m - 1 do
-            if
-              abs_float (Shm.F64_2.get t a i k)
-              > abs_float (Shm.F64_2.get t a !piv k)
-            then piv := i
+            if abs_float l.(i) > abs_float l.(!piv) then piv := i
           done;
           Tmk.charge t (pivot_scan_cost u *. float_of_int (m - 1 - k));
           let piv = !piv in
           if piv <> k then begin
-            let tmp = Shm.F64_2.get t a k k in
-            Shm.F64_2.set t a k k (Shm.F64_2.get t a piv k);
+            let tmp = l.(k) in
+            l.(k) <- l.(piv);
+            l.(piv) <- tmp;
+            Shm.F64_2.set t a k k l.(k);
             Shm.F64_2.set t a piv k tmp
           end;
           Shm.F64_1.set t work (k + 1) (float_of_int piv);
-          let akk = Shm.F64_2.get t a k k in
+          let akk = l.(k) in
           for i = k + 1 to m - 1 do
-            let l = Shm.F64_2.get t a i k /. akk in
-            Shm.F64_2.set t a i k l;
-            Shm.F64_1.set t work (k + 1 + (i - k)) l
+            l.(i) <- l.(i) /. akk
+          done;
+          (* chunks within which neither stream crosses a page, so each
+             chunk's two spans check one page each, column first *)
+          let i = ref (k + 1) in
+          while !i < m do
+            let n =
+              min (m - !i)
+                (min
+                   (room ps (Shm.F64_2.addr a !i k))
+                   (room ps (Shm.F64_1.addr work (!i + 1))))
+            in
+            Shm.F64_2.write_col t a k ~lo:!i ~len:n l;
+            Shm.write_f64s t (Shm.F64_1.addr work (!i + 1)) l !i n;
+            i := !i + n
           done;
           Tmk.charge t (mult_cost u *. float_of_int (m - 1 - k))
         end

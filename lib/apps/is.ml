@@ -151,9 +151,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         | Cons_elim | Sync_merge -> Tmk.validate t (sec_section p) Tmk.Write_all
         | Base | Comm_aggr | Push_opt -> ());
         let lo, hi = sec p in
-        for k = lo to hi - 1 do
-          Shm.I64_1.set t bucket k 0
-        done;
+        Shm.fill_i64s t (Shm.I64_1.addr bucket lo) (hi - lo) 0;
         Tmk.charge t (bucket_cost *. float_of_int (hi - lo));
         (* private counting *)
         Array.fill priv 0 n_buckets 0;
@@ -177,9 +175,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
               Tmk.validate t ~async (sec_section s) Tmk.Read_write_all
           | Base | Sync_merge | Push_opt -> ());
           let lo, hi = sec s in
-          for k = lo to hi - 1 do
-            Shm.I64_1.set t bucket k (Shm.I64_1.get t bucket k + priv.(k))
-          done;
+          Shm.add_i64s t (Shm.I64_1.addr bucket lo) priv lo (hi - lo);
           Tmk.charge t (bucket_cost *. float_of_int (hi - lo));
           Tmk.lock_release t s
         done;
@@ -191,11 +187,15 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         (match level with
         | Comm_aggr | Cons_elim -> Tmk.validate t ~async whole_section Tmk.Read
         | Base | Sync_merge | Push_opt -> ());
+        (* read the counts, then turn them into their exclusive prefix
+           sums in place *)
         let rank_base = Array.make n_buckets 0 in
+        Shm.read_i64s t (Shm.I64_1.addr bucket 0) rank_base 0 n_buckets;
         let acc = ref 0 in
         for v = 0 to n_buckets - 1 do
+          let c = rank_base.(v) in
           rank_base.(v) <- !acc;
-          acc := !acc + Shm.I64_1.get t bucket v
+          acc := !acc + c
         done;
         Tmk.charge t (bucket_cost *. float_of_int n_buckets);
         rank_keys ~priv ~rank_base ~ranks ~n_buckets ~lo:my_lo ~hi:my_hi;

@@ -96,11 +96,11 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
       let lo, hi = bounds m np p in
       let width = hi - lo + 1 in
       let a = Array.make (m * width) 0.0 in
-      (* column buffers for the spans: left neighbour, own, right
-         neighbour *)
-      let cl = Array.make m 0.0
-      and cc = Array.make m 0.0
-      and cr = Array.make m 0.0 in
+      (* a rotating window of three column buffers for the spans: left
+         neighbour, own, right neighbour *)
+      let cl = ref (Array.make m 0.0)
+      and cc = ref (Array.make m 0.0)
+      and cr = ref (Array.make m 0.0) in
       (* initialize own columns; the edge processors also own the static
          boundary columns *)
       let ilo = if p = 0 then 0 else lo
@@ -112,6 +112,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
             Tmk.Write_all
       | Base | Comm_aggr -> ());
       for j = ilo to ihi do
+        let cc = !cc in
         for i = 0 to m - 1 do
           cc.(i) <- init_value i j
         done;
@@ -128,12 +129,30 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
             Tmk.validate t ~async read_sections.(p) Tmk.Read
         | Base | Sync_merge | Push_opt -> ());
         (* phase 1: a <- average of b. Operands evaluate right to left, so
-           the element loop first touches column j+1, then j-1, then j:
-           the spans follow that order. *)
+           the element loop first touches column j+1, then j-1, then j,
+           and the spans enter pages in that order: rows 1..m-2 of j+1 and
+           j-1, then rows 0..m-1 of j. Nothing writes b in this phase, so
+           a column read once stays valid in the window: from the second
+           column on, j-1 and rows 1..m-2 of j are already there, and only
+           j+1 and the two end rows of j are read. *)
         for j = lo to hi do
-          Shm.F64_2.read_col t b (j + 1) ~lo:1 ~len:(m - 2) cr;
-          Shm.F64_2.read_col t b (j - 1) ~lo:1 ~len:(m - 2) cl;
-          Shm.F64_2.read_col t b j ~lo:0 ~len:m cc;
+          if j = lo then begin
+            Shm.F64_2.read_col t b (j + 1) ~lo:1 ~len:(m - 2) !cr;
+            Shm.F64_2.read_col t b (j - 1) ~lo:1 ~len:(m - 2) !cl;
+            Shm.F64_2.read_col t b j ~lo:0 ~len:m !cc
+          end
+          else begin
+            let spare = !cl in
+            cl := !cc;
+            cc := !cr;
+            cr := spare;
+            Shm.F64_2.read_col t b (j + 1) ~lo:1 ~len:(m - 2) spare;
+            Shm.F64_2.read_col t b j ~lo:0 ~len:1 !cc;
+            Shm.F64_2.read_col t b j ~lo:(m - 1) ~len:1 !cc
+          end;
+          let cl = !cl
+          and cc = !cc
+          and cr = !cr in
           for i = 1 to m - 2 do
             a.(((j - lo) * m) + i) <-
               0.25 *. (cc.(i - 1) +. cc.(i + 1) +. cl.(i) +. cr.(i))

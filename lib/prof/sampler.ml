@@ -19,9 +19,29 @@ let stop () =
   ignore (Unix.setitimer Unix.ITIMER_PROF (timer 0.0));
   Sys.set_signal Sys.sigprof Sys.Signal_default
 
-(* Function names of a stack, innermost first, with the handler's own
-   frames and the nameless callback boundary below them dropped; inlined
-   calls expand to one name each. *)
+(* The stack a sample books, innermost first, from the names its frames
+   resolve to. The handler's own frames and the nameless frames around
+   them are dropped. A nameless frame directly below the handler is the
+   interrupted function itself, which has no name at the poll point where
+   the signal was taken: the sample tops the row [? (in a callee of X)],
+   X being the first named frame under it, rather than counting as self
+   time of X. *)
+let attribute names =
+  let own n = String.starts_with ~prefix:"Dsm_prof__Sampler." n in
+  (* [interrupted]: a nameless frame has been seen since the last own
+     frame *)
+  let rec strip interrupted = function
+    | n :: rest when own n -> strip false rest
+    | "?" :: rest -> strip true rest
+    | l -> (interrupted, l)
+  in
+  match strip false names with
+  | true, (caller :: _ as l) -> ("? (in a callee of " ^ caller ^ ")") :: l
+  | true, [] -> [ "?" ]
+  | false, l -> l
+
+(* Function names of a raw stack, innermost first; inlined calls expand
+   to one name each. *)
 let names cache rb =
   let slot_names e =
     match Hashtbl.find_opt cache e with
@@ -40,13 +60,9 @@ let names cache rb =
         Hashtbl.replace cache e n;
         n
   in
-  let all =
-    List.concat_map slot_names
-      (Array.to_list (Printexc.raw_backtrace_entries rb))
-  in
-  let own n = n = "?" || String.starts_with ~prefix:"Dsm_prof__Sampler." n in
-  let rec drop = function n :: rest when own n -> drop rest | l -> l in
-  drop all
+  attribute
+    (List.concat_map slot_names
+       (Array.to_list (Printexc.raw_backtrace_entries rb)))
 
 type row = { name : string; incl : int; self : int }
 

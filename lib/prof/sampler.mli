@@ -15,3 +15,12 @@ val stop : unit -> unit
 
 val pp : Format.formatter -> unit -> unit
 (** The top 25 functions by inclusive and by self samples. *)
+
+val attribute : string list -> string list
+(** The stack a sample books, innermost first, given the function names
+    of its frames ("?" for a frame without one). The sampler's own frames
+    and the nameless frames around them are dropped. A nameless frame
+    directly below the sampler's frames is the interrupted function, which
+    has no name at the poll point where the signal was taken: it becomes
+    the row ["? (in a callee of X)"] on top of the first named frame X
+    under it, so the sample is not booked as self time of X. *)

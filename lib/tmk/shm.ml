@@ -57,13 +57,31 @@ let[@inline] get_64_le b off =
 let[@inline] set_64_le b off v =
   if Sys.big_endian then Bytes.set_int64_le b off v else unsafe_set_64 b off v
 
+(* Floats leave and enter a frame through a [floatarray] view of its
+   bytes: [Int64.float_of_bits]/[bits_of_float] are external calls that
+   clobber every float register, while a statically typed [floatarray]
+   access is one untagged 8-byte load or store. The view is sound because
+   element [off lsr 3] of the view is exactly bytes [off .. off + 7] of
+   the frame (both index from the first word of the block), [off] is
+   8-aligned and inside the page (see above), and a [Bytes] block holds no
+   pointers, so the GC never scans what the view writes. The load and the
+   store move the 64 bits unchanged, NaN payloads included. These two
+   functions are the only place the frame is viewed as floats. *)
+let[@inline] load_f64 (b : Bytes.t) off =
+  if Sys.big_endian then Int64.float_of_bits (Bytes.get_int64_le b off)
+  else Float.Array.unsafe_get (Obj.magic b : floatarray) (off lsr 3)
+
+let[@inline] store_f64 (b : Bytes.t) off v =
+  if Sys.big_endian then Bytes.set_int64_le b off (Int64.bits_of_float v)
+  else Float.Array.unsafe_set (Obj.magic b : floatarray) (off lsr 3) v
+
 let get_f64 t addr =
   let pg = page_for_read t addr in
-  Int64.float_of_bits (get_64_le pg.Page_table.data (offset_of t addr))
+  load_f64 pg.Page_table.data (offset_of t addr)
 
 let set_f64 t addr v =
   let pg = page_for_write t addr in
-  set_64_le pg.Page_table.data (offset_of t addr) (Int64.bits_of_float v)
+  store_f64 pg.Page_table.data (offset_of t addr) v
 
 let get_i64 t addr =
   let pg = page_for_read t addr in
@@ -88,17 +106,22 @@ let set_i32 t addr v =
 (* {1 Spans}
 
    A span moves a contiguous run of 8-byte elements between the segment
-   and a caller-owned [float array], checking protection once per page
-   instead of once per element: the software counterpart of Validate
-   turning a section into address ranges. Pages are entered in ascending
-   order, each through the same fault kind the element loop would take,
-   so a span faults exactly where the loop [for e = 0 to n - 1 do
-   dst.(pos + e) <- get_f64 t (addr + 8 * e) done] (or its store
-   counterpart) faults. Between the checks the loads and stores are
-   unchecked: a page that passed its check stays accessible until the
-   next synchronization, and a span never synchronizes. *)
+   and a caller-owned array, checking protection once per page instead of
+   once per element: the software counterpart of Validate turning a
+   section into address ranges. Pages are entered in ascending order, each
+   through the same fault kind the element loop would take, so a span
+   faults exactly where the loop [for e = 0 to n - 1 do dst.(pos + e) <-
+   get_f64 t (addr + 8 * e) done] (or its store counterpart) faults.
+   Between the checks the loads and stores are unchecked: a page that
+   passed its check stays accessible until the next synchronization, and
+   a span never synchronizes.
 
-let check_span name (a : float array) pos n =
+   Each span spells out the page walk instead of passing its element loop
+   to a shared walker: without flambda the closure would be allocated on
+   every call, which raised the small kernels' minor allocation by 7–17%
+   (Shallow 1.56 -> 1.82 Mw at 8 processors). *)
+
+let check_span name a pos n =
   if n < 0 || pos < 0 || pos + n > Array.length a then invalid_arg name
 
 (* elements of a span of [rem] left that fit on the page from in-page
@@ -115,8 +138,7 @@ let read_f64s t addr (dst : float array) pos n =
     let off = offset_of t !addr in
     let k = chunk t off !rem in
     for e = 0 to k - 1 do
-      Array.unsafe_set dst (!pos + e)
-        (Int64.float_of_bits (get_64_le data (off + (e lsl 3))))
+      Array.unsafe_set dst (!pos + e) (load_f64 data (off + (e lsl 3)))
     done;
     addr := !addr + (k lsl 3);
     pos := !pos + k;
@@ -133,8 +155,65 @@ let write_f64s t addr (src : float array) pos n =
     let off = offset_of t !addr in
     let k = chunk t off !rem in
     for e = 0 to k - 1 do
-      set_64_le data (off + (e lsl 3))
-        (Int64.bits_of_float (Array.unsafe_get src (!pos + e)))
+      store_f64 data (off + (e lsl 3)) (Array.unsafe_get src (!pos + e))
+    done;
+    addr := !addr + (k lsl 3);
+    pos := !pos + k;
+    rem := !rem - k
+  done
+
+(* Integer spans: the same page walk over 64-bit integer elements. *)
+
+let read_i64s t addr (dst : int array) pos n =
+  check_span "Shm.read_i64s" dst pos n;
+  let addr = ref addr
+  and pos = ref pos
+  and rem = ref n in
+  while !rem > 0 do
+    let data = (page_for_read t !addr).Page_table.data in
+    let off = offset_of t !addr in
+    let k = chunk t off !rem in
+    for e = 0 to k - 1 do
+      Array.unsafe_set dst (!pos + e)
+        (Int64.to_int (get_64_le data (off + (e lsl 3))))
+    done;
+    addr := !addr + (k lsl 3);
+    pos := !pos + k;
+    rem := !rem - k
+  done
+
+let fill_i64s t addr n v =
+  if n < 0 then invalid_arg "Shm.fill_i64s";
+  let v = Int64.of_int v in
+  let addr = ref addr
+  and rem = ref n in
+  while !rem > 0 do
+    let data = (page_for_write t !addr).Page_table.data in
+    let off = offset_of t !addr in
+    let k = chunk t off !rem in
+    for e = 0 to k - 1 do
+      set_64_le data (off + (e lsl 3)) v
+    done;
+    addr := !addr + (k lsl 3);
+    rem := !rem - k
+  done
+
+(* the loop [set_i64 t a (get_i64 t a + x)] enters each page through the
+   read path, then the write path *)
+let add_i64s t addr (src : int array) pos n =
+  check_span "Shm.add_i64s" src pos n;
+  let addr = ref addr
+  and pos = ref pos
+  and rem = ref n in
+  while !rem > 0 do
+    ignore (page_for_read t !addr);
+    let data = (page_for_write t !addr).Page_table.data in
+    let off = offset_of t !addr in
+    let k = chunk t off !rem in
+    for e = 0 to k - 1 do
+      let o = off + (e lsl 3) in
+      let x = Array.unsafe_get src (!pos + e) in
+      set_64_le data o (Int64.of_int (Int64.to_int (get_64_le data o) + x))
     done;
     addr := !addr + (k lsl 3);
     pos := !pos + k;
@@ -173,8 +252,7 @@ module F64_2 = struct
     let ad = addr a i j in
     let pg = page_for_write tmk ad in
     let off = offset_of tmk ad in
-    let x = Int64.float_of_bits (get_64_le pg.Page_table.data off) in
-    set_64_le pg.Page_table.data off (Int64.bits_of_float (f x))
+    store_f64 pg.Page_table.data off (f (load_f64 pg.Page_table.data off))
   (* Column spans: row [i] of column [j] lives at index [i] of the
      caller's buffer. *)
   let read_col tmk a j ~lo ~len dst = read_f64s tmk (addr a lo j) dst lo len
@@ -193,9 +271,8 @@ module F64_2 = struct
       let k = chunk tmk off !rem in
       for e = 0 to k - 1 do
         let o = off + (e lsl 3) in
-        let v = Int64.float_of_bits (get_64_le data o) in
-        set_64_le data o
-          (Int64.bits_of_float (v -. (Array.unsafe_get x (!pos + e) *. s)))
+        store_f64 data o
+          (load_f64 data o -. (Array.unsafe_get x (!pos + e) *. s))
       done;
       ad := !ad + (k lsl 3);
       pos := !pos + k;
@@ -217,7 +294,7 @@ module F64_2 = struct
         d :=
           !d
           +. (Array.unsafe_get x (!pos + e)
-             *. Int64.float_of_bits (get_64_le data (off + (e lsl 3))))
+             *. load_f64 data (off + (e lsl 3)))
       done;
       ad := !ad + (k lsl 3);
       pos := !pos + k;

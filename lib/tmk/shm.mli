@@ -32,19 +32,42 @@ val set_i32 : Types.t -> int -> int -> unit
     once per element. The contract is fault equivalence with the element
     loop: the span enters its pages in ascending address order, each
     through the fault kind the loop would take ({!page_for_read} for
-    loads, {!page_for_write} for stores), so faults, twins, messages,
-    statistics, trace events and virtual time are exactly those of
+    loads, {!page_for_write} for stores, both in that order for an
+    update), so faults, twins, messages, statistics, trace events and
+    virtual time are exactly those of
     [for e = 0 to n - 1 do a.(pos + e) <- get_f64 t (addr + (8 * e)) done]
-    (or the {!set_f64} loop). A kernel that replaces several interleaved
-    element loops by spans keeps that equivalence only if it issues the
-    spans in the order the loops first touch their pages. Raise
-    [Invalid_argument] if [pos .. pos + n - 1] is not within [a]. *)
+    (or the loop of the matching element accessor, named below). A kernel
+    that replaces several interleaved element loops by spans keeps that
+    equivalence only if it issues the spans in the order the loops first
+    touch their pages. Raise [Invalid_argument] if [pos .. pos + n - 1]
+    is not within [a].
+
+    Float elements move between a page frame and a [float array] through
+    a [floatarray] view of the frame's bytes: one 8-byte load or store
+    that keeps every bit, NaN payloads included, so
+    [Int64.bits_of_float (get_f64 t addr) = get_raw64 t addr]. Integer
+    elements are the 64-bit little-endian words of {!get_i64}. *)
 
 val read_f64s : Types.t -> int -> float array -> int -> int -> unit
-(** [read_f64s t addr dst pos n]: loads through the read-fault path. *)
+(** [read_f64s t addr dst pos n]: loads through the read-fault path; the
+    {!get_f64} loop. *)
 
 val write_f64s : Types.t -> int -> float array -> int -> int -> unit
-(** [write_f64s t addr src pos n]: stores through the write-fault path. *)
+(** [write_f64s t addr src pos n]: stores through the write-fault path;
+    the {!set_f64} loop. *)
+
+val read_i64s : Types.t -> int -> int array -> int -> int -> unit
+(** [read_i64s t addr dst pos n]: the {!get_i64} loop. *)
+
+val fill_i64s : Types.t -> int -> int -> int -> unit
+(** [fill_i64s t addr n v] stores [v] into the [n] elements from [addr]
+    on: the [set_i64 t (addr + (8 * e)) v] loop. Raise [Invalid_argument]
+    if [n < 0]. *)
+
+val add_i64s : Types.t -> int -> int array -> int -> int -> unit
+(** [add_i64s t addr src pos n] adds [src.(pos + e)] to element [e]: the
+    loop [set_i64 t ad (get_i64 t ad + src.(pos + e))], which enters each
+    page through the read path and then the write path. *)
 
 (** 1-dimensional float array view. *)
 module F64_1 : sig

@@ -111,10 +111,10 @@ let test_write_detection_reset () =
    20-row columns are 160 bytes against 128-byte pages, so spans start,
    end and cross anywhere. After the operation a barrier and a full read
    by processor 1 propagate its writes. Memory, statistics, clocks, the
-   operation's result and the trace event sequence must all be
-   identical. *)
+   operation's result and the trace event sequence must all be identical,
+   under every coherence backend. *)
 
-type span_op = Read | Write | Axpy | Dot
+type span_op = Read | Write | Axpy | Dot | Read_int | Fill_int | Add_int
 
 type span_case = {
   op : span_op;
@@ -135,12 +135,14 @@ let span_n = span_rows * span_cols
 let gen_span_case =
   let open QCheck.Gen in
   let elems = list_size (int_bound 6) (int_bound (span_n - 1)) in
-  let* op = oneofl [ Read; Write; Axpy; Dot ] in
-  let* backend = oneofl [ Config.Lrc; Config.Inval ] in
+  let* op = oneofl [ Read; Write; Axpy; Dot; Read_int; Fill_int; Add_int ] in
+  let* backend =
+    oneofl [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ]
+  in
   let* col = int_bound (span_cols - 1) in
   let* lo, len =
     match op with
-    | Read | Write ->
+    | Read | Write | Read_int | Fill_int | Add_int ->
         let* lo = int_bound (span_n - 1) in
         let* len = int_bound (span_n - lo) in
         return (lo, len)
@@ -163,7 +165,10 @@ let print_span_case c =
     | Read -> "read"
     | Write -> "write"
     | Axpy -> "axpy"
-    | Dot -> "dot")
+    | Dot -> "dot"
+    | Read_int -> "read-int"
+    | Fill_int -> "fill-int"
+    | Add_int -> "add-int")
     (Config.backend_name c.backend)
     c.col c.lo c.len c.pos (ints c.other) (ints c.early) (ints c.late)
 
@@ -183,6 +188,7 @@ let run_span_case ~span c =
   let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ span_rows; span_cols ] in
   let sink = Dsm_trace.Sink.create ~nprocs:2 () in
   let buf = Array.init (span_n + 6) (fun k -> 0.5 +. float_of_int k) in
+  let ibuf = Array.init (span_n + 6) (fun k -> (k * 7919) - 400) in
   let dot = ref 0.0 in
   let addr k = a.Dsm_rsd.Section.base + (8 * k) in
   let write_all t l v = List.iter (fun k -> Shm.set_f64 t (addr k) (v k)) l in
@@ -221,25 +227,136 @@ let run_span_case ~span c =
         | Dot ->
             for i = c.lo to c.lo + c.len - 1 do
               dot := !dot +. (buf.(i) *. Shm.F64_2.get t a i c.col)
+            done
+        | Read_int when span -> Shm.read_i64s t (addr c.lo) ibuf c.pos c.len
+        | Read_int ->
+            for e = 0 to c.len - 1 do
+              ibuf.(c.pos + e) <- Shm.get_i64 t (addr (c.lo + e))
+            done
+        | Fill_int when span -> Shm.fill_i64s t (addr c.lo) c.len (-7)
+        | Fill_int ->
+            for e = 0 to c.len - 1 do
+              Shm.set_i64 t (addr (c.lo + e)) (-7)
+            done
+        | Add_int when span -> Shm.add_i64s t (addr c.lo) ibuf c.pos c.len
+        | Add_int ->
+            for e = 0 to c.len - 1 do
+              let ad = addr (c.lo + e) in
+              Shm.set_i64 t ad (Shm.get_i64 t ad + ibuf.(c.pos + e))
             done);
         Tmk.barrier t
       end);
   let time = Tmk.elapsed sys
   and stats = Tmk.total_stats sys
   and events = Dsm_trace.Sink.events sink in
-  (buf, !dot, time, stats, events, Tmk.digest sys)
+  (buf, ibuf, !dot, time, stats, events, Tmk.digest sys)
 
 let prop_span_equivalence =
   QCheck.Test.make ~count:300
     ~name:"span ops fault, charge and trace like their element loops"
     (QCheck.make ~print:print_span_case gen_span_case) (fun c ->
-      let buf1, dot1, time1, stats1, ev1, dig1 = run_span_case ~span:true c
-      and buf2, dot2, time2, stats2, ev2, dig2 = run_span_case ~span:false c in
+      let buf1, ibuf1, dot1, time1, stats1, ev1, dig1 =
+        run_span_case ~span:true c
+      and buf2, ibuf2, dot2, time2, stats2, ev2, dig2 =
+        run_span_case ~span:false c
+      in
       let bits = Array.map Int64.bits_of_float in
       bits buf1 = bits buf2
+      && ibuf1 = ibuf2
       && Int64.bits_of_float dot1 = Int64.bits_of_float dot2
       && Int64.bits_of_float time1 = Int64.bits_of_float time2
       && stats1 = stats2 && ev1 = ev2 && dig1 = dig2)
+
+(* {1 The float view}
+
+   Floats cross a page frame through a [floatarray] view of its bytes;
+   the view must agree bit for bit with the [Int64] path in both
+   directions: a pattern stored as an integer loads as the float with
+   those bits, and a float stored through the view reads back as its
+   bits. Patterns are drawn to cover NaNs with payloads (quiet and
+   signalling, either sign), infinities, zeros of either sign and
+   subnormals as well as arbitrary words. *)
+
+let gen_bits =
+  let open QCheck.Gen in
+  let word =
+    map2
+      (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+      (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF)
+  in
+  let with_exp e =
+    (* sign and mantissa from [w], biased exponent [e] *)
+    map
+      (fun w ->
+        Int64.(
+          logor
+            (logand w 0x800F_FFFF_FFFF_FFFFL)
+            (shift_left (of_int e) 52)))
+      word
+  in
+  oneof
+    [
+      word;
+      with_exp 0x7FF (* NaNs, and infinities when the mantissa is 0 *);
+      with_exp 0 (* subnormals and signed zeros *);
+      oneofl
+        [ 0L; Int64.min_int; 0x7FF0_0000_0000_0001L; 0xFFF8_0000_0000_0000L ];
+    ]
+
+let prop_float_view =
+  QCheck.Test.make ~count:300
+    ~name:"float view agrees bit for bit with the Int64 path"
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map (Printf.sprintf "%Lx") l))
+       QCheck.Gen.(list_size (int_range 1 24) gen_bits))
+    (fun pats ->
+      let sys = Tmk.make cfg in
+      let n = List.length pats in
+      let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ n ] in
+      let addr k = a.Dsm_rsd.Section.base + (8 * k) in
+      let pats = Array.of_list pats in
+      let ok = ref true in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            (* integer in, float out: elements and a span *)
+            Array.iteri
+              (fun k b -> Shm.set_i64 t (addr k) (Int64.to_int b))
+              pats;
+            Array.iteri
+              (fun k b ->
+                let b = Int64.of_int (Int64.to_int b) in
+                ok :=
+                  !ok
+                  && Int64.bits_of_float (Shm.get_f64 t (addr k)) = b
+                  && Shm.get_raw64 t (addr k) = b)
+              pats;
+            (* [set_i64] keeps 63 bits; the top bit goes through raw
+               floats *)
+            let fl = Array.map Int64.float_of_bits pats in
+            Shm.write_f64s t (addr 0) fl 0 n;
+            Array.iteri
+              (fun k b -> ok := !ok && Shm.get_raw64 t (addr k) = b)
+              pats;
+            let back = Array.make n 0.0 in
+            Shm.read_f64s t (addr 0) back 0 n;
+            Array.iteri
+              (fun k b ->
+                ok :=
+                  !ok
+                  && Int64.bits_of_float back.(k) = b
+                  && Int64.bits_of_float (Shm.get_f64 t (addr k)) = b)
+              pats;
+            (* float in one element at a time, integer and raw out *)
+            Array.iteri (fun k f -> Shm.set_f64 t (addr k) f) fl;
+            Array.iteri
+              (fun k b ->
+                ok :=
+                  !ok
+                  && Shm.get_raw64 t (addr k) = b
+                  && Shm.get_i64 t (addr k) = Int64.to_int b)
+              pats
+          end);
+      !ok)
 
 let test_span_bounds () =
   let sys = Tmk.make cfg in
@@ -270,4 +387,5 @@ let tests =
     Alcotest.test_case "fault counting" `Quick test_fault_counting;
     Alcotest.test_case "write detection reset" `Quick test_write_detection_reset;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_span_equivalence ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_span_equivalence; prop_float_view ]
