@@ -24,16 +24,25 @@
    all under --strict), 1 for warnings under --strict, 2 for errors.
 
    The argument vocabulary shared with dsm_run (levels, processors,
-   backend, network faults) lives in {!Core.Harness.Cli}; [--backend]
+   backend, network faults) lives in {!Dsm_harness.Cli}; [--backend]
    and the fault knobs select the run-time configuration of the
    dynamic diff mode (race and verify are static and unaffected). *)
 
 open Cmdliner
-module Ir = Core.Compiler.Ir
-module Programs = Core.Compiler.Programs
-module Transform = Core.Compiler.Transform
-module Diag = Core.Lint.Diag
-module Cli = Core.Harness.Cli
+module Ir = Dsm_compiler.Ir
+module Programs = Dsm_compiler.Programs
+module Transform = Dsm_compiler.Transform
+module Diag = Dsm_lint.Diag
+module Race = Dsm_lint.Race
+module Verify = Dsm_lint.Verify
+module Differential = Dsm_lint.Differential
+module Classify = Dsm_lint.Classify
+module App_models = Dsm_lint.App_models
+module Plan = Dsm_tmk.Proto_plan
+module Config = Dsm_sim.Config
+module Sink = Dsm_trace.Sink
+module Cli = Dsm_harness.Cli
+module Registry = Dsm_apps.Registry
 
 let programs : (string * Ir.program) list =
   [
@@ -60,7 +69,7 @@ let levels : (string * Transform.opts) list =
     Cli.level_names
 
 let run_race prog ~nprocs =
-  let source = Core.Lint.Race.check prog ~nprocs in
+  let source = Race.check prog ~nprocs in
   (* A race in the source shows up at every level; only scan the
      transformed outputs when the source is clean. *)
   if source <> [] then source
@@ -68,7 +77,7 @@ let run_race prog ~nprocs =
     List.concat_map
       (fun (_, opts) ->
         let transformed, _ = Transform.transform prog ~nprocs ~opts in
-        Core.Lint.Race.check transformed ~nprocs)
+        Race.check transformed ~nprocs)
       levels
 
 let run_verify prog ~nprocs level_names =
@@ -76,7 +85,7 @@ let run_verify prog ~nprocs level_names =
     (fun name ->
       let opts = List.assoc name levels in
       let transformed, _ = Transform.transform prog ~nprocs ~opts in
-      Core.Lint.Verify.run ~orig:prog ~transformed ~nprocs)
+      Verify.run ~orig:prog ~transformed ~nprocs)
     level_names
 
 let run_diff prog ~cfg ~nprocs level_names =
@@ -86,52 +95,48 @@ let run_diff prog ~cfg ~nprocs level_names =
     List.concat_map
       (fun lname ->
         let opts = List.assoc lname levels in
-        let r = Core.Lint.Differential.run ~opts ~cfg prog ~nprocs in
+        let r = Differential.run ~opts ~cfg prog ~nprocs in
         Array.iteri
-          (fun p (s : Core.Lint.Differential.proc_stat) ->
+          (fun p (s : Differential.proc_stat) ->
             Format.printf
               "  %-10s %-5s p%d: %d static pages, %d dynamic, %d covered@."
-              prog.Ir.pname lname p s.Core.Lint.Differential.static_pages
-              s.Core.Lint.Differential.dynamic_pages
-              s.Core.Lint.Differential.covered_pages)
-          r.Core.Lint.Differential.per_proc;
-        r.Core.Lint.Differential.diags)
+              prog.Ir.pname lname p s.Differential.static_pages
+              s.Differential.dynamic_pages
+              s.Differential.covered_pages)
+          r.Differential.per_proc;
+        r.Differential.diags)
       level_names
 
 (* {1 Plan mode: static sharing-pattern classification of the shipped
       applications} *)
 
-module Plan = Core.Proto_plan
-module Classify = Core.Lint.Classify
-module App_models = Core.Lint.App_models
-module Differential = Core.Lint.Differential
 
 (* Grade the plan against a traced run of the adaptive backend: compare
    the static decisions with the final dynamic classification and with
    every Proto_switch the run performed. *)
 let grade_plan ~cfg ~nprocs ~level (plan : Plan.t)
     (spec : App_models.spec) =
-  match (Cli.find_app spec.App_models.name, Cli.find_level level) with
+  match (Registry.find spec.App_models.name, Cli.find_level level) with
   | None, _ | _, None -> []
   | Some m, Some l -> (
-      let module W = (val m : Core.Apps.Workload.S) in
+      let module W = (val m : Dsm_apps.Workload.S) in
       match List.assoc_opt "small" W.sizes with
       | None -> []
       | Some size ->
       let cfg =
-        match Core.Config.backend_of_string "adaptive" with
-        | Some b -> { cfg with Core.Config.backend = b }
+        match Config.backend_of_string "adaptive" with
+        | Some b -> { cfg with Config.backend = b }
         | None -> cfg
       in
-      let cfg = Core.Config.with_procs cfg nprocs in
-      let sink = Core.Trace.Sink.create ~nprocs () in
-      let r =
-        W.tmk ~trace:sink cfg ~size ~behavior:W.default_behavior ~level:l
-          ~async:true
-      in
+      let cfg = Config.with_procs cfg nprocs in
+      let sink = Sink.create ~nprocs () in
+      let classes = ref [] in
+      ignore
+        (W.tmk ~trace:sink
+           ~inspect:(fun sys -> classes := Dsm_tmk.Tmk.adapt_classes sys)
+           cfg ~size ~behavior:W.default_behavior ~level:l ~async:true);
       let g =
-        Differential.grade ~plan ~classes:r.Core.Apps.Common.classes
-          ~events:(Core.Trace.Sink.events sink)
+        Differential.grade ~plan ~classes:!classes ~events:(Sink.events sink)
       in
       let pct a b = if b = 0 then 100.0 else 100.0 *. float a /. float b in
       Format.printf
@@ -174,7 +179,7 @@ let grade_plan ~cfg ~nprocs ~level (plan : Plan.t)
 
 let run_plan ~cfg ~nprocs ~level ~plan_out ~single ~grade
     (spec : App_models.spec) =
-  let page_size = cfg.Core.Config.page_size in
+  let page_size = cfg.Config.page_size in
   let model =
     spec.App_models.build ~nprocs ~page_size ~size:App_models.Small
   in

@@ -21,12 +21,21 @@
    the statistics (after a [fault plan:] line naming the plan).
 
    The argument vocabulary shared with dsm_lint (applications, levels,
-   processors, backend, network faults) lives in {!Core.Harness.Cli}. *)
+   processors, backend, network faults) lives in {!Dsm_harness.Cli}. *)
 
 open Cmdliner
-module A = Core.Apps.Common
-module Workload = Core.Apps.Workload
-module Cli = Core.Harness.Cli
+module A = Dsm_apps.App_common
+module Workload = Dsm_apps.Workload
+module Cli = Dsm_harness.Cli
+module Config = Dsm_sim.Config
+module Stats = Dsm_sim.Stats
+module Event = Dsm_trace.Event
+module Sink = Dsm_trace.Sink
+module Check = Dsm_trace.Check
+module Net_plan = Dsm_net.Plan
+module Prof = Dsm_prof.Prof
+module Sampler = Dsm_prof.Sampler
+module Phases = Dsm_harness.Phases
 
 (* The processor count a trace was recorded at is the length of its
    vector clocks (the first event's: the checker flags any event of
@@ -35,7 +44,7 @@ let recheck_nprocs procs events =
   let recorded =
     match events with
     | [] -> None
-    | e :: _ -> Some (Array.length e.Core.Trace.Event.vc)
+    | e :: _ -> Some (Array.length e.Event.vc)
   in
   match (procs, recorded) with
   | Some p, Some n when p <> n ->
@@ -45,16 +54,16 @@ let recheck_nprocs procs events =
             %d components"
            p n)
   | Some p, _ | None, Some p -> Ok p
-  | None, None -> Ok Core.Config.default.Core.Config.nprocs
+  | None, None -> Ok Config.default.Config.nprocs
 
 (* Replay a trace file through the checker without running anything.
    Malformed input degrades to warnings: unknown event kinds are skipped
    with a count (trace written by a newer build), and a torn final line
    (crash mid-write) is reported but does not fail the load. *)
 let recheck_file ~procs ~strict file =
-  match Core.Trace.Event.load_jsonl file with
+  match Event.load_jsonl file with
   | exception Sys_error msg -> `Error (false, "cannot read trace: " ^ msg)
-  | { Core.Trace.Event.events; warnings; unknown_kinds } -> (
+  | { Event.events; warnings; unknown_kinds } -> (
       match recheck_nprocs procs events with
       | Error e -> `Error (false, e)
       | Ok nprocs -> (
@@ -67,7 +76,7 @@ let recheck_file ~procs ~strict file =
               unknown_kinds;
           (* unknown kinds are already in [warnings] — no double count *)
           let nwarnings = List.length warnings in
-          match Core.Trace.Check.run ~nprocs events with
+          match Check.run ~nprocs events with
           | [] when strict && nwarnings > 0 ->
               Format.printf "%s: %d events, 0 violations, %d warnings@." file
                 (List.length events) nwarnings;
@@ -82,7 +91,7 @@ let recheck_file ~procs ~strict file =
           | vs ->
               Format.printf "@[<v>%s: %d events, %d violations@,%a@]@." file
                 (List.length events) (List.length vs)
-                (Format.pp_print_list Core.Trace.Check.pp_violation)
+                (Format.pp_print_list Check.pp_violation)
                 vs;
               `Error (false, "protocol invariant violations found")))
 
@@ -103,7 +112,7 @@ let run app version level size procs common sync trace_file check recheck
         List.iter
           (fun (k, doc) -> Format.printf "           --%s: %s@." k doc)
           W.knob_doc)
-      Cli.apps;
+      Dsm_apps.Registry.all;
     `Ok ()
   end
   else
@@ -111,9 +120,9 @@ let run app version level size procs common sync trace_file check recheck
     | Some file -> recheck_file ~procs ~strict:strict_recheck file
     | None -> (
     let procs =
-      Option.value procs ~default:Core.Config.default.Core.Config.nprocs
+      Option.value procs ~default:Config.default.Config.nprocs
     in
-    match Cli.find_app app with
+    match Dsm_apps.Registry.find app with
     | None -> `Error (false, "unknown application: " ^ app)
     | Some m -> (
         let module W = (val m : Workload.S) in
@@ -134,16 +143,16 @@ let run app version level size procs common sync trace_file check recheck
         match Cli.config ~procs common with
         | Error e -> `Error (false, e)
         | Ok cfg ->
-        let plan = Core.Net_plan.of_config cfg in
+        let plan = Net_plan.of_config cfg in
         let sink =
           if (trace_file <> None || check) && version <> "tmk" then None
           else if trace_file <> None || check then
-            Some (Core.Trace.Sink.create ~nprocs:procs ())
+            Some (Sink.create ~nprocs:procs ())
           else None
         in
         if prof then begin
-          Core.Prof.enable ();
-          Core.Sampler.start ()
+          Prof.enable ();
+          Sampler.start ()
         end;
         (* a message-passing version rejects, before running, a processor
            count its data partition cannot cover *)
@@ -179,8 +188,8 @@ let run app version level size procs common sync trace_file check recheck
           | v -> Error ("unknown version: " ^ v)
         in
         if prof then begin
-          Core.Sampler.stop ();
-          Core.Prof.disable ()
+          Sampler.stop ();
+          Prof.disable ()
         end;
         (match result with
         | Error e -> `Error (false, e)
@@ -188,7 +197,7 @@ let run app version level size procs common sync trace_file check recheck
             let seq = W.seq_time_us wsize in
             let version_name =
               if version = "tmk" then
-                "tmk/" ^ Core.Config.backend_name cfg.Core.Config.backend
+                "tmk/" ^ Config.backend_name cfg.Config.backend
               else version
             in
             Format.printf "%s (%s), %s, %d processors@." W.name
@@ -198,17 +207,17 @@ let run app version level size procs common sync trace_file check recheck
               r.A.time_us (seq /. r.A.time_us);
             Format.printf "  verification:      max error %g %s@." r.A.max_err
               (if r.A.max_err <= 1e-6 then "(correct)" else "(WRONG)");
-            Format.printf "  %a@." Core.Stats.pp r.A.stats;
+            Format.printf "  %a@." Stats.pp r.A.stats;
             if digest && r.A.digest <> "" then
               Format.printf "  digest:            %s@." r.A.digest;
             if prof then begin
               Format.printf "@[<v>  host-cost profile:@,%a@]@."
-                Core.Prof.pp_table ();
+                Prof.pp_table ();
               Format.printf "@[<v>  sampled host stacks:@,%a@]@."
-                Core.Sampler.pp ()
+                Sampler.pp ()
             end;
-            if not (Core.Net_plan.is_passthrough plan) then
-              Format.printf "  fault plan:        %a@." Core.Net_plan.pp plan;
+            if not (Net_plan.is_passthrough plan) then
+              Format.printf "  fault plan:        %a@." Net_plan.pp plan;
             (match sink with
             | None ->
                 if trace_file <> None || check then
@@ -216,11 +225,10 @@ let run app version level size procs common sync trace_file check recheck
                     "note: --trace/--check apply to the tmk version only@.";
                 `Ok ()
             | Some sink ->
-                let events = Core.Trace.Sink.events sink in
+                let events = Sink.events sink in
                 Format.printf "  trace: %d events@."
-                  (Core.Trace.Sink.emitted sink);
-                Format.printf "%a@." Core.Harness.Phases.pp
-                  (Core.Harness.Phases.of_events events);
+                  (Sink.emitted sink);
+                Format.printf "%a@." Phases.pp (Phases.of_events events);
                 let write_err =
                   match trace_file with
                   | Some file -> (
@@ -228,7 +236,7 @@ let run app version level size procs common sync trace_file check recheck
                       | oc ->
                           Fun.protect
                             ~finally:(fun () -> close_out oc)
-                            (fun () -> Core.Trace.Sink.write_jsonl oc sink);
+                            (fun () -> Sink.write_jsonl oc sink);
                           Format.printf "  trace written to %s@." file;
                           None
                       | exception Sys_error msg ->
@@ -239,14 +247,14 @@ let run app version level size procs common sync trace_file check recheck
                 | Some msg -> `Error (false, msg)
                 | None ->
                 if check then begin
-                  match Core.Trace.Check.run ~nprocs:procs events with
+                  match Check.run ~nprocs:procs events with
                   | [] ->
                       Format.printf "  checker: 0 violations@.";
                       `Ok ()
                   | vs ->
                       Format.printf "@[<v>  checker: %d violations@,%a@]@."
                         (List.length vs)
-                        (Format.pp_print_list Core.Trace.Check.pp_violation)
+                        (Format.pp_print_list Check.pp_violation)
                         vs;
                       `Error (false, "LRC invariant violations found")
                 end

@@ -11,16 +11,18 @@
 
      dune exec examples/migratory_locks.exe *)
 
-module Tmk = Core.Tmk
-module Shm = Core.Shm
+module Tmk = Dsm_tmk.Tmk
+module Shm = Dsm_tmk.Shm
+module Config = Dsm_sim.Config
+module Stats = Dsm_sim.Stats
 
 let n_slots = 4096 (* 8 pages *)
 
 let run ~optimized =
-  let cfg = Core.Config.default in
+  let cfg = Config.default in
   let sys = Tmk.make cfg in
-  let table = Tmk.Alloc.array sys "table" Tmk.I64 ~dims:[ n_slots ] in
-  let np = cfg.Core.Config.nprocs in
+  let table = Tmk.Alloc.array sys "table" ~dims:[ n_slots ] in
+  let np = cfg.Config.nprocs in
   let sec_len = n_slots / np in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -50,14 +52,14 @@ let run ~optimized =
 let () =
   let bt, bs = run ~optimized:false in
   let ot, os = run ~optimized:true in
-  Format.printf "base TreadMarks:     %8.0f us  %a@." bt Core.Stats.pp bs;
-  Format.printf "with Validate_w_sync:%8.0f us  %a@." ot Core.Stats.pp os;
+  Format.printf "base TreadMarks:     %8.0f us  %a@." bt Stats.pp bs;
+  Format.printf "with Validate_w_sync:%8.0f us  %a@." ot Stats.pp os;
   Format.printf
     "@.data reduced %.0f%%, messages reduced %.0f%%, twins %d -> %d@."
     (100.
-    *. float_of_int (bs.Core.Stats.bytes - os.Core.Stats.bytes)
-    /. float_of_int bs.Core.Stats.bytes)
+    *. float_of_int (bs.Stats.bytes - os.Stats.bytes)
+    /. float_of_int bs.Stats.bytes)
     (100.
-    *. float_of_int (bs.Core.Stats.messages - os.Core.Stats.messages)
-    /. float_of_int bs.Core.Stats.messages)
-    bs.Core.Stats.twins os.Core.Stats.twins
+    *. float_of_int (bs.Stats.messages - os.Stats.messages)
+    /. float_of_int bs.Stats.messages)
+    bs.Stats.twins os.Stats.twins

@@ -8,14 +8,16 @@
 
      dune exec examples/quickstart.exe *)
 
-module Tmk = Core.Tmk
-module Shm = Core.Shm
+module Tmk = Dsm_tmk.Tmk
+module Shm = Dsm_tmk.Shm
+module Config = Dsm_sim.Config
+module Stats = Dsm_sim.Stats
 
 let () =
-  let cfg = Core.Config.default in
+  let cfg = Config.default in
   let sys = Tmk.make cfg in
   let n = 1024 in
-  let v = Tmk.Alloc.array sys "v" Tmk.F64 ~dims:[ n ] in
+  let v = Tmk.Alloc.array sys "v" ~dims:[ n ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t
       and np = Tmk.nprocs t in
@@ -37,12 +39,12 @@ let () =
       Format.printf "processor %d read neighbour sum %.0f@." p !sum);
   Format.printf "@.parallel time: %.0f us (virtual, SP/2 model)@."
     (Tmk.elapsed sys);
-  Format.printf "%a@." Core.Stats.pp (Tmk.total_stats sys);
+  Format.printf "%a@." Stats.pp (Tmk.total_stats sys);
 
   (* The same program, letting the compiler-style Validate aggregate the
      reads into one request per writer instead of a fault per page: *)
   let sys2 = Tmk.make cfg in
-  let v2 = Tmk.Alloc.array sys2 "v" Tmk.F64 ~dims:[ n ] in
+  let v2 = Tmk.Alloc.array sys2 "v" ~dims:[ n ] in
   Tmk.run sys2 (fun t ->
       let p = Tmk.pid t
       and np = Tmk.nprocs t in
@@ -67,4 +69,4 @@ let () =
       ignore !sum);
   Format.printf "@.with Validate (aggregated, no twins/diffs):@.";
   Format.printf "parallel time: %.0f us@." (Tmk.elapsed sys2);
-  Format.printf "%a@." Core.Stats.pp (Tmk.total_stats sys2)
+  Format.printf "%a@." Stats.pp (Tmk.total_stats sys2)

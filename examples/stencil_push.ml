@@ -8,8 +8,10 @@
 
      dune exec examples/stencil_push.exe *)
 
-module Tmk = Core.Tmk
-module Shm = Core.Shm
+module Tmk = Dsm_tmk.Tmk
+module Shm = Dsm_tmk.Shm
+module Config = Dsm_sim.Config
+module Stats = Dsm_sim.Stats
 
 let m = 256
 let iters = 8
@@ -19,10 +21,10 @@ let bounds nprocs p =
   (1 + (p * w), min (m - 2) (p * w + w))
 
 let run ~push =
-  let cfg = Core.Config.default in
+  let cfg = Config.default in
   let sys = Tmk.make cfg in
-  let b = Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ m; m ] in
-  let np = cfg.Core.Config.nprocs in
+  let b = Tmk.Alloc.array sys "b" ~dims:[ m; m ] in
+  let np = cfg.Config.nprocs in
   let read_sections =
     Array.init np (fun q ->
         let lo, hi = bounds np q in
@@ -71,8 +73,8 @@ let () =
   let bt, bs = run ~push:false in
   let pt, ps = run ~push:true in
   Format.printf "barrier version: %8.0f us  msgs=%5d segv=%5d twins=%4d@." bt
-    bs.Core.Stats.messages bs.Core.Stats.segv bs.Core.Stats.twins;
+    bs.Stats.messages bs.Stats.segv bs.Stats.twins;
   Format.printf "push version:    %8.0f us  msgs=%5d segv=%5d twins=%4d@." pt
-    ps.Core.Stats.messages ps.Core.Stats.segv ps.Core.Stats.twins;
+    ps.Stats.messages ps.Stats.segv ps.Stats.twins;
   Format.printf "@.execution time improvement: %.1f%%@."
     (100.0 *. (bt -. pt) /. bt)

@@ -19,17 +19,6 @@ type result = {
          are memoized across the whole benchmark suite, and anything
          that kept the run-time state reachable would pin every page,
          twin and diff store of every completed run in the heap. *)
-  homes : (int * int) list;
-      (* page-to-home assignments the run made ({!Dsm_tmk.Tmk.homes}),
-         snapshotted before the digest pass; [[]] for non-tmk versions
-         and for backends that assign none. The first-touch determinism
-         regression compares these across traced and untraced runs. *)
-  classes : (int * string * int) list;
-      (* final per-page (page, protocol, owner) classification of the
-         adaptive backend ({!Dsm_tmk.Tmk.adapt_classes}), snapshotted with
-         [homes]; [[]] for non-tmk versions and other backends. The static
-         plan grading compares these against the compile-time
-         predictions. *)
   latencies_us : float array option;
       (* per-operation latencies of a transaction-style workload (KV),
          sorted ascending; [None] for the kernels, whose unit of work is
@@ -40,12 +29,28 @@ type result = {
          denominator of msgs/op and bytes/op; [0] for the kernels. *)
 }
 
-(* Results are built through this constructor so new optional fields
-   (latencies, op counts) extend the record without touching the six
-   kernels' construction sites again. *)
-let make_result ~time_us ~stats ~max_err ?(digest = "") ?(homes = [])
-    ?(classes = []) ?latencies_us ?(nops = 0) () =
-  { time_us; stats; max_err; digest; homes; classes; latencies_us; nops }
+(* The one end of every DSM run. Time and stats are read first, so the
+   passes after them (verification, digest) perturb neither; [inspect]
+   sees the state the verification pass left, before the digest pass's
+   reads can assign first-touch homes or move the adaptive backend's
+   sharing observations. *)
+let finish_tmk ?latencies_us ?(nops = 0) sys ~digest ~inspect verify =
+  let time_us = Dsm_tmk.Tmk.elapsed sys in
+  let stats = Dsm_tmk.Tmk.total_stats sys in
+  let max_err = verify () in
+  inspect sys;
+  let digest = if digest then Dsm_tmk.Tmk.digest sys else "" in
+  { time_us; stats; max_err; digest; latencies_us; nops }
+
+let finish_mp ?latencies_us ?(nops = 0) sys ~max_err =
+  {
+    time_us = Dsm_mp.Mp.elapsed sys;
+    stats = Dsm_mp.Mp.total_stats sys;
+    max_err;
+    digest = "";
+    latencies_us;
+    nops;
+  }
 
 let combine_err a b = Float.max a (abs_float b)
 

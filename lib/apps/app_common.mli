@@ -17,8 +17,8 @@ type opt_level =
 
 val opt_level_name : opt_level -> string
 
-(** Outcome of one parallel run. Built with {!make_result} so optional
-    fields can be added without revisiting every construction site. *)
+(** Outcome of one parallel run, built by {!finish_tmk} or
+    {!finish_mp}. *)
 type result = {
   time_us : float;  (** parallel virtual execution time *)
   stats : Dsm_sim.Stats.t;  (** aggregate over processors *)
@@ -29,17 +29,6 @@ type result = {
           [tmk ~digest:true]; [""] otherwise (and always for the
           message-passing versions, which have no shared state). Kept a
           plain string so memoized results never pin run-time state. *)
-  homes : (int * int) list;
-      (** page-to-home assignments the run made ({!Dsm_tmk.Tmk.homes}),
-          snapshotted before the digest pass; [[]] for the message-passing
-          versions and for backends that assign none. The first-touch
-          determinism regression compares these across traced and
-          untraced runs. *)
-  classes : (int * string * int) list;
-      (** final per-page (page, protocol, owner) classification of the
-          adaptive backend ({!Dsm_tmk.Tmk.adapt_classes}), snapshotted
-          with [homes]; [[]] elsewhere. Compared against the static
-          sharing-pattern predictions by the plan grading. *)
   latencies_us : float array option;
       (** per-operation latencies of a transaction-style workload (KV),
           sorted ascending; [None] for the kernels. Plain data — memoized
@@ -49,20 +38,29 @@ type result = {
           denominator of msgs/op and bytes/op; [0] for the kernels. *)
 }
 
-val make_result :
-  time_us:float ->
-  stats:Dsm_sim.Stats.t ->
-  max_err:float ->
-  ?digest:string ->
-  ?homes:(int * int) list ->
-  ?classes:(int * string * int) list ->
+val finish_tmk :
   ?latencies_us:float array ->
   ?nops:int ->
-  unit ->
+  Dsm_tmk.Tmk.system ->
+  digest:bool ->
+  inspect:(Dsm_tmk.Tmk.system -> unit) ->
+  (unit -> float) ->
   result
-(** Smart constructor with neutral defaults for every optional field
-    ([digest = ""], [homes = []], [classes = []], [latencies_us = None],
-    [nops = 0]). *)
+(** [finish_tmk sys ~digest ~inspect verify] ends a DSM run, in this
+    order: it reads the virtual time and the statistics, runs [verify]
+    (the untimed verification pass, which returns the max error), hands
+    the system to [inspect], and then, when [digest], runs the digest
+    pass ({!Dsm_tmk.Tmk.digest}). [latencies_us] and [nops] (default
+    [0]) are copied into the result. *)
+
+val finish_mp :
+  ?latencies_us:float array ->
+  ?nops:int ->
+  Dsm_mp.Mp.system ->
+  max_err:float ->
+  result
+(** Ends a message-passing run: its time and statistics, the given max
+    error, no digest. *)
 
 val combine_err : float -> float -> float
 

@@ -215,8 +215,8 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     ~behavior:() ~level ~async =
   let { n; iters; bf_cost } = prm in
   let sys = Tmk.make ?plan cfg in
-  let x = Tmk.Alloc.array sys "x" Tmk.F64 ~dims:[ (2 * n); n; n ] in
-  let y = Tmk.Alloc.array sys "y" Tmk.F64 ~dims:[ (2 * n); n; n ] in
+  let x = Tmk.Alloc.array sys "x" ~dims:[ (2 * n); n; n ] in
+  let y = Tmk.Alloc.array sys "y" ~dims:[ (2 * n); n; n ] in
   let np = cfg.Dsm_sim.Config.nprocs in
   (* X is slab-distributed along i3 (last dim), Y along i1 (its last dim,
      which holds X's first) *)
@@ -394,30 +394,24 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
            until the next transpose, so it stays a plain barrier) *)
         Tmk.barrier t
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  let xref = reference prm in
-  let err = ref 0.0 in
-  Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then begin
-        let row = Array.make (2 * n) 0.0 in
-        for i3 = 0 to n - 1 do
-          for i2 = 0 to n - 1 do
-            Shm.read_f64s t (Shm.F64_3.addr x 0 i2 i3) row 0 (2 * n);
-            for d0 = 0 to (2 * n) - 1 do
-              err :=
-                combine_err !err
-                  (row.(d0) -. xref.{d0 + (2 * n * (i2 + (n * i3)))})
+  finish_tmk sys ~digest ~inspect (fun () ->
+      let xref = reference prm in
+      let err = ref 0.0 in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            let row = Array.make (2 * n) 0.0 in
+            for i3 = 0 to n - 1 do
+              for i2 = 0 to n - 1 do
+                Shm.read_f64s t (Shm.F64_3.addr x 0 i2 i3) row 0 (2 * n);
+                for d0 = 0 to (2 * n) - 1 do
+                  err :=
+                    combine_err !err
+                      (row.(d0) -. xref.{d0 + (2 * n * (i2 + (n * i3)))})
+                done
+              done
             done
-          done
-        done
-      end);
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err:!err ~digest
-    ~homes ~classes ()
+          end);
+      !err)
 
 (* {1 Message-passing versions}
 
@@ -571,8 +565,7 @@ let run_mp ~pack cfg ({ n; iters; bf_cost } as prm) =
         done
       done)
     results;
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
-    ~max_err:!err ()
+  finish_mp sys ~max_err:!err
 
 let pvm cfg ~size:prm ~behavior:() = run_mp ~pack:(fun _ _ -> ()) cfg prm
 

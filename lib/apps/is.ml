@@ -132,7 +132,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     }
   in
   let sys = Tmk.make ?plan cfg in
-  let bucket = Tmk.Alloc.array sys "bucket" Tmk.I64 ~dims:[ n_buckets ] in
+  let bucket = Tmk.Alloc.array sys "bucket" ~dims:[ n_buckets ] in
   let np = cfg.Dsm_sim.Config.nprocs in
   let sec s = block ~n:n_buckets ~np s in
   let sec_section s =
@@ -202,19 +202,13 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         Tmk.charge t (key_cost *. float_of_int (my_hi - my_lo));
         Tmk.barrier t
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  let rref = reference prm ~nprocs:np in
-  let err = ref 0.0 in
-  for i = 0 to n_keys - 1 do
-    err := combine_err !err (float_of_int (ranks.(i) - rref.{i}))
-  done;
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err:!err ~digest
-    ~homes ~classes ()
+  finish_tmk sys ~digest ~inspect (fun () ->
+      let rref = reference prm ~nprocs:np in
+      let err = ref 0.0 in
+      for i = 0 to n_keys - 1 do
+        err := combine_err !err (float_of_int (ranks.(i) - rref.{i}))
+      done;
+      !err)
 
 (* {1 Hand-coded message passing}
 
@@ -301,8 +295,7 @@ let pvm cfg ~size:({ n_keys; n_buckets; reps; key_cost; bucket_cost } as prm)
   for i = 0 to n_keys - 1 do
     err := combine_err !err (float_of_int (ranks.(i) - rref.{i}))
   done;
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
-    ~max_err:!err ()
+  finish_mp sys ~max_err:!err
 
 let xhpf = None
 

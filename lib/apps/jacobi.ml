@@ -80,7 +80,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     ~behavior:() ~level ~async =
   let { m; iters; update_cost; copy_cost } = prm in
   let sys = Tmk.make ?plan cfg in
-  let b = Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ m; m ] in
+  let b = Tmk.Alloc.array sys "b" ~dims:[ m; m ] in
   let np = cfg.Dsm_sim.Config.nprocs in
   let read_sections =
     Array.init np (fun q ->
@@ -179,26 +179,20 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
             Tmk.validate_w_sync t ~async read_sections.(p) Tmk.Read;
             Tmk.barrier t
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  (* verification (perturbs neither the time nor the recorded stats) *)
-  let bref = reference prm in
-  let err = ref 0.0 in
-  Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then begin
-        let col = Array.make m 0.0 in
-        for j = 0 to m - 1 do
-          Shm.F64_2.read_col t b j ~lo:0 ~len:m col;
-          for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. bref.{(j * m) + i})
-          done
-        done
-      end);
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err:!err ~digest ~homes ~classes ()
+  finish_tmk sys ~digest ~inspect (fun () ->
+      let bref = reference prm in
+      let err = ref 0.0 in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            let col = Array.make m 0.0 in
+            for j = 0 to m - 1 do
+              Shm.F64_2.read_col t b j ~lo:0 ~len:m col;
+              for i = 0 to m - 1 do
+                err := combine_err !err (col.(i) -. bref.{(j * m) + i})
+              done
+            done
+          end);
+      !err)
 
 (* {1 Message-passing versions}
 
@@ -270,8 +264,7 @@ let run_mp ~version ~exchange cfg prm =
   let results = Array.make np ([| [| 0.0 |] |], 0, -1) in
   Mp.run sys (fun t ->
       results.(Mp.pid t) <- mp_body ~exchange ~charge:Mp.charge t prm);
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
-    ~max_err:(mp_err prm results) ()
+  finish_mp sys ~max_err:(mp_err prm results)
 
 let pvm cfg ~size:prm ~behavior:() =
   let exchange t ~left ~right =

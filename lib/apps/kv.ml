@@ -295,38 +295,31 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size ~behavior
         Tmk.lock_release t shard;
         lat.(p).(k) <- Tmk.time t -. arrival
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  (* Untimed verification pass (a second run, like the digest pass:
-     time/stats above are already captured): processor 0 validates and
-     reads the whole store through the protocol and compares every
-     version against the sequential reference counts. The whole-store
-     validate never object-skips — its slot set meets every stale
-     slot — so the read observes all updates. *)
-  let counts = reference e ~nprocs:np in
-  Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then begin
-        Tmk.validate t
-          [ Shm.I64_1.section store (0, (e.e_keys * wpo) - 1, 1) ]
-          Tmk.Read;
-        for key = 0 to e.e_keys - 1 do
-          let lo = key * wpo in
-          let v = Shm.I64_1.get t store lo in
-          errs.(0) <- combine_err errs.(0) (float_of_int (v - counts.(key)));
-          if Shm.I64_1.get t store (lo + 1) <> payload_of key v then
-            errs.(0) <- combine_err errs.(0) 1.0
-        done
-      end);
-  let max_err = Array.fold_left combine_err 0.0 errs in
   let latencies = Array.concat (Array.to_list lat) in
   Array.sort compare latencies;
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err ~digest
-    ~homes ~classes ~latencies_us:latencies
-    ~nops:(e.e_per_proc * np) ()
+  (* The verification pass: processor 0 validates and reads the whole
+     store through the protocol and compares every version against the
+     sequential reference counts. The whole-store validate never
+     object-skips — its slot set meets every stale slot — so the read
+     observes all updates. *)
+  finish_tmk sys ~digest ~inspect ~latencies_us:latencies
+    ~nops:(e.e_per_proc * np) (fun () ->
+      let counts = reference e ~nprocs:np in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            Tmk.validate t
+              [ Shm.I64_1.section store (0, (e.e_keys * wpo) - 1, 1) ]
+              Tmk.Read;
+            for key = 0 to e.e_keys - 1 do
+              let lo = key * wpo in
+              let v = Shm.I64_1.get t store lo in
+              errs.(0) <-
+                combine_err errs.(0) (float_of_int (v - counts.(key)));
+              if Shm.I64_1.get t store (lo + 1) <> payload_of key v then
+                errs.(0) <- combine_err errs.(0) 1.0
+            done
+          end);
+      Array.fold_left combine_err 0.0 errs)
 
 (* {1 Hand-coded message passing}
 
@@ -436,10 +429,8 @@ let pvm cfg ~size ~behavior =
       done);
   let latencies = Array.concat (Array.to_list lat) in
   Array.sort compare latencies;
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
+  finish_mp sys ~latencies_us:latencies ~nops:(e.e_per_proc * np)
     ~max_err:(Array.fold_left combine_err 0.0 errs)
-    ~latencies_us:latencies
-    ~nops:(e.e_per_proc * np) ()
 
 (* XHPF cannot parallelize the cache: which object an operation touches
    is data-dependent (drawn from the Zipfian stream), outside its

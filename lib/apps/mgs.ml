@@ -78,7 +78,7 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
   let { m; n; dot_cost } = prm in
   let cfg = { cfg with Dsm_sim.Config.page_size = page_size prm } in
   let sys = Tmk.make ?plan cfg in
-  let q = Tmk.Alloc.array sys "q" Tmk.F64 ~dims:[ m; n ] in
+  let q = Tmk.Alloc.array sys "q" ~dims:[ m; n ] in
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
@@ -152,26 +152,20 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         done;
         Tmk.barrier t
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  let qref = reference prm in
-  let err = ref 0.0 in
-  Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then begin
-        let col = Array.make m 0.0 in
-        for j = 0 to n - 1 do
-          Shm.F64_2.read_col t q j ~lo:0 ~len:m col;
-          for i = 0 to m - 1 do
-            err := combine_err !err (col.(i) -. qref.{(j * m) + i})
-          done
-        done
-      end);
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err:!err ~digest
-    ~homes ~classes ()
+  finish_tmk sys ~digest ~inspect (fun () ->
+      let qref = reference prm in
+      let err = ref 0.0 in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            let col = Array.make m 0.0 in
+            for j = 0 to n - 1 do
+              Shm.F64_2.read_col t q j ~lo:0 ~len:m col;
+              for i = 0 to m - 1 do
+                err := combine_err !err (col.(i) -. qref.{(j * m) + i})
+              done
+            done
+          end);
+      !err)
 
 (* {1 Message-passing versions} *)
 
@@ -232,8 +226,7 @@ let run_mp ~bcast cfg ({ m; n; dot_cost } as prm) =
           done)
         cols)
     results;
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
-    ~max_err:!err ()
+  finish_mp sys ~max_err:!err
 
 let pvm cfg ~size:prm ~behavior:() =
   run_mp ~bcast:(fun t ~root ~tag msg -> Mp.bcast_floats t ~root ~tag msg) cfg prm

@@ -285,7 +285,9 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
     [| "u"; "v"; "p"; "unew"; "vnew"; "pnew"; "uold"; "vold"; "pold";
        "cu"; "cv"; "z"; "h" |]
   in
-  let arrs = Array.map (fun nm -> Tmk.Alloc.array sys nm Tmk.F64 ~dims:[ m; n ]) names in
+  let arrs =
+    Array.map (fun nm -> Tmk.Alloc.array sys nm ~dims:[ m; n ]) names
+  in
   let np = cfg.Dsm_sim.Config.nprocs in
   Tmk.run ?trace sys (fun t ->
       let p = Tmk.pid t in
@@ -365,31 +367,25 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         Tmk.barrier t;
         if step = 1 then tdt := !tdt +. !tdt
       done);
-  let time_us = Tmk.elapsed sys in
-  let stats = Tmk.total_stats sys in
-  let dref = reference prm in
-  let err = ref 0.0 in
-  Tmk.run sys (fun t ->
-      if Tmk.pid t = 0 then begin
-        let col = Array.make m 0.0 in
-        List.iter
-          (fun a ->
-            for j = 0 to n - 1 do
-              Shm.F64_2.read_col t arrs.(a) j ~lo:0 ~len:m col;
-              for i = 0 to m - 1 do
-                err :=
-                  combine_err !err
-                    (col.(i) -. dref.{(((a * n) + j) * m) + i})
-              done
-            done)
-          [ iu; iv; ip ]
-      end);
-  let homes = Tmk.homes sys in
-  let classes = Tmk.adapt_classes sys in
-  let digest = if digest then Tmk.digest sys else "" in
-  inspect sys;
-  make_result ~time_us ~stats ~max_err:!err ~digest
-    ~homes ~classes ()
+  finish_tmk sys ~digest ~inspect (fun () ->
+      let dref = reference prm in
+      let err = ref 0.0 in
+      Tmk.run sys (fun t ->
+          if Tmk.pid t = 0 then begin
+            let col = Array.make m 0.0 in
+            List.iter
+              (fun a ->
+                for j = 0 to n - 1 do
+                  Shm.F64_2.read_col t arrs.(a) j ~lo:0 ~len:m col;
+                  for i = 0 to m - 1 do
+                    err :=
+                      combine_err !err
+                        (col.(i) -. dref.{(((a * n) + j) * m) + i})
+                  done
+                done)
+              [ iu; iv; ip ]
+          end);
+      !err)
 
 (* {1 Message-passing versions}
 
@@ -488,8 +484,7 @@ let run_mp ~version ~pack cfg ({ m; n; steps; point_cost } as prm) =
           done)
         [ iu; iv; ip ])
     results;
-  make_result ~time_us:(Mp.elapsed sys) ~stats:(Mp.total_stats sys)
-    ~max_err:!err ()
+  finish_mp sys ~max_err:!err
 
 let pvm cfg ~size:prm ~behavior:() =
   run_mp ~version:"pvm" ~pack:(fun _ _ -> ()) cfg prm

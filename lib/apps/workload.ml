@@ -15,9 +15,9 @@
      plumbing. Workloads without knobs (the kernels) reject every key
      with {!no_knobs}'s standard error format.
 
-   Results stay {!App_common.result}, which is extensible through
-   {!App_common.make_result} (op latencies and counts ride along without
-   touching the kernels). *)
+   Results stay {!App_common.result}, built by {!App_common.finish_tmk}
+   and {!App_common.finish_mp} (op latencies and counts ride along
+   without touching the kernels). *)
 
 module type S = sig
   val name : string
@@ -64,9 +64,10 @@ module type S = sig
       [digest] (default false) adds a protocol-level read pass over the
       final shared state; [plan] seeds the adaptive/hlrc backend's
       per-page protocol state before the first access
-      ({!Dsm_tmk.Tmk.make}); [inspect] is handed the final system state
-      after the verification and digest passes (tests of the run-time's
-      own state). *)
+      ({!Dsm_tmk.Tmk.make}); [inspect] is handed the system once, after
+      the verification pass and before the digest pass
+      ({!App_common.finish_tmk}): tests of the run-time's own state and
+      the plan grading read homes and adaptive classes there. *)
 
   val pvm :
     Dsm_sim.Config.t -> size:size -> behavior:behavior -> App_common.result

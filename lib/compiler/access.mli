@@ -58,5 +58,4 @@ val body_summary : Ir.program -> nprocs:int -> summary_entry list
     ignoring region boundaries: the fallback access envelope for programs
     without a steady-state loop. *)
 
-val pp_tag : Format.formatter -> tag -> unit
 val pp_region : Format.formatter -> region -> unit

@@ -53,9 +53,9 @@ let execute ?(flop_us = default_flop_us) ?trace cfg (prog : Ir.program) =
         in
         let info =
           match ext with
-          | [ n ] -> Tmk.Alloc.array sys name Tmk.F64 ~dims:[ n ]
-          | [ n0; n1 ] -> Tmk.Alloc.array sys name Tmk.F64 ~dims:[ n0; n1 ]
-          | [ n0; n1; n2 ] -> Tmk.Alloc.array sys name Tmk.F64 ~dims:[ n0; n1; n2 ]
+          | [ n ] -> Tmk.Alloc.array sys name ~dims:[ n ]
+          | [ n0; n1 ] -> Tmk.Alloc.array sys name ~dims:[ n0; n1 ]
+          | [ n0; n1; n2 ] -> Tmk.Alloc.array sys name ~dims:[ n0; n1; n2 ]
           | _ -> invalid_arg "Interp: arrays must have 1-3 dimensions"
         in
         (name, info))

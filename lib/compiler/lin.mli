@@ -15,7 +15,6 @@ val scale : int -> t -> t
 val offset : t -> int -> t
 
 val equal : t -> t -> bool
-val is_const : t -> int option
 val coeff_of : t -> string -> int
 
 val subst : t -> string -> t -> t

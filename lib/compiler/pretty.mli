@@ -2,6 +2,4 @@
     Figures 1 and 2 — used by the compiler demo and for eyeballing what the
     transformation produced. *)
 
-val pp_stmt : Format.formatter -> Ir.stmt -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
 val program_to_string : Ir.program -> string

@@ -70,15 +70,6 @@ let contains ~probe a b =
   List.length a.dims = List.length b.dims
   && List.for_all2 (dim_contains ~probe) a.dims b.dims
 
-let comparable a b =
-  List.length a.dims = List.length b.dims
-  && List.for_all2
-       (fun da db ->
-         Option.is_some (Lin.diff_const da.lo db.lo)
-         && Option.is_some (Lin.diff_const da.hi db.hi)
-         && da.stride = db.stride)
-       a.dims b.dims
-
 let inexact t = { t with exact = false }
 
 let eval lookup t =

@@ -25,11 +25,6 @@ val union : probe:(string -> int) -> t -> t -> t
 val contains : probe:(string -> int) -> t -> t -> bool
 (** Conservative containment test, same comparison discipline. *)
 
-val comparable : t -> t -> bool
-(** All bound differences between the two descriptors are known constants:
-    the condition under which a union is still an exact summary in the
-    paper's (bounding) sense. *)
-
 val inexact : t -> t
 (** Same elements, flagged as not exactly describing the access set (used
     for accesses under conditionals). *)

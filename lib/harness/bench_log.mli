@@ -50,7 +50,6 @@ val min_merge : t -> t -> t
     does not depend on which round ran faster. *)
 
 val total_wall_ms : t -> float
-val to_json : t -> string
 val write : t -> path:string -> unit
 
 val load : path:string -> entry list

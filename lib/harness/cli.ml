@@ -10,16 +10,10 @@
 open Cmdliner
 module Config = Dsm_sim.Config
 module A = Dsm_apps.App_common
-module Workload = Dsm_apps.Workload
 
 (* {1 Applications and levels}
 
-   The workload table lives in {!Dsm_apps.Registry}; both executables
-   and the bench consume it through these aliases. *)
-
-let apps : (string * (module Workload.S)) list = Dsm_apps.Registry.all
-let find_app = Dsm_apps.Registry.find
-let app_names = Dsm_apps.Registry.names
+   The workload table lives in {!Dsm_apps.Registry}. *)
 
 let levels : (string * A.opt_level) list =
   [
@@ -295,12 +289,13 @@ let app_t =
   Arg.(
     value & opt string "jacobi"
     & info [ "app"; "a" ] ~docv:"NAME"
-        ~doc:("Application: " ^ String.concat ", " app_names ^ "."))
+        ~doc:
+          ("Application: " ^ String.concat ", " Dsm_apps.Registry.names ^ "."))
 
 (* Behavior knobs travel as (key, value) strings and are interpreted by
-   the selected workload's {!Workload.S.with_knob}, so adding a knob to
-   one workload does not grow this list of flags' parsing logic — only
-   its help text. Unknown/out-of-range values surface as usage errors in
+   the selected workload's {!Dsm_apps.Workload.S.with_knob}, so adding a
+   knob to one workload does not grow this list of flags' parsing logic —
+   only its help text. Unknown/out-of-range values surface as usage errors in
    the standard field/value/range format. *)
 let knobs_t =
   let knob key docv doc =

@@ -5,13 +5,6 @@
 
 (** {1 Applications and levels} *)
 
-val apps : (string * (module Dsm_apps.Workload.S)) list
-(** The workload registry ({!Dsm_apps.Registry.all}), keyed by CLI
-    names: the six paper kernels plus the [kv] session cache. *)
-
-val find_app : string -> (module Dsm_apps.Workload.S) option
-val app_names : string list
-
 val levels : (string * Dsm_apps.App_common.opt_level) list
 (** Optimization levels in increasing order, keyed by their CLI names
     (base, aggr, cons, merge, push). *)
@@ -62,11 +55,6 @@ val config : ?procs:int -> t -> (Dsm_sim.Config.t, string) result
     validate the processor count (at least 1, reported as [--procs]),
     then the resulting network fault plan and crash schedule (every
     error path shares the {!Dsm_net.Plan.field_error} message format). *)
-
-val plan_conv : Dsm_tmk.Proto_plan.t Cmdliner.Arg.conv
-(** Loads and validates a protocol-placement plan file at parse time;
-    schema violations surface as usage errors in
-    {!Dsm_net.Plan.field_error}'s field/value/range format. *)
 
 val plan_t : Dsm_tmk.Proto_plan.t option Cmdliner.Term.t
 (** [--plan FILE] for [dsm_run]: seed the adaptive/hlrc backend from a

@@ -18,7 +18,6 @@ val gauss :
   Dsm_apps.Gauss.params -> nprocs:int -> page_size:int -> Classify.model
 
 val mgs : Dsm_apps.Mgs.params -> nprocs:int -> page_size:int -> Classify.model
-val is : Dsm_apps.Is.params -> nprocs:int -> page_size:int -> Classify.model
 
 val shallow :
   Dsm_apps.Shallow.params -> nprocs:int -> page_size:int -> Classify.model

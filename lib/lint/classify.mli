@@ -39,7 +39,6 @@ type acc = {
 }
 
 val empty_acc : unit -> acc
-val union_acc : acc -> acc -> acc
 
 val taxonomy : acc -> (Plan.proto * int) option
 (** The decision rule of {!Dsm_tmk.Adaptive.reclassify}, verbatim: no

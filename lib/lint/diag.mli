@@ -84,11 +84,7 @@ type kind =
 type t = { severity : severity; program : string; kind : kind }
 
 val make : severity -> program:string -> kind -> t
-val severity_name : severity -> string
 val is_error : t -> bool
-
-val max_severity : t list -> severity option
-(** [None] on an empty report. *)
 
 val exit_code : ?strict:bool -> t list -> int
 (** 0 when nothing above {!Info} was reported (or, without [strict],

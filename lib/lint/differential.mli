@@ -39,15 +39,6 @@ val check :
     byte ranges (real addresses). Exposed so tests can seed a truncated
     summary and watch the check fail. *)
 
-val static_ranges :
-  Dsm_compiler.Ir.program ->
-  nprocs:int ->
-  arrays:(string * Dsm_rsd.Section.array_info) list ->
-  Dsm_rsd.Range.t array
-(** Per-processor static access envelope: union over all regions (or
-    the whole body, for programs without a steady-state loop) of the
-    concrete read and write sections, under the given array layout. *)
-
 val run :
   ?opts:Dsm_compiler.Transform.opts ->
   ?cfg:Dsm_sim.Config.t ->

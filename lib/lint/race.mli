@@ -32,11 +32,6 @@ val protect :
 (** The lock whose critical section contains the region, if any
     ([syncs] is {!Dsm_compiler.Access.index_syncs} output). *)
 
-val opens_epoch :
-  (int * Dsm_compiler.Ir.stmt) list -> Dsm_compiler.Access.region -> bool
-(** Whether the region starts a new barrier epoch (it was opened by a
-    barrier, or by the Push that replaced one). *)
-
 val epochs :
   (int * Dsm_compiler.Ir.stmt) list ->
   Dsm_compiler.Access.result ->

@@ -5,7 +5,6 @@ type t = {
 }
 
 let create ~page_size = { page_size; brk = 0; arrs = [] }
-let page_size t = t.page_size
 
 let align_up x a = (x + a - 1) / a * a
 

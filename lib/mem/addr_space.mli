@@ -8,7 +8,6 @@
 type t
 
 val create : page_size:int -> t
-val page_size : t -> int
 
 val alloc : t -> name:string -> ?page_align:bool -> bytes:int -> unit -> int
 (** Reserve [bytes] and return the base address. [page_align] defaults to

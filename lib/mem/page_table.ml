@@ -10,8 +10,6 @@ type t = { page_size : int; mutable pages : page option array }
 
 let create ~page_size = { page_size; pages = Array.make 64 None }
 
-let page_size t = t.page_size
-
 let ensure_capacity t n =
   let len = Array.length t.pages in
   if n >= len then begin

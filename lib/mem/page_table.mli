@@ -29,7 +29,6 @@ type page = {
 type t
 
 val create : page_size:int -> t
-val page_size : t -> int
 
 val get : t -> int -> page
 (** Frame-backed page record for page number [n]; every data path goes

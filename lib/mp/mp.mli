@@ -50,5 +50,4 @@ val barrier : t -> unit
     phases that need one. *)
 
 val elapsed : system -> float
-val stats : system -> Dsm_sim.Stats.t array
 val total_stats : system -> Dsm_sim.Stats.t

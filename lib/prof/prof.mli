@@ -37,11 +37,6 @@ type section =
 
 val section_name : section -> string
 
-val enabled : bool ref
-(** Exposed for call sites that must guard more than the [enter]/[exit]
-    pair (e.g. avoid building an argument). Use {!enable}/{!disable} to
-    change it. *)
-
 val enable : unit -> unit
 (** Reset all counters and start attributing time slices. *)
 

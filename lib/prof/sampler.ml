@@ -1,7 +1,10 @@
 (* A statistical call-stack profile of the host process: a SIGPROF
-   interval timer fires every [interval] seconds of CPU time, and its
-   handler records the OCaml call stack. Stacks are recorded raw and
-   resolved to function names only when the report is printed. *)
+   interval timer is asked to fire every [interval] seconds of CPU time,
+   and its handler records the OCaml call stack. Stacks are recorded raw
+   and resolved to function names only when the report is printed. The
+   timer fires less often than asked (the kernel rounds it up to its
+   tick), so the CPU time between [start] and [stop] is measured and the
+   report prints the interval the samples really had. *)
 
 let interval = 0.001
 let max_frames = 256
@@ -10,14 +13,24 @@ let handler _ = samples := Printexc.get_callstack max_frames :: !samples
 
 let timer v = { Unix.it_interval = v; it_value = v }
 
+let cpu_now () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let cpu_start = ref 0.0
+let cpu_s = ref 0.0
+
 let start () =
   samples := [];
+  cpu_s := 0.0;
+  cpu_start := cpu_now ();
   Sys.set_signal Sys.sigprof (Sys.Signal_handle handler);
   ignore (Unix.setitimer Unix.ITIMER_PROF (timer interval))
 
 let stop () =
   ignore (Unix.setitimer Unix.ITIMER_PROF (timer 0.0));
-  Sys.set_signal Sys.sigprof Sys.Signal_default
+  Sys.set_signal Sys.sigprof Sys.Signal_default;
+  cpu_s := cpu_now () -. !cpu_start
 
 (* The stack a sample books, innermost first, from the names its frames
    resolve to. The handler's own frames and the nameless frames around
@@ -107,13 +120,23 @@ let pp_top ppf ~by rows total =
           r.self (pct r.self) r.name)
     rows
 
+let header ~samples ~cpu_s =
+  let every =
+    if samples = 0 then "none taken"
+    else
+      Printf.sprintf "one per %.1f ms" (1e3 *. cpu_s /. float_of_int samples)
+  in
+  Printf.sprintf
+    "%d stack samples in %.2f s of CPU: %s (SIGPROF, asked every %.0f ms)."
+    samples cpu_s every (1e3 *. interval)
+
 let pp ppf () =
   let rows = report () and total = List.length !samples in
   Format.fprintf ppf
-    "@[<v>%d stack samples, one per %.0f ms of CPU (SIGPROF). OCaml 5 \
-     delivers signals at poll points,@,\
-     so self samples lean toward functions that loop or allocate.@,"
-    total (1e3 *. interval);
+    "@[<v>%s@,\
+     OCaml 5 delivers signals at poll points, so self samples lean toward@,\
+     functions that loop or allocate.@,"
+    (header ~samples:total ~cpu_s:!cpu_s);
   let header what =
     Format.fprintf ppf "%8s %7s %8s %7s  %s@," "incl" "%" "self" "%"
       ("function (top 25 by " ^ what ^ " samples)")

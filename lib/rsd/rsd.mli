@@ -25,9 +25,6 @@ val is_empty : t -> bool
 val size : t -> int
 (** Number of elements described. *)
 
-val dim_count : dim -> int
-(** Number of indices in one dimension. *)
-
 val mem : t -> int array -> bool
 (** Does the descriptor contain the given index point? *)
 

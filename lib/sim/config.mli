@@ -35,11 +35,6 @@ type home_policy =
   | Home_first_touch
       (** first processor to flush to or fetch a page becomes its home *)
 
-val normalize_enum : string -> string
-(** Canonical spelling of an enum-flag value: trimmed, lower-case, with
-    ['_'] mapped to ['-']. All [*_of_string] parsers below apply it, so
-    ["first-touch"] and ["first_touch"] are the same policy. *)
-
 val backend_name : backend_kind -> string
 val backend_of_string : string -> backend_kind option
 

@@ -32,14 +32,6 @@ module Page_table = Dsm_mem.Page_table
 module Diff = Dsm_mem.Diff
 module Prof = Dsm_prof.Prof
 
-(* {1 Home assignment} *)
-
-(* Static policy, resolved lazily and memoized in [sys.homes] so every
-   backend path (flush, fetch, wsync scan) agrees on the same map. Lives
-   in {!Recover} (the replica-group map wraps the same base policy); the
-   single-home protocol below is unchanged by the move. *)
-let home_of = Recover.home_of
-
 module Ft = Dsm_ft.Ft
 
 (* {1 Release: eager diff flush to the homes} *)
@@ -147,7 +139,7 @@ let flush_pages sys p ~seq pages =
   let by_home = Array.make sys.nprocs [] in
       List.iter
         (fun page ->
-          let home = home_of sys ~toucher:p page in
+          let home = Recover.home_of sys ~toucher:p page in
           if home = p then begin
             (* My copy is the home copy: trivially flushed. The diff is
                still materialized into the store — the store's
@@ -220,12 +212,6 @@ let release sys p =
       entry
 
 (* {1 Access misses: full-page fetch from the home} *)
-
-(* A page's copy is stale when a write notice outruns the applied
-   watermark. Pages already consistent need no data movement. *)
-let stale st p page =
-  let m = Protocol.meta st page in
-  Wmap.exists (fun q kv -> q <> p && kv > Wmap.get m.applied q) m.known
 
 (* The home's own copy needs no message: flushes landed in it eagerly, so
    it only has to advance its watermarks (this happens after a partial-push
@@ -320,7 +306,9 @@ let quorum_fetch_pages sys p pages ~mode =
   let by_src = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st p page || Ft.is_lost sys.ft p page then begin
+      if
+        Protocol.stale p (Protocol.meta st page) || Ft.is_lost sys.ft p page
+      then begin
         let live =
           Recover.live_members sys p (Recover.group_of sys ~toucher:p page)
         in
@@ -401,8 +389,8 @@ let fetch_pages_single sys p pages ~mode =
   let by_home = Array.make sys.nprocs [] in
   List.iter
     (fun page ->
-      if stale st p page then begin
-        let home = home_of sys ~toucher:p page in
+      if Protocol.stale p (Protocol.meta st page) then begin
+        let home = Recover.home_of sys ~toucher:p page in
         if home = p then revalidate_local sys p page
         else by_home.(home) <- page :: by_home.(home)
       end)
@@ -456,7 +444,7 @@ let serves sys p ~requester page =
       match sys.cluster.Cluster.cfg.Config.home_policy with
       | Config.Home_first_touch -> false
       | Config.Home_cyclic | Config.Home_block ->
-          home_of sys ~toucher:requester page = p)
+          Recover.home_of sys ~toucher:requester page = p)
 
 let backend =
   {

@@ -13,7 +13,6 @@
     so the compile-time layout replica and the run-time layout agree. *)
 
 val magic : string
-val version : int
 
 val window : int
 (** Barrier epochs per classification window: the adaptive backend
@@ -23,7 +22,6 @@ val window : int
 type proto = Lrc | Hlrc | Inval
 
 val proto_name : proto -> string
-val proto_of_string : string -> proto option
 
 type confidence =
   | Exact  (** every contributing access summary was exact *)

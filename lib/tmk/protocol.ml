@@ -94,6 +94,11 @@ let meta st page =
   end;
   m
 
+(* [p]'s copy misses data: some other writer's known watermark is above
+   its applied one. *)
+let stale p m =
+  Wmap.exists (fun q kv -> q <> p && kv > Wmap.get m.applied q) m.known
+
 (* Raise [pg]'s protection to [prot]: the only way a page leaves
    [No_access]. A quiet page is folded and applies notices eagerly again. *)
 let grant st page pg prot =
@@ -895,12 +900,7 @@ let fetch sys p pages ~mode ?only_via () =
             if obj_size sys page > 0 then
               match Page_map.find st.meta page with
               | Some m when not (Pset.is_empty m.ob_stale) ->
-                  if
-                    not
-                      (Wmap.exists
-                         (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                         m.known)
-                  then m.ob_stale <- Pset.empty
+                  if not (stale p m) then m.ob_stale <- Pset.empty
               | _ -> ())
           page_of;
       if sys.trace <> None then
@@ -1000,11 +1000,7 @@ let obj_skip sys p ~ranges pages =
         if osz = 0 then keep := page :: !keep
         else
         let m = meta st page in
-        let stale =
-          Wmap.exists
-            (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-            m.known
-        in
+        let stale = stale p m in
         let slots =
           if stale && not (Pset.is_empty m.ob_stale) then
             obj_slots_of_ranges sys ~page ~osz ranges

@@ -35,6 +35,11 @@ val meta : pstate -> int -> page_meta
     pending lazy interval), created on first use. A quiet page's [known]
     watermarks are folded in from the interval logs here first. *)
 
+val stale : int -> page_meta -> bool
+(** [stale p m]: processor [p]'s copy of the page misses data, because
+    some other writer's known watermark in [m] is above its applied
+    one. *)
+
 (** {1 Quiet pages}
 
     A write notice for a page the processor already holds invalid (with no
@@ -72,19 +77,6 @@ val materialize : system -> writer:int -> page:int -> float
     to charge (as request service time — the work happens in the writer's
     interrupt handler). Cleans the page (twin dropped, write-protected,
     off the dirty list) unless the writer is mid-interval on it. *)
-
-val apply_notice :
-  system ->
-  int ->
-  writer:int ->
-  seq:int ->
-  pages:int array ->
-  extents:Pset.t option array ->
-  unit
-(** Record write notices; invalidate stale local copies; force local
-    materialization where needed. A notice for a quiet page only marks it
-    pending. [extents] is the interval's {!Ilog} extents: the slots each
-    object page's notice grows the receiver's stale-slot set by. *)
 
 val count_notices : system -> int -> upto:Vc.t -> int
 (** The number of notices {!pull_notices} would apply (for message-size
@@ -205,11 +197,6 @@ val obj_size : system -> int -> int
 val obj_all_slots : system -> int -> Pset.t
 (** Every slot of a page holding objects of the given size: the
     conservative "whole page stale" extent. *)
-
-val obj_slots_of_ranges :
-  system -> page:int -> osz:int -> Dsm_rsd.Range.t -> Pset.t
-(** Slots of [page] (object size [osz]) covered by [ranges]; a partially
-    covered slot counts as covered. *)
 
 val obj_skip :
   system -> int -> ranges:Dsm_rsd.Range.t -> int list -> int list * int list

@@ -302,9 +302,6 @@ module F64_2 = struct
     done;
     !d
 
-  let dim0 (a : t) = a.Section.extents.(0)
-  let dim1 (a : t) = a.Section.extents.(1)
-
   let section (a : t) (lo0, hi0, st0) (lo1, hi1, st1) =
     Section.make a (Dsm_rsd.Rsd.make [ (lo0, hi0, st0); (lo1, hi1, st1) ])
 end
@@ -331,7 +328,6 @@ module I64_1 = struct
   let[@inline] addr (a : t) i = a.Section.base + (8 * i)
   let get tmk a i = get_i64 tmk (addr a i)
   let set tmk a i v = set_i64 tmk (addr a i) v
-  let length (a : t) = a.Section.extents.(0)
 
   let section (a : t) (lo, hi, st) =
     Section.make a (Dsm_rsd.Rsd.make [ (lo, hi, st) ])

@@ -9,9 +9,6 @@
     (twin creation, write detection). Elements are 4- or 8-byte aligned
     and never straddle a page boundary. *)
 
-val page_for_read : Types.t -> int -> Dsm_mem.Page_table.page
-val page_for_write : Types.t -> int -> Dsm_mem.Page_table.page
-
 val get_f64 : Types.t -> int -> float
 val set_f64 : Types.t -> int -> float -> unit
 val get_i64 : Types.t -> int -> int
@@ -114,8 +111,6 @@ module F64_2 : sig
       rows of the span, accumulated from [0.0] in ascending row order,
       through the read-fault path. *)
 
-  val dim0 : t -> int
-  val dim1 : t -> int
   val section : t -> int * int * int -> int * int * int -> Dsm_rsd.Section.t
 end
 
@@ -139,6 +134,5 @@ module I64_1 : sig
   val addr : t -> int -> int
   val get : Types.t -> t -> int -> int
   val set : Types.t -> t -> int -> int -> unit
-  val length : t -> int
   val section : t -> int * int * int -> Dsm_rsd.Section.t
 end

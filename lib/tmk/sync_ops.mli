@@ -21,17 +21,11 @@
     interval and its [b_departure] hook runs once per barrier at
     quiescence. *)
 
-val wsync_req_bytes : Types.system -> Types.wsync_req list -> int
-(** Wire size of piggy-backed section requests (ranges + per-page
-    timestamps). *)
-
 val barrier : Types.t -> unit
 (** Release, arrive, wait for everyone, depart: pull the merged write
     notices, roll back partially pushed pages (full consistency is
     restored at every global synchronization, Section 3.1.2), and answer
     piggy-backed section requests. *)
-
-val get_lock : Types.system -> int -> Types.lock
 
 val lock_acquire : Types.t -> int -> unit
 (** Acquire the lock, receiving the releaser's happens-before write notices

@@ -214,15 +214,10 @@ let update_pages_in_use sys =
   sys.Types.cluster.Cluster.pages_in_use <-
     Dsm_mem.Addr_space.n_pages sys.Types.space
 
-type kind = F64 | I64
-
 module Alloc = struct
   type granularity = Page | Object
 
-  let array sys name (kind : kind) ~dims =
-    (* both element kinds are 8 bytes wide on the simulated machine; [kind]
-       documents intent and leaves room for narrower elements later *)
-    ignore kind;
+  let array sys name ~dims =
     let a =
       Dsm_mem.Addr_space.alloc_array sys.Types.space ~name ~elem_size:8
         (Array.of_list dims)
@@ -292,7 +287,6 @@ let elapsed sys = Cluster.elapsed sys.Types.cluster
 let time (t : t) = Cluster.time t.Types.sys.Types.cluster t.Types.p
 let stats sys = sys.Types.cluster.Cluster.stats
 let total_stats sys = Dsm_sim.Stats.total (stats sys)
-let cluster sys = sys.Types.cluster
 
 (* Content digest of every allocated array, observed through the protocol
    (an extra run in which processor 0 reads all of shared memory; plain
@@ -364,7 +358,3 @@ let adapt_classes sys =
       (page, Types.page_proto_name a.Types.ap_proto, owner) :: acc)
     sys.Types.adapt []
   |> List.sort compare
-
-module Shm = Shm
-module Section = Dsm_rsd.Section
-module Rsd = Dsm_rsd.Rsd

@@ -63,8 +63,6 @@ val run : ?trace:Dsm_trace.Sink.t -> system -> (t -> unit) -> unit
 
 (** {1 Allocation} (before {!run}) *)
 
-type kind = F64 | I64  (** Element kind of a shared array (8 bytes each). *)
-
 (** Shared-memory allocation. [array] is the general entry point; [objs]
     additionally declares sub-page granularity, the remedy for false
     sharing when many small independent objects pack into one page. *)
@@ -75,11 +73,11 @@ module Alloc : sig
         (** per-object staleness tracking: a validate of objects disjoint
             from every stale slot skips the fetch entirely *)
 
-  val array :
-    system -> string -> kind -> dims:int list -> Dsm_rsd.Section.array_info
-  (** [array sys name kind ~dims] allocates a shared array of the given
-      extents (column-major; the first dimension is contiguous). Access it
-      through the {!Shm} view matching its rank and kind. *)
+  val array : system -> string -> dims:int list -> Dsm_rsd.Section.array_info
+  (** [array sys name ~dims] allocates a shared array of 8-byte elements
+      with the given extents (column-major; the first dimension is
+      contiguous). Access it through the {!Shm} view matching its rank
+      and element type. *)
 
   val objs :
     system ->
@@ -97,7 +95,7 @@ module Alloc : sig
       pure false sharing; [~granularity:Page] allocates identically but
       keeps page-granular coherence — the experiment control. Raises
       [Invalid_argument] (in the {!Dsm_net.Plan.field_error} format) on a
-      bad [obj_size] or [count]. The result is a rank-1 [I64]-kind array
+      bad [obj_size] or [count]. The result is a rank-1 array
       of [count * obj_size / 8] words; address object [i]'s word [w] at
       [base + i*obj_size + 8*w]. *)
 end
@@ -143,7 +141,6 @@ val elapsed : system -> float
 val time : t -> float
 val stats : system -> Dsm_sim.Stats.t array
 val total_stats : system -> Dsm_sim.Stats.t
-val cluster : system -> Dsm_sim.Cluster.t
 
 val digest : system -> string
 (** Hex digest of the contents of every allocated array, observed through
@@ -164,9 +161,3 @@ val adapt_classes : system -> (int * string * int) list
     never touched or seeded are absent (they stayed under the LRC
     default). Capture before {!digest}, whose read pass updates the
     sharing observations. *)
-
-(** {1 Raw shared-memory access} *)
-
-module Shm = Shm
-module Section = Dsm_rsd.Section
-module Rsd = Dsm_rsd.Rsd

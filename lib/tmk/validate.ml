@@ -280,10 +280,7 @@ let push t ~read_sections ~write_sections =
               let pg = Page_table.get st.pt page in
               if
                 pg.Page_table.prot = Page_table.No_access
-                && not
-                     (Wmap.exists
-                        (fun q kv -> q <> p && kv > Wmap.get m.applied q)
-                        m.known)
+                && not (Protocol.stale p m)
               then begin
                 Protocol.grant st page pg Page_table.Read_only;
                 revalidated := page :: !revalidated

@@ -8,6 +8,18 @@ type value = Num of float | Bool of bool | Str of string | Ints of int list
 
 type t = (string * value) list
 
+(* The integer a number field holds. A fraction, or a magnitude beyond
+   2^53 (where a float no longer holds every integer), is an error naming
+   the field: truncating it would turn a corrupt line into a plausible
+   event. *)
+let to_int field f =
+  let bad why =
+    raise (Parse_error (Printf.sprintf "field %S: %g %s" field f why))
+  in
+  if not (Float.is_integer f) then bad "is not an integer"
+  else if Float.abs f > 0x1p53 then bad "is out of the integer range"
+  else int_of_float f
+
 let parse_exn line =
   let n = String.length line in
   let pos = ref 0 in
@@ -71,7 +83,7 @@ let parse_exn line =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let parse_value () =
+  let parse_value field =
     match peek () with
     | '"' -> Str (parse_string ())
     | 't' ->
@@ -92,7 +104,7 @@ let parse_exn line =
         if peek () = ']' then incr pos
         else begin
           let rec go () =
-            items := int_of_float (parse_number ()) :: !items;
+            items := to_int field (parse_number ()) :: !items;
             match peek () with
             | ',' ->
                 incr pos;
@@ -112,7 +124,7 @@ let parse_exn line =
     let rec go () =
       let k = parse_string () in
       expect ':';
-      fields := (k, parse_value ()) :: !fields;
+      fields := (k, parse_value k) :: !fields;
       match peek () with
       | ',' ->
           incr pos;
@@ -136,7 +148,7 @@ let num t k =
   | Num f -> f
   | _ -> raise (Parse_error (Printf.sprintf "field %S: expected a number" k))
 
-let int t k = int_of_float (num t k)
+let int t k = to_int k (num t k)
 
 let bool t k =
   match get t k with

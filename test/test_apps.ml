@@ -175,6 +175,44 @@ let test_references_off_heap () =
     (grown < n / 100);
   Alcotest.(check (float 0.0)) "reference kept" 1.0 big.{n - 1}
 
+(* Every DSM run ends in one epilogue ({!Dsm_apps.App_common.finish_tmk}):
+   [~inspect] runs exactly once, and the digest pass, which runs after
+   everything else, changes nothing but the digest. *)
+let test_epilogue () =
+  let cfg =
+    {
+      Dsm_sim.Config.default with
+      Dsm_sim.Config.nprocs = 4;
+      backend = Dsm_sim.Config.Adaptive;
+    }
+  in
+  List.iter
+    (fun (name, m) ->
+      let module W = (val m : Dsm_apps.Workload.S) in
+      let size = List.assoc "small" W.sizes in
+      let level = List.nth W.levels (List.length W.levels - 1) in
+      let run digest =
+        let calls = ref 0 in
+        let r =
+          W.tmk ~digest ~inspect:(fun _ -> incr calls) cfg ~size
+            ~behavior:W.default_behavior ~level ~async:true
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s digest=%b: inspect ran once" name digest)
+          1 !calls;
+        r
+      in
+      let plain = run false and digested = run true in
+      Alcotest.(check string) (name ^ ": no digest unless asked") ""
+        plain.digest;
+      Alcotest.(check bool) (name ^ ": digest computed") true
+        (digested.digest <> "");
+      Alcotest.(check bool)
+        (name ^ ": results equal apart from the digest")
+        true
+        ({ digested with digest = "" } = plain))
+    Dsm_apps.Registry.all
+
 let tests =
   List.concat_map
     (fun (name, m) ->
@@ -200,4 +238,7 @@ let tests =
         `Quick test_references_off_heap;
       Alcotest.test_case "is: 64 processors, many-writer faults pinned" `Slow
         test_is_64_pinned;
+      Alcotest.test_case
+        "epilogue: inspect once, digest changes only the digest" `Quick
+        test_epilogue;
     ]

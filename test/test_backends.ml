@@ -290,13 +290,15 @@ let first_touch_homes case () =
   let level = last case.levels in
   let run trace =
     let sink = if trace then Some (Sink.create ~nprocs ()) else None in
+    let homes = ref [] in
     let r =
       case.run ?trace:sink
+        ~inspect:(fun sys -> homes := Tmk.homes sys)
         (cfg ~policy:Config.Home_first_touch Config.Hlrc nprocs)
         ~level ~async:true
     in
     Alcotest.(check (float 1e-6)) (case.app ^ ": verified") 0.0 r.max_err;
-    r.homes
+    !homes
   in
   let off = run false in
   let on = run true in
@@ -343,8 +345,8 @@ let inval_stats () =
 
 let alloc_api () =
   let sys = Tmk.make (cfg Config.Hlrc 2) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 3; 5 ] in
-  let k = Tmk.Alloc.array sys "k" Tmk.I64 ~dims:[ 7 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 3; 5 ] in
+  let k = Tmk.Alloc.array sys "k" ~dims:[ 7 ] in
   Alcotest.(check (array int))
     "f64 extents" [| 3; 5 |] a.Dsm_rsd.Section.extents;
   Alcotest.(check (array int)) "i64 extents" [| 7 |] k.Dsm_rsd.Section.extents;

@@ -83,7 +83,14 @@ let test_check_names_key () =
     }
   in
   let r =
-    make_result ~time_us:1.0 ~stats:(Dsm_sim.Stats.create ()) ~max_err:1e-6 ()
+    {
+      time_us = 1.0;
+      stats = Dsm_sim.Stats.create ();
+      max_err = 1e-6;
+      digest = "";
+      latencies_us = None;
+      nops = 0;
+    }
   in
   Grid.check key r;
   match Grid.check key { r with max_err = 2e-6 } with

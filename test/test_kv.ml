@@ -74,7 +74,7 @@ let test_sync_async_agree () =
    fault, so it must be answered at the barrier, not left pending. *)
 let test_async_wsync_after_skip () =
   let module Tmk = Dsm_tmk.Tmk in
-  let module I = Tmk.Shm.I64_1 in
+  let module I = Dsm_tmk.Shm.I64_1 in
   List.iter
     (fun (backend, bname) ->
       let sys = Tmk.make { (cfg 2) with Config.backend } in

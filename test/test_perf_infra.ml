@@ -61,7 +61,7 @@ let test_prof_exception_unwind () =
    same virtual elapsed time with the profiler on and off. *)
 let run_small_sim () =
   let sys = Tmk.make { Config.default with nprocs = 4; page_size = 256 } in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       Shm.F64_1.set t a p (float_of_int (p + 1));
@@ -119,6 +119,27 @@ let test_sampler_attribution () =
     [ h; "A.f"; "?"; "B.g" ];
   check "nothing named under the handler" [ "?" ] [ h; "?" ];
   check "handler only" [] [ h ]
+
+(* The header reports the interval the samples really had, not the one
+   the timer was asked for. *)
+let test_sampler_header () =
+  let check msg expected samples cpu_s =
+    Alcotest.(check string)
+      msg expected
+      (Dsm_prof.Sampler.header ~samples ~cpu_s)
+  in
+  check "measured interval"
+    "67 stack samples in 0.26 s of CPU: one per 3.9 ms (SIGPROF, asked \
+     every 1 ms)."
+    67 0.26;
+  check "one per requested tick"
+    "1000 stack samples in 1.00 s of CPU: one per 1.0 ms (SIGPROF, asked \
+     every 1 ms)."
+    1000 1.0;
+  check "no samples"
+    "0 stack samples in 0.00 s of CPU: none taken (SIGPROF, asked every \
+     1 ms)."
+    0 0.0
 
 (* {1 Ilog} *)
 
@@ -569,3 +590,7 @@ let tests =
       test_sampler_attribution;
   ]
   @ kernel_budget_cases later_kernel_budgets_mw
+  @ [
+      Alcotest.test_case "sampler: header reports the measured interval"
+        `Quick test_sampler_header;
+    ]

@@ -40,7 +40,7 @@ let build_plan ~nprocs name =
 
 let run_traced ?plan ~nprocs name =
   let m =
-    match Cli.find_app name with
+    match Dsm_apps.Registry.find name with
     | Some m -> m
     | None -> Alcotest.fail ("no app " ^ name)
   in
@@ -56,11 +56,14 @@ let run_traced ?plan ~nprocs name =
     | None -> Alcotest.fail "no base level"
   in
   let sink = Dsm_trace.Sink.create ~nprocs () in
+  let classes = ref [] in
   let r =
-    W.tmk ~trace:sink ~digest:true ?plan (adaptive_cfg nprocs) ~size
-      ~behavior:W.default_behavior ~level:l ~async:true
+    W.tmk ~trace:sink ~digest:true ?plan
+      ~inspect:(fun sys -> classes := Dsm_tmk.Tmk.adapt_classes sys)
+      (adaptive_cfg nprocs) ~size ~behavior:W.default_behavior ~level:l
+      ~async:true
   in
-  (r, sink)
+  (r, !classes, sink)
 
 (* {1 Plan file round trip and validation} *)
 
@@ -148,6 +151,65 @@ let test_plan_validation () =
         [ { (List.hd p.Plan.directives) with Plan.proto = Plan.Lrc } ];
     };
   expect_error "bad nprocs" { p with Plan.nprocs = 0 }
+
+(* The sample plan as the lines of its file. *)
+let sample_lines () =
+  let file = Filename.temp_file "plan" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Plan.save file (sample_plan ());
+      In_channel.with_open_text file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> String.trim l <> ""))
+
+(* [nprocs], [page_size] and [lo_page] are integers: a fraction is an
+   error naming the field, not a truncated plan. *)
+let test_plan_rejects_non_integers () =
+  let lines = sample_lines () in
+  List.iter
+    (fun (field, value) ->
+      let subst line =
+        let key = Printf.sprintf "\"%s\":" field in
+        match String.split_on_char ',' line with
+        | parts when List.exists (String.starts_with ~prefix:key) parts ->
+            String.concat ","
+              (List.map
+                 (fun p ->
+                   if String.starts_with ~prefix:key p then key ^ value else p)
+                 parts)
+        | _ -> line
+      in
+      match Plan.of_lines (List.map subst lines) with
+      | Ok _ -> Alcotest.failf "%s = %s must be rejected" field value
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %s: %S names the field" field value e)
+            true
+            (Test_trace.contains ~sub:(Printf.sprintf "%S" field) e))
+    [ ("nprocs", "4.5"); ("page_size", "4096.25"); ("lo_page", "0.5") ]
+
+(* [of_lines] answers [Ok] or [Error] for any input: random edits of one
+   line of a valid plan, or a line dropped or repeated. *)
+let prop_of_lines_mutations =
+  let lines = sample_lines () in
+  let n = List.length lines in
+  let gen =
+    QCheck.Gen.(
+      int_bound (n - 1) >>= fun k ->
+      let nth = List.nth lines k in
+      oneof
+        [
+          map
+            (fun l -> List.mapi (fun i x -> if i = k then l else x) lines)
+            (Test_trace.mutate nth);
+          return (List.filteri (fun i _ -> i <> k) lines);
+          return (lines @ [ nth ]);
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"fuzz: of_lines answers mutated plans"
+    (QCheck.make ~print:(fun ls -> String.concat "\n" ls) gen)
+    (fun ls -> match Plan.of_lines ls with Ok _ | Error _ -> true)
 
 (* {1 Classifier properties} *)
 
@@ -241,9 +303,9 @@ let test_agreement () =
           | Ok _ -> ()
           | Error e ->
               Alcotest.fail (Printf.sprintf "%s p%d: %s" name nprocs e));
-          let r, sink = run_traced ~nprocs name in
+          let _, classes, sink = run_traced ~nprocs name in
           let g =
-            Differential.grade ~plan ~classes:r.A.classes
+            Differential.grade ~plan ~classes
               ~events:(Dsm_trace.Sink.events sink)
           in
           Alcotest.(check (list reject))
@@ -268,8 +330,8 @@ let test_seeding () =
     (fun name ->
       let nprocs = 4 in
       let plan = build_plan ~nprocs name in
-      let unseeded, _ = run_traced ~nprocs name in
-      let seeded, sink = run_traced ~plan ~nprocs name in
+      let unseeded, unseeded_classes, _ = run_traced ~nprocs name in
+      let seeded, seeded_classes, sink = run_traced ~plan ~nprocs name in
       Alcotest.(check string)
         (name ^ ": seeded digest identical")
         unseeded.A.digest seeded.A.digest;
@@ -282,7 +344,7 @@ let test_seeding () =
       Alcotest.(check bool)
         (name ^ ": same converged classification")
         true
-        (unseeded.A.classes = seeded.A.classes))
+        (unseeded_classes = seeded_classes))
     app_names
 
 (* Seeding must save warm-up switches where the plan has exact
@@ -301,8 +363,8 @@ let test_seeding_saves_switches () =
     (fun name ->
       let nprocs = 4 in
       let plan = build_plan ~nprocs name in
-      let _, unseeded = run_traced ~nprocs name in
-      let _, seeded = run_traced ~plan ~nprocs name in
+      let _, _, unseeded = run_traced ~nprocs name in
+      let _, _, seeded = run_traced ~plan ~nprocs name in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d seeded < %d unseeded switches" name
            (count_switches seeded) (count_switches unseeded))
@@ -323,4 +385,7 @@ let tests =
       `Slow test_seeding;
     Alcotest.test_case "seeding saves warm-up switches" `Slow
       test_seeding_saves_switches;
+    Alcotest.test_case "plan: non-integers name the field" `Quick
+      test_plan_rejects_non_integers;
+    QCheck_alcotest.to_alcotest prop_of_lines_mutations;
   ]

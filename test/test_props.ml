@@ -35,7 +35,7 @@ let run_plan ?(page_size = 64) ?(validate = false) (plan : plan) =
   let cfg = { Config.default with Config.nprocs; page_size } in
   let sys = Tmk.make cfg in
   let nslots = Array.length plan.(0) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ nslots ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ nslots ] in
   let out = Array.make_matrix nprocs nslots 0.0 in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -101,7 +101,7 @@ let run_exchange ~push widths =
       total := !total + w)
     widths;
   let n = !total * 8 in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ n ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ n ] in
   let read_sections =
     Array.init nprocs (fun q ->
         let lo, hi = bounds.(q) in
@@ -174,7 +174,7 @@ let prop_deterministic =
       let t1 =
         let cfg = { Config.default with Config.nprocs } in
         let sys = Tmk.make cfg in
-        let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 24 ] in
+        let a = Tmk.Alloc.array sys "a" ~dims:[ 24 ] in
         Tmk.run sys (fun t ->
             Array.iter
               (fun epoch ->
@@ -188,7 +188,7 @@ let prop_deterministic =
       let t2 =
         let cfg = { Config.default with Config.nprocs } in
         let sys = Tmk.make cfg in
-        let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 24 ] in
+        let a = Tmk.Alloc.array sys "a" ~dims:[ 24 ] in
         Tmk.run sys (fun t ->
             Array.iter
               (fun epoch ->

@@ -124,7 +124,7 @@ type prog = {
 
 let prog ?(cfg = { Config.default with Config.nprocs = 3; page_size }) () =
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 3 * words ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 3 * words ] in
   { sys; a; page_a = a.Dsm_rsd.Section.base / page_size }
 
 (* The two write epochs; on return p1's page A is pending. *)
@@ -216,7 +216,7 @@ let fold_on_checkpoint () =
     }
   in
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 3 * words ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 3 * words ] in
   let first = a.Dsm_rsd.Section.base / page_size in
   (* the array's page homed on p2, and an element on it *)
   let k = (2 - (first mod 3) + 3) mod 3 in

@@ -8,7 +8,7 @@ let cfg = { Config.default with Config.nprocs = 2; page_size = 128 }
 
 let test_scalar_accessors () =
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   let base = a.Dsm_rsd.Section.base in
   Tmk.run sys (fun t ->
       if Tmk.pid t = 0 then begin
@@ -22,8 +22,8 @@ let test_scalar_accessors () =
 
 let test_views_addressing () =
   let sys = Tmk.make cfg in
-  let m2 = Tmk.Alloc.array sys "m2" Tmk.F64 ~dims:[ 8; 4 ] in
-  let m3 = Tmk.Alloc.array sys "m3" Tmk.F64 ~dims:[ 4; 3; 2 ] in
+  let m2 = Tmk.Alloc.array sys "m2" ~dims:[ 8; 4 ] in
+  let m3 = Tmk.Alloc.array sys "m3" ~dims:[ 4; 3; 2 ] in
   (* column-major: first index contiguous *)
   Alcotest.(check int) "m2 (1,0) next to (0,0)" 8
     (Shm.F64_2.addr m2 1 0 - Shm.F64_2.addr m2 0 0);
@@ -41,7 +41,7 @@ let test_views_addressing () =
 
 let test_rmw () =
   let sys = Tmk.make cfg in
-  let m2 = Tmk.Alloc.array sys "m2" Tmk.F64 ~dims:[ 8; 4 ] in
+  let m2 = Tmk.Alloc.array sys "m2" ~dims:[ 8; 4 ] in
   Tmk.run sys (fun t ->
       if Tmk.pid t = 0 then begin
         Shm.F64_2.set t m2 2 1 10.0;
@@ -51,18 +51,20 @@ let test_rmw () =
 
 let test_section_helpers () =
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   let s = Shm.F64_1.section a (8, 15, 1) in
   Alcotest.(check int) "section bytes" 64 (Dsm_rsd.Section.size_bytes s);
   Alcotest.(check int) "length" 64 (Shm.F64_1.length a);
   let s2 =
-    Shm.F64_2.section (Tmk.Alloc.array sys "b" Tmk.F64 ~dims:[ 16; 16 ]) (0, 15, 1) (2, 3, 1)
+    Shm.F64_2.section
+      (Tmk.Alloc.array sys "b" ~dims:[ 16; 16 ])
+      (0, 15, 1) (2, 3, 1)
   in
   Alcotest.(check int) "2d section" (16 * 2 * 8) (Dsm_rsd.Section.size_bytes s2)
 
 let test_fault_counting () =
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       if p = 0 then
@@ -82,7 +84,7 @@ let test_write_detection_reset () =
      lazily: one diff will later cover both intervals (TreadMarks' diff
      accumulation) *)
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 16 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 16 ] in
   Tmk.run sys (fun t ->
       if Tmk.pid t = 0 then begin
         Shm.F64_1.set t a 0 1.0;
@@ -184,8 +186,8 @@ let run_span_case ~span c =
         backend = c.backend;
       }
   in
-  let _pad = Tmk.Alloc.array sys "pad" Tmk.F64 ~dims:[ 1 ] in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ span_rows; span_cols ] in
+  let _pad = Tmk.Alloc.array sys "pad" ~dims:[ 1 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ span_rows; span_cols ] in
   let sink = Dsm_trace.Sink.create ~nprocs:2 () in
   let buf = Array.init (span_n + 6) (fun k -> 0.5 +. float_of_int k) in
   let ibuf = Array.init (span_n + 6) (fun k -> (k * 7919) - 400) in
@@ -312,7 +314,7 @@ let prop_float_view =
     (fun pats ->
       let sys = Tmk.make cfg in
       let n = List.length pats in
-      let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ n ] in
+      let a = Tmk.Alloc.array sys "a" ~dims:[ n ] in
       let addr k = a.Dsm_rsd.Section.base + (8 * k) in
       let pats = Array.of_list pats in
       let ok = ref true in
@@ -360,7 +362,7 @@ let prop_float_view =
 
 let test_span_bounds () =
   let sys = Tmk.make cfg in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 8; 4 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 8; 4 ] in
   Tmk.run sys (fun t ->
       if Tmk.pid t = 0 then begin
         let buf = Array.make 8 0.0 in

@@ -13,7 +13,7 @@ let total sys = Tmk.total_stats sys
 
 let test_barrier_propagation () =
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let seen = Array.make 4 0.0 in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -26,7 +26,7 @@ let test_barrier_propagation () =
 
 let test_no_fault_without_notice () =
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 1024 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 1024 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       (* disjoint pages, no sharing: after the barrier nobody faults on
@@ -41,7 +41,7 @@ let test_no_fault_without_notice () =
 let test_multi_writer_merge () =
   (* four processors write disjoint words of the same page concurrently *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 32 ] (* one 256B page *) in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] (* one 256B page *) in
   let ok = ref true in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -55,7 +55,7 @@ let test_multi_writer_merge () =
 let test_lock_migratory () =
   (* a counter incremented under a lock by each processor in turn *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 4 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 4 ] in
   let final = ref 0.0 in
   Tmk.run sys (fun t ->
       Tmk.lock_acquire t 0;
@@ -71,7 +71,7 @@ let test_lock_chain_ordering () =
      guarded by different locks, staggered across four processors; every
      slot must reach 4 everywhere *)
   let sys = Tmk.make { Config.default with nprocs = 4; page_size = 32 } in
-  let b = Tmk.Alloc.array sys "b" Tmk.I64 ~dims:[ 8 ] in
+  let b = Tmk.Alloc.array sys "b" ~dims:[ 8 ] in
   let bad = ref 0 in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -98,7 +98,7 @@ let test_lock_chain_ordering () =
 
 let test_write_all_skips_twins () =
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 128 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 128 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       let lo = p * 32 in
@@ -122,7 +122,7 @@ let test_read_write_all_supersede () =
   (* IS pattern on a full page: accumulated overlapping updates fetched as
      one full copy instead of per-writer diffs *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.I64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.I64_1.section a (0, 31, 1) ] in
   let ok = ref true in
   Tmk.run sys (fun t ->
@@ -144,7 +144,7 @@ let test_push_exchange () =
   (* a miniature Jacobi boundary push between two processors *)
   let c = cfg ~nprocs:2 () in
   let sys = Tmk.make c in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] (* two pages of 32 *) in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] (* two pages of 32 *) in
   let read_sections =
     [|
       [ Shm.F64_1.section a (0, 32, 1) ] (* p0 reads its half + boundary *);
@@ -177,7 +177,7 @@ let test_push_then_barrier_consistency () =
   (* data not covered by the push becomes consistent at the next barrier *)
   let c = cfg ~nprocs:2 () in
   let sys = Tmk.make c in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   let read_sections =
     [| [ Shm.F64_1.section a (32, 32, 1) ]; [ Shm.F64_1.section a (31, 31, 1) ] |]
   and write_sections =
@@ -199,7 +199,7 @@ let test_push_then_barrier_consistency () =
 let test_validate_w_sync_lock () =
   (* the piggy-backed request is answered on the lock grant: no faults *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.I64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.I64_1.section a (0, 31, 1) ] in
   let ok = ref true in
   Tmk.run sys (fun t ->
@@ -222,7 +222,7 @@ let test_wsync_broadcast () =
   (* one producer, all others request the same section at a barrier:
      the run-time broadcasts *)
   let sys = Tmk.make (cfg ~nprocs:8 ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.F64_1.section a (0, 31, 1) ] in
   let ok = ref true in
   Tmk.run sys (fun t ->
@@ -248,7 +248,7 @@ let test_async_wsync_barrier () =
   (* the asynchronous Validate_w_sync does not wait at the departure; the
      fault consumes the piggy-backed response *)
   let sys = Tmk.make (cfg ~nprocs:4 ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.F64_1.section a (0, 31, 1) ] in
   let ok = ref true in
   Tmk.run sys (fun t ->
@@ -273,7 +273,7 @@ let test_async_wsync_write_all () =
   (* asynchronous READ&WRITE_ALL through a lock grant records the WRITE_ALL
      ranges so the fault handler skips twin creation *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.I64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.I64_1.section a (0, 31, 1) ] in
   let ok = ref true in
   Tmk.run sys (fun t ->
@@ -296,7 +296,7 @@ let test_exit_barrier_consistency () =
      restore full consistency for a later reader *)
   let c = cfg ~nprocs:2 () in
   let sys = Tmk.make c in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   let read_sections =
     [| [ Shm.F64_1.section a (32, 32, 1) ]; [ Shm.F64_1.section a (31, 31, 1) ] |]
   and write_sections =
@@ -317,7 +317,7 @@ let test_exit_barrier_consistency () =
 let test_async_dedup () =
   (* a second async validate for the same pending pages sends nothing *)
   let sys = Tmk.make (cfg ~nprocs:2 ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   let sec = [ Shm.F64_1.section a (0, 31, 1) ] in
   let msgs = ref 0 in
   Tmk.run sys (fun t ->
@@ -338,7 +338,7 @@ let test_async_dedup () =
 
 let test_async_validate () =
   let sys = Tmk.make (cfg ~nprocs:2 ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   let v = ref 0.0 in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
@@ -361,7 +361,7 @@ let test_diff_accumulation () =
   (* every processor updates the same page in lock order; a reader that
      fetches at the end receives one diff per writer *)
   let sys = Tmk.make (cfg ()) in
-  let a = Tmk.Alloc.array sys "a" Tmk.I64 ~dims:[ 32 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 32 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       Tmk.lock_acquire t 0;

@@ -134,12 +134,12 @@ let test_trace_off_identical_locks () =
     !v
   in
   let sys0 = build () in
-  let a0 = Tmk.Alloc.array sys0 "a" Tmk.F64 ~dims:[ 8 ] in
+  let a0 = Tmk.Alloc.array sys0 "a" ~dims:[ 8 ] in
   Tmk.run sys0 (program a0);
   let t0 = Tmk.elapsed sys0
   and s0 = Array.to_list (Tmk.stats sys0) in
   let sys1 = build () in
-  let a1 = Tmk.Alloc.array sys1 "a" Tmk.F64 ~dims:[ 8 ] in
+  let a1 = Tmk.Alloc.array sys1 "a" ~dims:[ 8 ] in
   let sink = Sink.create ~nprocs:4 () in
   Tmk.run ~trace:sink sys1 (program a1);
   let t1 = Tmk.elapsed sys1
@@ -618,6 +618,110 @@ let test_every_kind_roundtrip () =
   Alcotest.(check int) "kind names pairwise distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* {2 Integer fields and parser fuzzing} *)
+
+(* An integer field holding a fraction or an out-of-range number is a
+   malformed line naming the field, not a truncated plausible event. *)
+let test_parse_line_rejects_non_integers () =
+  let line ?(id = "0") ?(proc = "1") ?(vc = "[0,1]") ?(page = "3") () =
+    Printf.sprintf
+      {|{"id":%s,"proc":%s,"time":1.5,"vc":%s,"ev":"twin","page":%s}|} id
+      proc vc page
+  in
+  (match Event.parse_line (line ()) with
+  | Event.Event _ -> ()
+  | Event.Unknown_kind _ | Event.Malformed _ ->
+      Alcotest.fail "the unmutated line must parse");
+  List.iter
+    (fun (field, line) ->
+      match Event.parse_line line with
+      | Event.Malformed msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names the field" line msg)
+            true
+            (contains ~sub:(Printf.sprintf "%S" field) msg)
+      | Event.Event _ | Event.Unknown_kind _ ->
+          Alcotest.failf "%s must be malformed" line)
+    [
+      ("page", line ~page:"1.5" ());
+      ("proc", line ~proc:"1.9" ());
+      ("vc", line ~vc:"[0.7,0]" ());
+      ("vc", line ~vc:"[0,1e300]" ());
+      ("id", line ~id:"1e300" ());
+      ("page", line ~page:"-9007199254740994" ());
+    ]
+
+(* Random edits of a valid line: a number replaced by another (a
+   fraction, a huge or negative one, nothing), a span replaced by a token
+   that tends to break a parser, one byte replaced, a truncation, or a
+   span repeated; one to four of them. *)
+let mutate line =
+  let open QCheck.Gen in
+  let numbers =
+    [ ""; "1.5"; "0.7"; "-1"; "-0"; "2e3"; "1e999"; "9007199254740993" ]
+  in
+  let tokens =
+    numbers
+    @ [ "\""; "\\"; "["; "]"; "{"; "}"; ","; ":"; "true"; "null"; "[]";
+        "-"; "e"; " "; "[1,"; "\"ev\":\"twin\"" ]
+  in
+  let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-' in
+  let edit s =
+    let n = String.length s in
+    int_bound n >>= fun i ->
+    int_bound (n - i) >>= fun len ->
+    let splice mid =
+      String.sub s 0 i ^ mid ^ String.sub s (i + len) (n - i - len)
+    in
+    (* the number at or after [i], if any *)
+    let renumber tok =
+      match Seq.find (fun j -> is_num s.[j]) (Seq.init (n - i) (( + ) i)) with
+      | None -> splice tok
+      | Some lo ->
+          let hi = ref lo in
+          while !hi < n && is_num s.[!hi] do incr hi done;
+          String.sub s 0 lo ^ tok ^ String.sub s !hi (n - !hi)
+    in
+    oneof
+      [
+        map renumber (oneofl numbers);
+        map splice (oneofl tokens);
+        map (fun c -> splice (String.make 1 c)) char;
+        return (String.sub s 0 i);
+        return (splice (String.sub s i len ^ String.sub s i len));
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  int_range 1 4 >>= fun k -> edits k line
+
+let every_kind_lines =
+  List.map (fun kind -> Event.to_json (ev 7 1 3.25 [| 2; 5 |] kind)) every_kind
+
+(* [parse_line] classifies every input; an exception escaping it would
+   crash the tolerant loader it exists for. *)
+let parses_without_raising line =
+  match Event.parse_line line with
+  | Event.Event _ | Event.Unknown_kind _ | Event.Malformed _ -> true
+
+let prop_parse_line_mutations =
+  QCheck.Test.make ~count:3000
+    ~name:"fuzz: parse_line classifies mutated lines of every kind"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneofl every_kind_lines >>= mutate))
+    parses_without_raising
+
+let prop_parse_line_bytes =
+  QCheck.Test.make ~count:2000
+    ~name:"fuzz: parse_line classifies random bytes"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         oneof
+           [
+             string_size (int_bound 120);
+             map (fun s -> "{" ^ s) (string_size (int_bound 120));
+           ]))
+    parses_without_raising
+
 let test_checker_catches_moving_home () =
   let vs =
     Check.run ~nprocs:3
@@ -793,7 +897,7 @@ let test_phases () =
 let test_wsync_table_bounded () =
   let nprocs = 4 in
   let sys = Tmk.make (cfg_n nprocs) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 512 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 512 ] in
   Tmk.run sys (fun t ->
       let p = Tmk.pid t in
       for i = 0 to 49 do
@@ -908,7 +1012,7 @@ let test_tmk_failure_mid_barrier () =
      failure must surface (annotated) instead of leaving the run stuck with
      leaked continuations, and the engine must stay usable afterwards *)
   let sys = Tmk.make (cfg_n 4) in
-  let a = Tmk.Alloc.array sys "a" Tmk.F64 ~dims:[ 64 ] in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 64 ] in
   (match
      Tmk.run sys (fun t ->
          let p = Tmk.pid t in
@@ -922,7 +1026,7 @@ let test_tmk_failure_mid_barrier () =
       Alcotest.failf "expected Proc_failure (2, ...), got %s"
         (Printexc.to_string e));
   let sys2 = Tmk.make (cfg_n 4) in
-  let b = Tmk.Alloc.array sys2 "b" Tmk.F64 ~dims:[ 64 ] in
+  let b = Tmk.Alloc.array sys2 "b" ~dims:[ 64 ] in
   let ok = ref 0 in
   Tmk.run sys2 (fun t ->
       Dsm_tmk.Shm.F64_1.set t b (Tmk.pid t) 2.0;
@@ -1027,4 +1131,8 @@ let tests =
          (module Dsm_apps.Shallow)
          { Dsm_apps.Shallow.small with m = 16; n = 8; steps = 2 }
          ~nprocs:10);
+    Alcotest.test_case "parse_line: non-integers name the field" `Quick
+      test_parse_line_rejects_non_integers;
+    QCheck_alcotest.to_alcotest prop_parse_line_mutations;
+    QCheck_alcotest.to_alcotest prop_parse_line_bytes;
   ]
