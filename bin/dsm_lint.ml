@@ -18,7 +18,8 @@
      plan    classify every shared page's sharing pattern statically
              (--app selects the benchmark applications), write protocol-
              placement plans for dsm_run --plan, and with --grade run
-             the traced adaptive backend and grade the predictions
+             the traced adaptive backend at the Base level and grade the
+             predictions
 
    Exit code 0 when nothing above a warning was found (or nothing at
    all under --strict), 1 for warnings under --strict, 2 for errors.
@@ -218,7 +219,8 @@ let run_plan ~cfg ~nprocs ~level ~plan_out ~single ~grade
           in
           Plan.save file plan;
           Format.printf "    written to %s@." file);
-      if grade then grade_plan ~cfg ~nprocs ~level plan spec else []
+      if grade && level = "base" then grade_plan ~cfg ~nprocs ~level plan spec
+      else []
 
 let main prog_arg app_arg procs_arg mode level_arg plan_out grade common
     strict =
@@ -239,6 +241,19 @@ let main prog_arg app_arg procs_arg mode level_arg plan_out grade common
     | "all" -> Ok [ "race"; "verify"; "diff" ]
     | ("race" | "verify" | "diff" | "plan") as m -> Ok [ m ]
     | m -> Error ("unknown mode: " ^ m ^ " (race, verify, diff, plan or all)")
+  in
+  (* The static plan models the base program, so only the Base run can
+     grade it: the default level list grades that run alone, and a
+     --level naming any other level is a usage error. *)
+  let* () =
+    if
+      grade && List.mem "plan" modes && level_arg <> "all"
+      && level_names <> [ "base" ]
+    then
+      Error
+        (Dsm_net.Plan.field_error ~field:"--level" ~value:level_arg
+           ~range:"{base} with --grade")
+    else Ok ()
   in
   let plan_diags =
     if not (List.mem "plan" modes) then []
@@ -324,10 +339,12 @@ let cmd =
       value & flag
       & info [ "grade" ]
           ~doc:
-            "With $(b,--mode plan): run the traced adaptive backend and \
-             grade the static predictions against the dynamic \
-             classification; a switch away from an exact-confidence \
-             decision is an error.")
+            "With $(b,--mode plan): run the traced adaptive backend at \
+             the Base level and grade the static predictions against the \
+             dynamic classification; a switch away from an \
+             exact-confidence decision is an error. The static plan \
+             models the base program, so a $(b,--level) other than \
+             $(b,base) is a usage error.")
   in
   let strict =
     Arg.(

@@ -6,9 +6,26 @@ type page = {
   mutable twin : Bytes.t option;
 }
 
-type t = { page_size : int; mutable pages : page option array }
+(* Dropped twins wait in [spares.(0 .. nspares - 1)] for the next write
+   fault, so a twin is a blit into a recycled buffer rather than a fresh
+   page-sized block in the major heap. At most [max_spares] wait: a
+   constant, so the buffers kept back stay small beside the frames. *)
+type t = {
+  page_size : int;
+  mutable pages : page option array;
+  spares : Bytes.t array;
+  mutable nspares : int;
+}
 
-let create ~page_size = { page_size; pages = Array.make 64 None }
+let max_spares = 32
+
+let create ~page_size =
+  {
+    page_size;
+    pages = Array.make 64 None;
+    spares = Array.make max_spares Bytes.empty;
+    nspares = 0;
+  }
 
 let ensure_capacity t n =
   let len = Array.length t.pages in
@@ -74,9 +91,26 @@ let frames t =
   done;
   !acc
 
-let make_twin p =
+let make_twin t p =
   match p.twin with
   | Some _ -> ()
-  | None -> p.twin <- Some (Bytes.copy p.data)
+  | None ->
+      if t.nspares = 0 then p.twin <- Some (Bytes.copy p.data)
+      else begin
+        let k = t.nspares - 1 in
+        let twin = t.spares.(k) in
+        t.spares.(k) <- Bytes.empty;
+        t.nspares <- k;
+        Bytes.blit p.data 0 twin 0 t.page_size;
+        p.twin <- Some twin
+      end
 
-let drop_twin p = p.twin <- None
+let drop_twin t p =
+  match p.twin with
+  | None -> ()
+  | Some twin ->
+      p.twin <- None;
+      if t.nspares < max_spares then begin
+        t.spares.(t.nspares) <- twin;
+        t.nspares <- t.nspares + 1
+      end

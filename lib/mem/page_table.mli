@@ -10,7 +10,13 @@
     first lands in the page. Invariant: a frameless page is [No_access]
     and has no twin, so a readable or writable page always has a frame and
     an access that passes the protection check may touch [data]
-    directly. *)
+    directly.
+
+    Twins are recycled: {!drop_twin} hands the buffer back to the table
+    and {!make_twin} blits into a spare one, keeping at most a fixed
+    number of spares. Invariant: a buffer is the twin of at most one page
+    and is never a spare while it is a twin, so nothing may keep a
+    reference to a twin past its {!drop_twin}. *)
 
 type prot =
   | No_access  (** invalid: any access faults *)
@@ -60,5 +66,10 @@ val drop_frame : page -> unit
 val frames : t -> int list
 (** Page numbers backed by a frame, ascending. *)
 
-val make_twin : page -> unit
-val drop_twin : page -> unit
+val make_twin : t -> page -> unit
+(** Snapshot the frame of a page of this table as its twin, in a spare
+    buffer when one waits; a page that has a twin keeps it. *)
+
+val drop_twin : t -> page -> unit
+(** Discard the page's twin, keeping its buffer as a spare while fewer
+    than the fixed bound wait. *)

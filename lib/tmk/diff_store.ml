@@ -55,10 +55,17 @@ type cell = {
    a lookup binary-searches the ids without touching the cells. *)
 type page = { mutable ids : int array; mutable cells : cell array }
 
-type t = { nprocs : int; page_size : int; pages : page Page_map.t }
+(* [retire]: only each writer's own flush reads its cells (home-based
+   backend, one replica), so {!retire} may drop what a flush has passed. *)
+type t = {
+  nprocs : int;
+  page_size : int;
+  retire : bool;
+  pages : page Page_map.t;
+}
 
-let create ~nprocs ~page_size =
-  { nprocs; page_size; pages = Page_map.create () }
+let create ~nprocs ~page_size ~retire =
+  { nprocs; page_size; retire; pages = Page_map.create () }
 
 let no_page = { ids = [||]; cells = [||] }
 
@@ -332,3 +339,21 @@ let latest_full_page t ~writer ~page =
 
 let note_applied t ~writer ~page ~by ~seq =
   note_cell (lookup t ~writer ~page) ~by ~seq
+
+(* The slots at or below [upto] and a base they cover are dead: the only
+   reader's next fetch has [after >= upto], so it starts past them, and
+   its charge is a difference of running totals the dropped slots do not
+   change. A base that reaches past [upto] still serves that fetch. *)
+let retire t ~writer ~page ~upto =
+  if t.retire then begin
+    let c = lookup t ~writer ~page in
+    if c != no_cell then begin
+      let k = first_above c ~field:0 ~lo:c.first ~hi:c.len upto in
+      if c.base_seq <= upto then c.base <- None;
+      if k > c.live then begin
+        Array.fill c.units c.live (k - c.live) no_unit;
+        c.live <- k
+      end;
+      c.first <- k
+    end
+  end

@@ -8,15 +8,22 @@
     fetched lazily on access misses or through the augmented [Validate]
     interface.
 
-    Memory is bounded by coalescing diff {e payloads} while preserving the
-    per-interval {e size accounting}: a fetch is charged the sum of the sizes
-    of the individual historical diffs it covers — this reproduces the diff
-    accumulation phenomenon of Section 6 (IS, MGS) — but applies a merged
-    payload. Payload coalescing is performed only when it cannot change
-    values: for intervals every processor has already applied, or when the
-    page has a single writer so far. A [WRITE_ALL] full diff supersedes the
-    writer's earlier payloads {e and} sizes for the page (Section 3.1.1: no
-    twins or diffs are made; the whole section content stands in).
+    Two mechanisms bound memory. Under the home-based backend with one
+    replica, a writer's own release flush is the only reader of its cells
+    (readers install the home copy), so the backend {!retire}s every entry
+    a flush has passed and a cell holds at most the diffs of the intervals
+    not yet flushed. Everywhere else, diff {e payloads} are coalesced
+    while the per-interval {e size accounting} is preserved: a fetch is
+    charged the sum of the sizes of the individual historical diffs it
+    covers — this reproduces the diff accumulation phenomenon of Section 6
+    (IS, MGS) — but applies a merged payload. Payload coalescing is
+    performed only when it cannot change values: for intervals every
+    processor has already applied, or when the page has a single writer
+    so far. An entry is dropped only once every processor has applied it,
+    so a page some processor never reads keeps its whole history. A
+    [WRITE_ALL] full diff supersedes the writer's earlier payloads {e and}
+    sizes for the page (Section 3.1.1: no twins or diffs are made; the
+    whole section content stands in).
 
     Costs: a fetch is two binary searches over the record's entries plus
     one list cell per live unit returned, and coalescing touches only the
@@ -38,7 +45,12 @@ type fetch_result = {
   high : int;  (** highest interval seq any unit covers; 0 without units *)
 }
 
-val create : nprocs:int -> page_size:int -> t
+val create : nprocs:int -> page_size:int -> retire:bool -> t
+(** [retire] enables {!retire}: set it exactly when each writer's own
+    flush is the only reader of its cells (the home-based backend with one
+    replica). Adaptive pages that run the homeless protocol fetch diffs,
+    and a replicated writer that restarts re-flushes from interval 0, so
+    both keep every entry. *)
 
 val add :
   t -> writer:int -> page:int -> seq:int -> vcsum:int ->
@@ -92,3 +104,13 @@ val latest_full_page : t -> writer:int -> page:int -> (int * int) option
     the page — from any writer — redundant: the fetch logic uses this to
     avoid transferring accumulated overlapping diffs (the IS phenomenon of
     Section 6 disappears under READ&WRITE_ALL). *)
+
+val retire : t -> writer:int -> page:int -> upto:int -> unit
+(** [writer]'s flush has brought its home copy of [page] up to interval
+    [upto], so its next flush fetches with [after >= upto]: drop every
+    entry at or below [upto] instead of merging it. A fetch with such an
+    [after] gets the same [charge_bytes], [ndiffs] and [high] as without
+    the drop, and its units leave a home copy that held every interval up
+    to [after] with the same bytes (they omit a merged base of intervals
+    it already holds). A no-op unless the store was created with
+    [~retire:true]. *)

@@ -142,14 +142,17 @@ let flush_pages sys p ~seq pages =
           let home = Recover.home_of sys ~toucher:p page in
           if home = p then begin
             (* My copy is the home copy: trivially flushed. The diff is
-               still materialized into the store — the store's
-               single-writer coalescing is only sound when every real
-               writer of a page has a cell, and it also retires the twin
-               (the homeless protocol would do both lazily). *)
+               still materialized: that drops the twin and write-protects
+               the page (the homeless protocol would do both lazily), and
+               a store that keeps history needs a cell for every real
+               writer of a page, or its single-writer coalescing would be
+               unsound. A retiring store drops the entry at once, since
+               no flush will ever read it. *)
             let c = Protocol.materialize sys ~writer:p ~page in
             if c > 0.0 then Cluster.charge sys.cluster p c;
             let m = Protocol.meta st page in
-            if seq > m.home_flushed then m.home_flushed <- seq
+            if seq > m.home_flushed then m.home_flushed <- seq;
+            Diff_store.retire sys.store ~writer:p ~page ~upto:m.home_flushed
           end
           else by_home.(home) <- page :: by_home.(home))
         pages;
@@ -185,6 +188,8 @@ let flush_pages sys p ~seq pages =
                   r.Diff_store.units;
                 absorbed sys p ~home page high;
                 if high > m.home_flushed then m.home_flushed <- high;
+                Diff_store.retire sys.store ~writer:p ~page
+                  ~upto:m.home_flushed;
                 if sys.trace <> None then
                   Protocol.emit sys p
                     (Dsm_trace.Event.Home_flush

@@ -331,7 +331,7 @@ let materialize sys ~writer ~page =
     end
     else begin
       m.write_all <- Range.empty;
-      Page_table.drop_twin pg;
+      Page_table.drop_twin st.pt pg;
       (* write-protect; never upgrade an invalidated page back to readable *)
       if pg.Page_table.prot = Page_table.Read_write then
         pg.Page_table.prot <- Page_table.Read_only;
@@ -923,7 +923,7 @@ let fetch sys p pages ~mode ?only_via () =
    recovered as a diff. *)
 let make_twin sys p page pg =
   let pstats = sys.cluster.Cluster.stats.(p) in
-  Page_table.make_twin pg;
+  Page_table.make_twin sys.states.(p).pt pg;
   pstats.Stats.twins <- pstats.Stats.twins + 1;
   if sys.trace <> None then emit sys p (Dsm_trace.Event.Twin { page });
   Cluster.charge sys.cluster p

@@ -42,7 +42,9 @@ let make ?plan cfg =
     Types.cluster;
     net;
     space = Dsm_mem.Addr_space.create ~page_size:cfg.Config.page_size;
-    store = Diff_store.create ~nprocs ~page_size:cfg.Config.page_size;
+    store =
+      Diff_store.create ~nprocs ~page_size:cfg.Config.page_size
+        ~retire:(cfg.Config.backend = Config.Hlrc && cfg.Config.replicas = 1);
     fx = Protocol.fetch_scratch nprocs;
     states =
       Array.init nprocs (fun p ->

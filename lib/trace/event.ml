@@ -520,12 +520,23 @@ let load_jsonl path =
     (fun () ->
       let events = ref [] and warnings = ref [] and unknown = ref 0 in
       let lineno = ref 0 in
+      (* only a final line without its newline can be torn by a crash *)
+      let len = in_channel_length ic in
+      let torn_tail =
+        len > 0
+        && begin
+             seek_in ic (len - 1);
+             let c = input_char ic in
+             seek_in ic 0;
+             c <> '\n'
+           end
+      in
       let rec go () =
         match input_line ic with
         | exception End_of_file -> ()
         | line ->
             incr lineno;
-            let last = in_channel_length ic = pos_in ic in
+            let torn = torn_tail && pos_in ic = len in
             (if String.trim line = "" then ()
              else
                match parse_exn line with
@@ -538,7 +549,7 @@ let load_jsonl path =
                | exception Parse_error msg ->
                    warnings :=
                      ( !lineno,
-                       if last then
+                       if torn then
                          Printf.sprintf
                            "truncated final line (crash mid-write?): %s" msg
                        else Printf.sprintf "malformed line: %s" msg )

@@ -181,8 +181,10 @@ type load = {
 
 val load_jsonl : string -> load
 (** Load a [--trace] JSONL file tolerantly: unknown event kinds become
-    counted warnings carrying the line number, and a truncated final line
-    (crash mid-write) becomes a clean warning instead of an exception.
-    Raises [Sys_error] only if the file cannot be opened. *)
+    counted warnings carrying the line number, and a line that does not
+    parse becomes a warning instead of an exception: "truncated final
+    line" when it is the last line and the file does not end in a newline
+    (a crash mid-write), "malformed line" otherwise. Raises [Sys_error]
+    only if the file cannot be opened. *)
 
 val pp : Format.formatter -> t -> unit

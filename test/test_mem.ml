@@ -389,14 +389,14 @@ let test_page_table () =
     (Bytes.for_all (fun c -> c = '\000') pg.Page_table.data);
   Alcotest.(check bool) "find existing" true (Page_table.find pt 5 <> None);
   Alcotest.(check bool) "find missing" true (Page_table.find pt 9999 = None);
-  Page_table.make_twin pg;
+  Page_table.make_twin pt pg;
   Alcotest.(check bool) "twin made" true (pg.Page_table.twin <> None);
   Bytes.set pg.Page_table.data 0 'x';
   (match pg.Page_table.twin with
   | Some twin ->
       Alcotest.(check char) "twin unchanged" '\000' (Bytes.get twin 0)
   | None -> Alcotest.fail "twin");
-  Page_table.drop_twin pg;
+  Page_table.drop_twin pt pg;
   Alcotest.(check bool) "twin dropped" true (pg.Page_table.twin = None)
 
 (* Demand-zero frames: a write-notice invalidation of a page the processor
@@ -432,7 +432,7 @@ let test_page_table_frameless () =
     (Page_table.invalidate pt 7);
   Alcotest.(check char) "contents survive invalidation" 'x'
     (Bytes.get pg.Page_table.data 0);
-  Page_table.make_twin pg;
+  Page_table.make_twin pt pg;
   Page_table.drop_frame pg;
   Alcotest.(check bool) "dropped frame is inaccessible, twinless" true
     (pg.Page_table.prot = Page_table.No_access && pg.Page_table.twin = None);
@@ -441,6 +441,96 @@ let test_page_table_frameless () =
   Alcotest.(check (list int)) "no frame after the drop" [] (Page_table.frames pt);
   Alcotest.(check char) "a re-got frame reads zero" '\000'
     (Bytes.get (Page_table.get pt 7).Page_table.data 0)
+
+(* Twins are recycled through the page table's bounded list of spares.
+   Random twin, drop and write operations over a few pages: a twin made
+   from a recycled buffer equals its page's data when it is made, and no
+   buffer is the twin of two pages at once. *)
+type twin_op = Twin of int | Untwin of int | Scribble of int * int * char
+
+let qcheck_twin_recycling =
+  let pages = 6 and psize = 64 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun g -> Twin g) (int_bound (pages - 1)));
+          (2, map (fun g -> Untwin g) (int_bound (pages - 1)));
+          ( 3,
+            map3
+              (fun g off c -> Scribble (g, off, c))
+              (int_bound (pages - 1))
+              (int_bound (psize - 1))
+              printable );
+        ])
+  in
+  let print = function
+    | Twin g -> Printf.sprintf "twin %d" g
+    | Untwin g -> Printf.sprintf "drop %d" g
+    | Scribble (g, off, c) -> Printf.sprintf "write %d@%d=%c" g off c
+  in
+  QCheck.Test.make ~count:300 ~name:"page table: recycled twins"
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let pt = Page_table.create ~page_size:psize in
+      let pg g = Page_table.get pt g in
+      let distinct () =
+        let twins =
+          List.filter_map
+            (fun g -> (pg g).Page_table.twin)
+            (List.init pages Fun.id)
+        in
+        List.for_all
+          (fun a -> List.length (List.filter (fun b -> a == b) twins) = 1)
+          twins
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Twin g ->
+              let p = pg g in
+              let had = p.Page_table.twin <> None in
+              Page_table.make_twin pt p;
+              (match p.Page_table.twin with
+              | Some twin -> had || Bytes.equal twin p.Page_table.data
+              | None -> false)
+          | Untwin g ->
+              Page_table.drop_twin pt (pg g);
+              (pg g).Page_table.twin = None
+          | Scribble (g, off, c) ->
+              Bytes.set (pg g).Page_table.data off c;
+              true)
+          && distinct ())
+        ops)
+
+(* A dropped twin's buffer is the next twin, and the spares are bounded:
+   of 40 twins dropped at once, the 40 made next reuse 32 buffers. *)
+let test_twin_spares_bounded () =
+  let pt = Page_table.create ~page_size:64 in
+  let twins base =
+    List.init 40 (fun i ->
+        let p = Page_table.get pt (base + i) in
+        Page_table.make_twin pt p;
+        (p, Option.get p.Page_table.twin))
+  in
+  let first = twins 0 in
+  List.iter (fun (p, _) -> Page_table.drop_twin pt p) first;
+  let second = twins 100 in
+  let reused =
+    List.filter (fun (_, b) -> List.exists (fun (_, a) -> a == b) first) second
+  in
+  Alcotest.(check int) "spares reused, up to the bound" 32 (List.length reused);
+  let p = Page_table.get pt 7 in
+  Bytes.fill p.Page_table.data 0 64 'z';
+  let p' = fst (List.hd second) in
+  let buf = Option.get p'.Page_table.twin in
+  Page_table.drop_twin pt p';
+  Page_table.make_twin pt p;
+  Alcotest.(check bool) "the last dropped buffer is the next twin" true
+    (Option.get p.Page_table.twin == buf);
+  Alcotest.(check string) "holding the page's bytes" (String.make 64 'z')
+    (Bytes.to_string buf)
 
 let test_page_map () =
   let t = Page_map.create () in
@@ -577,3 +667,8 @@ let tests =
         qcheck_create_layout;
         qcheck_changed_slots;
       ]
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_twin_recycling;
+      Alcotest.test_case "page table: twin spares bounded" `Quick
+        test_twin_spares_bounded;
+    ]

@@ -372,6 +372,49 @@ let test_seeding_saves_switches () =
         (count_switches seeded < count_switches unseeded))
     [ "jacobi"; "gauss"; "shallow" ]
 
+(* [dsm_lint --mode plan --grade] grades the Base run only: the static
+   plan models the base program, so grading it against a run at another
+   level reports every page that level's transformation moves. Without
+   --level it prints plans at every level but grades Base alone, clean;
+   a --level naming another level is a usage error naming --level. *)
+let test_lint_grade_levels () =
+  let lint args =
+    let out = Filename.temp_file "lint" ".txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/dsm_lint.exe --mode plan --app jacobi %s > %s 2>&1"
+           args (Filename.quote out))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    (code, String.split_on_char '\n' (String.trim text))
+  in
+  let code, lines = lint "--procs 1,2 --grade" in
+  Alcotest.(check int) "default levels: clean exit" 0 code;
+  Alcotest.(check int) "a plan line per level and processor count" 10
+    (List.length (List.filter (String.ends_with ~suffix:"exact)") lines));
+  Alcotest.(check (list string)) "only the Base runs are graded"
+    [ "jacobi   base  p1"; "jacobi   base  p2" ]
+    (List.filter_map
+       (fun l ->
+         if String.ends_with ~suffix:"mispredictions" l then
+           Some (String.sub (String.trim l) 0 17)
+         else None)
+       lines);
+  Alcotest.(check string) "no misprediction" "0 error(s), 0 warning(s), 0 info"
+    (List.nth lines (List.length lines - 1));
+  List.iter
+    (fun level ->
+      let code, lines = lint ("--procs 2 --grade --level " ^ level) in
+      Alcotest.(check int) (level ^ ": cli error exit") 124 code;
+      Alcotest.(check bool)
+        (level ^ ": error names --level")
+        true
+        (List.exists (String.starts_with ~prefix:"dsm_lint: --level: ") lines))
+    [ "push"; "base,merge" ];
+  let code, _ = lint "--procs 2 --grade --level base" in
+  Alcotest.(check int) "--level base grades" 0 code
+
 let tests =
   [
     Alcotest.test_case "plan file round trip" `Quick test_plan_roundtrip;
@@ -388,4 +431,6 @@ let tests =
     Alcotest.test_case "plan: non-integers name the field" `Quick
       test_plan_rejects_non_integers;
     QCheck_alcotest.to_alcotest prop_of_lines_mutations;
+    Alcotest.test_case "lint: --grade grades the Base run only" `Quick
+      test_lint_grade_levels;
   ]

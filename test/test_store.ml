@@ -18,7 +18,7 @@ let latest_writer t ~page ws =
   Store.latest_writer t ~page a (Array.length a)
 
 let test_fetch_after () =
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Store.add t ~writer:1 ~page:0 ~seq:2 ~vcsum:5 ~diff:(mk_diff 0 4 'a')
     ~supersedes:false;
   Store.add t ~writer:1 ~page:0 ~seq:4 ~vcsum:9 ~diff:(mk_diff 4 4 'b')
@@ -33,7 +33,7 @@ let test_fetch_after () =
 
 let test_entitlement () =
   (* a diff whose span starts beyond the requester's notices is withheld *)
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Store.add t ~writer:1 ~page:0 ~seq:3 ~vcsum:5 ~diff:(mk_diff 0 4 'a')
     ~supersedes:false;
   Store.add t ~writer:1 ~page:0 ~seq:7 ~vcsum:11 ~diff:(mk_diff 4 4 'b')
@@ -47,7 +47,7 @@ let test_entitlement () =
   Alcotest.(check int) "beyond entitlement withheld" 0 r2.Store.ndiffs
 
 let test_supersede () =
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Store.add t ~writer:2 ~page:5 ~seq:1 ~vcsum:2 ~diff:(mk_diff 0 8 'x')
     ~supersedes:false;
   Store.add t ~writer:2 ~page:5 ~seq:2 ~vcsum:4 ~diff:(mk_diff 8 8 'y')
@@ -61,7 +61,7 @@ let test_supersede () =
     (Store.latest_full_page t ~writer:2 ~page:5 <> None)
 
 let test_latest_vcsum () =
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Alcotest.(check (option int)) "empty" None
     (Store.latest_vcsum t ~writer:0 ~page:0);
   Store.add t ~writer:0 ~page:0 ~seq:1 ~vcsum:3 ~diff:(mk_diff 0 4 'a')
@@ -72,7 +72,7 @@ let test_latest_vcsum () =
     (Store.latest_vcsum t ~writer:0 ~page:0)
 
 let test_has_any_and_writers () =
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Store.add t ~writer:3 ~page:9 ~seq:5 ~vcsum:5 ~diff:(mk_diff 0 4 'q')
     ~supersedes:false;
   Alcotest.(check bool) "has newer" true (Store.has_any t ~writer:3 ~page:9 ~after:4);
@@ -82,7 +82,7 @@ let test_has_any_and_writers () =
 
 let test_coalesce_preserves_accounting () =
   (* many single-writer entries: payloads merge, per-interval sizes stay *)
-  let t = Store.create ~nprocs:2 ~page_size in
+  let t = Store.create ~nprocs:2 ~page_size ~retire:false in
   for seq = 1 to 12 do
     Store.add t ~writer:0 ~page:0 ~seq ~vcsum:seq ~diff:(mk_diff 0 4 'k')
       ~supersedes:false
@@ -97,7 +97,7 @@ let test_coalesce_preserves_accounting () =
 
 let test_apply_order () =
   (* units sort by their vcsum stamp: the later write wins *)
-  let t = Store.create ~nprocs:4 ~page_size in
+  let t = Store.create ~nprocs:4 ~page_size ~retire:false in
   Store.add t ~writer:0 ~page:0 ~seq:1 ~vcsum:3 ~diff:(mk_diff 0 4 'o')
     ~supersedes:false;
   Store.add t ~writer:1 ~page:0 ~seq:1 ~vcsum:7 ~diff:(mk_diff 0 4 'n')
@@ -115,7 +115,7 @@ let test_many_writers_one_page () =
   (* regression for the writer-bitmask rewrite: with every processor
      writing the same page, membership stays exact, enumeration ascending
      and duplicate-free, and per-writer histories stay independent *)
-  let t = Store.create ~nprocs:8 ~page_size in
+  let t = Store.create ~nprocs:8 ~page_size ~retire:false in
   for w = 0 to 7 do
     Store.add t ~writer:w ~page:3 ~seq:1 ~vcsum:(w + 1)
       ~diff:(mk_diff (4 * w) 4 (Char.chr (Char.code 'a' + w)))
@@ -152,7 +152,7 @@ let test_gc_of_applied_entries () =
      a requester (whose [after] is always >= watermark - 1) still gets the
      merged base plus full per-interval accounting for live seqs, and the
      newest-entry queries survive the GC *)
-  let t = Store.create ~nprocs:2 ~page_size in
+  let t = Store.create ~nprocs:2 ~page_size ~retire:false in
   for seq = 1 to 12 do
     Store.add t ~writer:0 ~page:0 ~seq ~vcsum:seq ~diff:(mk_diff 0 4 'k')
       ~supersedes:false
@@ -401,7 +401,7 @@ let store_units r =
 let prop_store_model =
   QCheck.Test.make ~count:150 ~name:"page-indexed store agrees with the model"
     (QCheck.make ~print:(QCheck.Print.list print_op) gen_ops) (fun ops ->
-      let t = Store.create ~nprocs:model_nprocs ~page_size in
+      let t = Store.create ~nprocs:model_nprocs ~page_size ~retire:false in
       let m = Model.create ~nprocs:model_nprocs in
       let seq = Array.make model_nprocs 0 in
       let all = List.init model_nprocs Fun.id in
@@ -509,7 +509,7 @@ let prop_dense_cells =
   QCheck.Test.make ~count:200 ~name:"dense cells agree with the list model"
     (QCheck.make ~print:(QCheck.Print.list print_dense_op) gen_dense_ops)
     (fun ops ->
-      let t = Store.create ~nprocs:dense_nprocs ~page_size in
+      let t = Store.create ~nprocs:dense_nprocs ~page_size ~retire:false in
       let m = Model.create ~nprocs:dense_nprocs in
       let seq = Array.make dense_nprocs 0 and vcsum = ref 0 in
       let all = List.init dense_nprocs Fun.id in
@@ -566,8 +566,8 @@ let prop_fetch_note =
   QCheck.Test.make ~count:200 ~name:"fetch_note = fetch + note_applied"
     (QCheck.make ~print:(QCheck.Print.list print_dense_op) gen_dense_ops)
     (fun ops ->
-      let fused = Store.create ~nprocs:dense_nprocs ~page_size
-      and split = Store.create ~nprocs:dense_nprocs ~page_size in
+      let fused = Store.create ~nprocs:dense_nprocs ~page_size ~retire:false
+      and split = Store.create ~nprocs:dense_nprocs ~page_size ~retire:false in
       let seq = Array.make dense_nprocs 0 and vcsum = ref 0 in
       List.for_all
         (fun op ->
@@ -605,6 +605,155 @@ let prop_fetch_note =
               && r.Store.high = high
               && r'.Store.high = high)
         ops)
+
+(* {1 Retirement of flushed entries}
+
+   Under the home-based backend with one replica, a writer's own release
+   flush is a cell's only reader: [fetch ~after:home_flushed ~upto:seq],
+   applied to the home's copy, after which the home notes its watermark
+   and {!Store.retire} drops what the flush passed. Two stores replay the
+   same random flush sequence over four processors and two pages (page
+   [g] homed at processor [g]), one retiring and one keeping every entry.
+   A write may defer its flush to the writer's next write of the page, so
+   unflushed entries pile up and coalesce; the home's own writes land in
+   its copy and are retired at once; a reader that installs the home copy
+   restates the home's watermark, which drives the keeping store's
+   coalescing. Every flush must get the same [charge_bytes], [ndiffs] and
+   [high] from both stores, and applying its units must leave both home
+   copies byte-identical. *)
+
+let retire_nprocs = 4
+let retire_pages = 2
+
+type retire_op =
+  | R_write of int * int * int * (int * int * char) * bool * bool
+      (** writer, page, seq gap, payload, supersedes, flush now *)
+  | R_read of int * int * int  (** reader, page, writer *)
+
+let print_retire_op = function
+  | R_write (w, g, gap, (off, len, c), sup, flush) ->
+      Printf.sprintf "write(w%d,g%d,+%d,%d:%d=%c%s%s)" w g gap off len c
+        (if sup then ",all" else "")
+        (if flush then "" else ",defer")
+  | R_read (r, g, w) -> Printf.sprintf "read(r%d,g%d,w%d)" r g w
+
+let gen_retire_ops =
+  let open QCheck.Gen in
+  let proc = int_bound (retire_nprocs - 1)
+  and page = int_bound (retire_pages - 1) in
+  let payload =
+    int_bound (page_size - 1) >>= fun off ->
+    int_range 1 8 >>= fun len ->
+    map (fun c -> (off, min len (page_size - off), c)) printable
+  in
+  list_size (int_range 30 250)
+    (frequency
+       [
+         ( 6,
+           map
+             (fun ((w, g, gap), d, (sup, flush)) ->
+               R_write (w, g, gap, d, sup, flush))
+             (triple
+                (triple proc page (frequencyl [ (4, 1); (1, 2) ]))
+                payload
+                (pair
+                   (frequencyl [ (30, false); (1, true) ])
+                   (frequencyl [ (2, true); (1, false) ]))) );
+         (3, map (fun (r, g, w) -> R_read (r, g, w)) (triple proc page proc));
+       ])
+
+let apply_sorted units page =
+  List.iter
+    (fun u -> Diff.apply u.Store.payload page)
+    (List.stable_sort (fun a b -> compare a.Store.order b.Store.order) units)
+
+let prop_retire_flushes =
+  QCheck.Test.make ~count:300
+    ~name:"retiring flushed entries keeps every hlrc flush identical"
+    (QCheck.make ~print:(QCheck.Print.list print_retire_op) gen_retire_ops)
+    (fun ops ->
+      let n = retire_nprocs in
+      let retiring = Store.create ~nprocs:n ~page_size ~retire:true
+      and keeping = Store.create ~nprocs:n ~page_size ~retire:false in
+      let both f = f retiring; f keeping in
+      let home_r = Array.init retire_pages (fun _ -> Bytes.make page_size '\000')
+      and home_k = Array.init retire_pages (fun _ -> Bytes.make page_size '\000') in
+      let seq = Array.make n 0 and vcsum = ref 0 in
+      let flushed = Array.make_matrix n retire_pages 0 in
+      let retire ~writer ~page =
+        both (fun t -> Store.retire t ~writer ~page ~upto:flushed.(writer).(page))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | R_read (reader, page, writer) ->
+              both (fun t ->
+                  Store.note_applied t ~writer ~page ~by:reader
+                    ~seq:flushed.(writer).(page));
+              true
+          | R_write (writer, page, gap, (off, len, c), supersedes, flush) ->
+              seq.(writer) <- seq.(writer) + gap;
+              incr vcsum;
+              let seq = seq.(writer) and vcsum = !vcsum in
+              let diff = if supersedes then full_diff c else mk_diff off len c in
+              both (fun t ->
+                  Store.add t ~writer ~page ~seq ~vcsum ~diff ~supersedes;
+                  Store.note_applied t ~writer ~page ~by:writer ~seq);
+              if writer = page then begin
+                (* the home's writes are already in its copy *)
+                Diff.apply diff home_r.(page);
+                Diff.apply diff home_k.(page);
+                flushed.(writer).(page) <- seq;
+                retire ~writer ~page;
+                true
+              end
+              else if not flush then true
+              else begin
+                let after = flushed.(writer).(page) in
+                let r = Store.fetch retiring ~writer ~page ~after ~upto:seq
+                and k = Store.fetch keeping ~writer ~page ~after ~upto:seq in
+                apply_sorted r.Store.units home_r.(page);
+                apply_sorted k.Store.units home_k.(page);
+                let high = max seq r.Store.high in
+                if high > after then flushed.(writer).(page) <- high;
+                both (fun t ->
+                    Store.note_applied t ~writer ~page ~by:page
+                      ~seq:flushed.(writer).(page));
+                retire ~writer ~page;
+                r.Store.charge_bytes = k.Store.charge_bytes
+                && r.Store.ndiffs = k.Store.ndiffs
+                && r.Store.high = k.Store.high
+                && Bytes.equal home_r.(page) home_k.(page)
+              end)
+        ops)
+
+(* The backend decides whether the store retires: only the home-based
+   backend with one replica does. A store that keeps history ignores
+   {!Store.retire}, so an entry retired there is still fetched. *)
+let test_retire_only_single_replica_hlrc () =
+  let module Config = Dsm_sim.Config in
+  List.iter
+    (fun (what, backend, replicas, retires) ->
+      let cfg =
+        { Config.default with Config.nprocs = 4; Config.backend; Config.replicas }
+      in
+      let sys = Dsm_tmk.Tmk.make cfg in
+      let t = sys.Dsm_tmk.Types.store in
+      Store.add t ~writer:1 ~page:0 ~seq:1 ~vcsum:1 ~diff:(mk_diff 0 4 'r')
+        ~supersedes:false;
+      Store.retire t ~writer:1 ~page:0 ~upto:1;
+      let r = Store.fetch t ~writer:1 ~page:0 ~after:0 ~upto:1 in
+      Alcotest.(check int)
+        (what ^ (if retires then ": retired" else ": kept"))
+        (if retires then 0 else 1)
+        (List.length r.Store.units))
+    [
+      ("hlrc", Config.Hlrc, 1, true);
+      ("hlrc replicas=3", Config.Hlrc, 3, false);
+      ("adaptive", Config.Adaptive, 1, false);
+      ("lrc", Config.Lrc, 1, false);
+      ("inval", Config.Inval, 1, false);
+    ]
 
 (* sparse keys, and dense writer ids (ascending, as a many-writer fault
    requests them, or shuffled) past the 16-bucket table's first resize *)
@@ -657,3 +806,8 @@ let tests =
       [
         prop_store_model; prop_hashtbl_order; prop_dense_cells; prop_fetch_note;
       ]
+  @ [
+      QCheck_alcotest.to_alcotest prop_retire_flushes;
+      Alcotest.test_case "retirement only under single-replica hlrc" `Quick
+        test_retire_only_single_replica_hlrc;
+    ]

@@ -477,6 +477,32 @@ let test_load_jsonl_truncated () =
         (contains ~sub:"truncated final line" msg)
   | ws -> Alcotest.failf "expected exactly one warning, got %d" (List.length ws)
 
+(* The newline decides: a complete last line that fails to parse is
+   "malformed line" (the fault is in the line, not a torn write), and the
+   same bytes without the newline are a truncated final line. *)
+let test_load_jsonl_last_line () =
+  let bad = {|{"id":1,"proc":0,"time":2.0,"vc":[0.7,0],"ev":"twin","page":2}|} in
+  let warning contents =
+    match (load_tmp contents).Event.warnings with
+    | [ (line, msg) ] ->
+        Alcotest.(check int) "warning on line 2" 2 line;
+        msg
+    | ws ->
+        Alcotest.failf "expected exactly one warning, got %d" (List.length ws)
+  in
+  let complete = warning (good_line ^ "\n" ^ bad ^ "\n") in
+  Alcotest.(check bool)
+    "complete last line: malformed" true
+    (contains ~sub:"malformed line" complete
+    && not (contains ~sub:"truncated" complete));
+  Alcotest.(check bool)
+    "complete last line: names the field" true
+    (contains ~sub:{|field "vc"|} complete);
+  let torn = warning (good_line ^ "\n" ^ bad) in
+  Alcotest.(check bool)
+    "no newline: truncated" true
+    (contains ~sub:"truncated final line" torn)
+
 let test_load_jsonl_roundtrip () =
   let evs =
     [
@@ -1135,4 +1161,6 @@ let tests =
       test_parse_line_rejects_non_integers;
     QCheck_alcotest.to_alcotest prop_parse_line_mutations;
     QCheck_alcotest.to_alcotest prop_parse_line_bytes;
+    Alcotest.test_case "load_jsonl: only an unterminated last line is truncated"
+      `Quick test_load_jsonl_last_line;
   ]
