@@ -54,6 +54,8 @@ let finish_mp ?latencies_us ?(nops = 0) sys ~max_err =
 
 let combine_err a b = Float.max a (abs_float b)
 
+let first_owned ~np ~p lo = lo + ((p - (lo mod np) + np) mod np)
+
 (* Memoization of each app's sequential reference solution: the tables
    are tiny (a handful of problem sizes) and the compute is
    deterministic. *)

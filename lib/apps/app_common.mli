@@ -64,6 +64,12 @@ val finish_mp :
 
 val combine_err : float -> float -> float
 
+val first_owned : np:int -> p:int -> int -> int
+(** [first_owned ~np ~p lo] is the first column [j >= lo] with
+    [j mod np = p], for [0 <= p < np] and [lo >= 0]: the start of
+    processor [p]'s cyclic columns from [lo] on, which a loop then steps
+    through by [np]. *)
+
 val memo : ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
 (** [memo tbl key compute] returns the cached value for [key], computing
     and caching it otherwise. Used for the apps' sequential reference

@@ -118,14 +118,15 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
          columns *)
       let l = Array.make m 0.0 in
       (* initialize own (cyclic) columns *)
-      for j = 0 to m - 1 do
-        if j mod np = p then begin
-          for i = 0 to m - 1 do
-            l.(i) <- init_value i j
-          done;
-          Shm.F64_2.write_col t a j ~lo:0 ~len:m l;
-          Tmk.charge t (0.03 *. float_of_int m)
-        end
+      let j = ref p in
+      while !j < m do
+        let j' = !j in
+        for i = 0 to m - 1 do
+          l.(i) <- init_value i j'
+        done;
+        Shm.F64_2.write_col t a j' ~lo:0 ~len:m l;
+        Tmk.charge t (0.03 *. float_of_int m);
+        j := j' + np
       done;
       Tmk.barrier t;
       for k = 0 to m - 2 do
@@ -199,10 +200,11 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         (match level with
         | Comm_aggr | Cons_elim | Sync_merge ->
             let own_cols = ref [] in
-            for j = k + 1 to m - 1 do
-              if j mod np = p then
-                own_cols :=
-                  Shm.F64_2.section a (0, m - 1, 1) (j, j, 1) :: !own_cols
+            let j = ref (first_owned ~np ~p (k + 1)) in
+            while !j < m do
+              own_cols :=
+                Shm.F64_2.section a (0, m - 1, 1) (!j, !j, 1) :: !own_cols;
+              j := !j + np
             done;
             if !own_cols <> [] then Tmk.validate t !own_cols Tmk.Read_write
         | Base | Push_opt -> ());
@@ -211,18 +213,19 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
            buffer; the shared reads fault once, further uses are local *)
         Shm.read_f64s t (Shm.F64_1.addr work (k + 2)) l (k + 1) (m - 1 - k);
         (* update own columns j > k *)
-        for j = k + 1 to m - 1 do
-          if j mod np = p then begin
-            if piv <> k then begin
-              let tmp = Shm.F64_2.get t a k j in
-              Shm.F64_2.set t a k j (Shm.F64_2.get t a piv j);
-              Shm.F64_2.set t a piv j tmp
-            end;
-            Tmk.charge t (swap_cost u);
-            let akj = Shm.F64_2.get t a k j in
-            Shm.F64_2.axpy_col t a j ~lo:(k + 1) ~len:(m - 1 - k) l akj;
-            Tmk.charge t (u *. float_of_int (m - 1 - k))
-          end
+        let j = ref (first_owned ~np ~p (k + 1)) in
+        while !j < m do
+          let j' = !j in
+          if piv <> k then begin
+            let tmp = Shm.F64_2.get t a k j' in
+            Shm.F64_2.set t a k j' (Shm.F64_2.get t a piv j');
+            Shm.F64_2.set t a piv j' tmp
+          end;
+          Tmk.charge t (swap_cost u);
+          let akj = Shm.F64_2.get t a k j' in
+          Shm.F64_2.axpy_col t a j' ~lo:(k + 1) ~len:(m - 1 - k) l akj;
+          Tmk.charge t (u *. float_of_int (m - 1 - k));
+          j := j' + np
         done;
         Tmk.barrier t
       done);
@@ -284,21 +287,21 @@ let run_mp ~bcast cfg ({ m; update_cost = u } as prm) =
         in
         let buf = bcast t ~root:owner ~tag:k msg in
         let piv = int_of_float buf.(0) in
-        for j = k + 1 to m - 1 do
-          if j mod np = p then begin
-            let colj = cols.(local j) in
-            if piv <> k then begin
-              let tmp = colj.(k) in
-              colj.(k) <- colj.(piv);
-              colj.(piv) <- tmp
-            end;
-            Mp.charge t (swap_cost u);
-            let akj = colj.(k) in
-            for i = k + 1 to m - 1 do
-              colj.(i) <- colj.(i) -. (buf.(i - k) *. akj)
-            done;
-            Mp.charge t (u *. float_of_int (m - 1 - k))
-          end
+        let j = ref (first_owned ~np ~p (k + 1)) in
+        while !j < m do
+          let colj = cols.(local !j) in
+          if piv <> k then begin
+            let tmp = colj.(k) in
+            colj.(k) <- colj.(piv);
+            colj.(piv) <- tmp
+          end;
+          Mp.charge t (swap_cost u);
+          let akj = colj.(k) in
+          for i = k + 1 to m - 1 do
+            colj.(i) <- colj.(i) -. (buf.(i - k) *. akj)
+          done;
+          Mp.charge t (u *. float_of_int (m - 1 - k));
+          j := !j + np
         done
       done;
       results.(p) <- cols);

@@ -85,14 +85,15 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
       (* private copy of the vector being broadcast (it also stages the
          initial and the normalized columns) *)
       let vi = Array.make m 0.0 in
-      for j = 0 to n - 1 do
-        if j mod np = p then begin
-          for i = 0 to m - 1 do
-            vi.(i) <- init_value i j
-          done;
-          Shm.F64_2.write_col t q j ~lo:0 ~len:m vi;
-          Tmk.charge t (0.03 *. float_of_int m)
-        end
+      let j = ref p in
+      while !j < n do
+        let j' = !j in
+        for i = 0 to m - 1 do
+          vi.(i) <- init_value i j'
+        done;
+        Shm.F64_2.write_col t q j' ~lo:0 ~len:m vi;
+        Tmk.charge t (0.03 *. float_of_int m);
+        j := j' + np
       done;
       Tmk.barrier t;
       for i = 0 to n - 1 do
@@ -132,23 +133,24 @@ let tmk ?trace ?(digest = false) ?plan ?(inspect = ignore) cfg ~size:prm
         (match level with
         | Comm_aggr | Cons_elim | Sync_merge ->
             let own_cols = ref [] in
-            for j = i + 1 to n - 1 do
-              if j mod np = p then
-                own_cols :=
-                  Shm.F64_2.section q (0, m - 1, 1) (j, j, 1) :: !own_cols
+            let j = ref (first_owned ~np ~p (i + 1)) in
+            while !j < n do
+              own_cols :=
+                Shm.F64_2.section q (0, m - 1, 1) (!j, !j, 1) :: !own_cols;
+              j := !j + np
             done;
             if !own_cols <> [] then Tmk.validate t !own_cols Tmk.Read_write
         | Base | Push_opt -> ());
         (* copy vector i to a private buffer: the shared reads fault once,
            the repeated uses below are local *)
         Shm.F64_2.read_col t q i ~lo:0 ~len:m vi;
-        for j = i + 1 to n - 1 do
-          if j mod np = p then begin
-            let dv = Shm.F64_2.dot_col t q j ~lo:0 ~len:m vi in
-            (* x -. vi(r) *. dv: the same float as dv *. vi(r) *)
-            Shm.F64_2.axpy_col t q j ~lo:0 ~len:m vi dv;
-            Tmk.charge t (dot_cost *. float_of_int m)
-          end
+        let j = ref (first_owned ~np ~p (i + 1)) in
+        while !j < n do
+          let dv = Shm.F64_2.dot_col t q !j ~lo:0 ~len:m vi in
+          (* x -. vi(r) *. dv: the same float as dv *. vi(r) *)
+          Shm.F64_2.axpy_col t q !j ~lo:0 ~len:m vi dv;
+          Tmk.charge t (dot_cost *. float_of_int m);
+          j := !j + np
         done;
         Tmk.barrier t
       done);
@@ -199,18 +201,18 @@ let run_mp ~bcast cfg ({ m; n; dot_cost } as prm) =
           else [||]
         in
         let vi = bcast t ~root:owner ~tag:i vi in
-        for j = i + 1 to n - 1 do
-          if j mod np = p then begin
-            let qj = cols.(j / np) in
-            let d = ref 0.0 in
-            for r = 0 to m - 1 do
-              d := !d +. (vi.(r) *. qj.(r))
-            done;
-            for r = 0 to m - 1 do
-              qj.(r) <- qj.(r) -. (!d *. vi.(r))
-            done;
-            Mp.charge t (dot_cost *. float_of_int m)
-          end
+        let j = ref (first_owned ~np ~p (i + 1)) in
+        while !j < n do
+          let qj = cols.(!j / np) in
+          let d = ref 0.0 in
+          for r = 0 to m - 1 do
+            d := !d +. (vi.(r) *. qj.(r))
+          done;
+          for r = 0 to m - 1 do
+            qj.(r) <- qj.(r) -. (!d *. vi.(r))
+          done;
+          Mp.charge t (dot_cost *. float_of_int m);
+          j := !j + np
         done
       done;
       results.(p) <- cols);

@@ -35,6 +35,7 @@ type t = {
   windows : Schedule.event list array;
       (* per proc, static; never consumed — peers query down windows
          against these regardless of whether the crash has executed yet *)
+  crashes : bool;  (* some window exists; fixed with [windows] *)
   lost : (int, unit) Hashtbl.t array;  (* per proc: pages wiped by a crash *)
   ckpts : ckpt list array;  (* per proc, newest first *)
   mutable next_ckpt_id : int;
@@ -64,6 +65,7 @@ let create (cfg : Config.t) =
         armed = true;
         pending = Array.copy per_proc;
         windows = per_proc;
+        crashes = Array.exists (fun l -> l <> []) per_proc;
         lost = Array.init nprocs (fun _ -> Hashtbl.create 64);
         ckpts = Array.init nprocs (fun _ -> [ initial_ckpt nprocs ]);
         next_ckpt_id = 1;
@@ -71,7 +73,7 @@ let create (cfg : Config.t) =
       }
 
 let replicated t = t.replicas > 1
-let has_crashes t = Array.exists (fun l -> l <> []) t.windows
+let has_crashes t = t.crashes
 let active t = replicated t || has_crashes t
 let disarm t = t.armed <- false
 

@@ -19,6 +19,7 @@ type t = {
   mutable armed : bool;
   pending : Schedule.event list array;
   windows : Schedule.event list array;
+  crashes : bool;  (** some processor has a window; fixed at {!create} *)
   lost : (int, unit) Hashtbl.t array;
   ckpts : ckpt list array;
   mutable next_ckpt_id : int;
@@ -33,6 +34,8 @@ val replicated : t -> bool
 (** [replicas > 1]: homes are replica groups, flushes are quorum writes. *)
 
 val has_crashes : t -> bool
+(** Some processor has a crash window: computed once by {!create}, so
+    the barrier-arrival hook tests a field. *)
 
 val active : t -> bool
 (** Replicated or crash-scheduled; when false every hook is a no-op and the

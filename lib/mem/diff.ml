@@ -131,27 +131,36 @@ let full page = one_seg ~off:0 (Bytes.copy page)
 let of_range page ~off ~len =
   if len <= 0 then empty else one_seg ~off (Bytes.sub page off len)
 
-(* A diff's segments are ascending and disjoint, so the last one ends
-   furthest: checking it first leaves [dst] untouched when the diff does
-   not fit. Each segment is still bounds-checked before its unchecked
-   copy. *)
+(* Every constructor yields ascending, disjoint segments (see the
+   interface), so every segment lies in [\[first offset, last end)]:
+   one check of those two bounds covers all the unchecked copies, and
+   leaves [dst] untouched when the diff does not fit. On a little-endian
+   host a segment's (offset, length) pair is one 64-bit load, offset in
+   the low half; both fields are below 2^31, so the load's top bit, which
+   [Int64.to_int] drops, is clear. *)
 let apply t dst =
   let n = nsegments t in
-  let dlen = Bytes.length dst in
-  if n > 0 && seg_off t (n - 1) > dlen - seg_len t (n - 1) then
-    invalid_arg "Bytes.blit";
+  if
+    n > 0
+    && (seg_off t 0 < 0
+       || seg_off t (n - 1) > Bytes.length dst - seg_len t (n - 1))
+  then invalid_arg "Bytes.blit";
   Prof.enter Prof.Diff_apply;
-  let data = t.data in
+  let segs = t.segs and data = t.data in
   let pos = ref 0 in
-  for i = 0 to n - 1 do
-    let off = seg_off t i and len = seg_len t i in
-    if off < 0 || len < 0 || off > dlen - len then begin
-      Prof.exit Prof.Diff_apply;
-      invalid_arg "Bytes.blit"
-    end;
-    copy_run data !pos dst off len;
-    pos := !pos + len
-  done;
+  if Sys.big_endian then
+    for i = 0 to n - 1 do
+      let len = seg_len t i in
+      copy_run data !pos dst (seg_off t i) len;
+      pos := !pos + len
+    done
+  else
+    for i = 0 to n - 1 do
+      let w = Int64.to_int (unsafe_get_64 segs (8 * i)) in
+      let len = w lsr 32 in
+      copy_run data !pos dst (w land 0xFFFF_FFFF) len;
+      pos := !pos + len
+    done;
   Prof.exit Prof.Diff_apply
 
 (* One walk of the two ascending segment lists. The output is the union of

@@ -9,7 +9,13 @@ type t
 (** Disjoint (offset, payload) segments, sorted by offset. Stored flat:
     one byte string of 32-bit (offset, length) pairs and one of the
     payloads back to back, so a diff is two allocations however many
-    segments it has. *)
+    segments it has.
+
+    Invariant, kept by every constructor below: offsets are at least 0,
+    and each segment ends at or before the next one starts. The segments
+    of {!create}, {!merge} and {!of_range} are non-empty; only {!full} of
+    an empty page has an empty one. {!apply} relies on this to check a
+    diff's bounds once. *)
 
 val empty : t
 val is_empty : t -> bool
@@ -35,7 +41,8 @@ val of_range : Bytes.t -> off:int -> len:int -> t
 val apply : t -> Bytes.t -> unit
 (** Overlay the segments onto the destination page. Raises
     [Invalid_argument] and leaves the page untouched when a segment
-    falls outside it. *)
+    falls outside it. By the invariant on {!t}, checking the first
+    offset and the last segment's end is enough. *)
 
 val merge : t -> t -> t
 (** [merge older newer]: a diff equivalent to applying [older] then

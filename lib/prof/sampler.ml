@@ -79,8 +79,15 @@ let names cache rb =
 
 type row = { name : string; incl : int; self : int }
 
-let report () =
+(* The booked stacks of the samples taken, innermost first; empty ones
+   (a sample of the handler alone) are dropped. *)
+let stacks () =
   let cache = Hashtbl.create 1024 in
+  List.filter_map
+    (fun rb -> match names cache rb with [] -> None | l -> Some l)
+    !samples
+
+let rows_of stacks =
   let rows : (string, row) Hashtbl.t = Hashtbl.create 1024 in
   let bump name ~self =
     let r =
@@ -92,16 +99,41 @@ let report () =
       { r with incl = r.incl + 1; self = (r.self + if self then 1 else 0) }
   in
   List.iter
-    (fun rb ->
-      match names cache rb with
+    (function
       | [] -> ()
       | top :: _ as stack ->
           (* a recursive function counts once per sample *)
           List.iter
             (fun n -> bump n ~self:(String.equal n top))
             (List.sort_uniq compare stack))
-    !samples;
+    stacks;
   Hashtbl.fold (fun _ r acc -> r :: acc) rows []
+
+let path_depth = 4
+let top_paths = 20
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* Samples per call path, the innermost [path_depth] frames of a booked
+   stack, most sampled first, ties in path order. A flat row such as
+   [? (in a callee of Stdlib__Array.iter)] cannot say which caller it
+   sits under; its paths can. *)
+let paths stacks =
+  let counts : (string list, int) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun stack ->
+      let key = take path_depth stack in
+      Hashtbl.replace counts key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+    stacks;
+  List.sort
+    (fun (pa, a) (pb, b) -> match compare b a with 0 -> compare pa pb | c -> c)
+    (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
+
+let pct total n =
+  if total > 0 then 100.0 *. float_of_int n /. float_of_int total else 0.0
 
 let pp_top ppf ~by rows total =
   let rows =
@@ -110,14 +142,11 @@ let pp_top ppf ~by rows total =
         match compare (by b) (by a) with 0 -> compare a.name b.name | c -> c)
       rows
   in
-  let pct n =
-    if total > 0 then 100.0 *. float_of_int n /. float_of_int total else 0.0
-  in
   List.iteri
     (fun i r ->
       if i < 25 && by r > 0 then
-        Format.fprintf ppf "%8d %6.1f%% %8d %6.1f%%  %s@," r.incl (pct r.incl)
-          r.self (pct r.self) r.name)
+        Format.fprintf ppf "%8d %6.1f%% %8d %6.1f%%  %s@," r.incl
+          (pct total r.incl) r.self (pct total r.self) r.name)
     rows
 
 let header ~samples ~cpu_s =
@@ -131,7 +160,8 @@ let header ~samples ~cpu_s =
     samples cpu_s every (1e3 *. interval)
 
 let pp ppf () =
-  let rows = report () and total = List.length !samples in
+  let stacks = stacks () and total = List.length !samples in
+  let rows = rows_of stacks in
   Format.fprintf ppf
     "@[<v>%s@,\
      OCaml 5 delivers signals at poll points, so self samples lean toward@,\
@@ -145,4 +175,13 @@ let pp ppf () =
   pp_top ppf ~by:(fun r -> r.incl) rows total;
   header "self";
   pp_top ppf ~by:(fun r -> r.self) rows total;
+  Format.fprintf ppf "%8s %7s  call path (top %d, innermost %d frames, \
+                      innermost first)@,"
+    "samples" "%" top_paths path_depth;
+  List.iteri
+    (fun i (path, n) ->
+      if i < top_paths then
+        Format.fprintf ppf "%8d %6.1f%%  %s@," n (pct total n)
+          (String.concat " <- " path))
+    (paths stacks);
   Format.fprintf ppf "@]"

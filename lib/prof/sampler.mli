@@ -19,7 +19,8 @@ val stop : unit -> unit
 
 val pp : Format.formatter -> unit -> unit
 (** {!header} for the last {!start}/{!stop} span, then the top 25
-    functions by inclusive and by self samples. *)
+    functions by inclusive and by self samples, then the 20 most-sampled
+    call paths ({!paths}). *)
 
 val header : samples:int -> cpu_s:float -> string
 (** The report's first line: the sample count, the CPU seconds they
@@ -34,3 +35,11 @@ val attribute : string list -> string list
     has no name at the poll point where the signal was taken: it becomes
     the row ["? (in a callee of X)"] on top of the first named frame X
     under it, so the sample is not booked as self time of X. *)
+
+val paths : string list list -> (string list * int) list
+(** Given the booked stacks of some samples (innermost first, as
+    {!attribute} returns them), the number of samples per call path: the
+    innermost four frames of a stack, or all of a shorter one. Most
+    sampled first; ties in the order of the paths. A flat row such as
+    ["? (in a callee of Stdlib__Array.iter)"] cannot say which caller
+    it sits under; its paths can. *)

@@ -98,8 +98,16 @@ let barrier t =
           ~bytes:(cfg.Config.notice_bytes * total_new)
           ~at:b.departure_clock
     done;
+    (* The departure clock is the pointwise max of every processor's
+       clock, and entry [q] of that max is [q]'s own: only [q]'s release
+       raises [vc.(q)]; every other processor's copy of it is an earlier
+       value of that entry, passed on by departures, lock grants and
+       checkpoints; and [q]'s own entry never falls ([Recover.restore]
+       keeps it). One read per processor, not a merge of every clock. *)
     let dvc = Vc.create sys.nprocs in
-    Array.iter (fun stq -> Vc.merge dvc stq.vc) sys.states;
+    for q = 0 to sys.nprocs - 1 do
+      Vc.set dvc q (Vc.get sys.states.(q).vc q)
+    done;
     b.departure_vc <- dvc;
     b.bcast_plan <-
       sys.bops.b_departure sys ~epoch:my_epoch ~departure_clock:b.departure_clock

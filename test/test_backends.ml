@@ -11,14 +11,17 @@
    including the adaptive backend's per-page switch decisions), every
    backend's runs through the trace invariant checker, the first-touch
    home-assignment regression (tracing must not perturb the
-   assignments), the new-style [Tmk.Alloc], and the per-protocol
-   statistics counters. *)
+   assignments), the new-style [Tmk.Alloc], the per-protocol
+   statistics counters, and the clock invariant behind the barrier's
+   departure clock. *)
 
 module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
 module Sink = Dsm_trace.Sink
 module Check = Dsm_trace.Check
 module Tmk = Dsm_tmk.Tmk
+module Types = Dsm_tmk.Types
+module Vc = Dsm_tmk.Vc
 open Dsm_apps.App_common
 
 let cfg ?(policy = Config.Home_block) backend nprocs =
@@ -364,6 +367,79 @@ let alloc_api () =
         Alcotest.(check int) "i64 roundtrip" 42 (Dsm_tmk.Shm.I64_1.get t k 6)
       end)
 
+(* {1 The departure clock}
+
+   The barrier's last arriver sets entry [q] of the departure clock to
+   [q]'s own entry instead of merging every clock. That is exact only if
+   no processor's copy of entry [q] ever exceeds [q]'s own. After each
+   run (whose exit barrier is the last one), every copy must be at most
+   the owner's entry, and the departure clock must be the pointwise max
+   of all clocks: a departure clock built from a processor that had not
+   yet heard of [q]'s last interval falls short of [q]'s own entry. *)
+let check_clocks ~name (sys : Tmk.system) =
+  let states = sys.Types.states in
+  let n = Array.length states in
+  let own q = Vc.get states.(q).Types.vc q in
+  Array.iteri
+    (fun r (st : Types.pstate) ->
+      for q = 0 to n - 1 do
+        if Vc.get st.Types.vc q > own q then
+          Alcotest.failf "%s: vc_%d.(%d) = %d exceeds vc_%d.(%d) = %d" name r
+            q (Vc.get st.Types.vc q) q q (own q)
+      done)
+    states;
+  let dvc = sys.Types.barrier.Types.departure_vc in
+  let max_vc = Vc.create n in
+  Array.iter (fun (st : Types.pstate) -> Vc.merge max_vc st.Types.vc) states;
+  Alcotest.(check (array int))
+    (name ^ ": departure clock is the max of all clocks")
+    max_vc dvc
+
+let departure_clock_matrix () =
+  List.iter
+    (fun (app, m) ->
+      let module W = (val m : Dsm_apps.Workload.S) in
+      let size = List.assoc "small" W.sizes in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun nprocs ->
+              let name =
+                Printf.sprintf "%s %s p%d" app (Config.backend_name backend)
+                  nprocs
+              in
+              let r =
+                W.tmk ~inspect:(check_clocks ~name) (cfg backend nprocs) ~size
+                  ~behavior:W.default_behavior ~level:Base ~async:false
+              in
+              Alcotest.(check (float 0.0)) (name ^ " verified") 0.0 r.max_err)
+            [ 1; 3; 8 ])
+        [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ])
+    Dsm_apps.Registry.kernels
+
+(* A crash regresses the victim's foreign entries to its checkpoint and
+   keeps its own: the invariant holds through the restart. *)
+let departure_clock_crash () =
+  let cfg =
+    {
+      Config.default with
+      Config.nprocs = 8;
+      backend = Config.Hlrc;
+      replicas = 3;
+      crash = [ (1, 5000.0, 3000.0) ];
+    }
+  in
+  let crashes = ref 0 in
+  let r =
+    Dsm_apps.Jacobi.tmk
+      ~inspect:(fun sys ->
+        check_clocks ~name:"jacobi hlrc k=3 crash" sys;
+        crashes := (Tmk.total_stats sys).Stats.crashes)
+      cfg ~size:Dsm_apps.Jacobi.small ~behavior:() ~level:Base ~async:false
+  in
+  Alcotest.(check (float 0.0)) "verified" 0.0 r.max_err;
+  Alcotest.(check int) "the scheduled crash happened" 1 !crashes
+
 let tests =
   List.concat_map
     (fun case ->
@@ -410,4 +486,8 @@ let tests =
       Alcotest.test_case "hlrc stats counters" `Quick hlrc_stats;
       Alcotest.test_case "inval/adaptive stats counters" `Quick inval_stats;
       Alcotest.test_case "alloc API" `Quick alloc_api;
+      Alcotest.test_case "departure clock: kernels x backends" `Quick
+        departure_clock_matrix;
+      Alcotest.test_case "departure clock: hlrc k=3 crash" `Quick
+        departure_clock_crash;
     ]

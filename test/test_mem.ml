@@ -199,6 +199,72 @@ let qcheck_apply_ref =
           Bytes.equal dst expect)
         [ copy; twin' ])
 
+(* {2 [Diff.apply] checks a diff's bounds once}
+
+   [apply] checks only the first offset and the last segment's end; the
+   segment invariant of [diff.mli] (offsets from 0 up, each segment
+   ending at or before the next one starts) makes that enough. Random
+   diffs of every constructor, applied to random pages of random
+   lengths, must write exactly the overlay of their [segments] when the
+   last one ends inside the page, and otherwise raise and leave the page
+   untouched. An [of_range] diff taken from a longer page, ending past
+   the destination, is the case every overrun is made of. *)
+
+let last_end d =
+  List.fold_left
+    (fun _ (off, payload) -> off + String.length payload)
+    0 (Diff.segments d)
+
+(* Offsets ascend, each segment ends at or before the next one starts. *)
+let segments_ordered d =
+  let rec go prev_end = function
+    | [] -> true
+    | (off, payload) :: rest ->
+        off >= prev_end && go (off + String.length payload) rest
+  in
+  go 0 (Diff.segments d)
+
+let apply_or_raise d dst =
+  let before = Bytes.copy dst in
+  let expect = Bytes.copy dst in
+  if last_end d <= Bytes.length dst then begin
+    blit_apply d expect;
+    Diff.apply d dst;
+    Bytes.equal dst expect
+  end
+  else
+    match Diff.apply d dst with
+    | () -> false
+    | exception Invalid_argument _ -> Bytes.equal dst before
+
+let qcheck_apply_bounds =
+  let gen =
+    QCheck.Gen.(
+      quad gen_spec
+        (string_size (return page_size))
+        (int_range (page_size / 2) page_size)
+        (pair (int_bound ((2 * page_size) - 1)) (int_range 1 page_size)))
+  in
+  let print (spec, _, dlen, (off, len)) =
+    Printf.sprintf "%s on %d bytes; of_range(%d,%d)" (print_spec spec) dlen
+      off len
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"apply checks bounds once: overlay of segments, or raise untouched"
+    (QCheck.make ~print gen) (fun (spec, page, dlen, (off, len)) ->
+      let twin = Bytes.of_string page in
+      let d = build_diff twin spec in
+      let dst = Bytes.init dlen (fun i -> Char.chr ((i * 31) mod 256)) in
+      (* a slice of a page twice as long: ends past [dst] when
+         [off + len > dlen] *)
+      let long = Bytes.init (2 * page_size) (fun i -> Char.chr (i mod 251)) in
+      let len = min len ((2 * page_size) - off) in
+      let r = Diff.of_range long ~off ~len in
+      segments_ordered d && segments_ordered r
+      && apply_or_raise d dst
+      && apply_or_raise d (Bytes.of_string page)
+      && apply_or_raise r (Bytes.copy dst))
+
 (* {2 Layout oracles}
 
    [Diff.covers_page] (a WRITE_ALL diff superseding older history) reads
@@ -671,4 +737,5 @@ let tests =
       QCheck_alcotest.to_alcotest qcheck_twin_recycling;
       Alcotest.test_case "page table: twin spares bounded" `Quick
         test_twin_spares_bounded;
+      QCheck_alcotest.to_alcotest qcheck_apply_bounds;
     ]

@@ -120,6 +120,43 @@ let test_sampler_attribution () =
   check "nothing named under the handler" [ "?" ] [ h; "?" ];
   check "handler only" [] [ h ]
 
+(* The call-path view: samples per innermost four frames of the booked
+   stacks, most sampled first. An interrupted-callee row splits by the
+   caller it sits under. *)
+let test_sampler_paths () =
+  let h = "Dsm_prof__Sampler.handler" in
+  let booked raw = Dsm_prof.Sampler.attribute raw in
+  let under_barrier =
+    [ h; "?"; "Stdlib__Array.iter"; "Sync_ops.barrier"; "Tmk.barrier";
+      "Gauss.tmk.(fun)"; "Tmk.run.(fun)" ]
+  and under_pull =
+    [ h; "?"; "Stdlib__Array.iter"; "Protocol.pull_notices";
+      "Sync_ops.barrier"; "Tmk.barrier" ]
+  and short = [ h; "Diff.apply"; "Fetch.install" ] in
+  let stacks =
+    List.map booked
+      [ under_barrier; under_pull; under_barrier; short; under_pull;
+        under_barrier ]
+  in
+  let callee = "? (in a callee of Stdlib__Array.iter)" in
+  Alcotest.(check (list (pair (list string) int)))
+    "paths, most sampled first"
+    [
+      ( [ callee; "Stdlib__Array.iter"; "Sync_ops.barrier"; "Tmk.barrier" ],
+        3 );
+      ( [ callee; "Stdlib__Array.iter"; "Protocol.pull_notices";
+          "Sync_ops.barrier" ],
+        2 );
+      ([ "Diff.apply"; "Fetch.install" ], 1);
+    ]
+    (Dsm_prof.Sampler.paths stacks);
+  Alcotest.(check (list (pair (list string) int)))
+    "equal counts in path order"
+    [ ([ "A.f" ], 1); ([ "B.g"; "A.f" ], 1) ]
+    (Dsm_prof.Sampler.paths [ [ "B.g"; "A.f" ]; [ "A.f" ] ]);
+  Alcotest.(check (list (pair (list string) int))) "no samples" []
+    (Dsm_prof.Sampler.paths [])
+
 (* The header reports the interval the samples really had, not the one
    the timer was asked for. *)
 let test_sampler_header () =
@@ -419,11 +456,13 @@ let test_bench_log_min_merge () =
    budget catches a hot-path representation regressing to per-update
    allocation. Gauss small, Base, 64 processors, lrc: every processor
    reads every broadcast page, so each page's watermark maps hold up to 64
-   writers. Measured at 95.6 Mw of minor allocation with flat watermark
-   maps and diffs (163.8 Mw with sorted pair lists); the budget leaves
-   ~15% headroom. *)
+   writers. Measured at 11.95 Mw of minor allocation when a pull reads
+   the interval log in place (18.5 Mw with a closure per writer per pull;
+   95.6 Mw when this budget was first set, with flat watermark maps and
+   diffs, and 163.8 Mw with sorted pair lists); the budget leaves ~15%
+   headroom. *)
 
-let gauss64_budget_mw = 110.0
+let gauss64_budget_mw = 13.8
 
 let test_gauss64_alloc_budget () =
   let cfg = { Config.default with Config.nprocs = 64 } in
@@ -508,10 +547,12 @@ let kernel_budget_cases =
 
 (* IS small, Base, 64 processors, lrc: every processor writes every
    bucket page, so each fault applies the diffs of ~32 writers. Measured
-   at 124.5 Mw with page-indexed diff cells and one unit list per page
-   (216.4 Mw with (writer, page)-keyed cells and per-page unit tables);
-   the budget leaves ~15% headroom. *)
-let is64_budget_mw = 143.0
+   at 58.85 Mw with a pull reading the interval log in place (63.7 Mw
+   with a closure per writer per pull; 124.5 Mw when this budget was
+   first set, with page-indexed diff cells and one unit list per page,
+   and 216.4 Mw with (writer, page)-keyed cells and per-page unit
+   tables); the budget leaves ~15% headroom. *)
+let is64_budget_mw = 68.0
 
 let test_is64_alloc_budget () =
   let cfg = { Config.default with Config.nprocs = 64 } in
@@ -603,4 +644,5 @@ let tests =
   @ [
       Alcotest.test_case "sampler: header reports the measured interval"
         `Quick test_sampler_header;
+      Alcotest.test_case "sampler: call paths" `Quick test_sampler_paths;
     ]

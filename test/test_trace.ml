@@ -1063,6 +1063,36 @@ let test_tmk_failure_mid_barrier () =
         done);
   Alcotest.(check int) "fresh run works after a failure" 4 !ok
 
+(* A pull applies each writer's window of intervals newest first, and
+   the [Notice_apply] events keep that order: p0 closes three intervals
+   with lock releases, writing one page in each, and p1 pulls all three
+   in one window at the barrier. *)
+let test_pull_newest_first () =
+  let page_size = 256 in
+  let words = page_size / 8 in
+  let sys = Tmk.make { (cfg_n 2) with Config.page_size } in
+  let a = Tmk.Alloc.array sys "a" ~dims:[ 3 * words ] in
+  let sink = Sink.create ~nprocs:2 () in
+  Tmk.run ~trace:sink sys (fun t ->
+      if Tmk.pid t = 0 then
+        for i = 0 to 2 do
+          Tmk.lock_acquire t 0;
+          Dsm_tmk.Shm.F64_1.set t a (i * words) 1.0;
+          Tmk.lock_release t 0
+        done;
+      Tmk.barrier t);
+  let applied =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Notice_apply { writer = 0; seq; _ } when e.Event.proc = 1 ->
+            Some seq
+        | _ -> None)
+      (Sink.events sink)
+  in
+  Alcotest.(check (list int)) "p1 applies p0's intervals newest first"
+    [ 3; 2; 1 ] applied
+
 let tests =
   [
     Alcotest.test_case "checker: jacobi 1/2/4/8 procs" `Quick
@@ -1163,4 +1193,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_parse_line_bytes;
     Alcotest.test_case "load_jsonl: only an unterminated last line is truncated"
       `Quick test_load_jsonl_last_line;
+    Alcotest.test_case "pull: a window applies newest first" `Quick
+      test_pull_newest_first;
   ]
