@@ -123,7 +123,7 @@ let bechamel_micro () =
               Dsm_tmk.Ilog.add l ~seq:s [ s; s + 1 ]
             done;
             ignore (Dsm_tmk.Ilog.count_since l 0);
-            Dsm_tmk.Ilog.iter_desc l ~lo:0 ~hi:64 (fun _ _ _ -> ());
+            Dsm_tmk.Ilog.iter_desc l ~lo:0 ~hi:64 (fun _ _ _ _ -> ());
             for page = 1 to 65 do
               ignore (Dsm_tmk.Ilog.newest_touch l page ~upto:32)
             done);

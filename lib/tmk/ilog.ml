@@ -183,13 +183,14 @@ let count_obj_window t ~lo ~hi =
 (* Number of write notices in intervals newer than [seq]. *)
 let count_since t seq = count_window t ~lo:seq ~hi:t.hi
 
-(* [f seq pages extents] for every recorded interval with
-   [lo < seq <= hi], newest first. *)
+(* [f owner seq pages extents] for every recorded interval with
+   [lo < seq <= hi], newest first. Passing the log's [owner] lets one
+   callback serve every writer's log. *)
 let iter_desc t ~lo ~hi f =
   let top = if hi > t.hi then t.hi else hi in
   let none = Array.length t.extents = 0 in
   for s = top downto lo + 1 do
-    f s t.pages.(s) (if none then [||] else t.extents.(s))
+    f t.owner s t.pages.(s) (if none then [||] else t.extents.(s))
   done
 
 (* The extent of the [i]th page of an interval whose extents are

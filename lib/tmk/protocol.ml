@@ -427,22 +427,19 @@ let count_notices sys p ~upto =
 
 (* Apply, from the global interval logs, every notice of every processor [q]
    with [vc_me.(q) < seq <= upto.(q)], newest first ({!Ilog.iter_desc}'s
-   order); advance the vector clock. The log's slots are read in place,
-   not through [iter_desc], whose callback would be a closure per writer
-   per pull: the bulk of a 64-processor barrier's allocation. *)
+   order); advance the vector clock. One callback serves every writer (the
+   log passes its owner): a closure per writer would be the bulk of a
+   64-processor barrier's allocation. *)
 let pull_notices sys p ~upto =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
+  let apply writer seq pages extents =
+    apply_notice sys p ~writer ~seq ~pages ~extents
+  in
   for q = 0 to sys.nprocs - 1 do
     if q <> p && Vc.get upto q > Vc.get st.vc q then begin
-      let lo = Vc.get st.vc q
-      and hi = Vc.get upto q in
-      let log = sys.logs.(q) in
-      let none = Array.length log.Ilog.extents = 0 in
-      for seq = (if hi > log.Ilog.hi then log.Ilog.hi else hi) downto lo + 1 do
-        apply_notice sys p ~writer:q ~seq ~pages:log.Ilog.pages.(seq)
-          ~extents:(if none then [||] else log.Ilog.extents.(seq))
-      done;
+      let hi = Vc.get upto q in
+      Ilog.iter_desc sys.logs.(q) ~lo:(Vc.get st.vc q) ~hi apply;
       Vc.set st.vc q hi
     end
   done;

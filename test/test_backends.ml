@@ -121,6 +121,36 @@ let cases : case list =
     };
   ]
 
+(* {1 The departure clock}
+
+   The barrier's last arriver sets entry [q] of the departure clock to
+   [q]'s own entry instead of merging every clock. That is exact only if
+   no processor's copy of entry [q] ever exceeds [q]'s own. After each
+   run (whose exit barrier is the last one), every copy must be at most
+   the owner's entry, and the departure clock must be the pointwise max
+   of all clocks: a departure clock built from a processor that had not
+   yet heard of [q]'s last interval falls short of [q]'s own entry. The
+   lrc = hlrc matrix and every checker run inspect their system with
+   it, so it covers all four backends, every level, sync and async. *)
+let check_clocks ~name (sys : Tmk.system) =
+  let states = sys.Types.states in
+  let n = Array.length states in
+  let own q = Vc.get states.(q).Types.vc q in
+  Array.iteri
+    (fun r (st : Types.pstate) ->
+      for q = 0 to n - 1 do
+        if Vc.get st.Types.vc q > own q then
+          Alcotest.failf "%s: vc_%d.(%d) = %d exceeds vc_%d.(%d) = %d" name r
+            q (Vc.get st.Types.vc q) q q (own q)
+      done)
+    states;
+  let dvc = sys.Types.barrier.Types.departure_vc in
+  let max_vc = Vc.create n in
+  Array.iter (fun (st : Types.pstate) -> Vc.merge max_vc st.Types.vc) states;
+  Alcotest.(check (array int))
+    (name ^ ": departure clock is the max of all clocks")
+    max_vc dvc
+
 (* {1 lrc = hlrc, bit for bit} *)
 
 let equivalence case () =
@@ -137,12 +167,15 @@ let equivalence case () =
                     nprocs
                     (if async then " async" else "")
                 in
-                let r_lrc =
-                  case.run ~digest:true (cfg Config.Lrc nprocs) ~level ~async
+                let run backend =
+                  case.run ~digest:true
+                    ~inspect:
+                      (check_clocks
+                         ~name:(name ^ " " ^ Config.backend_name backend))
+                    (cfg backend nprocs) ~level ~async
                 in
-                let r_hlrc =
-                  case.run ~digest:true (cfg Config.Hlrc nprocs) ~level ~async
-                in
+                let r_lrc = run Config.Lrc in
+                let r_hlrc = run Config.Hlrc in
                 Alcotest.(check (float 1e-6))
                   (name ^ ": lrc verified") 0.0 r_lrc.max_err;
                 Alcotest.(check (float 1e-6))
@@ -239,13 +272,14 @@ let checker_clean backend case () =
       List.iter
         (fun level ->
           let sink = Sink.create ~nprocs () in
-          let r =
-            case.run ~trace:sink (cfg backend nprocs) ~level ~async:true
-          in
           let name =
             Printf.sprintf "%s %s %s p%d" case.app
               (Config.backend_name backend)
               (opt_level_name level) nprocs
+          in
+          let r =
+            case.run ~trace:sink ~inspect:(check_clocks ~name)
+              (cfg backend nprocs) ~level ~async:true
           in
           Alcotest.(check (float 1e-6)) (name ^ ": verified") 0.0 r.max_err;
           match Check.run_sink sink with
@@ -367,58 +401,11 @@ let alloc_api () =
         Alcotest.(check int) "i64 roundtrip" 42 (Dsm_tmk.Shm.I64_1.get t k 6)
       end)
 
-(* {1 The departure clock}
+(* {1 The departure clock through a crash}
 
-   The barrier's last arriver sets entry [q] of the departure clock to
-   [q]'s own entry instead of merging every clock. That is exact only if
-   no processor's copy of entry [q] ever exceeds [q]'s own. After each
-   run (whose exit barrier is the last one), every copy must be at most
-   the owner's entry, and the departure clock must be the pointwise max
-   of all clocks: a departure clock built from a processor that had not
-   yet heard of [q]'s last interval falls short of [q]'s own entry. *)
-let check_clocks ~name (sys : Tmk.system) =
-  let states = sys.Types.states in
-  let n = Array.length states in
-  let own q = Vc.get states.(q).Types.vc q in
-  Array.iteri
-    (fun r (st : Types.pstate) ->
-      for q = 0 to n - 1 do
-        if Vc.get st.Types.vc q > own q then
-          Alcotest.failf "%s: vc_%d.(%d) = %d exceeds vc_%d.(%d) = %d" name r
-            q (Vc.get st.Types.vc q) q q (own q)
-      done)
-    states;
-  let dvc = sys.Types.barrier.Types.departure_vc in
-  let max_vc = Vc.create n in
-  Array.iter (fun (st : Types.pstate) -> Vc.merge max_vc st.Types.vc) states;
-  Alcotest.(check (array int))
-    (name ^ ": departure clock is the max of all clocks")
-    max_vc dvc
-
-let departure_clock_matrix () =
-  List.iter
-    (fun (app, m) ->
-      let module W = (val m : Dsm_apps.Workload.S) in
-      let size = List.assoc "small" W.sizes in
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun nprocs ->
-              let name =
-                Printf.sprintf "%s %s p%d" app (Config.backend_name backend)
-                  nprocs
-              in
-              let r =
-                W.tmk ~inspect:(check_clocks ~name) (cfg backend nprocs) ~size
-                  ~behavior:W.default_behavior ~level:Base ~async:false
-              in
-              Alcotest.(check (float 0.0)) (name ^ " verified") 0.0 r.max_err)
-            [ 1; 3; 8 ])
-        [ Config.Lrc; Config.Hlrc; Config.Inval; Config.Adaptive ])
-    Dsm_apps.Registry.kernels
-
-(* A crash regresses the victim's foreign entries to its checkpoint and
-   keeps its own: the invariant holds through the restart. *)
+   A crash regresses the victim's foreign entries to its checkpoint and
+   keeps its own: the invariant of [check_clocks] holds through the
+   restart. *)
 let departure_clock_crash () =
   let cfg =
     {
@@ -486,8 +473,6 @@ let tests =
       Alcotest.test_case "hlrc stats counters" `Quick hlrc_stats;
       Alcotest.test_case "inval/adaptive stats counters" `Quick inval_stats;
       Alcotest.test_case "alloc API" `Quick alloc_api;
-      Alcotest.test_case "departure clock: kernels x backends" `Quick
-        departure_clock_matrix;
       Alcotest.test_case "departure clock: hlrc k=3 crash" `Quick
         departure_clock_crash;
     ]
