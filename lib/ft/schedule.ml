@@ -100,6 +100,10 @@ let validate ~nprocs ~backend ~replicas ~ckpt_every crash =
     err "ckpt_every" (string_of_int ckpt_every) "[0, max_int]"
   else if crash <> [] && backend <> Config.Hlrc then
     Error "crash: a crash schedule requires the hlrc backend"
+  else if replicas > 1 && backend <> Config.Hlrc then
+    (* only hlrc has homes to replicate: elsewhere the quorum reads would
+       be paid for with no quorum write behind them *)
+    err "replicas" (string_of_int replicas) "{1} unless the backend is hlrc"
   else if crash <> [] && replicas < 3 then
     err "replicas" (string_of_int replicas)
       "[3, nprocs] when a crash schedule is set"

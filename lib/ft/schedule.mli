@@ -34,11 +34,12 @@ val validate :
   (int * float * float) list ->
   (t, string) result
 (** Check every fault-tolerance field together: [replicas] within
-    [1, nprocs], non-negative [ckpt_every], schedule triples in range,
-    per-processor windows non-overlapping, a non-empty schedule restricted
-    to the hlrc backend with [replicas >= 3], and the maximum number of
-    concurrent windows within the {!tolerance} budget. Error messages
-    follow {!Dsm_net.Plan.field_error}. *)
+    [1, nprocs] and above 1 only under the hlrc backend, non-negative
+    [ckpt_every], schedule triples in range, per-processor windows
+    non-overlapping, a non-empty schedule restricted to the hlrc backend
+    with [replicas >= 3], and the maximum number of concurrent windows
+    within the {!tolerance} budget. Error messages follow
+    {!Dsm_net.Plan.field_error}. *)
 
 val of_config : Dsm_sim.Config.t -> (t, string) result
 (** {!validate} applied to the configuration's own fields. *)

@@ -172,7 +172,8 @@ let term =
             "Fault tolerance (hlrc backend): replicate every page's home \
              over $(docv) consecutive processors; release-time flushes \
              become quorum writes and misses quorum reads. $(b,1) (the \
-             default) is the plain single-home protocol.")
+             default) is the plain single-home protocol, and the only \
+             value the other backends accept.")
   in
   let ckpt_every =
     Arg.(

@@ -6,8 +6,8 @@
    shipped applications, plus the concrete allocation list. The analysis
    instantiates every barrier epoch's access summaries under each
    processor's bindings, accumulates per-page reader/writer processor
-   sets, and runs the exact decision rule of
-   {!Dsm_tmk.Adaptive.reclassify} over every classification window the
+   sets, and runs the decision rule of {!Dsm_tmk.Adaptive.reclassify}
+   ({!Dsm_tmk.Proto_plan.decide}) over every classification window the
    online backend could observe. A page whose decision is the same in
    every window (and whose contributing summaries are all exact) gets an
    [Exact] directive: seeding it is guaranteed to agree with what the
@@ -77,19 +77,10 @@ let union_acc a b =
     exact = a.exact && b.exact;
   }
 
-(* The decision rule, kept literally in step with
-   {!Dsm_tmk.Adaptive.reclassify}: no writers — no decision; a single
-   writer that is also the only user — invalidate owned by it; a single
-   writer with other readers — home-based LRC homed at the writer;
-   several writers — homeless LRC. *)
+(* The online classifier's own decision rule; a plan names no owner for
+   a homeless-LRC page. *)
 let taxonomy a =
-  let users = Pset.union a.readers a.writers in
-  let nw = Pset.cardinal a.writers in
-  if nw = 0 then None
-  else if nw = 1 && Pset.equal users a.writers then
-    Some (Plan.Inval, Pset.min_elt a.writers)
-  else if nw = 1 then Some (Plan.Hlrc, Pset.min_elt a.writers)
-  else Some (Plan.Lrc, -1)
+  Plan.decide ~readers:a.readers ~writers:a.writers ~lrc_owner:(-1)
 
 let decision_equal a b =
   match (a, b) with

@@ -41,10 +41,11 @@ type acc = {
 val empty_acc : unit -> acc
 
 val taxonomy : acc -> (Plan.proto * int) option
-(** The decision rule of {!Dsm_tmk.Adaptive.reclassify}, verbatim: no
-    writers — [None]; one writer and no other users — invalidate at the
-    writer; one writer with readers — home-based LRC homed at the
-    writer; several writers — homeless LRC (owner [-1]). *)
+(** {!Dsm_tmk.Proto_plan.decide}, the decision rule of
+    {!Dsm_tmk.Adaptive.reclassify}, over a population: no writers —
+    [None]; one writer and no other users — invalidate at the writer; one
+    writer with readers — home-based LRC homed at the writer; several
+    writers — homeless LRC (owner [-1]). *)
 
 val classify_page :
   window:int ->

@@ -96,7 +96,7 @@ type t = {
           the hlrc backend. Release-time flushes become quorum writes (acked
           by ⌈(k+1)/2⌉ members) and misses quorum reads. [1] (the default)
           keeps the plain single-home protocol bit-identical to the
-          pre-replication runtime. *)
+          pre-replication runtime; any other backend requires [1]. *)
   ckpt_every : int;
       (** fault tolerance: barrier epochs between checkpoints of each
           processor's vector clock and per-page watermarks; [0] = only the

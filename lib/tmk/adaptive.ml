@@ -4,10 +4,13 @@
    policies — homeless LRC ({!Protocol}), home-based LRC ({!Hlrc}) or
    single-writer invalidate ({!Invalidate}); the shared entry points of
    {!Fetch} look each page's policy up ({!Fetch.proto_of}) and record the
-   sharing observations. This module reclassifies pages online from their
+   sharing observations, and {!Fetch.release} flushes the pages under
+   home-based LRC. This module reclassifies pages online from their
    observed sharing pattern. Pages start under LRC (the paper's default,
    correct for anything); every {!Proto_plan.window} barrier epochs the
-   per-window read/write processor masks decide:
+   per-window read/write processor sets decide, by the rule
+   ({!Proto_plan.decide}) the static classifier of [dsm_lint plan] also
+   runs:
 
    - one processor both reads and writes the page (private, or migratory
      when the processor changes between windows) -> invalidate, owned by
@@ -20,8 +23,9 @@
      whose diffs are exactly the concurrent-writer mechanism;
    - untouched or read-only windows change nothing.
 
-   Switching happens inside the barrier's departure hook: it runs once,
-   in the last arriver's engine turn, after every processor has closed its
+   Switching happens at the barrier departure ({!tick}, which
+   {!Sync_ops.barrier} calls under this backend only): it runs once, in
+   the last arriver's engine turn, after every processor has closed its
    interval (all dirty sets are empty) and after the departure vector
    clock has been merged — global quiescence. The switch first brings the
    new copy-holder fully current through the ordinary traced protocol
@@ -36,20 +40,6 @@ module Config = Dsm_sim.Config
 module Stats = Dsm_sim.Stats
 module Range = Dsm_rsd.Range
 module Page_table = Dsm_mem.Page_table
-
-(* {1 Release}
-
-   One shared interval close (write notices for every LRC/HLRC-mode page
-   dirtied — invalidate-mode pages never enter the dirty set), then an
-   eager home flush for just the pages currently under HLRC. *)
-
-let release sys p =
-  match Protocol.release sys p with
-  | None -> None
-  | Some (seq, pages) as entry ->
-      let hpages = List.filter (fun g -> Fetch.proto_of sys g = P_hlrc) pages in
-      if hpages <> [] then Hlrc.flush_pages sys p ~seq hpages;
-      entry
 
 (* {1 Classification and switching} *)
 
@@ -89,12 +79,12 @@ let switch sys page a ~to_ ~owner:o ~epoch =
   done;
   let src =
     match a.ap_proto with
-    | P_inval -> (
+    | Proto_plan.Inval -> (
         (* the invalidate owner's copy is current by protocol invariant *)
         match Hashtbl.find_opt sys.iv_dir page with
         | Some e -> e.iv_owner
         | None -> o)
-    | (P_lrc | P_hlrc) as proto ->
+    | (Lrc | Hlrc) as proto ->
         Fetch.fetch sys o proto [ page ] ~mode:Protocol.Prepaid ();
         o
   in
@@ -105,11 +95,11 @@ let switch sys page a ~to_ ~owner:o ~epoch =
   if sys.trace <> None then
     Protocol.emit sys src
       (Dsm_trace.Event.Proto_switch
-         { page; proto = page_proto_name to_; owner = o; epoch });
+         { page; proto = Proto_plan.proto_name to_; owner = o; epoch });
   (* 3. Install the new protocol's state. *)
   (match to_ with
-  | P_inval -> Invalidate.install sys page ~owner:src
-  | P_lrc | P_hlrc ->
+  | Proto_plan.Inval -> Invalidate.install sys page ~owner:src
+  | Lrc | Hlrc ->
       (* distribute the current copy to every processor — exact at
          quiescence: it includes every closed interval — so the new
          protocol starts with no history to fetch (old diffs may already
@@ -132,7 +122,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
         Invalidate.readable sys q page
       done;
       (match to_ with
-      | P_hlrc ->
+      | Proto_plan.Hlrc ->
           Hashtbl.replace sys.homes page o;
           (* every released interval is reflected in the distributed copy:
              no writer must ever re-flush pre-switch history *)
@@ -141,7 +131,7 @@ let switch sys page a ~to_ ~owner:o ~epoch =
             let own = Vc.get sys.states.(w).vc w in
             if own > m.home_flushed then m.home_flushed <- own
           done
-      | P_lrc | P_inval -> Hashtbl.remove sys.homes page));
+      | Lrc | Inval -> Hashtbl.remove sys.homes page));
   a.ap_proto <- to_
 
 let reclassify sys ~epoch =
@@ -151,18 +141,13 @@ let reclassify sys ~epoch =
   List.iter
     (fun page ->
       let a = Hashtbl.find sys.adapt page in
-      let readers = a.ap_readers
-      and writers = a.ap_writers in
-      let users = Pset.union readers writers in
-      let nw = Pset.cardinal writers in
+      let writers = a.ap_writers in
       let decision =
-        if nw = 0 then None (* untouched / read-only window *)
-        else if nw = 1 && Pset.equal users writers then
-          Some (P_inval, Pset.min_elt writers)
-        else if nw = 1 then Some (P_hlrc, Pset.min_elt writers)
-        else Some (P_lrc, if a.ap_last_writer >= 0 then a.ap_last_writer else 0)
+        Proto_plan.decide ~readers:a.ap_readers ~writers
+          ~lrc_owner:(max a.ap_last_writer 0)
       in
-      if nw = 1 then a.ap_last_writer <- Pset.min_elt writers;
+      if Pset.cardinal writers = 1 then
+        a.ap_last_writer <- Pset.min_elt writers;
       a.ap_readers <- Pset.empty;
       a.ap_writers <- Pset.empty;
       match decision with
@@ -171,19 +156,12 @@ let reclassify sys ~epoch =
       | _ -> ())
     pages
 
-(* Runs once per barrier, in the last arriver's turn, at quiescence. *)
-let plan_bcast sys ~epoch ~departure_clock:_ _entries =
+(* The adaptive backend's barrier departure: runs once per barrier, in
+   the last arriver's turn, at quiescence, and reclassifies every
+   {!Proto_plan.window} epochs. *)
+let tick sys ~epoch =
   sys.adapt_tick <- sys.adapt_tick + 1;
   if sys.adapt_tick >= Proto_plan.window then begin
     sys.adapt_tick <- 0;
     reclassify sys ~epoch
-  end;
-  None
-
-let backend =
-  {
-    b_name = "adaptive";
-    b_proto = None;
-    b_release = release;
-    b_departure = plan_bcast;
-  }
+  end

@@ -1,18 +1,19 @@
 (* The entry points every page transfer goes through, written once over
    the four coherence backends.
 
-   A backend is a per-page policy ({!Types.page_proto}) plus its release
-   hook ({!Types.backend_ops}): the homeless protocol fetches per-writer
-   diffs ({!Protocol.fetch}), the home-based one fetches the home copy
-   ({!Hlrc.fetch}), and the invalidate protocol runs its synchronous
-   directory transactions ({!Invalidate.satisfy}). The fixed backends run
-   one policy for every page; the adaptive backend looks each page's
-   policy up. Both data-moving policies share the plan -> move -> install
-   pipeline of {!Protocol.transfer}. On top of the policies this module
-   holds the page-fault handler (which consumes pending asynchronous
-   responses), the answers to section requests piggy-backed on barrier
-   departures and lock grants, and the adaptive backend's sharing
-   observations; {!Validate.validate} is the fourth entry point. *)
+   A backend is its [Config.backend_kind] ([sys.backend]), and each page
+   runs one per-page policy ({!Proto_plan.proto}): the homeless protocol
+   fetches per-writer diffs ({!Protocol.fetch}), the home-based one
+   fetches the home copy ({!Hlrc.fetch}), and the invalidate protocol runs
+   its synchronous directory transactions ({!Invalidate.satisfy}). The
+   fixed backends run one policy for every page; the adaptive backend
+   looks each page's policy up. Both data-moving policies share the plan
+   -> move -> install pipeline of {!Protocol.transfer}. On top of the
+   policies this module holds the interval close every release runs, the
+   page-fault handler (which consumes pending asynchronous responses), the
+   answers to section requests piggy-backed on barrier departures and
+   lock grants, and the adaptive backend's sharing observations;
+   {!Validate.validate} is the fourth entry point. *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -26,38 +27,44 @@ module Ft = Dsm_ft.Ft
 
 (* {1 Per-page policy selection} *)
 
-let proto_of sys page =
-  match sys.bops.b_proto with
-  | Some proto -> proto
-  | None -> (
+let proto_of sys page : Proto_plan.proto =
+  match sys.backend with
+  | Config.Lrc -> Lrc
+  | Config.Hlrc -> Hlrc
+  | Config.Inval -> Inval
+  | Config.Adaptive -> (
       match Hashtbl.find_opt sys.adapt page with
       | Some a -> a.ap_proto
-      | None -> P_lrc)
+      | None -> Lrc)
+
+(* A page's adaptive state, governed by [proto], with no observations in
+   the current window yet. *)
+let adapt_page proto ~last_writer =
+  {
+    ap_proto = proto;
+    ap_readers = Pset.empty;
+    ap_writers = Pset.empty;
+    ap_last_writer = last_writer;
+  }
 
 (* Adaptive backend only: [p] accessed [page] in the current
    classification window. *)
 let observe sys p access page =
-  if sys.bops.b_proto = None then begin
-    let a =
-      match Hashtbl.find_opt sys.adapt page with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              ap_proto = P_lrc;
-              ap_readers = Pset.empty;
-              ap_writers = Pset.empty;
-              ap_last_writer = -1;
-            }
-          in
-          Hashtbl.replace sys.adapt page a;
-          a
-    in
-    match access with
-    | Read -> a.ap_readers <- Pset.add p a.ap_readers
-    | Write | Read_write | Write_all | Read_write_all ->
-        a.ap_writers <- Pset.add p a.ap_writers
-  end
+  match sys.backend with
+  | Config.Lrc | Config.Hlrc | Config.Inval -> ()
+  | Config.Adaptive -> (
+      let a =
+        match Hashtbl.find_opt sys.adapt page with
+        | Some a -> a
+        | None ->
+            let a = adapt_page Lrc ~last_writer:(-1) in
+            Hashtbl.replace sys.adapt page a;
+            a
+      in
+      match access with
+      | Read -> a.ap_readers <- Pset.add p a.ap_readers
+      | Write | Read_write | Write_all | Read_write_all ->
+          a.ap_writers <- Pset.add p a.ap_writers)
 
 let page_cover sys pages =
   Range.normalize
@@ -68,23 +75,43 @@ let page_cover sys pages =
    invalidate, homeless and home-based pages, in that order, under the
    adaptive one. *)
 let groups sys pages ranges =
-  match (sys.bops.b_proto, pages) with
+  match (sys.backend, pages) with
   | _, [] -> []
-  | Some proto, _ -> [ (proto, pages, ranges) ]
-  | None, _ ->
+  | (Config.Lrc | Config.Hlrc | Config.Inval), g :: _ ->
+      [ (proto_of sys g, pages, ranges) ]
+  | Config.Adaptive, _ ->
       List.filter_map
         (fun proto ->
           match List.filter (fun g -> proto_of sys g = proto) pages with
           | [] -> None
           | pgs -> Some (proto, pgs, Range.inter ranges (page_cover sys pgs)))
-        [ P_inval; P_lrc; P_hlrc ]
+        [ Proto_plan.Inval; Lrc; Hlrc ]
 
 (* Bring [pages] current through the data-moving policy [proto]. *)
-let fetch sys p proto pages ~mode ?only_via () =
+let fetch sys p (proto : Proto_plan.proto) pages ~mode ?only_via () =
   match proto with
-  | P_lrc -> Protocol.fetch sys p pages ~mode ?only_via ()
-  | P_hlrc -> Hlrc.fetch sys p pages ~mode
-  | P_inval -> invalid_arg "Fetch.fetch: directory pages move by transaction"
+  | Lrc -> Protocol.fetch sys p pages ~mode ?only_via ()
+  | Hlrc -> Hlrc.fetch sys p pages ~mode
+  | Inval -> invalid_arg "Fetch.fetch: directory pages move by transaction"
+
+(* {1 Release}
+
+   Close [p]'s interval (write notices, interval log, write protection)
+   and flush the diffs of the pages the home-based policy governs into
+   their homes: every page under the hlrc backend, the pages currently
+   under it under the adaptive one, none under lrc. The invalidate
+   protocol has no intervals to close: its pages never enter the dirty
+   set. *)
+let release sys p =
+  match sys.backend with
+  | Config.Inval -> ()
+  | Config.Lrc | Config.Hlrc | Config.Adaptive -> (
+      match Protocol.release sys p with
+      | None -> ()
+      | Some (seq, pages) -> (
+          match List.filter (fun g -> proto_of sys g = Hlrc) pages with
+          | [] -> ()
+          | hpages -> Hlrc.flush sys p ~seq hpages))
 
 (* {1 The page-fault handler}
 
@@ -107,7 +134,7 @@ let fault sys p page ~write =
     Protocol.emit sys p
       (Dsm_trace.Event.Page_fault { page; write; fetch = invalid });
   (match proto_of sys page with
-  | P_inval -> Invalidate.satisfy sys p (if write then Write else Read) [ page ]
+  | Inval -> Invalidate.satisfy sys p (if write then Write else Read) [ page ]
   | proto ->
       (if invalid then
          match Hashtbl.find_opt st.pending_async page with
@@ -167,9 +194,10 @@ let answer sys p ~at ?bcast ?via ~async req =
         fetch sys p proto pgs ~mode:(Protocol.Piggyback at) ?only_via:via ()
   in
   match groups sys pages ranges with
-  | [ (((P_lrc | P_hlrc) as proto), _, _) ]
-    when async && sys.bops.b_proto <> None
-         && not (proto = P_hlrc && Ft.replicated sys.ft) ->
+  | [ (((Lrc | Hlrc) as proto), _, _) ]
+    when async
+         && sys.backend <> Config.Adaptive
+         && not (proto = Hlrc && Ft.replicated sys.ft) ->
       let faultable, unfaultable = Protocol.split_unfaultable sys p pages in
       (match bcast with
       | Some arrival ->
@@ -179,7 +207,7 @@ let answer sys p ~at ?bcast ?via ~async req =
              flight; the homeless one re-requests them (the later arrival
              wins) *)
           let faultable =
-            if proto = P_hlrc then
+            if proto = Hlrc then
               List.filter
                 (fun g -> not (Hashtbl.mem st.pending_async g))
                 faultable
@@ -198,10 +226,12 @@ let answer sys p ~at ?bcast ?via ~async req =
       List.iter
         (fun (proto, pgs, _) ->
           match proto with
-          | P_inval -> Invalidate.satisfy sys p access pgs
-          | P_lrc | P_hlrc -> fetch_now proto pgs)
+          | Proto_plan.Inval -> Invalidate.satisfy sys p access pgs
+          | Lrc | Hlrc -> fetch_now proto pgs)
         groups;
-      match List.filter (fun (proto, _, _) -> proto <> P_inval) groups with
+      match
+        List.filter (fun (proto, _, _) -> proto <> Proto_plan.Inval) groups
+      with
       | [] -> ()
       | [ (_, _, sub) ] -> Protocol.apply_access_state sys p ~ranges:sub ~access
       | paged ->
@@ -225,8 +255,8 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
      3.3). A homeless responder may hold diffs for any page, a home serves
      its homed pages; the directory protocol and the adaptive backend
      answer through their own transactions. *)
-  (match sys.bops.b_proto with
-  | Some ((P_lrc | P_hlrc) as proto) ->
+  (match sys.backend with
+  | Config.Lrc | Config.Hlrc ->
       List.iter
         (fun (r, reqs) ->
           if r <> p then begin
@@ -234,7 +264,8 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
               List.length
                 (List.filter
                    (fun page ->
-                     proto = P_lrc || Hlrc.serves sys p ~requester:r page)
+                     sys.backend = Config.Lrc
+                     || Hlrc.serves sys p ~requester:r page)
                    (req_pages sys reqs))
             in
             if n > 0 then
@@ -242,7 +273,7 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
                 (cfg.Config.wsync_scan_per_page_us *. float_of_int n)
           end)
         entries
-  | Some P_inval | None -> ());
+  | Config.Inval | Config.Adaptive -> ());
   (* Broadcast source side. *)
   (match b.bcast_plan with
   | Some (e, plan) when e = epoch && plan.bp_src = p ->
@@ -291,7 +322,11 @@ let answer_barrier sys p ~epoch ~departure_clock ~my_reqs =
    the grant message; the homeless grantor scans its page list and ships
    the diffs it holds locally. *)
 let answer_grant sys p ~grantor ~grant_ready req =
-  let via = if sys.bops.b_proto = Some P_lrc then Some grantor else None in
+  let via =
+    match sys.backend with
+    | Config.Lrc -> Some grantor
+    | Config.Hlrc | Config.Inval | Config.Adaptive -> None
+  in
   (match via with
   | Some g when g <> p ->
       Cluster.charge sys.cluster g

@@ -20,7 +20,7 @@
    In the fetch pipeline this is the home-copy policy: a transfer plans
    the stale pages by home (or, under replication, by quorum-read
    source), moves one full-page response per peer and installs the copies;
-   the release hook flushes the closed interval's diffs home. *)
+   {!flush} pushes a closed interval's diffs home. *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -57,7 +57,7 @@ let absorbed sys p ~home page high =
   Diff_store.note_applied sys.store ~writer:p ~page ~by:home
     ~seq:(Wmap.get hm.applied p)
 
-(* Replicated variant of the flush ([replicas > 1]): the closed interval's
+(* Replicated variant of {!flush} ([replicas > 1]): the closed interval's
    diffs go to every live member of each page's replica group, and the
    release is only sound if at least a quorum of the group acknowledged —
    a crash of any minority of the group can then never lose an
@@ -65,7 +65,7 @@ let absorbed sys p ~home page high =
    watermark, which makes a re-flush after a writer crash (the writer's
    [home_flushed] restarts at 0, so it re-fetches already-delivered units
    from the store) idempotent. *)
-let flush_pages_replicated sys p ~seq pages =
+let flush_replicated sys p ~seq pages =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
@@ -129,9 +129,8 @@ let flush_pages_replicated sys p ~seq pages =
    message per home aggregates all of the release's pages homed there.
    After a flush the releaser holds no lazy interval for remotely-homed
    pages: [lazy_hi] is 0 between releases, so foreign notices never force
-   a materialization. Factored out of {!release} so the adaptive backend
-   can flush just the pages it currently runs under this protocol. *)
-let flush_pages sys p ~seq pages =
+   a materialization. *)
+let flush_single sys p ~seq pages =
   Prof.enter Prof.Protocol;
   let st = sys.states.(p) in
   let cfg = sys.cluster.Cluster.cfg in
@@ -206,15 +205,12 @@ let flush_pages sys p ~seq pages =
   done;
   Prof.exit Prof.Protocol
 
-(* Close the interval exactly as the homeless protocol does (write notices,
-   interval log, write protection), then flush its diffs home. *)
-let release sys p =
-  match Protocol.release sys p with
-  | None -> None
-  | Some (seq, pages) as entry ->
-      if Ft.replicated sys.ft then flush_pages_replicated sys p ~seq pages
-      else flush_pages sys p ~seq pages;
-      entry
+(* Flush the diffs of interval [seq], just closed by {!Protocol.release},
+   for the [pages] this protocol governs: to every replica under
+   replication, to the single home otherwise. *)
+let flush sys p ~seq pages =
+  if Ft.replicated sys.ft then flush_replicated sys p ~seq pages
+  else flush_single sys p ~seq pages
 
 (* {1 Access misses: full-page fetch from the home} *)
 
@@ -450,11 +446,3 @@ let serves sys p ~requester page =
       | Config.Home_first_touch -> false
       | Config.Home_cyclic | Config.Home_block ->
           Recover.home_of sys ~toucher:requester page = p)
-
-let backend =
-  {
-    b_name = "hlrc";
-    b_proto = Some P_hlrc;
-    b_release = release;
-    b_departure = Protocol.no_departure;
-  }

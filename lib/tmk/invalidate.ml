@@ -1,7 +1,7 @@
 (* Directory-based single-writer invalidate protocol.
 
    A sequentially consistent protocol family deliberately unlike the LRC
-   variants, proving the backend interface spans consistency models: in
+   variants, proving the shared entry points span consistency models: in
    the fetch pipeline it is the policy whose pages move by synchronous
    directory transactions rather than planned transfers. Each page has
    a directory entry (conceptually on processor [page mod nprocs]) holding
@@ -216,13 +216,3 @@ let push_received sys p ~page ~covered =
     if sys.trace <> None then
       Protocol.emit sys p (Dsm_trace.Event.Fetch_done { page; full = true })
   end
-
-(* No intervals close (there are none), and there is no broadcast to
-   plan. *)
-let backend =
-  {
-    b_name = "inval";
-    b_proto = Some P_inval;
-    b_release = (fun _ _ -> None);
-    b_departure = Protocol.no_departure;
-  }

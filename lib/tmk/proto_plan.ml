@@ -13,6 +13,7 @@
 
 module Jflat = Dsm_util.Jflat
 module Plan = Dsm_net.Plan
+module Pset = Dsm_util.Pset
 
 let magic = "dsm-protocol-plan"
 let version = 1
@@ -21,6 +22,17 @@ let window = 2
 type proto = Lrc | Hlrc | Inval
 
 let proto_name = function Lrc -> "lrc" | Hlrc -> "hlrc" | Inval -> "inval"
+
+(* One classification window's decision, for the online classifier and
+   the static one alike. *)
+let decide ~readers ~writers ~lrc_owner =
+  let users = Pset.union readers writers in
+  let nw = Pset.cardinal writers in
+  if nw = 0 then None
+  else if nw = 1 && Pset.equal users writers then
+    Some (Inval, Pset.min_elt writers)
+  else if nw = 1 then Some (Hlrc, Pset.min_elt writers)
+  else Some (Lrc, lrc_owner)
 
 let proto_of_string = function
   | "lrc" -> Some Lrc

@@ -20,8 +20,24 @@ val window : int
     judges a decision exact by the same windows. *)
 
 type proto = Lrc | Hlrc | Inval
+(** The per-page coherence policy: which protocol governs a page. The
+    fixed backends run one for every page; the adaptive backend switches
+    pages between them, and a plan directive names one. *)
 
 val proto_name : proto -> string
+(** ["lrc"], ["hlrc"] or ["inval"]: the name plans and traces use. *)
+
+val decide :
+  readers:Dsm_util.Pset.t ->
+  writers:Dsm_util.Pset.t ->
+  lrc_owner:int ->
+  (proto * int) option
+(** The adaptive decision rule over one classification window, with the
+    owner it names: [None] when nobody wrote; one writer and no other
+    users — invalidate at the writer; one writer with other readers —
+    home-based LRC homed at the writer; several writers — homeless LRC,
+    owned by [lrc_owner]. The online classifier ({!Adaptive}) and the
+    static one ([dsm_lint plan]) both call it. *)
 
 type confidence =
   | Exact  (** every contributing access summary was exact *)

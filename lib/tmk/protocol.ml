@@ -1055,11 +1055,11 @@ let clip_to_pages sys ranges pages =
       Range.union acc (Range.clip_to_page ~page_size:sys.page_size ~page ranges))
     Range.empty pages
 
-(* {1 The homeless backend}
+(* {1 Barrier broadcast}
 
-   Barrier departure: detect the broadcast opportunity of Section 3.2.1 —
-   every requester asked for the same ranges and a single processor holds
-   all the new data for them. *)
+   The homeless backend's barrier departure: detect the broadcast
+   opportunity of Section 3.2.1 — every requester asked for the same
+   ranges and a single processor holds all the new data for them. *)
 let detect_bcast sys ~epoch ~departure_clock entries =
   if not sys.cluster.Cluster.cfg.Config.enable_bcast then None
   else
@@ -1150,13 +1150,3 @@ let detect_bcast sys ~epoch ~departure_clock entries =
                     } )
             | _ -> None
           end)
-
-let no_departure _sys ~epoch:_ ~departure_clock:_ _entries = None
-
-let backend =
-  {
-    b_name = "lrc";
-    b_proto = Some P_lrc;
-    b_release = release;
-    b_departure = detect_bcast;
-  }

@@ -219,17 +219,14 @@ val split_unfaultable :
 val clip_to_pages : system -> Dsm_rsd.Range.t -> int list -> Dsm_rsd.Range.t
 (** The sub-ranges of [ranges] falling on the given pages. *)
 
-val no_departure :
+val detect_bcast :
   system ->
   epoch:int ->
   departure_clock:float ->
   (int * wsync_req list) list ->
   (int * bcast_plan) option
-(** A barrier-departure hook that does nothing. *)
-
-val backend : backend_ops
-(** The homeless lazy-release-consistency protocol of the paper: diffs stay
-    with their writers and a miss fetches them writer by writer; a barrier
-    answers identical piggy-backed requests served by one producer with a
-    broadcast (Section 3.2.1). *)
-
+(** The homeless backend's barrier departure, run once in the last
+    arriver's turn: when every requester piggy-backed the same ranges and
+    one processor holds all the new data for them, plan a broadcast
+    answer instead of per-requester responses (Section 3.2.1). [None]
+    unless [Config.enable_bcast]. *)

@@ -2,8 +2,8 @@
     interface.
 
     Every access consults the page's protection bits and enters the
-    selected coherence backend's fault handlers (via {!Types.backend_ops})
-    exactly where a hardware MMU would deliver SIGSEGV: a read of an
+    shared page-fault handler ({!Fetch.fault}) exactly where a hardware
+    MMU would deliver SIGSEGV: a read of an
     invalid page triggers the backend's read fault (diff or home-page
     fetch), the first write to a write-protected page its write fault
     (twin creation, write detection). Elements are 4- or 8-byte aligned

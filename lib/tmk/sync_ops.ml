@@ -7,9 +7,10 @@
    the manager's service time. Write notices travel on arrival/departure and
    grant messages; piggy-backed section requests (Validate_w_sync) are
    answered at departure/grant time through {!Fetch}. The skeletons are
-   shared by every backend: what varies comes from [sys.bops] — how an
-   interval is closed, and what the last arriver does at the departure
-   (plan a broadcast, reclassify pages). *)
+   shared by every backend: intervals close through {!Fetch.release}, and
+   only the last arriver's departure step matches on [sys.backend] — the
+   homeless backend plans a broadcast, the adaptive one reclassifies
+   pages. *)
 
 open Types
 module Cluster = Dsm_sim.Cluster
@@ -44,7 +45,7 @@ let barrier t =
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = sys.cluster.Cluster.stats.(p) in
   pstats.Stats.barriers <- pstats.Stats.barriers + 1;
-  ignore (sys.bops.b_release sys p);
+  Fetch.release sys p;
   (* fault-tolerance hook: checkpoints and scheduled crashes execute at
      barrier arrival, right after the interval closed (and, under hlrc,
      its diffs reached the replica homes) — the fail-stop point where an
@@ -110,8 +111,15 @@ let barrier t =
     done;
     b.departure_vc <- dvc;
     b.bcast_plan <-
-      sys.bops.b_departure sys ~epoch:my_epoch ~departure_clock:b.departure_clock
-        (Option.value ~default:[] (Hashtbl.find_opt b.wsync_tbl my_epoch));
+      (match sys.backend with
+      | Config.Lrc ->
+          Protocol.detect_bcast sys ~epoch:my_epoch
+            ~departure_clock:b.departure_clock
+            (Option.value ~default:[] (Hashtbl.find_opt b.wsync_tbl my_epoch))
+      | Config.Adaptive ->
+          Adaptive.tick sys ~epoch:my_epoch;
+          None
+      | Config.Hlrc | Config.Inval -> None);
     b.epoch <- b.epoch + 1;
     b.arrived <- 0
   end;
@@ -269,7 +277,7 @@ let lock_release t lid =
   and p = t.p in
   let lk = get_lock sys lid in
   if lk.held_by <> Some p then invalid_arg "lock_release: not the holder";
-  ignore (sys.bops.b_release sys p);
+  Fetch.release sys p;
   lk.release_clock <- Cluster.time sys.cluster p;
   lk.release_vc <- Some (Vc.copy (state t).vc);
   lk.last_releaser <- p;

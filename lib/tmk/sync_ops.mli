@@ -17,8 +17,8 @@
     section requests ({!Fetch.answer_grant}). Queued requests are granted
     in virtual-time arrival order.
 
-    Both are shared by every backend; the backend's [b_release] closes the
-    interval and its [b_departure] hook runs once per barrier at
+    Both are shared by every backend; {!Fetch.release} closes the
+    interval and the backend's departure step runs once per barrier at
     quiescence. *)
 
 val barrier : Types.t -> unit

@@ -95,12 +95,7 @@ let make ?plan cfg =
     adapt = Hashtbl.create 64;
     adapt_tick = 0;
     ft = Dsm_ft.Ft.create cfg;
-    bops =
-      (match cfg.Config.backend with
-      | Config.Lrc -> Protocol.backend
-      | Config.Hlrc -> Hlrc.backend
-      | Config.Inval -> Invalidate.backend
-      | Config.Adaptive -> Adaptive.backend);
+    backend = cfg.Config.backend;
     trace = None;
     pending_plan = plan;
     obj_sizes = [||];
@@ -127,15 +122,9 @@ let make ?plan cfg =
 
 let seed_plan sys (pl : Proto_plan.t) =
   let npages = Dsm_mem.Addr_space.n_pages sys.Types.space in
-  let backend = sys.Types.bops.Types.b_name in
   let install_adapt page proto owner =
     Hashtbl.replace sys.Types.adapt page
-      {
-        Types.ap_proto = proto;
-        ap_readers = Types.Pset.empty;
-        ap_writers = Types.Pset.empty;
-        ap_last_writer = owner;
-      }
+      (Fetch.adapt_page proto ~last_writer:owner)
   in
   List.iter
     (fun (d : Proto_plan.directive) ->
@@ -143,22 +132,26 @@ let seed_plan sys (pl : Proto_plan.t) =
       let lo = d.Proto_plan.lo_page
       and hi = min d.Proto_plan.hi_page (npages - 1) in
       let apply =
-        match (backend, d.Proto_plan.proto) with
-        | "adaptive", Proto_plan.Inval ->
+        match (sys.Types.backend, d.Proto_plan.proto) with
+        | Config.Adaptive, Proto_plan.Inval ->
             Some
               (fun page ->
-                install_adapt page Types.P_inval owner;
+                install_adapt page Proto_plan.Inval owner;
                 Invalidate.install sys page ~owner)
-        | "adaptive", Proto_plan.Hlrc ->
+        | Config.Adaptive, Proto_plan.Hlrc ->
             Some
               (fun page ->
-                install_adapt page Types.P_hlrc owner;
+                install_adapt page Proto_plan.Hlrc owner;
                 Hashtbl.replace sys.Types.homes page owner)
-        | "hlrc", Proto_plan.Hlrc ->
+        | Config.Hlrc, Proto_plan.Hlrc ->
             Some (fun page -> Hashtbl.replace sys.Types.homes page owner)
-        | _ -> None
-        (* lrc directives confirm the default — nothing to install; other
-           backends have no protocol choice for a plan to make *)
+        | (Config.Adaptive | Config.Hlrc), Proto_plan.Lrc
+        | Config.Hlrc, Proto_plan.Inval
+        | (Config.Lrc | Config.Inval), _ ->
+            (* lrc directives confirm the default — nothing to install;
+               the other backends have no protocol choice for a plan to
+               make *)
+            None
       in
       match apply with
       | Some f when lo <= hi ->
@@ -276,8 +269,8 @@ let nprocs (t : t) = t.Types.sys.Types.nprocs
 let charge (t : t) us = Cluster.charge t.Types.sys.Types.cluster t.Types.p us
 
 (* Every protocol-visible operation runs the shared entry points, which
-   consult the backend selected in {!make} where the protocols differ. *)
-let backend_name sys = sys.Types.bops.Types.b_name
+   match on the backend {!make} was given where the protocols differ. *)
+let backend_name sys = Config.backend_name sys.Types.backend
 let barrier = Sync_ops.barrier
 let lock_acquire = Sync_ops.lock_acquire
 let lock_release = Sync_ops.lock_release
@@ -347,16 +340,16 @@ let adapt_classes sys =
     (fun page (a : Types.adapt_page) acc ->
       let owner =
         match a.Types.ap_proto with
-        | Types.P_inval -> (
+        | Proto_plan.Inval -> (
             match Hashtbl.find_opt sys.Types.iv_dir page with
             | Some e -> e.Types.iv_owner
             | None -> -1)
-        | Types.P_hlrc -> (
+        | Proto_plan.Hlrc -> (
             match Hashtbl.find_opt sys.Types.homes page with
             | Some h -> h
             | None -> -1)
-        | Types.P_lrc -> -1
+        | Proto_plan.Lrc -> -1
       in
-      (page, Types.page_proto_name a.Types.ap_proto, owner) :: acc)
+      (page, Proto_plan.proto_name a.Types.ap_proto, owner) :: acc)
     sys.Types.adapt []
   |> List.sort compare

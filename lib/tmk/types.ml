@@ -148,22 +148,12 @@ type iv_entry = {
   mutable iv_sharers : int list;  (* sorted; includes the owner *)
 }
 
-(* The per-page coherence policy: which protocol governs a page. The
-   fixed backends run one for every page; the adaptive backend switches
-   pages between them. *)
-type page_proto = P_lrc | P_hlrc | P_inval
-
-let page_proto_name = function
-  | P_lrc -> "lrc"
-  | P_hlrc -> "hlrc"
-  | P_inval -> "inval"
-
 (* Per-page sharing-pattern observations of the adaptive backend, reset at
    each classification window. Populations are {!Pset} processor sets so
    the cluster size is not capped by a bitmask (scaling runs reach 1024
    simulated processors). *)
 type adapt_page = {
-  mutable ap_proto : page_proto;
+  mutable ap_proto : Proto_plan.proto;
   mutable ap_readers : Pset.t;  (* procs that read-faulted/validated *)
   mutable ap_writers : Pset.t;  (* procs that write-faulted/validated *)
   mutable ap_last_writer : int;  (* previous window's single writer, -1 *)
@@ -245,9 +235,11 @@ type system = {
          lost-page sets and checkpoints ({!Recover} interprets them).
          Inert — every hook a single test — unless the configuration sets
          [replicas > 1] or a crash schedule *)
-  bops : backend_ops;
-      (* the coherence backend driving this system; selected once in
-         {!Tmk.make} from [Config.backend] and never changed afterwards *)
+  backend : Dsm_sim.Config.backend_kind;
+      (* the coherence backend driving this system: the [Config.backend]
+         {!Tmk.make} was given, never changed afterwards. The shared entry
+         points of {!Fetch}, {!Sync_ops} and {!Validate} match on it where
+         the protocols differ *)
   mutable trace : Dsm_trace.Sink.t option;
       (* protocol event sink; [None] (the default) makes every
          instrumentation site a single comparison with no allocation, and
@@ -275,29 +267,6 @@ type system = {
    [sys.states.(p)]: every Shm access starts from the handle, and the
    cached field saves an array bound check plus two loads on that path. *)
 and t = { sys : system; p : int; st : pstate }
-
-(* One coherence backend: what differs between the protocols once every
-   fault, validate, piggy-backed answer and push runs through the shared
-   entry points of {!Fetch}, {!Sync_ops} and {!Validate}. Each backend
-   module exports one such value ({!Protocol.backend}, {!Hlrc.backend},
-   {!Invalidate.backend}, {!Adaptive.backend}). *)
-and backend_ops = {
-  b_name : string;
-  b_proto : page_proto option;
-      (* the policy governing every page; [None]: chosen per page by the
-         adaptive classifier *)
-  b_release : system -> int -> (int * int list) option;
-      (* close the current interval: returns the new log entry *)
-  b_departure :
-    system ->
-    epoch:int ->
-    departure_clock:float ->
-    (int * wsync_req list) list ->
-    (int * bcast_plan) option;
-      (* runs once per barrier, in the last arriver's turn at quiescence:
-         may plan a broadcast answer to the piggy-backed requests (lrc) or
-         reclassify pages (adaptive) *)
-}
 
 let state t = t.st
 let cfg t = t.sys.cluster.Dsm_sim.Cluster.cfg

@@ -52,11 +52,15 @@ let validate t ?(async = false) sections access =
   List.iter (Fetch.observe sys p access) pages;
   (* object skipping runs under the fixed backends only: the adaptive
      classifier must see every page's accesses through the policies *)
-  let skips = sys.bops.b_proto <> None in
+  let skips =
+    match sys.backend with
+    | Config.Lrc | Config.Hlrc | Config.Inval -> true
+    | Config.Adaptive -> false
+  in
   List.iter
     (fun (proto, pgs, sub) ->
       match (proto, access) with
-      | P_inval, _ -> Invalidate.satisfy sys p access pgs
+      | Proto_plan.Inval, _ -> Invalidate.satisfy sys p access pgs
       | _, Write_all ->
           (* no data movement: consistency deliberately bypassed *)
           Protocol.apply_access_state sys p ~ranges:sub ~access
@@ -121,7 +125,7 @@ let validate_w_sync t ?(async = false) sections access =
    after. Data is received in place, not as diffs. Only the pushed sections
    are made consistent; full consistency is restored at the next barrier.
 
-   The exchange itself is protocol-independent; the backend's release
+   The exchange itself is protocol-independent; {!Fetch.release}
    closes the sender's interval (the homeless LRC keeps the diffs for
    later fetches, HLRC additionally flushes them to the homes).
 
@@ -176,7 +180,7 @@ let push t ~read_sections ~write_sections =
   let cfg = sys.cluster.Cluster.cfg in
   let pstats = stats t in
   pstats.Stats.pushes <- pstats.Stats.pushes + 1;
-  ignore (sys.bops.b_release sys p);
+  Fetch.release sys p;
   let my_seq = Vc.get st.vc p in
   (* send phase *)
   for i = 0 to sys.nprocs - 1 do
@@ -262,7 +266,7 @@ let push t ~read_sections ~write_sections =
               Range.covers pushed_ranges ~lo:(page * sys.page_size)
                 ~hi:((page + 1) * sys.page_size)
             in
-            if Fetch.proto_of sys page = P_inval then
+            if Fetch.proto_of sys page = Proto_plan.Inval then
               Invalidate.push_received sys p ~page ~covered
             else begin
               let m = Protocol.meta st page in

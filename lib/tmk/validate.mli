@@ -26,6 +26,6 @@ val push :
     receives its own intersections in place (no diff space). Only the
     pushed sections are made consistent; everything else may remain
     inconsistent until the next global synchronization. Synchronous only,
-    as in the paper's implementation (Section 3.3). The backend's release
+    as in the paper's implementation (Section 3.3). {!Fetch.release}
     closes the sender's interval; pages under the invalidate protocol are
     received through {!Invalidate.push_received}. *)

@@ -79,6 +79,16 @@ let test_validate_errors () =
     "replicas: 1 outside accepted range [3, nprocs] when a crash schedule \
      is set"
     (validate ~replicas:1 [ (1, 100.0, 50.0) ]);
+  List.iter
+    (fun backend ->
+      check_error
+        ("replicas need hlrc: " ^ Config.backend_name backend)
+        "replicas: 3 outside accepted range {1} unless the backend is hlrc"
+        (validate ~backend []))
+    [ Config.Lrc; Config.Inval; Config.Adaptive ];
+  (match validate ~backend:Config.Adaptive ~replicas:1 [] with
+  | Ok [] -> ()
+  | Ok _ | Error _ -> Alcotest.fail "adaptive with one replica rejected");
   check_error "crash proc range"
     "crash proc: 9 outside accepted range [0, nprocs=4)"
     (validate [ (9, 100.0, 50.0) ]);

@@ -20,12 +20,6 @@ module Pset = Dsm_util.Pset
 module A = Dsm_apps.App_common
 module Cli = Dsm_harness.Cli
 
-let adaptive_cfg nprocs =
-  let cfg = Config.with_procs Config.default nprocs in
-  match Config.backend_of_string "adaptive" with
-  | Some b -> { cfg with Config.backend = b }
-  | None -> Alcotest.fail "no adaptive backend"
-
 let build_plan ~nprocs name =
   let spec =
     match App_models.find name with
@@ -38,7 +32,8 @@ let build_plan ~nprocs name =
   in
   Classify.plan ~program:name ~level:"base" ~nprocs model
 
-let run_traced ?plan ~nprocs name =
+let run_traced ?plan ?(backend = Config.Adaptive) ?(inspect = ignore) ~nprocs
+    name =
   let m =
     match Dsm_apps.Registry.find name with
     | Some m -> m
@@ -59,8 +54,11 @@ let run_traced ?plan ~nprocs name =
   let classes = ref [] in
   let r =
     W.tmk ~trace:sink ~digest:true ?plan
-      ~inspect:(fun sys -> classes := Dsm_tmk.Tmk.adapt_classes sys)
-      (adaptive_cfg nprocs) ~size ~behavior:W.default_behavior ~level:l
+      ~inspect:(fun sys ->
+        classes := Dsm_tmk.Tmk.adapt_classes sys;
+        inspect sys)
+      { (Config.with_procs Config.default nprocs) with Config.backend }
+      ~size ~behavior:W.default_behavior ~level:l
       ~async:true
   in
   (r, !classes, sink)
@@ -415,6 +413,88 @@ let test_lint_grade_levels () =
   let code, _ = lint "--procs 2 --grade --level base" in
   Alcotest.(check int) "--level base grades" 0 code
 
+(* {1 Seeding under every backend}
+
+   A hand-built plan with one exact directive of each kind that moves
+   data: the hlrc backend takes only the home assignment, the adaptive
+   one takes both, and lrc and inval have no protocol choice for a plan
+   to make. Whatever a backend takes, the run's answer is the unplanned
+   one. *)
+
+let seeding_plan () =
+  let directive ~lo ~hi proto owner =
+    {
+      Plan.array = "a";
+      lo_page = lo;
+      hi_page = hi;
+      proto;
+      owner;
+      confidence = Plan.Exact;
+      reason = "steady";
+      est_lrc = 0.0;
+      est_hlrc = 0.0;
+      est_inval = 0.0;
+    }
+  in
+  {
+    Plan.program = "jacobi";
+    nprocs = 4;
+    page_size = Config.default.Config.page_size;
+    level = "base";
+    directives =
+      [ directive ~lo:0 ~hi:1 Plan.Hlrc 3; directive ~lo:2 ~hi:3 Plan.Inval 1 ];
+  }
+
+let plans_applied sink =
+  List.filter_map
+    (fun (ev : Dsm_trace.Event.t) ->
+      match ev.Dsm_trace.Event.kind with
+      | Dsm_trace.Event.Plan_applied { lo_page; hi_page; proto; owner } ->
+          Some (lo_page, hi_page, proto, owner)
+      | _ -> None)
+    (Dsm_trace.Sink.events sink)
+
+let test_seeding_every_backend () =
+  let plan = seeding_plan () in
+  (match Plan.validate plan with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("hand-built plan: " ^ e));
+  let applied = Alcotest.(list (pair (pair int int) (pair string int))) in
+  let shape =
+    List.map (fun (lo, hi, proto, owner) -> ((lo, hi), (proto, owner)))
+  in
+  List.iter
+    (fun (backend, expected) ->
+      let name = Config.backend_name backend in
+      let homes = ref [] in
+      let unplanned, _, _ = run_traced ~backend ~nprocs:4 "jacobi" in
+      let planned, _, sink =
+        run_traced ~plan ~backend
+          ~inspect:(fun sys -> homes := Dsm_tmk.Tmk.homes sys)
+          ~nprocs:4 "jacobi"
+      in
+      Alcotest.check applied (name ^ ": directives applied") expected
+        (shape (plans_applied sink));
+      Alcotest.(check string)
+        (name ^ ": digest of the unplanned run")
+        unplanned.A.digest planned.A.digest;
+      Alcotest.(check (list reject))
+        (name ^ ": planned run checker-clean")
+        []
+        (List.map
+           (Format.asprintf "%a" Dsm_trace.Check.pp_violation)
+           (Dsm_trace.Check.run_sink sink));
+      if backend = Config.Hlrc then
+        Alcotest.(check (list (pair int int)))
+          "hlrc: the directive's owner homes its pages" [ (0, 3); (1, 3) ]
+          (List.filter (fun (page, _) -> page <= 1) !homes))
+    [
+      (Config.Lrc, []);
+      (Config.Hlrc, [ ((0, 1), ("hlrc", 3)) ]);
+      (Config.Inval, []);
+      (Config.Adaptive, [ ((0, 1), ("hlrc", 3)); ((2, 3), ("inval", 1)) ]);
+    ]
+
 let tests =
   [
     Alcotest.test_case "plan file round trip" `Quick test_plan_roundtrip;
@@ -433,4 +513,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_of_lines_mutations;
     Alcotest.test_case "lint: --grade grades the Base run only" `Quick
       test_lint_grade_levels;
+    Alcotest.test_case "plan seeding under every backend" `Quick
+      test_seeding_every_backend;
   ]

@@ -254,7 +254,7 @@ let fold_on_exclusive_grant () =
       if Tmk.pid t = 1 then begin
         let st = g.sys.Types.states.(1) in
         Alcotest.(check bool) "A is an invalidate-protocol page" true
-          (Dsm_tmk.Fetch.proto_of g.sys g.page_a = Types.P_inval);
+          (Dsm_tmk.Fetch.proto_of g.sys g.page_a = Dsm_tmk.Proto_plan.Inval);
         Alcotest.(check bool) "A quiet before the write" true
           (List.mem g.page_a (Protocol.quiet_pages st));
         Shm.F64_1.set t g.a 1 5.0;
@@ -292,7 +292,7 @@ let fold_on_install () =
       Tmk.barrier t;
       if p = 0 then begin
         Alcotest.(check bool) "A is an invalidate-protocol page" true
-          (Dsm_tmk.Fetch.proto_of g.sys g.page_a = Types.P_inval);
+          (Dsm_tmk.Fetch.proto_of g.sys g.page_a = Dsm_tmk.Proto_plan.Inval);
         Alcotest.(check bool) "A eager at its new owner" false
           (List.mem g.page_a (Protocol.quiet_pages g.sys.Types.states.(0)));
         ignore (check_quiet ~name:"install" g.sys)
